@@ -23,8 +23,8 @@ def stage(label, argv):
 def run(out_dir, seed, skip_surrogate=False):
     base = ["--out-dir", out_dir, "--seed", str(seed)]
     if not skip_surrogate:
-        stage("generate pool", base + ["generate-pool", "--n", "3000"])
-        stage("select samples", base + ["select-samples", "--keep", "2000,200"])
+        stage("generate pool", base + ["generate-pool"])
+        stage("select samples", base + ["select-samples"])
         stage("train surrogate", base + ["train-surrogate"])
     stage("pretrain", base + ["pretrain"])
     stage("train ppo", base + ["train-ppo", "--agent", "pretrained_agent.npz"])

@@ -64,8 +64,8 @@ def _env_factory(cfg: ExperimentConfig, surrogate_path: str | None):
 
 def cmd_generate_pool(args) -> int:
     cfg = _build_config(args)
-    pool = generate_pool(args.n, seed=cfg.seed, config=cfg.proxy,
-                         t_max=cfg.t_max)
+    n = cfg.pool_size if args.n is None else args.n
+    pool = generate_pool(n, seed=cfg.seed, config=cfg.proxy, t_max=cfg.t_max)
     out = _out(args, args.out)
     write_dataset(out, pool)
     print(f"wrote {len(pool)} samples to {out}")
@@ -75,7 +75,8 @@ def cmd_generate_pool(args) -> int:
 def cmd_select_samples(args) -> int:
     cfg = _build_config(args)
     pool = read_dataset(_out(args, args.pool))
-    keep = [int(k) for k in args.keep.split(",")]
+    keep = (list(cfg.keep_counts) if args.keep is None
+            else [int(k) for k in args.keep.split(",")])
     sets = select_samples(pool, keep)
     artifacts = []
     for count, records in sorted(sets.items(), reverse=True):
@@ -88,8 +89,9 @@ def cmd_select_samples(args) -> int:
 
 def cmd_train_surrogate(args) -> int:
     cfg = _build_config(args)
-    train = read_dataset(_out(args, args.train))
-    test = read_dataset(_out(args, args.test))
+    keep = cfg.keep_counts
+    train = read_dataset(_out(args, args.train or f"selected_{keep[0]}.csv"))
+    test = read_dataset(_out(args, args.test or f"selected_{keep[1]}.csv"))
     model, history = train_surrogate(
         train, test, hidden=list(cfg.surrogate_hidden),
         schedule=cfg.surrogate_schedule, batch_size=cfg.surrogate_batch,
@@ -236,19 +238,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate-pool", help="proxy-evaluate random airfoils")
-    p.add_argument("--n", type=int, default=3000)
+    p.add_argument("--n", type=int, default=None,
+                   help="pool size (default: the config's pool_size)")
     p.add_argument("--out", default="pool.csv")
     p.set_defaults(func=cmd_generate_pool)
 
     p = sub.add_parser("select-samples", help="thin a pool to spread-out sets")
     p.add_argument("--pool", default="pool.csv")
-    p.add_argument("--keep", default="2000,200")
+    p.add_argument("--keep", default=None,
+                   help="comma-separated set sizes (default: the config's keep_counts)")
     p.add_argument("--out-prefix", default="selected")
     p.set_defaults(func=cmd_select_samples)
 
     p = sub.add_parser("train-surrogate", help="fit the CST->features model")
-    p.add_argument("--train", default="selected_2000.csv")
-    p.add_argument("--test", default="selected_200.csv")
+    p.add_argument("--train", default=None,
+                   help="default: selected_<first keep_counts entry>.csv")
+    p.add_argument("--test", default=None,
+                   help="default: selected_<second keep_counts entry>.csv")
     p.add_argument("--out", default="surrogate.npz")
     p.add_argument("--history", default="surrogate_history.csv")
     p.set_defaults(func=cmd_train_surrogate)

@@ -62,25 +62,43 @@ class AirfoilGeom:
         return np.concatenate([self.cst_upper, self.cst_lower])
 
 
-def cst_evaluate(coeffs, x) -> np.ndarray:
-    """Evaluate a 7-coefficient CST surface at stations x in [0,1]."""
+def _cst_basis(x: np.ndarray) -> tuple[np.ndarray, list]:
+    """Class function and the Bernstein power pairs (x^i, (1-x)^(6-i))."""
+    cls = np.power(x, CLASS_N1) * np.power(1.0 - x, CLASS_N2)
+    return cls, [(x**i, (1.0 - x) ** (6 - i)) for i in range(N_CST)]
+
+
+def _cst_sum(coeffs, basis) -> np.ndarray:
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (N_CST,):
         raise GeometryError(f"expected {N_CST} CST coefficients, got {coeffs.shape}")
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0) or np.any(x > 1.0):
-        raise GeometryError("station outside [0, 1]")
-    cls = np.power(x, CLASS_N1) * np.power(1.0 - x, CLASS_N2)
-    shape = np.zeros_like(x)
-    for i in range(N_CST):
-        shape = shape + coeffs[i] * _BINOM6[i] * x**i * (1.0 - x) ** (6 - i)
+    cls, powers = basis
+    shape = np.zeros_like(cls)
+    for c, b, (xi, xo) in zip(coeffs, _BINOM6, powers):
+        shape = shape + c * b * xi * xo
     return cls * shape
 
 
+def cst_evaluate(coeffs, x) -> np.ndarray:
+    """Evaluate a 7-coefficient CST surface at stations x in [0,1]."""
+    x = np.asarray(x, dtype=float)
+    if np.any(x < 0.0) or np.any(x > 1.0):
+        raise GeometryError("station outside [0, 1]")
+    return _cst_sum(coeffs, _cst_basis(x))
+
+
+_STATION_BASIS = _cst_basis(cosine_stations())
+
+
+def cst_at_stations(coeffs) -> np.ndarray:
+    """cst_evaluate(coeffs, cosine_stations()), the same floats from a
+    basis computed once."""
+    return _cst_sum(coeffs, _STATION_BASIS)
+
+
 def _design_matrix(x: np.ndarray) -> np.ndarray:
-    cls = np.power(x, CLASS_N1) * np.power(1.0 - x, CLASS_N2)
-    cols = [cls * _BINOM6[i] * x**i * (1.0 - x) ** (6 - i) for i in range(N_CST)]
-    return np.stack(cols, axis=1)
+    cls, powers = _cst_basis(x)
+    return np.stack([cls * b * xi * xo for b, (xi, xo) in zip(_BINOM6, powers)], axis=1)
 
 
 def cst_fit(x, y) -> np.ndarray:
@@ -98,51 +116,169 @@ def cst_fit(x, y) -> np.ndarray:
     return coeffs
 
 
-def bump_y(t1: float, t2: float, h_b: float, x) -> np.ndarray:
-    """Hicks-Henne bump h_b * sin(pi * x^e)^t2 with e mapping t1 to 0.5."""
+def _check_bump_params(t1: float, t2: float) -> None:
     if not 0.0 < t1 < 1.0:
         raise GeometryError("t1 must be in (0, 1)")
     if t2 <= 0.0:
         raise GeometryError("t2 must be positive")
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0) or np.any(x > 1.0):
-        raise GeometryError("station outside [0, 1]")
-    e = math.log(0.5) / math.log(t1)
+
+
+def _peak_exponent(t1: float) -> float:
+    """e in sin(pi x^e), placing the bump peak x^e = 1/2 at x = t1."""
+    return math.log(0.5) / math.log(t1)
+
+
+def _unit_bump(x: np.ndarray, e: float, t2: float) -> np.ndarray:
+    """sin(pi * x^e)^t2 at stations x in [0, 1]."""
     # sin can underflow to a tiny negative at x=1; clip before the
     # fractional power
     s = np.clip(np.sin(np.pi * np.power(x, e)), 0.0, None)
     # sin(pi) rounds to ~1e-16 instead of 0 and a fractional power t2
     # would inflate it, so pin the analytic end zeros
     s[(x == 0.0) | (x == 1.0)] = 0.0
-    return h_b * np.power(s, t2)
+    return np.power(s, t2)
+
+
+def bump_y(t1: float, t2: float, h_b: float, x) -> np.ndarray:
+    """Hicks-Henne bump h_b * sin(pi * x^e)^t2 with e mapping t1 to 0.5."""
+    _check_bump_params(t1, t2)
+    x = np.asarray(x, dtype=float)
+    if np.any(x < 0.0) or np.any(x > 1.0):
+        raise GeometryError("station outside [0, 1]")
+    return h_b * _unit_bump(x, _peak_exponent(t1), t2)
+
+
+_WIDTH_X = np.linspace(0.0, 1.0, WIDTH_GRID)
+_WIDTH_LEVEL = 0.01  # widths are measured between the 1%-height points
+_HALF_WINDOW = 3  # grid points evaluated either side of a predicted crossing
+
+
+def _crossing_phase(t2: float) -> float:
+    """a in [0, 1/2] with sin(pi a)^t2 = 1%: the crossings sit at x^e = a, 1-a."""
+    return math.asin(_WIDTH_LEVEL ** (1.0 / t2)) / math.pi
+
+
+def _cross(x, f, i0: int, i1: int) -> float:
+    """Linear interpolation of the 1% crossing between points i0 and i1."""
+    f0, f1 = f[i0], f[i1]
+    if f1 == f0:
+        return x[i0]
+    return x[i0] + (_WIDTH_LEVEL - f0) * (x[i1] - x[i0]) / (f1 - f0)
+
+
+def _width_extent(t1: float, t2: float) -> tuple[float, int, int]:
+    """measure_bump_width plus the width-grid indices of the first and
+    last points at or above 1% height (-1, -1 when there are none).
+
+    The crossings of sin(pi x^e)^t2 lie at x = a^(1/e) and (1-a)^(1/e)
+    (a from _crossing_phase).  Only the grid points around each
+    are evaluated, with bump_y's operations, so every value is the
+    full grid's.  The bump is unimodal and zero at both grid ends, so a
+    left window rising through 1% holds the grid's first point at or
+    above it and a right window falling through 1% holds the last;
+    otherwise the whole grid is evaluated.
+    """
+    _check_bump_params(t1, t2)
+    e = _peak_exponent(t1)
+    a = _crossing_phase(t2)
+    if not math.isnan(a):  # a NaN t2 gives an all-NaN bump on the full grid
+        n = 2 * _HALF_WINDOW
+        # first grid index of each window, kept inside the grid
+        lo_l, lo_r = (min(max(int(c * (WIDTH_GRID - 1)) - _HALF_WINDOW + 1, 0),
+                          WIDTH_GRID - n)
+                      for c in (a ** (1.0 / e), (1.0 - a) ** (1.0 / e)))
+        xs = np.concatenate([_WIDTH_X[lo_l:lo_l + n], _WIDTH_X[lo_r:lo_r + n]])
+        f = _unit_bump(xs, e, t2).tolist()
+        above = [v >= _WIDTH_LEVEL for v in f]
+        if not above[0] and above[n - 1] and above[n] and not above[-1]:
+            j = above.index(True)
+            k = 2 * n - 1 - above[::-1].index(True)
+            x = xs.tolist()
+            width = _cross(x, f, k, k + 1) - _cross(x, f, j - 1, j)
+            return width, lo_l + j, lo_r + k - n
+    f = _unit_bump(_WIDTH_X, e, t2)
+    above = np.nonzero(f >= _WIDTH_LEVEL)[0]
+    if above.size == 0:
+        return 0.0, -1, -1
+    # f is pinned to 0 at both grid ends, so each crossing has a neighbour
+    i_l, i_r = int(above[0]), int(above[-1])
+    width = _cross(_WIDTH_X, f, i_r, i_r + 1) - _cross(_WIDTH_X, f, i_l - 1, i_l)
+    return float(width), i_l, i_r
 
 
 def measure_bump_width(t1: float, t2: float) -> float:
     """Chordwise distance between the two 1%-height points of a bump.
 
     Measured on a 2001-point uniform grid with linear interpolation of
-    the crossings; independent of h_b.
+    the crossings; independent of h_b.  Only the grid points next to
+    the two crossings are evaluated, which gives the same float as
+    evaluating the whole grid.
     """
-    x = np.linspace(0.0, 1.0, WIDTH_GRID)
-    f = bump_y(t1, t2, 1.0, x)
-    above = np.nonzero(f >= 0.01)[0]
-    if above.size == 0:
-        return 0.0
-
-    def _cross(i0: int, i1: int) -> float:
-        f0, f1 = f[i0], f[i1]
-        if f1 == f0:
-            return x[i0]
-        return x[i0] + (0.01 - f0) * (x[i1] - x[i0]) / (f1 - f0)
-
-    i_l, i_r = above[0], above[-1]
-    x_l = x[i_l] if i_l == 0 else _cross(i_l - 1, i_l)
-    x_r = x[i_r] if i_r == WIDTH_GRID - 1 else _cross(i_r, i_r + 1)
-    return x_r - x_l
+    return _width_extent(t1, t2)[0]
 
 
 _T2_LO = 0.2
 _T2_HI = 200.0
+
+
+def _closed_form_root(t1: float, s_b: float) -> tuple[float, float]:
+    """Gridless estimate of the t2 giving width s_b, and dW/dt2 there.
+
+    The exact bump has width (1-a)^p - a^p, p = 1/e, decreasing in
+    a = _crossing_phase(t2); bisect it in a inside the t2 bracket.
+    """
+    p = 1.0 / _peak_exponent(t1)
+
+    def width(a: float) -> float:
+        return (1.0 - a) ** p - a ** p
+
+    lo, hi = _crossing_phase(_T2_LO), _crossing_phase(_T2_HI)
+    for _ in range(32):
+        mid = 0.5 * (lo + hi)
+        if width(mid) > s_b:
+            lo = mid
+        else:
+            hi = mid
+    t2 = math.log(_WIDTH_LEVEL) / math.log(math.sin(math.pi * 0.5 * (lo + hi)))
+    t2 = min(max(t2, _T2_LO), _T2_HI)
+    h = 1e-4 * t2
+    w_lo, w_hi = (width(_crossing_phase(t)) for t in (t2 - h, t2 + h))
+    slope = (w_hi - w_lo) / (2.0 * h)
+    # t1 next to 1 can round the slope to 0; callers still need a direction
+    return t2, min(slope, -1e-12)
+
+
+def _anchors(t1: float, s_b: float, clear: float) -> tuple[float, float]:
+    """(ta, tb) with measured widths W(ta) >= s_b + clear and
+    W(tb) <= s_b - clear, each as close to the root as the search gets;
+    -inf or inf where the search leaves the t2 bracket without one.
+
+    Secant steps on the measured width from the closed-form root give
+    the root; anchors are then tried outward from it at distances that
+    double until each inequality holds.  Only the inequalities matter
+    to solve_t2, not where the anchors land.
+    """
+    t, slope = _closed_form_root(t1, s_b)
+    w = measure_bump_width(t1, t)
+    for _ in range(3):
+        t_new = min(max(t + (s_b - w) / slope, _T2_LO), _T2_HI)
+        if abs(w - s_b) < clear or t_new == t:
+            break
+        w_new = measure_bump_width(t1, t_new)
+        if (w_new - w) / (t_new - t) < 0.0:
+            slope = (w_new - w) / (t_new - t)
+        t, w = t_new, w_new
+    root = t + (s_b - w) / slope
+    anchors = [-math.inf, math.inf]
+    for side, sign in ((0, -1.0), (1, 1.0)):
+        step = 2.0 * clear / -slope
+        while _T2_LO <= root + sign * step <= _T2_HI:
+            cand = root + sign * step
+            if sign * (s_b - measure_bump_width(t1, cand)) >= clear:
+                anchors[side] = cand
+                break
+            step *= 2.0
+    return anchors[0], anchors[1]
 
 
 def solve_t2(t1: float, s_b: float, tol: float = 1e-6) -> tuple[float, bool]:
@@ -152,41 +288,46 @@ def solve_t2(t1: float, s_b: float, tol: float = 1e-6) -> tuple[float, bool]:
     not achievable inside the t2 bracket, or when a 1% crossing sits in
     a boundary grid cell (flank truncated by the [0,1] support); in the
     infeasible case the closest achievable t2 is returned.
+
+    t2 is the first midpoint of a bisection on [0.2, 200] whose
+    measure_bump_width lies within tol/4 of s_b.  The width decreases
+    monotonically in t2, so midpoints at or below an anchor whose width
+    clears s_b + tol/2, or at or above one below s_b - tol/2, go the
+    way the bisection would send them without being measured; the
+    anchors sit close to the root, so only the last few midpoints are.
+    The margin of tol/2 rather than tol/4 covers rounding in the
+    measured width.
     """
     if not 0.0 < t1 < 1.0:
         raise GeometryError("t1 must be in (0, 1)")
     if s_b <= 0.0:
         raise GeometryError("s_b must be positive")
-    # width is monotone decreasing in t2
-    w_lo = measure_bump_width(t1, _T2_LO)
-    w_hi = measure_bump_width(t1, _T2_HI)
-    if s_b >= w_lo:
+    band = 0.25 * tol
+    ta, tb = _anchors(t1, s_b, 2.0 * band)
+    # an anchor inside the bracket settles its end's feasibility check
+    if ta == -math.inf and s_b >= measure_bump_width(t1, _T2_LO):
         return _T2_LO, True
-    if s_b <= w_hi:
+    if tb == math.inf and s_b <= measure_bump_width(t1, _T2_HI):
         return _T2_HI, True
     lo, hi = _T2_LO, _T2_HI
-    t2 = 0.5 * (lo + hi)
     for _ in range(100):
         t2 = 0.5 * (lo + hi)
-        w = measure_bump_width(t1, t2)
-        if abs(w - s_b) < 0.25 * tol:
-            break
-        if w > s_b:
+        if t2 <= ta:
             lo = t2
-        else:
+        elif t2 >= tb:
             hi = t2
-    clamped = _flank_truncated(t1, t2)
-    return t2, clamped
-
-
-def _flank_truncated(t1: float, t2: float) -> bool:
-    """True when a 1% crossing falls in the first or last width-grid cell."""
-    x = np.linspace(0.0, 1.0, WIDTH_GRID)
-    f = bump_y(t1, t2, 1.0, x)
-    above = np.nonzero(f >= 0.01)[0]
-    if above.size == 0:
-        return True
-    return above[0] <= 1 or above[-1] >= WIDTH_GRID - 2
+        else:
+            w, first, last = _width_extent(t1, t2)
+            if abs(w - s_b) < band:
+                break
+            if w > s_b:
+                lo = t2
+            else:
+                hi = t2
+    else:  # no midpoint met the stop rule; the last one sets the flag
+        _, first, last = _width_extent(t1, t2)
+    # a 1% crossing in the first or last width-grid cell truncates a flank
+    return t2, first <= 1 or last >= WIDTH_GRID - 2
 
 
 def curvature(x, y) -> np.ndarray:
@@ -204,12 +345,8 @@ def curvature(x, y) -> np.ndarray:
 
 def max_thickness(airfoil: AirfoilGeom) -> float:
     """Maximum of (y_upper - y_lower) on the fixed 201-point cosine grid."""
-    x = cosine_stations()
-    return float(np.max(airfoil.upper_y(x) - airfoil.lower_y(x)))
-
-
-def _thickness_of(upper: np.ndarray, lower: np.ndarray, x: np.ndarray) -> float:
-    return float(np.max(cst_evaluate(upper, x) - cst_evaluate(lower, x)))
+    return float(np.max(cst_at_stations(airfoil.cst_upper)
+                        - cst_at_stations(airfoil.cst_lower)))
 
 
 def _rescale_lower(upper, lower, t_max: float) -> np.ndarray:
@@ -220,9 +357,8 @@ def _rescale_lower(upper, lower, t_max: float) -> np.ndarray:
     """
     upper = np.asarray(upper, dtype=float)
     lower = np.asarray(lower, dtype=float)
-    x = cosine_stations()
-    yu = cst_evaluate(upper, x)
-    yl = cst_evaluate(lower, x)
+    yu = cst_at_stations(upper)
+    yl = cst_at_stations(lower)
 
     def thick(s: float) -> float:
         return float(np.max(yu - s * yl))
@@ -262,7 +398,7 @@ def apply_action(airfoil: AirfoilGeom, action: BumpAction) -> AirfoilGeom:
     """
     t2, _ = solve_t2(action.t1, action.s_b)
     x = cosine_stations()
-    y_bumped = airfoil.upper_y(x) + bump_y(action.t1, t2, action.h_b, x)
+    y_bumped = cst_at_stations(airfoil.cst_upper) + bump_y(action.t1, t2, action.h_b, x)
     new_upper = cst_fit(x, y_bumped)
     new_lower = _rescale_lower(new_upper, airfoil.cst_lower, airfoil.t_max)
     return AirfoilGeom(cst_upper=new_upper, cst_lower=new_lower, t_max=airfoil.t_max)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .features import FeatureSet, WallMachDistribution, extract_features
 from .geometry import (AirfoilGeom, GeometryError, cosine_stations,
-                       cst_evaluate, make_airfoil)
+                       cst_at_stations, make_airfoil)
 from .surrogate import OUTPUT_NAMES, SampleRecord, in_feature_bounds
 
 
@@ -34,15 +34,25 @@ class ProxyConfig:
 
 
 def _moving_average(v: np.ndarray, halfwidth: int) -> np.ndarray:
+    """Mean of v[i-h : i+h+1] at each i, the window cut at both ends.
+
+    Each window is summed in order by np.convolve, which for windows of
+    up to 8 terms (halfwidth <= 3) gives the same floats as np.mean;
+    longer windows may differ from it in the last bit, because np.mean
+    switches to pairwise summation.
+    """
     if halfwidth <= 0:
         return v.copy()
-    out = np.empty_like(v)
     n = v.size
-    for i in range(n):
-        a = max(0, i - halfwidth)
-        b = min(n, i + halfwidth + 1)
-        out[i] = v[a:b].mean()
-    return out
+    kernel = np.ones(2 * halfwidth + 1)
+    # np.convolve swaps its arguments when the kernel is the longer one,
+    # which sums each window backwards; zero tails keep v the longer
+    tail = np.zeros(max(kernel.size - n, 0))
+
+    def window_sums(a: np.ndarray) -> np.ndarray:
+        return np.convolve(np.concatenate([a, tail]), kernel, "same")[:n]
+
+    return window_sums(v) / window_sums(np.ones(n))
 
 
 def proxy_distribution(cst14, config: ProxyConfig = ProxyConfig()) -> WallMachDistribution:
@@ -55,8 +65,8 @@ def proxy_distribution(cst14, config: ProxyConfig = ProxyConfig()) -> WallMachDi
     """
     cst14 = np.asarray(cst14, dtype=float)
     x = cosine_stations()
-    y_u = cst_evaluate(cst14[:7], x)
-    y_l = cst_evaluate(cst14[7:], x)
+    y_u = cst_at_stations(cst14[:7])
+    y_l = cst_at_stations(cst14[7:])
     dy = np.gradient(y_u, x)
     u = (config.m_inf + config.gain_thickness * y_u
          + config.gain_slope * np.maximum(-dy, 0.0))
@@ -84,10 +94,14 @@ def proxy_evaluate(cst14, config: ProxyConfig = ProxyConfig()) -> tuple[float, F
     return cd, feats
 
 
+def _outputs(cd: float, feats: FeatureSet) -> dict:
+    return dict(zip(OUTPUT_NAMES, (cd, feats.x1, feats.mw1, feats.mwl, feats.mwa)))
+
+
 def proxy_sample(cst14, config: ProxyConfig = ProxyConfig()) -> SampleRecord:
     cd, feats = proxy_evaluate(cst14, config)
-    outputs = dict(zip(OUTPUT_NAMES, (cd, feats.x1, feats.mw1, feats.mwl, feats.mwa)))
-    return SampleRecord(cst14=np.asarray(cst14, dtype=float).copy(), outputs=outputs)
+    return SampleRecord(cst14=np.asarray(cst14, dtype=float).copy(),
+                        outputs=_outputs(cd, feats))
 
 
 # base geometry the bundled seed generator perturbs: front-loaded upper
@@ -115,23 +129,30 @@ def seed_airfoils(n: int, seed: int = 0, spread: float = 0.008,
             foil = make_airfoil(upper, lower, t_max)
         except GeometryError:
             continue
-        _, feats = proxy_evaluate(foil.cst14, config)
-        rec = proxy_sample(foil.cst14, config)
-        if not feats.no_shock and in_feature_bounds(rec.outputs):
+        cd, feats = proxy_evaluate(foil.cst14, config)
+        if not feats.no_shock and in_feature_bounds(_outputs(cd, feats)):
             out.append(foil)
     if len(out) < n:
         raise RuntimeError(f"seed generator produced {len(out)}/{n} valid airfoils")
     return out
 
 
+# generate_pool's draws per requested sample before it gives up; about
+# 1% of draws at the default spread fail to build an airfoil
+_POOL_TRIES_PER_SAMPLE = 20
+
+
 def generate_pool(n: int, seed: int = 0, spread: float = 0.08,
                   t_max: float = T_MAX_DEFAULT,
                   config: ProxyConfig = ProxyConfig()) -> list[SampleRecord]:
     """Random proxy-evaluated airfoils for surrogate training; rows may
-    violate the feature box (selection filters later)."""
+    violate the feature box (selection filters later).  Gives up with
+    RuntimeError after 20 draws per requested sample."""
     rng = np.random.default_rng(seed)
     pool: list[SampleRecord] = []
-    while len(pool) < n:
+    for _ in range(_POOL_TRIES_PER_SAMPLE * n):
+        if len(pool) >= n:
+            break
         upper = BASE_UPPER + rng.uniform(-spread, spread, 7)
         lower = BASE_LOWER + rng.uniform(-spread, spread, 7)
         try:
@@ -139,4 +160,6 @@ def generate_pool(n: int, seed: int = 0, spread: float = 0.08,
         except GeometryError:
             continue
         pool.append(proxy_sample(foil.cst14, config))
+    if len(pool) < n:
+        raise RuntimeError(f"pool generator produced {len(pool)}/{n} valid airfoils")
     return pool

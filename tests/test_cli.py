@@ -138,3 +138,15 @@ def test_ppo_training_command_smoke(tmp_path):
     assert run(tmp_path, "--config", str(ini), "evaluate",
                "--agent", "trained_agent.npz") == 0
     assert (tmp_path / "evaluation.csv").exists()
+
+
+def test_surrogate_sizes_default_to_config(tmp_path):
+    ini = tmp_path / "sizes.ini"
+    ini.write_text("[surrogate]\npool_size = 40\nkeep_counts = 20,5\n"
+                   "hidden = 8\nschedule = 2:0.01\n")
+    for command in ("generate-pool", "select-samples", "train-surrogate"):
+        assert main(["--out-dir", str(tmp_path), "--config", str(ini), command]) == 0
+    assert len((tmp_path / "pool.csv").read_text().splitlines()) == 41
+    assert len((tmp_path / "selected_20.csv").read_text().splitlines()) == 21
+    assert len((tmp_path / "selected_5.csv").read_text().splitlines()) == 6
+    assert (tmp_path / "surrogate.npz").exists()

@@ -101,3 +101,29 @@ def test_drag_model_penalizes_strong_shocks(base_airfoil):
     cd_strong, feats = proxy_evaluate(base_airfoil.cst14, hot)
     assert feats.mw1 > 1.0
     assert cd_strong > cd_weak
+
+
+def test_seed_airfoils_evaluates_each_candidate_once(monkeypatch):
+    import airfoilrl.proxy as proxy
+    built, evaluated = [0], [0]
+    make, distribution = proxy.make_airfoil, proxy.proxy_distribution
+
+    def counting_make(*args, **kwargs):
+        foil = make(*args, **kwargs)
+        built[0] += 1
+        return foil
+
+    def counting_distribution(*args, **kwargs):
+        evaluated[0] += 1
+        return distribution(*args, **kwargs)
+
+    monkeypatch.setattr(proxy, "make_airfoil", counting_make)
+    monkeypatch.setattr(proxy, "proxy_distribution", counting_distribution)
+    seed_airfoils(3, seed=0)
+    assert evaluated[0] == built[0] > 0
+
+
+def test_generate_pool_gives_up_when_no_geometry_builds():
+    # no lower-surface scale factor reaches this thickness, so every draw fails
+    with pytest.raises(RuntimeError, match="0/3"):
+        generate_pool(3, t_max=10.0)
