@@ -87,7 +87,9 @@ def cst_evaluate(coeffs, x) -> np.ndarray:
     return _cst_sum(coeffs, _cst_basis(x))
 
 
-_STATION_BASIS = _cst_basis(cosine_stations())
+_STATIONS = cosine_stations()
+_STATIONS.flags.writeable = False
+_STATION_BASIS = _cst_basis(_STATIONS)
 
 
 def cst_at_stations(coeffs) -> np.ndarray:
@@ -101,15 +103,22 @@ def _design_matrix(x: np.ndarray) -> np.ndarray:
     return np.stack([cls * b * xi * xo for b, (xi, xo) in zip(_BINOM6, powers)], axis=1)
 
 
+_STATION_DESIGN = _design_matrix(_STATIONS)
+
+
 def cst_fit(x, y) -> np.ndarray:
-    """Least-squares CST coefficients for a sampled curve."""
+    """Least-squares CST coefficients for a sampled curve.
+
+    On the cached cosine grid (`x is _STATIONS`) the design matrix built
+    once at import is used; it holds the same floats as a fresh one.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise GeometryError("x and y must be 1-D arrays of equal length")
     if x.size < N_CST + 1:
         raise GeometryError("need at least 8 stations to fit 7 coefficients")
-    a = _design_matrix(x)
+    a = _STATION_DESIGN if x is _STATIONS else _design_matrix(x)
     coeffs, _, rank, _ = np.linalg.lstsq(a, y, rcond=None)
     if rank < N_CST:
         raise GeometryError("rank-deficient CST design matrix")
@@ -397,9 +406,9 @@ def apply_action(airfoil: AirfoilGeom, action: BumpAction) -> AirfoilGeom:
     the maximum thickness stays at t_max.
     """
     t2, _ = solve_t2(action.t1, action.s_b)
-    x = cosine_stations()
-    y_bumped = cst_at_stations(airfoil.cst_upper) + bump_y(action.t1, t2, action.h_b, x)
-    new_upper = cst_fit(x, y_bumped)
+    y_bumped = cst_at_stations(airfoil.cst_upper) \
+        + bump_y(action.t1, t2, action.h_b, _STATIONS)
+    new_upper = cst_fit(_STATIONS, y_bumped)
     new_lower = _rescale_lower(new_upper, airfoil.cst_lower, airfoil.t_max)
     return AirfoilGeom(cst_upper=new_upper, cst_lower=new_lower, t_max=airfoil.t_max)
 

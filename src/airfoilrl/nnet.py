@@ -3,10 +3,12 @@
 Plain numpy: forward pass with cached activations, exact reverse-mode
 gradients, Adam updates, and per-dimension (0,1) min-max scaling of
 inputs and outputs.  Hidden activation is the rectifier, output is
-identity.
+identity.  A model's parameters, its gradients and the Adam moments
+each live in one flat buffer, so an update is a few whole-buffer passes.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,13 +49,62 @@ class Scaler:
         return Scaler(lo=arr[:, 0].copy(), hi=arr[:, 1].copy())
 
 
-@dataclass
+class FlatParams(list):
+    """Arrays shaped like a model's parameters() that are consecutive
+    views into `flat`, one contiguous float64 buffer."""
+
+    def __init__(self, views, flat: np.ndarray):
+        super().__init__(views)
+        self.flat = flat
+
+
+def _param_shapes(sizes) -> list[tuple]:
+    """Shapes in parameters() order: every weight matrix, then every bias."""
+    layers = list(zip(sizes[:-1], sizes[1:]))
+    return layers + [(n_out,) for _, n_out in layers]
+
+
+def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    views, start = [], 0
+    for shape in shapes:
+        stop = start + math.prod(shape)
+        view = flat[start:stop]
+        view.shape = shape
+        views.append(view)
+        start = stop
+    return views
+
+
+def _copy_into(views, arrays) -> None:
+    arrays = list(arrays)
+    if len(arrays) != len(views):
+        raise NnetError(f"expected {len(views)} arrays, got {len(arrays)}")
+    for dst, src in zip(views, arrays):
+        if np.shape(src) != dst.shape:
+            raise NnetError(f"parameter shape {np.shape(src)} != {dst.shape}")
+        dst[...] = src
+
+
 class MlpModel:
-    sizes: list[int]
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    input_scaler: Scaler
-    output_scaler: Scaler
+    """Layer sizes, scalers, and the parameters in one flat buffer.
+
+    `weights` and `biases` are views into `flat`, laid out in
+    parameters() order; assigning to them copies values into the buffer.
+    """
+
+    def __init__(self, sizes, weights, biases, input_scaler: Scaler,
+                 output_scaler: Scaler):
+        self.sizes = [int(s) for s in sizes]
+        self.input_scaler = input_scaler
+        self.output_scaler = output_scaler
+        self._shapes = _param_shapes(self.sizes)
+        self._flat = np.empty(sum(math.prod(s) for s in self._shapes))
+        self._params = _views(self._flat, self._shapes)
+        _copy_into(self._params, [*weights, *biases])
+
+    @property
+    def flat(self) -> np.ndarray:
+        return self._flat
 
     @property
     def n_in(self) -> int:
@@ -63,22 +114,33 @@ class MlpModel:
     def n_out(self) -> int:
         return self.sizes[-1]
 
+    @property
+    def weights(self) -> tuple[np.ndarray, ...]:
+        return tuple(self._params[: len(self.sizes) - 1])
+
+    @weights.setter
+    def weights(self, arrays) -> None:
+        _copy_into(self.weights, arrays)
+
+    @property
+    def biases(self) -> tuple[np.ndarray, ...]:
+        return tuple(self._params[len(self.sizes) - 1 :])
+
+    @biases.setter
+    def biases(self, arrays) -> None:
+        _copy_into(self.biases, arrays)
+
     def copy(self) -> "MlpModel":
-        return MlpModel(
-            sizes=list(self.sizes),
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-            input_scaler=self.input_scaler,
-            output_scaler=self.output_scaler,
-        )
+        return MlpModel(self.sizes, self.weights, self.biases,
+                        self.input_scaler, self.output_scaler)
 
     def parameters(self) -> list[np.ndarray]:
-        return list(self.weights) + list(self.biases)
+        """The live parameter arrays: views into `flat`."""
+        return list(self._params)
 
-    def set_parameters(self, params: list[np.ndarray]) -> None:
-        n = len(self.weights)
-        self.weights = [p.copy() for p in params[:n]]
-        self.biases = [p.copy() for p in params[n:]]
+    def set_parameters(self, params) -> None:
+        """Copy parameter values, ordered as parameters(), into `flat`."""
+        _copy_into(self._params, params)
 
 
 def make_mlp(sizes, rng, input_scaler: Scaler | None = None,
@@ -128,61 +190,99 @@ def mlp_forward(model: MlpModel, x: np.ndarray, scaled: bool = True,
 
 
 def mlp_backward(model: MlpModel, cache: list[np.ndarray],
-                 grad_out: np.ndarray) -> list[np.ndarray]:
+                 grad_out: np.ndarray) -> FlatParams:
     """Exact gradients w.r.t. parameters, ordered as model.parameters().
 
     grad_out is dLoss/d(chain output) for the batch the cache came
-    from, in the same (scaled) space the chain ran in.
+    from, in the same (scaled) space the chain ran in.  The gradients
+    are views into one new buffer laid out like `model.flat`.
     """
     grad_out = np.asarray(grad_out, dtype=float)
     if grad_out.ndim == 1:
         grad_out = grad_out[None, :]
-    if len(cache) != len(model.weights) + 1:
+    n = len(model.sizes) - 1
+    if len(cache) != n + 1:
         raise NnetError("stale or mismatched forward cache")
-    grads_w = [None] * len(model.weights)
-    grads_b = [None] * len(model.biases)
+    flat = np.empty(model.flat.size)
+    grads = FlatParams(_views(flat, model._shapes), flat)
+    weights = model.weights
     delta = grad_out
-    for i in range(len(model.weights) - 1, -1, -1):
-        h_in = cache[i]
-        if i < len(model.weights) - 1:
+    for i in range(n - 1, -1, -1):
+        if i < n - 1:
             # cache holds post-relu activations; relu' = 1 where act > 0
             delta = delta * (cache[i + 1] > 0.0)
-        grads_w[i] = h_in.T @ delta
-        grads_b[i] = delta.sum(axis=0)
+        np.matmul(cache[i].T, delta, out=grads[i])
+        delta.sum(axis=0, out=grads[n + i])
         if i > 0:
-            delta = delta @ model.weights[i].T
-    return grads_w + grads_b
+            delta = delta @ weights[i].T
+    return grads
 
 
 @dataclass
 class AdamState:
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    """Flat first and second moments plus two scratch buffers."""
+
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
     beta1: float = ADAM_BETA1
     beta2: float = ADAM_BETA2
     eps: float = ADAM_EPS
+    scratch: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.scratch = (np.empty_like(self.m), np.empty_like(self.m))
 
     @staticmethod
     def for_params(params) -> "AdamState":
-        return AdamState(m=[np.zeros_like(p) for p in params],
-                         v=[np.zeros_like(p) for p in params])
+        size = _flatten(params).size
+        return AdamState(m=np.zeros(size), v=np.zeros(size))
 
 
-def adam_update(params, grads, state: AdamState, lr: float) -> list[np.ndarray]:
-    """Standard Adam step with bias correction; returns updated params."""
-    if len(params) != len(grads):
+def _flatten(arrays) -> np.ndarray:
+    """The values as one 1-D float64 array (no copy for a float64 array)."""
+    if isinstance(arrays, np.ndarray):
+        return np.ravel(arrays).astype(float, copy=False)
+    return np.concatenate([np.ravel(a) for a in arrays]).astype(float, copy=False)
+
+
+def adam_update(params, grads, state: AdamState, lr: float):
+    """Standard Adam step with bias correction; returns updated params.
+
+    params and grads are each a list of arrays or one array; the result
+    has the form of params.  The inputs are not modified: the step is one in-place pass over the state's
+    flat moments and scratch buffers, in the per-element operation
+    order m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g,
+    p - (lr*m_hat) / (sqrt(v_hat) + eps).
+    """
+    if isinstance(params, list) and isinstance(grads, list) \
+            and len(params) != len(grads):
         raise NnetError("parameter/gradient count mismatch")
+    p, g = _flatten(params), _flatten(grads)
+    if p.size != g.size or p.size != state.m.size:
+        raise NnetError("parameter/gradient/state size mismatch")
     state.step += 1
     t = state.step
-    out = []
-    for i, (p, g) in enumerate(zip(params, grads)):
-        state.m[i] = state.beta1 * state.m[i] + (1.0 - state.beta1) * g
-        state.v[i] = state.beta2 * state.v[i] + (1.0 - state.beta2) * g * g
-        m_hat = state.m[i] / (1.0 - state.beta1**t)
-        v_hat = state.v[i] / (1.0 - state.beta2**t)
-        out.append(p - lr * m_hat / (np.sqrt(v_hat) + state.eps))
-    return out
+    b1, b2 = state.beta1, state.beta2
+    m, v = state.m, state.v
+    s, r = state.scratch
+    m *= b1
+    np.multiply(g, 1.0 - b1, out=s)
+    m += s
+    v *= b2
+    np.multiply(g, 1.0 - b2, out=s)
+    s *= g
+    v += s
+    np.divide(m, 1.0 - b1**t, out=s)
+    s *= lr
+    np.divide(v, 1.0 - b2**t, out=r)
+    np.sqrt(r, out=r)
+    r += state.eps
+    s /= r
+    out = p - s
+    if isinstance(params, np.ndarray):
+        return out.reshape(params.shape)
+    return _views(out, [np.shape(a) for a in params])
 
 
 def train_minibatch(model: MlpModel, inputs: np.ndarray, targets: np.ndarray,
@@ -204,7 +304,7 @@ def train_minibatch(model: MlpModel, inputs: np.ndarray, targets: np.ndarray,
     xs = model.input_scaler.scale(inputs)
     ys = model.output_scaler.scale(targets)
     rng = np.random.default_rng(seed)
-    state = AdamState.for_params(model.parameters())
+    state = AdamState.for_params(model.flat)
     n = xs.shape[0]
     history: list[float] = []
     mb = 0
@@ -221,8 +321,7 @@ def train_minibatch(model: MlpModel, inputs: np.ndarray, targets: np.ndarray,
                     raise NnetError("divergent loss (non-finite)")
                 grad_out = 2.0 * diff / diff.size
                 grads = mlp_backward(model, cache, grad_out)
-                model.set_parameters(
-                    adam_update(model.parameters(), grads, state, lr))
+                model.flat[...] = adam_update(model.flat, grads.flat, state, lr)
                 mb += 1
                 if mb % record_every == 0:
                     history.append(loss)
@@ -255,8 +354,8 @@ def load_model(path) -> MlpModel:
         if int(data["version"][0]) != 1:
             raise NnetError("unknown model file version")
         sizes = [int(s) for s in data["sizes"]]
-        weights = [data[f"w{i}"].copy() for i in range(len(sizes) - 1)]
-        biases = [data[f"b{i}"].copy() for i in range(len(sizes) - 1)]
+        weights = [data[f"w{i}"] for i in range(len(sizes) - 1)]
+        biases = [data[f"b{i}"] for i in range(len(sizes) - 1)]
         input_scaler = Scaler(lo=data["in_lo"].copy(), hi=data["in_hi"].copy())
         output_scaler = Scaler(lo=data["out_lo"].copy(), hi=data["out_hi"].copy())
     return MlpModel(sizes=sizes, weights=weights, biases=biases,

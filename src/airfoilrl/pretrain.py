@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import ACTION_BOUNDS, DesignEnv, EnvConfig, physical_to_scaled
+from .env import ACTION_BOUNDS, REWARD_SCALE, physical_to_scaled
 from .geometry import AirfoilGeom, BumpAction, GeometryError, apply_action
 from .nnet import AdamState, adam_update, mlp_backward, mlp_forward
 from .rl import PolicyAgent, PpoConfig, ppo_train
@@ -66,7 +66,7 @@ def greedy_search(baseline: AirfoilGeom, evaluator, searches: int,
                 break  # no candidate satisfies the constraints
             cd_new, feats_new, action, cand = best
             samples.append(StateActionSample(state=feats.state, action=action,
-                                             reward=10000.0 * (cd - cd_new)))
+                                             reward=REWARD_SCALE * (cd - cd_new)))
             foil, cd, feats = cand, cd_new, feats_new
     return samples
 
@@ -142,7 +142,7 @@ def imitate_policy(agent: PolicyAgent, samples: list[StateActionSample],
     states = np.stack([s.state for s in samples])
     targets = np.stack([physical_to_scaled(s.action) for s in samples])
     xs = agent.actor.input_scaler.scale(states)
-    state = AdamState.for_params(agent.actor.parameters())
+    state = AdamState.for_params(agent.actor.flat)
     history: list[float] = []
     for epochs, lr in schedule:
         for _ in range(epochs):
@@ -152,8 +152,8 @@ def imitate_policy(agent: PolicyAgent, samples: list[StateActionSample],
             loss = float(np.mean(diff**2))
             history.append(loss)
             grads = mlp_backward(agent.actor, cache, 2.0 * diff / diff.size)
-            agent.actor.set_parameters(
-                adam_update(agent.actor.parameters(), grads, state, lr))
+            agent.actor.flat[...] = adam_update(agent.actor.flat, grads.flat,
+                                                state, lr)
     return history
 
 

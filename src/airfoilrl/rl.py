@@ -204,17 +204,20 @@ def collect_batch(agent: PolicyAgent, baselines, env_factory,
 
 
 def _update_agent(agent: PolicyAgent, batch: TrajectoryBatch,
-                  config: PpoConfig, actor_lr: float,
+                  config: PpoConfig, actor_lr: float, critic_lr: float,
                   actor_state: AdamState, critic_state: AdamState,
                   update_actor: bool = True) -> tuple[float, float]:
     """One iteration of PPO updates (config.epochs gradient steps on the
-    full batch); returns final (actor_loss, critic_loss)."""
+    full batch); returns final (actor_loss, critic_loss).
+
+    actor_state covers the actor's flat parameters followed by log_std.
+    """
     adv = batch.advantages
     if config.normalize_advantages:
         adv = (adv - adv.mean()) / (adv.std() + 1e-8)
     xs = agent.actor.input_scaler.scale(batch.states)
     n = batch.size
-    critic_lr = actor_lr * config.critic_lr_multiplier
+    k = agent.log_std.size
     actor_loss = critic_loss = float("nan")
     for _ in range(config.epochs):
         if update_actor:
@@ -238,18 +241,17 @@ def _update_agent(agent: PolicyAgent, batch: TrajectoryBatch,
             d_logstd = np.sum(coef * (((batch.actions - means) / std) ** 2 - 1.0),
                               axis=0)
             d_logstd -= config.entropy_coef  # d(-coef*entropy)/dlogstd
-            params = agent.actor.parameters() + [agent.log_std]
-            new_params = adam_update(params, grads + [d_logstd],
-                                     actor_state, actor_lr)
-            agent.actor.set_parameters(new_params[:-1])
-            agent.log_std = np.maximum(new_params[-1], LOG_STD_MIN)
+            new_params = adam_update(
+                np.concatenate((agent.actor.flat, agent.log_std)),
+                np.concatenate((grads.flat, d_logstd)), actor_state, actor_lr)
+            agent.actor.flat[...] = new_params[:-k]
+            np.maximum(new_params[-k:], LOG_STD_MIN, out=agent.log_std)
         v, vcache = mlp_forward(agent.critic, xs, scaled=False, with_cache=True)
         diff = v[:, 0] - batch.rewards_to_go
         critic_loss = float(np.mean(diff**2))
         vgrads = mlp_backward(agent.critic, vcache, (2.0 * diff / n)[:, None])
-        agent.critic.set_parameters(
-            adam_update(agent.critic.parameters(), vgrads, critic_state,
-                        critic_lr))
+        agent.critic.flat[...] = adam_update(agent.critic.flat, vgrads.flat,
+                                             critic_state, critic_lr)
     return actor_loss, critic_loss
 
 
@@ -288,8 +290,11 @@ def ppo_train(agent: PolicyAgent, baselines, config: PpoConfig, env_factory,
     if not baselines:
         raise PpoError("at least one baseline required")
     rng = np.random.default_rng(seed)
-    actor_state = AdamState.for_params(agent.actor.parameters() + [agent.log_std])
-    critic_state = AdamState.for_params(agent.critic.parameters())
+    actor_state = AdamState.for_params(
+        np.concatenate((agent.actor.flat, agent.log_std)))
+    critic_state = AdamState.for_params(agent.critic.flat)
+    # a critic-only fit never changes the actor, so its evaluation is
+    # the same deterministic rollout every iteration: run it once
     mean0, _ = evaluate_policy(agent, baselines, env_factory)
     history = [{"iteration": 0, "mean_cum_reward": mean0,
                 "actor_loss": float("nan"), "critic_loss": float("nan"),
@@ -302,10 +307,12 @@ def ppo_train(agent: PolicyAgent, baselines, config: PpoConfig, env_factory,
         for _ in range(n_iters):
             iteration += 1
             batch = collect_batch(agent, baselines, env_factory, config, rng)
+            critic_lr = lr * config.critic_lr_multiplier if update_actor else lr
             actor_loss, critic_loss = _update_agent(
-                agent, batch, config, lr if update_actor else lr / config.critic_lr_multiplier,
-                actor_state, critic_state, update_actor=update_actor)
-            mean_r, _ = evaluate_policy(agent, baselines, env_factory)
+                agent, batch, config, lr, critic_lr, actor_state, critic_state,
+                update_actor=update_actor)
+            mean_r = evaluate_policy(agent, baselines, env_factory)[0] \
+                if update_actor else mean0
             history.append({"iteration": iteration, "mean_cum_reward": mean_r,
                             "actor_loss": actor_loss,
                             "critic_loss": critic_loss, **_std_entry(agent)})
@@ -340,8 +347,8 @@ def load_agent(path) -> PolicyAgent:
             sizes = [int(s) for s in data[f"{tag}_sizes"]]
             models[tag] = MlpModel(
                 sizes=sizes,
-                weights=[data[f"{tag}_w{i}"].copy() for i in range(len(sizes) - 1)],
-                biases=[data[f"{tag}_b{i}"].copy() for i in range(len(sizes) - 1)],
+                weights=[data[f"{tag}_w{i}"] for i in range(len(sizes) - 1)],
+                biases=[data[f"{tag}_b{i}"] for i in range(len(sizes) - 1)],
                 input_scaler=in_scaler,
                 output_scaler=Scaler.identity(sizes[-1]))
         log_std = data["log_std"].copy()
