@@ -128,14 +128,17 @@ def cmd_pretrain(args) -> int:
     agent = rl.make_agent(rng, hidden=cfg.ppo_hidden,
                           std_init=cfg.ppo.std_init)
     losses = pt.imitate_policy(agent, smoothed, schedule=cfg.imitation_schedule)
-    pt.pretrain_critic(agent, baselines, cfg.ppo, env_factory,
-                       critic_schedule=cfg.critic_schedule, seed=cfg.seed)
+    critic_history = pt.pretrain_critic(agent, baselines, cfg.ppo, env_factory,
+                                        critic_schedule=cfg.critic_schedule,
+                                        seed=cfg.seed)
+    critic_out = _out(args, f"{args.out_prefix}_critic_history.csv")
+    _write_rows_csv(critic_out, critic_history)
     agent_out = _out(args, f"{args.out_prefix}_agent.npz")
     rl.save_agent(agent_out, agent)
     print(f"{len(samples)} raw samples -> {len(deduped)} deduped; "
           f"final imitation loss {losses[-1]:.3g}")
-    print(f"wrote {agent_out}")
-    return _finish(args, cfg, "pretrain", [raw_out, smooth_out, agent_out])
+    print(f"wrote {agent_out} and {critic_out}")
+    return _finish(args, cfg, "pretrain", [raw_out, smooth_out, critic_out, agent_out])
 
 
 def cmd_train_ppo(args) -> int:

@@ -4,13 +4,14 @@ The config file is standard INI (configparser) with sections [run],
 [proxy], [surrogate], [pretrain], and [ppo].  Learning-rate schedules
 are written as comma-separated ``count:rate`` pairs, e.g.
 ``200:0.01,200:0.001``; integer tuples as comma-separated values.
+A section or key the loader does not know is an error, not ignored.
 """
 from __future__ import annotations
 
 import configparser
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 from .proxy import ProxyConfig
 from .rl import PpoConfig
@@ -94,66 +95,70 @@ def from_profile(name: str) -> ExperimentConfig:
     raise ValueError(f"unknown profile {name!r}")
 
 
-_TUPLE_FIELDS = {"surrogate_hidden", "keep_counts", "ppo_hidden"}
-_SCHEDULE_FIELDS = {"surrogate_schedule", "imitation_schedule", "critic_schedule"}
+def _int_tuple(text: str) -> tuple:
+    return tuple(int(v) for v in text.split(","))
+
+
+def _boolean(text: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {text!r}") from None
+
+
+# every INI key: section -> key -> (attribute, parser); "ppo.x" and
+# "proxy.x" name fields of the nested PpoConfig and ProxyConfig
+_KEYS = {
+    "run": {"profile": ("profile", str), "seed": ("seed", int),
+            "workers": ("workers", int), "t_max": ("t_max", float)},
+    "proxy": {f.name: ("proxy." + f.name, type(f.default)) for f in fields(ProxyConfig)},
+    "surrogate": {"hidden": ("surrogate_hidden", _int_tuple),
+                  "schedule": ("surrogate_schedule", parse_schedule),
+                  "batch_size": ("surrogate_batch", int),
+                  "pool_size": ("pool_size", int),
+                  "keep_counts": ("keep_counts", _int_tuple)},
+    "pretrain": {"baselines": ("pretrain_baselines", int),
+                 "searches": ("greedy_searches", int),
+                 "steps": ("greedy_steps", int),
+                 "candidates": ("greedy_candidates", int),
+                 "imitation_schedule": ("imitation_schedule", parse_schedule),
+                 "critic_schedule": ("critic_schedule", parse_schedule)},
+    "ppo": {"hidden": ("ppo_hidden", _int_tuple),
+            "baselines": ("ppo_baselines", int),
+            **{k: ("ppo." + k, parse) for k, parse in (
+                ("clip_eps", float), ("gamma", float), ("gae_lambda", float),
+                ("entropy_coef", float), ("epochs", int),
+                ("trajectories_per_baseline", int), ("max_steps", int),
+                ("std_init", float), ("normalize_advantages", _boolean),
+                ("actor_schedule", parse_schedule))}},
+}
 
 
 def load_config(path, base: ExperimentConfig | None = None) -> ExperimentConfig:
-    """Apply INI overrides on top of a profile's defaults."""
+    """Apply INI overrides on top of a profile's defaults.
+
+    A section or key not in _KEYS (a [DEFAULT] section included) raises
+    ValueError naming it.
+    """
     parser = configparser.ConfigParser()
     with open(path) as fh:
         parser.read_file(fh)
+    if parser.defaults():
+        raise ValueError(f"{path}: unknown config section [{parser.default_section}]")
     profile = parser.get("run", "profile", fallback=None)
     cfg = base if base is not None else from_profile(profile or "desk")
-    if parser.has_section("run"):
-        run = parser["run"]
-        cfg.profile = run.get("profile", cfg.profile)
-        cfg.seed = run.getint("seed", cfg.seed)
-        cfg.workers = run.getint("workers", cfg.workers)
-        cfg.t_max = run.getfloat("t_max", cfg.t_max)
-    if parser.has_section("proxy"):
-        kwargs = {k: (int(v) if k in ("smooth_halfwidth", "blend_cells") else float(v))
-                  for k, v in parser["proxy"].items()}
-        cfg.proxy = replace(cfg.proxy, **kwargs)
-    if parser.has_section("surrogate"):
-        s = parser["surrogate"]
-        if "hidden" in s:
-            cfg.surrogate_hidden = tuple(int(v) for v in s["hidden"].split(","))
-        if "schedule" in s:
-            cfg.surrogate_schedule = parse_schedule(s["schedule"])
-        cfg.surrogate_batch = s.getint("batch_size", cfg.surrogate_batch)
-        cfg.pool_size = s.getint("pool_size", cfg.pool_size)
-        if "keep_counts" in s:
-            cfg.keep_counts = tuple(int(v) for v in s["keep_counts"].split(","))
-    if parser.has_section("pretrain"):
-        p = parser["pretrain"]
-        cfg.pretrain_baselines = p.getint("baselines", cfg.pretrain_baselines)
-        cfg.greedy_searches = p.getint("searches", cfg.greedy_searches)
-        cfg.greedy_steps = p.getint("steps", cfg.greedy_steps)
-        cfg.greedy_candidates = p.getint("candidates", cfg.greedy_candidates)
-        if "imitation_schedule" in p:
-            cfg.imitation_schedule = parse_schedule(p["imitation_schedule"])
-        if "critic_schedule" in p:
-            cfg.critic_schedule = parse_schedule(p["critic_schedule"])
-    if parser.has_section("ppo"):
-        q = parser["ppo"]
-        if "hidden" in q:
-            cfg.ppo_hidden = tuple(int(v) for v in q["hidden"].split(","))
-        cfg.ppo_baselines = q.getint("baselines", cfg.ppo_baselines)
-        ppo = cfg.ppo
-        ppo.clip_eps = q.getfloat("clip_eps", ppo.clip_eps)
-        ppo.gamma = q.getfloat("gamma", ppo.gamma)
-        ppo.gae_lambda = q.getfloat("gae_lambda", ppo.gae_lambda)
-        ppo.entropy_coef = q.getfloat("entropy_coef", ppo.entropy_coef)
-        ppo.epochs = q.getint("epochs", ppo.epochs)
-        ppo.trajectories_per_baseline = q.getint(
-            "trajectories_per_baseline", ppo.trajectories_per_baseline)
-        ppo.max_steps = q.getint("max_steps", ppo.max_steps)
-        ppo.std_init = q.getfloat("std_init", ppo.std_init)
-        ppo.normalize_advantages = q.getboolean(
-            "normalize_advantages", ppo.normalize_advantages)
-        if "actor_schedule" in q:
-            ppo.actor_schedule = parse_schedule(q["actor_schedule"])
+    for section in parser.sections():
+        if section not in _KEYS:
+            raise ValueError(f"{path}: unknown config section [{section}]")
+        for key, text in parser[section].items():
+            if key not in _KEYS[section]:
+                raise ValueError(f"{path}: unknown config key {key!r} in [{section}]")
+            attr, parse = _KEYS[section][key]
+            owner, _, name = attr.rpartition(".")
+            if owner:
+                setattr(cfg, owner, replace(getattr(cfg, owner), **{name: parse(text)}))
+            else:
+                setattr(cfg, name, parse(text))
     return cfg
 
 

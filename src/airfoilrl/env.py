@@ -5,7 +5,9 @@ bump modifications.  Actions arrive in scaled (0,1)^3 space, are
 clamped, mapped to physical ranges, and applied with CST refit and
 thickness rescale.  The reward is the drag-count reduction
 10,000 * (CD_k - CD_{k+1}); losing the single shock zeroes the reward
-and terminates the episode.
+and terminates the episode.  Each step's info says whether the action
+was clipped to the box (``clamped``) and whether the bump's width was
+clamped by the geometry (``width_clamped``, see AirfoilGeom).
 """
 from __future__ import annotations
 
@@ -109,6 +111,7 @@ class DesignEnv:
                 "cd_after": cd_before,
                 "action": action,
                 "clamped": clamped,
+                "width_clamped": False,
                 "shock_lost": False,
                 "modify_failed": True,
             }
@@ -131,6 +134,7 @@ class DesignEnv:
             "cd_after": cd_after,
             "action": action,
             "clamped": clamped,
+            "width_clamped": new_airfoil.width_clamped,
             "shock_lost": shock_lost,
             "modify_failed": False,
         }

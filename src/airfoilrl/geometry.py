@@ -44,12 +44,15 @@ class AirfoilGeom:
     """CST airfoil with a maximum-thickness constraint.
 
     Construct through :func:`make_airfoil` so the lower surface is
-    rescaled to meet ``t_max``.
+    rescaled to meet ``t_max``.  ``width_clamped`` is set on the result
+    of :func:`apply_action` when solve_t2 clamped its bump: the width was
+    out of reach or a 1% flank was cut at the leading or trailing edge.
     """
 
     cst_upper: np.ndarray
     cst_lower: np.ndarray
     t_max: float
+    width_clamped: bool = False
 
     def upper_y(self, x: np.ndarray) -> np.ndarray:
         return cst_evaluate(self.cst_upper, x)
@@ -62,21 +65,30 @@ class AirfoilGeom:
         return np.concatenate([self.cst_upper, self.cst_lower])
 
 
-def _cst_basis(x: np.ndarray) -> tuple[np.ndarray, list]:
-    """Class function and the Bernstein power pairs (x^i, (1-x)^(6-i))."""
+def _cst_basis(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Class function and the Bernstein powers x^i and (1-x)^(6-i),
+    each power stacked over i into an array of shape (7,) + x.shape."""
     cls = np.power(x, CLASS_N1) * np.power(1.0 - x, CLASS_N2)
-    return cls, [(x**i, (1.0 - x) ** (6 - i)) for i in range(N_CST)]
+    return (cls, np.stack([x**i for i in range(N_CST)]),
+            np.stack([(1.0 - x) ** (6 - i) for i in range(N_CST)]))
 
 
 def _cst_sum(coeffs, basis) -> np.ndarray:
+    """cls * sum_i ((c_i * C(6,i)) * x^i) * (1-x)^(6-i), the terms added
+    in index order to 0.0.
+
+    A reduce over the leading axis adds whole rows in turn.  For a
+    single station numpy adds the 7 terms in its own inner loop, also in
+    order (it sums pairwise only from 8 terms).  The explicit initial
+    0.0 fixes the sign of an all-zero sum to that of a sum started from
+    zeros, whatever start value the numpy version picks.
+    """
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (N_CST,):
         raise GeometryError(f"expected {N_CST} CST coefficients, got {coeffs.shape}")
-    cls, powers = basis
-    shape = np.zeros_like(cls)
-    for c, b, (xi, xo) in zip(coeffs, _BINOM6, powers):
-        shape = shape + c * b * xi * xo
-    return cls * shape
+    cls, xi, xo = basis
+    scale = (coeffs * _BINOM6).reshape((N_CST,) + (1,) * cls.ndim)
+    return cls * np.add.reduce(scale * xi * xo, axis=0, initial=0.0)
 
 
 def cst_evaluate(coeffs, x) -> np.ndarray:
@@ -99,8 +111,8 @@ def cst_at_stations(coeffs) -> np.ndarray:
 
 
 def _design_matrix(x: np.ndarray) -> np.ndarray:
-    cls, powers = _cst_basis(x)
-    return np.stack([cls * b * xi * xo for b, (xi, xo) in zip(_BINOM6, powers)], axis=1)
+    cls, xis, xos = _cst_basis(x)
+    return np.stack([cls * b * xi * xo for b, xi, xo in zip(_BINOM6, xis, xos)], axis=1)
 
 
 _STATION_DESIGN = _design_matrix(_STATIONS)
@@ -358,36 +370,94 @@ def max_thickness(airfoil: AirfoilGeom) -> float:
                         - cst_at_stations(airfoil.cst_lower)))
 
 
+def _thickness(yu: np.ndarray, yl: np.ndarray, s: float) -> float:
+    """max(yu - s*yl): the maximum thickness with the lower surface scaled by s."""
+    return float(np.max(yu - s * yl))
+
+
+_SKIP_MARGIN = 2e-10  # twice the rescale bisection's |f| < 1e-10 stop
+_EPS = float(np.finfo(float).eps)
+
+
+def _thickness_root(yu, yl, t_max: float, f_lo: float, f_hi: float
+                    ) -> tuple[float, float, float]:
+    """(root, slope, margin) for _rescale_lower's skip rule.
+
+    root: the bracket's root of f(s) = max(yu - s*yl) - t_max, the
+    minimum of r_i = (yu_i - t_max)/yl_i over yl_i < 0 when f rises from
+    f(0.25) < 0, the maximum over yl_i > 0 when it falls to f(4) < 0.
+    slope: the secant from that negative end to the root, signed so that
+    f(s) lies beyond slope*(s - root), on the same side of 0.  margin:
+    _SKIP_MARGIN plus a bound on the rounding in measuring f.  slope is
+    0, skipping nothing, unless the negative end's |f| clears the margin.
+    """
+    margin = _SKIP_MARGIN + 8.0 * _EPS * float(
+        np.max(np.abs(yu)) + 4.0 * np.max(np.abs(yl)) + abs(t_max))
+    if f_lo <= -margin:
+        s_neg, f_neg = 0.25, f_lo
+    elif f_hi <= -margin:
+        s_neg, f_neg = 4.0, f_hi
+    else:
+        return 0.0, 0.0, margin
+    # the class function is 0 at both ends, where r is 0/0 or t/0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = (yu - t_max) / yl
+    if s_neg == 0.25:
+        root = float(np.min(r, where=yl < 0.0, initial=np.inf))
+    else:
+        root = float(np.max(r, where=yl > 0.0, initial=-np.inf))
+    return root, f_neg / (s_neg - root), margin
+
+
 def _rescale_lower(upper, lower, t_max: float) -> np.ndarray:
     """Scale lower coefficients so max thickness equals t_max.
 
     Bisection on the scale factor in [0.25, 4.0]; thickness is monotone
-    in the factor for any lower surface below the upper one.
+    in the factor for any lower surface below the upper one.  It stops at
+    the first midpoint with |thickness - t_max| < 1e-10 or once the
+    bracket is narrower than 1e-12.
+
+    Thickness is convex and piecewise linear in the factor s, so its
+    root in the bracket has a closed form and, with s_neg the bracket
+    end where f = thickness - t_max is negative, convexity bounds
+    |f(s)| >= |f(s_neg)| * |s - root| / |root - s_neg| with f(s) on
+    root's far side from s_neg positive and on its near side negative
+    (_thickness_root).  A midpoint where that bound is at least 2e-10
+    plus the rounding in measuring f can neither stop the bisection nor
+    go the other way, so it goes its side's way unmeasured; only the few
+    midpoints next to the root are measured.  The midpoints, the stop
+    and the returned factor are those of measuring every midpoint.
     """
     upper = np.asarray(upper, dtype=float)
     lower = np.asarray(lower, dtype=float)
     yu = cst_at_stations(upper)
     yl = cst_at_stations(lower)
-
-    def thick(s: float) -> float:
-        return float(np.max(yu - s * yl))
-
-    if abs(thick(1.0) - t_max) <= 1e-9:
+    if abs(_thickness(yu, yl, 1.0) - t_max) <= 1e-9:
         return lower
     lo, hi = 0.25, 4.0
-    f_lo, f_hi = thick(lo) - t_max, thick(hi) - t_max
+    f_lo, f_hi = _thickness(yu, yl, lo) - t_max, _thickness(yu, yl, hi) - t_max
     if f_lo * f_hi > 0.0:
         raise GeometryError("cannot bracket thickness scale factor")
-    # thick may be increasing or decreasing in s depending on sign of yl
+    # thick may be increasing or decreasing in s depending on sign of yl;
+    # a midpoint replaces the bracket end whose f has its sign
+    hi_pos = f_hi > 0.0
+    root, slope, margin = _thickness_root(yu, yl, t_max, f_lo, f_hi)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        f_mid = thick(mid) - t_max
-        if abs(f_mid) < 1e-10 or hi - lo < 1e-12:
+        if hi - lo < 1e-12:
             return mid * lower
-        if (f_mid > 0.0) == (f_hi > 0.0):
-            hi, f_hi = mid, f_mid
+        bound = slope * (mid - root)
+        if abs(bound) >= margin:
+            mid_pos = bound > 0.0
         else:
-            lo, f_lo = mid, f_mid
+            f_mid = _thickness(yu, yl, mid) - t_max
+            if abs(f_mid) < 1e-10:
+                return mid * lower
+            mid_pos = f_mid > 0.0
+        if mid_pos == hi_pos:
+            hi = mid
+        else:
+            lo = mid
     return 0.5 * (lo + hi) * lower
 
 
@@ -403,14 +473,16 @@ def apply_action(airfoil: AirfoilGeom, action: BumpAction) -> AirfoilGeom:
 
     The refit is the smoothing step: the bumped curve is reconstructed
     as a 6th-order CST surface, then the lower surface is rescaled so
-    the maximum thickness stays at t_max.
+    the maximum thickness stays at t_max.  The result records solve_t2's
+    clamped flag as ``width_clamped``.
     """
-    t2, _ = solve_t2(action.t1, action.s_b)
+    t2, clamped = solve_t2(action.t1, action.s_b)
     y_bumped = cst_at_stations(airfoil.cst_upper) \
         + bump_y(action.t1, t2, action.h_b, _STATIONS)
     new_upper = cst_fit(_STATIONS, y_bumped)
     new_lower = _rescale_lower(new_upper, airfoil.cst_lower, airfoil.t_max)
-    return AirfoilGeom(cst_upper=new_upper, cst_lower=new_lower, t_max=airfoil.t_max)
+    return AirfoilGeom(cst_upper=new_upper, cst_lower=new_lower, t_max=airfoil.t_max,
+                       width_clamped=clamped)
 
 
 # ---------------------------------------------------------------------------

@@ -150,3 +150,19 @@ def test_surrogate_sizes_default_to_config(tmp_path):
     assert len((tmp_path / "selected_20.csv").read_text().splitlines()) == 21
     assert len((tmp_path / "selected_5.csv").read_text().splitlines()) == 6
     assert (tmp_path / "surrogate.npz").exists()
+
+
+def test_pretrain_writes_critic_history(tmp_path):
+    ini = tmp_path / "tiny.ini"
+    ini.write_text("[pretrain]\nbaselines = 4\nsearches = 3\nsteps = 5\n"
+                   "candidates = 10\nimitation_schedule = 5:0.001\n"
+                   "critic_schedule = 2:0.01,1:0.001\n"
+                   "[ppo]\nhidden = 8,8\nepochs = 2\ntrajectories_per_baseline = 1\n"
+                   "max_steps = 2\n")
+    assert main(["--out-dir", str(tmp_path), "--config", str(ini), "pretrain"]) == 0
+    history = tmp_path / "pretrained_critic_history.csv"
+    rows = history.read_text().splitlines()
+    assert rows[0].startswith("iteration,mean_cum_reward")
+    assert len(rows) == 1 + 1 + 3  # header, initial evaluation, 3 critic iterations
+    manifest = json.loads((tmp_path / "pretrain_manifest.json").read_text())
+    assert str(history) in manifest["artifacts"]

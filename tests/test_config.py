@@ -1,5 +1,6 @@
 """Configuration parsing, profiles, hashing, manifests."""
 import json
+import re
 
 import pytest
 
@@ -93,3 +94,16 @@ def test_write_manifest(tmp_path):
     assert payload["seed"] == 5
     assert payload["artifacts"] == ["a.csv", "b.csv"]
     assert payload["config_hash"] == config_hash(cfg)
+
+
+@pytest.mark.parametrize("text, named", [
+    ("[ppo]\nepoch = 10\n", "'epoch' in [ppo]"),
+    ("[proxy]\nm_infinity = 0.7\n", "'m_infinity' in [proxy]"),
+    ("[run]\nseed = 3\n[training]\nepochs = 5\n", "[training]"),
+    ("[DEFAULT]\nseed = 3\n", "[DEFAULT]"),
+])
+def test_load_config_rejects_unknown_names(tmp_path, text, named):
+    path = tmp_path / "typo.ini"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(named)):
+        load_config(path)

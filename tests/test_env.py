@@ -6,7 +6,7 @@ from airfoilrl.env import (ACTION_BOUNDS, REWARD_SCALE, DesignEnv, EnvConfig,
                            EnvProtocolError, physical_to_scaled,
                            proxy_evaluator, scaled_to_physical,
                            write_rollout_log, ROLLOUT_COLUMNS)
-from airfoilrl.geometry import max_thickness
+from airfoilrl.geometry import BumpAction, apply_action, max_thickness, solve_t2
 from airfoilrl.proxy import seed_airfoils
 
 
@@ -127,3 +127,18 @@ def test_rollout_log_round_trip(tmp_path):
     text = path.read_text().splitlines()
     assert text[0] == ",".join(ROLLOUT_COLUMNS)
     assert len(text) == 2
+
+
+def test_width_clamped_reported_apart_from_action_clipping(env, baseline):
+    # t1 = 0.99, s_b = 0.4 (the scaled box corner) asks for a width the
+    # bump cannot reach: solve_t2 clamps t2 to its bracket end 0.2
+    assert solve_t2(0.99, 0.4) == (0.2, True) and not solve_t2(0.5, 0.3)[1]
+    assert apply_action(baseline, BumpAction(0.99, 0.4, 0.01)).width_clamped
+    assert not apply_action(baseline, BumpAction(0.5, 0.3, 0.01)).width_clamped
+    for action, clipped, width_clamped in (([1.0, 1.0, 0.55], False, True),
+                                           ([0.5, 0.5, 0.55], False, False),
+                                           ([1.2, 1.0, 0.55], True, True)):
+        env.reset(baseline)
+        info = env.step(np.array(action)).info
+        assert not info["modify_failed"]
+        assert (info["clamped"], info["width_clamped"]) == (clipped, width_clamped)

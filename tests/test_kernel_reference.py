@@ -3,16 +3,21 @@
 The references below are the straightforward implementations: the
 bisection solver measuring every midpoint on the full 2001-point grid,
 the full-grid width and flank check, the per-station moving average,
-and CST evaluation building its basis on every call.  The library must
-return the same floats.
+CST evaluation building its basis on every call, the thickness-rescale
+bisection measuring every midpoint and the term-by-term CST sum.  The
+library must return the same floats.
 """
 import math
 
 import numpy as np
+import pytest
 
-from airfoilrl.geometry import (GeometryError, cosine_stations, cst_at_stations,
-                                cst_evaluate, measure_bump_width, solve_t2)
-from airfoilrl.proxy import _moving_average
+from airfoilrl import geometry
+from airfoilrl.env import scaled_to_physical
+from airfoilrl.geometry import (GeometryError, apply_action, cosine_stations,
+                                cst_at_stations, cst_evaluate, measure_bump_width,
+                                solve_t2)
+from airfoilrl.proxy import _moving_average, seed_airfoils
 
 WIDTH_GRID = 2001
 
@@ -180,3 +185,213 @@ def test_cst_evaluation_matches_reference():
         assert np.array_equal(cst_at_stations(coeffs), expected)
         assert np.array_equal(cst_evaluate(coeffs, stations), expected)
         assert np.array_equal(cst_evaluate(coeffs, x), ref_cst_evaluate(coeffs, x))
+
+
+# verbatim copies of the library's basis, sum and thickness rescale as
+# they were before the stacked basis and the exact-root skip rule; the
+# rescale evaluates its surfaces with the reference sum instead of the
+# library's cst_at_stations, which gave the same floats
+
+
+def ref_cst_basis(x: np.ndarray) -> tuple[np.ndarray, list]:
+    """Class function and the Bernstein power pairs (x^i, (1-x)^(6-i))."""
+    cls = np.power(x, 0.5) * np.power(1.0 - x, 1.0)
+    return cls, [(x**i, (1.0 - x) ** (6 - i)) for i in range(7)]
+
+
+_BINOM6 = np.array([math.comb(6, i) for i in range(7)], dtype=float)
+
+
+def ref_cst_sum(coeffs, basis) -> np.ndarray:
+    coeffs = np.asarray(coeffs, dtype=float)
+    if coeffs.shape != (7,):
+        raise GeometryError(f"expected {7} CST coefficients, got {coeffs.shape}")
+    cls, powers = basis
+    shape = np.zeros_like(cls)
+    for c, b, (xi, xo) in zip(coeffs, _BINOM6, powers):
+        shape = shape + c * b * xi * xo
+    return cls * shape
+
+
+def ref_rescale_lower(upper, lower, t_max: float) -> np.ndarray:
+    """Scale lower coefficients so max thickness equals t_max.
+
+    Bisection on the scale factor in [0.25, 4.0]; thickness is monotone
+    in the factor for any lower surface below the upper one.
+    """
+    upper = np.asarray(upper, dtype=float)
+    lower = np.asarray(lower, dtype=float)
+    yu = ref_cst_sum(upper, ref_cst_basis(cosine_stations()))
+    yl = ref_cst_sum(lower, ref_cst_basis(cosine_stations()))
+
+    def thick(s: float) -> float:
+        return float(np.max(yu - s * yl))
+
+    if abs(thick(1.0) - t_max) <= 1e-9:
+        return lower
+    lo, hi = 0.25, 4.0
+    f_lo, f_hi = thick(lo) - t_max, thick(hi) - t_max
+    if f_lo * f_hi > 0.0:
+        raise GeometryError("cannot bracket thickness scale factor")
+    # thick may be increasing or decreasing in s depending on sign of yl
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        f_mid = thick(mid) - t_max
+        if abs(f_mid) < 1e-10 or hi - lo < 1e-12:
+            return mid * lower
+        if (f_mid > 0.0) == (f_hi > 0.0):
+            hi, f_hi = mid, f_mid
+        else:
+            lo, f_lo = mid, f_mid
+    return 0.5 * (lo + hi) * lower
+
+
+def assert_same_floats(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()  # also tells -0.0 from 0.0
+
+
+def rescale_both(upper, lower, t_max):
+    """(library result, reference result), each an array or 'raised'."""
+    out = []
+    for fn in (geometry._rescale_lower, ref_rescale_lower):
+        try:
+            out.append(fn(upper, lower, t_max))
+        except GeometryError:
+            out.append("raised")
+    return out
+
+
+BASE_U = np.array([0.17, 0.16, 0.15, 0.14, 0.14, 0.13, 0.12])
+BASE_L = -np.array([0.14, 0.12, 0.11, 0.10, 0.09, 0.08, 0.06])
+
+
+def thickness_at(upper, lower, s):
+    return float(np.max(cst_at_stations(upper) - s * cst_at_stations(lower)))
+
+
+def test_rescale_matches_bisection_reference():
+    rng = np.random.default_rng(30)
+    seen = {"rising": 0, "falling": 0, "raised": 0}
+    for k in range(3000):
+        upper = BASE_U * rng.uniform(0.5, 1.5, 7)
+        lower = BASE_L * rng.uniform(0.5, 1.5, 7)
+        if k % 3 == 1:  # lower surface above the chord: thickness falls in s
+            lower = -lower * rng.uniform(0.1, 0.9)
+        if k % 3 == 2:  # mixed signs
+            lower = rng.normal(0.0, 0.1, 7)
+        # a root anywhere in the bracket, or a target that may not bracket
+        t_max = (thickness_at(upper, lower, rng.uniform(0.25, 4.0)) if k % 5
+                 else rng.uniform(-0.2, 0.6))
+        new, ref = rescale_both(upper, lower, t_max)
+        if isinstance(ref, str):
+            assert new == ref
+            seen["raised"] += 1
+            continue
+        assert_same_floats(new, ref)
+        rising = thickness_at(upper, lower, 0.25) < t_max
+        seen["rising" if rising else "falling"] += 1
+    assert min(seen.values()) >= 200, seen
+
+
+def test_rescale_early_return_and_unbracketable_match_reference():
+    upper, lower = BASE_U, BASE_L
+    t1 = thickness_at(upper, lower, 1.0)
+    for t_max in (t1, t1 + 5e-10, t1 - 9e-10):
+        new, ref = rescale_both(upper, lower, t_max)
+        assert new is lower and ref is lower  # returned as given at s = 1
+    for t_max in (t1 + 2e-9, t1 - 2e-9):
+        new, ref = rescale_both(upper, lower, t_max)
+        assert_same_floats(new, ref)
+    # thinner than the 0.25 end, thicker than the 4.0 end
+    for t_max in (0.5 * thickness_at(upper, lower, 0.25),
+                  2.0 * thickness_at(upper, lower, 4.0)):
+        new, ref = rescale_both(upper, lower, t_max)
+        assert new == ref == "raised"
+        with pytest.raises(GeometryError):
+            geometry._rescale_lower(upper, lower, t_max)
+
+
+def test_rescale_width_stop_matches_reference(monkeypatch):
+    # slopes near 1e3 keep |f| above 1e-10 at every midpoint, so the
+    # bisection ends on its bracket width
+    measured = []
+    thickness = geometry._thickness
+
+    def recording_thickness(yu, yl, s):
+        measured.append(thickness(yu, yl, s))
+        return measured[-1]
+
+    monkeypatch.setattr(geometry, "_thickness", recording_thickness)
+    rng = np.random.default_rng(31)
+    width_stops = 0
+    for _ in range(40):
+        upper = 1e4 * BASE_U * rng.uniform(0.5, 1.5, 7)
+        lower = 1e4 * BASE_L * rng.uniform(0.5, 1.5, 7)
+        t_max = thickness_at(upper, lower, rng.uniform(0.3, 3.9))
+        measured.clear()
+        new, ref = rescale_both(upper, lower, t_max)
+        assert_same_floats(new, ref)
+        width_stops += abs(measured[-1] - t_max) >= 1e-10
+    assert width_stops >= 10
+
+
+def test_rescale_measures_few_midpoints(monkeypatch):
+    # rescale calls as the pool, greedy search and env make them: baselines
+    # and chains of random actions over the action box
+    calls, counts = [], []
+    thickness, rescale = geometry._thickness, geometry._rescale_lower
+
+    def counting_thickness(yu, yl, s):
+        counts[-1] += 1
+        return thickness(yu, yl, s)
+
+    def recording_rescale(upper, lower, t_max):
+        calls.append((np.array(upper, dtype=float), np.array(lower, dtype=float), t_max))
+        counts.append(0)
+        return rescale(upper, lower, t_max)
+
+    monkeypatch.setattr(geometry, "_thickness", counting_thickness)
+    monkeypatch.setattr(geometry, "_rescale_lower", recording_rescale)
+    rng = np.random.default_rng(32)
+    for foil in seed_airfoils(6, seed=32):
+        for _ in range(3):
+            current = foil
+            for _ in range(5):
+                action, _ = scaled_to_physical(rng.uniform(0.0, 1.0, 3))
+                try:
+                    current = apply_action(current, action)
+                except GeometryError:
+                    break
+    assert len(calls) >= 60
+    assert max(counts) <= 12, max(counts)
+    monkeypatch.undo()
+    for upper, lower, t_max in calls:
+        new, ref = rescale_both(upper, lower, t_max)
+        if isinstance(ref, str):
+            assert new == ref
+        else:
+            assert_same_floats(new, ref)
+
+
+def test_cst_sum_matches_term_by_term_loop():
+    rng = np.random.default_rng(33)
+    grids = [cosine_stations(), rng.uniform(0.0, 1.0, 50), np.array([0.3]),
+             np.array(0.3), np.array([]), np.array([0.0, 1.0]),
+             rng.uniform(0.0, 1.0, (3, 4))]
+    for k in range(600):
+        coeffs = rng.uniform(-1.0, 1.0, 7) * 10.0 ** rng.uniform(-3.0, 3.0)
+        if k % 5 == 0:  # zero terms, signed zeros included
+            coeffs[rng.integers(0, 7, 3)] = rng.choice([0.0, -0.0], 3)
+        for x in grids:
+            expected = ref_cst_sum(coeffs, ref_cst_basis(x))
+            assert_same_floats(cst_evaluate(coeffs, x), expected)
+        assert_same_floats(cst_at_stations(coeffs),
+                           ref_cst_sum(coeffs, ref_cst_basis(cosine_stations())))
+    for coeffs in (np.full(7, -0.0), np.array([-1.0] * 6 + [-0.0])):
+        for x in grids:
+            assert_same_floats(cst_evaluate(coeffs, x),
+                               ref_cst_sum(coeffs, ref_cst_basis(x)))
+    with pytest.raises(GeometryError):
+        cst_at_stations(np.zeros(6))
