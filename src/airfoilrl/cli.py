@@ -18,7 +18,8 @@ from . import pretrain as pt
 from . import rl
 from .config import (ExperimentConfig, config_hash, from_profile,
                      load_config, write_manifest)
-from .env import DesignEnv, EnvConfig, proxy_evaluator, surrogate_evaluator
+from .env import (DesignEnv, EnvConfig, StepStats, proxy_evaluator,
+                  surrogate_evaluator, write_rollout_log)
 from .features import extract_features, read_distribution
 from .geometry import (BumpAction, apply_action, max_thickness,
                        read_cst_file, write_coordinates, write_cst_file)
@@ -30,13 +31,16 @@ from .nnet import load_model, save_model
 
 
 def _build_config(args) -> ExperimentConfig:
-    cfg = from_profile(args.profile)
+    """--profile's config (desk by default) or, with --config, the INI's
+    overrides on the profile the INI names unless --profile is given;
+    the two may not disagree."""
+    base = from_profile(args.profile) if args.profile else None
     if args.config:
-        cfg = load_config(args.config, base=cfg)
+        cfg = load_config(args.config, base=base)
+    else:
+        cfg = base or from_profile("desk")
     if args.seed is not None:
         cfg.seed = args.seed
-    if args.workers is not None:
-        cfg.workers = args.workers
     return cfg
 
 
@@ -46,20 +50,22 @@ def _out(args, name: str) -> str:
     return os.path.join(out_dir, name)
 
 
-def _finish(args, cfg: ExperimentConfig, command: str, artifacts: list[str]) -> int:
+def _finish(args, cfg: ExperimentConfig, command: str, artifacts: list[str],
+            extra: dict | None = None) -> int:
     manifest = _out(args, f"{command.replace('-', '_')}_manifest.json")
-    write_manifest(manifest, cfg, command, artifacts)
+    write_manifest(manifest, cfg, command, artifacts, extra)
     return 0
 
 
-def _env_factory(cfg: ExperimentConfig, surrogate_path: str | None):
+def _env_factory(cfg: ExperimentConfig, surrogate_path: str | None,
+                 stats: StepStats | None = None):
     if surrogate_path:
         model = load_model(surrogate_path)
         evaluator = surrogate_evaluator(model)
     else:
         evaluator = proxy_evaluator(cfg.proxy)
-    env_cfg = EnvConfig(max_steps=cfg.ppo.max_steps, t_max=cfg.t_max)
-    return lambda: DesignEnv(evaluator, env_cfg)
+    env_cfg = EnvConfig(max_steps=cfg.ppo.max_steps)
+    return lambda: DesignEnv(evaluator, env_cfg, stats)
 
 
 def cmd_generate_pool(args) -> int:
@@ -112,13 +118,14 @@ def cmd_pretrain(args) -> int:
     rng = np.random.default_rng(cfg.seed)
     baselines = seed_airfoils(cfg.pretrain_baselines, seed=cfg.seed,
                               t_max=cfg.t_max, config=cfg.proxy)
-    env_factory = _env_factory(cfg, args.surrogate)
+    stats = StepStats()
+    env_factory = _env_factory(cfg, args.surrogate, stats)
     evaluator = env_factory().evaluator
     samples = []
     for foil in baselines:
         samples.extend(pt.greedy_search(foil, evaluator, cfg.greedy_searches,
                                         cfg.greedy_steps, cfg.greedy_candidates,
-                                        rng))
+                                        rng, stats=stats))
     raw_out = _out(args, f"{args.out_prefix}_samples_raw.csv")
     pt.write_samples(raw_out, samples, stage="raw")
     deduped = pt.dedup_states(samples)
@@ -138,7 +145,8 @@ def cmd_pretrain(args) -> int:
     print(f"{len(samples)} raw samples -> {len(deduped)} deduped; "
           f"final imitation loss {losses[-1]:.3g}")
     print(f"wrote {agent_out} and {critic_out}")
-    return _finish(args, cfg, "pretrain", [raw_out, smooth_out, critic_out, agent_out])
+    return _finish(args, cfg, "pretrain", [raw_out, smooth_out, critic_out, agent_out],
+                   stats.manifest())
 
 
 def cmd_train_ppo(args) -> int:
@@ -146,7 +154,8 @@ def cmd_train_ppo(args) -> int:
     rng = np.random.default_rng(cfg.seed)
     baselines = seed_airfoils(cfg.ppo_baselines, seed=cfg.seed,
                               t_max=cfg.t_max, config=cfg.proxy)
-    env_factory = _env_factory(cfg, args.surrogate)
+    stats = StepStats()
+    env_factory = _env_factory(cfg, args.surrogate, stats)
     if args.agent:
         agent = rl.load_agent(_out(args, args.agent))
     else:
@@ -161,7 +170,7 @@ def cmd_train_ppo(args) -> int:
     print(f"mean cumulative reward: {history[0]['mean_cum_reward']:.3f} -> "
           f"{history[-1]['mean_cum_reward']:.3f} counts")
     print(f"wrote {agent_out} and {hist_out}")
-    return _finish(args, cfg, "train-ppo", [agent_out, hist_out])
+    return _finish(args, cfg, "train-ppo", [agent_out, hist_out], stats.manifest())
 
 
 def cmd_evaluate(args) -> int:
@@ -170,14 +179,17 @@ def cmd_evaluate(args) -> int:
                               t_max=cfg.t_max, config=cfg.proxy)
     env_factory = _env_factory(cfg, args.surrogate)
     agent = rl.load_agent(_out(args, args.agent))
-    mean, per_airfoil = rl.evaluate_policy(agent, baselines, env_factory)
+    steps: list[dict] = []
+    mean, per_airfoil = rl.evaluate_policy(agent, baselines, env_factory, rollout=steps)
     out = _out(args, args.report)
     rows = [{"airfoil": i, "cum_reward": r} for i, r in enumerate(per_airfoil)]
     rows.append({"airfoil": "mean", "cum_reward": mean})
     _write_rows_csv(out, rows)
+    rollout_out = _out(args, args.rollout)
+    write_rollout_log(rollout_out, steps)
     print(f"mean cumulative reward {mean:.3f} counts over "
-          f"{len(per_airfoil)} airfoils; wrote {out}")
-    return _finish(args, cfg, "evaluate", [out])
+          f"{len(per_airfoil)} airfoils; wrote {out} and {rollout_out}")
+    return _finish(args, cfg, "evaluate", [out, rollout_out])
 
 
 def cmd_modify(args) -> int:
@@ -233,10 +245,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="airfoilrl",
         description="Airfoil drag-reduction policy learning pipeline")
-    parser.add_argument("--profile", default="desk", choices=["desk", "paper"])
+    parser.add_argument("--profile", default=None, choices=["desk", "paper"],
+                        help="default: the config file's [run] profile, else desk")
     parser.add_argument("--config", default=None, help="INI config file")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--workers", type=int, default=None)
     parser.add_argument("--out-dir", default="artifacts")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -280,6 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--agent", required=True)
     p.add_argument("--surrogate", default=None)
     p.add_argument("--report", default="evaluation.csv")
+    p.add_argument("--rollout", default="rollout.csv", help="per-step rollout log")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("modify", help="apply one bump action to an airfoil")

@@ -33,7 +33,6 @@ def format_schedule(schedule) -> str:
 class ExperimentConfig:
     profile: str = "desk"
     seed: int = 0
-    workers: int = 1
     t_max: float = 0.095
 
     proxy: ProxyConfig = field(default_factory=ProxyConfig)
@@ -110,7 +109,7 @@ def _boolean(text: str) -> bool:
 # "proxy.x" name fields of the nested PpoConfig and ProxyConfig
 _KEYS = {
     "run": {"profile": ("profile", str), "seed": ("seed", int),
-            "workers": ("workers", int), "t_max": ("t_max", float)},
+            "t_max": ("t_max", float)},
     "proxy": {f.name: ("proxy." + f.name, type(f.default)) for f in fields(ProxyConfig)},
     "surrogate": {"hidden": ("surrogate_hidden", _int_tuple),
                   "schedule": ("surrogate_schedule", parse_schedule),
@@ -137,8 +136,10 @@ _KEYS = {
 def load_config(path, base: ExperimentConfig | None = None) -> ExperimentConfig:
     """Apply INI overrides on top of a profile's defaults.
 
-    A section or key not in _KEYS (a [DEFAULT] section included) raises
-    ValueError naming it.
+    The base is `base` when given, else the profile the file's
+    ``[run] profile`` names (desk when it names none).  A file naming a
+    profile other than base's raises ValueError, as does a section or key
+    not in _KEYS (a [DEFAULT] section included).
     """
     parser = configparser.ConfigParser()
     with open(path) as fh:
@@ -146,6 +147,9 @@ def load_config(path, base: ExperimentConfig | None = None) -> ExperimentConfig:
     if parser.defaults():
         raise ValueError(f"{path}: unknown config section [{parser.default_section}]")
     profile = parser.get("run", "profile", fallback=None)
+    if base is not None and profile is not None and profile != base.profile:
+        raise ValueError(f"{path}: [run] profile = {profile} contradicts "
+                         f"the {base.profile} profile it is applied to")
     cfg = base if base is not None else from_profile(profile or "desk")
     for section in parser.sections():
         if section not in _KEYS:
@@ -169,10 +173,12 @@ def config_hash(cfg: ExperimentConfig) -> str:
 
 
 def write_manifest(path, cfg: ExperimentConfig, command: str,
-                   artifacts: list[str]) -> None:
+                   artifacts: list[str], extra: dict | None = None) -> None:
+    """Run manifest: command, config hash, seed, profile, artifacts, and
+    the command's own fields (`extra`)."""
     payload = {"command": command, "config_hash": config_hash(cfg),
                "seed": cfg.seed, "profile": cfg.profile,
-               "artifacts": sorted(artifacts)}
+               "artifacts": sorted(artifacts), **(extra or {})}
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -1,23 +1,29 @@
 """Drag-reduction environment: bump actions in, state and reward out.
 
-One episode starts from a baseline airfoil and takes up to max_steps
-bump modifications.  Actions arrive in scaled (0,1)^3 space, are
-clamped, mapped to physical ranges, and applied with CST refit and
+An environment steps N episodes ("lanes") in lockstep, one airfoil per
+lane.  Each episode starts from a baseline airfoil and takes up to
+max_steps bump modifications.  Actions arrive in scaled (0,1)^3 space,
+are clamped, mapped to physical ranges, and applied with CST refit and
 thickness rescale.  The reward is the drag-count reduction
 10,000 * (CD_k - CD_{k+1}); losing the single shock zeroes the reward
 and terminates the episode.  Each step's info says whether the action
 was clipped to the box (``clamped``) and whether the bump's width was
 clamped by the geometry (``width_clamped``, see AirfoilGeom).
+
+Every live lane's bump, t2 solve, CST sums and evaluator call run as one
+batch (geometry.apply_action over lanes, an evaluator over an (n, 14)
+block).  The scalar ``reset``/``step`` API is a batch of one.
 """
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass
 
 import numpy as np
 
-from .features import FeatureSet
-from .geometry import AirfoilGeom, BumpAction, GeometryError, apply_action
+from .features import is_single_shock
+from .geometry import AirfoilGeom, AirfoilLanes, BumpAction, apply_action
 
 # physical action ranges; t1 narrowed away from the bump-exponent
 # singularities at 0 and 1
@@ -36,7 +42,6 @@ class EnvProtocolError(RuntimeError):
 @dataclass(frozen=True)
 class EnvConfig:
     max_steps: int = 5
-    t_max: float = 0.095
 
 
 @dataclass(frozen=True)
@@ -47,13 +52,63 @@ class StepResult:
     info: dict
 
 
+@dataclass(frozen=True)
+class LaneResult:
+    """One lockstep step: a row per lane that was live before it.
+
+    info holds (n,) arrays ``cd_before``, ``cd_after``, ``clamped``,
+    ``width_clamped``, ``shock_lost`` and ``modify_failed``, and the
+    (n, 3) physical ``action``.
+    """
+
+    lanes: np.ndarray  # (n,) lane indices
+    next_state: np.ndarray  # (n, 4)
+    reward: np.ndarray  # (n,)
+    done: np.ndarray  # (n,) bool
+    info: dict
+
+
+@dataclass(frozen=True)
+class Evaluation:
+    """An evaluator's answer for N airfoils."""
+
+    cd: np.ndarray  # (N,)
+    state: np.ndarray  # (N, 4): X1, Mw1, MwL, MwA
+    no_shock: np.ndarray  # (N,) bool
+
+    @property
+    def mw1(self) -> np.ndarray:
+        return self.state[:, 1]
+
+
+@dataclass
+class StepStats:
+    """Step counts and time for a run's manifest (never for its CSVs)."""
+
+    lane_steps: int = 0
+    seconds: float = 0.0
+    greedy_candidates: int = 0
+
+    def manifest(self) -> dict:
+        rate = self.lane_steps / self.seconds if self.seconds > 0.0 else 0.0
+        return {"env_lane_steps": self.lane_steps,
+                "greedy_candidates": self.greedy_candidates,
+                "env_steps_per_s": rate}
+
+
+def scaled_to_physical_lanes(actions_scaled) -> tuple[np.ndarray, np.ndarray]:
+    """Clamp (n, 3) scaled actions to [0,1]^3 and map them onto the
+    physical ranges; returns the physical rows and a per-row clamped flag."""
+    a = np.asarray(actions_scaled, dtype=float)
+    clamped = np.any(a < 0.0, axis=-1) | np.any(a > 1.0, axis=-1)
+    a = np.clip(a, 0.0, 1.0)
+    return ACTION_BOUNDS[:, 0] + a * (ACTION_BOUNDS[:, 1] - ACTION_BOUNDS[:, 0]), clamped
+
+
 def scaled_to_physical(action_scaled: np.ndarray) -> tuple[BumpAction, bool]:
     """Clamp a scaled action to [0,1]^3 and map onto physical ranges."""
-    a = np.asarray(action_scaled, dtype=float)
-    clamped = bool(np.any(a < 0.0) or np.any(a > 1.0))
-    a = np.clip(a, 0.0, 1.0)
-    phys = ACTION_BOUNDS[:, 0] + a * (ACTION_BOUNDS[:, 1] - ACTION_BOUNDS[:, 0])
-    return BumpAction(t1=float(phys[0]), s_b=float(phys[1]), h_b=float(phys[2])), clamped
+    phys, clamped = scaled_to_physical_lanes(action_scaled)
+    return BumpAction(*map(float, phys)), bool(clamped)
 
 
 def physical_to_scaled(action: BumpAction) -> np.ndarray:
@@ -62,117 +117,180 @@ def physical_to_scaled(action: BumpAction) -> np.ndarray:
 
 
 class DesignEnv:
-    """Episodic airfoil modification driven by an evaluator.
+    """Episodic airfoil modification driven by an evaluator, one lane
+    per episode.
 
-    evaluator(cst14) -> (CD, FeatureSet); either the proxy oracle or a
-    trained surrogate wrapped by :func:`surrogate_evaluator`.
+    evaluator(cst (N, 14)) -> Evaluation; either the proxy oracle or a
+    trained surrogate wrapped by :func:`surrogate_evaluator`.  Lanes hold
+    (N, 7) upper and lower CST arrays and a live mask; ``step_lanes``
+    steps every live lane at once.  ``reset``/``step`` run a batch of one.
     """
 
-    def __init__(self, evaluator, config: EnvConfig = EnvConfig()):
+    def __init__(self, evaluator, config: EnvConfig = EnvConfig(),
+                 stats: StepStats | None = None):
         self.evaluator = evaluator
         self.config = config
-        self._airfoil: AirfoilGeom | None = None
-        self._cd: float = float("nan")
-        self._features: FeatureSet | None = None
-        self._steps = 0
-        self._done = True
+        self.stats = stats
+        self.live = np.zeros(0, dtype=bool)
+
+    def reset_lanes(self, baselines) -> np.ndarray:
+        """Start one episode per baseline airfoil; returns (N, 4) states."""
+        self._upper = np.array([b.cst_upper for b in baselines], dtype=float).reshape(-1, 7)
+        self._lower = np.array([b.cst_lower for b in baselines], dtype=float).reshape(-1, 7)
+        self._t_max = np.array([b.t_max for b in baselines], dtype=float)
+        ev = self.evaluator(np.concatenate([self._upper, self._lower], axis=1))
+        self._cd, self._state = ev.cd.copy(), ev.state.copy()
+        self._steps = np.zeros(len(baselines), dtype=int)
+        self.live = np.ones(len(baselines), dtype=bool)
+        return self._state.copy()
+
+    def step_lanes(self, actions_scaled) -> LaneResult:
+        """Apply one scaled action per live lane (rows in lane order).
+
+        A lane whose modification fails ends with zero reward and keeps
+        its airfoil; one that loses its shock ends with zero reward.
+        """
+        lanes = np.flatnonzero(self.live)
+        if lanes.size == 0:
+            raise EnvProtocolError("step() after episode end or before reset()")
+        t0 = time.perf_counter()
+        phys, clamped = scaled_to_physical_lanes(np.reshape(actions_scaled, (lanes.size, 3)))
+        bumped = apply_action(AirfoilLanes(upper=self._upper[lanes], lower=self._lower[lanes],
+                                           t_max=self._t_max[lanes]), phys)
+        failed = bumped.failed
+        cd_before = self._cd[lanes]
+        shock_lost = np.zeros(lanes.size, dtype=bool)
+        moved = lanes[~failed]
+        if moved.size:
+            self._upper[moved] = bumped.upper[~failed]
+            self._lower[moved] = bumped.lower[~failed]
+            ev = self.evaluator(np.concatenate([bumped.upper[~failed],
+                                                bumped.lower[~failed]], axis=1))
+            self._cd[moved], self._state[moved] = ev.cd, ev.state
+            shock_lost[~failed] = ~is_single_shock(ev)
+        cd_after = self._cd[lanes]
+        reward = np.where(failed | shock_lost, 0.0, REWARD_SCALE * (cd_before - cd_after))
+        self._steps[lanes] += 1
+        done = failed | shock_lost | (self._steps[lanes] >= self.config.max_steps)
+        self.live[lanes] = ~done
+        info = {"cd_before": cd_before, "cd_after": cd_after, "action": phys,
+                "clamped": clamped, "width_clamped": bumped.width_clamped,
+                "shock_lost": shock_lost, "modify_failed": failed}
+        if self.stats is not None:
+            self.stats.lane_steps += lanes.size
+            self.stats.seconds += time.perf_counter() - t0
+        return LaneResult(lanes=lanes, next_state=self._state[lanes], reward=reward,
+                          done=done, info=info)
 
     def reset(self, baseline: AirfoilGeom) -> np.ndarray:
-        self._airfoil = baseline
-        self._cd, self._features = self.evaluator(baseline.cst14)
-        self._steps = 0
-        self._done = False
-        return self._features.state
+        return self.reset_lanes([baseline])[0]
+
+    def step(self, action_scaled) -> StepResult:
+        r = self.step_lanes(np.reshape(action_scaled, (1, 3)))
+        info = {k: bool(v[0]) if v.dtype == bool else float(v[0])
+                for k, v in r.info.items() if k != "action"}
+        info["action"] = BumpAction(*map(float, r.info["action"][0]))
+        return StepResult(next_state=r.next_state[0], reward=float(r.reward[0]),
+                          done=bool(r.done[0]), info=info)
 
     @property
     def cd(self) -> float:
-        return self._cd
+        """Current drag of the batch of one (lane 0)."""
+        return float(self._cd[0])
 
     @property
     def airfoil(self) -> AirfoilGeom:
-        if self._airfoil is None:
+        """Current airfoil of the batch of one (lane 0)."""
+        if self.live.size == 0:
             raise EnvProtocolError("reset() has not been called")
-        return self._airfoil
+        return AirfoilGeom(cst_upper=self._upper[0].copy(), cst_lower=self._lower[0].copy(),
+                           t_max=float(self._t_max[0]))
 
-    def step(self, action_scaled) -> StepResult:
-        if self._done or self._airfoil is None:
-            raise EnvProtocolError("step() after episode end or before reset()")
-        action, clamped = scaled_to_physical(action_scaled)
-        cd_before = self._cd
-        try:
-            new_airfoil = apply_action(self._airfoil, action)
-        except GeometryError:
-            # degenerate bump: end the episode with zero reward, keep the
-            # current airfoil so the caller can still inspect it
-            self._steps += 1
-            self._done = True
-            info = {
-                "cd_before": cd_before,
-                "cd_after": cd_before,
-                "action": action,
-                "clamped": clamped,
-                "width_clamped": False,
-                "shock_lost": False,
-                "modify_failed": True,
-            }
-            return StepResult(next_state=self._features.state, reward=0.0,
-                              done=True, info=info)
-        cd_after, feats = self.evaluator(new_airfoil.cst14)
-        self._airfoil = new_airfoil
-        self._cd = cd_after
-        self._features = feats
-        self._steps += 1
 
-        shock_lost = feats.no_shock or feats.mw1 < 1.0
-        reward = REWARD_SCALE * (cd_before - cd_after)
-        if shock_lost:
-            reward = 0.0
-        done = shock_lost or self._steps >= self.config.max_steps
-        self._done = done
-        info = {
-            "cd_before": cd_before,
-            "cd_after": cd_after,
-            "action": action,
-            "clamped": clamped,
-            "width_clamped": new_airfoil.width_clamped,
-            "shock_lost": shock_lost,
-            "modify_failed": False,
-        }
-        return StepResult(next_state=feats.state, reward=reward, done=done, info=info)
+class _EachLane:
+    """Lane API over envs that only have reset(baseline)/step(action),
+    one env per lane, stepped one after another (their info is not kept)."""
+
+    def __init__(self, envs):
+        self.envs = envs
+        self.live = np.zeros(len(envs), dtype=bool)
+
+    def reset_lanes(self, baselines) -> np.ndarray:
+        self.live = np.ones(len(baselines), dtype=bool)
+        return np.array([env.reset(b) for env, b in zip(self.envs, baselines)], dtype=float)
+
+    def step_lanes(self, actions_scaled) -> LaneResult:
+        lanes = np.flatnonzero(self.live)
+        results = [self.envs[i].step(a) for i, a in zip(lanes.tolist(), actions_scaled)]
+        done = np.array([r.done for r in results], dtype=bool)
+        self.live[lanes] = ~done
+        return LaneResult(lanes=lanes, reward=np.array([r.reward for r in results], dtype=float),
+                          next_state=np.array([r.next_state for r in results], dtype=float),
+                          done=done, info={})
+
+
+def lane_env(env_factory, n: int):
+    """An environment with n lanes: env_factory's own env when it has the
+    lane API (reset_lanes/step_lanes), else n of its envs behind an
+    adapter that steps them lane by lane."""
+    env = env_factory()
+    if hasattr(env, "step_lanes"):
+        return env
+    return _EachLane([env] + [env_factory() for _ in range(n - 1)])
 
 
 def proxy_evaluator(config=None):
-    """Evaluator closure over the proxy oracle."""
+    """Evaluator closure over the proxy oracle, one proxy_evaluate per row."""
     from .proxy import ProxyConfig, proxy_evaluate
 
     cfg = config or ProxyConfig()
 
-    def evaluate(cst14):
-        return proxy_evaluate(cst14, cfg)
+    def evaluate(cst):
+        results = [proxy_evaluate(row, cfg) for row in np.reshape(cst, (-1, 14))]
+        return Evaluation(cd=np.array([cd for cd, _ in results], dtype=float),
+                          state=np.array([f.state for _, f in results],
+                                         dtype=float).reshape(-1, 4),
+                          no_shock=np.array([f.no_shock for _, f in results], dtype=bool))
 
     return evaluate
 
 
 def surrogate_evaluator(model):
-    """Evaluator closure over a trained surrogate model.
+    """Evaluator closure over a trained surrogate model: one forward
+    pass for the whole block.
 
     The surrogate predicts [CD, X1, Mw1, MwL, MwA] from the refit CST
     coefficients; Err and the lower-surface Mach are not modeled.
     """
     from .nnet import mlp_forward
 
-    def evaluate(cst14):
-        out = mlp_forward(model, np.asarray(cst14, dtype=float))
-        cd, x1, mw1, mwl, mwa = (float(v) for v in out)
-        feats = FeatureSet(x1=x1, mw1=mw1, mwl=mwl, mwa=mwa,
-                           mw_lower=0.0, err=0.0, no_shock=mw1 < 1.0)
-        return cd, feats
+    def evaluate(cst):
+        out = mlp_forward(model, np.reshape(np.asarray(cst, dtype=float), (-1, 14)))
+        return Evaluation(cd=out[:, 0], state=out[:, 1:5], no_shock=out[:, 2] < 1.0)
 
     return evaluate
 
 
 ROLLOUT_COLUMNS = ["episode", "step", "t1", "sb", "hb", "cd_before", "cd_after",
-                   "reward", "x1", "mw1", "mwl", "mwa", "clamped", "shock_lost"]
+                   "reward", "x1", "mw1", "mwl", "mwa", "clamped", "shock_lost",
+                   "width_clamped", "modify_failed"]
+
+
+def rollout_rows(result: LaneResult, step: int) -> list[dict]:
+    """Rollout-log rows (ROLLOUT_COLUMNS) of one lockstep step, the lane
+    index as the episode."""
+    info = result.info
+    rows = []
+    for j, lane in enumerate(result.lanes.tolist()):
+        t1, sb, hb = info["action"][j].tolist()
+        x1, mw1, mwl, mwa = result.next_state[j].tolist()
+        rows.append({"episode": lane, "step": step, "t1": t1, "sb": sb, "hb": hb,
+                     "cd_before": float(info["cd_before"][j]),
+                     "cd_after": float(info["cd_after"][j]),
+                     "reward": float(result.reward[j]), "x1": x1, "mw1": mw1,
+                     "mwl": mwl, "mwa": mwa,
+                     **{k: bool(info[k][j]) for k in ROLLOUT_COLUMNS[12:]}})
+    return rows
 
 
 def write_rollout_log(path, rows: list[dict]) -> None:

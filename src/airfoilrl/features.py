@@ -167,9 +167,12 @@ def _plateau_err(x: np.ndarray, mw: np.ndarray, i_peak: int, i_pre: int) -> floa
     return float(np.sqrt(np.mean(dev**2)))
 
 
-def is_single_shock(features: FeatureSet) -> bool:
-    """True when the distribution carries a genuine single shock."""
-    return (not features.no_shock) and features.mw1 >= 1.0
+def is_single_shock(features):
+    """True where a distribution carries a genuine single shock: one was
+    found and Mw1 >= 1 (a NaN Mw1 is not one).  Takes a FeatureSet or
+    anything with ``no_shock`` and ``mw1`` arrays, such as an env
+    Evaluation; the env's shock_lost is its negation."""
+    return np.logical_not(features.no_shock) & (np.asarray(features.mw1) >= 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -75,20 +75,24 @@ def _cst_basis(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _cst_sum(coeffs, basis) -> np.ndarray:
     """cls * sum_i ((c_i * C(6,i)) * x^i) * (1-x)^(6-i), the terms added
-    in index order to 0.0.
+    in index order to 0.0; coeffs of shape (..., 7) give one surface per
+    leading index.
 
-    A reduce over the leading axis adds whole rows in turn.  For a
-    single station numpy adds the 7 terms in its own inner loop, also in
-    order (it sums pairwise only from 8 terms).  The explicit initial
-    0.0 fixes the sign of an all-zero sum to that of a sum started from
-    zeros, whatever start value the numpy version picks.
+    A reduce over the coefficient axis adds whole rows in turn, for each
+    surface alike.  For a single station numpy adds the 7 terms in its
+    own inner loop, also in order (it sums pairwise only from 8 terms).
+    The explicit initial 0.0 fixes the sign of an all-zero sum to that of
+    a sum started from zeros, whatever start value the numpy version
+    picks.
     """
     coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape != (N_CST,):
+    if coeffs.shape[-1:] != (N_CST,):
         raise GeometryError(f"expected {N_CST} CST coefficients, got {coeffs.shape}")
     cls, xi, xo = basis
-    scale = (coeffs * _BINOM6).reshape((N_CST,) + (1,) * cls.ndim)
-    return cls * np.add.reduce(scale * xi * xo, axis=0, initial=0.0)
+    scale = (coeffs * _BINOM6).reshape(coeffs.shape + (1,) * cls.ndim)
+    terms = np.multiply(scale, xi)
+    terms *= xo  # in place: a second (N, 7, ...) temporary costs more than the product
+    return cls * np.add.reduce(terms, axis=coeffs.ndim - 1, initial=0.0)
 
 
 def cst_evaluate(coeffs, x) -> np.ndarray:
@@ -106,7 +110,7 @@ _STATION_BASIS = _cst_basis(_STATIONS)
 
 def cst_at_stations(coeffs) -> np.ndarray:
     """cst_evaluate(coeffs, cosine_stations()), the same floats from a
-    basis computed once."""
+    basis computed once; (N, 7) coefficients give (N, 201) surfaces."""
     return _cst_sum(coeffs, _STATION_BASIS)
 
 
@@ -149,14 +153,15 @@ def _peak_exponent(t1: float) -> float:
     return math.log(0.5) / math.log(t1)
 
 
-def _unit_bump(x: np.ndarray, e: float, t2: float) -> np.ndarray:
-    """sin(pi * x^e)^t2 at stations x in [0, 1]."""
+def _unit_bump(x: np.ndarray, e, t2) -> np.ndarray:
+    """sin(pi * x^e)^t2 at stations x in [0, 1]; e and t2 broadcast
+    against x, so (k, 1) exponents give one bump per row."""
     # sin can underflow to a tiny negative at x=1; clip before the
     # fractional power
-    s = np.clip(np.sin(np.pi * np.power(x, e)), 0.0, None)
+    s = np.maximum(np.sin(np.pi * np.power(x, e)), 0.0)
     # sin(pi) rounds to ~1e-16 instead of 0 and a fractional power t2
     # would inflate it, so pin the analytic end zeros
-    s[(x == 0.0) | (x == 1.0)] = 0.0
+    np.copyto(s, 0.0, where=(x == 0.0) | (x == 1.0))
     return np.power(s, t2)
 
 
@@ -179,52 +184,71 @@ def _crossing_phase(t2: float) -> float:
     return math.asin(_WIDTH_LEVEL ** (1.0 / t2)) / math.pi
 
 
-def _cross(x, f, i0: int, i1: int) -> float:
-    """Linear interpolation of the 1% crossing between points i0 and i1."""
-    f0, f1 = f[i0], f[i1]
-    if f1 == f0:
-        return x[i0]
-    return x[i0] + (_WIDTH_LEVEL - f0) * (x[i1] - x[i0]) / (f1 - f0)
+def _cross(x, f, i0, i1):
+    """Linear interpolation of the 1% crossing between points i0 and i1
+    (indices, or tuples of index arrays); callers silence the division
+    warnings of the f1 == f0 case, whose result is discarded."""
+    f0, f1, x0 = f[i0], f[i1], x[i0]
+    return np.where(f1 == f0, x0, x0 + (_WIDTH_LEVEL - f0) * (x[i1] - x0) / (f1 - f0))
 
 
-def _width_extent(t1: float, t2: float) -> tuple[float, int, int]:
-    """measure_bump_width plus the width-grid indices of the first and
-    last points at or above 1% height (-1, -1 when there are none).
-
-    The crossings of sin(pi x^e)^t2 lie at x = a^(1/e) and (1-a)^(1/e)
-    (a from _crossing_phase).  Only the grid points around each
-    are evaluated, with bump_y's operations, so every value is the
-    full grid's.  The bump is unimodal and zero at both grid ends, so a
-    left window rising through 1% holds the grid's first point at or
-    above it and a right window falling through 1% holds the last;
-    otherwise the whole grid is evaluated.
-    """
-    _check_bump_params(t1, t2)
-    e = _peak_exponent(t1)
-    a = _crossing_phase(t2)
-    if not math.isnan(a):  # a NaN t2 gives an all-NaN bump on the full grid
-        n = 2 * _HALF_WINDOW
-        # first grid index of each window, kept inside the grid
-        lo_l, lo_r = (min(max(int(c * (WIDTH_GRID - 1)) - _HALF_WINDOW + 1, 0),
-                          WIDTH_GRID - n)
-                      for c in (a ** (1.0 / e), (1.0 - a) ** (1.0 / e)))
-        xs = np.concatenate([_WIDTH_X[lo_l:lo_l + n], _WIDTH_X[lo_r:lo_r + n]])
-        f = _unit_bump(xs, e, t2).tolist()
-        above = [v >= _WIDTH_LEVEL for v in f]
-        if not above[0] and above[n - 1] and above[n] and not above[-1]:
-            j = above.index(True)
-            k = 2 * n - 1 - above[::-1].index(True)
-            x = xs.tolist()
-            width = _cross(x, f, k, k + 1) - _cross(x, f, j - 1, j)
-            return width, lo_l + j, lo_r + k - n
+def _full_grid_extent(e: float, t2: float) -> tuple[float, int, int]:
+    """Width and first/last indices at or above 1%, from the whole grid."""
     f = _unit_bump(_WIDTH_X, e, t2)
     above = np.nonzero(f >= _WIDTH_LEVEL)[0]
     if above.size == 0:
         return 0.0, -1, -1
     # f is pinned to 0 at both grid ends, so each crossing has a neighbour
     i_l, i_r = int(above[0]), int(above[-1])
-    width = _cross(_WIDTH_X, f, i_r, i_r + 1) - _cross(_WIDTH_X, f, i_l - 1, i_l)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        width = _cross(_WIDTH_X, f, i_r, i_r + 1) - _cross(_WIDTH_X, f, i_l - 1, i_l)
     return float(width), i_l, i_r
+
+
+# window point offsets: the left window in grid order, the right one
+# reversed, so that both rise through 1% along their last axis
+_WINDOW_OFFSETS = np.array([np.arange(2 * _HALF_WINDOW), np.arange(2 * _HALF_WINDOW)[::-1]])
+_SIDES = np.array([[0, 1]])
+
+
+def _width_extents(e: np.ndarray, t2: np.ndarray):
+    """measure_bump_width for rows of bump exponents e and shape
+    exponents t2, plus the width-grid indices of each row's first and
+    last points at or above 1% height (-1, -1 when there are none).
+
+    The crossings of sin(pi x^e)^t2 lie at x = a^(1/e) and (1-a)^(1/e)
+    (a from _crossing_phase).  Only the 2 x 6 grid points around them
+    are evaluated, with bump_y's operations, so every value is the full
+    grid's.  The bump is unimodal and zero at both grid ends, so a left
+    window rising through 1% holds the grid's first point at or above it
+    and a right window falling through 1% holds the last; where that
+    check fails (as a NaN t2's all-NaN bump does) the row's whole grid
+    is evaluated.  Window placement therefore need not be exact.
+    """
+    n = 2 * _HALF_WINDOW
+    rows = np.arange(e.size)[:, None]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a = np.arcsin(_WIDTH_LEVEL ** (1.0 / t2)) / np.pi
+        centres = (np.array([a, 1.0 - a]) ** (1.0 / e)).T
+        # first grid index of each window, kept inside the grid
+        starts = np.minimum(np.maximum(
+            (centres * (WIDTH_GRID - 1)).astype(int) - (_HALF_WINDOW - 1), 0), WIDTH_GRID - n)
+        xs = _WIDTH_X[starts[:, :, None] + _WINDOW_OFFSETS]
+        f = _unit_bump(xs, e[:, None, None], t2[:, None, None])
+        above = f >= _WIDTH_LEVEL
+        found = np.all(above[:, :, -1] & ~above[:, :, 0], axis=1)
+        # the first point at or above 1% along each window, and the one
+        # before it: the crossing interpolates from the point before it
+        # on the left and from it on the right, as over the whole grid
+        first_above = np.argmax(above, axis=2)
+        i0, i1 = first_above - [[1, 0]], first_above - [[0, 1]]
+        cross = _cross(xs, f, (rows, _SIDES, i0), (rows, _SIDES, i1))
+    width = cross[:, 1] - cross[:, 0]
+    first = starts[:, 0] + first_above[:, 0]
+    last = starts[:, 1] + (n - 1) - first_above[:, 1]
+    for r in np.flatnonzero(~found):
+        width[r], first[r], last[r] = _full_grid_extent(float(e[r]), float(t2[r]))
+    return width, first, last
 
 
 def measure_bump_width(t1: float, t2: float) -> float:
@@ -235,74 +259,147 @@ def measure_bump_width(t1: float, t2: float) -> float:
     the two crossings are evaluated, which gives the same float as
     evaluating the whole grid.
     """
-    return _width_extent(t1, t2)[0]
+    _check_bump_params(t1, t2)
+    width, _, _ = _width_extents(np.array([_peak_exponent(t1)]), np.array([float(t2)]))
+    return float(width[0])
 
 
 _T2_LO = 0.2
 _T2_HI = 200.0
+_PHASE_LO, _PHASE_HI = _crossing_phase(_T2_LO), _crossing_phase(_T2_HI)
 
 
-def _closed_form_root(t1: float, s_b: float) -> tuple[float, float]:
-    """Gridless estimate of the t2 giving width s_b, and dW/dt2 there.
+def _closed_form_root(e: float, s_b: float) -> tuple[float, float]:
+    """Gridless estimate of the t2 giving width s_b for bump exponent e,
+    and dW/dt2 there.
 
     The exact bump has width (1-a)^p - a^p, p = 1/e, decreasing in
     a = _crossing_phase(t2); bisect it in a inside the t2 bracket.
     """
-    p = 1.0 / _peak_exponent(t1)
-
-    def width(a: float) -> float:
-        return (1.0 - a) ** p - a ** p
-
-    lo, hi = _crossing_phase(_T2_LO), _crossing_phase(_T2_HI)
+    p = 1.0 / e
+    lo, hi = _PHASE_LO, _PHASE_HI
     for _ in range(32):
         mid = 0.5 * (lo + hi)
-        if width(mid) > s_b:
+        if (1.0 - mid) ** p - mid ** p > s_b:
             lo = mid
         else:
             hi = mid
     t2 = math.log(_WIDTH_LEVEL) / math.log(math.sin(math.pi * 0.5 * (lo + hi)))
     t2 = min(max(t2, _T2_LO), _T2_HI)
     h = 1e-4 * t2
-    w_lo, w_hi = (width(_crossing_phase(t)) for t in (t2 - h, t2 + h))
+    w_lo, w_hi = ((1.0 - a) ** p - a ** p
+                  for a in (_crossing_phase(t2 - h), _crossing_phase(t2 + h)))
     slope = (w_hi - w_lo) / (2.0 * h)
     # t1 next to 1 can round the slope to 0; callers still need a direction
     return t2, min(slope, -1e-12)
 
 
-def _anchors(t1: float, s_b: float, clear: float) -> tuple[float, float]:
-    """(ta, tb) with measured widths W(ta) >= s_b + clear and
-    W(tb) <= s_b - clear, each as close to the root as the search gets;
-    -inf or inf where the search leaves the t2 bracket without one.
+def _t2_search(e: float, s_b: float, tol: float):
+    """solve_t2 for one lane, as a generator: it yields lists of t2
+    values to measure and is sent back their (width, first, last)
+    triples; it returns (t2, clamped).
 
-    Secant steps on the measured width from the closed-form root give
-    the root; anchors are then tried outward from it at distances that
-    double until each inequality holds.  Only the inequalities matter
-    to solve_t2, not where the anchors land.
+    Anchors first: secant steps on the measured width from the
+    closed-form root give the root; anchors ta, tb are then tried
+    outward from it, both sides at once, at distances that double until
+    W(ta) >= s_b + tol/2 and W(tb) <= s_b - tol/2 (-inf or inf where
+    the search leaves the t2 bracket without one).  Only those
+    inequalities matter, not where the anchors land.  Then the
+    bisection: midpoints at or below ta, or at or above tb, go the way
+    the bisection would send them without being measured.
     """
-    t, slope = _closed_form_root(t1, s_b)
-    w = measure_bump_width(t1, t)
+    band = 0.25 * tol
+    clear = 2.0 * band
+    t, slope = _closed_form_root(e, s_b)
+    (w, _, _), = yield [t]
     for _ in range(3):
         t_new = min(max(t + (s_b - w) / slope, _T2_LO), _T2_HI)
         if abs(w - s_b) < clear or t_new == t:
             break
-        w_new = measure_bump_width(t1, t_new)
+        (w_new, _, _), = yield [t_new]
         if (w_new - w) / (t_new - t) < 0.0:
             slope = (w_new - w) / (t_new - t)
         t, w = t_new, w_new
     root = t + (s_b - w) / slope
-    anchors = [-math.inf, math.inf]
-    for side, sign in ((0, -1.0), (1, 1.0)):
-        step = 2.0 * clear / -slope
-        while _T2_LO <= root + sign * step <= _T2_HI:
-            cand = root + sign * step
-            if sign * (s_b - measure_bump_width(t1, cand)) >= clear:
-                anchors[side] = cand
+    anchors, sign = [-math.inf, math.inf], (-1.0, 1.0)
+    steps = [2.0 * clear / -slope] * 2
+    sides = [0, 1]  # the sides still searching
+    while True:
+        sides = [k for k in sides if _T2_LO <= root + sign[k] * steps[k] <= _T2_HI]
+        if not sides:
+            break
+        cands = [root + sign[k] * steps[k] for k in sides]
+        for k, cand, (w_c, _, _) in zip(list(sides), cands, (yield cands)):
+            if sign[k] * (s_b - w_c) >= clear:
+                anchors[k] = cand
+                sides.remove(k)
+            else:
+                steps[k] *= 2.0
+    ta, tb = anchors
+    # an anchor inside the bracket settles its end's feasibility check
+    ends = [t for t, anchor in ((_T2_LO, ta), (_T2_HI, tb)) if math.isinf(anchor)]
+    if ends:
+        measured = yield ends
+        widths = {end: w_end for end, (w_end, _, _) in zip(ends, measured)}
+        if ta == -math.inf and s_b >= widths[_T2_LO]:
+            return _T2_LO, True
+        if tb == math.inf and s_b <= widths[_T2_HI]:
+            return _T2_HI, True
+    lo, hi = _T2_LO, _T2_HI
+    for _ in range(100):
+        t2 = 0.5 * (lo + hi)
+        if t2 <= ta:
+            lo = t2
+        elif t2 >= tb:
+            hi = t2
+        else:
+            (w, first, last), = yield [t2]
+            if abs(w - s_b) < band:
                 break
-            step *= 2.0
-    return anchors[0], anchors[1]
+            if w > s_b:
+                lo = t2
+            else:
+                hi = t2
+    else:  # no midpoint met the stop rule; the last one sets the flag
+        (_, first, last), = yield [t2]
+    # a 1% crossing in the first or last width-grid cell truncates a flank
+    return t2, bool(first <= 1 or last >= WIDTH_GRID - 2)
 
 
-def solve_t2(t1: float, s_b: float, tol: float = 1e-6) -> tuple[float, bool]:
+def _solve_t2_lanes(e: np.ndarray, s_b: np.ndarray, tol: float = 1e-6):
+    """solve_t2 for every lane (bump exponent e[i], width s_b[i]) at
+    once: each round measures the widths all lanes ask for in one
+    _width_extents call.  Returns (t2, clamped) arrays."""
+    searches = [_t2_search(ei, si, tol) for ei, si in zip(e.tolist(), s_b.tolist())]
+    asks = [next(search) for search in searches]
+    out = [None] * len(searches)
+    pending = list(range(len(searches)))
+    while pending:
+        lane = np.repeat(pending, [len(asks[i]) for i in pending])
+        measured = zip(*(v.tolist() for v in _width_extents(
+            e[lane], np.array([t for i in pending for t in asks[i]]))))
+        still = []
+        for i in pending:
+            try:
+                asks[i] = searches[i].send([next(measured) for _ in asks[i]])
+                still.append(i)
+            except StopIteration as stop:
+                out[i] = stop.value
+        pending = still
+    t2, clamped = zip(*out) if out else ((), ())
+    return np.array(t2, dtype=float), np.array(clamped, dtype=bool)
+
+
+def _action_error(t1: float, s_b: float) -> str | None:
+    """Why solve_t2 rejects (t1, s_b), or None."""
+    if not 0.0 < t1 < 1.0:
+        return "t1 must be in (0, 1)"
+    if s_b <= 0.0:
+        return "s_b must be positive"
+    return None
+
+
+def solve_t2(t1, s_b, tol: float = 1e-6):
     """Shape exponent giving a 1%-height width of s_b at peak t1.
 
     Returns (t2, clamped).  clamped is set when the requested width is
@@ -315,40 +412,21 @@ def solve_t2(t1: float, s_b: float, tol: float = 1e-6) -> tuple[float, bool]:
     monotonically in t2, so midpoints at or below an anchor whose width
     clears s_b + tol/2, or at or above one below s_b - tol/2, go the
     way the bisection would send them without being measured; the
-    anchors sit close to the root, so only the last few midpoints are.
-    The margin of tol/2 rather than tol/4 covers rounding in the
-    measured width.
+    anchors sit close to the root, so only the last few midpoints are
+    (see _t2_search).  The margin of tol/2 rather than tol/4 covers
+    rounding in the measured width.
+
+    Arrays of t1 and s_b, already checked (apply_action checks them),
+    solve every lane at once and return arrays of t2 and clamped.
     """
-    if not 0.0 < t1 < 1.0:
-        raise GeometryError("t1 must be in (0, 1)")
-    if s_b <= 0.0:
-        raise GeometryError("s_b must be positive")
-    band = 0.25 * tol
-    ta, tb = _anchors(t1, s_b, 2.0 * band)
-    # an anchor inside the bracket settles its end's feasibility check
-    if ta == -math.inf and s_b >= measure_bump_width(t1, _T2_LO):
-        return _T2_LO, True
-    if tb == math.inf and s_b <= measure_bump_width(t1, _T2_HI):
-        return _T2_HI, True
-    lo, hi = _T2_LO, _T2_HI
-    for _ in range(100):
-        t2 = 0.5 * (lo + hi)
-        if t2 <= ta:
-            lo = t2
-        elif t2 >= tb:
-            hi = t2
-        else:
-            w, first, last = _width_extent(t1, t2)
-            if abs(w - s_b) < band:
-                break
-            if w > s_b:
-                lo = t2
-            else:
-                hi = t2
-    else:  # no midpoint met the stop rule; the last one sets the flag
-        _, first, last = _width_extent(t1, t2)
-    # a 1% crossing in the first or last width-grid cell truncates a flank
-    return t2, first <= 1 or last >= WIDTH_GRID - 2
+    if np.ndim(t1):
+        e = np.array([_peak_exponent(t) for t in np.asarray(t1, dtype=float).tolist()])
+        return _solve_t2_lanes(e, np.asarray(s_b, dtype=float), tol)
+    error = _action_error(t1, s_b)
+    if error is not None:
+        raise GeometryError(error)
+    t2, clamped = _solve_t2_lanes(np.array([_peak_exponent(t1)]), np.array([float(s_b)]), tol)
+    return float(t2[0]), bool(clamped[0])
 
 
 def curvature(x, y) -> np.ndarray:
@@ -372,7 +450,7 @@ def max_thickness(airfoil: AirfoilGeom) -> float:
 
 def _thickness(yu: np.ndarray, yl: np.ndarray, s: float) -> float:
     """max(yu - s*yl): the maximum thickness with the lower surface scaled by s."""
-    return float(np.max(yu - s * yl))
+    return float((yu - s * yl).max())
 
 
 _SKIP_MARGIN = 2e-10  # twice the rescale bisection's |f| < 1e-10 stop
@@ -392,7 +470,7 @@ def _thickness_root(yu, yl, t_max: float, f_lo: float, f_hi: float
     0, skipping nothing, unless the negative end's |f| clears the margin.
     """
     margin = _SKIP_MARGIN + 8.0 * _EPS * float(
-        np.max(np.abs(yu)) + 4.0 * np.max(np.abs(yl)) + abs(t_max))
+        np.abs(yu).max() + 4.0 * np.abs(yl).max() + abs(t_max))
     if f_lo <= -margin:
         s_neg, f_neg = 0.25, f_lo
     elif f_hi <= -margin:
@@ -403,9 +481,9 @@ def _thickness_root(yu, yl, t_max: float, f_lo: float, f_hi: float
     with np.errstate(divide="ignore", invalid="ignore"):
         r = (yu - t_max) / yl
     if s_neg == 0.25:
-        root = float(np.min(r, where=yl < 0.0, initial=np.inf))
+        root = float(r.min(where=yl < 0.0, initial=np.inf))
     else:
-        root = float(np.max(r, where=yl > 0.0, initial=-np.inf))
+        root = float(r.max(where=yl > 0.0, initial=-np.inf))
     return root, f_neg / (s_neg - root), margin
 
 
@@ -468,21 +546,78 @@ def make_airfoil(cst_upper, cst_lower, t_max: float) -> AirfoilGeom:
     return AirfoilGeom(cst_upper=upper, cst_lower=lower, t_max=t_max)
 
 
-def apply_action(airfoil: AirfoilGeom, action: BumpAction) -> AirfoilGeom:
+@dataclass(frozen=True)
+class AirfoilLanes:
+    """N airfoils as arrays, for apply_action over lanes: (N, 7) upper
+    and lower CST coefficients and (N,) t_max.
+
+    apply_action's result also holds, per lane, solve_t2's clamped flag
+    (``width_clamped``) and why the lane failed (``errors``: a
+    GeometryError message, or None); a failed lane keeps its input
+    coefficients.
+    """
+
+    upper: np.ndarray
+    lower: np.ndarray
+    t_max: np.ndarray
+    width_clamped: np.ndarray | None = None
+    errors: tuple | None = None
+
+    @property
+    def failed(self) -> np.ndarray:
+        return np.array([err is not None for err in self.errors], dtype=bool)
+
+
+def _apply_lanes(lanes: AirfoilLanes, actions: np.ndarray) -> AirfoilLanes:
+    t1, s_b, h_b = actions.T
+    errors = [_action_error(a, b) for a, b in zip(t1.tolist(), s_b.tolist())]
+    ok = np.array([i for i, err in enumerate(errors) if err is None], dtype=int)
+    t2, clamped = solve_t2(t1[ok], s_b[ok])
+    e = np.array([_peak_exponent(a) for a in t1[ok].tolist()])
+    y_bumped = cst_at_stations(lanes.upper[ok]) \
+        + h_b[ok, None] * _unit_bump(_STATIONS, e[:, None], t2[:, None])
+    upper, lower = lanes.upper.copy(), lanes.lower.copy()
+    width_clamped = np.zeros(len(actions), dtype=bool)
+    for i, y, flag in zip(ok.tolist(), y_bumped, clamped.tolist()):
+        try:
+            upper[i] = cst_fit(_STATIONS, y)
+            lower[i] = _rescale_lower(upper[i], lanes.lower[i], float(lanes.t_max[i]))
+        except GeometryError as exc:
+            upper[i] = lanes.upper[i]
+            errors[i] = str(exc)
+            continue
+        width_clamped[i] = flag
+    return AirfoilLanes(upper=upper, lower=lower, t_max=lanes.t_max,
+                        width_clamped=width_clamped, errors=tuple(errors))
+
+
+def apply_action(airfoil, action):
     """Add a bump to the upper surface, refit with CST, restore thickness.
 
     The refit is the smoothing step: the bumped curve is reconstructed
     as a 6th-order CST surface, then the lower surface is rescaled so
     the maximum thickness stays at t_max.  The result records solve_t2's
     clamped flag as ``width_clamped``.
+
+    Over lanes, airfoil is an AirfoilLanes and action an (N, 3) array of
+    physical (t1, s_b, h_b) rows.  The t2 solve, the bump and the CST
+    sums then run over all lanes together, the least-squares refit and
+    the thickness rescale (with its skip rule) per lane, and every lane
+    gets the floats a call with its airfoil alone gives.  A lane that
+    would raise GeometryError is reported in the result's ``errors``
+    instead.  A single airfoil and BumpAction run as a lane of one.
     """
-    t2, clamped = solve_t2(action.t1, action.s_b)
-    y_bumped = cst_at_stations(airfoil.cst_upper) \
-        + bump_y(action.t1, t2, action.h_b, _STATIONS)
-    new_upper = cst_fit(_STATIONS, y_bumped)
-    new_lower = _rescale_lower(new_upper, airfoil.cst_lower, airfoil.t_max)
-    return AirfoilGeom(cst_upper=new_upper, cst_lower=new_lower, t_max=airfoil.t_max,
-                       width_clamped=clamped)
+    if isinstance(airfoil, AirfoilLanes):
+        return _apply_lanes(airfoil, np.asarray(action, dtype=float).reshape(-1, 3))
+    lanes = _apply_lanes(
+        AirfoilLanes(upper=np.asarray(airfoil.cst_upper, dtype=float)[None],
+                     lower=np.asarray(airfoil.cst_lower, dtype=float)[None],
+                     t_max=np.array([airfoil.t_max])),
+        np.array([[action.t1, action.s_b, action.h_b]], dtype=float))
+    if lanes.errors[0] is not None:
+        raise GeometryError(lanes.errors[0])
+    return AirfoilGeom(cst_upper=lanes.upper[0], cst_lower=lanes.lower[0],
+                       t_max=airfoil.t_max, width_clamped=bool(lanes.width_clamped[0]))
 
 
 # ---------------------------------------------------------------------------

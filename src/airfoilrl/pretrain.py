@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import ACTION_BOUNDS, REWARD_SCALE, physical_to_scaled
-from .geometry import AirfoilGeom, BumpAction, GeometryError, apply_action
+from .env import ACTION_BOUNDS, REWARD_SCALE, StepStats, physical_to_scaled
+from .geometry import AirfoilGeom, AirfoilLanes, BumpAction, apply_action
 from .nnet import AdamState, adam_update, mlp_backward, mlp_forward
 from .rl import PolicyAgent, PpoConfig, ppo_train
 from .surrogate import OUTPUT_NAMES, in_feature_bounds
@@ -35,39 +35,47 @@ class StateActionSample:
 
 
 def greedy_search(baseline: AirfoilGeom, evaluator, searches: int,
-                  steps: int, candidates: int, rng) -> list[StateActionSample]:
+                  steps: int, candidates: int, rng,
+                  stats: StepStats | None = None) -> list[StateActionSample]:
     """Random greedy searches: at each step draw candidate actions
     uniformly over the physical action box, keep the one with the
-    smallest drag that stays inside the feature box, and advance."""
+    smallest drag that stays inside the feature box, and advance.
+
+    The candidates of a step are one batch: one apply_action call over
+    lanes and one evaluator call on the candidates it could build.  The
+    first candidate with the smallest drag wins.
+    """
     samples: list[StateActionSample] = []
     for _ in range(searches):
-        foil = baseline
-        cd, feats = evaluator(foil.cst14)
+        upper, lower = baseline.cst_upper, baseline.cst_lower
+        ev = evaluator(baseline.cst14)
+        cd, state = float(ev.cd[0]), ev.state[0].copy()
         for _ in range(steps):
             draws = rng.uniform(ACTION_BOUNDS[:, 0], ACTION_BOUNDS[:, 1],
                                 size=(candidates, 3))
-            best = None
-            for row in draws:
-                action = BumpAction(t1=float(row[0]), s_b=float(row[1]),
-                                    h_b=float(row[2]))
-                try:
-                    cand = apply_action(foil, action)
-                except GeometryError:
-                    continue
-                cd_new, feats_new = evaluator(cand.cst14)
-                outputs = dict(zip(OUTPUT_NAMES, (cd_new, feats_new.x1,
-                                                  feats_new.mw1, feats_new.mwl,
-                                                  feats_new.mwa)))
-                if feats_new.no_shock or not in_feature_bounds(outputs):
-                    continue
-                if best is None or cd_new < best[0]:
-                    best = (cd_new, feats_new, action, cand)
-            if best is None:
+            bumped = apply_action(AirfoilLanes(upper=np.tile(upper, (candidates, 1)),
+                                               lower=np.tile(lower, (candidates, 1)),
+                                               t_max=np.full(candidates, baseline.t_max)),
+                                  draws)
+            if stats is not None:
+                stats.greedy_candidates += candidates
+            built = np.flatnonzero(~bumped.failed)
+            drag = np.full(candidates, np.inf)
+            if built.size:
+                ev = evaluator(np.concatenate([bumped.upper[built],
+                                               bumped.lower[built]], axis=1))
+                outputs = dict(zip(OUTPUT_NAMES, (ev.cd, *ev.state.T)))
+                valid = ~ev.no_shock & in_feature_bounds(outputs)
+                drag[built] = np.where(valid, ev.cd, np.inf)
+            if not np.any(drag < np.inf):
                 break  # no candidate satisfies the constraints
-            cd_new, feats_new, action, cand = best
-            samples.append(StateActionSample(state=feats.state, action=action,
-                                             reward=REWARD_SCALE * (cd - cd_new)))
-            foil, cd, feats = cand, cd_new, feats_new
+            best = int(np.argmin(drag))
+            j = int(np.searchsorted(built, best))
+            samples.append(StateActionSample(
+                state=state, action=BumpAction(*map(float, draws[best])),
+                reward=float(REWARD_SCALE * (cd - drag[best]))))
+            upper, lower = bumped.upper[best], bumped.lower[best]
+            cd, state = float(drag[best]), ev.state[j].copy()
     return samples
 
 

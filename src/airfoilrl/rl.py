@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .env import lane_env, rollout_rows
 from .nnet import AdamState, MlpModel, Scaler, adam_update, make_mlp, mlp_forward, mlp_backward
 
 # state bounds of the single-shock design box, used to scale the
@@ -78,14 +79,22 @@ def gaussian_log_prob(actions: np.ndarray, means: np.ndarray,
         - 0.5 * actions.shape[-1] * math.log(2.0 * math.pi)
 
 
-def sample_action(agent: PolicyAgent, state: np.ndarray,
-                  rng) -> tuple[np.ndarray, float]:
-    """Sample a scaled action and its log-prob (before any clamping)."""
+def sample_action(agent: PolicyAgent, state: np.ndarray, rng):
+    """Sample scaled actions and their log-probs (before any clamping).
+
+    A (n, 4) block of states gives (n, 3) actions and (n,) log-probs from
+    one actor pass; a single state gives a 3-vector and a float.  rng is
+    one Generator for all the normal draws, or one per row of the block.
+    """
     mean = np.asarray(agent.mean_action(np.asarray(state, dtype=float)))
     std = agent.std
-    action = mean + std * rng.standard_normal(mean.shape)
-    logp = float(gaussian_log_prob(action[None, :], mean[None, :], std)[0])
-    return action, logp
+    if isinstance(rng, np.random.Generator):
+        noise = rng.standard_normal(mean.shape)
+    else:
+        noise = np.array([g.standard_normal(mean.shape[-1]) for g in rng])
+    action = mean + std * noise
+    logp = gaussian_log_prob(action, mean, std)
+    return action, (float(logp) if logp.ndim == 0 else logp)
 
 
 def reward_to_go(rewards, gamma: float) -> np.ndarray:
@@ -168,28 +177,35 @@ def ppo_losses(batch: TrajectoryBatch, agent: PolicyAgent,
 def collect_batch(agent: PolicyAgent, baselines, env_factory,
                   config: PpoConfig, rng) -> TrajectoryBatch:
     """Stochastic rollouts: trajectories_per_baseline episodes from every
-    baseline under the current policy."""
-    states, actions, logps, rewards = [], [], [], []
-    slices = []
-    for baseline in baselines:
-        for _ in range(config.trajectories_per_baseline):
-            env = env_factory()
-            state = env.reset(baseline)
-            start = len(states)
-            done = False
-            while not done:
-                action, logp = sample_action(agent, state, rng)
-                result = env.step(action)
-                states.append(np.asarray(state, dtype=float))
-                actions.append(action)
-                logps.append(logp)
-                rewards.append(result.reward)
-                state = result.next_state
-                done = result.done
-            slices.append((start, len(states)))
-    states_arr = np.stack(states)
+    baseline under the current policy, all stepped in lockstep (one
+    lane per episode, baseline-major).  Each step samples every live
+    lane from one actor pass.
+
+    Each episode draws its normals from its own stream, spawned from rng
+    (Generator.spawn), so its draws do not depend on the lockstep order,
+    on the number of lanes or on how long the other episodes run.  The
+    batch lists each trajectory's steps together, in lane order.
+    """
+    episodes = [b for b in baselines for _ in range(config.trajectories_per_baseline)]
+    env = lane_env(env_factory, len(episodes))
+    state = env.reset_lanes(episodes)
+    streams = rng.spawn(len(episodes))
+    steps: list[list] = [[] for _ in episodes]  # (state, action, logp, reward)
+    while env.live.any():
+        lanes = np.flatnonzero(env.live)
+        actions, logps = sample_action(agent, state[lanes],
+                                       [streams[i] for i in lanes.tolist()])
+        result = env.step_lanes(actions)
+        for i, s, a, lp, r in zip(lanes.tolist(), state[lanes], actions,
+                                  logps.tolist(), result.reward.tolist()):
+            steps[i].append((s, a, lp, r))
+        state[lanes] = result.next_state
+    flat = [step for lane in steps for step in lane]
+    ends = np.cumsum([len(lane) for lane in steps]).tolist()
+    slices = list(zip([0] + ends[:-1], ends))
+    states_arr = np.array([s for s, _, _, _ in flat])
     values = mlp_forward(agent.critic, states_arr)[:, 0]
-    rewards_arr = np.array(rewards)
+    rewards_arr = np.array([r for _, _, _, r in flat])
     rtg = np.empty_like(rewards_arr)
     adv = np.empty_like(rewards_arr)
     for start, stop in slices:
@@ -197,10 +213,10 @@ def collect_batch(agent: PolicyAgent, baselines, env_factory,
         v_traj = np.append(values[start:stop], 0.0)  # terminal bootstrap
         adv[start:stop] = gae_advantages(rewards_arr[start:stop], v_traj,
                                          config.gamma, config.gae_lambda)
-    return TrajectoryBatch(states=states_arr, actions=np.stack(actions),
-                           log_probs=np.array(logps), rewards=rewards_arr,
-                           values=values, rewards_to_go=rtg, advantages=adv,
-                           slices=slices)
+    return TrajectoryBatch(states=states_arr, actions=np.array([a for _, a, _, _ in flat]),
+                           log_probs=np.array([lp for _, _, lp, _ in flat]),
+                           rewards=rewards_arr, values=values, rewards_to_go=rtg,
+                           advantages=adv, slices=slices)
 
 
 def _update_agent(agent: PolicyAgent, batch: TrajectoryBatch,
@@ -256,26 +272,33 @@ def _update_agent(agent: PolicyAgent, batch: TrajectoryBatch,
 
 
 def evaluate_policy(agent: PolicyAgent, baselines, env_factory,
-                    steps: int | None = None):
-    """Deterministic mean-action rollouts.
+                    steps: int | None = None, rollout: list | None = None):
+    """Deterministic mean-action rollouts, every baseline a lane of one
+    lockstep environment; at most `steps` steps each when given.
 
     Returns (mean cumulative reward in counts, per-baseline rewards).
+    With a `rollout` list, one rollout-log row per step (env
+    ROLLOUT_COLUMNS, episode = baseline index) is appended to it,
+    episode by episode.
     """
-    per_airfoil = []
-    for baseline in baselines:
-        env = env_factory()
-        state = env.reset(baseline)
-        total = 0.0
-        done = False
-        taken = 0
-        while not done:
-            result = env.step(agent.mean_action(np.asarray(state, dtype=float)))
-            total += result.reward
-            state = result.next_state
-            taken += 1
-            done = result.done or (steps is not None and taken >= steps)
-        per_airfoil.append(total)
-    return float(np.mean(per_airfoil)), per_airfoil
+    env = lane_env(env_factory, len(baselines))
+    state = env.reset_lanes(baselines)
+    totals = np.zeros(len(baselines))
+    rows: list[dict] = []
+    taken = 0
+    while env.live.any():
+        lanes = np.flatnonzero(env.live)
+        result = env.step_lanes(agent.mean_action(state[lanes]))
+        totals[lanes] += result.reward
+        state[lanes] = result.next_state
+        taken += 1
+        if rollout is not None:
+            rows.extend(rollout_rows(result, taken))
+        if steps is not None and taken >= steps:
+            break
+    if rollout is not None:
+        rollout.extend(sorted(rows, key=lambda row: row["episode"]))
+    return float(np.mean(totals)), totals.tolist()
 
 
 def ppo_train(agent: PolicyAgent, baselines, config: PpoConfig, env_factory,

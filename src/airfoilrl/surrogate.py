@@ -52,9 +52,14 @@ class SampleRecord:
         return np.array([self.outputs[k] for k in OUTPUT_NAMES])
 
 
-def in_feature_bounds(outputs: dict[str, float]) -> bool:
-    return all(FEATURE_BOUNDS[k][0] <= outputs[k] <= FEATURE_BOUNDS[k][1]
-               for k in OUTPUT_NAMES)
+def in_feature_bounds(outputs: dict) -> bool:
+    """Whether outputs lie in the feature box; with (N,) arrays as
+    values, a (N,) mask."""
+    inside = True
+    for k in OUTPUT_NAMES:
+        lo, hi = FEATURE_BOUNDS[k]
+        inside = inside & (lo <= outputs[k]) & (outputs[k] <= hi)
+    return inside
 
 
 def select_samples(pool: list[SampleRecord],

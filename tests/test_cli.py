@@ -1,11 +1,13 @@
 """CLI integration tests on small desk-scale workloads."""
+import csv
 import json
 import os
 
 import numpy as np
 import pytest
 
-from airfoilrl.cli import main
+from airfoilrl.cli import _build_config, build_parser, main
+from airfoilrl.env import ROLLOUT_COLUMNS
 from airfoilrl.geometry import make_airfoil, read_coordinates, write_cst_file
 from airfoilrl.features import write_distribution
 from airfoilrl.proxy import BASE_LOWER, BASE_UPPER, T_MAX_DEFAULT
@@ -166,3 +168,73 @@ def test_pretrain_writes_critic_history(tmp_path):
     assert len(rows) == 1 + 1 + 3  # header, initial evaluation, 3 critic iterations
     manifest = json.loads((tmp_path / "pretrain_manifest.json").read_text())
     assert str(history) in manifest["artifacts"]
+
+
+TINY_PPO = ("[ppo]\nhidden = 8,8\nbaselines = 2\nepochs = 2\n"
+            "trajectories_per_baseline = 2\nmax_steps = 2\nactor_schedule = 1:0.001\n")
+
+
+def test_evaluate_writes_rollout_log(tmp_path):
+    ini = tmp_path / "tiny.ini"
+    ini.write_text(TINY_PPO)
+    assert run(tmp_path, "--config", str(ini), "train-ppo") == 0
+    assert run(tmp_path, "--config", str(ini), "evaluate",
+               "--agent", "trained_agent.npz") == 0
+    with open(tmp_path / "rollout.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert list(rows[0]) == ROLLOUT_COLUMNS
+    assert {r["episode"] for r in rows} == {"0", "1"}
+    for episode in ("0", "1"):
+        steps = [int(r["step"]) for r in rows if r["episode"] == episode]
+        assert steps == list(range(1, len(steps) + 1)) and len(steps) <= 2
+    # each episode's rewards add up to its evaluation.csv total
+    with open(tmp_path / "evaluation.csv", newline="") as fh:
+        totals = {r["airfoil"]: float(r["cum_reward"]) for r in csv.DictReader(fh)}
+    for episode in ("0", "1"):
+        total = 0.0
+        for r in rows:
+            if r["episode"] == episode:
+                total += float(r["reward"])
+        assert total == totals[episode]
+    assert {r["modify_failed"] for r in rows} <= {"True", "False"}
+    manifest = json.loads((tmp_path / "evaluate_manifest.json").read_text())
+    assert str(tmp_path / "rollout.csv") in manifest["artifacts"]
+
+
+def test_manifests_report_step_telemetry(tmp_path):
+    ini = tmp_path / "tiny.ini"
+    ini.write_text(TINY_PPO + "[pretrain]\nbaselines = 4\nsearches = 3\nsteps = 5\n"
+                   "candidates = 10\nimitation_schedule = 2:0.001\n"
+                   "critic_schedule = 1:0.01\n")
+    # episodes: one evaluation, then per iteration a collection (and, for
+    # train-ppo, an evaluation); each takes one or two lane steps
+    for command, episodes in (("pretrain", 4 + 4 * 2), ("train-ppo", 2 + 2 * 2 + 2)):
+        assert run(tmp_path, "--config", str(ini), command) == 0
+        manifest = json.loads(
+            (tmp_path / f"{command.replace('-', '_')}_manifest.json").read_text())
+        assert episodes <= manifest["env_lane_steps"] <= 2 * episodes
+        assert manifest["env_steps_per_s"] > 0.0
+        greedy = manifest["greedy_candidates"]
+        assert (greedy % 10 == 0 and 10 <= greedy <= 4 * 3 * 5 * 10
+                if command == "pretrain" else greedy == 0)
+    # wall-clock figures stay out of the CSVs compared byte for byte
+    for name in ("ppo_history.csv", "pretrained_critic_history.csv",
+                 "pretrained_samples_raw.csv"):
+        assert "per_s" not in (tmp_path / name).read_text()
+
+
+def test_ini_profile_picks_the_base_config(tmp_path):
+    ini = tmp_path / "paper.ini"
+    ini.write_text("[run]\nprofile = paper\n")
+    cfg = _build_config(build_parser().parse_args(["--config", str(ini), "generate-pool"]))
+    assert cfg.profile == "paper"
+    assert (cfg.pool_size, cfg.keep_counts, cfg.surrogate_hidden) == \
+        (10000, (5000, 200), (1024, 1024, 1024))
+    assert cfg.ppo.epochs == 2000
+    same = _build_config(build_parser().parse_args(
+        ["--profile", "paper", "--config", str(ini), "generate-pool"]))
+    assert same == cfg
+    with pytest.raises(ValueError, match="contradicts"):
+        _build_config(build_parser().parse_args(
+            ["--profile", "desk", "--config", str(ini), "generate-pool"]))
+    assert _build_config(build_parser().parse_args(["generate-pool"])).pool_size == 3000

@@ -76,7 +76,7 @@ def test_thickness_invariant_after_steps(env, baseline):
     done = False
     while not done:
         result = env.step(rng.uniform(0.4, 0.6, 3))
-        assert abs(max_thickness(env.airfoil) - env.config.t_max) < 1e-6
+        assert abs(max_thickness(env.airfoil) - env.airfoil.t_max) < 1e-6
         done = result.done
 
 
