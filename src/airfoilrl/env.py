@@ -12,7 +12,8 @@ clamped by the geometry (``width_clamped``, see AirfoilGeom).
 
 Every live lane's bump, t2 solve, CST sums and evaluator call run as one
 batch (geometry.apply_action over lanes, an evaluator over an (n, 14)
-block).  The scalar ``reset``/``step`` API is a batch of one.
+block).  ``step`` takes one action per live lane; a single action after
+``reset`` is a batch of one.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .features import is_single_shock
-from .geometry import AirfoilGeom, AirfoilLanes, BumpAction, apply_action
+from .geometry import AirfoilGeom, BumpAction, apply_action
 
 # physical action ranges; t1 narrowed away from the bump-exponent
 # singularities at 0 and 1
@@ -33,6 +34,8 @@ HB_RANGE = (-0.1, 0.1)
 ACTION_BOUNDS = np.array([T1_RANGE, SB_RANGE, HB_RANGE])
 
 REWARD_SCALE = 10000.0  # drag counts per unit of drag coefficient
+
+OUTCOMES = ("clamped", "width_clamped", "shock_lost", "modify_failed")
 
 
 class EnvProtocolError(RuntimeError):
@@ -56,16 +59,22 @@ class StepResult:
 class LaneResult:
     """One lockstep step: a row per lane that was live before it.
 
-    info holds (n,) arrays ``cd_before``, ``cd_after``, ``clamped``,
-    ``width_clamped``, ``shock_lost`` and ``modify_failed``, and the
-    (n, 3) physical ``action``.
+    lane_info holds (n,) arrays ``cd_before``, ``cd_after`` and the
+    OUTCOMES flags, and the (n, 3) physical ``action``.  info counts
+    the lanes on which each outcome flag is set, so that a run's counts
+    add up the same whether its lanes were stepped together or one by
+    one (traced runs sum them per step).
     """
 
     lanes: np.ndarray  # (n,) lane indices
     next_state: np.ndarray  # (n, 4)
     reward: np.ndarray  # (n,)
     done: np.ndarray  # (n,) bool
-    info: dict
+    lane_info: dict
+
+    @property
+    def info(self) -> dict:
+        return {k: int(np.count_nonzero(self.lane_info.get(k, ()))) for k in OUTCOMES}
 
 
 @dataclass(frozen=True)
@@ -122,8 +131,9 @@ class DesignEnv:
 
     evaluator(cst (N, 14)) -> Evaluation; either the proxy oracle or a
     trained surrogate wrapped by :func:`surrogate_evaluator`.  Lanes hold
-    (N, 7) upper and lower CST arrays and a live mask; ``step_lanes``
-    steps every live lane at once.  ``reset``/``step`` run a batch of one.
+    (N, 7) upper and lower CST arrays and a live mask; ``reset_lanes``
+    starts them and ``step`` steps every live lane at once.  ``reset``
+    starts a batch of one, which ``step`` also takes a single action for.
     """
 
     def __init__(self, evaluator, config: EnvConfig = EnvConfig(),
@@ -138,14 +148,20 @@ class DesignEnv:
         self._upper = np.array([b.cst_upper for b in baselines], dtype=float).reshape(-1, 7)
         self._lower = np.array([b.cst_lower for b in baselines], dtype=float).reshape(-1, 7)
         self._t_max = np.array([b.t_max for b in baselines], dtype=float)
+        self._width_clamped = np.array([b.width_clamped for b in baselines], dtype=bool)
         ev = self.evaluator(np.concatenate([self._upper, self._lower], axis=1))
         self._cd, self._state = ev.cd.copy(), ev.state.copy()
         self._steps = np.zeros(len(baselines), dtype=int)
         self.live = np.ones(len(baselines), dtype=bool)
         return self._state.copy()
 
-    def step_lanes(self, actions_scaled) -> LaneResult:
-        """Apply one scaled action per live lane (rows in lane order).
+    def reset(self, baseline: AirfoilGeom) -> np.ndarray:
+        return self.reset_lanes([baseline])[0]
+
+    def step(self, action_scaled):
+        """Apply one scaled action per live lane: an (n, 3) block, rows in
+        lane order, gives a LaneResult; a single 3-vector, with one lane
+        live, a StepResult.
 
         A lane whose modification fails ends with zero reward and keeps
         its airfoil; one that loses its shock ends with zero reward.
@@ -154,18 +170,17 @@ class DesignEnv:
         if lanes.size == 0:
             raise EnvProtocolError("step() after episode end or before reset()")
         t0 = time.perf_counter()
-        phys, clamped = scaled_to_physical_lanes(np.reshape(actions_scaled, (lanes.size, 3)))
-        bumped = apply_action(AirfoilLanes(upper=self._upper[lanes], lower=self._lower[lanes],
-                                           t_max=self._t_max[lanes]), phys)
-        failed = bumped.failed
+        phys, clamped = scaled_to_physical_lanes(np.reshape(action_scaled, (lanes.size, 3)))
+        upper, lower, width_clamped, errors = apply_action(
+            (self._upper[lanes], self._lower[lanes], self._t_max[lanes]), phys)
+        failed = np.array([err is not None for err in errors], dtype=bool)
         cd_before = self._cd[lanes]
         shock_lost = np.zeros(lanes.size, dtype=bool)
         moved = lanes[~failed]
         if moved.size:
-            self._upper[moved] = bumped.upper[~failed]
-            self._lower[moved] = bumped.lower[~failed]
-            ev = self.evaluator(np.concatenate([bumped.upper[~failed],
-                                                bumped.lower[~failed]], axis=1))
+            self._upper[moved], self._lower[moved] = upper[~failed], lower[~failed]
+            self._width_clamped[moved] = width_clamped[~failed]
+            ev = self.evaluator(np.concatenate([upper[~failed], lower[~failed]], axis=1))
             self._cd[moved], self._state[moved] = ev.cd, ev.state
             shock_lost[~failed] = ~is_single_shock(ev)
         cd_after = self._cd[lanes]
@@ -173,25 +188,22 @@ class DesignEnv:
         self._steps[lanes] += 1
         done = failed | shock_lost | (self._steps[lanes] >= self.config.max_steps)
         self.live[lanes] = ~done
-        info = {"cd_before": cd_before, "cd_after": cd_after, "action": phys,
-                "clamped": clamped, "width_clamped": bumped.width_clamped,
-                "shock_lost": shock_lost, "modify_failed": failed}
+        result = LaneResult(lanes=lanes, next_state=self._state[lanes], reward=reward,
+                            done=done, lane_info={
+                                "cd_before": cd_before, "cd_after": cd_after,
+                                "action": phys, "clamped": clamped,
+                                "width_clamped": width_clamped, "shock_lost": shock_lost,
+                                "modify_failed": failed})
         if self.stats is not None:
             self.stats.lane_steps += lanes.size
             self.stats.seconds += time.perf_counter() - t0
-        return LaneResult(lanes=lanes, next_state=self._state[lanes], reward=reward,
-                          done=done, info=info)
-
-    def reset(self, baseline: AirfoilGeom) -> np.ndarray:
-        return self.reset_lanes([baseline])[0]
-
-    def step(self, action_scaled) -> StepResult:
-        r = self.step_lanes(np.reshape(action_scaled, (1, 3)))
+        if np.ndim(action_scaled) == 2:
+            return result
         info = {k: bool(v[0]) if v.dtype == bool else float(v[0])
-                for k, v in r.info.items() if k != "action"}
-        info["action"] = BumpAction(*map(float, r.info["action"][0]))
-        return StepResult(next_state=r.next_state[0], reward=float(r.reward[0]),
-                          done=bool(r.done[0]), info=info)
+                for k, v in result.lane_info.items() if k != "action"}
+        info["action"] = BumpAction(*map(float, phys[0]))
+        return StepResult(next_state=result.next_state[0], reward=float(reward[0]),
+                          done=bool(done[0]), info=info)
 
     @property
     def cd(self) -> float:
@@ -204,12 +216,14 @@ class DesignEnv:
         if self.live.size == 0:
             raise EnvProtocolError("reset() has not been called")
         return AirfoilGeom(cst_upper=self._upper[0].copy(), cst_lower=self._lower[0].copy(),
-                           t_max=float(self._t_max[0]))
+                           t_max=float(self._t_max[0]),
+                           width_clamped=bool(self._width_clamped[0]))
 
 
 class _EachLane:
-    """Lane API over envs that only have reset(baseline)/step(action),
-    one env per lane, stepped one after another (their info is not kept)."""
+    """The lane API over envs that only have reset(baseline) and
+    step(action), one env per lane, stepped one after another (their
+    info is not kept)."""
 
     def __init__(self, envs):
         self.envs = envs
@@ -219,22 +233,22 @@ class _EachLane:
         self.live = np.ones(len(baselines), dtype=bool)
         return np.array([env.reset(b) for env, b in zip(self.envs, baselines)], dtype=float)
 
-    def step_lanes(self, actions_scaled) -> LaneResult:
+    def step(self, actions_scaled) -> LaneResult:
         lanes = np.flatnonzero(self.live)
         results = [self.envs[i].step(a) for i, a in zip(lanes.tolist(), actions_scaled)]
         done = np.array([r.done for r in results], dtype=bool)
         self.live[lanes] = ~done
         return LaneResult(lanes=lanes, reward=np.array([r.reward for r in results], dtype=float),
                           next_state=np.array([r.next_state for r in results], dtype=float),
-                          done=done, info={})
+                          done=done, lane_info={})
 
 
 def lane_env(env_factory, n: int):
     """An environment with n lanes: env_factory's own env when it has the
-    lane API (reset_lanes/step_lanes), else n of its envs behind an
-    adapter that steps them lane by lane."""
+    lane API (reset_lanes, and step over a block), else n of its envs
+    behind an adapter that steps them lane by lane."""
     env = env_factory()
-    if hasattr(env, "step_lanes"):
+    if hasattr(env, "reset_lanes"):
         return env
     return _EachLane([env] + [env_factory() for _ in range(n - 1)])
 
@@ -279,7 +293,7 @@ ROLLOUT_COLUMNS = ["episode", "step", "t1", "sb", "hb", "cd_before", "cd_after",
 def rollout_rows(result: LaneResult, step: int) -> list[dict]:
     """Rollout-log rows (ROLLOUT_COLUMNS) of one lockstep step, the lane
     index as the episode."""
-    info = result.info
+    info = result.lane_info
     rows = []
     for j, lane in enumerate(result.lanes.tolist()):
         t1, sb, hb = info["action"][j].tolist()

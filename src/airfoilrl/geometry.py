@@ -416,17 +416,20 @@ def solve_t2(t1, s_b, tol: float = 1e-6):
     (see _t2_search).  The margin of tol/2 rather than tol/4 covers
     rounding in the measured width.
 
-    Arrays of t1 and s_b, already checked (apply_action checks them),
-    solve every lane at once and return arrays of t2 and clamped.
+    Equal-length arrays of t1 and s_b solve every lane at once and give
+    arrays of t2 and clamped, each lane the floats of a call with its
+    own pair.  An invalid pair, in either form, raises GeometryError.
     """
-    if np.ndim(t1):
-        e = np.array([_peak_exponent(t) for t in np.asarray(t1, dtype=float).tolist()])
-        return _solve_t2_lanes(e, np.asarray(s_b, dtype=float), tol)
-    error = _action_error(t1, s_b)
-    if error is not None:
-        raise GeometryError(error)
-    t2, clamped = _solve_t2_lanes(np.array([_peak_exponent(t1)]), np.array([float(s_b)]), tol)
-    return float(t2[0]), bool(clamped[0])
+    t1s = np.atleast_1d(np.asarray(t1, dtype=float)).tolist()
+    s_bs = np.atleast_1d(np.asarray(s_b, dtype=float))
+    for a, b in zip(t1s, s_bs.tolist()):
+        error = _action_error(a, b)
+        if error is not None:
+            raise GeometryError(error)
+    t2, clamped = _solve_t2_lanes(np.array([_peak_exponent(a) for a in t1s]), s_bs, tol)
+    if np.ndim(t1) == 0:
+        return float(t2[0]), bool(clamped[0])
+    return t2, clamped
 
 
 def curvature(x, y) -> np.ndarray:
@@ -546,49 +549,27 @@ def make_airfoil(cst_upper, cst_lower, t_max: float) -> AirfoilGeom:
     return AirfoilGeom(cst_upper=upper, cst_lower=lower, t_max=t_max)
 
 
-@dataclass(frozen=True)
-class AirfoilLanes:
-    """N airfoils as arrays, for apply_action over lanes: (N, 7) upper
-    and lower CST coefficients and (N,) t_max.
-
-    apply_action's result also holds, per lane, solve_t2's clamped flag
-    (``width_clamped``) and why the lane failed (``errors``: a
-    GeometryError message, or None); a failed lane keeps its input
-    coefficients.
-    """
-
-    upper: np.ndarray
-    lower: np.ndarray
-    t_max: np.ndarray
-    width_clamped: np.ndarray | None = None
-    errors: tuple | None = None
-
-    @property
-    def failed(self) -> np.ndarray:
-        return np.array([err is not None for err in self.errors], dtype=bool)
-
-
-def _apply_lanes(lanes: AirfoilLanes, actions: np.ndarray) -> AirfoilLanes:
+def _apply_lanes(upper: np.ndarray, lower: np.ndarray, t_max: np.ndarray,
+                 actions: np.ndarray):
     t1, s_b, h_b = actions.T
     errors = [_action_error(a, b) for a, b in zip(t1.tolist(), s_b.tolist())]
     ok = np.array([i for i, err in enumerate(errors) if err is None], dtype=int)
     t2, clamped = solve_t2(t1[ok], s_b[ok])
     e = np.array([_peak_exponent(a) for a in t1[ok].tolist()])
-    y_bumped = cst_at_stations(lanes.upper[ok]) \
+    y_bumped = cst_at_stations(upper[ok]) \
         + h_b[ok, None] * _unit_bump(_STATIONS, e[:, None], t2[:, None])
-    upper, lower = lanes.upper.copy(), lanes.lower.copy()
+    new_upper, new_lower = upper.copy(), lower.copy()
     width_clamped = np.zeros(len(actions), dtype=bool)
     for i, y, flag in zip(ok.tolist(), y_bumped, clamped.tolist()):
         try:
-            upper[i] = cst_fit(_STATIONS, y)
-            lower[i] = _rescale_lower(upper[i], lanes.lower[i], float(lanes.t_max[i]))
+            new_upper[i] = cst_fit(_STATIONS, y)
+            new_lower[i] = _rescale_lower(new_upper[i], lower[i], float(t_max[i]))
         except GeometryError as exc:
-            upper[i] = lanes.upper[i]
+            new_upper[i] = upper[i]
             errors[i] = str(exc)
             continue
         width_clamped[i] = flag
-    return AirfoilLanes(upper=upper, lower=lower, t_max=lanes.t_max,
-                        width_clamped=width_clamped, errors=tuple(errors))
+    return new_upper, new_lower, width_clamped, errors
 
 
 def apply_action(airfoil, action):
@@ -599,25 +580,28 @@ def apply_action(airfoil, action):
     the maximum thickness stays at t_max.  The result records solve_t2's
     clamped flag as ``width_clamped``.
 
-    Over lanes, airfoil is an AirfoilLanes and action an (N, 3) array of
-    physical (t1, s_b, h_b) rows.  The t2 solve, the bump and the CST
-    sums then run over all lanes together, the least-squares refit and
-    the thickness rescale (with its skip rule) per lane, and every lane
-    gets the floats a call with its airfoil alone gives.  A lane that
-    would raise GeometryError is reported in the result's ``errors``
-    instead.  A single airfoil and BumpAction run as a lane of one.
+    Over lanes, airfoil is a tuple (upper, lower, t_max) of (N, 7),
+    (N, 7) and (N,) arrays and action an (N, 3) array of physical
+    (t1, s_b, h_b) rows; the result is (upper, lower, width_clamped,
+    errors), with errors[i] the GeometryError message of a lane that
+    failed (it keeps its input coefficients) or None.  The t2 solve, the
+    bump and the CST sums run over all lanes together, the least-squares
+    refit and the thickness rescale (with its skip rule) per lane, and
+    every lane gets the floats a call with its airfoil alone gives.  A
+    single AirfoilGeom and BumpAction run as a lane of one and raise
+    GeometryError.
     """
-    if isinstance(airfoil, AirfoilLanes):
-        return _apply_lanes(airfoil, np.asarray(action, dtype=float).reshape(-1, 3))
-    lanes = _apply_lanes(
-        AirfoilLanes(upper=np.asarray(airfoil.cst_upper, dtype=float)[None],
-                     lower=np.asarray(airfoil.cst_lower, dtype=float)[None],
-                     t_max=np.array([airfoil.t_max])),
+    if not isinstance(airfoil, AirfoilGeom):
+        upper, lower, t_max = (np.asarray(a, dtype=float) for a in airfoil)
+        return _apply_lanes(upper, lower, t_max, np.asarray(action, dtype=float).reshape(-1, 3))
+    upper, lower, width_clamped, errors = _apply_lanes(
+        np.asarray(airfoil.cst_upper, dtype=float)[None],
+        np.asarray(airfoil.cst_lower, dtype=float)[None], np.array([airfoil.t_max]),
         np.array([[action.t1, action.s_b, action.h_b]], dtype=float))
-    if lanes.errors[0] is not None:
-        raise GeometryError(lanes.errors[0])
-    return AirfoilGeom(cst_upper=lanes.upper[0], cst_lower=lanes.lower[0],
-                       t_max=airfoil.t_max, width_clamped=bool(lanes.width_clamped[0]))
+    if errors[0] is not None:
+        raise GeometryError(errors[0])
+    return AirfoilGeom(cst_upper=upper[0], cst_lower=lower[0], t_max=airfoil.t_max,
+                       width_clamped=bool(width_clamped[0]))
 
 
 # ---------------------------------------------------------------------------

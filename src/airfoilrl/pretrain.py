@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .env import ACTION_BOUNDS, REWARD_SCALE, StepStats, physical_to_scaled
-from .geometry import AirfoilGeom, AirfoilLanes, BumpAction, apply_action
+from .geometry import AirfoilGeom, BumpAction, apply_action
 from .nnet import AdamState, adam_update, mlp_backward, mlp_forward
 from .rl import PolicyAgent, PpoConfig, ppo_train
 from .surrogate import OUTPUT_NAMES, in_feature_bounds
@@ -53,17 +53,15 @@ def greedy_search(baseline: AirfoilGeom, evaluator, searches: int,
         for _ in range(steps):
             draws = rng.uniform(ACTION_BOUNDS[:, 0], ACTION_BOUNDS[:, 1],
                                 size=(candidates, 3))
-            bumped = apply_action(AirfoilLanes(upper=np.tile(upper, (candidates, 1)),
-                                               lower=np.tile(lower, (candidates, 1)),
-                                               t_max=np.full(candidates, baseline.t_max)),
-                                  draws)
+            new_upper, new_lower, _, errors = apply_action(
+                (np.tile(upper, (candidates, 1)), np.tile(lower, (candidates, 1)),
+                 np.full(candidates, baseline.t_max)), draws)
             if stats is not None:
                 stats.greedy_candidates += candidates
-            built = np.flatnonzero(~bumped.failed)
+            built = np.array([j for j, err in enumerate(errors) if err is None], dtype=int)
             drag = np.full(candidates, np.inf)
             if built.size:
-                ev = evaluator(np.concatenate([bumped.upper[built],
-                                               bumped.lower[built]], axis=1))
+                ev = evaluator(np.concatenate([new_upper[built], new_lower[built]], axis=1))
                 outputs = dict(zip(OUTPUT_NAMES, (ev.cd, *ev.state.T)))
                 valid = ~ev.no_shock & in_feature_bounds(outputs)
                 drag[built] = np.where(valid, ev.cd, np.inf)
@@ -74,7 +72,7 @@ def greedy_search(baseline: AirfoilGeom, evaluator, searches: int,
             samples.append(StateActionSample(
                 state=state, action=BumpAction(*map(float, draws[best])),
                 reward=float(REWARD_SCALE * (cd - drag[best]))))
-            upper, lower = bumped.upper[best], bumped.lower[best]
+            upper, lower = new_upper[best], new_lower[best]
             cd, state = float(drag[best]), ev.state[j].copy()
     return samples
 

@@ -195,7 +195,7 @@ def collect_batch(agent: PolicyAgent, baselines, env_factory,
         lanes = np.flatnonzero(env.live)
         actions, logps = sample_action(agent, state[lanes],
                                        [streams[i] for i in lanes.tolist()])
-        result = env.step_lanes(actions)
+        result = env.step(actions)
         for i, s, a, lp, r in zip(lanes.tolist(), state[lanes], actions,
                                   logps.tolist(), result.reward.tolist()):
             steps[i].append((s, a, lp, r))
@@ -288,7 +288,7 @@ def evaluate_policy(agent: PolicyAgent, baselines, env_factory,
     taken = 0
     while env.live.any():
         lanes = np.flatnonzero(env.live)
-        result = env.step_lanes(agent.mean_action(state[lanes]))
+        result = env.step(agent.mean_action(state[lanes]))
         totals[lanes] += result.reward
         state[lanes] = result.next_state
         taken += 1

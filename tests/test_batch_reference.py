@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from airfoilrl import geometry
-from airfoilrl.env import (ACTION_BOUNDS, REWARD_SCALE, DesignEnv, EnvConfig,
+from airfoilrl.env import (ACTION_BOUNDS, OUTCOMES, REWARD_SCALE, DesignEnv, EnvConfig,
                            proxy_evaluator, surrogate_evaluator)
 from airfoilrl.geometry import (N_CST, WIDTH_GRID, _BINOM6, _STATION_BASIS,
                                 _STATIONS, AirfoilGeom, BumpAction, GeometryError,
@@ -364,27 +364,25 @@ def test_apply_action_lanes_match_scalar_chain():
         actions[24] = [0.5, math.nan, 0.01]  # solve_t2 lets a NaN width through
         upper = np.array([foils[i].cst_upper for i in picks])
         lower = np.array([foils[i].cst_lower for i in picks])
-        lanes = geometry.apply_action(
-            geometry.AirfoilLanes(upper=upper, lower=lower, t_max=np.full(len(picks), 0.095)),
-            actions)
+        got_upper, got_lower, width_clamped, errors = geometry.apply_action(
+            (upper, lower, np.full(len(picks), 0.095)), actions)
         for k in range(len(picks)):
             ref = reference_lane(upper[k], lower[k], 0.095, actions[k])
             if isinstance(ref, str):
-                assert lanes.errors[k] == ref
-                assert lanes.upper[k].tobytes() == upper[k].tobytes()
-                assert lanes.lower[k].tobytes() == lower[k].tobytes()
-                assert not lanes.width_clamped[k]
+                assert errors[k] == ref
+                assert got_upper[k].tobytes() == upper[k].tobytes()
+                assert got_lower[k].tobytes() == lower[k].tobytes()
+                assert not width_clamped[k]
                 seen["failed"] += 1
                 continue
-            assert lanes.errors[k] is None
-            assert lanes.upper[k].tobytes() == ref[0].tobytes()
-            assert lanes.lower[k].tobytes() == ref[1].tobytes()
-            assert bool(lanes.width_clamped[k]) == ref[2]
+            assert errors[k] is None
+            assert got_upper[k].tobytes() == ref[0].tobytes()
+            assert got_lower[k].tobytes() == ref[1].tobytes()
+            assert bool(width_clamped[k]) == ref[2]
             seen["ok"] += 1
             seen["clamped"] += ref[2]
     assert seen["ok"] + seen["failed"] >= 2000
     assert min(seen.values()) >= 100, seen
-    assert np.array_equal(lanes.failed, [err is not None for err in lanes.errors])
 
 
 def test_solve_t2_lanes_match_scalar_reference():
@@ -399,6 +397,13 @@ def test_solve_t2_lanes_match_scalar_reference():
             want_t2, want_clamped = solve_t2(t1, s_b, tol)
             assert (got_t2, bool(got_clamped)) == (want_t2, bool(want_clamped)), (t1, s_b, tol)
             assert geometry.solve_t2(t1, s_b, tol) == (want_t2, bool(want_clamped))
+
+
+@pytest.mark.parametrize("t1,s_b", [([0.5, 0.0], [0.3, 0.3]), ([0.5, math.nan], [0.3, 0.3]),
+                                     ([0.5, 0.5], [0.3, -0.1]), ([1.0], [0.3])])
+def test_solve_t2_lanes_reject_an_invalid_lane(t1, s_b):
+    with pytest.raises(GeometryError):
+        geometry.solve_t2(np.array(t1), np.array(s_b))
 
 
 def test_solve_t2_exact_from_a_poor_start(monkeypatch):
@@ -459,7 +464,7 @@ def step_both(evaluator, baselines, actions_per_step):
         if not batch.live.any():
             break
         lanes = np.flatnonzero(batch.live)
-        result = batch.step_lanes(actions[lanes])
+        result = batch.step(actions[lanes])
         for j, lane in enumerate(lanes):
             one = singles[lane].step(actions[lane])
             records.append((batch, lane, result, j, singles[lane], one))
@@ -473,11 +478,12 @@ def assert_same_step(batch, lane, result, j, single, one, rel):
     assert result.reward[j] == pytest.approx(one.reward, rel=rel, abs=0.0)
     assert result.next_state[j] == pytest.approx(one.next_state, rel=rel, abs=0.0)
     info = one.info
-    assert BumpAction(*map(float, result.info["action"][j])) == info["action"]
+    assert BumpAction(*map(float, result.lane_info["action"][j])) == info["action"]
     for key in ("clamped", "width_clamped", "shock_lost", "modify_failed"):
-        assert bool(result.info[key][j]) == info[key], key
+        assert bool(result.lane_info[key][j]) == info[key], key
     for key in ("cd_before", "cd_after"):
-        assert result.info[key][j] == pytest.approx(info[key], rel=rel, abs=0.0)
+        assert result.lane_info[key][j] == pytest.approx(info[key], rel=rel, abs=0.0)
+    assert bool(batch._width_clamped[lane]) == single.airfoil.width_clamped
 
 
 def random_actions(rng, steps, lanes):
@@ -521,3 +527,25 @@ def test_nan_mw1_loses_the_shock():
     env.reset(seed_airfoils(1, seed=55)[0])
     result = env.step(np.array([0.5, 0.5, 0.5]))
     assert result.info["shock_lost"] and result.done and result.reward == 0.0
+
+
+def test_airfoil_carries_the_last_width_clamped_flag():
+    baseline = seed_airfoils(1, seed=57)[0]
+    clamped = geometry.apply_action(baseline, BumpAction(0.99, 0.4, 0.01))
+    assert clamped.width_clamped
+    env = DesignEnv(proxy_evaluator(), EnvConfig(max_steps=4))
+    env.reset(clamped)
+    assert env.airfoil.width_clamped
+    for action, width_clamped in (([0.5, 0.5, 0.55], False), ([1.0, 1.0, 0.55], True)):
+        info = env.step(np.array(action)).info
+        assert not info["modify_failed"]
+        assert info["width_clamped"] == env.airfoil.width_clamped == width_clamped
+
+
+def test_lockstep_info_counts_outcomes_over_lanes():
+    baselines = seed_airfoils(3, seed=58)
+    env = DesignEnv(proxy_evaluator(), EnvConfig(max_steps=2))
+    env.reset_lanes(baselines)
+    result = env.step(np.array([[1.0, 1.0, 0.55], [1.2, 1.0, 0.55], [0.5, 0.5, 0.55]]))
+    assert result.info == {k: int(np.count_nonzero(result.lane_info[k])) for k in OUTCOMES}
+    assert result.info["clamped"] == 1 and result.info["width_clamped"] == 2
