@@ -11,6 +11,7 @@ import argparse
 import csv
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .features import extract_features, read_distribution
 from .geometry import (BumpAction, apply_action, max_thickness,
                        read_cst_file, write_coordinates, write_cst_file)
 from .plotsvg import plot_history
-from .proxy import generate_pool, seed_airfoils
+from .proxy import PoolStats, generate_pool, seed_airfoils
 from .surrogate import (read_dataset, select_samples, train_surrogate,
                         write_dataset)
 from .nnet import load_model, save_model
@@ -71,11 +72,12 @@ def _env_factory(cfg: ExperimentConfig, surrogate_path: str | None,
 def cmd_generate_pool(args) -> int:
     cfg = _build_config(args)
     n = cfg.pool_size if args.n is None else args.n
-    pool = generate_pool(n, seed=cfg.seed, config=cfg.proxy, t_max=cfg.t_max)
+    stats = PoolStats()
+    pool = generate_pool(n, seed=cfg.seed, config=cfg.proxy, t_max=cfg.t_max, stats=stats)
     out = _out(args, args.out)
     write_dataset(out, pool)
     print(f"wrote {len(pool)} samples to {out}")
-    return _finish(args, cfg, "generate-pool", [out])
+    return _finish(args, cfg, "generate-pool", [out], asdict(stats))
 
 
 def cmd_select_samples(args) -> int:

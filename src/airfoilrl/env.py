@@ -254,17 +254,15 @@ def lane_env(env_factory, n: int):
 
 
 def proxy_evaluator(config=None):
-    """Evaluator closure over the proxy oracle, one proxy_evaluate per row."""
+    """Evaluator closure over the proxy oracle: one proxy_evaluate call
+    for the whole block."""
     from .proxy import ProxyConfig, proxy_evaluate
 
     cfg = config or ProxyConfig()
 
     def evaluate(cst):
-        results = [proxy_evaluate(row, cfg) for row in np.reshape(cst, (-1, 14))]
-        return Evaluation(cd=np.array([cd for cd, _ in results], dtype=float),
-                          state=np.array([f.state for _, f in results],
-                                         dtype=float).reshape(-1, 4),
-                          no_shock=np.array([f.no_shock for _, f in results], dtype=bool))
+        cd, feats = proxy_evaluate(np.reshape(cst, (-1, 14)), cfg)
+        return Evaluation(cd=cd, state=feats.state, no_shock=feats.no_shock)
 
     return evaluate
 

@@ -38,6 +38,9 @@ class WallMachDistribution:
 
 @dataclass(frozen=True)
 class FeatureSet:
+    """The features of one distribution, or (N,) arrays of them for a
+    block of distributions."""
+
     x1: float
     mw1: float
     mwl: float
@@ -48,8 +51,9 @@ class FeatureSet:
 
     @property
     def state(self) -> np.ndarray:
-        """The 4-element RL state [X1, Mw1, MwL, MwA]."""
-        return np.array([self.x1, self.mw1, self.mwl, self.mwa])
+        """The 4-element RL state [X1, Mw1, MwL, MwA]; (N, 4) for a
+        FeatureSet of (N,) arrays."""
+        return np.stack([self.x1, self.mw1, self.mwl, self.mwa], axis=-1)
 
 
 def cp_to_wall_mach(cp, m_inf: float):
@@ -86,67 +90,77 @@ def extract_features(dist: WallMachDistribution) -> FeatureSet:
     upper-surface station is supersonic (or no acceptable drop exists)
     the no_shock flag is set and Mw1/X1 fall back to the global upper
     maximum.
+
+    mw_upper and mw_lower may also be (N, n) blocks, one distribution
+    per row over the shared x grids; the features are then (N,) arrays.
     """
     x = np.asarray(dist.x_upper, dtype=float)
-    mw = np.asarray(dist.mw_upper, dtype=float)
+    single = np.ndim(dist.mw_upper) == 1
+    mw = np.atleast_2d(np.asarray(dist.mw_upper, dtype=float))
     if x.size < 20:
         raise FeatureError("upper surface needs at least 20 stations")
     if np.any(np.diff(x) <= 0.0):
         raise FeatureError("upper stations must be strictly increasing")
 
-    peak_mask = (x >= PEAK_WINDOW[0]) & (x <= PEAK_WINDOW[1])
-    if not np.any(peak_mask):
+    peak = np.flatnonzero((x >= PEAK_WINDOW[0]) & (x <= PEAK_WINDOW[1]))
+    if not peak.size:
         raise FeatureError("no stations in the suction-peak window")
-    i_peak = int(np.nonzero(peak_mask)[0][np.argmax(mw[peak_mask])])
-    mwl = float(mw[i_peak])
+    rows = np.arange(len(mw))
+    i_peak = peak[np.argmax(mw[:, peak], axis=1)]
+    mwl = mw[rows, i_peak]
 
-    mw_lower_max = float(np.max(dist.mw_lower)) if len(dist.mw_lower) else 0.0
+    low = np.reshape(np.asarray(dist.mw_lower, dtype=float), (len(mw), -1))
+    mw_lower_max = low.max(axis=1) if low.shape[1] else np.zeros(len(mw))
 
-    shock = _find_shock(x, mw)
-    if np.max(mw) < 1.0 or shock is None:
-        i_max = int(np.argmax(mw))
-        return FeatureSet(
-            x1=float(x[i_max]),
-            mw1=float(mw[i_max]),
-            mwl=mwl,
-            mwa=float(np.min(mw[i_max:])) if i_max < mw.size else float(mw[-1]),
-            mw_lower=mw_lower_max,
-            err=_plateau_err(x, mw, i_peak, i_max),
-            no_shock=True,
-        )
-
-    i_steep, i_pre, i_foot = shock
-    x1 = 0.5 * (x[i_steep] + x[i_steep + 1])
-    mw1 = float(mw[i_pre])
-    mwa = float(np.max(mw[i_foot:]))
-    err = _plateau_err(x, mw, i_peak, i_pre)
-    return FeatureSet(x1=float(x1), mw1=mw1, mwl=mwl, mwa=mwa,
-                      mw_lower=mw_lower_max, err=err, no_shock=False)
+    i_steep, i_pre, i_foot, shock = _find_shock(x, mw)
+    no_shock = (mw.max(axis=1) < 1.0) | ~shock
+    # without a shock, Mw1/X1 sit at the global maximum and MwA is the
+    # lowest Mach from there on
+    i_max = np.argmax(mw, axis=1)
+    x1 = np.where(no_shock, x[i_max], 0.5 * (x[i_steep] + x[i_steep + 1]))
+    i_mw1 = np.where(no_shock, i_max, i_pre)
+    after = np.arange(mw.shape[1]) >= np.where(no_shock, i_max, i_foot)[:, None]
+    mwa = np.where(no_shock, np.where(after, mw, np.inf).min(axis=1),
+                   np.where(after, mw, -np.inf).max(axis=1))
+    err = np.array([_plateau_err(x, mw[r], int(i_peak[r]), int(i_mw1[r]))
+                    for r in rows.tolist()])
+    values = (x1, mw[rows, i_mw1], mwl, mwa, mw_lower_max, err, no_shock)
+    return FeatureSet(*(v[0].item() for v in values) if single else values)
 
 
 def _find_shock(x: np.ndarray, mw: np.ndarray):
-    """Locate the steepest descending interval and its monotone run.
+    """Locate each row's steepest descending interval and its monotone run.
 
-    Returns (steepest interval index, pre-shock local-max index,
-    shock-foot index) or None when no drop of MIN_SHOCK_DROP exists.
+    Returns per row of mw: the steepest interval index, the pre-shock
+    local-max index, the shock-foot index and whether a shock was found;
+    where no drop of MIN_SHOCK_DROP exists, found is False and the
+    indices mean nothing.
     """
-    grad = np.diff(mw) / np.diff(x)
+    n_rows, n = mw.shape
+    grad = np.diff(mw, axis=1) / np.diff(x)
     mid = 0.5 * (x[:-1] + x[1:])
-    window = (mid >= SHOCK_WINDOW[0]) & (mid <= SHOCK_WINDOW[1])
-    if not np.any(window) or np.min(grad[window]) >= 0.0:
-        return None
-    cand = np.nonzero(window)[0]
-    i_steep = int(cand[np.argmin(grad[cand])])
-    # expand the monotone descending run around the steepest cell
-    i_pre = i_steep
-    while i_pre > 0 and mw[i_pre - 1] > mw[i_pre]:
-        i_pre -= 1
-    i_foot = i_steep + 1
-    while i_foot < mw.size - 1 and mw[i_foot + 1] < mw[i_foot]:
-        i_foot += 1
-    if mw[i_pre] - mw[i_foot] < MIN_SHOCK_DROP:
-        return None
-    return i_steep, i_pre, i_foot
+    cand = np.flatnonzero((mid >= SHOCK_WINDOW[0]) & (mid <= SHOCK_WINDOW[1]))
+    if not cand.size:
+        zeros = np.zeros(n_rows, dtype=int)
+        return zeros, zeros, zeros, np.zeros(n_rows, dtype=bool)
+    rows = np.arange(n_rows)
+    grad = grad[:, cand]
+    found = ~(grad.min(axis=1) >= 0.0)
+    i_steep = cand[np.argmin(grad, axis=1)]
+    # the monotone descending run around the steepest cell: descends[:, j]
+    # says interval j-1 falls (mw[j-1] > mw[j]), False at both ends; the
+    # run extends left from i_steep to the nearest station whose interval
+    # on the left does not fall, and right from i_steep+1 to the nearest
+    # station whose interval on the right does not
+    station = np.arange(n)
+    descends = np.zeros((n_rows, n + 1), dtype=bool)
+    descends[:, 1:n] = mw[:, :-1] > mw[:, 1:]
+    left_stop = np.where(descends[:, :-1], 0, station)
+    i_pre = np.maximum.accumulate(left_stop, axis=1)[rows, i_steep]
+    right_stop = np.where(descends[:, :0:-1], n - 1, station[::-1])
+    i_foot = np.minimum.accumulate(right_stop, axis=1)[rows, n - 2 - i_steep]
+    found &= ~(mw[rows, i_pre] - mw[rows, i_foot] < MIN_SHOCK_DROP)
+    return i_steep, i_pre, i_foot, found
 
 
 def _plateau_err(x: np.ndarray, mw: np.ndarray, i_peak: int, i_pre: int) -> float:

@@ -85,6 +85,12 @@ def _copy_into(views, arrays) -> None:
         dst[...] = src
 
 
+def _param_buffer(model: "MlpModel") -> FlatParams:
+    """A new uninitialised buffer laid out like `model.flat`."""
+    flat = np.empty(model.flat.size)
+    return FlatParams(_views(flat, model._shapes), flat)
+
+
 class MlpModel:
     """Layer sizes, scalers, and the parameters in one flat buffer.
 
@@ -161,12 +167,13 @@ def make_mlp(sizes, rng, input_scaler: Scaler | None = None,
 
 
 def mlp_forward(model: MlpModel, x: np.ndarray, scaled: bool = True,
-                with_cache: bool = False):
+                with_cache: bool = False, out=None):
     """Forward pass on a (n, d) batch or a single d-vector.
 
     With scaled=True the input is min-max scaled before the chain and
     the raw output unscaled after; training code works in scaled space
-    with scaled=False on pre-scaled arrays.
+    with scaled=False on pre-scaled arrays.  `out`, one (n, size) array
+    per layer, receives the layers' activations in place of new arrays.
     """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
@@ -178,24 +185,30 @@ def mlp_forward(model: MlpModel, x: np.ndarray, scaled: bool = True,
     cache = [h]
     last = len(model.weights) - 1
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = h @ w + b
-        h = z if i == last else np.maximum(z, 0.0)
+        h = np.matmul(h, w, out=None if out is None else out[i])
+        h += b
+        if i < last:
+            np.maximum(h, 0.0, out=h)
         cache.append(h)
-    out = model.output_scaler.unscale(h) if scaled else h
+    y = model.output_scaler.unscale(h) if scaled else h
     if single:
-        out = out[0]
+        y = y[0]
     if with_cache:
-        return out, cache
-    return out
+        return y, cache
+    return y
 
 
 def mlp_backward(model: MlpModel, cache: list[np.ndarray],
-                 grad_out: np.ndarray) -> FlatParams:
+                 grad_out: np.ndarray, out: FlatParams | None = None,
+                 deltas=None) -> FlatParams:
     """Exact gradients w.r.t. parameters, ordered as model.parameters().
 
     grad_out is dLoss/d(chain output) for the batch the cache came
     from, in the same (scaled) space the chain ran in.  The gradients
-    are views into one new buffer laid out like `model.flat`.
+    are views into one buffer laid out like `model.flat`: `out`'s when
+    given (a FlatParams such as this function returns), else a new one.
+    `deltas`, one (n, size) array per hidden layer, receives the
+    back-propagated deltas in place of new arrays.
     """
     grad_out = np.asarray(grad_out, dtype=float)
     if grad_out.ndim == 1:
@@ -203,18 +216,18 @@ def mlp_backward(model: MlpModel, cache: list[np.ndarray],
     n = len(model.sizes) - 1
     if len(cache) != n + 1:
         raise NnetError("stale or mismatched forward cache")
-    flat = np.empty(model.flat.size)
-    grads = FlatParams(_views(flat, model._shapes), flat)
+    grads = _param_buffer(model) if out is None else out
     weights = model.weights
     delta = grad_out
     for i in range(n - 1, -1, -1):
         if i < n - 1:
             # cache holds post-relu activations; relu' = 1 where act > 0
-            delta = delta * (cache[i + 1] > 0.0)
+            delta *= cache[i + 1] > 0.0
         np.matmul(cache[i].T, delta, out=grads[i])
         delta.sum(axis=0, out=grads[n + i])
         if i > 0:
-            delta = delta @ weights[i].T
+            delta = np.matmul(delta, weights[i].T,
+                              out=None if deltas is None else deltas[i - 1])
     return grads
 
 
@@ -246,14 +259,16 @@ def _flatten(arrays) -> np.ndarray:
     return np.concatenate([np.ravel(a) for a in arrays]).astype(float, copy=False)
 
 
-def adam_update(params, grads, state: AdamState, lr: float):
+def adam_update(params, grads, state: AdamState, lr: float, out=None):
     """Standard Adam step with bias correction; returns updated params.
 
     params and grads are each a list of arrays or one array; the result
-    has the form of params.  The inputs are not modified: the step is one in-place pass over the state's
-    flat moments and scratch buffers, in the per-element operation
-    order m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g,
-    p - (lr*m_hat) / (sqrt(v_hat) + eps).
+    has the form of params.  The step is one in-place pass over the
+    state's flat moments and scratch buffers, in the per-element
+    operation order m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g,
+    p - (lr*m_hat) / (sqrt(v_hat) + eps).  The updated values go into
+    `out`, a flat array (which may be params' own buffer), or else a
+    new one; the inputs are not modified otherwise.
     """
     if isinstance(params, list) and isinstance(grads, list) \
             and len(params) != len(grads):
@@ -279,10 +294,10 @@ def adam_update(params, grads, state: AdamState, lr: float):
     np.sqrt(r, out=r)
     r += state.eps
     s /= r
-    out = p - s
+    new = np.subtract(p, s, out=out)
     if isinstance(params, np.ndarray):
-        return out.reshape(params.shape)
-    return _views(out, [np.shape(a) for a in params])
+        return new.reshape(params.shape)
+    return _views(new, [np.shape(a) for a in params])
 
 
 def train_minibatch(model: MlpModel, inputs: np.ndarray, targets: np.ndarray,
@@ -294,6 +309,8 @@ def train_minibatch(model: MlpModel, inputs: np.ndarray, targets: np.ndarray,
     order; each epoch reshuffles with a generator seeded once from
     `seed`.  Returns the running MSE recorded every `record_every`
     minibatches; `callback(minibatch_index)` fires at the same cadence.
+    A run allocates its batch, activation, delta and gradient buffers
+    once; Adam updates the model's parameters in place.
     """
     inputs = np.asarray(inputs, dtype=float)
     targets = np.asarray(targets, dtype=float)
@@ -306,6 +323,12 @@ def train_minibatch(model: MlpModel, inputs: np.ndarray, targets: np.ndarray,
     rng = np.random.default_rng(seed)
     state = AdamState.for_params(model.flat)
     n = xs.shape[0]
+    rows = min(batch_size, n)
+    x_buf, y_buf = np.empty((rows, xs.shape[1])), np.empty((rows, ys.shape[1]))
+    acts = [np.empty((rows, size)) for size in model.sizes[1:]]
+    deltas = [np.empty((rows, size)) for size in model.sizes[1:-1]]
+    diff_buf, sq_buf = np.empty((rows, model.n_out)), np.empty((rows, model.n_out))
+    grads = _param_buffer(model)
     history: list[float] = []
     mb = 0
     for epochs, lr in schedule:
@@ -313,15 +336,19 @@ def train_minibatch(model: MlpModel, inputs: np.ndarray, targets: np.ndarray,
             order = rng.permutation(n)
             for start in range(0, n, batch_size):
                 idx = order[start : start + batch_size]
-                xb, yb = xs[idx], ys[idx]
-                pred, cache = mlp_forward(model, xb, scaled=False, with_cache=True)
-                diff = pred - yb
-                loss = float(np.mean(diff**2))
+                k = idx.size
+                xb = np.take(xs, idx, axis=0, out=x_buf[:k])
+                yb = np.take(ys, idx, axis=0, out=y_buf[:k])
+                pred, cache = mlp_forward(model, xb, scaled=False, with_cache=True,
+                                          out=[a[:k] for a in acts])
+                diff = np.subtract(pred, yb, out=diff_buf[:k])
+                loss = float(np.mean(np.square(diff, out=sq_buf[:k])))
                 if not np.isfinite(loss):
                     raise NnetError("divergent loss (non-finite)")
-                grad_out = 2.0 * diff / diff.size
-                grads = mlp_backward(model, cache, grad_out)
-                model.flat[...] = adam_update(model.flat, grads.flat, state, lr)
+                diff *= 2.0  # diff becomes dLoss/dpred = 2 * diff / diff.size
+                diff /= diff.size
+                mlp_backward(model, cache, diff, out=grads, deltas=[d[:k] for d in deltas])
+                adam_update(model.flat, grads.flat, state, lr, out=model.flat)
                 mb += 1
                 if mb % record_every == 0:
                     history.append(loss)

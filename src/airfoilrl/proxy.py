@@ -8,6 +8,7 @@ and bump actions can earn drag reductions of a few counts.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,25 +35,26 @@ class ProxyConfig:
 
 
 def _moving_average(v: np.ndarray, halfwidth: int) -> np.ndarray:
-    """Mean of v[i-h : i+h+1] at each i, the window cut at both ends.
+    """Mean of v[..., i-h : i+h+1] at each i of the last axis, the window
+    cut at both ends.
 
-    Each window is summed in order by np.convolve, which for windows of
-    up to 8 terms (halfwidth <= 3) gives the same floats as np.mean;
-    longer windows may differ from it in the last bit, because np.mean
-    switches to pairwise summation.
+    Each window is added left to right from 0.0, the order in which
+    np.convolve sums short windows; for windows of up to 8 terms
+    (halfwidth <= 3) that gives the same floats as np.mean, and longer
+    windows may differ from it in the last bit, because np.mean switches
+    to pairwise summation.
     """
     if halfwidth <= 0:
         return v.copy()
-    n = v.size
-    kernel = np.ones(2 * halfwidth + 1)
-    # np.convolve swaps its arguments when the kernel is the longer one,
-    # which sums each window backwards; zero tails keep v the longer
-    tail = np.zeros(max(kernel.size - n, 0))
-
-    def window_sums(a: np.ndarray) -> np.ndarray:
-        return np.convolve(np.concatenate([a, tail]), kernel, "same")[:n]
-
-    return window_sums(v) / window_sums(np.ones(n))
+    n = v.shape[-1]
+    pad = np.zeros(v.shape[:-1] + (halfwidth,))
+    padded = np.concatenate([pad, v, pad], axis=-1)
+    sums = np.zeros(v.shape)
+    for k in range(2 * halfwidth + 1):
+        sums += padded[..., k : k + n]
+    station = np.arange(n)
+    counts = np.minimum(station, halfwidth) + np.minimum(station[::-1], halfwidth) + 1.0
+    return sums / counts
 
 
 def proxy_distribution(cst14, config: ProxyConfig = ProxyConfig()) -> WallMachDistribution:
@@ -61,37 +63,48 @@ def proxy_distribution(cst14, config: ProxyConfig = ProxyConfig()) -> WallMachDi
     Upper signal: free stream plus thickness and adverse-slope terms,
     smoothed; downstream of the last supersonic-to-subsonic crossing
     the signal is recompressed toward m_post over a few stations,
-    creating a shock-like step.
+    creating a shock-like step.  An (N, 14) block of coefficients gives
+    (N, 201) mw_upper and mw_lower, one airfoil per row.
     """
-    cst14 = np.asarray(cst14, dtype=float)
+    cst = np.asarray(cst14, dtype=float)
+    block = np.reshape(cst, (-1, 14))
     x = cosine_stations()
-    y_u = cst_at_stations(cst14[:7])
-    y_l = cst_at_stations(cst14[7:])
-    dy = np.gradient(y_u, x)
+    y_u = cst_at_stations(block[:, :7])
+    y_l = cst_at_stations(block[:, 7:])
+    dy = np.gradient(y_u, x, axis=1)
     u = (config.m_inf + config.gain_thickness * y_u
          + config.gain_slope * np.maximum(-dy, 0.0))
     u = _moving_average(u, config.smooth_halfwidth)
-    crossings = np.nonzero((u[:-1] >= 1.0) & (u[1:] < 1.0))[0]
-    if crossings.size:
-        ic = int(crossings[-1])
-        k = np.arange(u.size - ic - 1, dtype=float)
-        w = np.minimum((k + 1.0) / config.blend_cells, 1.0)
-        u[ic + 1:] = (1.0 - w) * u[ic + 1:] + w * config.m_post
+    n = u.shape[1]
+    crossings = (u[:, :-1] >= 1.0) & (u[:, 1:] < 1.0)
+    # the last crossing interval per row; n where there is none, so that
+    # no station lies downstream of it
+    ic = np.where(crossings.any(axis=1), n - 2 - np.argmax(crossings[:, ::-1], axis=1), n)
+    # station j lies j - ic cells past the crossing
+    cells = np.arange(n) - ic[:, None]
+    w = np.minimum(cells / config.blend_cells, 1.0)
+    u = np.where(cells > 0, (1.0 - w) * u + w * config.m_post, u)
     low = _moving_average(config.m_inf + 2.0 * (-y_l), config.smooth_halfwidth)
+    if cst.ndim == 1:
+        u, low = u[0], low[0]
     return WallMachDistribution(x_upper=x, mw_upper=u, x_lower=x,
                                 mw_lower=low, m_inf=config.m_inf)
 
 
-def proxy_evaluate(cst14, config: ProxyConfig = ProxyConfig()) -> tuple[float, FeatureSet]:
-    """Drag coefficient and features for a CST geometry.
+def proxy_evaluate(cst14, config: ProxyConfig = ProxyConfig()):
+    """Drag coefficient and features for a CST geometry: a float and a
+    FeatureSet of floats for (14,) coefficients, an (N,) array and a
+    FeatureSet of (N,) arrays for an (N, 14) block.
 
     CD = cd_base + k_wave * max(Mw1 - 1, 0)^4 + k_err * Err; the wave
     term is the fourth-power shock-strength rule, zero when no shock.
     """
     feats = extract_features(proxy_distribution(cst14, config))
-    wave = 0.0 if feats.no_shock else max(feats.mw1 - 1.0, 0.0) ** 4
-    cd = config.cd_base + config.k_wave * wave + config.k_err * feats.err
-    return cd, feats
+    mw1, no_shock = np.atleast_1d(feats.mw1).tolist(), np.atleast_1d(feats.no_shock).tolist()
+    # Python's float power per row: np.power(x, 4) may round differently
+    wave = np.array([0.0 if ns else max(m - 1.0, 0.0) ** 4 for m, ns in zip(mw1, no_shock)])
+    cd = config.cd_base + config.k_wave * wave + config.k_err * np.atleast_1d(feats.err)
+    return (cd[0].item() if np.ndim(cst14) == 1 else cd), feats
 
 
 def _outputs(cd: float, feats: FeatureSet) -> dict:
@@ -112,23 +125,55 @@ BASE_LOWER = np.array([-0.100, -0.085, -0.070, -0.050, -0.025, 0.005, 0.015])
 T_MAX_DEFAULT = 0.095
 
 
-def seed_airfoils(n: int, seed: int = 0, spread: float = 0.008,
-                  t_max: float = T_MAX_DEFAULT,
-                  config: ProxyConfig = ProxyConfig(),
-                  max_tries: int = 20000) -> list[AirfoilGeom]:
-    """Deterministic seed set: perturbations of the base geometry,
-    rejection-sampled so every seed lands inside the feature box."""
-    rng = np.random.default_rng(seed)
-    out: list[AirfoilGeom] = []
-    for _ in range(max_tries):
-        if len(out) >= n:
-            break
+# airfoils generate_pool evaluates per proxy call; blocks this small keep
+# the buffered distributions from raising the process's peak memory
+_PROXY_BLOCK = 32
+
+# generate_pool's draws per requested sample before it gives up; about
+# 1% of draws at the default spread fail to build an airfoil
+_POOL_TRIES_PER_SAMPLE = 20
+
+
+@dataclass
+class PoolStats:
+    """Draw and proxy counts of a generate_pool run, for its manifest."""
+
+    pool_draws: int = 0
+    build_failures: int = 0  # draws make_airfoil rejected (GeometryError)
+    proxy_rows: int = 0
+    proxy_blocks: int = 0
+
+
+def _built_airfoils(rng, spread: float, t_max: float, tries: int, stats: PoolStats):
+    """The airfoils of up to `tries` random perturbations of the base
+    geometry, skipping the draws that fail to build; each is drawn only
+    when the caller asks for it."""
+    for _ in range(tries):
+        stats.pool_draws += 1
         upper = BASE_UPPER + rng.uniform(-spread, spread, 7)
         lower = BASE_LOWER + rng.uniform(-spread, spread, 7)
         try:
             foil = make_airfoil(upper, lower, t_max)
         except GeometryError:
+            stats.build_failures += 1
             continue
+        yield foil
+
+
+def seed_airfoils(n: int, seed: int = 0, spread: float = 0.008,
+                  t_max: float = T_MAX_DEFAULT,
+                  config: ProxyConfig = ProxyConfig(),
+                  max_tries: int = 20000) -> list[AirfoilGeom]:
+    """Deterministic seed set: perturbations of the base geometry,
+    rejection-sampled so every seed lands inside the feature box.  Each
+    airfoil is evaluated as it is built, so no draw is wasted."""
+    draws = _built_airfoils(np.random.default_rng(seed), spread, t_max, max_tries,
+                            PoolStats())
+    out: list[AirfoilGeom] = []
+    while len(out) < n:
+        foil = next(draws, None)
+        if foil is None:
+            break
         cd, feats = proxy_evaluate(foil.cst14, config)
         if not feats.no_shock and in_feature_bounds(_outputs(cd, feats)):
             out.append(foil)
@@ -137,29 +182,33 @@ def seed_airfoils(n: int, seed: int = 0, spread: float = 0.008,
     return out
 
 
-# generate_pool's draws per requested sample before it gives up; about
-# 1% of draws at the default spread fail to build an airfoil
-_POOL_TRIES_PER_SAMPLE = 20
-
-
 def generate_pool(n: int, seed: int = 0, spread: float = 0.08,
                   t_max: float = T_MAX_DEFAULT,
-                  config: ProxyConfig = ProxyConfig()) -> list[SampleRecord]:
+                  config: ProxyConfig = ProxyConfig(),
+                  stats: PoolStats | None = None) -> list[SampleRecord]:
     """Random proxy-evaluated airfoils for surrogate training; rows may
     violate the feature box (selection filters later).  Gives up with
-    RuntimeError after 20 draws per requested sample."""
-    rng = np.random.default_rng(seed)
+    RuntimeError after 20 draws per requested sample.
+
+    Built airfoils are evaluated in blocks of up to _PROXY_BLOCK, one
+    proxy call per block as the draws come in; `stats` receives the
+    draw and proxy counts.
+    """
+    stats = PoolStats() if stats is None else stats
+    draws = _built_airfoils(np.random.default_rng(seed), spread, t_max,
+                            _POOL_TRIES_PER_SAMPLE * n, stats)
     pool: list[SampleRecord] = []
-    for _ in range(_POOL_TRIES_PER_SAMPLE * n):
-        if len(pool) >= n:
+    while len(pool) < n:
+        block = [foil.cst14 for foil in itertools.islice(draws, min(_PROXY_BLOCK, n - len(pool)))]
+        if not block:
             break
-        upper = BASE_UPPER + rng.uniform(-spread, spread, 7)
-        lower = BASE_LOWER + rng.uniform(-spread, spread, 7)
-        try:
-            foil = make_airfoil(upper, lower, t_max)
-        except GeometryError:
-            continue
-        pool.append(proxy_sample(foil.cst14, config))
+        cst = np.array(block)
+        cd, feats = proxy_evaluate(cst, config)
+        stats.proxy_rows += len(block)
+        stats.proxy_blocks += 1
+        columns = [np.asarray(v).tolist() for v in _outputs(cd, feats).values()]
+        pool.extend(SampleRecord(cst14=row, outputs=dict(zip(OUTPUT_NAMES, values)))
+                    for row, values in zip(cst, zip(*columns)))
     if len(pool) < n:
         raise RuntimeError(f"pool generator produced {len(pool)}/{n} valid airfoils")
     return pool

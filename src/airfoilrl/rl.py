@@ -15,10 +15,11 @@ import numpy as np
 
 from .env import lane_env, rollout_rows
 from .nnet import AdamState, MlpModel, Scaler, adam_update, make_mlp, mlp_forward, mlp_backward
+from .surrogate import FEATURE_BOUNDS, OUTPUT_NAMES
 
 # state bounds of the single-shock design box, used to scale the
 # 4-vector [X1, Mw1, MwL, MwA] onto (0,1) for actor and critic inputs
-STATE_BOUNDS = np.array([[0.2, 0.8], [1.0, 1.2], [1.0, 1.3], [0.9, 1.1]])
+STATE_BOUNDS = np.array([FEATURE_BOUNDS[k] for k in OUTPUT_NAMES[1:]])
 
 LOG_STD_MIN = math.log(1e-3)  # floor keeping the policy stochastic
 

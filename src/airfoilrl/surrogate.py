@@ -28,11 +28,6 @@ FEATURE_BOUNDS = {
 
 CSV_COLUMNS = [f"c_u{i}" for i in range(7)] + [f"c_l{i}" for i in range(7)] + list(OUTPUT_NAMES)
 
-# paper-scale training setup
-PAPER_HIDDEN = [1024, 1024, 1024]
-PAPER_SCHEDULE = [(200, 0.01), (200, 0.001), (400, 1e-4), (400, 1e-5)]
-PAPER_BATCH = 128
-
 # shrunk desk-scale defaults
 DESK_HIDDEN = [128, 128, 128]
 DESK_SCHEDULE = [(40, 0.01), (40, 0.001), (80, 1e-4), (80, 1e-5)]

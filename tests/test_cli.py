@@ -11,6 +11,7 @@ from airfoilrl.env import ROLLOUT_COLUMNS
 from airfoilrl.geometry import make_airfoil, read_coordinates, write_cst_file
 from airfoilrl.features import write_distribution
 from airfoilrl.proxy import BASE_LOWER, BASE_UPPER, T_MAX_DEFAULT
+from airfoilrl.surrogate import CSV_COLUMNS
 from conftest import synthetic_distribution
 
 
@@ -26,6 +27,19 @@ def test_generate_pool_and_manifest(tmp_path):
     manifest = json.loads((tmp_path / "generate_pool_manifest.json").read_text())
     assert manifest["command"] == "generate-pool"
     assert str(pool) in manifest["artifacts"]
+
+
+def test_generate_pool_manifest_counts_draws_and_proxy_blocks(tmp_path):
+    assert run(tmp_path, "--seed", "1", "generate-pool", "--n", "70") == 0
+    manifest = json.loads((tmp_path / "generate_pool_manifest.json").read_text())
+    # seed 1 draws two geometries that fail to build; 70 rows go to the
+    # proxy in blocks of at most 32
+    assert {k: manifest[k] for k in ("pool_draws", "build_failures", "proxy_rows",
+                                     "proxy_blocks")} \
+        == {"pool_draws": 72, "build_failures": 2, "proxy_rows": 70, "proxy_blocks": 3}
+    with open(tmp_path / "pool.csv", newline="") as fh:
+        header = next(csv.reader(fh))
+    assert header == CSV_COLUMNS + ["in_bounds"]
 
 
 def test_generate_pool_deterministic(tmp_path):

@@ -314,7 +314,40 @@ def test_ppo_train_matches_list_engine(lr, std_init):
     ref_history = ref_ppo_train(ref, baselines, config, _desk_env, seed=5)
     _assert_same_run(agent, ref, history, ref_history)
     if lr == 0.2:  # large steps from a small std drive log_std onto its floor
-        assert np.any(agent.log_std == LOG_STD_MIN)
+        _assert_update_reaches_std_floor(lr, std_init)
+
+
+def _assert_update_reaches_std_floor(lr, std_init):
+    """One _update_agent call on a hand-made batch pushes every log_std
+    component below LOG_STD_MIN, in both engines, and the floor holds.
+
+    The actions sit on the actor's means and every advantage is positive,
+    so each epoch raises the actions' likelihood by shrinking std alone;
+    the wide clip range keeps every sample active throughout.
+    """
+    agent = make_agent(np.random.default_rng(4), hidden=(16, 16), std_init=std_init)
+    ref = agent.copy()
+    states = np.array([[0.3, 1.05, 1.1, 0.95], [0.5, 1.1, 1.2, 1.0],
+                       [0.7, 1.15, 1.25, 1.05]])
+    means = agent.mean_action(states)
+    ones = np.ones(len(states))
+    batch = rl.TrajectoryBatch(
+        states=states, actions=means, log_probs=gaussian_log_prob(means, means, agent.std),
+        rewards=ones, values=0.0 * ones, rewards_to_go=ones,
+        advantages=np.array([1.0, 2.0, 3.0]), slices=[(0, len(states))])
+    config = PpoConfig(epochs=10, clip_eps=10.0, entropy_coef=0.0,
+                       normalize_advantages=False)
+    losses = rl._update_agent(
+        agent, batch, config, lr, lr * config.critic_lr_multiplier,
+        AdamState.for_params(np.concatenate((agent.actor.flat, agent.log_std))),
+        AdamState.for_params(agent.critic.flat))
+    ref_losses = ref_update_agent(
+        ref, batch, config, lr,
+        RefAdamState.for_params(ref.actor.parameters() + [ref.log_std]),
+        RefAdamState.for_params(ref.critic.parameters()))
+    assert repr(losses) == repr(ref_losses)
+    _assert_same_run(agent, ref, [], [])
+    assert np.all(agent.log_std == LOG_STD_MIN)
 
 
 def test_critic_only_fit_matches_and_evaluates_once(monkeypatch):
