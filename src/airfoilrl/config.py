@@ -13,8 +13,10 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, field, fields, replace
 
+from .pretrain import IMITATION_SCHEDULE
 from .proxy import ProxyConfig
 from .rl import PpoConfig
+from .surrogate import DESK_BATCH, DESK_HIDDEN, DESK_SCHEDULE
 
 
 def parse_schedule(text: str) -> list[tuple[int, float]]:
@@ -38,10 +40,9 @@ class ExperimentConfig:
     proxy: ProxyConfig = field(default_factory=ProxyConfig)
 
     # surrogate stage
-    surrogate_hidden: tuple = (128, 128, 128)
-    surrogate_schedule: list = field(
-        default_factory=lambda: [(40, 0.01), (40, 0.001), (80, 1e-4), (80, 1e-5)])
-    surrogate_batch: int = 128
+    surrogate_hidden: tuple = tuple(DESK_HIDDEN)
+    surrogate_schedule: list = field(default_factory=lambda: list(DESK_SCHEDULE))
+    surrogate_batch: int = DESK_BATCH
     pool_size: int = 3000
     keep_counts: tuple = (2000, 200)
 
@@ -50,16 +51,13 @@ class ExperimentConfig:
     greedy_searches: int = 2
     greedy_steps: int = 5
     greedy_candidates: int = 30
-    imitation_schedule: list = field(
-        default_factory=lambda: [(250, 1e-3), (250, 1e-4), (250, 1e-5), (250, 1e-6)])
+    imitation_schedule: list = field(default_factory=lambda: list(IMITATION_SCHEDULE))
     critic_schedule: list = field(default_factory=lambda: [(15, 0.01), (15, 0.001)])
 
     # PPO stage
     ppo_hidden: tuple = (64, 64)
     ppo_baselines: int = 10
-    ppo: PpoConfig = field(default_factory=lambda: PpoConfig(
-        epochs=200, trajectories_per_baseline=4, max_steps=5,
-        actor_schedule=[(50, 1e-3)]))
+    ppo: PpoConfig = field(default_factory=PpoConfig)
 
 
 def paper_config() -> ExperimentConfig:

@@ -12,8 +12,8 @@ clamped by the geometry (``width_clamped``, see AirfoilGeom).
 
 Every live lane's bump, t2 solve, CST sums and evaluator call run as one
 batch (geometry.apply_action over lanes, an evaluator over an (n, 14)
-block).  ``step`` takes one action per live lane; a single action after
-``reset`` is a batch of one.
+block).  ``step`` takes one action per live lane and returns a
+LaneResult; a 3-vector after ``reset`` is a block of one.
 """
 from __future__ import annotations
 
@@ -45,14 +45,6 @@ class EnvProtocolError(RuntimeError):
 @dataclass(frozen=True)
 class EnvConfig:
     max_steps: int = 5
-
-
-@dataclass(frozen=True)
-class StepResult:
-    next_state: np.ndarray
-    reward: float
-    done: bool
-    info: dict
 
 
 @dataclass(frozen=True)
@@ -105,19 +97,13 @@ class StepStats:
                 "env_steps_per_s": rate}
 
 
-def scaled_to_physical_lanes(actions_scaled) -> tuple[np.ndarray, np.ndarray]:
+def scaled_to_physical(actions_scaled) -> tuple[np.ndarray, np.ndarray]:
     """Clamp (n, 3) scaled actions to [0,1]^3 and map them onto the
     physical ranges; returns the physical rows and a per-row clamped flag."""
     a = np.asarray(actions_scaled, dtype=float)
     clamped = np.any(a < 0.0, axis=-1) | np.any(a > 1.0, axis=-1)
     a = np.clip(a, 0.0, 1.0)
     return ACTION_BOUNDS[:, 0] + a * (ACTION_BOUNDS[:, 1] - ACTION_BOUNDS[:, 0]), clamped
-
-
-def scaled_to_physical(action_scaled: np.ndarray) -> tuple[BumpAction, bool]:
-    """Clamp a scaled action to [0,1]^3 and map onto physical ranges."""
-    phys, clamped = scaled_to_physical_lanes(action_scaled)
-    return BumpAction(*map(float, phys)), bool(clamped)
 
 
 def physical_to_scaled(action: BumpAction) -> np.ndarray:
@@ -133,7 +119,7 @@ class DesignEnv:
     trained surrogate wrapped by :func:`surrogate_evaluator`.  Lanes hold
     (N, 7) upper and lower CST arrays and a live mask; ``reset_lanes``
     starts them and ``step`` steps every live lane at once.  ``reset``
-    starts a batch of one, which ``step`` also takes a single action for.
+    starts a batch of one.
     """
 
     def __init__(self, evaluator, config: EnvConfig = EnvConfig(),
@@ -158,10 +144,9 @@ class DesignEnv:
     def reset(self, baseline: AirfoilGeom) -> np.ndarray:
         return self.reset_lanes([baseline])[0]
 
-    def step(self, action_scaled):
+    def step(self, action_scaled) -> LaneResult:
         """Apply one scaled action per live lane: an (n, 3) block, rows in
-        lane order, gives a LaneResult; a single 3-vector, with one lane
-        live, a StepResult.
+        lane order (a 3-vector is a block of one).
 
         A lane whose modification fails ends with zero reward and keeps
         its airfoil; one that loses its shock ends with zero reward.
@@ -170,7 +155,7 @@ class DesignEnv:
         if lanes.size == 0:
             raise EnvProtocolError("step() after episode end or before reset()")
         t0 = time.perf_counter()
-        phys, clamped = scaled_to_physical_lanes(np.reshape(action_scaled, (lanes.size, 3)))
+        phys, clamped = scaled_to_physical(np.reshape(action_scaled, (lanes.size, 3)))
         upper, lower, width_clamped, errors = apply_action(
             (self._upper[lanes], self._lower[lanes], self._t_max[lanes]), phys)
         failed = np.array([err is not None for err in errors], dtype=bool)
@@ -197,13 +182,7 @@ class DesignEnv:
         if self.stats is not None:
             self.stats.lane_steps += lanes.size
             self.stats.seconds += time.perf_counter() - t0
-        if np.ndim(action_scaled) == 2:
-            return result
-        info = {k: bool(v[0]) if v.dtype == bool else float(v[0])
-                for k, v in result.lane_info.items() if k != "action"}
-        info["action"] = BumpAction(*map(float, phys[0]))
-        return StepResult(next_state=result.next_state[0], reward=float(reward[0]),
-                          done=bool(done[0]), info=info)
+        return result
 
     @property
     def cd(self) -> float:
@@ -218,39 +197,6 @@ class DesignEnv:
         return AirfoilGeom(cst_upper=self._upper[0].copy(), cst_lower=self._lower[0].copy(),
                            t_max=float(self._t_max[0]),
                            width_clamped=bool(self._width_clamped[0]))
-
-
-class _EachLane:
-    """The lane API over envs that only have reset(baseline) and
-    step(action), one env per lane, stepped one after another (their
-    info is not kept)."""
-
-    def __init__(self, envs):
-        self.envs = envs
-        self.live = np.zeros(len(envs), dtype=bool)
-
-    def reset_lanes(self, baselines) -> np.ndarray:
-        self.live = np.ones(len(baselines), dtype=bool)
-        return np.array([env.reset(b) for env, b in zip(self.envs, baselines)], dtype=float)
-
-    def step(self, actions_scaled) -> LaneResult:
-        lanes = np.flatnonzero(self.live)
-        results = [self.envs[i].step(a) for i, a in zip(lanes.tolist(), actions_scaled)]
-        done = np.array([r.done for r in results], dtype=bool)
-        self.live[lanes] = ~done
-        return LaneResult(lanes=lanes, reward=np.array([r.reward for r in results], dtype=float),
-                          next_state=np.array([r.next_state for r in results], dtype=float),
-                          done=done, lane_info={})
-
-
-def lane_env(env_factory, n: int):
-    """An environment with n lanes: env_factory's own env when it has the
-    lane API (reset_lanes, and step over a block), else n of its envs
-    behind an adapter that steps them lane by lane."""
-    env = env_factory()
-    if hasattr(env, "reset_lanes"):
-        return env
-    return _EachLane([env] + [env_factory() for _ in range(n - 1)])
 
 
 def proxy_evaluator(config=None):

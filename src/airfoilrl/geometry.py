@@ -432,19 +432,6 @@ def solve_t2(t1, s_b, tol: float = 1e-6):
     return t2, clamped
 
 
-def curvature(x, y) -> np.ndarray:
-    """kappa = y'' / (1 + y'^2)^(3/2), central differences, one-sided ends."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.size < 3:
-        raise GeometryError("need at least 3 stations for curvature")
-    if np.any(np.diff(x) <= 0.0):
-        raise GeometryError("stations must be strictly increasing")
-    dy = np.gradient(y, x)
-    d2y = np.gradient(dy, x)
-    return d2y / np.power(1.0 + dy**2, 1.5)
-
-
 def max_thickness(airfoil: AirfoilGeom) -> float:
     """Maximum of (y_upper - y_lower) on the fixed 201-point cosine grid."""
     return float(np.max(cst_at_stations(airfoil.cst_upper)

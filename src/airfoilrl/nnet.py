@@ -361,29 +361,39 @@ def train_minibatch(model: MlpModel, inputs: np.ndarray, targets: np.ndarray,
 # model container: npz with layer sizes, scaler bounds, and parameters
 
 
-def save_model(path, model: MlpModel) -> None:
-    arrays = {
-        "version": np.array([1]),
-        "sizes": np.array(model.sizes),
-        "in_lo": model.input_scaler.lo,
-        "in_hi": model.input_scaler.hi,
-        "out_lo": model.output_scaler.lo,
-        "out_hi": model.output_scaler.hi,
-    }
+def model_arrays(model: MlpModel, prefix: str = "") -> dict:
+    """A network's members in the model file layout: ``{prefix}sizes``
+    and ``{prefix}w{i}``, ``{prefix}b{i}`` per layer."""
+    arrays = {f"{prefix}sizes": np.array(model.sizes)}
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        arrays[f"w{i}"] = w
-        arrays[f"b{i}"] = b
-    np.savez(path, **arrays)
+        arrays[f"{prefix}w{i}"] = w
+        arrays[f"{prefix}b{i}"] = b
+    return arrays
+
+
+def model_from_arrays(data, input_scaler: Scaler, output_scaler: Scaler | None = None,
+                      prefix: str = "") -> MlpModel:
+    """The network model_arrays wrote under prefix; an identity output
+    scaler when none is given."""
+    sizes = [int(s) for s in data[f"{prefix}sizes"]]
+    layers = range(len(sizes) - 1)
+    if output_scaler is None:
+        output_scaler = Scaler.identity(sizes[-1])
+    return MlpModel(sizes=sizes, weights=[data[f"{prefix}w{i}"] for i in layers],
+                    biases=[data[f"{prefix}b{i}"] for i in layers],
+                    input_scaler=input_scaler, output_scaler=output_scaler)
+
+
+def save_model(path, model: MlpModel) -> None:
+    np.savez(path, version=np.array([1]),
+             in_lo=model.input_scaler.lo, in_hi=model.input_scaler.hi,
+             out_lo=model.output_scaler.lo, out_hi=model.output_scaler.hi,
+             **model_arrays(model))
 
 
 def load_model(path) -> MlpModel:
     with np.load(path) as data:
         if int(data["version"][0]) != 1:
             raise NnetError("unknown model file version")
-        sizes = [int(s) for s in data["sizes"]]
-        weights = [data[f"w{i}"] for i in range(len(sizes) - 1)]
-        biases = [data[f"b{i}"] for i in range(len(sizes) - 1)]
-        input_scaler = Scaler(lo=data["in_lo"].copy(), hi=data["in_hi"].copy())
-        output_scaler = Scaler(lo=data["out_lo"].copy(), hi=data["out_hi"].copy())
-    return MlpModel(sizes=sizes, weights=weights, biases=biases,
-                    input_scaler=input_scaler, output_scaler=output_scaler)
+        return model_from_arrays(data, Scaler(lo=data["in_lo"].copy(), hi=data["in_hi"].copy()),
+                                 Scaler(lo=data["out_lo"].copy(), hi=data["out_hi"].copy()))

@@ -125,7 +125,7 @@ BASE_LOWER = np.array([-0.100, -0.085, -0.070, -0.050, -0.025, 0.005, 0.015])
 T_MAX_DEFAULT = 0.095
 
 
-# airfoils generate_pool evaluates per proxy call; blocks this small keep
+# airfoils evaluated per proxy call; blocks this small keep
 # the buffered distributions from raising the process's peak memory
 _PROXY_BLOCK = 32
 
@@ -160,23 +160,39 @@ def _built_airfoils(rng, spread: float, t_max: float, tries: int, stats: PoolSta
         yield foil
 
 
+def _evaluated(draws, n: int, config: ProxyConfig, stats: PoolStats, keep=None) -> list:
+    """Up to n (airfoil, outputs) pairs of the drawn airfoils that pass
+    keep(cd, feats), a row mask (all rows pass without it).  Airfoils are
+    evaluated in blocks of up to _PROXY_BLOCK, one proxy call per block
+    as the draws come in; a block holds no more airfoils than are still
+    missing, so no draw past the n-th kept airfoil is built."""
+    kept: list = []
+    while len(kept) < n:
+        foils = list(itertools.islice(draws, min(_PROXY_BLOCK, n - len(kept))))
+        if not foils:
+            break
+        cd, feats = proxy_evaluate(np.array([foil.cst14 for foil in foils]), config)
+        stats.proxy_rows += len(foils)
+        stats.proxy_blocks += 1
+        mask = [True] * len(foils) if keep is None else keep(cd, feats)
+        columns = [np.asarray(v).tolist() for v in _outputs(cd, feats).values()]
+        kept.extend((foil, dict(zip(OUTPUT_NAMES, values)))
+                    for foil, values, ok in zip(foils, zip(*columns), mask) if ok)
+    return kept
+
+
 def seed_airfoils(n: int, seed: int = 0, spread: float = 0.008,
                   t_max: float = T_MAX_DEFAULT,
                   config: ProxyConfig = ProxyConfig(),
                   max_tries: int = 20000) -> list[AirfoilGeom]:
     """Deterministic seed set: perturbations of the base geometry,
     rejection-sampled so every seed lands inside the feature box.  Each
-    airfoil is evaluated as it is built, so no draw is wasted."""
-    draws = _built_airfoils(np.random.default_rng(seed), spread, t_max, max_tries,
-                            PoolStats())
-    out: list[AirfoilGeom] = []
-    while len(out) < n:
-        foil = next(draws, None)
-        if foil is None:
-            break
-        cd, feats = proxy_evaluate(foil.cst14, config)
-        if not feats.no_shock and in_feature_bounds(_outputs(cd, feats)):
-            out.append(foil)
+    airfoil is evaluated once, in blocks, and no draw is wasted."""
+    stats = PoolStats()
+    draws = _built_airfoils(np.random.default_rng(seed), spread, t_max, max_tries, stats)
+    out = [foil for foil, _ in _evaluated(
+        draws, n, config, stats,
+        keep=lambda cd, feats: ~feats.no_shock & in_feature_bounds(_outputs(cd, feats)))]
     if len(out) < n:
         raise RuntimeError(f"seed generator produced {len(out)}/{n} valid airfoils")
     return out
@@ -190,25 +206,14 @@ def generate_pool(n: int, seed: int = 0, spread: float = 0.08,
     violate the feature box (selection filters later).  Gives up with
     RuntimeError after 20 draws per requested sample.
 
-    Built airfoils are evaluated in blocks of up to _PROXY_BLOCK, one
-    proxy call per block as the draws come in; `stats` receives the
-    draw and proxy counts.
+    Built airfoils are evaluated in blocks of up to _PROXY_BLOCK (see
+    _evaluated); `stats` receives the draw and proxy counts.
     """
     stats = PoolStats() if stats is None else stats
     draws = _built_airfoils(np.random.default_rng(seed), spread, t_max,
                             _POOL_TRIES_PER_SAMPLE * n, stats)
-    pool: list[SampleRecord] = []
-    while len(pool) < n:
-        block = [foil.cst14 for foil in itertools.islice(draws, min(_PROXY_BLOCK, n - len(pool)))]
-        if not block:
-            break
-        cst = np.array(block)
-        cd, feats = proxy_evaluate(cst, config)
-        stats.proxy_rows += len(block)
-        stats.proxy_blocks += 1
-        columns = [np.asarray(v).tolist() for v in _outputs(cd, feats).values()]
-        pool.extend(SampleRecord(cst14=row, outputs=dict(zip(OUTPUT_NAMES, values)))
-                    for row, values in zip(cst, zip(*columns)))
+    pool = [SampleRecord(cst14=foil.cst14, outputs=outputs)
+            for foil, outputs in _evaluated(draws, n, config, stats)]
     if len(pool) < n:
         raise RuntimeError(f"pool generator produced {len(pool)}/{n} valid airfoils")
     return pool

@@ -13,8 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .env import lane_env, rollout_rows
-from .nnet import AdamState, MlpModel, Scaler, adam_update, make_mlp, mlp_forward, mlp_backward
+from .env import rollout_rows
+from .nnet import (AdamState, MlpModel, Scaler, adam_update, make_mlp, mlp_backward,
+                   mlp_forward, model_arrays, model_from_arrays)
 from .surrogate import FEATURE_BOUNDS, OUTPUT_NAMES
 
 # state bounds of the single-shock design box, used to scale the
@@ -84,16 +85,12 @@ def sample_action(agent: PolicyAgent, state: np.ndarray, rng):
     """Sample scaled actions and their log-probs (before any clamping).
 
     A (n, 4) block of states gives (n, 3) actions and (n,) log-probs from
-    one actor pass; a single state gives a 3-vector and a float.  rng is
-    one Generator for all the normal draws, or one per row of the block.
+    one actor pass and one normal draw of that shape from rng; a single
+    state gives a 3-vector and a float.
     """
     mean = np.asarray(agent.mean_action(np.asarray(state, dtype=float)))
     std = agent.std
-    if isinstance(rng, np.random.Generator):
-        noise = rng.standard_normal(mean.shape)
-    else:
-        noise = np.array([g.standard_normal(mean.shape[-1]) for g in rng])
-    action = mean + std * noise
+    action = mean + std * rng.standard_normal(mean.shape)
     logp = gaussian_log_prob(action, mean, std)
     return action, (float(logp) if logp.ndim == 0 else logp)
 
@@ -180,22 +177,17 @@ def collect_batch(agent: PolicyAgent, baselines, env_factory,
     """Stochastic rollouts: trajectories_per_baseline episodes from every
     baseline under the current policy, all stepped in lockstep (one
     lane per episode, baseline-major).  Each step samples every live
-    lane from one actor pass.
-
-    Each episode draws its normals from its own stream, spawned from rng
-    (Generator.spawn), so its draws do not depend on the lockstep order,
-    on the number of lanes or on how long the other episodes run.  The
-    batch lists each trajectory's steps together, in lane order.
+    lane from one actor pass and one (n_live, 3) normal block drawn from
+    rng, rows in lane order.  The batch lists each trajectory's steps
+    together, in lane order.
     """
     episodes = [b for b in baselines for _ in range(config.trajectories_per_baseline)]
-    env = lane_env(env_factory, len(episodes))
+    env = env_factory()
     state = env.reset_lanes(episodes)
-    streams = rng.spawn(len(episodes))
     steps: list[list] = [[] for _ in episodes]  # (state, action, logp, reward)
     while env.live.any():
         lanes = np.flatnonzero(env.live)
-        actions, logps = sample_action(agent, state[lanes],
-                                       [streams[i] for i in lanes.tolist()])
+        actions, logps = sample_action(agent, state[lanes], rng)
         result = env.step(actions)
         for i, s, a, lp, r in zip(lanes.tolist(), state[lanes], actions,
                                   logps.tolist(), result.reward.tolist()):
@@ -282,7 +274,7 @@ def evaluate_policy(agent: PolicyAgent, baselines, env_factory,
     ROLLOUT_COLUMNS, episode = baseline index) is appended to it,
     episode by episode.
     """
-    env = lane_env(env_factory, len(baselines))
+    env = env_factory()
     state = env.reset_lanes(baselines)
     totals = np.zeros(len(baselines))
     rows: list[dict] = []
@@ -348,17 +340,12 @@ def _std_entry(agent: PolicyAgent) -> dict:
 
 
 def save_agent(path, agent: PolicyAgent) -> None:
-    """Single-file agent container (actor, critic, log-std)."""
-    arrays = {"version": np.array([1]), "log_std": agent.log_std,
-              "actor_sizes": np.array(agent.actor.sizes),
-              "critic_sizes": np.array(agent.critic.sizes),
-              "in_lo": agent.actor.input_scaler.lo,
-              "in_hi": agent.actor.input_scaler.hi}
-    for tag, model in (("actor", agent.actor), ("critic", agent.critic)):
-        for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-            arrays[f"{tag}_w{i}"] = w
-            arrays[f"{tag}_b{i}"] = b
-    np.savez(path, **arrays)
+    """Single-file agent container: version, log-std, the shared input
+    scaler, and the actor's and critic's layers in the model file layout
+    under the prefixes ``actor_`` and ``critic_``."""
+    np.savez(path, version=np.array([1]), log_std=agent.log_std,
+             in_lo=agent.actor.input_scaler.lo, in_hi=agent.actor.input_scaler.hi,
+             **model_arrays(agent.actor, "actor_"), **model_arrays(agent.critic, "critic_"))
 
 
 def load_agent(path) -> PolicyAgent:
@@ -366,15 +353,6 @@ def load_agent(path) -> PolicyAgent:
         if int(data["version"][0]) != 1:
             raise PpoError("unknown agent file version")
         in_scaler = Scaler(lo=data["in_lo"].copy(), hi=data["in_hi"].copy())
-        models = {}
-        for tag in ("actor", "critic"):
-            sizes = [int(s) for s in data[f"{tag}_sizes"]]
-            models[tag] = MlpModel(
-                sizes=sizes,
-                weights=[data[f"{tag}_w{i}"] for i in range(len(sizes) - 1)],
-                biases=[data[f"{tag}_b{i}"] for i in range(len(sizes) - 1)],
-                input_scaler=in_scaler,
-                output_scaler=Scaler.identity(sizes[-1]))
-        log_std = data["log_std"].copy()
-    return PolicyAgent(actor=models["actor"], critic=models["critic"],
-                       log_std=log_std)
+        return PolicyAgent(actor=model_from_arrays(data, in_scaler, prefix="actor_"),
+                           critic=model_from_arrays(data, in_scaler, prefix="critic_"),
+                           log_std=data["log_std"].copy())

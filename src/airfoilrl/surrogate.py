@@ -180,11 +180,6 @@ def train_surrogate(train: list[SampleRecord], test: list[SampleRecord],
     return model, history
 
 
-def predict(model: MlpModel, cst14: np.ndarray) -> dict[str, float]:
-    out = mlp_forward(model, np.asarray(cst14, dtype=float))
-    return {name: float(out[k]) for k, name in enumerate(OUTPUT_NAMES)}
-
-
 # ---------------------------------------------------------------------------
 # dataset CSV: c_u0..c_u6,c_l0..c_l6,cd,x1,mw1,mwl,mwa (+ in_bounds marker)
 

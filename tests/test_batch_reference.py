@@ -474,15 +474,15 @@ def step_both(evaluator, baselines, actions_per_step):
 def assert_same_step(batch, lane, result, j, single, one, rel):
     assert batch._upper[lane].tobytes() == single.airfoil.cst_upper.tobytes()
     assert batch._lower[lane].tobytes() == single.airfoil.cst_lower.tobytes()
-    assert bool(result.done[j]) == one.done
-    assert result.reward[j] == pytest.approx(one.reward, rel=rel, abs=0.0)
-    assert result.next_state[j] == pytest.approx(one.next_state, rel=rel, abs=0.0)
-    info = one.info
-    assert BumpAction(*map(float, result.lane_info["action"][j])) == info["action"]
+    assert bool(result.done[j]) == bool(one.done[0])
+    assert result.reward[j] == pytest.approx(one.reward[0], rel=rel, abs=0.0)
+    assert result.next_state[j] == pytest.approx(one.next_state[0], rel=rel, abs=0.0)
+    info = one.lane_info
+    assert np.array_equal(result.lane_info["action"][j], info["action"][0])
     for key in ("clamped", "width_clamped", "shock_lost", "modify_failed"):
-        assert bool(result.lane_info[key][j]) == info[key], key
+        assert bool(result.lane_info[key][j]) == bool(info[key][0]), key
     for key in ("cd_before", "cd_after"):
-        assert result.lane_info[key][j] == pytest.approx(info[key], rel=rel, abs=0.0)
+        assert result.lane_info[key][j] == pytest.approx(info[key][0], rel=rel, abs=0.0)
     assert bool(batch._width_clamped[lane]) == single.airfoil.width_clamped
 
 

@@ -4,9 +4,12 @@ import re
 
 import pytest
 
-from airfoilrl.config import (ExperimentConfig, config_hash, format_schedule,
-                              from_profile, load_config, paper_config,
-                              parse_schedule, write_manifest)
+from airfoilrl.config import (ExperimentConfig, config_hash, desk_config,
+                              format_schedule, from_profile, load_config,
+                              paper_config, parse_schedule, write_manifest)
+from airfoilrl.pretrain import IMITATION_SCHEDULE
+from airfoilrl.rl import PpoConfig
+from airfoilrl.surrogate import DESK_BATCH, DESK_HIDDEN, DESK_SCHEDULE
 
 
 def test_parse_schedule():
@@ -42,6 +45,15 @@ def test_desk_profile_defaults():
     assert cfg.profile == "desk"
     assert cfg.surrogate_hidden == (128, 128, 128)
     assert cfg.keep_counts == (2000, 200)
+
+
+def test_desk_profile_reads_the_stage_defaults():
+    cfg = desk_config()
+    assert cfg.surrogate_hidden == tuple(DESK_HIDDEN)
+    assert cfg.surrogate_schedule == DESK_SCHEDULE
+    assert cfg.surrogate_batch == DESK_BATCH
+    assert cfg.imitation_schedule == IMITATION_SCHEDULE
+    assert cfg.ppo == PpoConfig()
 
 
 def test_load_config_overrides(tmp_path):

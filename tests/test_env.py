@@ -21,27 +21,27 @@ def env():
 
 
 def test_scaled_to_physical_midpoint():
-    action, clamped = scaled_to_physical(np.array([0.5, 0.5, 0.5]))
-    assert abs(action.t1 - 0.5) < 1e-12
-    assert abs(action.s_b - 0.3) < 1e-12
-    assert abs(action.h_b) < 1e-12
+    (t1, s_b, h_b), clamped = scaled_to_physical(np.array([0.5, 0.5, 0.5]))
+    assert abs(t1 - 0.5) < 1e-12
+    assert abs(s_b - 0.3) < 1e-12
+    assert abs(h_b) < 1e-12
     assert not clamped
 
 
 def test_scaled_to_physical_clamps():
-    action, clamped = scaled_to_physical(np.array([1.4, -0.2, 2.0]))
+    (t1, s_b, h_b), clamped = scaled_to_physical(np.array([1.4, -0.2, 2.0]))
     assert clamped
-    assert action.t1 == ACTION_BOUNDS[0, 1]
-    assert action.s_b == ACTION_BOUNDS[1, 0]
-    assert action.h_b == ACTION_BOUNDS[2, 1]
+    assert t1 == ACTION_BOUNDS[0, 1]
+    assert s_b == ACTION_BOUNDS[1, 0]
+    assert h_b == ACTION_BOUNDS[2, 1]
 
 
 def test_action_scaling_round_trip():
     rng = np.random.default_rng(1)
     for _ in range(20):
         scaled = rng.uniform(0.0, 1.0, 3)
-        action, _ = scaled_to_physical(scaled)
-        back = physical_to_scaled(action)
+        phys, _ = scaled_to_physical(scaled)
+        back = physical_to_scaled(BumpAction(*phys))
         assert np.max(np.abs(back - scaled)) < 1e-12
 
 
@@ -65,8 +65,8 @@ def test_reward_telescopes(env, baseline):
                np.array([0.6, 0.5, 0.49])]
     for a in actions:
         result = env.step(a)
-        assert not result.info["shock_lost"]
-        total += result.reward
+        assert not result.lane_info["shock_lost"][0]
+        total += result.reward[0]
     assert abs(total - REWARD_SCALE * (cd0 - env.cd)) < 1e-9
 
 
@@ -77,7 +77,7 @@ def test_thickness_invariant_after_steps(env, baseline):
     while not done:
         result = env.step(rng.uniform(0.4, 0.6, 3))
         assert abs(max_thickness(env.airfoil) - env.airfoil.t_max) < 1e-6
-        done = result.done
+        done = result.done[0]
 
 
 def test_episode_length_capped(env, baseline):
@@ -87,7 +87,7 @@ def test_episode_length_capped(env, baseline):
     while not done:
         result = env.step(np.array([0.5, 0.5, 0.5001]))
         steps += 1
-        done = result.done
+        done = result.done[0]
     assert steps <= env.config.max_steps
     with pytest.raises(EnvProtocolError):
         env.step(np.array([0.5, 0.5, 0.5]))
@@ -97,9 +97,9 @@ def test_modify_failure_terminates_episode(env, baseline):
     env.reset(baseline)
     # a full-range positive bump exceeds what lower rescaling can absorb
     result = env.step(np.array([0.5, 0.5, 1.0]))
-    assert result.done
-    assert result.reward == 0.0
-    assert result.info["modify_failed"]
+    assert result.done[0]
+    assert result.reward[0] == 0.0
+    assert result.lane_info["modify_failed"][0]
 
 
 def test_environment_deterministic(baseline):
@@ -111,7 +111,7 @@ def test_environment_deterministic(baseline):
         trace = []
         for a in actions:
             r = env.step(a)
-            trace.append((tuple(r.next_state), r.reward, r.done))
+            trace.append((tuple(r.next_state[0]), r.reward[0], r.done[0]))
         traces.append(trace)
     assert traces[0] == traces[1]
 
@@ -139,6 +139,6 @@ def test_width_clamped_reported_apart_from_action_clipping(env, baseline):
                                            ([0.5, 0.5, 0.55], False, False),
                                            ([1.2, 1.0, 0.55], True, True)):
         env.reset(baseline)
-        info = env.step(np.array(action)).info
-        assert not info["modify_failed"]
-        assert (info["clamped"], info["width_clamped"]) == (clipped, width_clamped)
+        info = env.step(np.array(action)).lane_info
+        assert not info["modify_failed"][0]
+        assert (info["clamped"][0], info["width_clamped"][0]) == (clipped, width_clamped)

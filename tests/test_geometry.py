@@ -120,13 +120,6 @@ def test_apply_action_moves_surface_toward_bump():
     assert new.upper_y(x)[0] < foil.upper_y(x)[0]
 
 
-def test_curvature_of_parabola():
-    x = np.linspace(-1.0, 1.0, 401)
-    kappa = g.curvature(x, x**2)
-    # analytic curvature of y = x^2 at x = 0 is 2
-    assert abs(kappa[200] - 2.0) < 1e-3
-
-
 def test_cst14_layout():
     foil = make_airfoil(BASE_UPPER, BASE_LOWER, T_MAX_DEFAULT)
     assert np.allclose(foil.cst14[:7], foil.cst_upper)

@@ -14,7 +14,7 @@ import pytest
 
 from airfoilrl import geometry
 from airfoilrl.env import scaled_to_physical
-from airfoilrl.geometry import (GeometryError, apply_action, cosine_stations,
+from airfoilrl.geometry import (BumpAction, GeometryError, apply_action, cosine_stations,
                                 cst_at_stations, cst_evaluate, measure_bump_width,
                                 solve_t2)
 from airfoilrl.proxy import _moving_average, seed_airfoils
@@ -359,7 +359,8 @@ def test_rescale_measures_few_midpoints(monkeypatch):
         for _ in range(3):
             current = foil
             for _ in range(5):
-                action, _ = scaled_to_physical(rng.uniform(0.0, 1.0, 3))
+                phys, _ = scaled_to_physical(rng.uniform(0.0, 1.0, 3))
+                action = BumpAction(*map(float, phys))
                 try:
                     current = apply_action(current, action)
                 except GeometryError:

@@ -113,9 +113,9 @@ def test_seed_airfoils_evaluates_each_candidate_once(monkeypatch):
         built[0] += 1
         return foil
 
-    def counting_distribution(*args, **kwargs):
-        evaluated[0] += 1
-        return distribution(*args, **kwargs)
+    def counting_distribution(cst, *args, **kwargs):
+        evaluated[0] += len(np.atleast_2d(cst))
+        return distribution(cst, *args, **kwargs)
 
     monkeypatch.setattr(proxy, "make_airfoil", counting_make)
     monkeypatch.setattr(proxy, "proxy_distribution", counting_distribution)

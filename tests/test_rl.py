@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from airfoilrl.env import LaneResult
 from airfoilrl.nnet import MlpModel, Scaler
 from airfoilrl.rl import (PolicyAgent, PpoConfig, PpoError, TrajectoryBatch,
                           clip_target, collect_batch, entropy_term,
@@ -130,22 +131,26 @@ def test_make_agent_shapes():
 
 
 class BanditEnv:
-    """Single-state environment with reward -(a - target)^2."""
+    """Single-state environment with reward -(a - target)^2, one step per
+    episode, behind the lane API (reset_lanes, live, block step)."""
 
     STATE = np.array([0.5, 1.1, 1.15, 1.0])
 
     def __init__(self, target):
         self.target = np.asarray(target)
+        self.live = np.zeros(0, dtype=bool)
 
-    def reset(self, baseline=None):
-        return self.STATE.copy()
+    def reset_lanes(self, baselines):
+        self.live = np.ones(len(baselines), dtype=bool)
+        return np.tile(self.STATE, (len(baselines), 1))
 
-    def step(self, action_scaled):
-        from airfoilrl.env import StepResult
-        a = np.clip(np.asarray(action_scaled), 0.0, 1.0)
-        reward = -float(np.sum((a - self.target) ** 2))
-        return StepResult(next_state=self.STATE.copy(), reward=reward,
-                          done=True, info={})
+    def step(self, actions_scaled):
+        lanes = np.flatnonzero(self.live)
+        a = np.clip(np.reshape(actions_scaled, (lanes.size, 3)), 0.0, 1.0)
+        self.live[lanes] = False
+        return LaneResult(lanes=lanes, next_state=np.tile(self.STATE, (lanes.size, 1)),
+                          reward=-np.sum((a - self.target) ** 2, axis=1),
+                          done=np.ones(lanes.size, dtype=bool), lane_info={})
 
 
 def run_bandit(seed, target, iterations=200):
@@ -206,6 +211,31 @@ def test_agent_file_round_trip(tmp_path):
     state = np.array([0.5, 1.1, 1.2, 1.0])
     assert np.array_equal(back.mean_action(state), agent.mean_action(state))
     assert np.array_equal(back.log_std, agent.log_std)
+
+
+def test_agent_file_in_the_original_layout_loads(tmp_path):
+    # the agent file layout as first written, member by member
+    agent = make_agent(np.random.default_rng(6), hidden=(8, 8))
+    arrays = {"version": np.array([1]), "log_std": agent.log_std,
+              "actor_sizes": np.array(agent.actor.sizes),
+              "critic_sizes": np.array(agent.critic.sizes),
+              "in_lo": agent.actor.input_scaler.lo, "in_hi": agent.actor.input_scaler.hi}
+    for tag, model in (("actor", agent.actor), ("critic", agent.critic)):
+        for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+            arrays[f"{tag}_w{i}"] = w
+            arrays[f"{tag}_b{i}"] = b
+    np.savez(tmp_path / "original.npz", **arrays)
+    back = load_agent(tmp_path / "original.npz")
+    for new, old in ((back.actor, agent.actor), (back.critic, agent.critic)):
+        assert new.sizes == old.sizes and np.array_equal(new.flat, old.flat)
+        assert np.array_equal(new.input_scaler.lo, old.input_scaler.lo)
+        assert np.array_equal(new.input_scaler.hi, old.input_scaler.hi)
+    assert np.array_equal(back.log_std, agent.log_std)
+    save_agent(tmp_path / "saved.npz", agent)
+    with np.load(tmp_path / "saved.npz") as saved:
+        assert sorted(saved.files) == sorted(arrays)
+        for name, value in arrays.items():
+            assert np.array_equal(saved[name], value), name
 
 
 @given(st.integers(0, 10_000))
