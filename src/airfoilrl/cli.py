@@ -20,7 +20,7 @@ from . import rl
 from .config import (ExperimentConfig, config_hash, from_profile,
                      load_config, write_manifest)
 from .env import (DesignEnv, EnvConfig, StepStats, proxy_evaluator,
-                  surrogate_evaluator, write_rollout_log)
+                  surrogate_evaluator)
 from .features import extract_features, read_distribution
 from .geometry import (BumpAction, apply_action, max_thickness,
                        read_cst_file, write_coordinates, write_cst_file)
@@ -188,7 +188,7 @@ def cmd_evaluate(args) -> int:
     rows.append({"airfoil": "mean", "cum_reward": mean})
     _write_rows_csv(out, rows)
     rollout_out = _out(args, args.rollout)
-    write_rollout_log(rollout_out, steps)
+    _write_rows_csv(rollout_out, steps)
     print(f"mean cumulative reward {mean:.3f} counts over "
           f"{len(per_airfoil)} airfoils; wrote {out} and {rollout_out}")
     return _finish(args, cfg, "evaluate", [out, rollout_out])

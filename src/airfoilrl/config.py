@@ -14,7 +14,7 @@ import json
 from dataclasses import asdict, dataclass, field, fields, replace
 
 from .pretrain import IMITATION_SCHEDULE
-from .proxy import ProxyConfig
+from .proxy import T_MAX_DEFAULT, ProxyConfig
 from .rl import PpoConfig
 from .surrogate import DESK_BATCH, DESK_HIDDEN, DESK_SCHEDULE
 
@@ -27,15 +27,11 @@ def parse_schedule(text: str) -> list[tuple[int, float]]:
     return out
 
 
-def format_schedule(schedule) -> str:
-    return ",".join(f"{int(c)}:{float(r)!r}" for c, r in schedule)
-
-
 @dataclass
 class ExperimentConfig:
     profile: str = "desk"
     seed: int = 0
-    t_max: float = 0.095
+    t_max: float = T_MAX_DEFAULT
 
     proxy: ProxyConfig = field(default_factory=ProxyConfig)
 

@@ -17,7 +17,6 @@ LaneResult; a 3-vector after ``reset`` is a block of one.
 """
 from __future__ import annotations
 
-import csv
 import time
 from dataclasses import dataclass
 
@@ -134,7 +133,6 @@ class DesignEnv:
         self._upper = np.array([b.cst_upper for b in baselines], dtype=float).reshape(-1, 7)
         self._lower = np.array([b.cst_lower for b in baselines], dtype=float).reshape(-1, 7)
         self._t_max = np.array([b.t_max for b in baselines], dtype=float)
-        self._width_clamped = np.array([b.width_clamped for b in baselines], dtype=bool)
         ev = self.evaluator(np.concatenate([self._upper, self._lower], axis=1))
         self._cd, self._state = ev.cd.copy(), ev.state.copy()
         self._steps = np.zeros(len(baselines), dtype=int)
@@ -164,7 +162,6 @@ class DesignEnv:
         moved = lanes[~failed]
         if moved.size:
             self._upper[moved], self._lower[moved] = upper[~failed], lower[~failed]
-            self._width_clamped[moved] = width_clamped[~failed]
             ev = self.evaluator(np.concatenate([upper[~failed], lower[~failed]], axis=1))
             self._cd[moved], self._state[moved] = ev.cd, ev.state
             shock_lost[~failed] = ~is_single_shock(ev)
@@ -183,20 +180,6 @@ class DesignEnv:
             self.stats.lane_steps += lanes.size
             self.stats.seconds += time.perf_counter() - t0
         return result
-
-    @property
-    def cd(self) -> float:
-        """Current drag of the batch of one (lane 0)."""
-        return float(self._cd[0])
-
-    @property
-    def airfoil(self) -> AirfoilGeom:
-        """Current airfoil of the batch of one (lane 0)."""
-        if self.live.size == 0:
-            raise EnvProtocolError("reset() has not been called")
-        return AirfoilGeom(cst_upper=self._upper[0].copy(), cst_lower=self._lower[0].copy(),
-                           t_max=float(self._t_max[0]),
-                           width_clamped=bool(self._width_clamped[0]))
 
 
 def proxy_evaluator(config=None):
@@ -250,12 +233,3 @@ def rollout_rows(result: LaneResult, step: int) -> list[dict]:
                      **{k: bool(info[k][j]) for k in ROLLOUT_COLUMNS[12:]}})
     return rows
 
-
-def write_rollout_log(path, rows: list[dict]) -> None:
-    """Rollout log CSV, one row per environment step."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=ROLLOUT_COLUMNS)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: (repr(float(v)) if isinstance(v, float) else v)
-                             for k, v in row.items()})

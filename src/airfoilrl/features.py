@@ -74,13 +74,6 @@ def cp_to_wall_mach(cp, m_inf: float):
     return float(out) if out.ndim == 0 else out
 
 
-def sonic_cp(m_inf: float) -> float:
-    """Pressure coefficient at which the wall Mach number equals one."""
-    p0_ratio = (1.0 + 0.2 * m_inf**2) ** 3.5
-    p_ratio = p0_ratio / 1.2**3.5
-    return (p_ratio - 1.0) / (0.7 * m_inf**2)
-
-
 def extract_features(dist: WallMachDistribution) -> FeatureSet:
     """Reduce a wall Mach distribution to the six physical features.
 

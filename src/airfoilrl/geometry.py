@@ -54,12 +54,6 @@ class AirfoilGeom:
     t_max: float
     width_clamped: bool = False
 
-    def upper_y(self, x: np.ndarray) -> np.ndarray:
-        return cst_evaluate(self.cst_upper, x)
-
-    def lower_y(self, x: np.ndarray) -> np.ndarray:
-        return cst_evaluate(self.cst_lower, x)
-
     @property
     def cst14(self) -> np.ndarray:
         return np.concatenate([self.cst_upper, self.cst_lower])
@@ -595,11 +589,12 @@ def apply_action(airfoil, action):
 # file formats
 
 
-def write_coordinates(path, airfoil: AirfoilGeom, n: int = N_STATIONS) -> None:
-    """Selig-order coordinate file: upper TE->LE, then lower LE->TE."""
-    x = cosine_stations(n)
-    yu = airfoil.upper_y(x)
-    yl = airfoil.lower_y(x)
+def write_coordinates(path, airfoil: AirfoilGeom) -> None:
+    """Selig-order coordinate file on the 201-point cosine grid: upper
+    TE->LE, then lower LE->TE."""
+    x = cosine_stations()
+    yu = cst_evaluate(airfoil.cst_upper, x)
+    yl = cst_evaluate(airfoil.cst_lower, x)
     with open(path, "w") as fh:
         fh.write("# airfoil coordinates, Selig order\n")
         for xi, yi in zip(x[::-1], yu[::-1]):

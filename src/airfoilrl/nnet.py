@@ -247,34 +247,22 @@ class AdamState:
         self.scratch = (np.empty_like(self.m), np.empty_like(self.m))
 
     @staticmethod
-    def for_params(params) -> "AdamState":
-        size = _flatten(params).size
-        return AdamState(m=np.zeros(size), v=np.zeros(size))
-
-
-def _flatten(arrays) -> np.ndarray:
-    """The values as one 1-D float64 array (no copy for a float64 array)."""
-    if isinstance(arrays, np.ndarray):
-        return np.ravel(arrays).astype(float, copy=False)
-    return np.concatenate([np.ravel(a) for a in arrays]).astype(float, copy=False)
+    def for_params(params: np.ndarray) -> "AdamState":
+        return AdamState(m=np.zeros(params.size), v=np.zeros(params.size))
 
 
 def adam_update(params, grads, state: AdamState, lr: float, out=None):
     """Standard Adam step with bias correction; returns updated params.
 
-    params and grads are each a list of arrays or one array; the result
-    has the form of params.  The step is one in-place pass over the
-    state's flat moments and scratch buffers, in the per-element
+    params and grads are flat float64 arrays, such as a model's `flat`
+    buffer and its gradients' `flat`.  The step is one in-place pass over
+    the state's flat moments and scratch buffers, in the per-element
     operation order m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g,
     p - (lr*m_hat) / (sqrt(v_hat) + eps).  The updated values go into
     `out`, a flat array (which may be params' own buffer), or else a
     new one; the inputs are not modified otherwise.
     """
-    if isinstance(params, list) and isinstance(grads, list) \
-            and len(params) != len(grads):
-        raise NnetError("parameter/gradient count mismatch")
-    p, g = _flatten(params), _flatten(grads)
-    if p.size != g.size or p.size != state.m.size:
+    if params.size != grads.size or params.size != state.m.size:
         raise NnetError("parameter/gradient/state size mismatch")
     state.step += 1
     t = state.step
@@ -282,11 +270,11 @@ def adam_update(params, grads, state: AdamState, lr: float, out=None):
     m, v = state.m, state.v
     s, r = state.scratch
     m *= b1
-    np.multiply(g, 1.0 - b1, out=s)
+    np.multiply(grads, 1.0 - b1, out=s)
     m += s
     v *= b2
-    np.multiply(g, 1.0 - b2, out=s)
-    s *= g
+    np.multiply(grads, 1.0 - b2, out=s)
+    s *= grads
     v += s
     np.divide(m, 1.0 - b1**t, out=s)
     s *= lr
@@ -294,10 +282,7 @@ def adam_update(params, grads, state: AdamState, lr: float, out=None):
     np.sqrt(r, out=r)
     r += state.eps
     s /= r
-    new = np.subtract(p, s, out=out)
-    if isinstance(params, np.ndarray):
-        return new.reshape(params.shape)
-    return _views(new, [np.shape(a) for a in params])
+    return np.subtract(params, s, out=out)
 
 
 def train_minibatch(model: MlpModel, inputs: np.ndarray, targets: np.ndarray,

@@ -17,7 +17,7 @@ from .env import ACTION_BOUNDS, REWARD_SCALE, StepStats, physical_to_scaled
 from .geometry import AirfoilGeom, BumpAction, apply_action
 from .nnet import AdamState, adam_update, mlp_backward, mlp_forward
 from .rl import PolicyAgent, PpoConfig, ppo_train
-from .surrogate import OUTPUT_NAMES, in_feature_bounds
+from .surrogate import is_valid_design
 
 SMOOTH_PASSES = 10
 SMOOTH_NEIGHBORS = 10
@@ -46,10 +46,11 @@ def greedy_search(baseline: AirfoilGeom, evaluator, searches: int,
     first candidate with the smallest drag wins.
     """
     samples: list[StateActionSample] = []
+    ev = evaluator(baseline.cst14)
+    cd0, state0 = float(ev.cd[0]), ev.state[0].copy()
     for _ in range(searches):
         upper, lower = baseline.cst_upper, baseline.cst_lower
-        ev = evaluator(baseline.cst14)
-        cd, state = float(ev.cd[0]), ev.state[0].copy()
+        cd, state = cd0, state0
         for _ in range(steps):
             draws = rng.uniform(ACTION_BOUNDS[:, 0], ACTION_BOUNDS[:, 1],
                                 size=(candidates, 3))
@@ -62,8 +63,7 @@ def greedy_search(baseline: AirfoilGeom, evaluator, searches: int,
             drag = np.full(candidates, np.inf)
             if built.size:
                 ev = evaluator(np.concatenate([new_upper[built], new_lower[built]], axis=1))
-                outputs = dict(zip(OUTPUT_NAMES, (ev.cd, *ev.state.T)))
-                valid = ~ev.no_shock & in_feature_bounds(outputs)
+                valid = is_valid_design(ev.cd, ev.state, ev.no_shock)
                 drag[built] = np.where(valid, ev.cd, np.inf)
             if not np.any(drag < np.inf):
                 break  # no candidate satisfies the constraints
@@ -98,8 +98,7 @@ def dedup_states(samples: list[StateActionSample]) -> list[StateActionSample]:
     return kept
 
 
-def smooth_samples(samples: list[StateActionSample],
-                   passes: int = SMOOTH_PASSES) -> list[StateActionSample]:
+def smooth_samples(samples: list[StateActionSample]) -> list[StateActionSample]:
     """Inverse-distance-weighted action smoothing over state space.
 
     Distances are frozen from the original states; each pass relaxes
@@ -124,7 +123,7 @@ def smooth_samples(samples: list[StateActionSample],
     if not np.all(finite):
         max_finite = weights[finite].max() if np.any(finite) else 1.0
         weights = np.where(finite, weights, max_finite)
-    for _ in range(passes):
+    for _ in range(SMOOTH_PASSES):
         neigh_actions = actions[neighbor_idx]  # (n, k, 3)
         avg = (weights[:, :, None] * neigh_actions).sum(axis=1) \
             / weights.sum(axis=1)[:, None]

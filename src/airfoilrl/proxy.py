@@ -16,7 +16,7 @@ import numpy as np
 from .features import FeatureSet, WallMachDistribution, extract_features
 from .geometry import (AirfoilGeom, GeometryError, cosine_stations,
                        cst_at_stations, make_airfoil)
-from .surrogate import OUTPUT_NAMES, SampleRecord, in_feature_bounds
+from .surrogate import OUTPUT_NAMES, SampleRecord, is_valid_design
 
 
 @dataclass(frozen=True)
@@ -111,12 +111,6 @@ def _outputs(cd: float, feats: FeatureSet) -> dict:
     return dict(zip(OUTPUT_NAMES, (cd, feats.x1, feats.mw1, feats.mwl, feats.mwa)))
 
 
-def proxy_sample(cst14, config: ProxyConfig = ProxyConfig()) -> SampleRecord:
-    cd, feats = proxy_evaluate(cst14, config)
-    return SampleRecord(cst14=np.asarray(cst14, dtype=float).copy(),
-                        outputs=_outputs(cd, feats))
-
-
 # base geometry the bundled seed generator perturbs: front-loaded upper
 # surface giving a supersonic plateau near Mach 1.12 with a mid-chord
 # recompression, leaving a few counts of removable wave drag
@@ -130,8 +124,11 @@ T_MAX_DEFAULT = 0.095
 _PROXY_BLOCK = 32
 
 # generate_pool's draws per requested sample before it gives up; about
-# 1% of draws at the default spread fail to build an airfoil
+# 1% of draws at the pool's spread fail to build an airfoil
 _POOL_TRIES_PER_SAMPLE = 20
+_POOL_SPREAD = 0.08  # half-width of the uniform draw around each base coefficient
+_SEED_SPREAD = 0.008  # narrow, so that most seed draws are valid designs
+_SEED_TRIES = 20000
 
 
 @dataclass
@@ -181,25 +178,23 @@ def _evaluated(draws, n: int, config: ProxyConfig, stats: PoolStats, keep=None) 
     return kept
 
 
-def seed_airfoils(n: int, seed: int = 0, spread: float = 0.008,
-                  t_max: float = T_MAX_DEFAULT,
-                  config: ProxyConfig = ProxyConfig(),
-                  max_tries: int = 20000) -> list[AirfoilGeom]:
+def seed_airfoils(n: int, seed: int = 0, t_max: float = T_MAX_DEFAULT,
+                  config: ProxyConfig = ProxyConfig()) -> list[AirfoilGeom]:
     """Deterministic seed set: perturbations of the base geometry,
-    rejection-sampled so every seed lands inside the feature box.  Each
-    airfoil is evaluated once, in blocks, and no draw is wasted."""
+    rejection-sampled so every seed is a valid design.  Each airfoil is
+    evaluated once, in blocks, and no draw is wasted."""
     stats = PoolStats()
-    draws = _built_airfoils(np.random.default_rng(seed), spread, t_max, max_tries, stats)
+    draws = _built_airfoils(np.random.default_rng(seed), _SEED_SPREAD, t_max,
+                            _SEED_TRIES, stats)
     out = [foil for foil, _ in _evaluated(
         draws, n, config, stats,
-        keep=lambda cd, feats: ~feats.no_shock & in_feature_bounds(_outputs(cd, feats)))]
+        keep=lambda cd, feats: is_valid_design(cd, feats.state, feats.no_shock))]
     if len(out) < n:
         raise RuntimeError(f"seed generator produced {len(out)}/{n} valid airfoils")
     return out
 
 
-def generate_pool(n: int, seed: int = 0, spread: float = 0.08,
-                  t_max: float = T_MAX_DEFAULT,
+def generate_pool(n: int, seed: int = 0, t_max: float = T_MAX_DEFAULT,
                   config: ProxyConfig = ProxyConfig(),
                   stats: PoolStats | None = None) -> list[SampleRecord]:
     """Random proxy-evaluated airfoils for surrogate training; rows may
@@ -210,7 +205,7 @@ def generate_pool(n: int, seed: int = 0, spread: float = 0.08,
     _evaluated); `stats` receives the draw and proxy counts.
     """
     stats = PoolStats() if stats is None else stats
-    draws = _built_airfoils(np.random.default_rng(seed), spread, t_max,
+    draws = _built_airfoils(np.random.default_rng(seed), _POOL_SPREAD, t_max,
                             _POOL_TRIES_PER_SAMPLE * n, stats)
     pool = [SampleRecord(cst14=foil.cst14, outputs=outputs)
             for foil, outputs in _evaluated(draws, n, config, stats)]

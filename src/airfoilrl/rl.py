@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .env import rollout_rows
+from .env import ACTION_BOUNDS, rollout_rows
 from .nnet import (AdamState, MlpModel, Scaler, adam_update, make_mlp, mlp_backward,
                    mlp_forward, model_arrays, model_from_arrays)
 from .surrogate import FEATURE_BOUNDS, OUTPUT_NAMES
@@ -63,10 +63,9 @@ class PolicyAgent:
         return mlp_forward(self.actor, state)
 
 
-def make_agent(rng, hidden=(512, 512), state_dim: int = 4, action_dim: int = 3,
-               state_bounds=None, std_init: float = 0.1) -> PolicyAgent:
-    bounds = STATE_BOUNDS if state_bounds is None else np.asarray(state_bounds)
-    in_scaler = Scaler.from_bounds(bounds[:state_dim])
+def make_agent(rng, hidden=(512, 512), std_init: float = 0.1) -> PolicyAgent:
+    state_dim, action_dim = len(STATE_BOUNDS), len(ACTION_BOUNDS)
+    in_scaler = Scaler.from_bounds(STATE_BOUNDS)
     actor = make_mlp([state_dim, *hidden, action_dim], rng, input_scaler=in_scaler)
     critic = make_mlp([state_dim, *hidden, 1], rng, input_scaler=in_scaler)
     return PolicyAgent(actor=actor, critic=critic,
@@ -85,14 +84,13 @@ def sample_action(agent: PolicyAgent, state: np.ndarray, rng):
     """Sample scaled actions and their log-probs (before any clamping).
 
     A (n, 4) block of states gives (n, 3) actions and (n,) log-probs from
-    one actor pass and one normal draw of that shape from rng; a single
-    state gives a 3-vector and a float.
+    one actor pass and one normal draw of that shape from rng.
     """
     mean = np.asarray(agent.mean_action(np.asarray(state, dtype=float)))
     std = agent.std
     action = mean + std * rng.standard_normal(mean.shape)
     logp = gaussian_log_prob(action, mean, std)
-    return action, (float(logp) if logp.ndim == 0 else logp)
+    return action, logp
 
 
 def reward_to_go(rewards, gamma: float) -> np.ndarray:
@@ -265,9 +263,9 @@ def _update_agent(agent: PolicyAgent, batch: TrajectoryBatch,
 
 
 def evaluate_policy(agent: PolicyAgent, baselines, env_factory,
-                    steps: int | None = None, rollout: list | None = None):
+                    rollout: list | None = None):
     """Deterministic mean-action rollouts, every baseline a lane of one
-    lockstep environment; at most `steps` steps each when given.
+    lockstep environment.
 
     Returns (mean cumulative reward in counts, per-baseline rewards).
     With a `rollout` list, one rollout-log row per step (env
@@ -287,8 +285,6 @@ def evaluate_policy(agent: PolicyAgent, baselines, env_factory,
         taken += 1
         if rollout is not None:
             rows.extend(rollout_rows(result, taken))
-        if steps is not None and taken >= steps:
-            break
     if rollout is not None:
         rollout.extend(sorted(rows, key=lambda row: row["episode"]))
     return float(np.mean(totals)), totals.tolist()

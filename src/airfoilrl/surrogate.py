@@ -57,6 +57,13 @@ def in_feature_bounds(outputs: dict) -> bool:
     return inside
 
 
+def is_valid_design(cd, state, no_shock) -> np.ndarray:
+    """The valid-design rule: a shock was found and the outputs lie in
+    the feature box.  Takes (N,) drags, (N, 4) states [X1, Mw1, MwL, MwA]
+    and (N,) no-shock flags; returns an (N,) mask."""
+    return ~no_shock & in_feature_bounds(dict(zip(OUTPUT_NAMES, (cd, *state.T))))
+
+
 def select_samples(pool: list[SampleRecord],
                    keep_counts: list[int]) -> dict[int, list[SampleRecord]]:
     """Thin a pool to the requested sizes, keeping geometries spread out.

@@ -472,8 +472,8 @@ def step_both(evaluator, baselines, actions_per_step):
 
 
 def assert_same_step(batch, lane, result, j, single, one, rel):
-    assert batch._upper[lane].tobytes() == single.airfoil.cst_upper.tobytes()
-    assert batch._lower[lane].tobytes() == single.airfoil.cst_lower.tobytes()
+    assert batch._upper[lane].tobytes() == single._upper[0].tobytes()
+    assert batch._lower[lane].tobytes() == single._lower[0].tobytes()
     assert bool(result.done[j]) == bool(one.done[0])
     assert result.reward[j] == pytest.approx(one.reward[0], rel=rel, abs=0.0)
     assert result.next_state[j] == pytest.approx(one.next_state[0], rel=rel, abs=0.0)
@@ -483,7 +483,6 @@ def assert_same_step(batch, lane, result, j, single, one, rel):
         assert bool(result.lane_info[key][j]) == bool(info[key][0]), key
     for key in ("cd_before", "cd_after"):
         assert result.lane_info[key][j] == pytest.approx(info[key][0], rel=rel, abs=0.0)
-    assert bool(batch._width_clamped[lane]) == single.airfoil.width_clamped
 
 
 def random_actions(rng, steps, lanes):
@@ -527,19 +526,6 @@ def test_nan_mw1_loses_the_shock():
     env.reset(seed_airfoils(1, seed=55)[0])
     result = env.step(np.array([0.5, 0.5, 0.5]))
     assert result.info["shock_lost"] and result.done and result.reward == 0.0
-
-
-def test_airfoil_carries_the_last_width_clamped_flag():
-    baseline = seed_airfoils(1, seed=57)[0]
-    clamped = geometry.apply_action(baseline, BumpAction(0.99, 0.4, 0.01))
-    assert clamped.width_clamped
-    env = DesignEnv(proxy_evaluator(), EnvConfig(max_steps=4))
-    env.reset(clamped)
-    assert env.airfoil.width_clamped
-    for action, width_clamped in (([0.5, 0.5, 0.55], False), ([1.0, 1.0, 0.55], True)):
-        info = env.step(np.array(action)).info
-        assert not info["modify_failed"]
-        assert info["width_clamped"] == env.airfoil.width_clamped == width_clamped
 
 
 def test_lockstep_info_counts_outcomes_over_lanes():

@@ -5,8 +5,8 @@ import re
 import pytest
 
 from airfoilrl.config import (ExperimentConfig, config_hash, desk_config,
-                              format_schedule, from_profile, load_config,
-                              paper_config, parse_schedule, write_manifest)
+                              from_profile, load_config, paper_config,
+                              parse_schedule, write_manifest)
 from airfoilrl.pretrain import IMITATION_SCHEDULE
 from airfoilrl.rl import PpoConfig
 from airfoilrl.surrogate import DESK_BATCH, DESK_HIDDEN, DESK_SCHEDULE
@@ -15,11 +15,6 @@ from airfoilrl.surrogate import DESK_BATCH, DESK_HIDDEN, DESK_SCHEDULE
 def test_parse_schedule():
     assert parse_schedule("200:0.01,200:0.001") == [(200, 0.01), (200, 0.001)]
     assert parse_schedule("50:1e-4") == [(50, 1e-4)]
-
-
-def test_schedule_round_trip():
-    sched = [(250, 1e-3), (250, 1e-4)]
-    assert parse_schedule(format_schedule(sched)) == sched
 
 
 def test_unknown_profile_raises():

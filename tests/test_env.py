@@ -2,11 +2,12 @@
 import numpy as np
 import pytest
 
+from airfoilrl.cli import _write_rows_csv
 from airfoilrl.env import (ACTION_BOUNDS, REWARD_SCALE, DesignEnv, EnvConfig,
                            EnvProtocolError, physical_to_scaled,
-                           proxy_evaluator, scaled_to_physical,
-                           write_rollout_log, ROLLOUT_COLUMNS)
-from airfoilrl.geometry import BumpAction, apply_action, max_thickness, solve_t2
+                           proxy_evaluator, scaled_to_physical, ROLLOUT_COLUMNS)
+from airfoilrl.geometry import (AirfoilGeom, BumpAction, apply_action, max_thickness,
+                                solve_t2)
 from airfoilrl.proxy import seed_airfoils
 
 
@@ -54,12 +55,12 @@ def test_reset_returns_state(env, baseline):
     state = env.reset(baseline)
     assert state.shape == (4,)
     assert np.all(np.isfinite(state))
-    assert env.cd > 0.0
+    assert env._cd[0] > 0.0
 
 
 def test_reward_telescopes(env, baseline):
     env.reset(baseline)
-    cd0 = env.cd
+    cd0 = env._cd[0]
     total = 0.0
     actions = [np.array([0.5, 0.5, 0.48]), np.array([0.35, 0.4, 0.52]),
                np.array([0.6, 0.5, 0.49])]
@@ -67,7 +68,7 @@ def test_reward_telescopes(env, baseline):
         result = env.step(a)
         assert not result.lane_info["shock_lost"][0]
         total += result.reward[0]
-    assert abs(total - REWARD_SCALE * (cd0 - env.cd)) < 1e-9
+    assert abs(total - REWARD_SCALE * (cd0 - env._cd[0])) < 1e-9
 
 
 def test_thickness_invariant_after_steps(env, baseline):
@@ -76,7 +77,9 @@ def test_thickness_invariant_after_steps(env, baseline):
     done = False
     while not done:
         result = env.step(rng.uniform(0.4, 0.6, 3))
-        assert abs(max_thickness(env.airfoil) - env.airfoil.t_max) < 1e-6
+        foil = AirfoilGeom(cst_upper=env._upper[0], cst_lower=env._lower[0],
+                           t_max=float(env._t_max[0]))
+        assert abs(max_thickness(foil) - foil.t_max) < 1e-6
         done = result.done[0]
 
 
@@ -123,7 +126,7 @@ def test_rollout_log_round_trip(tmp_path):
              "shock_lost": False, "clamped": False}]
     rows[0] = {k: rows[0].get(k, 0) for k in ROLLOUT_COLUMNS}
     path = tmp_path / "rollout.csv"
-    write_rollout_log(path, rows)
+    _write_rows_csv(path, rows)
     text = path.read_text().splitlines()
     assert text[0] == ",".join(ROLLOUT_COLUMNS)
     assert len(text) == 2

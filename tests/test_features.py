@@ -6,19 +6,13 @@ from hypothesis import given, settings, strategies as st
 from airfoilrl.features import (FeatureError, NonphysicalPressureError,
                                 WallMachDistribution, cp_to_wall_mach,
                                 extract_features, is_single_shock,
-                                read_distribution, sonic_cp,
-                                write_distribution)
+                                read_distribution, write_distribution)
 from conftest import synthetic_distribution
 
 
 def test_cp_zero_recovers_freestream():
     for m_inf in (0.6, 0.73, 0.76, 0.8):
         assert abs(cp_to_wall_mach(0.0, m_inf) - m_inf) < 1e-12
-
-
-def test_sonic_cp_consistency():
-    for m_inf in (0.7, 0.76, 0.85):
-        assert abs(cp_to_wall_mach(sonic_cp(m_inf), m_inf) - 1.0) < 1e-12
 
 
 def test_cp_to_wall_mach_decreasing_in_cp():

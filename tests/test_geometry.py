@@ -117,7 +117,7 @@ def test_apply_action_moves_surface_toward_bump():
     action = BumpAction(t1=0.5, s_b=0.3, h_b=-0.01)
     new = apply_action(foil, action)
     x = np.array([0.5])
-    assert new.upper_y(x)[0] < foil.upper_y(x)[0]
+    assert g.cst_evaluate(new.cst_upper, x)[0] < g.cst_evaluate(foil.cst_upper, x)[0]
 
 
 def test_cst14_layout():

@@ -84,22 +84,22 @@ def test_scaler_rejects_bad_bounds():
 
 def test_adam_first_step_is_signed_lr():
     # with bias correction the first step is lr * sign(g) up to eps
-    p = [np.array([1.0, -2.0])]
-    g = [np.array([0.3, -0.7])]
+    p = np.array([1.0, -2.0])
+    g = np.array([0.3, -0.7])
     state = AdamState.for_params(p)
     out = adam_update(p, g, state, lr=0.01)
-    step = out[0] - p[0]
-    assert np.allclose(step, -0.01 * np.sign(g[0]), atol=1e-6)
+    step = out - p
+    assert np.allclose(step, -0.01 * np.sign(g), atol=1e-6)
 
 
 def test_adam_loss_scale_sign_invariance():
     rng = np.random.default_rng(7)
-    p = [rng.standard_normal(5)]
-    g = [rng.standard_normal(5)]
+    p = rng.standard_normal(5)
+    g = rng.standard_normal(5)
     s1 = AdamState.for_params(p)
     s2 = AdamState.for_params(p)
-    step1 = adam_update(p, g, s1, 0.01)[0] - p[0]
-    step2 = adam_update(p, [10.0 * g[0]], s2, 0.01)[0] - p[0]
+    step1 = adam_update(p, g, s1, 0.01) - p
+    step2 = adam_update(p, 10.0 * g, s2, 0.01) - p
     assert np.array_equal(np.sign(step1), np.sign(step2))
     assert np.max(np.abs(step1 - step2) / np.abs(step1)) < 0.01
 

@@ -242,15 +242,14 @@ def test_backward_and_adam_step_match_lists(sizes):
     assert np.array_equal(grads.flat, np.concatenate([np.ravel(w) for w in want]))
     for g, w in zip(grads, want):
         assert np.array_equal(g, w)
-    state = AdamState.for_params(model.parameters())
+    state = AdamState.for_params(model.flat)
     ref_state = RefAdamState.for_params(model.parameters())
     params = list(model.parameters())
     before = [p.copy() for p in params]
     for lr in (1e-2, 1e-3, 1e-5):
-        got = adam_update(model.parameters(), grads, state, lr)
+        got = adam_update(model.flat, grads.flat, state, lr)
         ref = ref_adam_update(params, want, ref_state, lr)
-        for g, r in zip(got, ref):
-            assert np.array_equal(g, r)
+        assert np.array_equal(got, np.concatenate([np.ravel(r) for r in ref]))
     for p, b in zip(params, before):
         assert np.array_equal(p, b)  # inputs untouched
 

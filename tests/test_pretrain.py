@@ -51,6 +51,21 @@ def test_greedy_search_deterministic():
         assert a.action == b.action
 
 
+def test_greedy_search_evaluates_its_baseline_once():
+    baseline = seed_airfoils(1, seed=0)[0]
+    proxy = proxy_evaluator()
+    rows = []
+
+    def counting(cst):
+        rows.append(len(np.reshape(cst, (-1, 14))))
+        return proxy(cst)
+
+    samples = greedy_search(baseline, counting, searches=3, steps=2, candidates=30,
+                            rng=np.random.default_rng(0))
+    assert len(samples) == 6
+    assert rows.count(1) == 1 and rows[0] == 1
+
+
 def test_dedup_keeps_highest_reward():
     s1 = sample([0.5, 1.1, 1.1, 1.0], reward=1.0)
     s2 = sample([0.5, 1.1, 1.1, 1.0], hb=0.01, reward=3.0)
