@@ -11,6 +11,7 @@ import argparse
 import csv
 import os
 import sys
+import time
 from dataclasses import asdict
 
 import numpy as np
@@ -123,11 +124,14 @@ def cmd_pretrain(args) -> int:
     stats = StepStats()
     env_factory = _env_factory(cfg, args.surrogate, stats)
     evaluator = env_factory().evaluator
+    seconds = {}  # wall time per stage, for the manifest only
+    start = time.perf_counter()
     samples = []
     for foil in baselines:
         samples.extend(pt.greedy_search(foil, evaluator, cfg.greedy_searches,
                                         cfg.greedy_steps, cfg.greedy_candidates,
                                         rng, stats=stats))
+    seconds["greedy_search_s"] = time.perf_counter() - start
     raw_out = _out(args, f"{args.out_prefix}_samples_raw.csv")
     pt.write_samples(raw_out, samples, stage="raw")
     deduped = pt.dedup_states(samples)
@@ -136,19 +140,24 @@ def cmd_pretrain(args) -> int:
     pt.write_samples(smooth_out, smoothed, stage="smoothed")
     agent = rl.make_agent(rng, hidden=cfg.ppo_hidden,
                           std_init=cfg.ppo.std_init)
+    start = time.perf_counter()
     losses = pt.imitate_policy(agent, smoothed, schedule=cfg.imitation_schedule)
+    seconds["imitation_s"] = time.perf_counter() - start
+    start = time.perf_counter()
     critic_history = pt.pretrain_critic(agent, baselines, cfg.ppo, env_factory,
                                         critic_schedule=cfg.critic_schedule,
                                         seed=cfg.seed)
+    seconds["critic_fit_s"] = time.perf_counter() - start
     critic_out = _out(args, f"{args.out_prefix}_critic_history.csv")
     _write_rows_csv(critic_out, critic_history)
     agent_out = _out(args, f"{args.out_prefix}_agent.npz")
     rl.save_agent(agent_out, agent)
-    print(f"{len(samples)} raw samples -> {len(deduped)} deduped; "
-          f"final imitation loss {losses[-1]:.3g}")
+    # a zero-epoch imitation schedule leaves the actor as initialised
+    imitation = f"final imitation loss {losses[-1]:.3g}" if losses else "no imitation epochs"
+    print(f"{len(samples)} raw samples -> {len(deduped)} deduped; {imitation}")
     print(f"wrote {agent_out} and {critic_out}")
     return _finish(args, cfg, "pretrain", [raw_out, smooth_out, critic_out, agent_out],
-                   stats.manifest())
+                   {**stats.manifest(), **seconds})
 
 
 def cmd_train_ppo(args) -> int:

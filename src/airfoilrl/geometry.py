@@ -432,100 +432,166 @@ def max_thickness(airfoil: AirfoilGeom) -> float:
                         - cst_at_stations(airfoil.cst_lower)))
 
 
-def _thickness(yu: np.ndarray, yl: np.ndarray, s: float) -> float:
-    """max(yu - s*yl): the maximum thickness with the lower surface scaled by s."""
-    return float((yu - s * yl).max())
+def _thickness(yu: np.ndarray, yl: np.ndarray, s: float):
+    """max(yu - s*yl): the maximum thickness with the lower surface scaled
+    by s; a float for one surface, one value per lane for (k, 201) rows."""
+    thick = np.maximum.reduce(yu - s * yl, axis=-1)
+    return float(thick) if thick.ndim == 0 else thick
 
 
 _SKIP_MARGIN = 2e-10  # twice the rescale bisection's |f| < 1e-10 stop
 _EPS = float(np.finfo(float).eps)
 
 
-def _thickness_root(yu, yl, t_max: float, f_lo: float, f_hi: float
-                    ) -> tuple[float, float, float]:
-    """(root, slope, margin) for _rescale_lower's skip rule.
+def _bisect_start(hi_pos: bool, root: float, slope: float, margin: float
+                  ) -> tuple[float, float]:
+    """The bracket _bisect_scale's bisection reaches before it measures a
+    midpoint, where that is cheap to show; else its first one, [0.25, 4].
 
-    root: the bracket's root of f(s) = max(yu - s*yl) - t_max, the
-    minimum of r_i = (yu_i - t_max)/yl_i over yl_i < 0 when f rises from
-    f(0.25) < 0, the maximum over yl_i > 0 when it falls to f(4) < 0.
-    slope: the secant from that negative end to the root, signed so that
-    f(s) lies beyond slope*(s - root), on the same side of 0.  margin:
-    _SKIP_MARGIN plus a bound on the rounding in measuring f.  slope is
-    0, skipping nothing, unless the negative end's |f| clears the margin.
+    Where the slope's sign agrees with hi_pos (f rising with f(4) > 0, or
+    falling with f(4) < 0), each unmeasured midpoint moves the bracket
+    end on its side of the root, so the brackets are the dyadic
+    intervals 0.25 + 3.75 * [j, j + 1] / 2**d that hold the root.  Take
+    the level d whose width is about 16 margins over |slope|.  When the
+    bounds of its interval's ends clear the margin, each on its side of
+    the root, every coarser midpoint (all lie at or beyond those ends)
+    clears it too, since rounding is monotone; none of them is measured,
+    and the bisection reaches that interval exactly.  Its ends are exact
+    dyadic floats, the values the halving gives.
     """
-    margin = _SKIP_MARGIN + 8.0 * _EPS * float(
-        np.abs(yu).max() + 4.0 * np.abs(yl).max() + abs(t_max))
-    if f_lo <= -margin:
-        s_neg, f_neg = 0.25, f_lo
-    elif f_hi <= -margin:
-        s_neg, f_neg = 4.0, f_hi
-    else:
-        return 0.0, 0.0, margin
-    # the class function is 0 at both ends, where r is 0/0 or t/0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = (yu - t_max) / yl
+    if slope == 0.0 or (slope > 0.0) != hi_pos or not 0.25 < root < 4.0:
+        return 0.25, 4.0
+    ratio = 3.75 * abs(slope) / (16.0 * margin)
+    if not ratio >= 2.0:
+        return 0.25, 4.0
+    level = 40 if ratio >= 2.0 ** 40 else int(math.log2(ratio))
+    width = math.ldexp(3.75, -level)
+    j = math.floor((root - 0.25) / width)
+    if not 0 <= j < 1 << level:
+        return 0.25, 4.0
+    lo = 0.25 + j * width
+    hi = lo + width
+    below, above = slope * (lo - root), slope * (hi - root)
+    if hi_pos and below <= -margin and above >= margin \
+            or not hi_pos and below >= margin and above <= -margin:
+        return lo, hi
+    return 0.25, 4.0
+
+
+def _bisect_scale(yu: np.ndarray, yl: np.ndarray, t_max: float, hi_pos: bool,
+                  root: float, slope: float, margin: float) -> float:
+    """The scale factor _rescale_lower's bisection on [0.25, 4] stops at,
+    for one lane's surfaces on the cosine grid."""
+    lo, hi = _bisect_start(hi_pos, root, slope, margin)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if hi - lo < 1e-12:
+            return mid
+        bound = slope * (mid - root)
+        if bound >= margin:
+            mid_pos = True
+        elif bound <= -margin:
+            mid_pos = False
+        else:
+            f_mid = _thickness(yu, yl, mid) - t_max
+            if abs(f_mid) < 1e-10:
+                return mid
+            mid_pos = f_mid > 0.0
+        # a midpoint replaces the bracket end whose f has its sign
+        if mid_pos == hi_pos:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def _thickness_roots(yu: np.ndarray, yl: np.ndarray, t_max: np.ndarray, s_neg: float) -> list:
+    """For every lane, the root in the rescale bracket of
+    f(s) = max(yu - s*yl) - t_max when f is negative at its end s_neg:
+    the minimum of r_i = (yu_i - t_max)/yl_i over yl_i < 0 for 0.25 (f
+    rises), the maximum over yl_i > 0 for 4 (f falls).  r is divided out
+    only at those stations; the others hold the reduction's identity."""
     if s_neg == 0.25:
-        root = float(r.min(where=yl < 0.0, initial=np.inf))
+        stations, reduce, identity = yl < 0.0, np.minimum.reduce, np.inf
     else:
-        root = float(r.max(where=yl > 0.0, initial=-np.inf))
-    return root, f_neg / (s_neg - root), margin
+        stations, reduce, identity = yl > 0.0, np.maximum.reduce, -np.inf
+    r = np.divide(yu - t_max[:, None], yl, out=np.full_like(yl, identity), where=stations)
+    return reduce(r, axis=1).tolist()
 
 
-def _rescale_lower(upper, lower, t_max: float) -> np.ndarray:
+def _rescale_lower(upper, lower, t_max):
     """Scale lower coefficients so max thickness equals t_max.
 
     Bisection on the scale factor in [0.25, 4.0]; thickness is monotone
     in the factor for any lower surface below the upper one.  It stops at
     the first midpoint with |thickness - t_max| < 1e-10 or once the
-    bracket is narrower than 1e-12.
+    bracket is narrower than 1e-12.  Within 1e-9 of t_max at factor 1,
+    lower is returned as given.
 
     Thickness is convex and piecewise linear in the factor s, so its
     root in the bracket has a closed form and, with s_neg the bracket
     end where f = thickness - t_max is negative, convexity bounds
     |f(s)| >= |f(s_neg)| * |s - root| / |root - s_neg| with f(s) on
-    root's far side from s_neg positive and on its near side negative
-    (_thickness_root).  A midpoint where that bound is at least 2e-10
-    plus the rounding in measuring f can neither stop the bisection nor
-    go the other way, so it goes its side's way unmeasured; only the few
-    midpoints next to the root are measured.  The midpoints, the stop
-    and the returned factor are those of measuring every midpoint.
+    root's far side from s_neg positive and on its near side negative.
+    The root is the minimum of r_i = (yu_i - t_max)/yl_i over yl_i < 0
+    when f rises from f(0.25) < 0, the maximum over yl_i > 0 when it
+    falls to f(4) < 0.  A midpoint where that bound is at least 2e-10
+    plus a bound on the rounding in measuring f (the margin) can neither
+    stop the bisection nor go the other way, so it goes its side's way
+    unmeasured; only the few midpoints next to the root are measured.
+    The slope is 0, skipping nothing, unless the negative end's |f|
+    clears the margin.  The midpoints, the stop and the returned factor
+    are those of measuring every midpoint.
+
+    (7,) coefficient vectors and a float t_max give the rescaled lower
+    vector, and a thickness that cannot be bracketed raises
+    GeometryError.  (k, 7) lanes and (k,) t_max give (lowers, errors):
+    the CST sums, the bracket thicknesses, the surface sizes in the
+    margin and the roots are computed over all lanes at once; each lane
+    then takes its margin and slope from them and runs its own
+    bisection, and a lane that fails reports its message in errors and
+    keeps its lower row.  Every lane gets the floats of a call with its
+    own vectors.
     """
-    upper = np.asarray(upper, dtype=float)
     lower = np.asarray(lower, dtype=float)
-    yu = cst_at_stations(upper)
-    yl = cst_at_stations(lower)
-    if abs(_thickness(yu, yl, 1.0) - t_max) <= 1e-9:
-        return lower
-    lo, hi = 0.25, 4.0
-    f_lo, f_hi = _thickness(yu, yl, lo) - t_max, _thickness(yu, yl, hi) - t_max
-    if f_lo * f_hi > 0.0:
-        raise GeometryError("cannot bracket thickness scale factor")
-    # thick may be increasing or decreasing in s depending on sign of yl;
-    # a midpoint replaces the bracket end whose f has its sign
-    hi_pos = f_hi > 0.0
-    root, slope, margin = _thickness_root(yu, yl, t_max, f_lo, f_hi)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo < 1e-12:
-            return mid * lower
-        bound = slope * (mid - root)
-        if abs(bound) >= margin:
-            mid_pos = bound > 0.0
+    y = cst_at_stations(np.concatenate((upper, lower)).reshape(-1, N_CST))
+    k = len(y) // 2
+    yu, yl = y[:k], y[k:]
+    t = np.asarray(t_max, dtype=float).reshape(k)
+    size = np.maximum.reduce(np.abs(y), axis=1).tolist()
+    factors, errors, roots = [1.0] * k, [None] * k, {}
+    for i, t_i, th_1, th_lo, th_hi in zip(range(k), t.tolist(), *(
+            _thickness(yu, yl, s).tolist() for s in (1.0, 0.25, 4.0))):
+        if abs(th_1 - t_i) <= 1e-9:
+            continue
+        f_lo, f_hi = th_lo - t_i, th_hi - t_i
+        if f_lo * f_hi > 0.0:
+            errors[i] = "cannot bracket thickness scale factor"
+            continue
+        margin = _SKIP_MARGIN + 8.0 * _EPS * (size[i] + 4.0 * size[k + i] + abs(t_i))
+        if f_lo <= -margin:
+            s_neg, f_neg = 0.25, f_lo
+        elif f_hi <= -margin:
+            s_neg, f_neg = 4.0, f_hi
         else:
-            f_mid = _thickness(yu, yl, mid) - t_max
-            if abs(f_mid) < 1e-10:
-                return mid * lower
-            mid_pos = f_mid > 0.0
-        if mid_pos == hi_pos:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi) * lower
+            s_neg = None
+        root = slope = 0.0
+        if s_neg is not None:
+            if s_neg not in roots:  # one reduction over all lanes, when a lane first needs it
+                roots[s_neg] = _thickness_roots(yu, yl, t, s_neg)
+            root = roots[s_neg][i]
+            slope = f_neg / (s_neg - root)
+        factors[i] = _bisect_scale(yu[i], yl[i], t_i, f_hi > 0.0, root, slope, margin)
+    if lower.ndim == 2:
+        return np.array(factors)[:, None] * lower, errors
+    if errors[0] is not None:
+        raise GeometryError(errors[0])
+    return lower if factors[0] == 1.0 else factors[0] * lower
 
 
 def make_airfoil(cst_upper, cst_lower, t_max: float) -> AirfoilGeom:
     """Build an airfoil, rescaling the lower surface to meet t_max."""
-    upper = np.asarray(cst_upper, dtype=float).copy()
+    upper = np.array(cst_upper, dtype=float)
     lower = _rescale_lower(upper, cst_lower, t_max)
     return AirfoilGeom(cst_upper=upper, cst_lower=lower, t_max=t_max)
 
@@ -541,15 +607,23 @@ def _apply_lanes(upper: np.ndarray, lower: np.ndarray, t_max: np.ndarray,
         + h_b[ok, None] * _unit_bump(_STATIONS, e[:, None], t2[:, None])
     new_upper, new_lower = upper.copy(), lower.copy()
     width_clamped = np.zeros(len(actions), dtype=bool)
+    fitted, flags = [], []
     for i, y, flag in zip(ok.tolist(), y_bumped, clamped.tolist()):
         try:
             new_upper[i] = cst_fit(_STATIONS, y)
-            new_lower[i] = _rescale_lower(new_upper[i], lower[i], float(t_max[i]))
         except GeometryError as exc:
-            new_upper[i] = upper[i]
             errors[i] = str(exc)
             continue
-        width_clamped[i] = flag
+        fitted.append(i)
+        flags.append(flag)
+    rescaled, rescale_errors = _rescale_lower(new_upper[fitted], lower[fitted], t_max[fitted])
+    for i, row, flag, err in zip(fitted, rescaled, flags, rescale_errors):
+        if err is None:
+            new_lower[i] = row
+            width_clamped[i] = flag
+        else:
+            new_upper[i] = upper[i]
+            errors[i] = err
     return new_upper, new_lower, width_clamped, errors
 
 

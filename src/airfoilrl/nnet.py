@@ -106,6 +106,9 @@ class MlpModel:
         self._shapes = _param_shapes(self.sizes)
         self._flat = np.empty(sum(math.prod(s) for s in self._shapes))
         self._params = _views(self._flat, self._shapes)
+        n_layers = len(self.sizes) - 1
+        self._weights = tuple(self._params[:n_layers])
+        self._biases = tuple(self._params[n_layers:])
         _copy_into(self._params, [*weights, *biases])
 
     @property
@@ -122,7 +125,7 @@ class MlpModel:
 
     @property
     def weights(self) -> tuple[np.ndarray, ...]:
-        return tuple(self._params[: len(self.sizes) - 1])
+        return self._weights
 
     @weights.setter
     def weights(self, arrays) -> None:
@@ -130,7 +133,7 @@ class MlpModel:
 
     @property
     def biases(self) -> tuple[np.ndarray, ...]:
-        return tuple(self._params[len(self.sizes) - 1 :])
+        return self._biases
 
     @biases.setter
     def biases(self, arrays) -> None:
@@ -183,8 +186,9 @@ def mlp_forward(model: MlpModel, x: np.ndarray, scaled: bool = True,
         raise NnetError(f"input dimension {x.shape[1]} != {model.n_in}")
     h = model.input_scaler.scale(x) if scaled else x
     cache = [h]
-    last = len(model.weights) - 1
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+    weights = model.weights
+    last = len(weights) - 1
+    for i, (w, b) in enumerate(zip(weights, model.biases)):
         h = np.matmul(h, w, out=None if out is None else out[i])
         h += b
         if i < last:
@@ -224,7 +228,7 @@ def mlp_backward(model: MlpModel, cache: list[np.ndarray],
             # cache holds post-relu activations; relu' = 1 where act > 0
             delta *= cache[i + 1] > 0.0
         np.matmul(cache[i].T, delta, out=grads[i])
-        delta.sum(axis=0, out=grads[n + i])
+        np.add.reduce(delta, axis=0, out=grads[n + i])
         if i > 0:
             delta = np.matmul(delta, weights[i].T,
                               out=None if deltas is None else deltas[i - 1])
@@ -285,6 +289,50 @@ def adam_update(params, grads, state: AdamState, lr: float, out=None):
     return np.subtract(params, s, out=out)
 
 
+class Fit:
+    """Adam steps of mean-squared-error regression for one model, in
+    scaled space, on batches of at most `rows` rows.
+
+    The activation, delta, loss and gradient buffers are allocated once.
+    A step runs mlp_forward, the MSE gradient, mlp_backward and
+    adam_update, which writes the new parameters into the model's flat
+    buffer; `state` (a new AdamState by default) carries the moments.
+    """
+
+    def __init__(self, model: MlpModel, rows: int, state: AdamState | None = None):
+        self.model = model
+        self.state = AdamState.for_params(model.flat) if state is None else state
+        self.rows = rows
+        self._acts = [np.empty((rows, size)) for size in model.sizes[1:]]
+        self._deltas = [np.empty((rows, size)) for size in model.sizes[1:-1]]
+        self._diff = np.empty((rows, model.n_out))
+        self._sq = np.empty((rows, model.n_out))
+        self._grads = _param_buffer(model)
+
+    def step(self, xs: np.ndarray, ys: np.ndarray, lr: float,
+             with_loss: bool = True) -> float | None:
+        """One step on scaled (k, n_in) inputs and (k, n_out) targets,
+        k <= rows.  Returns the batch MSE before the step, or None
+        without with_loss; a non-finite MSE raises NnetError."""
+        k = xs.shape[0]
+        acts, deltas, diff, sq = self._acts, self._deltas, self._diff, self._sq
+        if k != self.rows:
+            acts, deltas = [a[:k] for a in acts], [d[:k] for d in deltas]
+            diff, sq = diff[:k], sq[:k]
+        pred, cache = mlp_forward(self.model, xs, scaled=False, with_cache=True, out=acts)
+        np.subtract(pred, ys, out=diff)
+        loss = None
+        if with_loss:
+            loss = float(np.mean(np.square(diff, out=sq)))
+            if not math.isfinite(loss):
+                raise NnetError("divergent loss (non-finite)")
+        diff *= 2.0  # diff becomes dLoss/dpred = 2 * diff / diff.size
+        diff /= diff.size
+        mlp_backward(self.model, cache, diff, out=self._grads, deltas=deltas)
+        adam_update(self.model.flat, self._grads.flat, self.state, lr, out=self.model.flat)
+        return loss
+
+
 def train_minibatch(model: MlpModel, inputs: np.ndarray, targets: np.ndarray,
                     schedule, batch_size: int, seed: int,
                     record_every: int = 100, callback=None) -> list[float]:
@@ -294,8 +342,8 @@ def train_minibatch(model: MlpModel, inputs: np.ndarray, targets: np.ndarray,
     order; each epoch reshuffles with a generator seeded once from
     `seed`.  Returns the running MSE recorded every `record_every`
     minibatches; `callback(minibatch_index)` fires at the same cadence.
-    A run allocates its batch, activation, delta and gradient buffers
-    once; Adam updates the model's parameters in place.
+    The steps run through one Fit, and the batches are gathered into
+    buffers allocated once.
     """
     inputs = np.asarray(inputs, dtype=float)
     targets = np.asarray(targets, dtype=float)
@@ -306,14 +354,10 @@ def train_minibatch(model: MlpModel, inputs: np.ndarray, targets: np.ndarray,
     xs = model.input_scaler.scale(inputs)
     ys = model.output_scaler.scale(targets)
     rng = np.random.default_rng(seed)
-    state = AdamState.for_params(model.flat)
     n = xs.shape[0]
     rows = min(batch_size, n)
+    fit = Fit(model, rows)
     x_buf, y_buf = np.empty((rows, xs.shape[1])), np.empty((rows, ys.shape[1]))
-    acts = [np.empty((rows, size)) for size in model.sizes[1:]]
-    deltas = [np.empty((rows, size)) for size in model.sizes[1:-1]]
-    diff_buf, sq_buf = np.empty((rows, model.n_out)), np.empty((rows, model.n_out))
-    grads = _param_buffer(model)
     history: list[float] = []
     mb = 0
     for epochs, lr in schedule:
@@ -322,18 +366,8 @@ def train_minibatch(model: MlpModel, inputs: np.ndarray, targets: np.ndarray,
             for start in range(0, n, batch_size):
                 idx = order[start : start + batch_size]
                 k = idx.size
-                xb = np.take(xs, idx, axis=0, out=x_buf[:k])
-                yb = np.take(ys, idx, axis=0, out=y_buf[:k])
-                pred, cache = mlp_forward(model, xb, scaled=False, with_cache=True,
-                                          out=[a[:k] for a in acts])
-                diff = np.subtract(pred, yb, out=diff_buf[:k])
-                loss = float(np.mean(np.square(diff, out=sq_buf[:k])))
-                if not np.isfinite(loss):
-                    raise NnetError("divergent loss (non-finite)")
-                diff *= 2.0  # diff becomes dLoss/dpred = 2 * diff / diff.size
-                diff /= diff.size
-                mlp_backward(model, cache, diff, out=grads, deltas=[d[:k] for d in deltas])
-                adam_update(model.flat, grads.flat, state, lr, out=model.flat)
+                loss = fit.step(np.take(xs, idx, axis=0, out=x_buf[:k]),
+                                np.take(ys, idx, axis=0, out=y_buf[:k]), lr)
                 mb += 1
                 if mb % record_every == 0:
                     history.append(loss)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .env import ACTION_BOUNDS, REWARD_SCALE, StepStats, physical_to_scaled
 from .geometry import AirfoilGeom, BumpAction, apply_action
-from .nnet import AdamState, adam_update, mlp_backward, mlp_forward
+from .nnet import Fit
 from .rl import PolicyAgent, PpoConfig, ppo_train
 from .surrogate import is_valid_design
 
@@ -138,8 +138,8 @@ def imitate_policy(agent: PolicyAgent, samples: list[StateActionSample],
                    schedule=None) -> list[float]:
     """Regress the actor mean onto the sample actions (scaled space).
 
-    Full-batch Adam; the std layer is untouched.  Returns the per-epoch
-    mean-squared loss history.
+    Full-batch Adam steps through one Fit; the std layer is untouched.
+    Returns the per-epoch mean-squared loss history.
     """
     if not samples:
         raise ValueError("no samples to imitate")
@@ -147,19 +147,8 @@ def imitate_policy(agent: PolicyAgent, samples: list[StateActionSample],
     states = np.stack([s.state for s in samples])
     targets = np.stack([physical_to_scaled(s.action) for s in samples])
     xs = agent.actor.input_scaler.scale(states)
-    state = AdamState.for_params(agent.actor.flat)
-    history: list[float] = []
-    for epochs, lr in schedule:
-        for _ in range(epochs):
-            pred, cache = mlp_forward(agent.actor, xs, scaled=False,
-                                      with_cache=True)
-            diff = pred - targets
-            loss = float(np.mean(diff**2))
-            history.append(loss)
-            grads = mlp_backward(agent.actor, cache, 2.0 * diff / diff.size)
-            agent.actor.flat[...] = adam_update(agent.actor.flat, grads.flat,
-                                                state, lr)
-    return history
+    fit = Fit(agent.actor, len(samples))
+    return [fit.step(xs, targets, lr) for epochs, lr in schedule for _ in range(epochs)]
 
 
 def pretrain_critic(agent: PolicyAgent, baselines, config: PpoConfig,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .env import ACTION_BOUNDS, rollout_rows
-from .nnet import (AdamState, MlpModel, Scaler, adam_update, make_mlp, mlp_backward,
+from .nnet import (AdamState, Fit, MlpModel, Scaler, adam_update, make_mlp, mlp_backward,
                    mlp_forward, model_arrays, model_from_arrays)
 from .surrogate import FEATURE_BOUNDS, OUTPUT_NAMES
 
@@ -218,6 +218,8 @@ def _update_agent(agent: PolicyAgent, batch: TrajectoryBatch,
     full batch); returns final (actor_loss, critic_loss).
 
     actor_state covers the actor's flat parameters followed by log_std.
+    The critic steps through one Fit, which measures its loss on the
+    final epoch only.
     """
     adv = batch.advantages
     if config.normalize_advantages:
@@ -226,7 +228,10 @@ def _update_agent(agent: PolicyAgent, batch: TrajectoryBatch,
     n = batch.size
     k = agent.log_std.size
     actor_loss = critic_loss = float("nan")
-    for _ in range(config.epochs):
+    critic_fit = Fit(agent.critic, n, critic_state)
+    rtg = batch.rewards_to_go[:, None]
+    last = config.epochs - 1
+    for epoch in range(config.epochs):
         if update_actor:
             means, cache = mlp_forward(agent.actor, xs, scaled=False,
                                        with_cache=True)
@@ -253,12 +258,10 @@ def _update_agent(agent: PolicyAgent, batch: TrajectoryBatch,
                 np.concatenate((grads.flat, d_logstd)), actor_state, actor_lr)
             agent.actor.flat[...] = new_params[:-k]
             np.maximum(new_params[-k:], LOG_STD_MIN, out=agent.log_std)
-        v, vcache = mlp_forward(agent.critic, xs, scaled=False, with_cache=True)
-        diff = v[:, 0] - batch.rewards_to_go
-        critic_loss = float(np.mean(diff**2))
-        vgrads = mlp_backward(agent.critic, vcache, (2.0 * diff / n)[:, None])
-        agent.critic.flat[...] = adam_update(agent.critic.flat, vgrads.flat,
-                                             critic_state, critic_lr)
+        if epoch < last:
+            critic_fit.step(xs, rtg, critic_lr, with_loss=False)
+        else:
+            critic_loss = critic_fit.step(xs, rtg, critic_lr)
     return actor_loss, critic_loss
 
 

@@ -184,6 +184,40 @@ def test_pretrain_writes_critic_history(tmp_path):
     assert str(history) in manifest["artifacts"]
 
 
+TINY_PRETRAIN = ("[pretrain]\nbaselines = 4\nsearches = 3\nsteps = 5\ncandidates = 10\n"
+                 "critic_schedule = 2:0.01\n"
+                 "[ppo]\nhidden = 8,8\nepochs = 2\ntrajectories_per_baseline = 1\n"
+                 "max_steps = 2\n")
+
+
+def test_pretrain_without_imitation_epochs_finishes(tmp_path):
+    # a zero-epoch imitation schedule is the un-imitated actor the paper
+    # compares against; the command still writes its agent and manifest
+    ini = tmp_path / "tiny.ini"
+    ini.write_text(TINY_PRETRAIN.replace("[pretrain]\n",
+                                         "[pretrain]\nimitation_schedule = 0:0.001\n"))
+    assert run(tmp_path, "--config", str(ini), "pretrain") == 0
+    manifest = json.loads((tmp_path / "pretrain_manifest.json").read_text())
+    assert str(tmp_path / "pretrained_agent.npz") in manifest["artifacts"]
+
+
+def test_pretrain_manifest_times_its_stages(tmp_path):
+    ini = tmp_path / "tiny.ini"
+    ini.write_text(TINY_PRETRAIN.replace("[pretrain]\n",
+                                         "[pretrain]\nimitation_schedule = 3:0.001\n"))
+    csvs = []
+    for out in ("a", "b"):
+        assert run(tmp_path / out, "--config", str(ini), "pretrain") == 0
+        manifest = json.loads((tmp_path / out / "pretrain_manifest.json").read_text())
+        for key in ("greedy_search_s", "imitation_s", "critic_fit_s"):
+            assert manifest[key] >= 0.0
+        csvs.append({name: (tmp_path / out / name).read_bytes() for name in (
+            "pretrained_samples_raw.csv", "pretrained_samples_smoothed.csv",
+            "pretrained_critic_history.csv")})
+    # the wall-clock figures go in the manifest only
+    assert csvs[0] == csvs[1]
+
+
 TINY_PPO = ("[ppo]\nhidden = 8,8\nbaselines = 2\nepochs = 2\n"
             "trajectories_per_baseline = 2\nmax_steps = 2\nactor_schedule = 1:0.001\n")
 

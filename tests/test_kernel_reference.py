@@ -14,7 +14,7 @@ import pytest
 
 from airfoilrl import geometry
 from airfoilrl.env import scaled_to_physical
-from airfoilrl.geometry import (BumpAction, GeometryError, apply_action, cosine_stations,
+from airfoilrl.geometry import (GeometryError, apply_action, cosine_stations,
                                 cst_at_stations, cst_evaluate, measure_bump_width,
                                 solve_t2)
 from airfoilrl.proxy import _moving_average, seed_airfoils
@@ -337,38 +337,107 @@ def test_rescale_width_stop_matches_reference(monkeypatch):
     assert width_stops >= 10
 
 
+def _rescale_lane(kind, rng):
+    """(upper, lower, t_max) of one rescale lane of the given kind."""
+    upper = BASE_U * rng.uniform(0.5, 1.5, 7)
+    lower = BASE_L * rng.uniform(0.5, 1.5, 7)
+    if kind == "falling":  # lower surface above the chord: thickness falls in s
+        lower = -lower * rng.uniform(0.1, 0.9)
+    if kind == "width":  # slopes near 1e3 keep |f| above 1e-10 at every midpoint
+        upper, lower = 1e4 * upper, 1e4 * lower
+    if kind == "early":
+        return upper, lower, thickness_at(upper, lower, 1.0) + rng.uniform(-9e-10, 9e-10)
+    if kind == "unbracketed":  # thinner than the 0.25 end or thicker than the 4.0 end
+        return upper, lower, (0.5 * thickness_at(upper, lower, 0.25) if rng.random() < 0.5
+                              else 2.0 * thickness_at(upper, lower, 4.0))
+    return upper, lower, thickness_at(upper, lower, rng.uniform(0.3, 3.9))
+
+
+def test_rescale_lanes_match_reference_and_lanes_of_one(monkeypatch):
+    # a lane stops on the bracket width unless the last midpoint it
+    # measured (on its own row) met |f| < 1e-10
+    midpoints = []
+    thickness = geometry._thickness
+
+    def recording_thickness(yu, yl, s):
+        value = thickness(yu, yl, s)
+        if yu.ndim == 1:
+            midpoints.append(value)
+        return value
+
+    monkeypatch.setattr(geometry, "_thickness", recording_thickness)
+    rng = np.random.default_rng(34)
+    kinds = ["early", "rising", "falling", "unbracketed", "width"]
+    seen = dict.fromkeys(["early", "rising", "falling", "unbracketed", "width stops"], 0)
+    for _ in range(30):
+        block = [_rescale_lane(kinds[j], rng) for j in rng.integers(0, len(kinds), 12)]
+        upper, lower, t_max = (np.array(column) for column in zip(*block))
+        lowers, errors = geometry._rescale_lower(upper, lower, t_max)
+        assert lowers.shape == lower.shape and len(errors) == len(block)
+        for i, (u, l, t) in enumerate(block):
+            one, one_errors = geometry._rescale_lower(u[None], l[None], np.array([t]))
+            assert one_errors == [errors[i]]
+            assert_same_floats(lowers[i], one[0])
+            if errors[i] is not None:
+                with pytest.raises(GeometryError) as raised:
+                    geometry._rescale_lower(u, l, t)
+                assert str(raised.value) == errors[i]
+                assert rescale_both(u, l, t) == ["raised", "raised"]
+                assert_same_floats(lowers[i], l)  # a failed lane keeps its row
+                seen["unbracketed"] += 1
+                continue
+            midpoints.clear()
+            new, ref = rescale_both(u, l, t)
+            assert_same_floats(lowers[i], ref)
+            assert_same_floats(new, ref)
+            if abs(thickness_at(u, l, 1.0) - t) <= 1e-9:
+                seen["early"] += 1
+                continue
+            seen["rising" if thickness_at(u, l, 0.25) < t else "falling"] += 1
+            seen["width stops"] += not midpoints or abs(midpoints[-1] - t) >= 1e-10
+    assert min(seen.values()) >= 20, seen
+    empty, empty_errors = geometry._rescale_lower(np.empty((0, 7)), np.empty((0, 7)),
+                                                  np.empty(0))
+    assert empty.shape == (0, 7) and empty_errors == []
+
+
 def test_rescale_measures_few_midpoints(monkeypatch):
-    # rescale calls as the pool, greedy search and env make them: baselines
-    # and chains of random actions over the action box
-    calls, counts = [], []
+    # rescales as the pool, greedy search and env make them: baselines
+    # and lockstep chains of random actions over the action box.  The
+    # bracket thicknesses are measured over a call's whole lane block;
+    # each lane measures its midpoints on its own row, so the row's
+    # address tells the lanes of a call apart.
+    lanes, counts = [], []
     thickness, rescale = geometry._thickness, geometry._rescale_lower
 
     def counting_thickness(yu, yl, s):
-        counts[-1] += 1
+        if yu.ndim == 1:
+            row = yu.__array_interface__["data"][0]
+            counts[-1][row] = counts[-1].get(row, 0) + 1
         return thickness(yu, yl, s)
 
     def recording_rescale(upper, lower, t_max):
-        calls.append((np.array(upper, dtype=float), np.array(lower, dtype=float), t_max))
-        counts.append(0)
+        lanes.extend(zip(np.array(upper, dtype=float).reshape(-1, 7),
+                         np.array(lower, dtype=float).reshape(-1, 7),
+                         np.atleast_1d(t_max).tolist()))
+        counts.append({})
         return rescale(upper, lower, t_max)
 
     monkeypatch.setattr(geometry, "_thickness", counting_thickness)
     monkeypatch.setattr(geometry, "_rescale_lower", recording_rescale)
     rng = np.random.default_rng(32)
     for foil in seed_airfoils(6, seed=32):
-        for _ in range(3):
-            current = foil
-            for _ in range(5):
-                phys, _ = scaled_to_physical(rng.uniform(0.0, 1.0, 3))
-                action = BumpAction(*map(float, phys))
-                try:
-                    current = apply_action(current, action)
-                except GeometryError:
-                    break
-    assert len(calls) >= 60
-    assert max(counts) <= 12, max(counts)
+        chains = (np.tile(foil.cst_upper, (3, 1)), np.tile(foil.cst_lower, (3, 1)),
+                  np.full(3, foil.t_max))
+        for _ in range(5):
+            phys, _ = scaled_to_physical(rng.uniform(0.0, 1.0, (3, 3)))
+            upper, lower, _, _ = apply_action(chains, phys)
+            chains = (upper, lower, chains[2])
+    assert len(lanes) >= 60
+    midpoints = [n for call in counts for n in call.values()]
+    assert max(midpoints) <= 12, max(midpoints)
     monkeypatch.undo()
-    for upper, lower, t_max in calls:
+    for upper, lower, t_max in lanes:
         new, ref = rescale_both(upper, lower, t_max)
         if isinstance(ref, str):
             assert new == ref
