@@ -3,7 +3,11 @@
 The config file is standard INI (configparser) with sections [run],
 [proxy], [surrogate], [pretrain], and [ppo].  Learning-rate schedules
 are written as comma-separated ``count:rate`` pairs, e.g.
-``200:0.01,200:0.001``; integer tuples as comma-separated values.
+``200:0.01,200:0.001``; integer tuples as comma-separated values.  The
+counts of ``actor_schedule`` and ``critic_schedule`` are PPO
+iterations, each one ``collect_batch`` and then ``epochs`` gradient
+epochs on that batch; those of the surrogate and imitation schedules
+are training epochs.
 A section or key the loader does not know is an error, not ignored.
 """
 from __future__ import annotations
@@ -48,6 +52,7 @@ class ExperimentConfig:
     greedy_steps: int = 5
     greedy_candidates: int = 30
     imitation_schedule: list = field(default_factory=lambda: list(IMITATION_SCHEDULE))
+    # (PPO iterations, critic learning rate) segments of the critic fit
     critic_schedule: list = field(default_factory=lambda: [(15, 0.01), (15, 0.001)])
 
     # PPO stage

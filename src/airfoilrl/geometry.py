@@ -5,9 +5,17 @@ Bernstein shape function, class exponents 0.5/1.0, zero trailing-edge
 gap).  Local modifications are sine-power bumps added to the upper
 surface; the bumped curve is refit with CST (smoothing) and the lower
 surface is rescaled to hold maximum thickness fixed.
+
+The step path (solve_t2, the bump, the refit and the rescale) is array
+code over lanes, one airfoil each; a single airfoil is a lane of one,
+and every lane gets the floats it gets alone.  It meets a tolerance
+contract: the bump width lies within tol/4 of the request unless
+solve_t2 clamps it, and the thickness meets t_max up to rounding unless
+it was within 1e-9 already (see solve_t2 and _rescale_lower).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -113,26 +121,43 @@ def _design_matrix(x: np.ndarray) -> np.ndarray:
     return np.stack([cls * b * xi * xo for b, xi, xo in zip(_BINOM6, xis, xos)], axis=1)
 
 
-_STATION_DESIGN = _design_matrix(_STATIONS)
+def _projection(x: np.ndarray) -> np.ndarray:
+    """The transposed pseudo-inverse (n, 7) of the CST design matrix on
+    stations x: the least-squares map from curves to coefficients.  Its
+    rank check is lstsq's default, every singular value above the
+    largest times eps * max(n, 7)."""
+    u, s, vt = np.linalg.svd(_design_matrix(x), full_matrices=False)
+    if not s[-1] > s[0] * np.finfo(float).eps * max(x.size, N_CST):
+        raise GeometryError("rank-deficient CST design matrix")
+    return (u / s) @ vt
+
+
+@functools.cache
+def _station_projection() -> np.ndarray:
+    """_projection on the cosine grid, built on first use, so that a run
+    which never fits a curve (pool generation, say) does no SVD."""
+    return _projection(_STATIONS)
 
 
 def cst_fit(x, y) -> np.ndarray:
-    """Least-squares CST coefficients for a sampled curve.
+    """Least-squares CST coefficients for a sampled curve y on stations
+    x, or for each row of (k, n) curves.
 
-    On the cached cosine grid (`x is _STATIONS`) the design matrix built
-    once at import is used; it holds the same floats as a fresh one.
+    The coefficients are the pseudo-inverse applied as a sum over the
+    stations in order, not a matrix product, whose blocking depends on
+    the number of rows; so each row gets the floats of fitting it alone.
+    On the cached cosine grid (`x is _STATIONS`) the pseudo-inverse is
+    built once.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise GeometryError("x and y must be 1-D arrays of equal length")
+    if x.ndim != 1 or y.ndim not in (1, 2) or y.shape[-1:] != x.shape:
+        raise GeometryError("x must be 1-D and y hold curves of its length")
     if x.size < N_CST + 1:
         raise GeometryError("need at least 8 stations to fit 7 coefficients")
-    a = _STATION_DESIGN if x is _STATIONS else _design_matrix(x)
-    coeffs, _, rank, _ = np.linalg.lstsq(a, y, rcond=None)
-    if rank < N_CST:
-        raise GeometryError("rank-deficient CST design matrix")
-    return coeffs
+    proj = _station_projection() if x is _STATIONS else _projection(x)
+    rows = y.reshape(-1, x.size)
+    return np.add.reduce(rows[:, :, None] * proj, axis=1).reshape(y.shape[:-1] + (N_CST,))
 
 
 def _check_bump_params(t1: float, t2: float) -> None:
@@ -173,9 +198,10 @@ _WIDTH_LEVEL = 0.01  # widths are measured between the 1%-height points
 _HALF_WINDOW = 3  # grid points evaluated either side of a predicted crossing
 
 
-def _crossing_phase(t2: float) -> float:
-    """a in [0, 1/2] with sin(pi a)^t2 = 1%: the crossings sit at x^e = a, 1-a."""
-    return math.asin(_WIDTH_LEVEL ** (1.0 / t2)) / math.pi
+def _crossing_phase(t2):
+    """a in [0, 1/2] with sin(pi a)^t2 = 1%: the crossings sit at x^e = a, 1-a;
+    elementwise over an array of t2."""
+    return np.arcsin(_WIDTH_LEVEL ** (1.0 / t2)) / np.pi
 
 
 def _cross(x, f, i0, i1):
@@ -222,7 +248,7 @@ def _width_extents(e: np.ndarray, t2: np.ndarray):
     n = 2 * _HALF_WINDOW
     rows = np.arange(e.size)[:, None]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a = np.arcsin(_WIDTH_LEVEL ** (1.0 / t2)) / np.pi
+        a = _crossing_phase(t2)
         centres = (np.array([a, 1.0 - a]) ** (1.0 / e)).T
         # first grid index of each window, kept inside the grid
         starts = np.minimum(np.maximum(
@@ -261,127 +287,73 @@ def measure_bump_width(t1: float, t2: float) -> float:
 _T2_LO = 0.2
 _T2_HI = 200.0
 _PHASE_LO, _PHASE_HI = _crossing_phase(_T2_LO), _crossing_phase(_T2_HI)
+_T2_STEPS = 100  # secant or bisection steps a lane may take in solve_t2
 
 
-def _closed_form_root(e: float, s_b: float) -> tuple[float, float]:
-    """Gridless estimate of the t2 giving width s_b for bump exponent e,
-    and dW/dt2 there.
+def _closed_form_root(e: np.ndarray, s_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gridless estimate of the t2 giving width s_b for bump exponents e,
+    and dW/dt2 there, for every lane.
 
     The exact bump has width (1-a)^p - a^p, p = 1/e, decreasing in
     a = _crossing_phase(t2); bisect it in a inside the t2 bracket.
     """
     p = 1.0 / e
-    lo, hi = _PHASE_LO, _PHASE_HI
+    a, step = np.full(e.shape, _PHASE_LO), _PHASE_HI - _PHASE_LO
     for _ in range(32):
-        mid = 0.5 * (lo + hi)
-        if (1.0 - mid) ** p - mid ** p > s_b:
-            lo = mid
-        else:
-            hi = mid
-    t2 = math.log(_WIDTH_LEVEL) / math.log(math.sin(math.pi * 0.5 * (lo + hi)))
-    t2 = min(max(t2, _T2_LO), _T2_HI)
+        step *= 0.5
+        mid = a + step
+        a = np.where((1.0 - mid) ** p - mid ** p > s_b, mid, a)
+    t2 = np.clip(math.log(_WIDTH_LEVEL) / np.log(np.sin(np.pi * (a + 0.5 * step))),
+                 _T2_LO, _T2_HI)
     h = 1e-4 * t2
-    w_lo, w_hi = ((1.0 - a) ** p - a ** p
-                  for a in (_crossing_phase(t2 - h), _crossing_phase(t2 + h)))
-    slope = (w_hi - w_lo) / (2.0 * h)
-    # t1 next to 1 can round the slope to 0; callers still need a direction
-    return t2, min(slope, -1e-12)
+    w_lo, w_hi = ((1.0 - phase) ** p - phase ** p
+                  for phase in (_crossing_phase(t2 - h), _crossing_phase(t2 + h)))
+    # t1 next to 1 can round the slope to 0; the secant still needs a direction
+    return t2, np.minimum((w_hi - w_lo) / (2.0 * h), -1e-12)
 
 
-def _t2_search(e: float, s_b: float, tol: float):
-    """solve_t2 for one lane, as a generator: it yields lists of t2
-    values to measure and is sent back their (width, first, last)
-    triples; it returns (t2, clamped).
-
-    Anchors first: secant steps on the measured width from the
-    closed-form root give the root; anchors ta, tb are then tried
-    outward from it, both sides at once, at distances that double until
-    W(ta) >= s_b + tol/2 and W(tb) <= s_b - tol/2 (-inf or inf where
-    the search leaves the t2 bracket without one).  Only those
-    inequalities matter, not where the anchors land.  Then the
-    bisection: midpoints at or below ta, or at or above tb, go the way
-    the bisection would send them without being measured.
-    """
-    band = 0.25 * tol
-    clear = 2.0 * band
-    t, slope = _closed_form_root(e, s_b)
-    (w, _, _), = yield [t]
-    for _ in range(3):
-        t_new = min(max(t + (s_b - w) / slope, _T2_LO), _T2_HI)
-        if abs(w - s_b) < clear or t_new == t:
-            break
-        (w_new, _, _), = yield [t_new]
-        if (w_new - w) / (t_new - t) < 0.0:
-            slope = (w_new - w) / (t_new - t)
-        t, w = t_new, w_new
-    root = t + (s_b - w) / slope
-    anchors, sign = [-math.inf, math.inf], (-1.0, 1.0)
-    steps = [2.0 * clear / -slope] * 2
-    sides = [0, 1]  # the sides still searching
-    while True:
-        sides = [k for k in sides if _T2_LO <= root + sign[k] * steps[k] <= _T2_HI]
-        if not sides:
-            break
-        cands = [root + sign[k] * steps[k] for k in sides]
-        for k, cand, (w_c, _, _) in zip(list(sides), cands, (yield cands)):
-            if sign[k] * (s_b - w_c) >= clear:
-                anchors[k] = cand
-                sides.remove(k)
-            else:
-                steps[k] *= 2.0
-    ta, tb = anchors
-    # an anchor inside the bracket settles its end's feasibility check
-    ends = [t for t, anchor in ((_T2_LO, ta), (_T2_HI, tb)) if math.isinf(anchor)]
-    if ends:
-        measured = yield ends
-        widths = {end: w_end for end, (w_end, _, _) in zip(ends, measured)}
-        if ta == -math.inf and s_b >= widths[_T2_LO]:
-            return _T2_LO, True
-        if tb == math.inf and s_b <= widths[_T2_HI]:
-            return _T2_HI, True
-    lo, hi = _T2_LO, _T2_HI
-    for _ in range(100):
-        t2 = 0.5 * (lo + hi)
-        if t2 <= ta:
-            lo = t2
-        elif t2 >= tb:
-            hi = t2
-        else:
-            (w, first, last), = yield [t2]
-            if abs(w - s_b) < band:
-                break
-            if w > s_b:
-                lo = t2
-            else:
-                hi = t2
-    else:  # no midpoint met the stop rule; the last one sets the flag
-        (_, first, last), = yield [t2]
-    # a 1% crossing in the first or last width-grid cell truncates a flank
-    return t2, bool(first <= 1 or last >= WIDTH_GRID - 2)
-
-
-def _solve_t2_lanes(e: np.ndarray, s_b: np.ndarray, tol: float = 1e-6):
+def _solve_t2_lanes(e: np.ndarray, s_b: np.ndarray, tol: float):
     """solve_t2 for every lane (bump exponent e[i], width s_b[i]) at
-    once: each round measures the widths all lanes ask for in one
-    _width_extents call.  Returns (t2, clamped) arrays."""
-    searches = [_t2_search(ei, si, tol) for ei, si in zip(e.tolist(), s_b.tolist())]
-    asks = [next(search) for search in searches]
-    out = [None] * len(searches)
-    pending = list(range(len(searches)))
-    while pending:
-        lane = np.repeat(pending, [len(asks[i]) for i in pending])
-        measured = zip(*(v.tolist() for v in _width_extents(
-            e[lane], np.array([t for i in pending for t in asks[i]]))))
-        still = []
-        for i in pending:
-            try:
-                asks[i] = searches[i].send([next(measured) for _ in asks[i]])
-                still.append(i)
-            except StopIteration as stop:
-                out[i] = stop.value
-        pending = still
-    t2, clamped = zip(*out) if out else ((), ())
-    return np.array(t2, dtype=float), np.array(clamped, dtype=bool)
+    once; returns (t2, clamped) arrays.
+
+    Each round measures every searching lane's width in one
+    _width_extents call; the first also measures both bracket ends,
+    which decide the clamp rule.  A lane keeps the bracket its
+    measurements set (the width falls as t2 grows).  Its next t2 is a
+    secant step, or the bracket's midpoint where that step leaves the
+    bracket.
+    """
+    k = e.size
+    t, slope = _closed_form_root(e, s_b)
+    w, first, last = (v.reshape(3, k) for v in _width_extents(
+        np.tile(e, 3), np.concatenate((t, np.full(k, _T2_LO), np.full(k, _T2_HI)))))
+    # out of reach (a NaN width too): the closer bracket end, clamped
+    t2 = np.where(s_b < w[1], _T2_HI, _T2_LO)
+    clamped = ~((s_b < w[1]) & (s_b > w[2]))
+    lanes = np.flatnonzero(~clamped)
+    e, s_b, t, slope = e[lanes], s_b[lanes], t[lanes], slope[lanes]
+    w, first, last = w[0, lanes], first[0, lanes], last[0, lanes]
+    lo, hi = np.full(lanes.size, _T2_LO), np.full(lanes.size, _T2_HI)
+    t_prev = w_prev = np.full(lanes.size, np.nan)
+    for step in range(_T2_STEPS):
+        done = (np.abs(w - s_b) < 0.25 * tol) | (step == _T2_STEPS - 1)
+        t2[lanes[done]] = t[done]
+        # a 1% crossing in the first or last width-grid cell truncates a flank
+        clamped[lanes[done]] = ((first <= 1) | (last >= WIDTH_GRID - 2))[done]
+        wider = w > s_b
+        lo, hi = np.where(wider, t, lo), np.where(wider, hi, t)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            secant = (w - w_prev) / (t - t_prev)
+        slope = np.where(secant < 0.0, secant, slope)
+        t_next = t + (s_b - w) / slope
+        t_next = np.where((lo < t_next) & (t_next < hi), t_next, 0.5 * (lo + hi))
+        keep = ~done
+        lanes, e, s_b, lo, hi, slope, t_prev, w_prev, t = (
+            a[keep] for a in (lanes, e, s_b, lo, hi, slope, t, w, t_next))
+        if not lanes.size:
+            break
+        w, first, last = _width_extents(e, t)
+    return t2, clamped
 
 
 def _action_error(t1: float, s_b: float) -> str | None:
@@ -396,19 +368,21 @@ def _action_error(t1: float, s_b: float) -> str | None:
 def solve_t2(t1, s_b, tol: float = 1e-6):
     """Shape exponent giving a 1%-height width of s_b at peak t1.
 
-    Returns (t2, clamped).  clamped is set when the requested width is
-    not achievable inside the t2 bracket, or when a 1% crossing sits in
-    a boundary grid cell (flank truncated by the [0,1] support); in the
-    infeasible case the closest achievable t2 is returned.
+    Returns (t2, clamped), on this contract:
 
-    t2 is the first midpoint of a bisection on [0.2, 200] whose
-    measure_bump_width lies within tol/4 of s_b.  The width decreases
-    monotonically in t2, so midpoints at or below an anchor whose width
-    clears s_b + tol/2, or at or above one below s_b - tol/2, go the
-    way the bisection would send them without being measured; the
-    anchors sit close to the root, so only the last few midpoints are
-    (see _t2_search).  The margin of tol/2 rather than tol/4 covers
-    rounding in the measured width.
+    - s_b >= measure_bump_width(t1, 0.2) gives (0.2, True), and
+      s_b <= measure_bump_width(t1, 200) gives (200, True): the width is
+      out of reach, and the closest achievable t2 is returned;
+    - otherwise measure_bump_width(t1, t2) lies within tol/4 of s_b, and
+      clamped is set when a 1% crossing sits in a boundary grid cell
+      (flank truncated by the [0,1] support);
+    - a NaN s_b gives (0.2, True).
+
+    The search measures both bracket ends, starts from a gridless
+    estimate of the root and takes secant steps on the measured width,
+    with a bisection fallback inside the bracket (see _solve_t2_lanes).
+    It takes at most 100 steps a lane; a lane still outside the
+    tolerance then keeps its last t2.
 
     Equal-length arrays of t1 and s_b solve every lane at once and give
     arrays of t2 and clamped, each lane the floats of a call with its
@@ -432,161 +406,56 @@ def max_thickness(airfoil: AirfoilGeom) -> float:
                         - cst_at_stations(airfoil.cst_lower)))
 
 
-def _thickness(yu: np.ndarray, yl: np.ndarray, s: float):
-    """max(yu - s*yl): the maximum thickness with the lower surface scaled
-    by s; a float for one surface, one value per lane for (k, 201) rows."""
-    thick = np.maximum.reduce(yu - s * yl, axis=-1)
-    return float(thick) if thick.ndim == 0 else thick
-
-
-_SKIP_MARGIN = 2e-10  # twice the rescale bisection's |f| < 1e-10 stop
-_EPS = float(np.finfo(float).eps)
-
-
-def _bisect_start(hi_pos: bool, root: float, slope: float, margin: float
-                  ) -> tuple[float, float]:
-    """The bracket _bisect_scale's bisection reaches before it measures a
-    midpoint, where that is cheap to show; else its first one, [0.25, 4].
-
-    Where the slope's sign agrees with hi_pos (f rising with f(4) > 0, or
-    falling with f(4) < 0), each unmeasured midpoint moves the bracket
-    end on its side of the root, so the brackets are the dyadic
-    intervals 0.25 + 3.75 * [j, j + 1] / 2**d that hold the root.  Take
-    the level d whose width is about 16 margins over |slope|.  When the
-    bounds of its interval's ends clear the margin, each on its side of
-    the root, every coarser midpoint (all lie at or beyond those ends)
-    clears it too, since rounding is monotone; none of them is measured,
-    and the bisection reaches that interval exactly.  Its ends are exact
-    dyadic floats, the values the halving gives.
-    """
-    if slope == 0.0 or (slope > 0.0) != hi_pos or not 0.25 < root < 4.0:
-        return 0.25, 4.0
-    ratio = 3.75 * abs(slope) / (16.0 * margin)
-    if not ratio >= 2.0:
-        return 0.25, 4.0
-    level = 40 if ratio >= 2.0 ** 40 else int(math.log2(ratio))
-    width = math.ldexp(3.75, -level)
-    j = math.floor((root - 0.25) / width)
-    if not 0 <= j < 1 << level:
-        return 0.25, 4.0
-    lo = 0.25 + j * width
-    hi = lo + width
-    below, above = slope * (lo - root), slope * (hi - root)
-    if hi_pos and below <= -margin and above >= margin \
-            or not hi_pos and below >= margin and above <= -margin:
-        return lo, hi
-    return 0.25, 4.0
-
-
-def _bisect_scale(yu: np.ndarray, yl: np.ndarray, t_max: float, hi_pos: bool,
-                  root: float, slope: float, margin: float) -> float:
-    """The scale factor _rescale_lower's bisection on [0.25, 4] stops at,
-    for one lane's surfaces on the cosine grid."""
-    lo, hi = _bisect_start(hi_pos, root, slope, margin)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo < 1e-12:
-            return mid
-        bound = slope * (mid - root)
-        if bound >= margin:
-            mid_pos = True
-        elif bound <= -margin:
-            mid_pos = False
-        else:
-            f_mid = _thickness(yu, yl, mid) - t_max
-            if abs(f_mid) < 1e-10:
-                return mid
-            mid_pos = f_mid > 0.0
-        # a midpoint replaces the bracket end whose f has its sign
-        if mid_pos == hi_pos:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
-
-
-def _thickness_roots(yu: np.ndarray, yl: np.ndarray, t_max: np.ndarray, s_neg: float) -> list:
-    """For every lane, the root in the rescale bracket of
-    f(s) = max(yu - s*yl) - t_max when f is negative at its end s_neg:
-    the minimum of r_i = (yu_i - t_max)/yl_i over yl_i < 0 for 0.25 (f
-    rises), the maximum over yl_i > 0 for 4 (f falls).  r is divided out
-    only at those stations; the others hold the reduction's identity."""
-    if s_neg == 0.25:
-        stations, reduce, identity = yl < 0.0, np.minimum.reduce, np.inf
-    else:
-        stations, reduce, identity = yl > 0.0, np.maximum.reduce, -np.inf
-    r = np.divide(yu - t_max[:, None], yl, out=np.full_like(yl, identity), where=stations)
-    return reduce(r, axis=1).tolist()
+_FACTORS = np.array([[1.0], [0.25], [4.0]])
 
 
 def _rescale_lower(upper, lower, t_max):
     """Scale lower coefficients so max thickness equals t_max.
 
-    Bisection on the scale factor in [0.25, 4.0]; thickness is monotone
-    in the factor for any lower surface below the upper one.  It stops at
-    the first midpoint with |thickness - t_max| < 1e-10 or once the
-    bracket is narrower than 1e-12.  Within 1e-9 of t_max at factor 1,
-    lower is returned as given.
+    With the lower surface scaled by s, the thickness on the cosine grid
+    is f(s) = max_i(yu_i - s*yl_i), convex and piecewise linear in s.
+    The contract:
 
-    Thickness is convex and piecewise linear in the factor s, so its
-    root in the bracket has a closed form and, with s_neg the bracket
-    end where f = thickness - t_max is negative, convexity bounds
-    |f(s)| >= |f(s_neg)| * |s - root| / |root - s_neg| with f(s) on
-    root's far side from s_neg positive and on its near side negative.
-    The root is the minimum of r_i = (yu_i - t_max)/yl_i over yl_i < 0
-    when f rises from f(0.25) < 0, the maximum over yl_i > 0 when it
-    falls to f(4) < 0.  A midpoint where that bound is at least 2e-10
-    plus a bound on the rounding in measuring f (the margin) can neither
-    stop the bisection nor go the other way, so it goes its side's way
-    unmeasured; only the few midpoints next to the root are measured.
-    The slope is 0, skipping nothing, unless the negative end's |f|
-    clears the margin.  The midpoints, the stop and the returned factor
-    are those of measuring every midpoint.
+    - within 1e-9 of t_max at s = 1, lower is returned as given;
+    - when f(0.25) - t_max and f(4) - t_max have the same sign (or one
+      is NaN), the thickness cannot be bracketed and GeometryError is
+      raised;
+    - otherwise the factor is the root of f(s) = t_max in [0.25, 4] in
+      closed form, so the thickness meets t_max up to rounding.
+
+    Station i's line crosses t_max at r_i = (yu_i - t_max)/yl_i.  When f
+    rises from f(0.25) < t_max the root is the first crossing of a
+    rising line, the minimum of r_i over yl_i < 0; when it falls to
+    f(4) < t_max, the last crossing of a falling one, the maximum over
+    yl_i > 0.  An end where f equals t_max is the root itself.
 
     (7,) coefficient vectors and a float t_max give the rescaled lower
-    vector, and a thickness that cannot be bracketed raises
-    GeometryError.  (k, 7) lanes and (k,) t_max give (lowers, errors):
-    the CST sums, the bracket thicknesses, the surface sizes in the
-    margin and the roots are computed over all lanes at once; each lane
-    then takes its margin and slope from them and runs its own
-    bisection, and a lane that fails reports its message in errors and
-    keeps its lower row.  Every lane gets the floats of a call with its
-    own vectors.
+    vector.  (k, 7) lanes and (k,) t_max give (lowers, errors), every
+    step over all lanes at once: a lane that fails reports its message
+    in errors and keeps its lower row.  Every lane gets the floats of a
+    call with its own vectors.
     """
     lower = np.asarray(lower, dtype=float)
     y = cst_at_stations(np.concatenate((upper, lower)).reshape(-1, N_CST))
     k = len(y) // 2
     yu, yl = y[:k], y[k:]
     t = np.asarray(t_max, dtype=float).reshape(k)
-    size = np.maximum.reduce(np.abs(y), axis=1).tolist()
-    factors, errors, roots = [1.0] * k, [None] * k, {}
-    for i, t_i, th_1, th_lo, th_hi in zip(range(k), t.tolist(), *(
-            _thickness(yu, yl, s).tolist() for s in (1.0, 0.25, 4.0))):
-        if abs(th_1 - t_i) <= 1e-9:
-            continue
-        f_lo, f_hi = th_lo - t_i, th_hi - t_i
-        if f_lo * f_hi > 0.0:
-            errors[i] = "cannot bracket thickness scale factor"
-            continue
-        margin = _SKIP_MARGIN + 8.0 * _EPS * (size[i] + 4.0 * size[k + i] + abs(t_i))
-        if f_lo <= -margin:
-            s_neg, f_neg = 0.25, f_lo
-        elif f_hi <= -margin:
-            s_neg, f_neg = 4.0, f_hi
-        else:
-            s_neg = None
-        root = slope = 0.0
-        if s_neg is not None:
-            if s_neg not in roots:  # one reduction over all lanes, when a lane first needs it
-                roots[s_neg] = _thickness_roots(yu, yl, t, s_neg)
-            root = roots[s_neg][i]
-            slope = f_neg / (s_neg - root)
-        factors[i] = _bisect_scale(yu[i], yl[i], t_i, f_hi > 0.0, root, slope, margin)
+    # thickness less t_max at the factors 1, 0.25 and 4
+    f_1, f_lo, f_hi = np.maximum.reduce(yu[:, None] - _FACTORS * yl[:, None], axis=2).T - t
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = (yu - t[:, None]) / yl
+    root = np.where(f_lo < 0.0, np.minimum.reduce(np.where(yl < 0.0, r, np.inf), axis=1),
+                    np.maximum.reduce(np.where(yl > 0.0, r, -np.inf), axis=1))
+    root = np.where(f_lo == 0.0, 0.25, np.where(f_hi == 0.0, 4.0, root))
+    early = np.abs(f_1) <= 1e-9
+    failed = ~early & ~(f_lo * f_hi <= 0.0)
+    factor = np.where(early | failed, 1.0, root)
+    errors = ["cannot bracket thickness scale factor" if bad else None for bad in failed.tolist()]
     if lower.ndim == 2:
-        return np.array(factors)[:, None] * lower, errors
+        return factor[:, None] * lower, errors
     if errors[0] is not None:
         raise GeometryError(errors[0])
-    return lower if factors[0] == 1.0 else factors[0] * lower
+    return lower if factor[0] == 1.0 else factor[0] * lower
 
 
 def make_airfoil(cst_upper, cst_lower, t_max: float) -> AirfoilGeom:
@@ -603,27 +472,16 @@ def _apply_lanes(upper: np.ndarray, lower: np.ndarray, t_max: np.ndarray,
     ok = np.array([i for i, err in enumerate(errors) if err is None], dtype=int)
     t2, clamped = solve_t2(t1[ok], s_b[ok])
     e = np.array([_peak_exponent(a) for a in t1[ok].tolist()])
-    y_bumped = cst_at_stations(upper[ok]) \
-        + h_b[ok, None] * _unit_bump(_STATIONS, e[:, None], t2[:, None])
+    fitted = cst_fit(_STATIONS, cst_at_stations(upper[ok])
+                     + h_b[ok, None] * _unit_bump(_STATIONS, e[:, None], t2[:, None]))
+    rescaled, rescale_errors = _rescale_lower(fitted, lower[ok], t_max[ok])
+    built = np.array([err is None for err in rescale_errors], dtype=bool)
     new_upper, new_lower = upper.copy(), lower.copy()
     width_clamped = np.zeros(len(actions), dtype=bool)
-    fitted, flags = [], []
-    for i, y, flag in zip(ok.tolist(), y_bumped, clamped.tolist()):
-        try:
-            new_upper[i] = cst_fit(_STATIONS, y)
-        except GeometryError as exc:
-            errors[i] = str(exc)
-            continue
-        fitted.append(i)
-        flags.append(flag)
-    rescaled, rescale_errors = _rescale_lower(new_upper[fitted], lower[fitted], t_max[fitted])
-    for i, row, flag, err in zip(fitted, rescaled, flags, rescale_errors):
-        if err is None:
-            new_lower[i] = row
-            width_clamped[i] = flag
-        else:
-            new_upper[i] = upper[i]
-            errors[i] = err
+    new_upper[ok[built]], new_lower[ok[built]] = fitted[built], rescaled[built]
+    width_clamped[ok[built]] = clamped[built]
+    for i, err in zip(ok.tolist(), rescale_errors):
+        errors[i] = err
     return new_upper, new_lower, width_clamped, errors
 
 
@@ -633,18 +491,20 @@ def apply_action(airfoil, action):
     The refit is the smoothing step: the bumped curve is reconstructed
     as a 6th-order CST surface, then the lower surface is rescaled so
     the maximum thickness stays at t_max.  The result records solve_t2's
-    clamped flag as ``width_clamped``.
+    clamped flag as ``width_clamped``.  The tolerances are solve_t2's
+    (the bump width within tol/4 of s_b unless clamped) and
+    _rescale_lower's (the thickness at t_max up to rounding, or within
+    1e-9 where the lower surface is kept as it was).
 
     Over lanes, airfoil is a tuple (upper, lower, t_max) of (N, 7),
     (N, 7) and (N,) arrays and action an (N, 3) array of physical
     (t1, s_b, h_b) rows; the result is (upper, lower, width_clamped,
     errors), with errors[i] the GeometryError message of a lane that
     failed (it keeps its input coefficients) or None.  The t2 solve, the
-    bump and the CST sums run over all lanes together, the least-squares
-    refit and the thickness rescale (with its skip rule) per lane, and
-    every lane gets the floats a call with its airfoil alone gives.  A
-    single AirfoilGeom and BumpAction run as a lane of one and raise
-    GeometryError.
+    bump, the CST sums, the refit and the thickness rescale each run
+    over all lanes together, and every lane gets the floats a call with
+    its airfoil alone gives.  A single AirfoilGeom and BumpAction run
+    as a lane of one and raise GeometryError.
     """
     if not isinstance(airfoil, AirfoilGeom):
         upper, lower, t_max = (np.asarray(a, dtype=float) for a in airfoil)

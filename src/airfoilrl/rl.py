@@ -38,7 +38,8 @@ class PpoConfig:
     epochs: int = 200  # gradient epochs per PPO iteration
     trajectories_per_baseline: int = 4
     max_steps: int = 5
-    # (iterations, actor learning rate) segments; critic lr is a multiple
+    # (PPO iterations, actor learning rate) segments, each iteration one
+    # collect_batch and `epochs` gradient epochs; critic lr is a multiple
     actor_schedule: list = field(default_factory=lambda: [(50, 1e-3)])
     critic_lr_multiplier: float = 10.0
     normalize_advantages: bool = True
@@ -128,6 +129,15 @@ def clip_target(eps: float, adv):
     return np.where(adv >= 0.0, (1.0 + eps) * adv, (1.0 - eps) * adv)
 
 
+def clipped_objective(ratio, adv, eps: float):
+    """PPO-clip per-step terms min(r A, g(eps, A)) and the mask of steps
+    whose unclipped branch r A is the minimum: the steps that carry
+    gradient through the ratio."""
+    unclipped = ratio * adv
+    clipped = clip_target(eps, adv)
+    return np.minimum(unclipped, clipped), unclipped <= clipped
+
+
 def entropy_term(std: np.ndarray) -> float:
     """Entropy measure used in the actor objective (additive constant
     differs from the full multivariate Gaussian entropy)."""
@@ -161,8 +171,7 @@ def ppo_losses(batch: TrajectoryBatch, agent: PolicyAgent,
     if not np.all(np.isfinite(ratio)):
         raise PpoError(f"non-finite policy ratio (max logdiff "
                        f"{np.max(logp_new - logp_old):.3g})")
-    terms = np.minimum(ratio * batch.advantages,
-                       clip_target(config.clip_eps, batch.advantages))
+    terms, _ = clipped_objective(ratio, batch.advantages, config.clip_eps)
     actor_loss = -float(np.mean(terms))
     entropy = entropy_term(agent.std)
     v = mlp_forward(agent.critic, batch.states)[:, 0]
@@ -240,11 +249,8 @@ def _update_agent(agent: PolicyAgent, batch: TrajectoryBatch,
             ratio = np.exp(logp_new - batch.log_probs)
             if not np.all(np.isfinite(ratio)):
                 raise PpoError("non-finite policy ratio during update")
-            unclipped = ratio * adv
-            clipped = clip_target(config.clip_eps, adv)
-            terms = np.minimum(unclipped, clipped)
+            terms, active = clipped_objective(ratio, adv, config.clip_eps)
             actor_loss = -float(np.mean(terms))
-            active = (unclipped <= clipped).astype(float)
             # d(-mean(term))/dmean: only active (unclipped) steps carry
             # gradient through the ratio
             coef = -(active * ratio * adv)[:, None] / n
