@@ -59,10 +59,10 @@ def _finish(args, cfg: ExperimentConfig, command: str, artifacts: list[str],
     return 0
 
 
-def _env_factory(cfg: ExperimentConfig, surrogate_path: str | None,
-                 stats: StepStats | None = None):
-    if surrogate_path:
-        model = load_model(surrogate_path)
+def _env_factory(args, cfg: ExperimentConfig, stats: StepStats | None = None):
+    """Environments on the --surrogate model under --out-dir, else the proxy."""
+    if args.surrogate:
+        model = load_model(_out(args, args.surrogate))
         evaluator = surrogate_evaluator(model)
     else:
         evaluator = proxy_evaluator(cfg.proxy)
@@ -122,7 +122,7 @@ def cmd_pretrain(args) -> int:
     baselines = seed_airfoils(cfg.pretrain_baselines, seed=cfg.seed,
                               t_max=cfg.t_max, config=cfg.proxy)
     stats = StepStats()
-    env_factory = _env_factory(cfg, args.surrogate, stats)
+    env_factory = _env_factory(args, cfg, stats)
     evaluator = env_factory().evaluator
     seconds = {}  # wall time per stage, for the manifest only
     start = time.perf_counter()
@@ -166,7 +166,7 @@ def cmd_train_ppo(args) -> int:
     baselines = seed_airfoils(cfg.ppo_baselines, seed=cfg.seed,
                               t_max=cfg.t_max, config=cfg.proxy)
     stats = StepStats()
-    env_factory = _env_factory(cfg, args.surrogate, stats)
+    env_factory = _env_factory(args, cfg, stats)
     if args.agent:
         agent = rl.load_agent(_out(args, args.agent))
     else:
@@ -188,7 +188,7 @@ def cmd_evaluate(args) -> int:
     cfg = _build_config(args)
     baselines = seed_airfoils(cfg.ppo_baselines, seed=cfg.seed,
                               t_max=cfg.t_max, config=cfg.proxy)
-    env_factory = _env_factory(cfg, args.surrogate)
+    env_factory = _env_factory(args, cfg)
     agent = rl.load_agent(_out(args, args.agent))
     steps: list[dict] = []
     mean, per_airfoil = rl.evaluate_policy(agent, baselines, env_factory, rollout=steps)

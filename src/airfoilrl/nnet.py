@@ -49,15 +49,6 @@ class Scaler:
         return Scaler(lo=arr[:, 0].copy(), hi=arr[:, 1].copy())
 
 
-class FlatParams(list):
-    """Arrays shaped like a model's parameters() that are consecutive
-    views into `flat`, one contiguous float64 buffer."""
-
-    def __init__(self, views, flat: np.ndarray):
-        super().__init__(views)
-        self.flat = flat
-
-
 def _param_shapes(sizes) -> list[tuple]:
     """Shapes in parameters() order: every weight matrix, then every bias."""
     layers = list(zip(sizes[:-1], sizes[1:]))
@@ -83,12 +74,6 @@ def _copy_into(views, arrays) -> None:
         if np.shape(src) != dst.shape:
             raise NnetError(f"parameter shape {np.shape(src)} != {dst.shape}")
         dst[...] = src
-
-
-def _param_buffer(model: "MlpModel") -> FlatParams:
-    """A new uninitialised buffer laid out like `model.flat`."""
-    flat = np.empty(model.flat.size)
-    return FlatParams(_views(flat, model._shapes), flat)
 
 
 class MlpModel:
@@ -203,14 +188,13 @@ def mlp_forward(model: MlpModel, x: np.ndarray, scaled: bool = True,
 
 
 def mlp_backward(model: MlpModel, cache: list[np.ndarray],
-                 grad_out: np.ndarray, out: FlatParams | None = None,
-                 deltas=None) -> FlatParams:
+                 grad_out: np.ndarray, out=None, deltas=None) -> list[np.ndarray]:
     """Exact gradients w.r.t. parameters, ordered as model.parameters().
 
     grad_out is dLoss/d(chain output) for the batch the cache came
     from, in the same (scaled) space the chain ran in.  The gradients
-    are views into one buffer laid out like `model.flat`: `out`'s when
-    given (a FlatParams such as this function returns), else a new one.
+    go into `out`, arrays shaped like model.parameters(), when given,
+    else into views of one new buffer laid out like `model.flat`.
     `deltas`, one (n, size) array per hidden layer, receives the
     back-propagated deltas in place of new arrays.
     """
@@ -220,7 +204,7 @@ def mlp_backward(model: MlpModel, cache: list[np.ndarray],
     n = len(model.sizes) - 1
     if len(cache) != n + 1:
         raise NnetError("stale or mismatched forward cache")
-    grads = _param_buffer(model) if out is None else out
+    grads = _views(np.empty(model.flat.size), model._shapes) if out is None else out
     weights = model.weights
     delta = grad_out
     for i in range(n - 1, -1, -1):
@@ -259,8 +243,9 @@ def adam_update(params, grads, state: AdamState, lr: float, out=None):
     """Standard Adam step with bias correction; returns updated params.
 
     params and grads are flat float64 arrays, such as a model's `flat`
-    buffer and its gradients' `flat`.  The step is one in-place pass over
-    the state's flat moments and scratch buffers, in the per-element
+    buffer and a Fit's gradient buffer, or an agent's log-std and its
+    gradient.  The step is one in-place pass over the state's flat
+    moments and scratch buffers, in the per-element
     operation order m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g,
     p - (lr*m_hat) / (sqrt(v_hat) + eps).  The updated values go into
     `out`, a flat array (which may be params' own buffer), or else a
@@ -290,13 +275,14 @@ def adam_update(params, grads, state: AdamState, lr: float, out=None):
 
 
 class Fit:
-    """Adam steps of mean-squared-error regression for one model, in
-    scaled space, on batches of at most `rows` rows.
+    """Adam steps for one model in scaled space, on batches of at most
+    `rows` rows, through buffers allocated once.
 
-    The activation, delta, loss and gradient buffers are allocated once.
-    A step runs mlp_forward, the MSE gradient, mlp_backward and
-    adam_update, which writes the new parameters into the model's flat
-    buffer; `state` (a new AdamState by default) carries the moments.
+    `forward` runs mlp_forward and keeps its cache; `descend` runs
+    mlp_backward on a loss gradient w.r.t. that forward's output, then
+    one in-place adam_update of the model's flat buffer, with `state`
+    (a new AdamState by default) carrying the moments.  `step` is one
+    mean-squared-error step made of the two.
     """
 
     def __init__(self, model: MlpModel, rows: int, state: AdamState | None = None):
@@ -307,20 +293,31 @@ class Fit:
         self._deltas = [np.empty((rows, size)) for size in model.sizes[1:-1]]
         self._diff = np.empty((rows, model.n_out))
         self._sq = np.empty((rows, model.n_out))
-        self._grads = _param_buffer(model)
+        self._grad = np.empty(model.flat.size)
+        self._grads = _views(self._grad, model._shapes)
+
+    def forward(self, xs: np.ndarray) -> np.ndarray:
+        """The chain's output on scaled (k, n_in) inputs, k <= rows: a
+        view of a buffer the next forward overwrites."""
+        acts = self._acts if xs.shape[0] == self.rows else [a[:xs.shape[0]] for a in self._acts]
+        out, self._cache = mlp_forward(self.model, xs, scaled=False, with_cache=True, out=acts)
+        return out
+
+    def descend(self, d_out: np.ndarray, lr: float) -> None:
+        """One Adam step along dLoss/d(output) of the last forward."""
+        k = d_out.shape[0]
+        deltas = self._deltas if k == self.rows else [d[:k] for d in self._deltas]
+        mlp_backward(self.model, self._cache, d_out, out=self._grads, deltas=deltas)
+        adam_update(self.model.flat, self._grad, self.state, lr, out=self.model.flat)
 
     def step(self, xs: np.ndarray, ys: np.ndarray, lr: float,
              with_loss: bool = True) -> float | None:
-        """One step on scaled (k, n_in) inputs and (k, n_out) targets,
-        k <= rows.  Returns the batch MSE before the step, or None
-        without with_loss; a non-finite MSE raises NnetError."""
+        """One MSE step on scaled (k, n_in) inputs and (k, n_out)
+        targets, k <= rows.  Returns the batch MSE before the step, or
+        None without with_loss; a non-finite MSE raises NnetError."""
         k = xs.shape[0]
-        acts, deltas, diff, sq = self._acts, self._deltas, self._diff, self._sq
-        if k != self.rows:
-            acts, deltas = [a[:k] for a in acts], [d[:k] for d in deltas]
-            diff, sq = diff[:k], sq[:k]
-        pred, cache = mlp_forward(self.model, xs, scaled=False, with_cache=True, out=acts)
-        np.subtract(pred, ys, out=diff)
+        diff, sq = (self._diff, self._sq) if k == self.rows else (self._diff[:k], self._sq[:k])
+        np.subtract(self.forward(xs), ys, out=diff)
         loss = None
         if with_loss:
             loss = float(np.mean(np.square(diff, out=sq)))
@@ -328,8 +325,7 @@ class Fit:
                 raise NnetError("divergent loss (non-finite)")
         diff *= 2.0  # diff becomes dLoss/dpred = 2 * diff / diff.size
         diff /= diff.size
-        mlp_backward(self.model, cache, diff, out=self._grads, deltas=deltas)
-        adam_update(self.model.flat, self._grads.flat, self.state, lr, out=self.model.flat)
+        self.descend(diff, lr)
         return loss
 
 

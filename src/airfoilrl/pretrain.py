@@ -112,8 +112,12 @@ def smooth_samples(samples: list[StateActionSample]) -> list[StateActionSample]:
     states = np.stack([s.state for s in samples])
     actions = np.stack([[s.action.t1, s.action.s_b, s.action.h_b]
                         for s in samples])
-    diff = states[:, None, :] - states[None, :, :]
-    dist = np.sqrt(np.sum(diff**2, axis=2))
+    # squared distances summed column by column, in order: n x n memory
+    dist = np.zeros((n, n))
+    for col in states.T:
+        d = np.subtract.outer(col, col)
+        dist += np.square(d, out=d)
+    np.sqrt(dist, out=dist)
     np.fill_diagonal(dist, np.inf)
     neighbor_idx = np.argsort(dist, axis=1)[:, :SMOOTH_NEIGHBORS]
     ndist = np.take_along_axis(dist, neighbor_idx, axis=1)
@@ -153,10 +157,10 @@ def imitate_policy(agent: PolicyAgent, samples: list[StateActionSample],
 
 def pretrain_critic(agent: PolicyAgent, baselines, config: PpoConfig,
                     env_factory, critic_schedule, seed: int = 0) -> list[dict]:
-    """Fit the critic to the pretrained actor's rollouts; the actor
-    update step is skipped entirely."""
+    """Fit the critic to the pretrained actor's rollouts: a critic-only
+    ppo_train, the actor and log-std left as they are."""
     return ppo_train(agent, baselines, config, env_factory, seed=seed,
-                     update_actor=False, critic_schedule=critic_schedule)
+                     critic_schedule=critic_schedule)
 
 
 # ---------------------------------------------------------------------------

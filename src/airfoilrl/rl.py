@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .env import ACTION_BOUNDS, rollout_rows
-from .nnet import (AdamState, Fit, MlpModel, Scaler, adam_update, make_mlp, mlp_backward,
-                   mlp_forward, model_arrays, model_from_arrays)
+from .nnet import (AdamState, Fit, MlpModel, Scaler, adam_update, make_mlp, mlp_forward,
+                   model_arrays, model_from_arrays)
 from .surrogate import FEATURE_BOUNDS, OUTPUT_NAMES
 
 # state bounds of the single-shock design box, used to scale the
@@ -221,29 +221,30 @@ def collect_batch(agent: PolicyAgent, baselines, env_factory,
 
 def _update_agent(agent: PolicyAgent, batch: TrajectoryBatch,
                   config: PpoConfig, actor_lr: float, critic_lr: float,
-                  actor_state: AdamState, critic_state: AdamState,
-                  update_actor: bool = True) -> tuple[float, float]:
+                  actor_states: tuple[AdamState, AdamState] | None,
+                  critic_state: AdamState) -> tuple[float, float]:
     """One iteration of PPO updates (config.epochs gradient steps on the
     full batch); returns final (actor_loss, critic_loss).
 
-    actor_state covers the actor's flat parameters followed by log_std.
-    The critic steps through one Fit, which measures its loss on the
-    final epoch only.
+    actor_states holds the Adam states of the actor's flat parameters
+    and of log_std, or is None for a critic-only fit.  Actor and critic
+    each step through one Fit, the critic measuring its loss on the
+    final epoch only; log_std takes its own Adam step after the actor's,
+    at the same rate, then the LOG_STD_MIN floor.
     """
     adv = batch.advantages
     if config.normalize_advantages:
         adv = (adv - adv.mean()) / (adv.std() + 1e-8)
     xs = agent.actor.input_scaler.scale(batch.states)
     n = batch.size
-    k = agent.log_std.size
     actor_loss = critic_loss = float("nan")
+    actor_fit = None if actor_states is None else Fit(agent.actor, n, actor_states[0])
     critic_fit = Fit(agent.critic, n, critic_state)
     rtg = batch.rewards_to_go[:, None]
     last = config.epochs - 1
     for epoch in range(config.epochs):
-        if update_actor:
-            means, cache = mlp_forward(agent.actor, xs, scaled=False,
-                                       with_cache=True)
+        if actor_fit is not None:
+            means = actor_fit.forward(xs)
             std = agent.std
             logp_new = gaussian_log_prob(batch.actions, means, std)
             ratio = np.exp(logp_new - batch.log_probs)
@@ -255,15 +256,12 @@ def _update_agent(agent: PolicyAgent, batch: TrajectoryBatch,
             # gradient through the ratio
             coef = -(active * ratio * adv)[:, None] / n
             d_mean = coef * (batch.actions - means) / std**2
-            grads = mlp_backward(agent.actor, cache, d_mean)
             d_logstd = np.sum(coef * (((batch.actions - means) / std) ** 2 - 1.0),
                               axis=0)
             d_logstd -= config.entropy_coef  # d(-coef*entropy)/dlogstd
-            new_params = adam_update(
-                np.concatenate((agent.actor.flat, agent.log_std)),
-                np.concatenate((grads.flat, d_logstd)), actor_state, actor_lr)
-            agent.actor.flat[...] = new_params[:-k]
-            np.maximum(new_params[-k:], LOG_STD_MIN, out=agent.log_std)
+            actor_fit.descend(d_mean, actor_lr)
+            adam_update(agent.log_std, d_logstd, actor_states[1], actor_lr, out=agent.log_std)
+            np.maximum(agent.log_std, LOG_STD_MIN, out=agent.log_std)
         if epoch < last:
             critic_fit.step(xs, rtg, critic_lr, with_loss=False)
         else:
@@ -300,10 +298,12 @@ def evaluate_policy(agent: PolicyAgent, baselines, env_factory,
 
 
 def ppo_train(agent: PolicyAgent, baselines, config: PpoConfig, env_factory,
-              seed: int = 0, update_actor: bool = True,
-              critic_schedule=None) -> list[dict]:
+              seed: int = 0, critic_schedule=None) -> list[dict]:
     """Full PPO loop; returns the per-iteration history.
 
+    Iterations run at config.actor_schedule's rates, the critic's times
+    critic_lr_multiplier; given a critic_schedule, the fit is
+    critic-only, at its rates.  Adam moments persist across iterations.
     history[0] is the deterministic evaluation of the initial policy;
     entry k holds the evaluation after iteration k together with the
     final losses and the current std components.
@@ -311,8 +311,9 @@ def ppo_train(agent: PolicyAgent, baselines, config: PpoConfig, env_factory,
     if not baselines:
         raise PpoError("at least one baseline required")
     rng = np.random.default_rng(seed)
-    actor_state = AdamState.for_params(
-        np.concatenate((agent.actor.flat, agent.log_std)))
+    critic_only = critic_schedule is not None
+    actor_states = None if critic_only else (AdamState.for_params(agent.actor.flat),
+                                             AdamState.for_params(agent.log_std))
     critic_state = AdamState.for_params(agent.critic.flat)
     # a critic-only fit never changes the actor, so its evaluation is
     # the same deterministic rollout every iteration: run it once
@@ -321,19 +322,14 @@ def ppo_train(agent: PolicyAgent, baselines, config: PpoConfig, env_factory,
                 "actor_loss": float("nan"), "critic_loss": float("nan"),
                 **_std_entry(agent)}]
     iteration = 0
-    schedule = config.actor_schedule if update_actor else critic_schedule
-    if schedule is None:
-        raise PpoError("no learning-rate schedule supplied")
-    for n_iters, lr in schedule:
+    for n_iters, lr in critic_schedule if critic_only else config.actor_schedule:
         for _ in range(n_iters):
             iteration += 1
             batch = collect_batch(agent, baselines, env_factory, config, rng)
-            critic_lr = lr * config.critic_lr_multiplier if update_actor else lr
+            critic_lr = lr if critic_only else lr * config.critic_lr_multiplier
             actor_loss, critic_loss = _update_agent(
-                agent, batch, config, lr, critic_lr, actor_state, critic_state,
-                update_actor=update_actor)
-            mean_r = evaluate_policy(agent, baselines, env_factory)[0] \
-                if update_actor else mean0
+                agent, batch, config, lr, critic_lr, actor_states, critic_state)
+            mean_r = mean0 if critic_only else evaluate_policy(agent, baselines, env_factory)[0]
             history.append({"iteration": iteration, "mean_cum_reward": mean_r,
                             "actor_loss": actor_loss,
                             "critic_loss": critic_loss, **_std_entry(agent)})

@@ -11,6 +11,7 @@ from airfoilrl.env import ROLLOUT_COLUMNS
 from airfoilrl.geometry import make_airfoil, read_coordinates, write_cst_file
 from airfoilrl.features import write_distribution
 from airfoilrl.proxy import BASE_LOWER, BASE_UPPER, T_MAX_DEFAULT
+from airfoilrl.rl import make_agent, save_agent
 from airfoilrl.surrogate import CSV_COLUMNS
 from conftest import synthetic_distribution
 
@@ -156,16 +157,23 @@ def test_ppo_training_command_smoke(tmp_path):
     assert (tmp_path / "evaluation.csv").exists()
 
 
-def test_surrogate_sizes_default_to_config(tmp_path):
+def test_surrogate_sizes_default_to_config(tmp_path, monkeypatch):
     ini = tmp_path / "sizes.ini"
     ini.write_text("[surrogate]\npool_size = 40\nkeep_counts = 20,5\n"
-                   "hidden = 8\nschedule = 2:0.01\n")
+                   "hidden = 8\nschedule = 2:0.01\n[ppo]\nbaselines = 2\n")
+    # like --agent and --pool, a relative --surrogate names a file in
+    # --out-dir, not in the working directory
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "runs"
     for command in ("generate-pool", "select-samples", "train-surrogate"):
-        assert main(["--out-dir", str(tmp_path), "--config", str(ini), command]) == 0
-    assert len((tmp_path / "pool.csv").read_text().splitlines()) == 41
-    assert len((tmp_path / "selected_20.csv").read_text().splitlines()) == 21
-    assert len((tmp_path / "selected_5.csv").read_text().splitlines()) == 6
-    assert (tmp_path / "surrogate.npz").exists()
+        assert run(out, "--config", str(ini), command) == 0
+    assert len((out / "pool.csv").read_text().splitlines()) == 41
+    assert len((out / "selected_20.csv").read_text().splitlines()) == 21
+    assert len((out / "selected_5.csv").read_text().splitlines()) == 6
+    save_agent(out / "agent.npz", make_agent(np.random.default_rng(0), hidden=(8,)))
+    assert run(out, "--config", str(ini), "evaluate", "--agent", "agent.npz",
+               "--surrogate", "surrogate.npz") == 0
+    assert (out / "evaluation.csv").exists()
 
 
 def test_pretrain_writes_critic_history(tmp_path):

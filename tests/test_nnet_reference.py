@@ -16,8 +16,8 @@ from airfoilrl import rl
 from airfoilrl.env import DesignEnv, EnvConfig, physical_to_scaled, proxy_evaluator
 from airfoilrl.geometry import BumpAction
 from airfoilrl.nnet import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState,
-                            FlatParams, NnetError, adam_update, make_mlp,
-                            mlp_backward, mlp_forward, train_minibatch)
+                            NnetError, adam_update, make_mlp, mlp_backward,
+                            mlp_forward, train_minibatch)
 from airfoilrl.pretrain import StateActionSample, imitate_policy
 from airfoilrl.proxy import seed_airfoils
 from airfoilrl.rl import (LOG_STD_MIN, PpoConfig, PpoError, clip_target,
@@ -238,8 +238,9 @@ def test_backward_and_adam_step_match_lists(sizes):
     _, cache = mlp_forward(model, x, scaled=False, with_cache=True)
     grads = mlp_backward(model, cache, grad_out)
     want = ref_mlp_backward(model, cache, grad_out)
-    assert isinstance(grads, FlatParams) and len(grads) == len(want)
-    assert np.array_equal(grads.flat, np.concatenate([np.ravel(w) for w in want]))
+    assert isinstance(grads, list) and len(grads) == len(want)
+    flat_grads = np.concatenate([np.ravel(g) for g in grads])
+    assert np.array_equal(flat_grads, np.concatenate([np.ravel(w) for w in want]))
     for g, w in zip(grads, want):
         assert np.array_equal(g, w)
     state = AdamState.for_params(model.flat)
@@ -247,7 +248,7 @@ def test_backward_and_adam_step_match_lists(sizes):
     params = list(model.parameters())
     before = [p.copy() for p in params]
     for lr in (1e-2, 1e-3, 1e-5):
-        got = adam_update(model.flat, grads.flat, state, lr)
+        got = adam_update(model.flat, flat_grads, state, lr)
         ref = ref_adam_update(params, want, ref_state, lr)
         assert np.array_equal(got, np.concatenate([np.ravel(r) for r in ref]))
     for p, b in zip(params, before):
@@ -338,7 +339,7 @@ def _assert_update_reaches_std_floor(lr, std_init):
                        normalize_advantages=False)
     losses = rl._update_agent(
         agent, batch, config, lr, lr * config.critic_lr_multiplier,
-        AdamState.for_params(np.concatenate((agent.actor.flat, agent.log_std))),
+        (AdamState.for_params(agent.actor.flat), AdamState.for_params(agent.log_std)),
         AdamState.for_params(agent.critic.flat))
     ref_losses = ref_update_agent(
         ref, batch, config, lr,
@@ -362,9 +363,28 @@ def test_critic_only_fit_matches_and_evaluates_once(monkeypatch):
     monkeypatch.setattr(rl, "evaluate_policy",
                         lambda *a, **k: calls.append(1) or evaluate(*a, **k))
     history = ppo_train(agent, baselines, config, _desk_env, seed=8,
-                        update_actor=False, critic_schedule=schedule)
+                        critic_schedule=schedule)
     assert len(calls) == 1
     _assert_same_run(agent, ref, history, ref_history)
+
+
+def test_split_adam_states_step_like_one_joint_state():
+    # the PPO actor and log_std keep one AdamState each; stepped together
+    # they give the bytes of one state over the concatenated buffer
+    rng = np.random.default_rng(13)
+    sizes = (83, 3)
+    parts = [rng.standard_normal(k) for k in sizes]
+    joint = np.concatenate(parts)
+    states = [AdamState.for_params(p) for p in parts]
+    joint_state = AdamState.for_params(joint)
+    for lr in rng.uniform(1e-6, 0.3, size=25):
+        grads = [rng.standard_normal(k) * rng.uniform(1e-4, 1e2) for k in sizes]
+        for p, g, state in zip(parts, grads, states):
+            adam_update(p, g, state, lr, out=p)
+        joint = adam_update(joint, np.concatenate(grads), joint_state, lr)
+        assert np.array_equal(np.concatenate(parts), joint)
+    assert np.array_equal(np.concatenate([st.m for st in states]), joint_state.m)
+    assert np.array_equal(np.concatenate([st.v for st in states]), joint_state.v)
 
 
 def test_adam_size_mismatch_raises():

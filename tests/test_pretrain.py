@@ -4,7 +4,8 @@ import pytest
 
 from airfoilrl.env import DesignEnv, EnvConfig, proxy_evaluator
 from airfoilrl.geometry import BumpAction
-from airfoilrl.pretrain import (StateActionSample, dedup_states, greedy_search,
+from airfoilrl.pretrain import (SMOOTH_NEIGHBORS, SMOOTH_PASSES, SMOOTH_RELAXATION,
+                                StateActionSample, dedup_states, greedy_search,
                                 imitate_policy, pretrain_critic, read_samples,
                                 smooth_samples, write_samples)
 from airfoilrl.proxy import seed_airfoils
@@ -116,6 +117,40 @@ def test_smooth_contracts_action_spread():
     for a, b in zip(samples, smoothed):
         assert np.array_equal(a.state, b.state)
         assert a.reward == b.reward
+
+
+def ref_smooth_actions(samples):
+    """smooth_samples' actions from the (n, n, 4) difference tensor."""
+    states = np.stack([s.state for s in samples])
+    actions = np.stack([[s.action.t1, s.action.s_b, s.action.h_b] for s in samples])
+    diff = states[:, None, :] - states[None, :, :]
+    dist = np.sqrt(np.sum(diff**2, axis=2))
+    np.fill_diagonal(dist, np.inf)
+    neighbor_idx = np.argsort(dist, axis=1)[:, :SMOOTH_NEIGHBORS]
+    with np.errstate(divide="ignore"):
+        weights = 1.0 / np.take_along_axis(dist, neighbor_idx, axis=1)
+    finite = np.isfinite(weights)
+    if not np.all(finite):
+        weights = np.where(finite, weights, weights[finite].max() if np.any(finite) else 1.0)
+    for _ in range(SMOOTH_PASSES):
+        avg = (weights[:, :, None] * actions[neighbor_idx]).sum(axis=1) \
+            / weights.sum(axis=1)[:, None]
+        actions = actions + (avg - actions) * SMOOTH_RELAXATION
+    return actions
+
+
+@pytest.mark.parametrize("n", [50, 500])
+def test_smooth_matches_difference_tensor(n):
+    # distances summed column by column give the tensor sum's floats,
+    # so the neighbours and smoothed actions are the same, duplicates too
+    rng = np.random.default_rng(n)
+    states = rng.uniform([0.2, 1.0, 1.0, 0.9], [0.8, 1.2, 1.3, 1.1], size=(n, 4))
+    states[n // 2:n // 2 + 10] = states[:10]  # duplicated states
+    samples = [sample(st, t1=rng.uniform(0.1, 0.9), sb=rng.uniform(0.2, 0.4),
+                      hb=rng.uniform(-0.05, 0.05)) for st in states]
+    got = np.array([[s.action.t1, s.action.s_b, s.action.h_b]
+                    for s in smooth_samples(samples)])
+    assert np.array_equal(got, ref_smooth_actions(samples))
 
 
 def test_smooth_preserves_constant_actions():

@@ -196,13 +196,6 @@ def test_ppo_train_deterministic():
     assert repr(hists[0]) == repr(hists[1])  # repr compares NaN losses too
 
 
-def test_ppo_train_requires_schedule():
-    agent = make_agent(np.random.default_rng(0), hidden=(8,))
-    with pytest.raises(PpoError):
-        ppo_train(agent, [None], PpoConfig(), lambda: BanditEnv(np.zeros(3)),
-                  update_actor=False, critic_schedule=None)
-
-
 def test_agent_file_round_trip(tmp_path):
     agent = make_agent(np.random.default_rng(4), hidden=(8, 8))
     path = tmp_path / "agent.npz"
