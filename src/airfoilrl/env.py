@@ -8,7 +8,7 @@ thickness rescale.  The reward is the drag-count reduction
 10,000 * (CD_k - CD_{k+1}); losing the single shock zeroes the reward
 and terminates the episode.  Each step's info says whether the action
 was clipped to the box (``clamped``) and whether the bump's width was
-clamped by the geometry (``width_clamped``, see AirfoilGeom).
+clamped by the geometry (``width_clamped``, see geometry.apply_action).
 
 Every live lane's bump, t2 solve, CST sums and evaluator call run as one
 batch (geometry.apply_action over lanes, an evaluator over an (n, 14)
@@ -154,9 +154,8 @@ class DesignEnv:
             raise EnvProtocolError("step() after episode end or before reset()")
         t0 = time.perf_counter()
         phys, clamped = scaled_to_physical(np.reshape(action_scaled, (lanes.size, 3)))
-        upper, lower, width_clamped, errors = apply_action(
+        upper, lower, width_clamped, failed = apply_action(
             (self._upper[lanes], self._lower[lanes], self._t_max[lanes]), phys)
-        failed = np.array([err is not None for err in errors], dtype=bool)
         cd_before = self._cd[lanes]
         shock_lost = np.zeros(lanes.size, dtype=bool)
         moved = lanes[~failed]

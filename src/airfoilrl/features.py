@@ -207,12 +207,16 @@ def read_distribution(path) -> WallMachDistribution:
                 for tok in line.lstrip("#").split():
                     if tok.startswith("kind="):
                         kind = tok.split("=", 1)[1]
+                        if kind not in ("mw", "cp"):
+                            raise FeatureError(f"unknown distribution kind {kind!r} (mw or cp)")
                     elif tok.startswith("m_inf="):
                         m_inf = float(tok.split("=", 1)[1])
                 continue
             if not line:
                 continue
             a, b, sid = line.split()
+            if int(sid) not in (0, 1):
+                raise FeatureError(f"surface id must be 0 (upper) or 1 (lower), got {sid}")
             rows.append((float(a), float(b), int(sid)))
     if m_inf is None:
         raise FeatureError("distribution file header must declare m_inf")

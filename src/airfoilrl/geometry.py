@@ -52,15 +52,12 @@ class AirfoilGeom:
     """CST airfoil with a maximum-thickness constraint.
 
     Construct through :func:`make_airfoil` so the lower surface is
-    rescaled to meet ``t_max``.  ``width_clamped`` is set on the result
-    of :func:`apply_action` when solve_t2 clamped its bump: the width was
-    out of reach or a 1% flank was cut at the leading or trailing edge.
+    rescaled to meet ``t_max``.
     """
 
     cst_upper: np.ndarray
     cst_lower: np.ndarray
     t_max: float
-    width_clamped: bool = False
 
     @property
     def cst14(self) -> np.ndarray:
@@ -356,6 +353,11 @@ def _solve_t2_lanes(e: np.ndarray, s_b: np.ndarray, tol: float):
     return t2, clamped
 
 
+def _invalid_actions(t1: np.ndarray, s_b: np.ndarray) -> np.ndarray:
+    """The lanes solve_t2 rejects: t1 not in (0, 1), NaN included, or s_b <= 0."""
+    return ~((0.0 < t1) & (t1 < 1.0)) | (s_b <= 0.0)
+
+
 def _action_error(t1: float, s_b: float) -> str | None:
     """Why solve_t2 rejects (t1, s_b), or None."""
     if not 0.0 < t1 < 1.0:
@@ -388,13 +390,13 @@ def solve_t2(t1, s_b, tol: float = 1e-6):
     arrays of t2 and clamped, each lane the floats of a call with its
     own pair.  An invalid pair, in either form, raises GeometryError.
     """
-    t1s = np.atleast_1d(np.asarray(t1, dtype=float)).tolist()
+    t1s = np.atleast_1d(np.asarray(t1, dtype=float))
     s_bs = np.atleast_1d(np.asarray(s_b, dtype=float))
-    for a, b in zip(t1s, s_bs.tolist()):
-        error = _action_error(a, b)
-        if error is not None:
-            raise GeometryError(error)
-    t2, clamped = _solve_t2_lanes(np.array([_peak_exponent(a) for a in t1s]), s_bs, tol)
+    bad = np.flatnonzero(_invalid_actions(t1s, s_bs))
+    if bad.size:
+        raise GeometryError(_action_error(float(t1s[bad[0]]), float(s_bs[bad[0]])))
+    t2, clamped = _solve_t2_lanes(np.array([_peak_exponent(a) for a in t1s.tolist()]),
+                                  s_bs, tol)
     if np.ndim(t1) == 0:
         return float(t2[0]), bool(clamped[0])
     return t2, clamped
@@ -407,19 +409,20 @@ def max_thickness(airfoil: AirfoilGeom) -> float:
 
 
 _FACTORS = np.array([[1.0], [0.25], [4.0]])
+_BRACKET_ERROR = "cannot bracket thickness scale factor"
 
 
-def _rescale_lower(upper, lower, t_max):
-    """Scale lower coefficients so max thickness equals t_max.
+def _rescale_lower(upper: np.ndarray, lower: np.ndarray, t_max: np.ndarray):
+    """Scale each lane's lower coefficients so max thickness equals t_max.
 
     With the lower surface scaled by s, the thickness on the cosine grid
     is f(s) = max_i(yu_i - s*yl_i), convex and piecewise linear in s.
     The contract:
 
-    - within 1e-9 of t_max at s = 1, lower is returned as given;
+    - within 1e-9 of t_max at s = 1, the lane keeps its lower row;
     - when f(0.25) - t_max and f(4) - t_max have the same sign (or one
-      is NaN), the thickness cannot be bracketed and GeometryError is
-      raised;
+      is NaN), the thickness cannot be bracketed: the lane fails and
+      keeps its lower row;
     - otherwise the factor is the root of f(s) = t_max in [0.25, 4] in
       closed form, so the thickness meets t_max up to rounding.
 
@@ -429,60 +432,52 @@ def _rescale_lower(upper, lower, t_max):
     f(4) < t_max, the last crossing of a falling one, the maximum over
     yl_i > 0.  An end where f equals t_max is the root itself.
 
-    (7,) coefficient vectors and a float t_max give the rescaled lower
-    vector.  (k, 7) lanes and (k,) t_max give (lowers, errors), every
-    step over all lanes at once: a lane that fails reports its message
-    in errors and keeps its lower row.  Every lane gets the floats of a
-    call with its own vectors.
+    (k, 7) upper and lower lanes and (k,) t_max give (lowers, failed),
+    failed a (k,) bool array, every step over all lanes at once; every
+    lane gets the floats of a lane of one.
     """
-    lower = np.asarray(lower, dtype=float)
-    y = cst_at_stations(np.concatenate((upper, lower)).reshape(-1, N_CST))
-    k = len(y) // 2
+    y = cst_at_stations(np.concatenate((upper, lower)))
+    k = len(lower)
     yu, yl = y[:k], y[k:]
-    t = np.asarray(t_max, dtype=float).reshape(k)
     # thickness less t_max at the factors 1, 0.25 and 4
-    f_1, f_lo, f_hi = np.maximum.reduce(yu[:, None] - _FACTORS * yl[:, None], axis=2).T - t
+    f_1, f_lo, f_hi = np.maximum.reduce(yu[:, None] - _FACTORS * yl[:, None], axis=2).T - t_max
     with np.errstate(divide="ignore", invalid="ignore"):
-        r = (yu - t[:, None]) / yl
+        r = (yu - t_max[:, None]) / yl
     root = np.where(f_lo < 0.0, np.minimum.reduce(np.where(yl < 0.0, r, np.inf), axis=1),
                     np.maximum.reduce(np.where(yl > 0.0, r, -np.inf), axis=1))
     root = np.where(f_lo == 0.0, 0.25, np.where(f_hi == 0.0, 4.0, root))
     early = np.abs(f_1) <= 1e-9
     failed = ~early & ~(f_lo * f_hi <= 0.0)
     factor = np.where(early | failed, 1.0, root)
-    errors = ["cannot bracket thickness scale factor" if bad else None for bad in failed.tolist()]
-    if lower.ndim == 2:
-        return factor[:, None] * lower, errors
-    if errors[0] is not None:
-        raise GeometryError(errors[0])
-    return lower if factor[0] == 1.0 else factor[0] * lower
+    return factor[:, None] * lower, failed
 
 
 def make_airfoil(cst_upper, cst_lower, t_max: float) -> AirfoilGeom:
     """Build an airfoil, rescaling the lower surface to meet t_max."""
     upper = np.array(cst_upper, dtype=float)
-    lower = _rescale_lower(upper, cst_lower, t_max)
-    return AirfoilGeom(cst_upper=upper, cst_lower=lower, t_max=t_max)
+    lower, failed = _rescale_lower(upper[None], np.asarray(cst_lower, dtype=float)[None],
+                                   np.array([t_max], dtype=float))
+    if failed[0]:
+        raise GeometryError(_BRACKET_ERROR)
+    return AirfoilGeom(cst_upper=upper, cst_lower=lower[0], t_max=t_max)
 
 
 def _apply_lanes(upper: np.ndarray, lower: np.ndarray, t_max: np.ndarray,
                  actions: np.ndarray):
     t1, s_b, h_b = actions.T
-    errors = [_action_error(a, b) for a, b in zip(t1.tolist(), s_b.tolist())]
-    ok = np.array([i for i, err in enumerate(errors) if err is None], dtype=int)
+    failed = _invalid_actions(t1, s_b)
+    ok = np.flatnonzero(~failed)
     t2, clamped = solve_t2(t1[ok], s_b[ok])
     e = np.array([_peak_exponent(a) for a in t1[ok].tolist()])
     fitted = cst_fit(_STATIONS, cst_at_stations(upper[ok])
                      + h_b[ok, None] * _unit_bump(_STATIONS, e[:, None], t2[:, None]))
-    rescaled, rescale_errors = _rescale_lower(fitted, lower[ok], t_max[ok])
-    built = np.array([err is None for err in rescale_errors], dtype=bool)
+    rescaled, failed[ok] = _rescale_lower(fitted, lower[ok], t_max[ok])
+    built = ~failed[ok]
     new_upper, new_lower = upper.copy(), lower.copy()
     width_clamped = np.zeros(len(actions), dtype=bool)
     new_upper[ok[built]], new_lower[ok[built]] = fitted[built], rescaled[built]
     width_clamped[ok[built]] = clamped[built]
-    for i, err in zip(ok.tolist(), rescale_errors):
-        errors[i] = err
-    return new_upper, new_lower, width_clamped, errors
+    return new_upper, new_lower, width_clamped, failed
 
 
 def apply_action(airfoil, action):
@@ -490,8 +485,7 @@ def apply_action(airfoil, action):
 
     The refit is the smoothing step: the bumped curve is reconstructed
     as a 6th-order CST surface, then the lower surface is rescaled so
-    the maximum thickness stays at t_max.  The result records solve_t2's
-    clamped flag as ``width_clamped``.  The tolerances are solve_t2's
+    the maximum thickness stays at t_max.  The tolerances are solve_t2's
     (the bump width within tol/4 of s_b unless clamped) and
     _rescale_lower's (the thickness at t_max up to rounding, or within
     1e-9 where the lower surface is kept as it was).
@@ -499,24 +493,24 @@ def apply_action(airfoil, action):
     Over lanes, airfoil is a tuple (upper, lower, t_max) of (N, 7),
     (N, 7) and (N,) arrays and action an (N, 3) array of physical
     (t1, s_b, h_b) rows; the result is (upper, lower, width_clamped,
-    errors), with errors[i] the GeometryError message of a lane that
-    failed (it keeps its input coefficients) or None.  The t2 solve, the
+    failed), with width_clamped[i] solve_t2's clamped flag and failed[i]
+    set on a lane whose action solve_t2 rejects or whose thickness
+    rescale fails (it keeps its input coefficients).  The t2 solve, the
     bump, the CST sums, the refit and the thickness rescale each run
     over all lanes together, and every lane gets the floats a call with
     its airfoil alone gives.  A single AirfoilGeom and BumpAction run
-    as a lane of one and raise GeometryError.
+    as a lane of one and raise GeometryError where that lane fails.
     """
     if not isinstance(airfoil, AirfoilGeom):
         upper, lower, t_max = (np.asarray(a, dtype=float) for a in airfoil)
         return _apply_lanes(upper, lower, t_max, np.asarray(action, dtype=float).reshape(-1, 3))
-    upper, lower, width_clamped, errors = _apply_lanes(
+    upper, lower, _, failed = _apply_lanes(
         np.asarray(airfoil.cst_upper, dtype=float)[None],
         np.asarray(airfoil.cst_lower, dtype=float)[None], np.array([airfoil.t_max]),
         np.array([[action.t1, action.s_b, action.h_b]], dtype=float))
-    if errors[0] is not None:
-        raise GeometryError(errors[0])
-    return AirfoilGeom(cst_upper=upper[0], cst_lower=lower[0], t_max=airfoil.t_max,
-                       width_clamped=bool(width_clamped[0]))
+    if failed[0]:
+        raise GeometryError(_action_error(action.t1, action.s_b) or _BRACKET_ERROR)
+    return AirfoilGeom(cst_upper=upper[0], cst_lower=lower[0], t_max=airfoil.t_max)
 
 
 # ---------------------------------------------------------------------------

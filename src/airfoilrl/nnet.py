@@ -226,9 +226,6 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     step: int = 0
-    beta1: float = ADAM_BETA1
-    beta2: float = ADAM_BETA2
-    eps: float = ADAM_EPS
     scratch: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -255,7 +252,7 @@ def adam_update(params, grads, state: AdamState, lr: float, out=None):
         raise NnetError("parameter/gradient/state size mismatch")
     state.step += 1
     t = state.step
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     m, v = state.m, state.v
     s, r = state.scratch
     m *= b1
@@ -269,7 +266,7 @@ def adam_update(params, grads, state: AdamState, lr: float, out=None):
     s *= lr
     np.divide(v, 1.0 - b2**t, out=r)
     np.sqrt(r, out=r)
-    r += state.eps
+    r += ADAM_EPS
     s /= r
     return np.subtract(params, s, out=out)
 

@@ -6,6 +6,7 @@ output bytes (no library version drift in the artifact).
 from __future__ import annotations
 
 import csv
+import math
 
 WIDTH, HEIGHT = 640, 400
 MARGIN = 50
@@ -25,10 +26,12 @@ def _read_series(path, x_col: str, y_col: str):
             raise PlotError(f"columns {x_col!r}/{y_col!r} not in CSV header")
         for row in reader:
             try:
-                xs.append(float(row[x_col]))
-                ys.append(float(row[y_col]))
+                x, y = float(row[x_col]), float(row[y_col])
             except (TypeError, ValueError) as exc:
                 raise PlotError(f"malformed CSV row: {row}") from exc
+            if math.isfinite(x) and math.isfinite(y):
+                xs.append(x)
+                ys.append(y)
     return xs, ys
 
 
@@ -36,7 +39,8 @@ def plot_history(history_csv, out_svg, x_col: str = "iteration",
                  y_col: str = "mean_cum_reward") -> None:
     """Render one column of a history CSV as an SVG polyline.
 
-    An empty (headered) CSV yields an axes-only chart.
+    Points whose x or y is not finite are skipped; an empty (headered)
+    CSV, or a column with no finite point, yields an axes-only chart.
     """
     xs, ys = _read_series(history_csv, x_col, y_col)
     lines = [

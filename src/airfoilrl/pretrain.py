@@ -54,12 +54,12 @@ def greedy_search(baseline: AirfoilGeom, evaluator, searches: int,
         for _ in range(steps):
             draws = rng.uniform(ACTION_BOUNDS[:, 0], ACTION_BOUNDS[:, 1],
                                 size=(candidates, 3))
-            new_upper, new_lower, _, errors = apply_action(
+            new_upper, new_lower, _, failed = apply_action(
                 (np.tile(upper, (candidates, 1)), np.tile(lower, (candidates, 1)),
                  np.full(candidates, baseline.t_max)), draws)
             if stats is not None:
                 stats.greedy_candidates += candidates
-            built = np.array([j for j, err in enumerate(errors) if err is None], dtype=int)
+            built = np.flatnonzero(~failed)
             drag = np.full(candidates, np.inf)
             if built.size:
                 ev = evaluator(np.concatenate([new_upper[built], new_lower[built]], axis=1))

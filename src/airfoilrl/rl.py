@@ -191,21 +191,20 @@ def collect_batch(agent: PolicyAgent, baselines, env_factory,
     episodes = [b for b in baselines for _ in range(config.trajectories_per_baseline)]
     env = env_factory()
     state = env.reset_lanes(episodes)
-    steps: list[list] = [[] for _ in episodes]  # (state, action, logp, reward)
+    blocks = []  # (lanes, states, actions, log-probs, rewards) per lockstep step
     while env.live.any():
         lanes = np.flatnonzero(env.live)
         actions, logps = sample_action(agent, state[lanes], rng)
         result = env.step(actions)
-        for i, s, a, lp, r in zip(lanes.tolist(), state[lanes], actions,
-                                  logps.tolist(), result.reward.tolist()):
-            steps[i].append((s, a, lp, r))
+        blocks.append((lanes, state[lanes], actions, logps, result.reward))
         state[lanes] = result.next_state
-    flat = [step for lane in steps for step in lane]
-    ends = np.cumsum([len(lane) for lane in steps]).tolist()
+    lanes, *columns = (np.concatenate(c) for c in zip(*blocks))
+    # step-major blocks, stably sorted by lane: each trajectory's steps in order
+    order = np.argsort(lanes, kind="stable")
+    states_arr, actions_arr, log_probs, rewards_arr = (c[order] for c in columns)
+    ends = np.cumsum(np.bincount(lanes, minlength=len(episodes))).tolist()
     slices = list(zip([0] + ends[:-1], ends))
-    states_arr = np.array([s for s, _, _, _ in flat])
     values = mlp_forward(agent.critic, states_arr)[:, 0]
-    rewards_arr = np.array([r for _, _, _, r in flat])
     rtg = np.empty_like(rewards_arr)
     adv = np.empty_like(rewards_arr)
     for start, stop in slices:
@@ -213,8 +212,7 @@ def collect_batch(agent: PolicyAgent, baselines, env_factory,
         v_traj = np.append(values[start:stop], 0.0)  # terminal bootstrap
         adv[start:stop] = gae_advantages(rewards_arr[start:stop], v_traj,
                                          config.gamma, config.gae_lambda)
-    return TrajectoryBatch(states=states_arr, actions=np.array([a for _, a, _, _ in flat]),
-                           log_probs=np.array([lp for _, _, lp, _ in flat]),
+    return TrajectoryBatch(states=states_arr, actions=actions_arr, log_probs=log_probs,
                            rewards=rewards_arr, values=values, rewards_to_go=rtg,
                            advantages=adv, slices=slices)
 

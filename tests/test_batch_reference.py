@@ -194,7 +194,15 @@ SPECIAL_ACTIONS = np.array(
 def lane_alone(upper, lower, t_max, action):
     """apply_action over lanes on a block of one lane."""
     got = apply_action((upper[None], lower[None], np.array([t_max])), action[None])
-    return got[0][0], got[1][0], bool(got[2][0]), got[3][0]
+    return got[0][0], got[1][0], bool(got[2][0]), bool(got[3][0])
+
+
+def single_error(action):
+    """The GeometryError message of a failed single-airfoil apply_action."""
+    t1, s_b, _ = action
+    if not 0.0 < t1 < 1.0:
+        return "t1 must be in (0, 1)"
+    return "s_b must be positive" if s_b <= 0.0 else "cannot bracket thickness scale factor"
 
 
 def test_apply_action_lanes_match_lanes_of_one():
@@ -208,26 +216,29 @@ def test_apply_action_lanes_match_lanes_of_one():
         upper = np.array([foils[i].cst_upper for i in picks])
         lower = np.array([foils[i].cst_lower for i in picks])
         t_max = np.full(size, 0.095)
-        got_upper, got_lower, width_clamped, errors = apply_action(
+        got_upper, got_lower, width_clamped, failed = apply_action(
             (upper, lower, t_max), actions)
-        assert len(errors) == size
+        assert failed.dtype == bool and failed.shape == (size,)
         for k in range(size):
-            one_upper, one_lower, one_clamped, one_error = lane_alone(
+            one_upper, one_lower, one_clamped, one_failed = lane_alone(
                 upper[k], lower[k], 0.095, actions[k])
-            assert errors[k] == one_error
+            assert bool(failed[k]) == one_failed
             assert got_upper[k].tobytes() == one_upper.tobytes()
             assert got_lower[k].tobytes() == one_lower.tobytes()
             assert bool(width_clamped[k]) == one_clamped
-            if errors[k] is not None:
+            single = AirfoilGeom(upper[k], lower[k], 0.095), BumpAction(*actions[k])
+            if failed[k]:
                 assert got_upper[k].tobytes() == upper[k].tobytes()
                 assert got_lower[k].tobytes() == lower[k].tobytes()
                 assert not width_clamped[k]
+                with pytest.raises(GeometryError) as raised:
+                    apply_action(*single)
+                assert str(raised.value) == single_error(actions[k])
                 seen["failed"] += 1
                 continue
-            foil = apply_action(AirfoilGeom(upper[k], lower[k], 0.095), BumpAction(*actions[k]))
+            foil = apply_action(*single)
             assert foil.cst_upper.tobytes() == one_upper.tobytes()
             assert foil.cst_lower.tobytes() == one_lower.tobytes()
-            assert foil.width_clamped == one_clamped
             assert abs(max_thickness(foil) - 0.095) <= 1e-9
             seen["ok"] += 1
             seen["clamped"] += one_clamped

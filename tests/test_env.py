@@ -136,8 +136,10 @@ def test_width_clamped_reported_apart_from_action_clipping(env, baseline):
     # t1 = 0.99, s_b = 0.4 (the scaled box corner) asks for a width the
     # bump cannot reach: solve_t2 clamps t2 to its bracket end 0.2
     assert solve_t2(0.99, 0.4) == (0.2, True) and not solve_t2(0.5, 0.3)[1]
-    assert apply_action(baseline, BumpAction(0.99, 0.4, 0.01)).width_clamped
-    assert not apply_action(baseline, BumpAction(0.5, 0.3, 0.01)).width_clamped
+    lanes = (np.tile(baseline.cst_upper, (2, 1)), np.tile(baseline.cst_lower, (2, 1)),
+             np.full(2, baseline.t_max))
+    _, _, bump_clamped, failed = apply_action(lanes, [[0.99, 0.4, 0.01], [0.5, 0.3, 0.01]])
+    assert bump_clamped.tolist() == [True, False] and not failed.any()
     for action, clipped, width_clamped in (([1.0, 1.0, 0.55], False, True),
                                            ([0.5, 0.5, 0.55], False, False),
                                            ([1.2, 1.0, 0.55], True, True)):

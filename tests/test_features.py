@@ -121,6 +121,17 @@ def test_read_distribution_cp_kind(tmp_path):
     assert np.allclose(dist.mw_upper, 0.76)
 
 
+@pytest.mark.parametrize("header,surface,match", [
+    ("# kind=Cp m_inf=0.76", "0", "'Cp'"),
+    ("# kind=mw m_inf=0.76", "2", "surface id"),
+])
+def test_read_distribution_rejects_typos(tmp_path, header, surface, match):
+    path = tmp_path / "typo.txt"
+    path.write_text(f"{header}\n0.0 1.0 0\n0.5 1.0 {surface}\n1.0 1.0 1\n")
+    with pytest.raises(FeatureError, match=match):
+        read_distribution(path)
+
+
 @given(x1=st.floats(0.3, 0.8), mw1=st.floats(1.0, 1.2),
        mwl=st.floats(1.0, 1.3), mwa=st.floats(0.9, 1.1))
 @settings(max_examples=40, deadline=None)

@@ -7,8 +7,9 @@ CST evaluation building its basis on every call, the thickness-rescale
 bisection measuring every midpoint and the term-by-term CST sum.  The
 library must return the same floats, except from the t2 solve and the
 thickness rescale: those meet a tolerance contract, and the two
-bisections serve as its oracles (the same clamp flags, raises and
-early returns; widths within tol/4 and thicknesses within 1e-12).
+bisections serve as its oracles (the same clamp and failure flags,
+raises and early returns; widths within tol/4 and thicknesses within
+1e-12).
 """
 import math
 
@@ -18,8 +19,8 @@ import pytest
 from airfoilrl import geometry
 from airfoilrl.env import scaled_to_physical
 from airfoilrl.geometry import (GeometryError, apply_action, cosine_stations,
-                                cst_at_stations, cst_evaluate, measure_bump_width,
-                                solve_t2)
+                                cst_at_stations, cst_evaluate, make_airfoil,
+                                measure_bump_width, solve_t2)
 from airfoilrl.proxy import _moving_average, seed_airfoils
 
 WIDTH_GRID = 2001
@@ -279,21 +280,32 @@ def thickness_at(upper, lower, s):
     return float(np.max(cst_at_stations(upper) - s * cst_at_stations(lower)))
 
 
+def rescale_one(upper, lower, t_max):
+    """_rescale_lower on a lane of one: (lower row, failed flag)."""
+    lowers, failed = geometry._rescale_lower(upper[None], lower[None], np.array([t_max]))
+    return lowers[0], bool(failed[0])
+
+
 def rescale_outcome(upper, lower, t_max):
-    """The rescale contract against ref_rescale_lower: the same raise and
-    early-return cases, else a thickness within 1e-12 of t_max (relative
-    above 1).  Returns 'raised', 'early' or 'rescaled'."""
+    """The rescale contract against ref_rescale_lower: a failed lane
+    that keeps its row where the reference raises (and make_airfoil
+    raising its message), the row kept where it returns early, else a
+    thickness within 1e-12 of t_max (relative above 1).  Returns
+    'raised', 'early' or 'rescaled'."""
+    new, failed = rescale_one(upper, lower, t_max)
     try:
         ref = ref_rescale_lower(upper, lower, t_max)
     except GeometryError:
+        assert failed
+        assert_same_floats(new, lower)
         with pytest.raises(GeometryError, match="cannot bracket thickness scale factor"):
-            geometry._rescale_lower(upper, lower, t_max)
+            make_airfoil(upper, lower, t_max)
         return "raised"
-    new = geometry._rescale_lower(upper, lower, t_max)
+    assert not failed
     if ref is lower:
-        assert new is lower
+        assert_same_floats(new, lower)
         return "early"
-    assert new is not lower
+    assert new.tobytes() != lower.tobytes()
     assert abs(thickness_at(upper, new, 1.0) - t_max) <= 1e-12 * max(1.0, abs(t_max))
     return "rescaled"
 
@@ -334,10 +346,11 @@ def test_rescale_early_return_and_unbracketable_match_reference():
     # an end of the bracket that meets t_max exactly is the factor
     for s in (0.25, 4.0):
         t_max = thickness_at(upper, lower, s)
-        assert_same_floats(geometry._rescale_lower(upper, lower, t_max), s * lower)
+        assert_same_floats(rescale_one(upper, lower, t_max)[0], s * lower)
     # a NaN surface cannot be bracketed either
+    assert rescale_one(upper, np.full(7, np.nan), 0.095)[1]
     with pytest.raises(GeometryError, match="cannot bracket"):
-        geometry._rescale_lower(upper, np.full(7, np.nan), 0.095)
+        make_airfoil(upper, np.full(7, np.nan), 0.095)
 
 
 def _rescale_lane(kind, rng):
@@ -364,27 +377,25 @@ def test_rescale_lanes_match_reference_and_lanes_of_one():
         picks = rng.integers(0, len(kinds), 12)
         block = [_rescale_lane(kinds[j], rng) for j in picks]
         upper, lower, t_max = (np.array(column) for column in zip(*block))
-        lowers, errors = geometry._rescale_lower(upper, lower, t_max)
-        assert lowers.shape == lower.shape and len(errors) == len(block)
+        lowers, failed = geometry._rescale_lower(upper, lower, t_max)
+        assert lowers.shape == lower.shape
+        assert failed.dtype == bool and failed.shape == (len(block),)
         for i, (u, l, t) in enumerate(block):
-            one, one_errors = geometry._rescale_lower(u[None], l[None], np.array([t]))
-            assert one_errors == [errors[i]]
-            assert_same_floats(lowers[i], one[0])
+            one, one_failed = rescale_one(u, l, t)
+            assert one_failed == failed[i]
+            assert_same_floats(lowers[i], one)
             outcome = rescale_outcome(u, l, t)
             seen[outcome] += 1
             seen["large"] += kinds[picks[i]] == "large"
-            if errors[i] is not None:
+            if failed[i]:
                 assert outcome == "raised"
-                with pytest.raises(GeometryError) as raised:
-                    geometry._rescale_lower(u, l, t)
-                assert str(raised.value) == errors[i]
                 assert_same_floats(lowers[i], l)  # a failed lane keeps its row
             else:
-                assert_same_floats(lowers[i], geometry._rescale_lower(u, l, t))
+                assert_same_floats(lowers[i], make_airfoil(u, l, t).cst_lower)
     assert min(seen.values()) >= 20, seen
-    empty, empty_errors = geometry._rescale_lower(np.empty((0, 7)), np.empty((0, 7)),
+    empty, empty_failed = geometry._rescale_lower(np.empty((0, 7)), np.empty((0, 7)),
                                                   np.empty(0))
-    assert empty.shape == (0, 7) and empty_errors == []
+    assert empty.shape == (0, 7) and empty_failed.shape == (0,)
 
 
 def test_rescale_of_step_lanes_meets_contract(monkeypatch):

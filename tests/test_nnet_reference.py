@@ -3,9 +3,9 @@
 `ref_*` below are verbatim copies of the per-layer-list `adam_update`,
 `mlp_backward` and `set_parameters`, and copies of the training loops
 that called them (`train_minibatch`, `imitate_policy`, `_update_agent`,
-`ppo_train`) with the argument checks and callbacks left out.  Every
-parameter and loss the current code produces must be bitwise equal to
-theirs.
+`ppo_train`) with the argument checks and callbacks left out, plus the
+per-lane `collect_batch` loop.  Every parameter, loss and batch the
+current code produces must be bitwise equal to theirs.
 """
 from dataclasses import dataclass
 
@@ -20,9 +20,10 @@ from airfoilrl.nnet import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState,
                             mlp_forward, train_minibatch)
 from airfoilrl.pretrain import StateActionSample, imitate_policy
 from airfoilrl.proxy import seed_airfoils
-from airfoilrl.rl import (LOG_STD_MIN, PpoConfig, PpoError, clip_target,
-                          collect_batch, gaussian_log_prob, make_agent,
-                          ppo_train)
+from airfoilrl.rl import (LOG_STD_MIN, PpoConfig, PpoError, TrajectoryBatch,
+                          clip_target, collect_batch, gae_advantages,
+                          gaussian_log_prob, make_agent, ppo_train, reward_to_go,
+                          sample_action)
 
 # ---------------------------------------------------------------------------
 # reference: the list-based engine
@@ -212,6 +213,38 @@ def ref_ppo_train(agent, baselines, config, env_factory, seed=0,
     return history
 
 
+def ref_collect_batch(agent, baselines, env_factory, config, rng):
+    episodes = [b for b in baselines for _ in range(config.trajectories_per_baseline)]
+    env = env_factory()
+    state = env.reset_lanes(episodes)
+    steps: list[list] = [[] for _ in episodes]  # (state, action, logp, reward)
+    while env.live.any():
+        lanes = np.flatnonzero(env.live)
+        actions, logps = sample_action(agent, state[lanes], rng)
+        result = env.step(actions)
+        for i, s, a, lp, r in zip(lanes.tolist(), state[lanes], actions,
+                                  logps.tolist(), result.reward.tolist()):
+            steps[i].append((s, a, lp, r))
+        state[lanes] = result.next_state
+    flat = [step for lane in steps for step in lane]
+    ends = np.cumsum([len(lane) for lane in steps]).tolist()
+    slices = list(zip([0] + ends[:-1], ends))
+    states_arr = np.array([s for s, _, _, _ in flat])
+    values = mlp_forward(agent.critic, states_arr)[:, 0]
+    rewards_arr = np.array([r for _, _, _, r in flat])
+    rtg = np.empty_like(rewards_arr)
+    adv = np.empty_like(rewards_arr)
+    for start, stop in slices:
+        rtg[start:stop] = reward_to_go(rewards_arr[start:stop], config.gamma)
+        v_traj = np.append(values[start:stop], 0.0)  # terminal bootstrap
+        adv[start:stop] = gae_advantages(rewards_arr[start:stop], v_traj,
+                                         config.gamma, config.gae_lambda)
+    return TrajectoryBatch(states=states_arr, actions=np.array([a for _, a, _, _ in flat]),
+                           log_probs=np.array([lp for _, _, lp, _ in flat]),
+                           rewards=rewards_arr, values=values, rewards_to_go=rtg,
+                           advantages=adv, slices=slices)
+
+
 # ---------------------------------------------------------------------------
 # the engine itself
 
@@ -300,6 +333,30 @@ def _assert_same_run(agent, ref, history, ref_history):
     assert np.array_equal(agent.actor.flat, ref.actor.flat)
     assert np.array_equal(agent.critic.flat, ref.critic.flat)
     assert np.array_equal(agent.log_std, ref.log_std)
+
+
+def test_collect_batch_matches_per_lane_loop():
+    baselines = seed_airfoils(3, seed=3)
+    early = 0
+    for seed, max_steps in zip(range(3), (3, 4, 5)):
+        config = PpoConfig(trajectories_per_baseline=3, max_steps=max_steps)
+        agent = make_agent(np.random.default_rng(seed), hidden=(16, 16), std_init=0.3)
+
+        def env_factory():
+            return DesignEnv(proxy_evaluator(), EnvConfig(max_steps=max_steps))
+
+        batch = collect_batch(agent, baselines, env_factory, config,
+                              np.random.default_rng(seed))
+        ref = ref_collect_batch(agent, baselines, env_factory, config,
+                                np.random.default_rng(seed))
+        assert repr(batch.slices) == repr(ref.slices)  # python ints, as before
+        for name in ("states", "actions", "log_probs", "rewards", "values",
+                     "rewards_to_go", "advantages"):
+            got, want = getattr(batch, name), getattr(ref, name)
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
+        early += sum(stop - start < max_steps for start, stop in ref.slices)
+    assert early > 0  # some trajectory ends before max_steps
 
 
 @pytest.mark.parametrize("lr,std_init", [(1e-3, 0.1), (0.2, 2e-3)])

@@ -45,3 +45,18 @@ def test_plot_missing_column_raises(tmp_path):
     csv_path.write_text("foo,bar\n1,2\n")
     with pytest.raises(PlotError):
         plot_history(csv_path, tmp_path / "bad.svg")
+
+
+def test_plot_skips_non_finite_points(tmp_path):
+    # a PPO history's first row holds NaN losses
+    nan, inf = float("nan"), float("inf")
+    charts = {}
+    for name, rows in (("mixed", [(0, nan), (1, 0.5), (2, 2.0), (3, inf)]),
+                       ("finite", [(1, 0.5), (2, 2.0)]),
+                       ("all_nan", [(0, nan), (1, nan)]), ("empty", [])):
+        write_csv(tmp_path / f"{name}.csv", rows)
+        plot_history(tmp_path / f"{name}.csv", tmp_path / f"{name}.svg")
+        charts[name] = (tmp_path / f"{name}.svg").read_bytes()
+    assert b"nan" not in charts["mixed"] and b"polyline" in charts["mixed"]
+    assert charts["mixed"] == charts["finite"]
+    assert charts["all_nan"] == charts["empty"]
