@@ -1,14 +1,14 @@
 """Command-line front end tying the pipeline stages together.
 
 Subcommands: generate-pool, select-samples, train-surrogate, pretrain,
-train-ppo, evaluate, modify, extract-features, plot.  Every command
-writes its artifacts plus a manifest recording the config hash and
-seed.
+train-ppo, evaluate, modify, extract-features, plot.  Each ``cmd_*``
+takes the parsed arguments and the resolved config and returns the
+artifacts it wrote and its own manifest fields; `main` then writes
+``<command>_manifest.json`` with the config hash and seed.
 """
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 import time
@@ -18,8 +18,7 @@ import numpy as np
 
 from . import pretrain as pt
 from . import rl
-from .config import (ExperimentConfig, config_hash, from_profile,
-                     load_config, write_manifest)
+from .config import ExperimentConfig, load_config, write_manifest
 from .env import (DesignEnv, EnvConfig, StepStats, proxy_evaluator,
                   surrogate_evaluator)
 from .features import extract_features, read_distribution
@@ -28,19 +27,13 @@ from .geometry import (BumpAction, apply_action, max_thickness,
 from .plotsvg import plot_history
 from .proxy import PoolStats, generate_pool, seed_airfoils
 from .surrogate import (read_dataset, select_samples, train_surrogate,
-                        write_dataset)
+                        write_dataset, write_rows)
 from .nnet import load_model, save_model
 
 
 def _build_config(args) -> ExperimentConfig:
-    """--profile's config (desk by default) or, with --config, the INI's
-    overrides on the profile the INI names unless --profile is given;
-    the two may not disagree."""
-    base = from_profile(args.profile) if args.profile else None
-    if args.config:
-        cfg = load_config(args.config, base=base)
-    else:
-        cfg = base or from_profile("desk")
+    """The --config and --profile config (see load_config), with --seed."""
+    cfg = load_config(args.config, args.profile)
     if args.seed is not None:
         cfg.seed = args.seed
     return cfg
@@ -50,13 +43,6 @@ def _out(args, name: str) -> str:
     out_dir = os.environ.get("AIRFOILRL_OUT", args.out_dir)
     os.makedirs(out_dir, exist_ok=True)
     return os.path.join(out_dir, name)
-
-
-def _finish(args, cfg: ExperimentConfig, command: str, artifacts: list[str],
-            extra: dict | None = None) -> int:
-    manifest = _out(args, f"{command.replace('-', '_')}_manifest.json")
-    write_manifest(manifest, cfg, command, artifacts, extra)
-    return 0
 
 
 def _env_factory(args, cfg: ExperimentConfig, stats: StepStats | None = None):
@@ -70,19 +56,17 @@ def _env_factory(args, cfg: ExperimentConfig, stats: StepStats | None = None):
     return lambda: DesignEnv(evaluator, env_cfg, stats)
 
 
-def cmd_generate_pool(args) -> int:
-    cfg = _build_config(args)
+def cmd_generate_pool(args, cfg: ExperimentConfig) -> tuple[list[str], dict]:
     n = cfg.pool_size if args.n is None else args.n
     stats = PoolStats()
     pool = generate_pool(n, seed=cfg.seed, config=cfg.proxy, t_max=cfg.t_max, stats=stats)
     out = _out(args, args.out)
     write_dataset(out, pool)
     print(f"wrote {len(pool)} samples to {out}")
-    return _finish(args, cfg, "generate-pool", [out], asdict(stats))
+    return [out], asdict(stats)
 
 
-def cmd_select_samples(args) -> int:
-    cfg = _build_config(args)
+def cmd_select_samples(args, cfg: ExperimentConfig) -> tuple[list[str], dict]:
     pool = read_dataset(_out(args, args.pool))
     keep = (list(cfg.keep_counts) if args.keep is None
             else [int(k) for k in args.keep.split(",")])
@@ -93,11 +77,10 @@ def cmd_select_samples(args) -> int:
         write_dataset(out, records)
         artifacts.append(out)
         print(f"wrote {count} samples to {out}")
-    return _finish(args, cfg, "select-samples", artifacts)
+    return artifacts, {}
 
 
-def cmd_train_surrogate(args) -> int:
-    cfg = _build_config(args)
+def cmd_train_surrogate(args, cfg: ExperimentConfig) -> tuple[list[str], dict]:
     keep = cfg.keep_counts
     train = read_dataset(_out(args, args.train or f"selected_{keep[0]}.csv"))
     test = read_dataset(_out(args, args.test or f"selected_{keep[1]}.csv"))
@@ -108,16 +91,14 @@ def cmd_train_surrogate(args) -> int:
     model_out = _out(args, args.out)
     save_model(model_out, model)
     hist_out = _out(args, args.history)
-    _write_rows_csv(hist_out, history)
+    write_rows(hist_out, history)
     if history:
-        last = history[-1]
-        print(f"final test RSME(cd) = {last['test_cd']:.4f}")
+        print(f"final test RSME(cd) = {history[-1]['test_cd']:.4f}")
     print(f"wrote {model_out} and {hist_out}")
-    return _finish(args, cfg, "train-surrogate", [model_out, hist_out])
+    return [model_out, hist_out], {}
 
 
-def cmd_pretrain(args) -> int:
-    cfg = _build_config(args)
+def cmd_pretrain(args, cfg: ExperimentConfig) -> tuple[list[str], dict]:
     rng = np.random.default_rng(cfg.seed)
     baselines = seed_airfoils(cfg.pretrain_baselines, seed=cfg.seed,
                               t_max=cfg.t_max, config=cfg.proxy)
@@ -138,8 +119,7 @@ def cmd_pretrain(args) -> int:
     smoothed = pt.smooth_samples(deduped)
     smooth_out = _out(args, f"{args.out_prefix}_samples_smoothed.csv")
     pt.write_samples(smooth_out, smoothed, stage="smoothed")
-    agent = rl.make_agent(rng, hidden=cfg.ppo_hidden,
-                          std_init=cfg.ppo.std_init)
+    agent = rl.make_agent(rng, hidden=cfg.ppo_hidden, std_init=cfg.ppo.std_init)
     start = time.perf_counter()
     losses = pt.imitate_policy(agent, smoothed, schedule=cfg.imitation_schedule)
     seconds["imitation_s"] = time.perf_counter() - start
@@ -149,19 +129,17 @@ def cmd_pretrain(args) -> int:
                                         seed=cfg.seed)
     seconds["critic_fit_s"] = time.perf_counter() - start
     critic_out = _out(args, f"{args.out_prefix}_critic_history.csv")
-    _write_rows_csv(critic_out, critic_history)
+    write_rows(critic_out, critic_history)
     agent_out = _out(args, f"{args.out_prefix}_agent.npz")
     rl.save_agent(agent_out, agent)
     # a zero-epoch imitation schedule leaves the actor as initialised
     imitation = f"final imitation loss {losses[-1]:.3g}" if losses else "no imitation epochs"
     print(f"{len(samples)} raw samples -> {len(deduped)} deduped; {imitation}")
     print(f"wrote {agent_out} and {critic_out}")
-    return _finish(args, cfg, "pretrain", [raw_out, smooth_out, critic_out, agent_out],
-                   {**stats.manifest(), **seconds})
+    return [raw_out, smooth_out, critic_out, agent_out], {**stats.manifest(), **seconds}
 
 
-def cmd_train_ppo(args) -> int:
-    cfg = _build_config(args)
+def cmd_train_ppo(args, cfg: ExperimentConfig) -> tuple[list[str], dict]:
     rng = np.random.default_rng(cfg.seed)
     baselines = seed_airfoils(cfg.ppo_baselines, seed=cfg.seed,
                               t_max=cfg.t_max, config=cfg.proxy)
@@ -170,22 +148,19 @@ def cmd_train_ppo(args) -> int:
     if args.agent:
         agent = rl.load_agent(_out(args, args.agent))
     else:
-        agent = rl.make_agent(rng, hidden=cfg.ppo_hidden,
-                              std_init=cfg.ppo.std_init)
-    history = rl.ppo_train(agent, baselines, cfg.ppo, env_factory,
-                           seed=cfg.seed)
+        agent = rl.make_agent(rng, hidden=cfg.ppo_hidden, std_init=cfg.ppo.std_init)
+    history = rl.ppo_train(agent, baselines, cfg.ppo, env_factory, seed=cfg.seed)
     agent_out = _out(args, args.out)
     rl.save_agent(agent_out, agent)
     hist_out = _out(args, args.history)
-    _write_rows_csv(hist_out, history)
+    write_rows(hist_out, history)
     print(f"mean cumulative reward: {history[0]['mean_cum_reward']:.3f} -> "
           f"{history[-1]['mean_cum_reward']:.3f} counts")
     print(f"wrote {agent_out} and {hist_out}")
-    return _finish(args, cfg, "train-ppo", [agent_out, hist_out], stats.manifest())
+    return [agent_out, hist_out], stats.manifest()
 
 
-def cmd_evaluate(args) -> int:
-    cfg = _build_config(args)
+def cmd_evaluate(args, cfg: ExperimentConfig) -> tuple[list[str], dict]:
     baselines = seed_airfoils(cfg.ppo_baselines, seed=cfg.seed,
                               t_max=cfg.t_max, config=cfg.proxy)
     env_factory = _env_factory(args, cfg)
@@ -195,61 +170,52 @@ def cmd_evaluate(args) -> int:
     out = _out(args, args.report)
     rows = [{"airfoil": i, "cum_reward": r} for i, r in enumerate(per_airfoil)]
     rows.append({"airfoil": "mean", "cum_reward": mean})
-    _write_rows_csv(out, rows)
+    write_rows(out, rows)
     rollout_out = _out(args, args.rollout)
-    _write_rows_csv(rollout_out, steps)
+    write_rows(rollout_out, steps)
     print(f"mean cumulative reward {mean:.3f} counts over "
           f"{len(per_airfoil)} airfoils; wrote {out} and {rollout_out}")
-    return _finish(args, cfg, "evaluate", [out, rollout_out])
+    return [out, rollout_out], {}
 
 
-def cmd_modify(args) -> int:
-    cfg = _build_config(args)
+def cmd_modify(args, cfg: ExperimentConfig) -> tuple[list[str], dict]:
     foil = read_cst_file(args.airfoil)
-    t1, sb, hb = (float(v) for v in args.action.split(","))
-    modified = apply_action(foil, BumpAction(t1=t1, s_b=sb, h_b=hb))
+    modified = apply_action(foil, args.action)
     out = _out(args, args.out)
     write_coordinates(out, modified)
     cst_out = _out(args, args.out + ".cst")
     write_cst_file(cst_out, modified)
     print(f"max thickness {max_thickness(modified):.6f}; wrote {out}")
-    return _finish(args, cfg, "modify", [out, cst_out])
+    return [out, cst_out], {}
 
 
-def cmd_extract_features(args) -> int:
-    cfg = _build_config(args)
+def cmd_extract_features(args, cfg: ExperimentConfig) -> tuple[list[str], dict]:
     dist = read_distribution(args.dist)
     feats = extract_features(dist)
     out = _out(args, args.out)
-    _write_rows_csv(out, [{
+    write_rows(out, [{
         "x1": feats.x1, "mw1": feats.mw1, "mwl": feats.mwl,
         "mwa": feats.mwa, "mw_lower": feats.mw_lower, "err": feats.err,
         "no_shock": int(feats.no_shock)}])
     print(f"X1={feats.x1!r} Mw1={feats.mw1!r} MwL={feats.mwl!r} "
           f"MwA={feats.mwa!r} Err={feats.err!r} no_shock={feats.no_shock}")
-    return _finish(args, cfg, "extract-features", [out])
+    return [out], {}
 
 
-def cmd_plot(args) -> int:
-    cfg = _build_config(args)
+def cmd_plot(args, cfg: ExperimentConfig) -> tuple[list[str], dict]:
     out = _out(args, args.out)
     plot_history(_out(args, args.history), out, x_col=args.x, y_col=args.y)
     print(f"wrote {out}")
-    return _finish(args, cfg, "plot", [out])
+    return [out], {}
 
 
-def _write_rows_csv(path, rows: list[dict]) -> None:
-    fieldnames: list[str] = []
-    for row in rows:
-        for k in row:
-            if k not in fieldnames:
-                fieldnames.append(k)
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: (repr(float(v)) if isinstance(v, float) else v)
-                             for k, v in row.items()})
+def _bump_action(text: str) -> BumpAction:
+    try:
+        t1, s_b, h_b = (float(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected three numbers t1,s_b,h_b, got {text!r}") from None
+    return BumpAction(t1=t1, s_b=s_b, h_b=h_b)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -308,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("modify", help="apply one bump action to an airfoil")
     p.add_argument("--airfoil", required=True, help="CST coefficient file")
-    p.add_argument("--action", required=True, help="t1,s_b,h_b")
+    p.add_argument("--action", required=True, type=_bump_action, help="t1,s_b,h_b")
     p.add_argument("--out", default="modified.dat")
     p.set_defaults(func=cmd_modify)
 
@@ -333,7 +299,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        cfg = _build_config(args)
+        artifacts, extra = args.func(args, cfg)
+        # a command that raised leaves no manifest
+        write_manifest(_out(args, f"{args.command.replace('-', '_')}_manifest.json"),
+                       cfg, args.command, artifacts, extra)
+        return 0
     except Exception as exc:  # surfaced as a message + nonzero exit
         print(f"error: {exc}", file=sys.stderr)
         return 1

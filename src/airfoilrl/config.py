@@ -24,9 +24,15 @@ from .surrogate import DESK_BATCH, DESK_HIDDEN, DESK_SCHEDULE
 
 
 def parse_schedule(text: str) -> list[tuple[int, float]]:
+    """Comma-separated ``count:rate`` pairs; a count may be zero, not
+    negative."""
     out = []
     for part in text.split(","):
-        count, rate = part.strip().split(":")
+        count, sep, rate = part.strip().partition(":")
+        if not sep:
+            raise ValueError(f"{part.strip()!r} is not a count:rate pair")
+        if int(count) < 0:
+            raise ValueError(f"negative count in {part.strip()!r}")
         out.append((int(count), float(rate)))
     return out
 
@@ -132,24 +138,26 @@ _KEYS = {
 }
 
 
-def load_config(path, base: ExperimentConfig | None = None) -> ExperimentConfig:
-    """Apply INI overrides on top of a profile's defaults.
+def load_config(path=None, profile: str | None = None) -> ExperimentConfig:
+    """The run's config: the INI file's overrides (when `path` is given)
+    on a profile's defaults.
 
-    The base is `base` when given, else the profile the file's
-    ``[run] profile`` names (desk when it names none).  A file naming a
-    profile other than base's raises ValueError, as does a section or key
-    not in _KEYS (a [DEFAULT] section included).
+    The profile is `profile` when given, else the one the file's
+    ``[run] profile`` names, else desk.  A file naming a profile other
+    than `profile` raises ValueError, as do a section or key not in
+    _KEYS (a [DEFAULT] section included) and a value its parser rejects.
     """
     parser = configparser.ConfigParser()
-    with open(path) as fh:
-        parser.read_file(fh)
+    if path is not None:
+        with open(path) as fh:
+            parser.read_file(fh)
     if parser.defaults():
         raise ValueError(f"{path}: unknown config section [{parser.default_section}]")
-    profile = parser.get("run", "profile", fallback=None)
-    if base is not None and profile is not None and profile != base.profile:
-        raise ValueError(f"{path}: [run] profile = {profile} contradicts "
-                         f"the {base.profile} profile it is applied to")
-    cfg = base if base is not None else from_profile(profile or "desk")
+    named = parser.get("run", "profile", fallback=None)
+    if profile is not None and named is not None and named != profile:
+        raise ValueError(f"{path}: [run] profile = {named} contradicts "
+                         f"the {profile} profile it is applied to")
+    cfg = from_profile(profile or named or "desk")
     for section in parser.sections():
         if section not in _KEYS:
             raise ValueError(f"{path}: unknown config section [{section}]")
@@ -157,11 +165,15 @@ def load_config(path, base: ExperimentConfig | None = None) -> ExperimentConfig:
             if key not in _KEYS[section]:
                 raise ValueError(f"{path}: unknown config key {key!r} in [{section}]")
             attr, parse = _KEYS[section][key]
+            try:
+                value = parse(text)
+            except ValueError as exc:
+                raise ValueError(f"{path}: [{section}] {key} = {text}: {exc}") from None
             owner, _, name = attr.rpartition(".")
             if owner:
-                setattr(cfg, owner, replace(getattr(cfg, owner), **{name: parse(text)}))
+                setattr(cfg, owner, replace(getattr(cfg, owner), **{name: value}))
             else:
-                setattr(cfg, name, parse(text))
+                setattr(cfg, name, value)
     return cfg
 
 

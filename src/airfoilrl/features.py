@@ -201,7 +201,7 @@ def read_distribution(path) -> WallMachDistribution:
     m_inf = None
     rows: list[tuple[float, float, int]] = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if line.startswith("#"):
                 for tok in line.lstrip("#").split():
@@ -214,10 +214,15 @@ def read_distribution(path) -> WallMachDistribution:
                 continue
             if not line:
                 continue
-            a, b, sid = line.split()
-            if int(sid) not in (0, 1):
+            try:
+                a, b, sid = line.split()
+                row = (float(a), float(b), int(sid))
+            except ValueError:
+                raise FeatureError(f"{path}, line {lineno}: expected 'x value surface_id', "
+                                   f"got {line!r}") from None
+            if row[2] not in (0, 1):
                 raise FeatureError(f"surface id must be 0 (upper) or 1 (lower), got {sid}")
-            rows.append((float(a), float(b), int(sid)))
+            rows.append(row)
     if m_inf is None:
         raise FeatureError("distribution file header must declare m_inf")
     up = sorted((r for r in rows if r[2] == 0), key=lambda r: r[0])

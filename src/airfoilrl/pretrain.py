@@ -17,7 +17,7 @@ from .env import ACTION_BOUNDS, REWARD_SCALE, StepStats, physical_to_scaled
 from .geometry import AirfoilGeom, BumpAction, apply_action
 from .nnet import Fit
 from .rl import PolicyAgent, PpoConfig, ppo_train
-from .surrogate import is_valid_design
+from .surrogate import is_valid_design, write_table
 
 SMOOTH_PASSES = 10
 SMOOTH_NEIGHBORS = 10
@@ -81,20 +81,15 @@ def dedup_states(samples: list[StateActionSample]) -> list[StateActionSample]:
     """Among samples with equal states (within tolerance), keep only the
     highest-reward one; order of first appearance is preserved."""
     kept: list[StateActionSample] = []
-    kept_states: list[np.ndarray] = []
+    kept_states = np.empty((len(samples), 4))  # rows [:len(kept)] are live
     for s in samples:
-        if kept_states:
-            d = np.linalg.norm(np.stack(kept_states) - s.state, axis=1)
-            hits = np.nonzero(d <= DEDUP_TOL)[0]
-        else:
-            hits = np.array([], dtype=int)
+        d = np.linalg.norm(kept_states[:len(kept)] - s.state, axis=1)
+        hits = np.flatnonzero(d <= DEDUP_TOL)
         if hits.size == 0:
+            kept_states[len(kept)] = s.state
             kept.append(s)
-            kept_states.append(np.asarray(s.state, dtype=float))
-        else:
-            k = int(hits[0])
-            if s.reward > kept[k].reward:
-                kept[k] = s
+        elif s.reward > kept[hits[0]].reward:
+            kept[hits[0]] = s
     return kept
 
 
@@ -171,14 +166,9 @@ SAMPLE_COLUMNS = ["x1", "mw1", "mwl", "mwa", "t1", "sb", "hb", "reward", "stage"
 
 def write_samples(path, samples: list[StateActionSample],
                   stage: str = "raw") -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SAMPLE_COLUMNS)
-        for s in samples:
-            writer.writerow([repr(float(v)) for v in s.state]
-                            + [repr(float(s.action.t1)), repr(float(s.action.s_b)),
-                               repr(float(s.action.h_b)), repr(float(s.reward)),
-                               stage])
+    write_table(path, SAMPLE_COLUMNS, (
+        [*map(float, s.state), float(s.action.t1), float(s.action.s_b),
+         float(s.action.h_b), float(s.reward), stage] for s in samples))
 
 
 def read_samples(path) -> tuple[list[StateActionSample], list[str]]:

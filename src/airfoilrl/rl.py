@@ -37,6 +37,7 @@ class PpoConfig:
     entropy_coef: float = 0.001
     epochs: int = 200  # gradient epochs per PPO iteration
     trajectories_per_baseline: int = 4
+    # read only by the CLI, to build the environments' EnvConfig
     max_steps: int = 5
     # (PPO iterations, actor learning rate) segments, each iteration one
     # collect_batch and `epochs` gradient epochs; critic lr is a multiple

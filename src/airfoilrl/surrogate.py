@@ -188,18 +188,34 @@ def train_surrogate(train: list[SampleRecord], test: list[SampleRecord],
 
 
 # ---------------------------------------------------------------------------
+# CSV tables: a header line, then one line per row; every table the
+# package writes goes through write_table
+
+
+def write_table(path, columns, rows) -> None:
+    """Write `columns` as the header, then each row of values; a float is
+    written as repr(float(v)), its shortest round-trip text."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows([repr(float(v)) if isinstance(v, float) else v for v in row]
+                         for row in rows)
+
+
+def write_rows(path, rows: list[dict]) -> None:
+    """A table of dict rows: the columns are the keys in order of first
+    appearance, and a key a row lacks is left blank."""
+    columns = list(dict.fromkeys(k for row in rows for k in row))
+    write_table(path, columns, ([row.get(k, "") for k in columns] for row in rows))
+
+
 # dataset CSV: c_u0..c_u6,c_l0..c_l6,cd,x1,mw1,mwl,mwa (+ in_bounds marker)
 
 
 def write_dataset(path, samples: list[SampleRecord]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS + ["in_bounds"])
-        for s in samples:
-            row = [repr(float(v)) for v in s.cst14]
-            row += [repr(float(s.outputs[k])) for k in OUTPUT_NAMES]
-            row.append("1" if in_feature_bounds(s.outputs) else "0")
-            writer.writerow(row)
+    write_table(path, CSV_COLUMNS + ["in_bounds"], (
+        [*map(float, s.cst14), *(float(s.outputs[k]) for k in OUTPUT_NAMES),
+         "1" if in_feature_bounds(s.outputs) else "0"] for s in samples))
 
 
 def read_dataset(path) -> list[SampleRecord]:

@@ -81,6 +81,30 @@ def test_modify_rejects_bad_action(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("action", ["0.3,0.4", "0.3,x,0.02", "0.3,0.4,0.02,1"])
+def test_modify_names_a_malformed_action(tmp_path, capsys, action):
+    code = run(tmp_path, "modify", "--airfoil", "base.cst", "--action", action)
+    assert code == 2
+    assert f"argument --action: expected three numbers t1,s_b,h_b, got {action!r}" \
+        in capsys.readouterr().err
+
+
+def test_config_error_names_its_source(tmp_path, capsys):
+    # a negative schedule count once ran zero iterations and exited 0
+    ini = tmp_path / "bad.ini"
+    ini.write_text("[ppo]\nactor_schedule = -3:0.001\n")
+    assert main(["--out-dir", str(tmp_path), "--config", str(ini),
+                 "generate-pool", "--n", "5"]) == 1
+    assert f"{ini}: [ppo] actor_schedule = -3:0.001" in capsys.readouterr().err
+
+
+def test_only_a_command_that_succeeds_writes_a_manifest(tmp_path):
+    assert run(tmp_path, "select-samples", "--pool", "missing.csv") == 1
+    assert run(tmp_path, "generate-pool", "--n", "5") == 0
+    assert [p.name for p in tmp_path.glob("*_manifest.json")] == \
+        ["generate_pool_manifest.json"]
+
+
 def test_extract_features_command(tmp_path):
     dist = synthetic_distribution(0.55, 1.15, 1.2, 1.0)
     dist_path = tmp_path / "dist.txt"

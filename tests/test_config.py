@@ -17,6 +17,12 @@ def test_parse_schedule():
     assert parse_schedule("50:1e-4") == [(50, 1e-4)]
 
 
+def test_parse_schedule_counts_may_be_zero_not_negative():
+    assert parse_schedule("0:0.001") == [(0, 0.001)]
+    with pytest.raises(ValueError, match="negative count"):
+        parse_schedule("10:0.01,-3:0.001")
+
+
 def test_unknown_profile_raises():
     with pytest.raises(ValueError):
         from_profile("huge")
@@ -114,3 +120,28 @@ def test_load_config_rejects_unknown_names(tmp_path, text, named):
     path.write_text(text)
     with pytest.raises(ValueError, match=re.escape(named)):
         load_config(path)
+
+
+@pytest.mark.parametrize("text, named", [
+    ("[ppo]\nactor_schedule = 10\n", "[ppo] actor_schedule = 10: '10' is not a count:rate pair"),
+    ("[ppo]\nactor_schedule = -3:0.001\n", "[ppo] actor_schedule = -3:0.001: negative count"),
+    ("[ppo]\nhidden = 64,,64\n", "[ppo] hidden = 64,,64: invalid literal"),
+    ("[pretrain]\nbaselines = ten\n", "[pretrain] baselines = ten"),
+    ("[proxy]\nm_inf = fast\n", "[proxy] m_inf = fast"),
+], ids=["no rate", "negative count", "empty int", "int", "float"])
+def test_load_config_names_a_bad_value(tmp_path, text, named):
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {named}")):
+        load_config(path)
+
+
+def test_load_config_profile_rule(tmp_path):
+    # the INI's [run] profile, else desk; --profile may only agree
+    assert load_config() == desk_config()
+    assert load_config(profile="paper") == paper_config()
+    path = tmp_path / "run.ini"
+    path.write_text("[run]\nprofile = paper\n")
+    assert load_config(path) == load_config(path, "paper") == paper_config()
+    with pytest.raises(ValueError, match="contradicts the desk profile"):
+        load_config(path, "desk")

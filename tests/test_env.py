@@ -2,13 +2,13 @@
 import numpy as np
 import pytest
 
-from airfoilrl.cli import _write_rows_csv
 from airfoilrl.env import (ACTION_BOUNDS, REWARD_SCALE, DesignEnv, EnvConfig,
                            EnvProtocolError, physical_to_scaled,
                            proxy_evaluator, scaled_to_physical, ROLLOUT_COLUMNS)
 from airfoilrl.geometry import (AirfoilGeom, BumpAction, apply_action, max_thickness,
                                 solve_t2)
 from airfoilrl.proxy import seed_airfoils
+from airfoilrl.surrogate import write_rows
 
 
 @pytest.fixture(scope="module")
@@ -126,7 +126,7 @@ def test_rollout_log_round_trip(tmp_path):
              "shock_lost": False, "clamped": False}]
     rows[0] = {k: rows[0].get(k, 0) for k in ROLLOUT_COLUMNS}
     path = tmp_path / "rollout.csv"
-    _write_rows_csv(path, rows)
+    write_rows(path, rows)
     text = path.read_text().splitlines()
     assert text[0] == ",".join(ROLLOUT_COLUMNS)
     assert len(text) == 2

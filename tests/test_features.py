@@ -124,6 +124,10 @@ def test_read_distribution_cp_kind(tmp_path):
 @pytest.mark.parametrize("header,surface,match", [
     ("# kind=Cp m_inf=0.76", "0", "'Cp'"),
     ("# kind=mw m_inf=0.76", "2", "surface id"),
+    # a row that is not three numbers names the file and the line
+    ("# kind=mw m_inf=0.76", "", "typo.txt, line 3: expected 'x value surface_id'"),
+    ("# kind=mw m_inf=0.76", "upper", "typo.txt, line 3: .*'0.5 1.0 upper'"),
+    ("# kind=mw m_inf=0.76", "0 7", "typo.txt, line 3"),
 ])
 def test_read_distribution_rejects_typos(tmp_path, header, surface, match):
     path = tmp_path / "typo.txt"

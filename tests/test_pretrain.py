@@ -4,7 +4,7 @@ import pytest
 
 from airfoilrl.env import DesignEnv, EnvConfig, proxy_evaluator
 from airfoilrl.geometry import BumpAction
-from airfoilrl.pretrain import (SMOOTH_NEIGHBORS, SMOOTH_PASSES, SMOOTH_RELAXATION,
+from airfoilrl.pretrain import (DEDUP_TOL, SMOOTH_NEIGHBORS, SMOOTH_PASSES, SMOOTH_RELAXATION,
                                 StateActionSample, dedup_states, greedy_search,
                                 imitate_policy, pretrain_critic, read_samples,
                                 smooth_samples, write_samples)
@@ -93,6 +93,39 @@ def test_dedup_tolerance():
     s1 = sample([0.5, 1.1, 1.1, 1.0], reward=1.0)
     s2 = sample([0.5 + 1e-10, 1.1, 1.1, 1.0], reward=2.0)
     assert len(dedup_states([s1, s2])) == 1
+
+
+def ref_dedup_states(samples):
+    kept = []
+    kept_states = []
+    for s in samples:
+        if kept_states:
+            d = np.linalg.norm(np.stack(kept_states) - s.state, axis=1)
+            hits = np.nonzero(d <= DEDUP_TOL)[0]
+        else:
+            hits = np.array([], dtype=int)
+        if hits.size == 0:
+            kept.append(s)
+            kept_states.append(np.asarray(s.state, dtype=float))
+        else:
+            k = int(hits[0])
+            if s.reward > kept[k].reward:
+                kept[k] = s
+    return kept
+
+
+def test_dedup_matches_reference_on_many_duplicates():
+    # 600 samples over 40 distinct states, some nudged within the
+    # tolerance, with repeated rewards: the same kept objects in order
+    rng = np.random.default_rng(3)
+    states = rng.uniform(0.0, 1.0, (40, 4))
+    nudge = np.where(rng.random((600, 1)) < 0.3, 0.4 * DEDUP_TOL, 0.0)
+    samples = [sample(states[k] + nudge[i], reward=float(rng.integers(0, 5)))
+               for i, k in enumerate(rng.integers(0, 40, 600))]
+    out, ref = dedup_states(samples), ref_dedup_states(samples)
+    assert 0 < len(out) <= 40
+    assert len(out) == len(ref) and all(a is b for a, b in zip(out, ref))
+    assert dedup_states([]) == []
 
 
 def test_smooth_requires_enough_samples():

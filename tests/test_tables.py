@@ -1,0 +1,123 @@
+"""The CSV table writer keeps the bytes of the three writers it replaced.
+
+`ref_*` are verbatim copies of the dict-row writer of the CLI, of
+`pretrain.write_samples` and of `surrogate.write_dataset` as they were
+before one table writer served them all; every cell kind below must come
+out byte for byte as they wrote it.
+"""
+import csv
+
+import numpy as np
+import pytest
+
+from airfoilrl.geometry import BumpAction
+from airfoilrl.pretrain import SAMPLE_COLUMNS, StateActionSample, write_samples
+from airfoilrl.surrogate import (CSV_COLUMNS, OUTPUT_NAMES, SampleRecord,
+                                 in_feature_bounds, write_dataset, write_rows)
+
+# every cell kind a table meets: special floats, numpy scalars, bools,
+# ints, and a string the csv module must quote
+NUMBERS = [float("nan"), float("inf"), float("-inf"), -0.0, 1e-300, 0.1,
+           np.float64(2.5), np.float64(-0.0), np.bool_(True), np.bool_(False),
+           True, False, 7, -3]
+CELLS = NUMBERS + ['a,"b" c', ""]
+
+
+def ref_write_rows_csv(path, rows: list[dict]) -> None:
+    fieldnames: list[str] = []
+    for row in rows:
+        for k in row:
+            if k not in fieldnames:
+                fieldnames.append(k)
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=fieldnames)
+        writer.writeheader()
+        for row in rows:
+            writer.writerow({k: (repr(float(v)) if isinstance(v, float) else v)
+                             for k, v in row.items()})
+
+
+def ref_write_samples(path, samples: list[StateActionSample],
+                      stage: str = "raw") -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(SAMPLE_COLUMNS)
+        for s in samples:
+            writer.writerow([repr(float(v)) for v in s.state]
+                            + [repr(float(s.action.t1)), repr(float(s.action.s_b)),
+                               repr(float(s.action.h_b)), repr(float(s.reward)),
+                               stage])
+
+
+def ref_write_dataset(path, samples: list[SampleRecord]) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CSV_COLUMNS + ["in_bounds"])
+        for s in samples:
+            row = [repr(float(v)) for v in s.cst14]
+            row += [repr(float(s.outputs[k])) for k in OUTPUT_NAMES]
+            row.append("1" if in_feature_bounds(s.outputs) else "0")
+            writer.writerow(row)
+
+
+def _same_bytes(tmp_path, write, ref, *args):
+    new, old = tmp_path / "new.csv", tmp_path / "ref.csv"
+    write(new, *args)
+    ref(old, *args)
+    assert new.read_bytes() == old.read_bytes()
+
+
+def _cycle(values, n, start):
+    return [values[(start + i) % len(values)] for i in range(n)]
+
+
+DICT_TABLES = {
+    "every cell": [{f"c{i}": v for i, v in enumerate(CELLS)}],
+    "one cell a row": [{"value": v} for v in CELLS],
+    "missing key": [{"a": 1.5, "b": "x"}, {"a": float("nan")}, {"b": -0.0}],
+    "differing keys": [{"a": 1, "b": 2.0}, {"c": np.float64(3.0), "a": True},
+                       {"d": np.bool_(False)}, {}],
+    "no rows": [],
+    "empty rows": [{}, {}],
+}
+
+
+@pytest.mark.parametrize("rows", DICT_TABLES.values(), ids=DICT_TABLES.keys())
+def test_dict_rows_keep_their_bytes(tmp_path, rows):
+    _same_bytes(tmp_path, write_rows, ref_write_rows_csv, rows)
+
+
+def _sample_sets():
+    samples = [StateActionSample(state=_cycle(NUMBERS, 4, i),
+                                 action=BumpAction(*_cycle(NUMBERS, 3, i + 4)),
+                                 reward=NUMBERS[(i + 7) % len(NUMBERS)])
+               for i in range(len(NUMBERS))]
+    samples.append(StateActionSample(state=np.array([0.6, 1.1, 1.15, 0.95]),
+                                     action=BumpAction(0.5, 0.3, -0.001),
+                                     reward=np.float64(1.25)))
+    return {"every cell": samples, "no rows": []}
+
+
+@pytest.mark.parametrize("stage", ["raw", 'a,"b" c', ""])
+@pytest.mark.parametrize("name", ["every cell", "no rows"])
+def test_samples_keep_their_bytes(tmp_path, name, stage):
+    _same_bytes(tmp_path, write_samples, ref_write_samples, _sample_sets()[name], stage)
+
+
+def _dataset_sets():
+    records = [SampleRecord(cst14=_cycle(NUMBERS, 14, i),
+                            outputs=dict(zip(OUTPUT_NAMES, _cycle(NUMBERS, 5, i + 3))))
+               for i in range(len(NUMBERS))]
+    inside = {"cd": 0.011, "x1": 0.5, "mw1": 1.1, "mwl": 1.15, "mwa": 1.0}
+    records.append(SampleRecord(cst14=np.linspace(-0.2, 0.3, 14), outputs=inside))
+    records.append(SampleRecord(cst14=np.linspace(-0.2, 0.3, 14),
+                                outputs={k: np.float64(v) for k, v in inside.items()}))
+    return {"every cell": records, "no rows": []}
+
+
+@pytest.mark.parametrize("name", ["every cell", "no rows"])
+def test_dataset_keeps_its_bytes(tmp_path, name):
+    records = _dataset_sets()[name]
+    assert name == "no rows" or {"0", "1"} <= {
+        "1" if in_feature_bounds(r.outputs) else "0" for r in records}
+    _same_bytes(tmp_path, write_dataset, ref_write_dataset, records)
