@@ -18,7 +18,7 @@ import numpy as np
 
 from . import pretrain as pt
 from . import rl
-from .config import ExperimentConfig, load_config, write_manifest
+from .config import ExperimentConfig, load_config, parse_count, parse_counts, write_manifest
 from .env import (DesignEnv, EnvConfig, StepStats, proxy_evaluator,
                   surrogate_evaluator)
 from .features import extract_features, read_distribution
@@ -32,10 +32,11 @@ from .nnet import load_model, save_model
 
 
 def _build_config(args) -> ExperimentConfig:
-    """The --config and --profile config (see load_config), with --seed."""
+    """The --config and --profile config (see load_config) with --seed, --n and --keep set."""
     cfg = load_config(args.config, args.profile)
-    if args.seed is not None:
-        cfg.seed = args.seed
+    for name in ("seed", "pool_size", "keep_counts"):
+        if getattr(args, name, None) is not None:
+            setattr(cfg, name, getattr(args, name))
     return cfg
 
 
@@ -57,9 +58,8 @@ def _env_factory(args, cfg: ExperimentConfig, stats: StepStats | None = None):
 
 
 def cmd_generate_pool(args, cfg: ExperimentConfig) -> tuple[list[str], dict]:
-    n = cfg.pool_size if args.n is None else args.n
     stats = PoolStats()
-    pool = generate_pool(n, seed=cfg.seed, config=cfg.proxy, t_max=cfg.t_max, stats=stats)
+    pool = generate_pool(cfg.pool_size, cfg.seed, cfg.t_max, config=cfg.proxy, stats=stats)
     out = _out(args, args.out)
     write_dataset(out, pool)
     print(f"wrote {len(pool)} samples to {out}")
@@ -68,9 +68,7 @@ def cmd_generate_pool(args, cfg: ExperimentConfig) -> tuple[list[str], dict]:
 
 def cmd_select_samples(args, cfg: ExperimentConfig) -> tuple[list[str], dict]:
     pool = read_dataset(_out(args, args.pool))
-    keep = (list(cfg.keep_counts) if args.keep is None
-            else [int(k) for k in args.keep.split(",")])
-    sets = select_samples(pool, keep)
+    sets = select_samples(pool, cfg.keep_counts)
     artifacts = []
     for count, records in sorted(sets.items(), reverse=True):
         out = _out(args, f"{args.out_prefix}_{count}.csv")
@@ -81,9 +79,8 @@ def cmd_select_samples(args, cfg: ExperimentConfig) -> tuple[list[str], dict]:
 
 
 def cmd_train_surrogate(args, cfg: ExperimentConfig) -> tuple[list[str], dict]:
-    keep = cfg.keep_counts
-    train = read_dataset(_out(args, args.train or f"selected_{keep[0]}.csv"))
-    test = read_dataset(_out(args, args.test or f"selected_{keep[1]}.csv"))
+    train = read_dataset(_out(args, args.train or f"selected_{cfg.keep_counts[0]}.csv"))
+    test = read_dataset(_out(args, args.test or f"selected_{cfg.keep_counts[1]}.csv"))
     model, history = train_surrogate(
         train, test, hidden=list(cfg.surrogate_hidden),
         schedule=cfg.surrogate_schedule, batch_size=cfg.surrogate_batch,
@@ -230,14 +227,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate-pool", help="proxy-evaluate random airfoils")
-    p.add_argument("--n", type=int, default=None,
+    p.add_argument("--n", dest="pool_size", type=parse_count, metavar="N",
                    help="pool size (default: the config's pool_size)")
     p.add_argument("--out", default="pool.csv")
     p.set_defaults(func=cmd_generate_pool)
 
     p = sub.add_parser("select-samples", help="thin a pool to spread-out sets")
     p.add_argument("--pool", default="pool.csv")
-    p.add_argument("--keep", default=None,
+    p.add_argument("--keep", dest="keep_counts", type=parse_counts, metavar="KEEP",
                    help="comma-separated set sizes (default: the config's keep_counts)")
     p.add_argument("--out-prefix", default="selected")
     p.set_defaults(func=cmd_select_samples)

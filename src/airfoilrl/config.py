@@ -3,11 +3,11 @@
 The config file is standard INI (configparser) with sections [run],
 [proxy], [surrogate], [pretrain], and [ppo].  Learning-rate schedules
 are written as comma-separated ``count:rate`` pairs, e.g.
-``200:0.01,200:0.001``; integer tuples as comma-separated values.  The
-counts of ``actor_schedule`` and ``critic_schedule`` are PPO
-iterations, each one ``collect_batch`` and then ``epochs`` gradient
-epochs on that batch; those of the surrogate and imitation schedules
-are training epochs.
+``200:0.01,200:0.001``; pool, sample set and layer sizes as
+comma-separated integers of at least 1.  The counts of
+``actor_schedule`` and ``critic_schedule`` are PPO iterations, each
+one ``collect_batch`` and then ``epochs`` gradient epochs on that
+batch; those of the surrogate and imitation schedules are training epochs.
 A section or key the loader does not know is an error, not ignored.
 """
 from __future__ import annotations
@@ -35,6 +35,17 @@ def parse_schedule(text: str) -> list[tuple[int, float]]:
             raise ValueError(f"negative count in {part.strip()!r}")
         out.append((int(count), float(rate)))
     return out
+
+
+def parse_count(text: str) -> int:
+    """An integer of at least 1: a pool, sample set or layer size."""
+    if int(text) < 1:
+        raise ValueError(f"count {int(text)} is not at least 1")
+    return int(text)
+
+
+def parse_counts(text: str) -> tuple:
+    return tuple(parse_count(v) for v in text.split(","))
 
 
 @dataclass
@@ -99,10 +110,6 @@ def from_profile(name: str) -> ExperimentConfig:
     raise ValueError(f"unknown profile {name!r}")
 
 
-def _int_tuple(text: str) -> tuple:
-    return tuple(int(v) for v in text.split(","))
-
-
 def _boolean(text: str) -> bool:
     try:
         return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
@@ -113,21 +120,21 @@ def _boolean(text: str) -> bool:
 # every INI key: section -> key -> (attribute, parser); "ppo.x" and
 # "proxy.x" name fields of the nested PpoConfig and ProxyConfig
 _KEYS = {
-    "run": {"profile": ("profile", str), "seed": ("seed", int),
-            "t_max": ("t_max", float)},
+    "run": {"profile": ("profile", lambda name: from_profile(name).profile),
+            "seed": ("seed", int), "t_max": ("t_max", float)},
     "proxy": {f.name: ("proxy." + f.name, type(f.default)) for f in fields(ProxyConfig)},
-    "surrogate": {"hidden": ("surrogate_hidden", _int_tuple),
+    "surrogate": {"hidden": ("surrogate_hidden", parse_counts),
                   "schedule": ("surrogate_schedule", parse_schedule),
                   "batch_size": ("surrogate_batch", int),
-                  "pool_size": ("pool_size", int),
-                  "keep_counts": ("keep_counts", _int_tuple)},
+                  "pool_size": ("pool_size", parse_count),
+                  "keep_counts": ("keep_counts", parse_counts)},
     "pretrain": {"baselines": ("pretrain_baselines", int),
                  "searches": ("greedy_searches", int),
                  "steps": ("greedy_steps", int),
                  "candidates": ("greedy_candidates", int),
                  "imitation_schedule": ("imitation_schedule", parse_schedule),
                  "critic_schedule": ("critic_schedule", parse_schedule)},
-    "ppo": {"hidden": ("ppo_hidden", _int_tuple),
+    "ppo": {"hidden": ("ppo_hidden", parse_counts),
             "baselines": ("ppo_baselines", int),
             **{k: ("ppo." + k, parse) for k, parse in (
                 ("clip_eps", float), ("gamma", float), ("gae_lambda", float),
@@ -157,7 +164,7 @@ def load_config(path=None, profile: str | None = None) -> ExperimentConfig:
     if profile is not None and named is not None and named != profile:
         raise ValueError(f"{path}: [run] profile = {named} contradicts "
                          f"the {profile} profile it is applied to")
-    cfg = from_profile(profile or named or "desk")
+    values = []  # (attribute, value) of every key, all parsed before any applies
     for section in parser.sections():
         if section not in _KEYS:
             raise ValueError(f"{path}: unknown config section [{section}]")
@@ -166,14 +173,16 @@ def load_config(path=None, profile: str | None = None) -> ExperimentConfig:
                 raise ValueError(f"{path}: unknown config key {key!r} in [{section}]")
             attr, parse = _KEYS[section][key]
             try:
-                value = parse(text)
+                values.append((attr, parse(text)))
             except ValueError as exc:
                 raise ValueError(f"{path}: [{section}] {key} = {text}: {exc}") from None
-            owner, _, name = attr.rpartition(".")
-            if owner:
-                setattr(cfg, owner, replace(getattr(cfg, owner), **{name: value}))
-            else:
-                setattr(cfg, name, value)
+    cfg = from_profile(profile or named or "desk")
+    for attr, value in values:
+        owner, _, name = attr.rpartition(".")
+        if owner:
+            setattr(cfg, owner, replace(getattr(cfg, owner), **{name: value}))
+        else:
+            setattr(cfg, name, value)
     return cfg
 
 

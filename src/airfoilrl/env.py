@@ -24,6 +24,8 @@ import numpy as np
 
 from .features import is_single_shock
 from .geometry import AirfoilGeom, BumpAction, apply_action
+from .nnet import mlp_forward
+from .proxy import ProxyConfig, proxy_evaluate
 
 # physical action ranges; t1 narrowed away from the bump-exponent
 # singularities at 0 and 1
@@ -184,8 +186,6 @@ class DesignEnv:
 def proxy_evaluator(config=None):
     """Evaluator closure over the proxy oracle: one proxy_evaluate call
     for the whole block."""
-    from .proxy import ProxyConfig, proxy_evaluate
-
     cfg = config or ProxyConfig()
 
     def evaluate(cst):
@@ -202,8 +202,6 @@ def surrogate_evaluator(model):
     The surrogate predicts [CD, X1, Mw1, MwL, MwA] from the refit CST
     coefficients; Err and the lower-surface Mach are not modeled.
     """
-    from .nnet import mlp_forward
-
     def evaluate(cst):
         out = mlp_forward(model, np.reshape(np.asarray(cst, dtype=float), (-1, 14)))
         return Evaluation(cd=out[:, 0], state=out[:, 1:5], no_shock=out[:, 2] < 1.0)

@@ -167,11 +167,7 @@ def _plateau_err(x: np.ndarray, mw: np.ndarray, i_peak: int, i_pre: int) -> floa
     xs = x[i_peak : i_pre + 1]
     ys = mw[i_peak : i_pre + 1]
     line = ys[0] + (ys[-1] - ys[0]) * (xs - xs[0]) / (xs[-1] - xs[0])
-    inner = slice(1, -1)
-    dev = ys[inner] - line[inner]
-    if dev.size == 0:
-        return 0.0
-    return float(np.sqrt(np.mean(dev**2)))
+    return float(np.sqrt(np.mean((ys[1:-1] - line[1:-1]) ** 2)))
 
 
 def is_single_shock(features):

@@ -199,8 +199,6 @@ def mlp_backward(model: MlpModel, cache: list[np.ndarray],
     back-propagated deltas in place of new arrays.
     """
     grad_out = np.asarray(grad_out, dtype=float)
-    if grad_out.ndim == 1:
-        grad_out = grad_out[None, :]
     n = len(model.sizes) - 1
     if len(cache) != n + 1:
         raise NnetError("stale or mismatched forward cache")
@@ -342,8 +340,6 @@ def train_minibatch(model: MlpModel, inputs: np.ndarray, targets: np.ndarray,
     targets = np.asarray(targets, dtype=float)
     if inputs.size == 0:
         raise NnetError("empty dataset")
-    if targets.ndim == 1:
-        targets = targets[:, None]
     xs = model.input_scaler.scale(inputs)
     ys = model.output_scaler.scale(targets)
     rng = np.random.default_rng(seed)

@@ -95,7 +95,6 @@ def select_samples(pool: list[SampleRecord],
     def second_nearest(i: int, excl: int) -> float:
         row = dist[i].copy()
         row[excl] = np.inf
-        row[~alive] = np.inf
         return float(row.min())
 
     snapshots: dict[int, list[SampleRecord]] = {}
@@ -104,7 +103,7 @@ def select_samples(pool: list[SampleRecord],
         snapshots[count] = [pool[valid_idx[i]] for i in range(n)]
     smallest = keep_counts[-1]
     while count > smallest:
-        i = int(np.argmin(np.where(alive, nn_dist, np.inf)))
+        i = int(np.argmin(nn_dist))
         j = int(nn_idx[i])
         a, b = min(i, j), max(i, j)
         # delete the pair member whose next-nearest neighbor is closer
@@ -113,7 +112,7 @@ def select_samples(pool: list[SampleRecord],
         alive[victim] = False
         dist[victim, :] = np.inf
         dist[:, victim] = np.inf
-        nn_dist[victim] = np.inf
+        nn_dist[victim] = np.inf  # inf everywhere, a removed sample is never picked
         stale = np.nonzero(alive & (nn_idx == victim))[0]
         for k in stale:
             nn_dist[k] = dist[k].min()

@@ -256,8 +256,6 @@ def test_solve_t2_lanes_match_scalar_reference():
         for (t1, s_b), got_t2, got_clamped in zip(pairs, t2, clamped):
             assert geometry.solve_t2(t1, s_b, tol) == (got_t2, bool(got_clamped)), (t1, s_b)
         assert (t2[-1], clamped[-1]) == (0.2, True)  # a NaN width
-        # the width next to the chord may flip its flank flag inside the band
-        assert set(assert_t2_contract(pairs[:-1], tol)) <= {(0.5, 0.999)}
 
 
 @pytest.mark.parametrize("t1,s_b", [([0.5, 0.0], [0.3, 0.3]), ([0.5, math.nan], [0.3, 0.3]),

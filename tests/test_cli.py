@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from airfoilrl.cli import _build_config, build_parser, main
+from airfoilrl.config import config_hash
 from airfoilrl.env import ROLLOUT_COLUMNS
 from airfoilrl.geometry import make_airfoil, read_coordinates, write_cst_file
 from airfoilrl.features import write_distribution
@@ -58,6 +59,42 @@ def test_select_samples_pipeline(tmp_path):
     assert (tmp_path / "selected_10.csv").exists()
     n30 = len((tmp_path / "selected_30.csv").read_text().splitlines())
     assert n30 == 31
+
+
+def test_pool_size_and_keep_flags_enter_the_config_hash(tmp_path):
+    hashes = {}
+    for name, argv in (("n20", ["generate-pool", "--n", "20"]),
+                       ("n40", ["generate-pool", "--n", "40"]),
+                       ("keep", ["select-samples", "--pool", "../n40/pool.csv",
+                                 "--keep", "20,5"])):
+        assert run(tmp_path / name, *argv) == 0
+        manifest = tmp_path / name / f"{argv[0].replace('-', '_')}_manifest.json"
+        hashes[name] = json.loads(manifest.read_text())["config_hash"]
+    assert hashes["n20"] != hashes["n40"]
+    # a flag and the INI key it overrides are one setting
+    ini = tmp_path / "sizes.ini"
+    for name, key in (("n40", "pool_size = 40"), ("keep", "keep_counts = 20,5")):
+        ini.write_text(f"[surrogate]\n{key}\n")
+        cfg = _build_config(build_parser().parse_args(["--config", str(ini), "plot"]))
+        assert config_hash(cfg) == hashes[name]
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["select-samples", "--keep", "10,-5"], "argument --keep"),
+    (["select-samples", "--keep", "10,,5"], "argument --keep"),
+    (["select-samples", "--keep", "0"], "argument --keep"),
+    (["generate-pool", "--n", "-3"], "argument --n"),
+    (["generate-pool", "--n", "0"], "argument --n"),
+])
+def test_a_count_flag_below_one_is_rejected(tmp_path, capsys, argv, named):
+    # --keep 10,-5 once wrote selected_-5.csv, and --n -3 an empty pool
+    assert run(tmp_path, "generate-pool", "--n", "30") == 0
+    capsys.readouterr()
+    assert run(tmp_path, *argv) == 2
+    err = capsys.readouterr().err
+    assert f"{named}: " in err and argv[-1] in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        ["generate_pool_manifest.json", "pool.csv"]
 
 
 def test_modify_command(tmp_path):

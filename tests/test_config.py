@@ -6,7 +6,7 @@ import pytest
 
 from airfoilrl.config import (ExperimentConfig, config_hash, desk_config,
                               from_profile, load_config, paper_config,
-                              parse_schedule, write_manifest)
+                              parse_counts, parse_schedule, write_manifest)
 from airfoilrl.pretrain import IMITATION_SCHEDULE
 from airfoilrl.rl import PpoConfig
 from airfoilrl.surrogate import DESK_BATCH, DESK_HIDDEN, DESK_SCHEDULE
@@ -21,6 +21,16 @@ def test_parse_schedule_counts_may_be_zero_not_negative():
     assert parse_schedule("0:0.001") == [(0, 0.001)]
     with pytest.raises(ValueError, match="negative count"):
         parse_schedule("10:0.01,-3:0.001")
+
+
+def test_parse_counts_takes_integers_of_at_least_one():
+    assert parse_counts("2000,200") == (2000, 200)
+    assert parse_counts(" 64 , 1") == (64, 1)
+    for text, reason in (("10,-5", "count -5 is not at least 1"),
+                         ("0", "count 0 is not at least 1"),
+                         ("10,,5", "invalid literal"), ("8.5", "invalid literal")):
+        with pytest.raises(ValueError, match=reason):
+            parse_counts(text)
 
 
 def test_unknown_profile_raises():
@@ -128,7 +138,13 @@ def test_load_config_rejects_unknown_names(tmp_path, text, named):
     ("[ppo]\nhidden = 64,,64\n", "[ppo] hidden = 64,,64: invalid literal"),
     ("[pretrain]\nbaselines = ten\n", "[pretrain] baselines = ten"),
     ("[proxy]\nm_inf = fast\n", "[proxy] m_inf = fast"),
-], ids=["no rate", "negative count", "empty int", "int", "float"])
+    ("[surrogate]\nkeep_counts = 10,-5\n",
+     "[surrogate] keep_counts = 10,-5: count -5 is not at least 1"),
+    ("[surrogate]\npool_size = 0\n", "[surrogate] pool_size = 0: count 0 is not at least 1"),
+    ("[surrogate]\nhidden = 32,0\n", "[surrogate] hidden = 32,0: count 0 is not at least 1"),
+    ("[run]\nprofile = huge\n", "[run] profile = huge: unknown profile 'huge'"),
+], ids=["no rate", "negative count", "empty int", "int", "float", "keep count",
+        "pool size", "layer width", "profile"])
 def test_load_config_names_a_bad_value(tmp_path, text, named):
     path = tmp_path / "bad.ini"
     path.write_text(text)

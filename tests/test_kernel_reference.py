@@ -136,13 +136,16 @@ def assert_t2_contract(pairs, tol):
     return differ
 
 
+# truncated flanks at both ends of the action box, an infeasibly wide
+# and an infeasibly narrow bump
+T2_EDGE_PAIRS = [(0.95, 0.4), (0.99, 0.4), (0.01, 0.4), (0.02, 0.2), (0.99, 0.2),
+                 (0.5, 1e-4)]
+
+
 def test_solve_t2_matches_bisection_reference():
     rng = np.random.default_rng(20)
     pairs = [(rng.uniform(0.01, 0.99), rng.uniform(0.2, 0.4)) for _ in range(2000)]
-    # truncated flanks at both ends of the action box, an infeasibly wide
-    # and an infeasibly narrow bump
-    pairs += [(0.95, 0.4), (0.99, 0.4), (0.01, 0.4), (0.02, 0.2), (0.99, 0.2),
-              (0.5, 1e-4)]
+    pairs += T2_EDGE_PAIRS
     assert assert_t2_contract(pairs, 1e-6) == []
     _, clamped = solve_t2(np.array([t1 for t1, _ in pairs]), np.array([s for _, s in pairs]))
     assert np.count_nonzero(clamped) >= 20
@@ -155,7 +158,10 @@ def test_solve_t2_matches_reference_at_other_tolerances():
     rng = np.random.default_rng(21)
     for tol in (1e-3, 1e-9):
         pairs = [(rng.uniform(0.01, 0.99), rng.uniform(0.2, 0.4)) for _ in range(100)]
-        assert assert_t2_contract(pairs, tol) == []
+        assert assert_t2_contract(pairs + T2_EDGE_PAIRS, tol) == []
+        # a bump as wide as the chord keeps the contract, but its flank
+        # flag may differ from the reference's (it does at 1e-3)
+        assert_t2_contract([(0.5, 0.999)], tol)
 
 
 def test_measure_bump_width_matches_full_grid():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from airfoilrl.proxy import generate_pool
 from airfoilrl.surrogate import (FEATURE_BOUNDS, OUTPUT_NAMES, SampleRecord,
                                  SurrogateError, in_feature_bounds,
                                  read_dataset, rsme, select_samples,
@@ -107,6 +108,81 @@ def test_select_deterministic():
     a = select_samples(make_pool(coords), [7])[7]
     b = select_samples(make_pool(coords), [7])[7]
     assert [tuple(s.cst14) for s in a] == [tuple(s.cst14) for s in b]
+
+
+def masked_select_samples(pool, keep_counts):
+    """select_samples as it was when it also masked removed samples out
+    of the next-nearest row and the closest-pair search (verbatim)."""
+    keep_counts = sorted(set(int(k) for k in keep_counts), reverse=True)
+    if not keep_counts:
+        raise SurrogateError("at least one keep count required")
+    valid_idx = [i for i, rec in enumerate(pool) if in_feature_bounds(rec.outputs)]
+    if len(valid_idx) < keep_counts[0]:
+        raise SurrogateError(
+            f"only {len(valid_idx)} valid samples for keep count {keep_counts[0]}")
+
+    coords = np.stack([pool[i].cst14 for i in valid_idx])
+    n = len(valid_idx)
+    dist = np.sqrt(np.maximum(
+        np.sum(coords**2, axis=1)[:, None] + np.sum(coords**2, axis=1)[None, :]
+        - 2.0 * coords @ coords.T, 0.0))
+    np.fill_diagonal(dist, np.inf)
+    alive = np.ones(n, dtype=bool)
+    nn_dist = dist.min(axis=1)
+    nn_idx = dist.argmin(axis=1)
+
+    def second_nearest(i: int, excl: int) -> float:
+        row = dist[i].copy()
+        row[excl] = np.inf
+        row[~alive] = np.inf
+        return float(row.min())
+
+    snapshots = {}
+    count = n
+    if count in keep_counts:
+        snapshots[count] = [pool[valid_idx[i]] for i in range(n)]
+    smallest = keep_counts[-1]
+    while count > smallest:
+        i = int(np.argmin(np.where(alive, nn_dist, np.inf)))
+        j = int(nn_idx[i])
+        a, b = min(i, j), max(i, j)
+        # delete the pair member whose next-nearest neighbor is closer
+        da, db = second_nearest(a, b), second_nearest(b, a)
+        victim = a if da <= db else b
+        alive[victim] = False
+        dist[victim, :] = np.inf
+        dist[:, victim] = np.inf
+        nn_dist[victim] = np.inf
+        stale = np.nonzero(alive & (nn_idx == victim))[0]
+        for k in stale:
+            nn_dist[k] = dist[k].min()
+            nn_idx[k] = dist[k].argmin()
+        count -= 1
+        if count in keep_counts:
+            snapshots[count] = [pool[valid_idx[k]] for k in range(n) if alive[k]]
+    return snapshots
+
+
+def assert_same_sets(pool, keep_counts):
+    got = select_samples(pool, keep_counts)
+    want = masked_select_samples(pool, keep_counts)
+    assert list(got) == list(want)
+    for count in want:  # the same records, in the same order
+        assert [id(r) for r in got[count]] == [id(r) for r in want[count]]
+
+
+def test_select_matches_the_masked_loop_on_tied_pools():
+    # integer coordinates 0-2 give many equal distances; varying only
+    # the first few coordinates also gives duplicate samples
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        coords = np.zeros((40, 14))
+        coords[:, :2 + seed % 13] = rng.integers(0, 3, (40, 2 + seed % 13))
+        assert_same_sets(make_pool(coords), [30, 12, 5, 1])
+
+
+def test_select_matches_the_masked_loop_on_a_proxy_pool():
+    assert_same_sets(generate_pool(1200, seed=7), [700, 100])
 
 
 def test_rsme_hand_case():
