@@ -4,7 +4,8 @@ Subcommands: generate-pool, select-samples, train-surrogate, pretrain,
 train-ppo, evaluate, modify, extract-features, plot.  Each ``cmd_*``
 takes the parsed arguments and the resolved config and returns the
 artifacts it wrote and its own manifest fields; `main` then writes
-``<command>_manifest.json`` with the config hash and seed.
+``<command>_manifest.json`` with the config hash, seed and artifact
+digests.
 """
 from __future__ import annotations
 
@@ -206,6 +207,17 @@ def cmd_plot(args, cfg: ExperimentConfig) -> tuple[list[str], dict]:
     return [out], {}
 
 
+def _flag_type(parse):
+    """`parse` as an argparse type whose ValueError message names the
+    reason; argparse reports a plain ValueError by the function's name."""
+    def flag_type(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
+    return flag_type
+
+
 def _bump_action(text: str) -> BumpAction:
     try:
         t1, s_b, h_b = (float(v) for v in text.split(","))
@@ -227,14 +239,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate-pool", help="proxy-evaluate random airfoils")
-    p.add_argument("--n", dest="pool_size", type=parse_count, metavar="N",
+    p.add_argument("--n", dest="pool_size", type=_flag_type(parse_count), metavar="N",
                    help="pool size (default: the config's pool_size)")
     p.add_argument("--out", default="pool.csv")
     p.set_defaults(func=cmd_generate_pool)
 
     p = sub.add_parser("select-samples", help="thin a pool to spread-out sets")
     p.add_argument("--pool", default="pool.csv")
-    p.add_argument("--keep", dest="keep_counts", type=parse_counts, metavar="KEEP",
+    p.add_argument("--keep", dest="keep_counts", type=_flag_type(parse_counts), metavar="KEEP",
                    help="comma-separated set sizes (default: the config's keep_counts)")
     p.add_argument("--out-prefix", default="selected")
     p.set_defaults(func=cmd_select_samples)

@@ -3,11 +3,13 @@
 The config file is standard INI (configparser) with sections [run],
 [proxy], [surrogate], [pretrain], and [ppo].  Learning-rate schedules
 are written as comma-separated ``count:rate`` pairs, e.g.
-``200:0.01,200:0.001``; pool, sample set and layer sizes as
-comma-separated integers of at least 1.  The counts of
-``actor_schedule`` and ``critic_schedule`` are PPO iterations, each
-one ``collect_batch`` and then ``epochs`` gradient epochs on that
-batch; those of the surrogate and imitation schedules are training epochs.
+``200:0.01,200:0.001``; sizes and counts (pool, sample set, layer
+and batch sizes, baselines, searches, steps, candidates, epochs) as
+integers of at least 1, comma-separated where a key takes several.
+The counts of ``actor_schedule`` and ``critic_schedule`` are PPO
+iterations, each one ``collect_batch`` and then ``epochs`` gradient
+epochs on that batch; those of the surrogate and imitation schedules
+are training epochs.
 A section or key the loader does not know is an error, not ignored.
 """
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
+import zipfile
 from dataclasses import asdict, dataclass, field, fields, replace
 
 from .pretrain import IMITATION_SCHEDULE
@@ -38,7 +41,7 @@ def parse_schedule(text: str) -> list[tuple[int, float]]:
 
 
 def parse_count(text: str) -> int:
-    """An integer of at least 1: a pool, sample set or layer size."""
+    """An integer of at least 1: a size, a batch or an iteration count."""
     if int(text) < 1:
         raise ValueError(f"count {int(text)} is not at least 1")
     return int(text)
@@ -125,21 +128,21 @@ _KEYS = {
     "proxy": {f.name: ("proxy." + f.name, type(f.default)) for f in fields(ProxyConfig)},
     "surrogate": {"hidden": ("surrogate_hidden", parse_counts),
                   "schedule": ("surrogate_schedule", parse_schedule),
-                  "batch_size": ("surrogate_batch", int),
+                  "batch_size": ("surrogate_batch", parse_count),
                   "pool_size": ("pool_size", parse_count),
                   "keep_counts": ("keep_counts", parse_counts)},
-    "pretrain": {"baselines": ("pretrain_baselines", int),
-                 "searches": ("greedy_searches", int),
-                 "steps": ("greedy_steps", int),
-                 "candidates": ("greedy_candidates", int),
+    "pretrain": {"baselines": ("pretrain_baselines", parse_count),
+                 "searches": ("greedy_searches", parse_count),
+                 "steps": ("greedy_steps", parse_count),
+                 "candidates": ("greedy_candidates", parse_count),
                  "imitation_schedule": ("imitation_schedule", parse_schedule),
                  "critic_schedule": ("critic_schedule", parse_schedule)},
     "ppo": {"hidden": ("ppo_hidden", parse_counts),
-            "baselines": ("ppo_baselines", int),
+            "baselines": ("ppo_baselines", parse_count),
             **{k: ("ppo." + k, parse) for k, parse in (
                 ("clip_eps", float), ("gamma", float), ("gae_lambda", float),
-                ("entropy_coef", float), ("epochs", int),
-                ("trajectories_per_baseline", int), ("max_steps", int),
+                ("entropy_coef", float), ("epochs", parse_count),
+                ("trajectories_per_baseline", parse_count), ("max_steps", parse_count),
                 ("std_init", float), ("normalize_advantages", _boolean),
                 ("actor_schedule", parse_schedule))}},
 }
@@ -192,13 +195,32 @@ def config_hash(cfg: ExperimentConfig) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
+def artifact_digest(path) -> str:
+    """sha256 hex digest of an artifact: an .npz by its sorted member
+    names and contents, as np.savez stamps zip entries with the wall
+    clock; any other file by its bytes."""
+    h = hashlib.sha256()
+    if str(path).endswith(".npz"):
+        with zipfile.ZipFile(path) as zf:
+            for name in sorted(zf.namelist()):
+                h.update(name.encode())
+                h.update(zf.read(name))
+    else:
+        with open(path, "rb") as fh:
+            h.update(fh.read())
+    return h.hexdigest()
+
+
 def write_manifest(path, cfg: ExperimentConfig, command: str,
                    artifacts: list[str], extra: dict | None = None) -> None:
-    """Run manifest: command, config hash, seed, profile, artifacts, and
-    the command's own fields (`extra`)."""
+    """Run manifest: command, config hash, seed, profile, artifacts, each
+    artifact's digest (`sha256`; not the manifest's own), and the
+    command's own fields (`extra`)."""
     payload = {"command": command, "config_hash": config_hash(cfg),
                "seed": cfg.seed, "profile": cfg.profile,
-               "artifacts": sorted(artifacts), **(extra or {})}
+               "artifacts": sorted(artifacts),
+               "sha256": {a: artifact_digest(a) for a in artifacts},
+               **(extra or {})}
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -170,7 +170,7 @@ def mlp_forward(model: MlpModel, x: np.ndarray, scaled: bool = True,
     if x.shape[1] != model.n_in:
         raise NnetError(f"input dimension {x.shape[1]} != {model.n_in}")
     h = model.input_scaler.scale(x) if scaled else x
-    cache = [h]
+    cache = [h]  # every layer's activation, kept only with_cache
     weights = model.weights
     last = len(weights) - 1
     for i, (w, b) in enumerate(zip(weights, model.biases)):
@@ -178,7 +178,8 @@ def mlp_forward(model: MlpModel, x: np.ndarray, scaled: bool = True,
         h += b
         if i < last:
             np.maximum(h, 0.0, out=h)
-        cache.append(h)
+        if with_cache:
+            cache.append(h)
     y = model.output_scaler.unscale(h) if scaled else h
     if single:
         y = y[0]

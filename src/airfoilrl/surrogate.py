@@ -64,6 +64,23 @@ def is_valid_design(cd, state, no_shock) -> np.ndarray:
     return ~no_shock & in_feature_bounds(dict(zip(OUTPUT_NAMES, (cd, *state.T))))
 
 
+_DIST_BLOCK = 64  # rows per step of the in-place distance build
+
+
+def _pair_distances(coords: np.ndarray) -> np.ndarray:
+    """(n, n) Euclidean distances between rows, built in one n×n float64
+    array plus an O(_DIST_BLOCK × n) temporary.  Each element takes the
+    IEEE steps of sqrt(max(sq_i + sq_j - 2.0 * coords @ coords.T, 0)); the
+    product stays a GEMM, as ``coords @ coords.T`` goes to SYRK and may
+    round otherwise."""
+    sq = np.sum(coords**2, axis=1)
+    dist = 2.0 * coords @ coords.T
+    for start in range(0, len(sq), _DIST_BLOCK):
+        blk = slice(start, start + _DIST_BLOCK)
+        np.subtract(sq[blk, None] + sq, dist[blk], out=dist[blk])
+    return np.sqrt(np.maximum(dist, 0.0, out=dist), out=dist)
+
+
 def select_samples(pool: list[SampleRecord],
                    keep_counts: list[int]) -> dict[int, list[SampleRecord]]:
     """Thin a pool to the requested sizes, keeping geometries spread out.
@@ -84,9 +101,7 @@ def select_samples(pool: list[SampleRecord],
 
     coords = np.stack([pool[i].cst14 for i in valid_idx])
     n = len(valid_idx)
-    dist = np.sqrt(np.maximum(
-        np.sum(coords**2, axis=1)[:, None] + np.sum(coords**2, axis=1)[None, :]
-        - 2.0 * coords @ coords.T, 0.0))
+    dist = _pair_distances(coords)
     np.fill_diagonal(dist, np.inf)
     alive = np.ones(n, dtype=bool)
     nn_dist = dist.min(axis=1)

@@ -1,5 +1,6 @@
 """CLI integration tests on small desk-scale workloads."""
 import csv
+import hashlib
 import json
 import os
 
@@ -87,12 +88,14 @@ def test_pool_size_and_keep_flags_enter_the_config_hash(tmp_path):
     (["generate-pool", "--n", "0"], "argument --n"),
 ])
 def test_a_count_flag_below_one_is_rejected(tmp_path, capsys, argv, named):
-    # --keep 10,-5 once wrote selected_-5.csv, and --n -3 an empty pool
+    # --keep 10,-5 once wrote selected_-5.csv, and --n -3 an empty pool;
+    # the message gives the parser's reason, not "invalid parse_counts value"
     assert run(tmp_path, "generate-pool", "--n", "30") == 0
     capsys.readouterr()
     assert run(tmp_path, *argv) == 2
     err = capsys.readouterr().err
-    assert f"{named}: " in err and argv[-1] in err
+    reason = "invalid literal for int()" if ",," in argv[-1] else "is not at least 1"
+    assert f"{named}: " in err and argv[-1] in err and reason in err
     assert sorted(p.name for p in tmp_path.iterdir()) == \
         ["generate_pool_manifest.json", "pool.csv"]
 
@@ -185,6 +188,25 @@ def test_config_file_round_trip(tmp_path):
                  "generate-pool", "--n", "5"]) == 0
     manifest = json.loads((tmp_path / "generate_pool_manifest.json").read_text())
     assert manifest["seed"] == 11
+
+
+def test_manifest_digests_repeat_with_one_seed(tmp_path):
+    ini = tmp_path / "tiny.ini"
+    ini.write_text("[surrogate]\npool_size = 40\nkeep_counts = 20,5\nhidden = 8\n"
+                   "schedule = 2:0.01\nbatch_size = 16\n")
+    digests = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        for command in ("generate-pool", "select-samples", "train-surrogate"):
+            assert run(out, "--config", str(ini), command) == 0
+        digests.append({os.path.basename(path): digest
+                        for manifest in out.glob("*_manifest.json")
+                        for path, digest in json.loads(manifest.read_text())["sha256"].items()})
+    assert digests[0] == digests[1]
+    assert sorted(digests[0]) == ["pool.csv", "selected_20.csv", "selected_5.csv",
+                                  "surrogate.npz", "surrogate_history.csv"]
+    pool = (tmp_path / "a" / "pool.csv").read_bytes()
+    assert digests[0]["pool.csv"] == hashlib.sha256(pool).hexdigest()
 
 
 @pytest.mark.slow

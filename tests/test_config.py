@@ -1,10 +1,12 @@
 """Configuration parsing, profiles, hashing, manifests."""
+import hashlib
 import json
 import re
+import zipfile
 
 import pytest
 
-from airfoilrl.config import (ExperimentConfig, config_hash, desk_config,
+from airfoilrl.config import (ExperimentConfig, artifact_digest, config_hash, desk_config,
                               from_profile, load_config, paper_config,
                               parse_counts, parse_schedule, write_manifest)
 from airfoilrl.pretrain import IMITATION_SCHEDULE
@@ -111,12 +113,31 @@ def test_config_hash_stable_and_sensitive():
 def test_write_manifest(tmp_path):
     cfg = ExperimentConfig(seed=5)
     path = tmp_path / "manifest.json"
-    write_manifest(path, cfg, "generate-pool", ["b.csv", "a.csv"])
+    a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
+    for name, text in ((a, "x\n1\n"), (b, "y\n2\n")):
+        with open(name, "w") as fh:
+            fh.write(text)
+    write_manifest(path, cfg, "generate-pool", [b, a])
     payload = json.loads(path.read_text())
     assert payload["command"] == "generate-pool"
     assert payload["seed"] == 5
-    assert payload["artifacts"] == ["a.csv", "b.csv"]
+    assert payload["artifacts"] == [a, b]
     assert payload["config_hash"] == config_hash(cfg)
+    assert payload["sha256"] == {a: hashlib.sha256(b"x\n1\n").hexdigest(),
+                                 b: hashlib.sha256(b"y\n2\n").hexdigest()}
+
+
+def test_artifact_digest_of_an_npz_ignores_the_zip_timestamps(tmp_path):
+    paths = [tmp_path / "early.npz", tmp_path / "late.npz"]
+    for path, stamp in zip(paths, [(2020, 1, 1, 0, 0, 0), (2024, 6, 1, 12, 30, 0)]):
+        with zipfile.ZipFile(path, "w") as zf:
+            for name, data in (("w.npy", b"\x01\x02"), ("b.npy", b"\x03")):
+                zf.writestr(zipfile.ZipInfo(name, date_time=stamp), data)
+    assert paths[0].read_bytes() != paths[1].read_bytes()
+    assert artifact_digest(paths[0]) == artifact_digest(paths[1])
+    with zipfile.ZipFile(paths[1], "a") as zf:
+        zf.writestr("extra.npy", b"")
+    assert artifact_digest(paths[0]) != artifact_digest(paths[1])
 
 
 @pytest.mark.parametrize("text, named", [
@@ -132,6 +153,14 @@ def test_load_config_rejects_unknown_names(tmp_path, text, named):
         load_config(path)
 
 
+# the count keys beside pool_size, keep_counts and hidden; 0 once loaded
+# silently (epochs) or failed later without naming the key (batch_size)
+COUNT_KEYS = [("surrogate", "batch_size"), ("pretrain", "baselines"),
+              ("pretrain", "searches"), ("pretrain", "steps"), ("pretrain", "candidates"),
+              ("ppo", "baselines"), ("ppo", "epochs"),
+              ("ppo", "trajectories_per_baseline"), ("ppo", "max_steps")]
+
+
 @pytest.mark.parametrize("text, named", [
     ("[ppo]\nactor_schedule = 10\n", "[ppo] actor_schedule = 10: '10' is not a count:rate pair"),
     ("[ppo]\nactor_schedule = -3:0.001\n", "[ppo] actor_schedule = -3:0.001: negative count"),
@@ -143,8 +172,11 @@ def test_load_config_rejects_unknown_names(tmp_path, text, named):
     ("[surrogate]\npool_size = 0\n", "[surrogate] pool_size = 0: count 0 is not at least 1"),
     ("[surrogate]\nhidden = 32,0\n", "[surrogate] hidden = 32,0: count 0 is not at least 1"),
     ("[run]\nprofile = huge\n", "[run] profile = huge: unknown profile 'huge'"),
+    *[(f"[{section}]\n{key} = 0\n", f"[{section}] {key} = 0: count 0 is not at least 1")
+      for section, key in COUNT_KEYS],
 ], ids=["no rate", "negative count", "empty int", "int", "float", "keep count",
-        "pool size", "layer width", "profile"])
+        "pool size", "layer width", "profile",
+        *[f"{section}.{key}" for section, key in COUNT_KEYS]])
 def test_load_config_names_a_bad_value(tmp_path, text, named):
     path = tmp_path / "bad.ini"
     path.write_text(text)

@@ -1,4 +1,6 @@
 """Network engine tests: forward/backward correctness, Adam, scaling."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -59,6 +61,21 @@ def test_forward_dimension_mismatch():
     model = make_mlp([3, 4, 1], np.random.default_rng(0))
     with pytest.raises(NnetError):
         mlp_forward(model, np.zeros(5))
+
+
+def test_uncached_forward_holds_two_layers_at_most():
+    # 700 rows through three 128-wide layers; keeping every layer until
+    # the return reached about 3.3 layers
+    model = make_mlp([14, 128, 128, 128, 5], np.random.default_rng(0))
+    x = np.random.default_rng(1).uniform(0.0, 1.0, (700, 14))
+    y, cache = mlp_forward(model, x, with_cache=True)
+    tracemalloc.start()
+    try:
+        assert mlp_forward(model, x).tobytes() == y.tobytes()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * cache[1].nbytes
 
 
 def test_glorot_bounds():

@@ -1,5 +1,6 @@
 """Surrogate dataset selection, RSME metric, and model training tests."""
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from airfoilrl.proxy import generate_pool
 from airfoilrl.surrogate import (FEATURE_BOUNDS, OUTPUT_NAMES, SampleRecord,
-                                 SurrogateError, in_feature_bounds,
-                                 read_dataset, rsme, select_samples,
-                                 write_dataset)
+                                 SurrogateError, _pair_distances,
+                                 in_feature_bounds, read_dataset, rsme,
+                                 select_samples, write_dataset)
 
 IN_BOX = dict(cd=0.01, x1=0.5, mw1=1.1, mwl=1.1, mwa=1.0)
 
@@ -181,8 +182,44 @@ def test_select_matches_the_masked_loop_on_tied_pools():
         assert_same_sets(make_pool(coords), [30, 12, 5, 1])
 
 
-def test_select_matches_the_masked_loop_on_a_proxy_pool():
-    assert_same_sets(generate_pool(1200, seed=7), [700, 100])
+@pytest.fixture(scope="module")
+def proxy_pool():
+    return generate_pool(1200, seed=7)
+
+
+def test_select_matches_the_masked_loop_on_a_proxy_pool(proxy_pool):
+    n = sum(bool(in_feature_bounds(r.outputs)) for r in proxy_pool)
+    tracemalloc.start()
+    try:
+        select_samples(proxy_pool, [700, 100])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one n×n float64 matrix plus O(n) and O(block × n) arrays; the
+    # one-expression build peaked at 2 n²
+    assert peak <= 1.25 * n * n * 8
+    assert_same_sets(proxy_pool, [700, 100])
+
+
+def expression_distances(coords):
+    """The distance matrix as one expression, as select_samples built it
+    before the in-place build (verbatim)."""
+    return np.sqrt(np.maximum(
+        np.sum(coords**2, axis=1)[:, None] + np.sum(coords**2, axis=1)[None, :]
+        - 2.0 * coords @ coords.T, 0.0))
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65])
+def test_pair_distances_equal_the_expression_bitwise(n):
+    # real-valued coordinates, so a changed rounding shows in the last bit;
+    # the sizes straddle the build's block of rows
+    coords = np.random.default_rng(n).normal(0.0, 0.1, (n, 14))
+    assert _pair_distances(coords).tobytes() == expression_distances(coords).tobytes()
+
+
+def test_pair_distances_equal_the_expression_on_a_proxy_pool(proxy_pool):
+    coords = np.stack([r.cst14 for r in proxy_pool if in_feature_bounds(r.outputs)])
+    assert _pair_distances(coords).tobytes() == expression_distances(coords).tobytes()
 
 
 def test_rsme_hand_case():
