@@ -19,7 +19,8 @@ import numpy as np
 
 from . import pretrain as pt
 from . import rl
-from .config import ExperimentConfig, load_config, parse_count, parse_counts, write_manifest
+from .config import (ExperimentConfig, load_config, parse_count, parse_counts, parse_seed,
+                     write_manifest)
 from .env import (DesignEnv, EnvConfig, StepStats, proxy_evaluator,
                   surrogate_evaluator)
 from .features import extract_features, read_distribution
@@ -79,9 +80,25 @@ def cmd_select_samples(args, cfg: ExperimentConfig) -> tuple[list[str], dict]:
     return artifacts, {}
 
 
+def _sample_set(args, cfg: ExperimentConfig, flag: str, entry: int) -> str:
+    """The --train (entry 0) or --test (entry 1) file: the flag's value,
+    else selected_<that [surrogate] keep_counts entry>.csv."""
+    if getattr(args, flag):
+        return _out(args, getattr(args, flag))
+    keep = ",".join(map(str, cfg.keep_counts))
+    if len(cfg.keep_counts) <= entry:
+        raise ValueError(f"--{flag} not given and [surrogate] keep_counts = {keep} "
+                         f"has no entry {entry + 1} to name its default; pass --{flag}")
+    path = _out(args, f"selected_{cfg.keep_counts[entry]}.csv")
+    if not os.path.exists(path):
+        raise ValueError(f"--{flag} not given and its default {path}, from [surrogate] "
+                         f"keep_counts = {keep}, does not exist; pass --train and --test")
+    return path
+
+
 def cmd_train_surrogate(args, cfg: ExperimentConfig) -> tuple[list[str], dict]:
-    train = read_dataset(_out(args, args.train or f"selected_{cfg.keep_counts[0]}.csv"))
-    test = read_dataset(_out(args, args.test or f"selected_{cfg.keep_counts[1]}.csv"))
+    train = read_dataset(_sample_set(args, cfg, "train", 0))
+    test = read_dataset(_sample_set(args, cfg, "test", 1))
     model, history = train_surrogate(
         train, test, hidden=list(cfg.surrogate_hidden),
         schedule=cfg.surrogate_schedule, batch_size=cfg.surrogate_batch,
@@ -234,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--profile", default=None, choices=["desk", "paper"],
                         help="default: the config file's [run] profile, else desk")
     parser.add_argument("--config", default=None, help="INI config file")
-    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--seed", type=_flag_type(parse_seed), default=None)
     parser.add_argument("--out-dir", default="artifacts")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -3,9 +3,12 @@
 The config file is standard INI (configparser) with sections [run],
 [proxy], [surrogate], [pretrain], and [ppo].  Learning-rate schedules
 are written as comma-separated ``count:rate`` pairs, e.g.
-``200:0.01,200:0.001``; sizes and counts (pool, sample set, layer
-and batch sizes, baselines, searches, steps, candidates, epochs) as
-integers of at least 1, comma-separated where a key takes several.
+``200:0.01,200:0.001``, each rate finite and greater than 0; sizes
+and counts (pool, sample set, layer and batch sizes, baselines,
+searches, steps, candidates, epochs) as integers of at least 1,
+comma-separated where a key takes several.  ``clip_eps`` and
+``std_init`` are finite and greater than 0, ``gamma`` and
+``gae_lambda`` lie in [0, 1], and a seed is an integer of at least 0.
 The counts of ``actor_schedule`` and ``critic_schedule`` are PPO
 iterations, each one ``collect_batch`` and then ``epochs`` gradient
 epochs on that batch; those of the surrogate and imitation schedules
@@ -17,6 +20,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
+import math
 import zipfile
 from dataclasses import asdict, dataclass, field, fields, replace
 
@@ -24,6 +28,22 @@ from .pretrain import IMITATION_SCHEDULE
 from .proxy import T_MAX_DEFAULT, ProxyConfig
 from .rl import PpoConfig
 from .surrogate import DESK_BATCH, DESK_HIDDEN, DESK_SCHEDULE
+
+
+def parse_positive(text: str) -> float:
+    """A finite float greater than 0: a rate, clip_eps or std_init."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{text.strip()} is not finite and greater than 0")
+    return value
+
+
+def parse_fraction(text: str) -> float:
+    """A float in [0, 1]: gamma or gae_lambda."""
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{text.strip()} is not in [0, 1]")
+    return value
 
 
 def parse_schedule(text: str) -> list[tuple[int, float]]:
@@ -36,8 +56,15 @@ def parse_schedule(text: str) -> list[tuple[int, float]]:
             raise ValueError(f"{part.strip()!r} is not a count:rate pair")
         if int(count) < 0:
             raise ValueError(f"negative count in {part.strip()!r}")
-        out.append((int(count), float(rate)))
+        out.append((int(count), parse_positive(rate)))
     return out
+
+
+def parse_seed(text: str) -> int:
+    """A random seed: an integer of at least 0."""
+    if int(text) < 0:
+        raise ValueError(f"seed {int(text)} is negative")
+    return int(text)
 
 
 def parse_count(text: str) -> int:
@@ -124,7 +151,7 @@ def _boolean(text: str) -> bool:
 # "proxy.x" name fields of the nested PpoConfig and ProxyConfig
 _KEYS = {
     "run": {"profile": ("profile", lambda name: from_profile(name).profile),
-            "seed": ("seed", int), "t_max": ("t_max", float)},
+            "seed": ("seed", parse_seed), "t_max": ("t_max", float)},
     "proxy": {f.name: ("proxy." + f.name, type(f.default)) for f in fields(ProxyConfig)},
     "surrogate": {"hidden": ("surrogate_hidden", parse_counts),
                   "schedule": ("surrogate_schedule", parse_schedule),
@@ -140,10 +167,11 @@ _KEYS = {
     "ppo": {"hidden": ("ppo_hidden", parse_counts),
             "baselines": ("ppo_baselines", parse_count),
             **{k: ("ppo." + k, parse) for k, parse in (
-                ("clip_eps", float), ("gamma", float), ("gae_lambda", float),
-                ("entropy_coef", float), ("epochs", parse_count),
-                ("trajectories_per_baseline", parse_count), ("max_steps", parse_count),
-                ("std_init", float), ("normalize_advantages", _boolean),
+                ("clip_eps", parse_positive), ("gamma", parse_fraction),
+                ("gae_lambda", parse_fraction), ("entropy_coef", float),
+                ("epochs", parse_count), ("trajectories_per_baseline", parse_count),
+                ("max_steps", parse_count), ("std_init", parse_positive),
+                ("normalize_advantages", _boolean),
                 ("actor_schedule", parse_schedule))}},
 }
 

@@ -64,21 +64,28 @@ def is_valid_design(cd, state, no_shock) -> np.ndarray:
     return ~no_shock & in_feature_bounds(dict(zip(OUTPUT_NAMES, (cd, *state.T))))
 
 
-_DIST_BLOCK = 64  # rows per step of the in-place distance build
+# select_samples takes its distances in blocks of rows [s, e): s is a
+# multiple of _DIST_BLOCK, itself a multiple of the GEMM kernel's row tile,
+# so that with one BLAS thread a block's product rounds as the same rows
+# of the full product, and a one-row tail joins the block before it, as
+# numpy sends a one-row product to GEMV.  Each row keeps at most
+# _CANDIDATES nearest neighbours.
+_DIST_BLOCK = 96
+_CANDIDATES = 64
 
 
-def _pair_distances(coords: np.ndarray) -> np.ndarray:
-    """(n, n) Euclidean distances between rows, built in one n×n float64
-    array plus an O(_DIST_BLOCK × n) temporary.  Each element takes the
-    IEEE steps of sqrt(max(sq_i + sq_j - 2.0 * coords @ coords.T, 0)); the
-    product stays a GEMM, as ``coords @ coords.T`` goes to SYRK and may
-    round otherwise."""
-    sq = np.sum(coords**2, axis=1)
-    dist = 2.0 * coords @ coords.T
-    for start in range(0, len(sq), _DIST_BLOCK):
-        blk = slice(start, start + _DIST_BLOCK)
-        np.subtract(sq[blk, None] + sq, dist[blk], out=dist[blk])
-    return np.sqrt(np.maximum(dist, 0.0, out=dist), out=dist)
+def _block_of(i: int, n: int) -> tuple[int, int]:
+    """The distance block [s, e) that holds row i of n."""
+    s = i - i % _DIST_BLOCK
+    if s > 0 and s == n - 1:
+        s -= _DIST_BLOCK
+    e = min(s + _DIST_BLOCK, n)
+    return s, (n if e == n - 1 else e)
+
+
+def _gram_rows(coords: np.ndarray, s: int, e: int, out=None) -> np.ndarray:
+    """Rows [s, e) of 2.0 * coords @ coords.T, a GEMM of the block."""
+    return np.matmul(2.0 * coords[s:e], coords.T, out=out)
 
 
 def select_samples(pool: list[SampleRecord],
@@ -90,10 +97,21 @@ def select_samples(pool: list[SampleRecord],
     per round; the member whose next-nearest-neighbor distance is
     smaller is deleted, ties broken by lower index.  A snapshot is
     taken whenever the survivor count hits a keep count.
+
+    The distance from i to j is sqrt(max(sq_i + sq_j - 2 c_i . c_j, 0))
+    with sq the squared norms, each block of rows from one GEMM.  Memory
+    is O(n (_DIST_BLOCK + _CANDIDATES)): each row keeps a list of
+    (distance, index) pairs in that order, and every survivor off the
+    list sorts after the list, so a row's first live entry is its
+    nearest survivor, lowest index first among equal distances, as in a
+    dense n×n search; a row whose list runs out rebuilds its block's
+    lists.
     """
     keep_counts = sorted(set(int(k) for k in keep_counts), reverse=True)
     if not keep_counts:
         raise SurrogateError("at least one keep count required")
+    if keep_counts[-1] < 1:
+        raise SurrogateError(f"keep count {keep_counts[-1]} is not at least 1")
     valid_idx = [i for i, rec in enumerate(pool) if in_feature_bounds(rec.outputs)]
     if len(valid_idx) < keep_counts[0]:
         raise SurrogateError(
@@ -101,16 +119,92 @@ def select_samples(pool: list[SampleRecord],
 
     coords = np.stack([pool[i].cst14 for i in valid_idx])
     n = len(valid_idx)
-    dist = _pair_distances(coords)
-    np.fill_diagonal(dist, np.inf)
-    alive = np.ones(n, dtype=bool)
-    nn_dist = dist.min(axis=1)
-    nn_idx = dist.argmin(axis=1)
+    sq = np.sum(coords**2, axis=1)
+    # block buffers, allocated once: each fresh block-sized array costs
+    # page faults (about 0.2 ms per block at n = 950)
+    gram = np.empty((_DIST_BLOCK + 1) * n)  # a block's products, then its partition
+    work = np.empty((_DIST_BLOCK + 1) * n)  # a block's squared distances
+    live = bytearray(n + 1)  # index n pads the lists and is never live
+    alive = np.frombuffer(live, dtype=bool)[:n]
+    alive[:] = True
+    K = _CANDIDATES
+    cand_d, cand_j = np.full((n, K), np.inf), np.full((n, K), n)
+    # flat views, row i's list at [i K, (i + 1) K), whose single entries
+    # read and write at Python speed
+    list_d, list_j = memoryview(cand_d.reshape(-1)), memoryview(cand_j.reshape(-1))
+    head = list(range(0, n * K, K))  # list position of each row's nearest neighbour
+    nn_dist, nn_idx = np.empty(n), np.empty(n, dtype=int)
+    nn_d, nn_j = memoryview(nn_dist), memoryview(nn_idx)
+
+    def refresh(i: int) -> None:
+        """Rebuild the lists of the live rows in row i's block over the
+        live columns.  With k = min(_CANDIDATES, live columns - 1), a list
+        holds a row's k nearest pairs, less those at the k-th distance
+        when columns are left off, as one of those may tie them; where
+        that leaves fewer than two pairs, or the k-th squared distance
+        is tied, it holds the first k pairs of the whole sorted row."""
+        s, e = _block_of(i, n)
+        rows = np.flatnonzero(alive[s:e]) + s
+        cols = np.flatnonzero(alive)
+        b, m = len(rows), len(cols)
+        k = min(K, m - 1)
+        cand_d[rows], cand_j[rows] = np.inf, n
+        if k > 0:
+            g = _gram_rows(coords, s, e, out=gram[:(e - s) * n].reshape(e - s, n))
+            if b < e - s or m < n:
+                g = g[np.ix_(rows - s, cols)]
+            d2 = np.add(sq[rows, None], sq[cols], out=work[:b * m].reshape(b, m))
+            np.subtract(d2, g, out=d2)
+            d2[np.arange(b), np.searchsorted(cols, rows)] = np.inf
+            part = gram[:b * m].reshape(b, m)
+            np.copyto(part, d2)
+            part.partition(k - 1, axis=1)
+            near = d2 <= part[:, k - 1:k]
+            whole = np.zeros(b, dtype=bool)
+            if np.count_nonzero(near) > b * k:
+                whole = np.count_nonzero(near, axis=1) > k
+                near[whole] = False
+            flat = np.flatnonzero(near)
+            dist = np.sqrt(np.maximum(d2.ravel()[flat], 0.0)).reshape(-1, k)
+            idx = cols[flat % m].reshape(-1, k)  # ascending in each row
+            if k < m - 1:
+                cut = dist == dist.max(axis=1, keepdims=True)
+                dist[cut], idx[cut] = np.inf, n
+            order = np.arange(len(dist))[:, None], dist.argsort(axis=1)
+            ranked = dist[order]
+            for t in np.flatnonzero(np.any(ranked[:, 1:] == ranked[:, :-1], axis=1)):
+                order[1][t] = np.argsort(dist[t], kind="stable")  # lower index first
+            cand_d[rows[~whole], :k], cand_j[rows[~whole], :k] = dist[order], idx[order]
+            whole |= cand_d[rows, min(1, k - 1)] == np.inf
+            for t in np.flatnonzero(whole):
+                row = np.sqrt(np.maximum(d2[t], 0.0))
+                first = np.argsort(row, kind="stable")[:k]
+                cand_d[rows[t], :k], cand_j[rows[t], :k] = row[first], cols[first]
+        nn_dist[rows], nn_idx[rows] = cand_d[rows, 0], cand_j[rows, 0]
+        for r in rows.tolist():
+            head[r] = r * K
+
+    def next_live(i: int, q: int, excl: int) -> int:
+        """First position from q on in row i's list of a live column other
+        than excl; -1 when there is none."""
+        end = (i + 1) * K
+        while q < end:
+            c = list_j[q]
+            if live[c] and c != excl:
+                return q
+            q += 1
+        return -1
 
     def second_nearest(i: int, excl: int) -> float:
-        row = dist[i].copy()
-        row[excl] = np.inf
-        return float(row.min())
+        q = next_live(i, head[i], excl)
+        if q < 0:
+            refresh(i)
+            q = next_live(i, head[i], excl)
+        return list_d[q] if q >= 0 else np.inf
+
+    for s in range(0, n, _DIST_BLOCK):
+        if _block_of(s, n)[0] == s:
+            refresh(s)
 
     snapshots: dict[int, list[SampleRecord]] = {}
     count = n
@@ -118,23 +212,26 @@ def select_samples(pool: list[SampleRecord],
         snapshots[count] = [pool[valid_idx[i]] for i in range(n)]
     smallest = keep_counts[-1]
     while count > smallest:
-        i = int(np.argmin(nn_dist))
-        j = int(nn_idx[i])
+        i = int(nn_dist.argmin())
+        j = nn_j[i]
         a, b = min(i, j), max(i, j)
         # delete the pair member whose next-nearest neighbor is closer
         da, db = second_nearest(a, b), second_nearest(b, a)
         victim = a if da <= db else b
-        alive[victim] = False
-        dist[victim, :] = np.inf
-        dist[:, victim] = np.inf
-        nn_dist[victim] = np.inf  # inf everywhere, a removed sample is never picked
-        stale = np.nonzero(alive & (nn_idx == victim))[0]
-        for k in stale:
-            nn_dist[k] = dist[k].min()
-            nn_idx[k] = dist[k].argmin()
+        live[victim] = False
+        nn_d[victim], nn_j[victim] = np.inf, n  # never picked again
+        for k in (nn_idx == victim).nonzero()[0].tolist():
+            if nn_j[k] != victim:
+                continue  # rebuilt with an earlier row of its block
+            q = next_live(k, head[k] + 1, n)
+            if q < 0:
+                refresh(k)
+            else:
+                head[k] = q
+                nn_d[k], nn_j[k] = list_d[q], list_j[q]
         count -= 1
         if count in keep_counts:
-            snapshots[count] = [pool[valid_idx[k]] for k in range(n) if alive[k]]
+            snapshots[count] = [pool[valid_idx[k]] for k in range(n) if live[k]]
     return snapshots
 
 

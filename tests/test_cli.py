@@ -100,6 +100,14 @@ def test_a_count_flag_below_one_is_rejected(tmp_path, capsys, argv, named):
         ["generate_pool_manifest.json", "pool.csv"]
 
 
+def test_a_negative_seed_flag_is_rejected(tmp_path, capsys):
+    # numpy's default_rng once rejected it with "expected non-negative integer"
+    assert run(tmp_path, "--seed", "-1", "generate-pool", "--n", "5") == 2
+    err = capsys.readouterr().err
+    assert "argument --seed: '-1': seed -1 is negative" in err
+    assert not tmp_path.exists() or not any(tmp_path.iterdir())
+
+
 def test_modify_command(tmp_path):
     foil = make_airfoil(BASE_UPPER, BASE_LOWER, T_MAX_DEFAULT)
     cst_path = tmp_path / "base.cst"
@@ -179,6 +187,40 @@ def test_missing_input_is_reported(tmp_path, capsys):
     code = run(tmp_path, "select-samples", "--pool", "missing.csv")
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_train_surrogate_names_a_missing_default_set(tmp_path, capsys):
+    # the default sets follow the config's keep_counts, not an earlier --keep
+    assert run(tmp_path, "generate-pool", "--n", "60") == 0
+    assert run(tmp_path, "select-samples", "--keep", "20,10") == 0
+    assert run(tmp_path, "train-surrogate") == 1
+    err = capsys.readouterr().err
+    assert str(tmp_path / "selected_2000.csv") in err
+    assert "[surrogate] keep_counts = 2000,200" in err and "pass --train and --test" in err
+    assert run(tmp_path, "train-surrogate", "--train", "selected_20.csv",
+               "--test", "selected_10.csv") == 0
+
+
+def test_train_surrogate_names_a_keep_counts_without_a_test_set(tmp_path, capsys):
+    ini = tmp_path / "one.ini"
+    ini.write_text("[surrogate]\nkeep_counts = 20\nhidden = 8\nschedule = 2:0.01\n")
+    assert run(tmp_path, "generate-pool", "--n", "60") == 0
+    assert run(tmp_path, "--config", str(ini), "select-samples") == 0
+    assert run(tmp_path, "--config", str(ini), "train-surrogate") == 1
+    err = capsys.readouterr().err
+    assert "[surrogate] keep_counts = 20 has no entry 2" in err and "pass --test" in err
+    assert run(tmp_path, "--config", str(ini), "train-surrogate",
+               "--test", "selected_20.csv") == 0
+
+
+@pytest.mark.parametrize("value", ["gamma = 0", "gamma = 1", "gae_lambda = 0",
+                                   "gae_lambda = 1", "clip_eps = 1e308"])
+def test_edge_values_inside_their_domain_run(tmp_path, value):
+    ini = tmp_path / "edge.ini"
+    ini.write_text("[ppo]\nhidden = 8,8\nbaselines = 2\nepochs = 2\n"
+                   "trajectories_per_baseline = 1\nmax_steps = 2\n"
+                   f"actor_schedule = 1:0.001\n{value}\n")
+    assert run(tmp_path, "--config", str(ini), "train-ppo") == 0
 
 
 def test_config_file_round_trip(tmp_path):

@@ -1,13 +1,15 @@
 """Configuration parsing, profiles, hashing, manifests."""
 import hashlib
 import json
+import math
 import re
 import zipfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from airfoilrl.config import (ExperimentConfig, artifact_digest, config_hash, desk_config,
-                              from_profile, load_config, paper_config,
+from airfoilrl.config import (_KEYS, ExperimentConfig, artifact_digest, config_hash,
+                              desk_config, from_profile, load_config, paper_config,
                               parse_counts, parse_schedule, write_manifest)
 from airfoilrl.pretrain import IMITATION_SCHEDULE
 from airfoilrl.rl import PpoConfig
@@ -174,14 +176,66 @@ COUNT_KEYS = [("surrogate", "batch_size"), ("pretrain", "baselines"),
     ("[run]\nprofile = huge\n", "[run] profile = huge: unknown profile 'huge'"),
     *[(f"[{section}]\n{key} = 0\n", f"[{section}] {key} = 0: count 0 is not at least 1")
       for section, key in COUNT_KEYS],
+    ("[ppo]\nactor_schedule = 2:-1\n",
+     "[ppo] actor_schedule = 2:-1: -1 is not finite and greater than 0"),
+    ("[ppo]\nactor_schedule = 2:nan\n",
+     "[ppo] actor_schedule = 2:nan: nan is not finite and greater than 0"),
+    ("[surrogate]\nschedule = 5:0.01,5:0\n",
+     "[surrogate] schedule = 5:0.01,5:0: 0 is not finite and greater than 0"),
+    ("[pretrain]\ncritic_schedule = 2:inf\n",
+     "[pretrain] critic_schedule = 2:inf: inf is not finite and greater than 0"),
+    ("[ppo]\ngamma = nan\n", "[ppo] gamma = nan: nan is not in [0, 1]"),
+    ("[ppo]\ngae_lambda = 1.5\n", "[ppo] gae_lambda = 1.5: 1.5 is not in [0, 1]"),
+    ("[ppo]\nclip_eps = -1\n", "[ppo] clip_eps = -1: -1 is not finite and greater than 0"),
+    ("[ppo]\nstd_init = 0\n", "[ppo] std_init = 0: 0 is not finite and greater than 0"),
+    ("[run]\nseed = -1\n", "[run] seed = -1: seed -1 is negative"),
 ], ids=["no rate", "negative count", "empty int", "int", "float", "keep count",
         "pool size", "layer width", "profile",
-        *[f"{section}.{key}" for section, key in COUNT_KEYS]])
+        *[f"{section}.{key}" for section, key in COUNT_KEYS],
+        "negative rate", "nan rate", "zero rate", "infinite rate", "gamma", "gae_lambda",
+        "clip_eps", "std_init", "seed"])
 def test_load_config_names_a_bad_value(tmp_path, text, named):
     path = tmp_path / "bad.ini"
     path.write_text(text)
     with pytest.raises(ValueError, match=re.escape(f"{path}: {named}")):
         load_config(path)
+
+
+def _rates(schedule):
+    return all(count >= 0 and math.isfinite(rate) and rate > 0 for count, rate in schedule)
+
+
+# the domain of each key that has one; any other key takes what its parser reads
+DOMAINS = {
+    **{key: lambda v: v >= 1 for key in [*COUNT_KEYS, ("surrogate", "pool_size")]},
+    **{key: lambda v: min(v) >= 1 for key in [("surrogate", "hidden"),
+                                              ("surrogate", "keep_counts"), ("ppo", "hidden")]},
+    **{key: _rates for key in [("surrogate", "schedule"), ("pretrain", "imitation_schedule"),
+                               ("pretrain", "critic_schedule"), ("ppo", "actor_schedule")]},
+    ("ppo", "gamma"): lambda v: 0 <= v <= 1,
+    ("ppo", "gae_lambda"): lambda v: 0 <= v <= 1,
+    ("ppo", "clip_eps"): lambda v: math.isfinite(v) and v > 0,
+    ("ppo", "std_init"): lambda v: math.isfinite(v) and v > 0,
+    ("run", "seed"): lambda v: v >= 0,
+}
+EDGES = ["0", "-1", "nan", "inf", "1e308", "", "text"]
+
+
+@given(key=st.sampled_from(sorted((s, k) for s in _KEYS for k in _KEYS[s])),
+       text=st.sampled_from([*EDGES, *(f"2:{e}" for e in EDGES), *(f"{e}:0.01" for e in EDGES)]))
+@settings(max_examples=300, deadline=None)
+def test_a_value_is_in_its_domain_or_named(tmp_path_factory, key, text):
+    section, name = key
+    path = tmp_path_factory.mktemp("edge") / "edge.ini"
+    path.write_text(f"[{section}]\n{name} = {text}\n")
+    try:
+        cfg = load_config(path)
+    except ValueError as exc:
+        assert f"{path}: [{section}] {name} = {text}" in str(exc)
+        return
+    owner, _, attr = _KEYS[section][name][0].rpartition(".")
+    value = getattr(getattr(cfg, owner) if owner else cfg, attr)
+    assert DOMAINS.get(key, lambda v: True)(value), (key, text, value)
 
 
 def test_load_config_profile_rule(tmp_path):

@@ -1,17 +1,22 @@
 """Surrogate dataset selection, RSME metric, and model training tests."""
 import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from airfoilrl.proxy import generate_pool
-from airfoilrl.surrogate import (FEATURE_BOUNDS, OUTPUT_NAMES, SampleRecord,
-                                 SurrogateError, _pair_distances,
+from airfoilrl.surrogate import (_CANDIDATES, _DIST_BLOCK, FEATURE_BOUNDS, OUTPUT_NAMES,
+                                 SampleRecord, SurrogateError, _block_of, _gram_rows,
                                  in_feature_bounds, read_dataset, rsme,
                                  select_samples, write_dataset)
 
+ROOT = Path(__file__).resolve().parents[1]
 IN_BOX = dict(cd=0.01, x1=0.5, mw1=1.1, mwl=1.1, mwa=1.0)
 
 
@@ -182,44 +187,92 @@ def test_select_matches_the_masked_loop_on_tied_pools():
         assert_same_sets(make_pool(coords), [30, 12, 5, 1])
 
 
-@pytest.fixture(scope="module")
-def proxy_pool():
-    return generate_pool(1200, seed=7)
+def test_select_matches_the_masked_loop_on_pools_tied_past_the_lists():
+    # up to 200 copies of a point: more equal distances than a row's list
+    # holds, so rows take their lists from the whole sorted row
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        coords = np.zeros((200, 14))
+        coords[:, :1 + seed % 4] = rng.integers(0, 2, (200, 1 + seed % 4))
+        assert_same_sets(make_pool(coords), [150, 60, 7, 1])
 
 
-def test_select_matches_the_masked_loop_on_a_proxy_pool(proxy_pool):
-    n = sum(bool(in_feature_bounds(r.outputs)) for r in proxy_pool)
+def in_one_blas_thread(call: str) -> None:
+    """Run t.`call`, with this module as t, in a fresh interpreter with
+    one BLAS thread.  A threaded OpenBLAS GEMM splits its work where it
+    chooses, so only with one thread does a row block round like the
+    same rows of the full product, and select_samples pick bit for bit
+    what the dense loop picks; CI and the benchmark run one thread."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")])}
+    run = subprocess.run([sys.executable, "-c", f"import test_surrogate as t; t.{call}"],
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+
+
+def valid_coords(pool):
+    return np.stack([r.cst14 for r in pool if in_feature_bounds(r.outputs)])
+
+
+def assert_thin_selection(pool, keep_counts):
+    """select_samples equals the masked loop, and its traced peak is
+    O(n (_DIST_BLOCK + _CANDIDATES)) floats, where an n×n matrix would
+    take n² of them."""
+    n = len(valid_coords(pool))
     tracemalloc.start()
     try:
-        select_samples(proxy_pool, [700, 100])
+        select_samples(pool, keep_counts)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # one n×n float64 matrix plus O(n) and O(block × n) arrays; the
-    # one-expression build peaked at 2 n²
-    assert peak <= 1.25 * n * n * 8
-    assert_same_sets(proxy_pool, [700, 100])
+    assert peak <= 4 * n * (_DIST_BLOCK + _CANDIDATES) * 8
+    assert_same_sets(pool, keep_counts)
+
+
+def test_select_matches_the_masked_loop_on_a_proxy_pool():
+    in_one_blas_thread("assert_thin_selection(t.generate_pool(1200, seed=7), [700, 100])")
+
+
+def test_select_matches_the_masked_loop_on_a_desk_size_pool():
+    # the desk pool_size; an n×n float64 matrix here is 42 MiB
+    in_one_blas_thread("assert_thin_selection(t.generate_pool(3000, seed=11), [2000, 200])")
 
 
 def expression_distances(coords):
     """The distance matrix as one expression, as select_samples built it
-    before the in-place build (verbatim)."""
+    before it took distances in blocks (verbatim)."""
     return np.sqrt(np.maximum(
         np.sum(coords**2, axis=1)[:, None] + np.sum(coords**2, axis=1)[None, :]
         - 2.0 * coords @ coords.T, 0.0))
 
 
-@pytest.mark.parametrize("n", [1, 63, 64, 65])
-def test_pair_distances_equal_the_expression_bitwise(n):
+def assert_blocks_equal_the_expression(coords):
+    n = len(coords)
+    sq = np.sum(coords**2, axis=1)
+    want = expression_distances(coords)
+    s = 0
+    while s < n:  # the blocks tile the rows, none of one row but for n = 1
+        assert _block_of(s, n)[0] == s
+        e = _block_of(s, n)[1]
+        assert e - s > 1 or n == 1
+        assert all(_block_of(i, n) == (s, e) for i in range(s, e))
+        got = np.sqrt(np.maximum(sq[s:e, None] + sq - _gram_rows(coords, s, e), 0.0))
+        assert got.tobytes() == want[s:e].tobytes(), (s, e)
+        s = e
+
+
+@pytest.mark.parametrize("n", [_DIST_BLOCK - 1, _DIST_BLOCK, _DIST_BLOCK + 1,
+                               2 * _DIST_BLOCK + 1])
+def test_block_distances_equal_the_expression_bitwise(n):
     # real-valued coordinates, so a changed rounding shows in the last bit;
-    # the sizes straddle the build's block of rows
-    coords = np.random.default_rng(n).normal(0.0, 0.1, (n, 14))
-    assert _pair_distances(coords).tobytes() == expression_distances(coords).tobytes()
+    # the sizes straddle the block and give a one-row tail
+    in_one_blas_thread("assert_blocks_equal_the_expression("
+                       f"t.np.random.default_rng({n}).normal(0.0, 0.1, ({n}, 14)))")
 
 
-def test_pair_distances_equal_the_expression_on_a_proxy_pool(proxy_pool):
-    coords = np.stack([r.cst14 for r in proxy_pool if in_feature_bounds(r.outputs)])
-    assert _pair_distances(coords).tobytes() == expression_distances(coords).tobytes()
+def test_block_distances_equal_the_expression_on_a_proxy_pool():
+    in_one_blas_thread("assert_blocks_equal_the_expression("
+                       "t.valid_coords(t.generate_pool(1200, seed=7)))")
 
 
 def test_rsme_hand_case():
