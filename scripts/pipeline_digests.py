@@ -4,24 +4,25 @@ every artifact it writes.
 
 Commands, in order: generate-pool, select-samples, train-surrogate,
 pretrain --surrogate, train-ppo --surrogate, evaluate and plot, all in
---out-dir with --seed and --config (default: pipeline_digests.ini next
-to this script).  Each output line is ``<artifact> <digest>``, the
-digest from ``config.artifact_digest``; manifests are left out, as
-they hold wall-clock times, and the commands' own messages go to
-stderr.  Run it at two commits and ``diff`` the outputs to see which
+--out-dir with --seed and the config pipeline_digests.ini next to this
+script.  Each output line is ``<file> <digest>`` for a file of
+--out-dir (give a fresh one), in name order, the digest from
+``config.artifact_digest``; manifests (``*_manifest.json``) are left
+out, as they hold wall-clock times, and the commands' own messages go
+to stderr.  Run it at two commits and ``diff`` the outputs to see which
 artifacts a change moved:
 
     PYTHONPATH=src python scripts/pipeline_digests.py --seed 3 > after.txt
 """
 import argparse
 import contextlib
-import json
 import os
 import sys
 
 from airfoilrl.cli import main as cli
 from airfoilrl.config import artifact_digest
 
+CONFIG = os.path.join(os.path.dirname(os.path.abspath(__file__)), "pipeline_digests.ini")
 COMMANDS = (
     ["generate-pool"],
     ["select-samples"],
@@ -33,19 +34,16 @@ COMMANDS = (
 )
 
 
-def run(out_dir: str, seed: int, config: str) -> list[str]:
+def run(out_dir: str, seed: int) -> list[str]:
     """Run the pipeline; returns its ``<artifact> <digest>`` lines."""
-    artifacts = []
     for command in COMMANDS:
-        argv = ["--out-dir", out_dir, "--seed", str(seed), "--config", config, *command]
+        argv = ["--out-dir", out_dir, "--seed", str(seed), "--config", CONFIG, *command]
         with contextlib.redirect_stdout(sys.stderr):
             code = cli(argv)
         if code != 0:
             sys.exit(f"failed: airfoilrl {' '.join(argv)}")
-        manifest = os.path.join(out_dir, f"{command[0].replace('-', '_')}_manifest.json")
-        with open(manifest) as fh:
-            artifacts.extend(json.load(fh)["artifacts"])
-    return [f"{os.path.relpath(path, out_dir)} {artifact_digest(path)}" for path in artifacts]
+    return [f"{name} {artifact_digest(os.path.join(out_dir, name))}"
+            for name in sorted(os.listdir(out_dir)) if not name.endswith("_manifest.json")]
 
 
 if __name__ == "__main__":
@@ -53,7 +51,5 @@ if __name__ == "__main__":
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--out-dir", default="digests")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--config", default=os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                                                          "pipeline_digests.ini"))
     args = parser.parse_args()
-    print("\n".join(run(args.out_dir, args.seed, args.config)))
+    print("\n".join(run(args.out_dir, args.seed)))

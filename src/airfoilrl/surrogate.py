@@ -170,11 +170,9 @@ def select_samples(pool: list[SampleRecord],
             if k < m - 1:
                 cut = dist == dist.max(axis=1, keepdims=True)
                 dist[cut], idx[cut] = np.inf, n
-            order = np.arange(len(dist))[:, None], dist.argsort(axis=1)
-            ranked = dist[order]
-            for t in np.flatnonzero(np.any(ranked[:, 1:] == ranked[:, :-1], axis=1)):
-                order[1][t] = np.argsort(dist[t], kind="stable")  # lower index first
-            cand_d[rows[~whole], :k], cand_j[rows[~whole], :k] = dist[order], idx[order]
+            order = dist.argsort(axis=1, kind="stable")  # lower index first on ties
+            cand_d[rows[~whole], :k] = np.take_along_axis(dist, order, axis=1)
+            cand_j[rows[~whole], :k] = np.take_along_axis(idx, order, axis=1)
             whole |= cand_d[rows, min(1, k - 1)] == np.inf
             for t in np.flatnonzero(whole):
                 row = np.sqrt(np.maximum(d2[t], 0.0))

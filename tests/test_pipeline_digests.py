@@ -6,10 +6,11 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-ARTIFACTS = ["pool.csv", "selected_150.csv", "selected_50.csv", "surrogate.npz",
-             "surrogate_history.csv", "pretrained_agent.npz", "pretrained_critic_history.csv",
-             "pretrained_samples_raw.csv", "pretrained_samples_smoothed.csv", "ppo_history.csv",
-             "trained_agent.npz", "evaluation.csv", "rollout.csv", "history.svg"]
+ARTIFACTS = sorted(["pool.csv", "selected_150.csv", "selected_50.csv", "surrogate.npz",
+                    "surrogate_history.csv", "pretrained_agent.npz",
+                    "pretrained_critic_history.csv", "pretrained_samples_raw.csv",
+                    "pretrained_samples_smoothed.csv", "ppo_history.csv", "trained_agent.npz",
+                    "evaluation.csv", "rollout.csv", "history.svg"])
 
 
 def digests(out_dir, threads: int) -> list[str]:

@@ -201,8 +201,7 @@ def in_one_blas_thread(call: str) -> None:
     """Run t.`call`, with this module as t, in a fresh interpreter with
     one BLAS thread.  A threaded OpenBLAS GEMM splits its work where it
     chooses, so only with one thread does a row block round like the
-    same rows of the full product, and select_samples pick bit for bit
-    what the dense loop picks; CI and the benchmark run one thread."""
+    same rows of the full product."""
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
            "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")])}
     run = subprocess.run([sys.executable, "-c", f"import test_surrogate as t; t.{call}"],
@@ -230,12 +229,13 @@ def assert_thin_selection(pool, keep_counts):
 
 
 def test_select_matches_the_masked_loop_on_a_proxy_pool():
-    in_one_blas_thread("assert_thin_selection(t.generate_pool(1200, seed=7), [700, 100])")
+    # in this process, with however many BLAS threads it has
+    assert_thin_selection(generate_pool(1200, seed=7), [700, 100])
 
 
 def test_select_matches_the_masked_loop_on_a_desk_size_pool():
     # the desk pool_size; an n×n float64 matrix here is 42 MiB
-    in_one_blas_thread("assert_thin_selection(t.generate_pool(3000, seed=11), [2000, 200])")
+    assert_thin_selection(generate_pool(3000, seed=11), [2000, 200])
 
 
 def expression_distances(coords):
