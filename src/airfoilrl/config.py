@@ -7,8 +7,8 @@ are written as comma-separated ``count:rate`` pairs, e.g.
 and counts (pool, sample set, layer and batch sizes, baselines,
 searches, steps, candidates, epochs) as integers of at least 1,
 comma-separated where a key takes several.  ``clip_eps`` and
-``std_init`` are finite and greater than 0, ``gamma`` and
-``gae_lambda`` lie in [0, 1], and a seed is an integer of at least 0.
+``std_init`` (its square too) are finite and greater than 0, ``gamma``
+and ``gae_lambda`` lie in [0, 1], and a seed is an integer of at least 0.
 The counts of ``actor_schedule`` and ``critic_schedule`` are PPO
 iterations, each one ``collect_batch`` and then ``epochs`` gradient
 epochs on that batch; those of the surrogate and imitation schedules
@@ -31,10 +31,18 @@ from .surrogate import DESK_BATCH, DESK_HIDDEN, DESK_SCHEDULE
 
 
 def parse_positive(text: str) -> float:
-    """A finite float greater than 0: a rate, clip_eps or std_init."""
+    """A finite float greater than 0: a rate or clip_eps."""
     value = float(text)
     if not (math.isfinite(value) and value > 0):
         raise ValueError(f"{text.strip()} is not finite and greater than 0")
+    return value
+
+
+def parse_std(text: str) -> float:
+    """std_init: finite and above 0, and so is its square (PPO divides by it)."""
+    value = parse_positive(text)
+    if not 0.0 < value * value < math.inf:
+        raise ValueError(f"{text.strip()} squared is not finite and greater than 0")
     return value
 
 
@@ -170,7 +178,7 @@ _KEYS = {
                 ("clip_eps", parse_positive), ("gamma", parse_fraction),
                 ("gae_lambda", parse_fraction), ("entropy_coef", float),
                 ("epochs", parse_count), ("trajectories_per_baseline", parse_count),
-                ("max_steps", parse_count), ("std_init", parse_positive),
+                ("max_steps", parse_count), ("std_init", parse_std),
                 ("normalize_advantages", _boolean),
                 ("actor_schedule", parse_schedule))}},
 }

@@ -452,11 +452,17 @@ def _rescale_lower(upper: np.ndarray, lower: np.ndarray, t_max: np.ndarray):
     return factor[:, None] * lower, failed
 
 
-def make_airfoil(cst_upper, cst_lower, t_max: float) -> AirfoilGeom:
-    """Build an airfoil, rescaling the lower surface to meet t_max."""
-    upper = np.array(cst_upper, dtype=float)
-    lower, failed = _rescale_lower(upper[None], np.asarray(cst_lower, dtype=float)[None],
-                                   np.array([t_max], dtype=float))
+def make_airfoil(cst_upper, cst_lower, t_max):
+    """Build an airfoil, rescaling the lower surface to meet t_max.
+
+    (k, 7) upper and lower lanes and (k,) t_max give _rescale_lower's
+    (lower, failed); (7,) coefficients give an AirfoilGeom, built as a
+    lane of one, or raise GeometryError where that lane fails.
+    """
+    upper, lower = np.array(cst_upper, dtype=float), np.asarray(cst_lower, dtype=float)
+    if upper.ndim == 2:
+        return _rescale_lower(upper, lower, np.asarray(t_max, dtype=float))
+    lower, failed = _rescale_lower(upper[None], lower[None], np.array([t_max], dtype=float))
     if failed[0]:
         raise GeometryError(_BRACKET_ERROR)
     return AirfoilGeom(cst_upper=upper, cst_lower=lower[0], t_max=t_max)

@@ -8,14 +8,12 @@ and bump actions can earn drag reductions of a few counts.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .features import FeatureSet, WallMachDistribution, extract_features
-from .geometry import (AirfoilGeom, GeometryError, cosine_stations,
-                       cst_at_stations, make_airfoil)
+from .features import WallMachDistribution, extract_features
+from .geometry import AirfoilGeom, cosine_stations, cst_at_stations, make_airfoil
 from .surrogate import OUTPUT_NAMES, SampleRecord, is_valid_design
 
 
@@ -107,10 +105,6 @@ def proxy_evaluate(cst14, config: ProxyConfig = ProxyConfig()):
     return (cd[0].item() if np.ndim(cst14) == 1 else cd), feats
 
 
-def _outputs(cd: float, feats: FeatureSet) -> dict:
-    return dict(zip(OUTPUT_NAMES, (cd, feats.x1, feats.mw1, feats.mwl, feats.mwa)))
-
-
 # base geometry the bundled seed generator perturbs: front-loaded upper
 # surface giving a supersonic plateau near Mach 1.12 with a mid-chord
 # recompression, leaving a few counts of removable wave drag
@@ -136,45 +130,44 @@ class PoolStats:
     """Draw and proxy counts of a generate_pool run, for its manifest."""
 
     pool_draws: int = 0
-    build_failures: int = 0  # draws make_airfoil rejected (GeometryError)
+    build_failures: int = 0  # draws whose thickness make_airfoil cannot bracket
     proxy_rows: int = 0
     proxy_blocks: int = 0
 
 
-def _built_airfoils(rng, spread: float, t_max: float, tries: int, stats: PoolStats):
-    """The airfoils of up to `tries` random perturbations of the base
-    geometry, skipping the draws that fail to build; each is drawn only
-    when the caller asks for it."""
-    for _ in range(tries):
-        stats.pool_draws += 1
-        upper = BASE_UPPER + rng.uniform(-spread, spread, 7)
-        lower = BASE_LOWER + rng.uniform(-spread, spread, 7)
-        try:
-            foil = make_airfoil(upper, lower, t_max)
-        except GeometryError:
-            stats.build_failures += 1
-            continue
-        yield foil
+def _evaluated(rng, spread: float, t_max: float, tries: int, n: int,
+               config: ProxyConfig, stats: PoolStats, keep=None) -> list:
+    """Up to n (cst14, outputs) pairs of random perturbations of the base
+    geometry that build and pass keep(cd, feats), a row mask (all rows
+    pass without it), from at most `tries` draws.
 
-
-def _evaluated(draws, n: int, config: ProxyConfig, stats: PoolStats, keep=None) -> list:
-    """Up to n (airfoil, outputs) pairs of the drawn airfoils that pass
-    keep(cd, feats), a row mask (all rows pass without it).  Airfoils are
-    evaluated in blocks of up to _PROXY_BLOCK, one proxy call per block
-    as the draws come in; a block holds no more airfoils than are still
-    missing, so no draw past the n-th kept airfoil is built."""
+    A block of up to _PROXY_BLOCK airfoils, no more than are still
+    missing, is drawn as one (k, 2, 7) uniform array (the floats of k
+    draws of 7 + 7), built by one make_airfoil call over lanes, topped up
+    by drawing as many as failed, then evaluated by one proxy call.
+    """
     kept: list = []
+    draws = 0
     while len(kept) < n:
-        foils = list(itertools.islice(draws, min(_PROXY_BLOCK, n - len(kept))))
-        if not foils:
+        want = min(_PROXY_BLOCK, n - len(kept))
+        block = np.empty((0, 14))
+        while len(block) < want and draws < tries:
+            k = min(want - len(block), tries - draws)
+            d = rng.uniform(-spread, spread, (k, 2, 7))
+            upper = BASE_UPPER + d[:, 0]
+            lower, failed = make_airfoil(upper, BASE_LOWER + d[:, 1], np.full(k, t_max))
+            draws += k
+            stats.build_failures += int(np.count_nonzero(failed))
+            block = np.concatenate((block, np.hstack((upper, lower))[~failed]))
+        if not len(block):
             break
-        cd, feats = proxy_evaluate(np.array([foil.cst14 for foil in foils]), config)
-        stats.proxy_rows += len(foils)
+        cd, feats = proxy_evaluate(block, config)
+        stats.proxy_rows += len(block)
         stats.proxy_blocks += 1
-        mask = [True] * len(foils) if keep is None else keep(cd, feats)
-        columns = [np.asarray(v).tolist() for v in _outputs(cd, feats).values()]
-        kept.extend((foil, dict(zip(OUTPUT_NAMES, values)))
-                    for foil, values, ok in zip(foils, zip(*columns), mask) if ok)
+        mask = [True] * len(block) if keep is None else keep(cd, feats)
+        kept.extend((cst, dict(zip(OUTPUT_NAMES, row))) for cst, row, ok in
+                    zip(block, np.column_stack((cd, feats.state)).tolist(), mask) if ok)
+    stats.pool_draws += draws
     return kept
 
 
@@ -183,12 +176,10 @@ def seed_airfoils(n: int, seed: int = 0, t_max: float = T_MAX_DEFAULT,
     """Deterministic seed set: perturbations of the base geometry,
     rejection-sampled so every seed is a valid design.  Each airfoil is
     evaluated once, in blocks, and no draw is wasted."""
-    stats = PoolStats()
-    draws = _built_airfoils(np.random.default_rng(seed), _SEED_SPREAD, t_max,
-                            _SEED_TRIES, stats)
-    out = [foil for foil, _ in _evaluated(
-        draws, n, config, stats,
-        keep=lambda cd, feats: is_valid_design(cd, feats.state, feats.no_shock))]
+    kept = _evaluated(np.random.default_rng(seed), _SEED_SPREAD, t_max, _SEED_TRIES, n,
+                      config, PoolStats(),
+                      keep=lambda cd, feats: is_valid_design(cd, feats.state, feats.no_shock))
+    out = [AirfoilGeom(cst_upper=cst[:7], cst_lower=cst[7:], t_max=t_max) for cst, _ in kept]
     if len(out) < n:
         raise RuntimeError(f"seed generator produced {len(out)}/{n} valid airfoils")
     return out
@@ -199,16 +190,13 @@ def generate_pool(n: int, seed: int = 0, t_max: float = T_MAX_DEFAULT,
                   stats: PoolStats | None = None) -> list[SampleRecord]:
     """Random proxy-evaluated airfoils for surrogate training; rows may
     violate the feature box (selection filters later).  Gives up with
-    RuntimeError after 20 draws per requested sample.
-
-    Built airfoils are evaluated in blocks of up to _PROXY_BLOCK (see
-    _evaluated); `stats` receives the draw and proxy counts.
+    RuntimeError after 20 draws per requested sample.  `stats` receives
+    the draw and proxy counts of the blocks (see _evaluated).
     """
     stats = PoolStats() if stats is None else stats
-    draws = _built_airfoils(np.random.default_rng(seed), _POOL_SPREAD, t_max,
-                            _POOL_TRIES_PER_SAMPLE * n, stats)
-    pool = [SampleRecord(cst14=foil.cst14, outputs=outputs)
-            for foil, outputs in _evaluated(draws, n, config, stats)]
+    pool = [SampleRecord(cst14=cst, outputs=outputs) for cst, outputs in _evaluated(
+        np.random.default_rng(seed), _POOL_SPREAD, t_max, _POOL_TRIES_PER_SAMPLE * n, n,
+        config, stats)]
     if len(pool) < n:
         raise RuntimeError(f"pool generator produced {len(pool)}/{n} valid airfoils")
     return pool

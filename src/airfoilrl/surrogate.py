@@ -43,9 +43,6 @@ class SampleRecord:
     cst14: np.ndarray
     outputs: dict[str, float]  # keys OUTPUT_NAMES
 
-    def output_vector(self) -> np.ndarray:
-        return np.array([self.outputs[k] for k in OUTPUT_NAMES])
-
 
 def in_feature_bounds(outputs: dict) -> bool:
     """Whether outputs lie in the feature box; with (N,) arrays as
@@ -112,12 +109,13 @@ def select_samples(pool: list[SampleRecord],
         raise SurrogateError("at least one keep count required")
     if keep_counts[-1] < 1:
         raise SurrogateError(f"keep count {keep_counts[-1]} is not at least 1")
-    valid_idx = [i for i, rec in enumerate(pool) if in_feature_bounds(rec.outputs)]
+    x, _, inside = _table(pool)
+    valid_idx = np.flatnonzero(inside).tolist()
     if len(valid_idx) < keep_counts[0]:
         raise SurrogateError(
             f"only {len(valid_idx)} valid samples for keep count {keep_counts[0]}")
 
-    coords = np.stack([pool[i].cst14 for i in valid_idx])
+    coords = x[valid_idx]
     n = len(valid_idx)
     sq = np.sum(coords**2, axis=1)
     # block buffers, allocated once: each fresh block-sized array costs
@@ -245,10 +243,12 @@ def rsme(predicted, truth, bounds: tuple[float, float]) -> float:
     return float(np.sqrt(np.mean((truth - predicted) ** 2)) / (hi - lo))
 
 
-def _dataset_arrays(samples: list[SampleRecord]):
-    x = np.stack([s.cst14 for s in samples])
-    y = np.stack([s.output_vector() for s in samples])
-    return x, y
+def _table(samples: list[SampleRecord]):
+    """Records as arrays: (n, 14) coefficients, (n, 5) outputs in
+    OUTPUT_NAMES order and the (n,) mask of rows in the feature box."""
+    x = np.array([s.cst14 for s in samples], float).reshape(-1, 14)
+    y = np.array([[s.outputs[k] for k in OUTPUT_NAMES] for s in samples], float).reshape(-1, 5)
+    return x, y, in_feature_bounds(dict(zip(OUTPUT_NAMES, y.T)))
 
 
 def build_surrogate_model(train_inputs: np.ndarray, hidden: list[int],
@@ -275,8 +275,8 @@ def train_surrogate(train: list[SampleRecord], test: list[SampleRecord],
     if not train or not test:
         raise SurrogateError("train and test sets must be nonempty")
     schedule = schedule if schedule is not None else DESK_SCHEDULE
-    x_tr, y_tr = _dataset_arrays(train)
-    x_te, y_te = _dataset_arrays(test)
+    x_tr, y_tr, _ = _table(train)
+    x_te, y_te, _ = _table(test)
     rng = np.random.default_rng(seed)
     model = build_surrogate_model(x_tr, hidden, rng)
     history: list[dict] = []
@@ -322,23 +322,20 @@ def write_rows(path, rows: list[dict]) -> None:
 
 
 def write_dataset(path, samples: list[SampleRecord]) -> None:
+    x, y, inside = _table(samples)
     write_table(path, CSV_COLUMNS + ["in_bounds"], (
-        [*map(float, s.cst14), *(float(s.outputs[k]) for k in OUTPUT_NAMES),
-         "1" if in_feature_bounds(s.outputs) else "0"] for s in samples))
+        [*row.tolist(), "1" if ok else "0"] for row, ok in zip(np.hstack((x, y)), inside)))
 
 
 def read_dataset(path) -> list[SampleRecord]:
-    samples: list[SampleRecord] = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         missing = [c for c in CSV_COLUMNS if c not in (reader.fieldnames or [])]
         if missing:
             raise SurrogateError(f"dataset missing columns: {missing}")
-        for row in reader:
-            cst14 = np.array([float(row[c]) for c in CSV_COLUMNS[:14]])
-            outputs = {k: float(row[k]) for k in OUTPUT_NAMES}
-            vals = np.concatenate([cst14, list(outputs.values())])
-            if not np.all(np.isfinite(vals)):
-                raise SurrogateError("non-finite value in dataset row")
-            samples.append(SampleRecord(cst14=cst14, outputs=outputs))
-    return samples
+        table = np.fromiter((float(row[c]) for row in reader for c in CSV_COLUMNS),
+                            dtype=float).reshape(-1, len(CSV_COLUMNS))
+    if not np.all(np.isfinite(table)):
+        raise SurrogateError("non-finite value in dataset row")
+    return [SampleRecord(cst14=row[:14], outputs=dict(zip(OUTPUT_NAMES, row[14:].tolist())))
+            for row in table]

@@ -214,7 +214,8 @@ def test_train_surrogate_names_a_keep_counts_without_a_test_set(tmp_path, capsys
 
 
 @pytest.mark.parametrize("value", ["gamma = 0", "gamma = 1", "gae_lambda = 0",
-                                   "gae_lambda = 1", "clip_eps = 1e308"])
+                                   "gae_lambda = 1", "clip_eps = 1e308",
+                                   "std_init = 1e-150", "std_init = 1e150"])
 def test_edge_values_inside_their_domain_run(tmp_path, value):
     ini = tmp_path / "edge.ini"
     ini.write_text("[ppo]\nhidden = 8,8\nbaselines = 2\nepochs = 2\n"

@@ -188,12 +188,16 @@ COUNT_KEYS = [("surrogate", "batch_size"), ("pretrain", "baselines"),
     ("[ppo]\ngae_lambda = 1.5\n", "[ppo] gae_lambda = 1.5: 1.5 is not in [0, 1]"),
     ("[ppo]\nclip_eps = -1\n", "[ppo] clip_eps = -1: -1 is not finite and greater than 0"),
     ("[ppo]\nstd_init = 0\n", "[ppo] std_init = 0: 0 is not finite and greater than 0"),
+    ("[ppo]\nstd_init = 1e-300\n",
+     "[ppo] std_init = 1e-300: 1e-300 squared is not finite and greater than 0"),
+    ("[ppo]\nstd_init = 1e308\n",
+     "[ppo] std_init = 1e308: 1e308 squared is not finite and greater than 0"),
     ("[run]\nseed = -1\n", "[run] seed = -1: seed -1 is negative"),
 ], ids=["no rate", "negative count", "empty int", "int", "float", "keep count",
         "pool size", "layer width", "profile",
         *[f"{section}.{key}" for section, key in COUNT_KEYS],
         "negative rate", "nan rate", "zero rate", "infinite rate", "gamma", "gae_lambda",
-        "clip_eps", "std_init", "seed"])
+        "clip_eps", "std_init", "tiny std_init", "huge std_init", "seed"])
 def test_load_config_names_a_bad_value(tmp_path, text, named):
     path = tmp_path / "bad.ini"
     path.write_text(text)
@@ -215,7 +219,7 @@ DOMAINS = {
     ("ppo", "gamma"): lambda v: 0 <= v <= 1,
     ("ppo", "gae_lambda"): lambda v: 0 <= v <= 1,
     ("ppo", "clip_eps"): lambda v: math.isfinite(v) and v > 0,
-    ("ppo", "std_init"): lambda v: math.isfinite(v) and v > 0,
+    ("ppo", "std_init"): lambda v: v > 0 and 0 < v * v < math.inf,
     ("run", "seed"): lambda v: v >= 0,
 }
 EDGES = ["0", "-1", "nan", "inf", "1e308", "", "text"]

@@ -112,9 +112,9 @@ def test_seed_airfoils_evaluates_each_candidate_once(monkeypatch):
     make, distribution = proxy.make_airfoil, proxy.proxy_distribution
 
     def counting_make(*args, **kwargs):
-        foil = make(*args, **kwargs)
-        built[0] += 1
-        return foil
+        lower, failed = make(*args, **kwargs)
+        built[0] += len(failed) - np.count_nonzero(failed)
+        return lower, failed
 
     def counting_distribution(cst, *args, **kwargs):
         evaluated[0] += len(np.atleast_2d(cst))

@@ -4,8 +4,9 @@ replaced.
 The ref_* functions are verbatim copies of the one-airfoil-at-a-time
 proxy_distribution, _moving_average, proxy_evaluate, extract_features,
 _find_shock, _plateau_err, seed_airfoils and generate_pool (renamed,
-with the calls between them pointed at each other).  Each block row must
-give the same floats, bit for bit.
+with the calls between them pointed at each other; ref_generate_pool
+also counts its draws, build failures and evaluations into PoolStats).
+Each block row must give the same floats, bit for bit.
 """
 import math
 
@@ -17,9 +18,10 @@ from airfoilrl.features import (MIN_SHOCK_DROP, PEAK_WINDOW, SHOCK_WINDOW,
                                 extract_features)
 from airfoilrl.geometry import (GeometryError, cosine_stations, cst_at_stations,
                                 make_airfoil)
-from airfoilrl.proxy import (BASE_LOWER, BASE_UPPER, T_MAX_DEFAULT, ProxyConfig,
-                             _moving_average, generate_pool, proxy_distribution,
-                             proxy_evaluate, seed_airfoils)
+import airfoilrl.proxy as proxy
+from airfoilrl.proxy import (_PROXY_BLOCK, BASE_LOWER, BASE_UPPER, T_MAX_DEFAULT,
+                             PoolStats, ProxyConfig, _moving_average, generate_pool,
+                             proxy_distribution, proxy_evaluate, seed_airfoils)
 from airfoilrl.surrogate import OUTPUT_NAMES, SampleRecord, in_feature_bounds
 from conftest import synthetic_distribution
 
@@ -172,18 +174,22 @@ def ref_seed_airfoils(n: int, seed: int = 0, spread: float = 0.008,
 
 def ref_generate_pool(n: int, seed: int = 0, spread: float = 0.08,
                       t_max: float = T_MAX_DEFAULT,
-                      config: ProxyConfig = ProxyConfig()):
+                      config: ProxyConfig = ProxyConfig(), stats: PoolStats = None):
+    stats = PoolStats() if stats is None else stats
     rng = np.random.default_rng(seed)
     pool = []
     for _ in range(20 * n):
         if len(pool) >= n:
             break
+        stats.pool_draws += 1
         upper = BASE_UPPER + rng.uniform(-spread, spread, 7)
         lower = BASE_LOWER + rng.uniform(-spread, spread, 7)
         try:
             foil = make_airfoil(upper, lower, t_max)
         except GeometryError:
+            stats.build_failures += 1
             continue
+        stats.proxy_rows += 1
         pool.append(ref_proxy_sample(foil.cst14, config))
     if len(pool) < n:
         raise RuntimeError(f"pool generator produced {len(pool)}/{n} valid airfoils")
@@ -325,13 +331,40 @@ def test_features_without_lower_surface_or_shock_window():
     assert feats == ref and feats.no_shock
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_pool_and_seeds_match_reference(seed):
-    pool, ref_pool = generate_pool(75, seed=seed), ref_generate_pool(75, seed=seed)
-    assert len(pool) == len(ref_pool) == 75
-    for got, want in zip(pool, ref_pool):
-        assert got.cst14.tobytes() == want.cst14.tobytes()
-        assert repr(got.outputs) == repr(want.outputs)
-    seeds, ref_seeds = seed_airfoils(4, seed=seed), ref_seed_airfoils(4, seed=seed)
-    assert [f.cst14.tobytes() for f in seeds] == [f.cst14.tobytes() for f in ref_seeds]
-    assert all(math.isfinite(v) for rec in pool for v in rec.outputs.values())
+def _outcome(make, *args, **kwargs):
+    """make's pool or seeds as bytes and reprs, or the message it gives
+    up with."""
+    try:
+        out = make(*args, **kwargs)
+    except RuntimeError as exc:
+        return str(exc)
+    assert all(math.isfinite(v) for rec in out for v in getattr(rec, "outputs", {}).values())
+    return [(r.cst14.tobytes(), repr(getattr(r, "outputs", None))) for r in out]
+
+
+@pytest.mark.parametrize("seed, t_pool, t_seed, n_seeds, tries, failing", [
+    *(pytest.param(seed, T_MAX_DEFAULT, T_MAX_DEFAULT, 4, 20000, None, id=str(seed))
+      for seed in range(3)),
+    # about 44% of the draws of either spread fail to build, so blocks draw again
+    pytest.param(4, 0.18, 0.18, 40, 20000, False, id="redraws"),
+    # 97% (pool) and 99.9% (seeds) fail, so the tries run out inside a block
+    pytest.param(4, 0.25, 0.19, 40, 2000, True, id="tries-cap"),
+])
+def test_pool_and_seeds_match_reference(seed, t_pool, t_seed, n_seeds, tries, failing,
+                                        monkeypatch):
+    stats, ref_stats = PoolStats(), PoolStats()
+    pool = _outcome(generate_pool, 75, seed=seed, t_max=t_pool, stats=stats)
+    assert pool == _outcome(ref_generate_pool, 75, seed=seed, t_max=t_pool, stats=ref_stats)
+    # the pool keeps every built airfoil, so each of its blocks but the
+    # last is full
+    ref_stats.proxy_blocks = -(-ref_stats.proxy_rows // _PROXY_BLOCK)
+    assert stats == ref_stats
+    monkeypatch.setattr(proxy, "_SEED_TRIES", tries)
+    seeds = _outcome(seed_airfoils, n_seeds, seed=seed, t_max=t_seed)
+    assert seeds == _outcome(ref_seed_airfoils, n_seeds, seed=seed, t_max=t_seed,
+                             max_tries=tries)
+    if failing is not None:  # the input does what its comment says
+        assert stats.build_failures > stats.proxy_rows / 2
+        assert isinstance(pool, str) == isinstance(seeds, str) == failing
+    else:
+        assert len(pool) == 75 and len(seeds) == n_seeds
