@@ -28,8 +28,8 @@ from .geometry import (BumpAction, apply_action, max_thickness,
                        read_cst_file, write_coordinates, write_cst_file)
 from .plotsvg import plot_history
 from .proxy import PoolStats, generate_pool, seed_airfoils
-from .surrogate import (read_dataset, select_samples, train_surrogate,
-                        write_dataset, write_rows)
+from .surrogate import (HISTORY_COLUMNS, read_dataset, select_samples, train_surrogate,
+                        write_dataset, write_rows, write_table)
 from .nnet import load_model, save_model
 
 
@@ -106,7 +106,8 @@ def cmd_train_surrogate(args, cfg: ExperimentConfig) -> tuple[list[str], dict]:
     model_out = _out(args, args.out)
     save_model(model_out, model)
     hist_out = _out(args, args.history)
-    write_rows(hist_out, history)
+    # the header even when the schedule ended before the first record
+    write_table(hist_out, HISTORY_COLUMNS, (row.values() for row in history))
     if history:
         print(f"final test RSME(cd) = {history[-1]['test_cd']:.4f}")
     print(f"wrote {model_out} and {hist_out}")

@@ -21,8 +21,12 @@ import configparser
 import hashlib
 import json
 import math
+import os
+import platform
 import zipfile
 from dataclasses import asdict, dataclass, field, fields, replace
+
+import numpy as np
 
 from .pretrain import IMITATION_SCHEDULE
 from .proxy import T_MAX_DEFAULT, ProxyConfig
@@ -247,15 +251,26 @@ def artifact_digest(path) -> str:
     return h.hexdigest()
 
 
+def numeric_environment() -> dict:
+    """The Python, numpy and BLAS a run computed with, and the BLAS
+    thread settings it ran under (None where unset): a threaded GEMM
+    rounds differently, so artifact bytes can depend on each."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas": f"{blas['name']} {blas['version']}",
+            **{var: os.environ.get(var) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}}
+
+
 def write_manifest(path, cfg: ExperimentConfig, command: str,
                    artifacts: list[str], extra: dict | None = None) -> None:
     """Run manifest: command, config hash, seed, profile, artifacts, each
-    artifact's digest (`sha256`; not the manifest's own), and the
-    command's own fields (`extra`)."""
+    artifact's digest (`sha256`; not the manifest's own), the numeric
+    environment (`environment`) and the command's own fields (`extra`)."""
     payload = {"command": command, "config_hash": config_hash(cfg),
                "seed": cfg.seed, "profile": cfg.profile,
                "artifacts": sorted(artifacts),
                "sha256": {a: artifact_digest(a) for a in artifacts},
+               "environment": numeric_environment(),
                **(extra or {})}
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

@@ -23,6 +23,8 @@ SMOOTH_PASSES = 10
 SMOOTH_NEIGHBORS = 10
 SMOOTH_RELAXATION = 0.2
 DEDUP_TOL = 1e-9
+# smooth_samples' rows of distances at a time: O(n _SMOOTH_BLOCK) memory
+_SMOOTH_BLOCK = 256
 
 IMITATION_SCHEDULE = [(250, 1e-3), (250, 1e-4), (250, 1e-5), (250, 1e-6)]
 
@@ -107,15 +109,23 @@ def smooth_samples(samples: list[StateActionSample]) -> list[StateActionSample]:
     states = np.stack([s.state for s in samples])
     actions = np.stack([[s.action.t1, s.action.s_b, s.action.h_b]
                         for s in samples])
-    # squared distances summed column by column, in order: n x n memory
-    dist = np.zeros((n, n))
-    for col in states.T:
-        d = np.subtract.outer(col, col)
-        dist += np.square(d, out=d)
-    np.sqrt(dist, out=dist)
-    np.fill_diagonal(dist, np.inf)
-    neighbor_idx = np.argsort(dist, axis=1)[:, :SMOOTH_NEIGHBORS]
-    ndist = np.take_along_axis(dist, neighbor_idx, axis=1)
+    # a block of rows at a time, squared distances summed column by
+    # column, in order, and each row sorted whole, so ties order as in
+    # one sort of the n x n matrix
+    neighbor_idx = np.empty((n, SMOOTH_NEIGHBORS), dtype=np.intp)
+    ndist = np.empty((n, SMOOTH_NEIGHBORS))
+    for s in range(0, n, _SMOOTH_BLOCK):
+        rows = states[s:s + _SMOOTH_BLOCK]
+        b = len(rows)
+        dist = np.zeros((b, n))
+        for a, col in zip(rows.T, states.T):
+            d = np.subtract.outer(a, col)
+            dist += np.square(d, out=d)
+        np.sqrt(dist, out=dist)
+        dist[np.arange(b), np.arange(s, s + b)] = np.inf
+        near = np.argsort(dist, axis=1)[:, :SMOOTH_NEIGHBORS]
+        neighbor_idx[s:s + b] = near
+        ndist[s:s + b] = np.take_along_axis(dist, near, axis=1)
     with np.errstate(divide="ignore"):
         weights = 1.0 / ndist
     finite = np.isfinite(weights)

@@ -27,6 +27,9 @@ FEATURE_BOUNDS = {
 }
 
 CSV_COLUMNS = [f"c_u{i}" for i in range(7)] + [f"c_l{i}" for i in range(7)] + list(OUTPUT_NAMES)
+# train_surrogate's history entries, in this order
+HISTORY_COLUMNS = ["minibatch"] + [f"{part}_{name}" for name in OUTPUT_NAMES
+                                   for part in ("train", "test")]
 
 # shrunk desk-scale defaults
 DESK_HIDDEN = [128, 128, 128]
@@ -61,23 +64,33 @@ def is_valid_design(cd, state, no_shock) -> np.ndarray:
     return ~no_shock & in_feature_bounds(dict(zip(OUTPUT_NAMES, (cd, *state.T))))
 
 
-# select_samples takes its distances in blocks of rows [s, e): s is a
-# multiple of _DIST_BLOCK, itself a multiple of the GEMM kernel's row tile,
-# so that with one BLAS thread a block's product rounds as the same rows
-# of the full product, and a one-row tail joins the block before it, as
-# numpy sends a one-row product to GEMV.  Each row keeps at most
-# _CANDIDATES nearest neighbours.
+# select_samples' distances and train_surrogate's history forwards are
+# GEMMs over blocks of rows [s, e): s is a multiple of _DIST_BLOCK, itself
+# a multiple of the GEMM kernel's row tile, so that with one BLAS thread a
+# block's product rounds as the same rows of the full product, and a
+# one-row tail joins the block before it, as numpy sends a one-row
+# product to GEMV.  Each row keeps at most _CANDIDATES nearest neighbours.
 _DIST_BLOCK = 96
 _CANDIDATES = 64
 
 
 def _block_of(i: int, n: int) -> tuple[int, int]:
-    """The distance block [s, e) that holds row i of n."""
+    """The row block [s, e) that holds row i of n, for either GEMM user:
+    select_samples' distance rows and train_surrogate's history forwards."""
     s = i - i % _DIST_BLOCK
     if s > 0 and s == n - 1:
         s -= _DIST_BLOCK
     e = min(s + _DIST_BLOCK, n)
     return s, (n if e == n - 1 else e)
+
+
+def _row_blocks(n: int):
+    """The blocks [s, e) of _block_of that tile rows 0..n, in order."""
+    s = 0
+    while s < n:
+        e = _block_of(s, n)[1]
+        yield s, e
+        s = e
 
 
 def _gram_rows(coords: np.ndarray, s: int, e: int, out=None) -> np.ndarray:
@@ -198,9 +211,8 @@ def select_samples(pool: list[SampleRecord],
             q = next_live(i, head[i], excl)
         return list_d[q] if q >= 0 else np.inf
 
-    for s in range(0, n, _DIST_BLOCK):
-        if _block_of(s, n)[0] == s:
-            refresh(s)
+    for s, _ in _row_blocks(n):
+        refresh(s)
 
     snapshots: dict[int, list[SampleRecord]] = {}
     count = n
@@ -263,6 +275,18 @@ def build_surrogate_model(train_inputs: np.ndarray, hidden: list[int],
     return make_mlp([14, *hidden, 5], rng, input_scaler, output_scaler)
 
 
+def _forward_in_blocks(model: MlpModel, x: np.ndarray) -> np.ndarray:
+    """mlp_forward of (n, 14) inputs over the row blocks of _block_of, so
+    that no activation of all n rows is held.  With layers up to 256 wide
+    the rows round as in one forward of x; from 512 wide, OpenBLAS may
+    send a block's output layer to its small-matrix kernel, which sums
+    the inner dimension in another order (a last-bit change)."""
+    y = np.empty((len(x), model.n_out))
+    for s, e in _row_blocks(len(x)):
+        y[s:e] = mlp_forward(model, x[s:e])
+    return y
+
+
 def train_surrogate(train: list[SampleRecord], test: list[SampleRecord],
                     hidden: list[int] = DESK_HIDDEN,
                     schedule=None, batch_size: int = DESK_BATCH,
@@ -282,14 +306,12 @@ def train_surrogate(train: list[SampleRecord], test: list[SampleRecord],
     history: list[dict] = []
 
     def record(mb: int) -> None:
-        p_tr = mlp_forward(model, x_tr)
-        p_te = mlp_forward(model, x_te)
-        entry = {"minibatch": mb}
+        p_tr, p_te = _forward_in_blocks(model, x_tr), _forward_in_blocks(model, x_te)
+        values = [mb]
         for k, name in enumerate(OUTPUT_NAMES):
             b = FEATURE_BOUNDS[name]
-            entry[f"train_{name}"] = rsme(p_tr[:, k], y_tr[:, k], b)
-            entry[f"test_{name}"] = rsme(p_te[:, k], y_te[:, k], b)
-        history.append(entry)
+            values += [rsme(p_tr[:, k], y_tr[:, k], b), rsme(p_te[:, k], y_te[:, k], b)]
+        history.append(dict(zip(HISTORY_COLUMNS, values)))
 
     train_minibatch(model, x_tr, y_tr, schedule, batch_size, seed=seed,
                     record_every=100, callback=record)

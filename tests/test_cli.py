@@ -14,7 +14,7 @@ from airfoilrl.geometry import make_airfoil, read_coordinates, write_cst_file
 from airfoilrl.features import write_distribution
 from airfoilrl.proxy import BASE_LOWER, BASE_UPPER, T_MAX_DEFAULT
 from airfoilrl.rl import make_agent, save_agent
-from airfoilrl.surrogate import CSV_COLUMNS
+from airfoilrl.surrogate import CSV_COLUMNS, OUTPUT_NAMES
 from conftest import synthetic_distribution
 
 
@@ -211,6 +211,19 @@ def test_train_surrogate_names_a_keep_counts_without_a_test_set(tmp_path, capsys
     assert "[surrogate] keep_counts = 20 has no entry 2" in err and "pass --test" in err
     assert run(tmp_path, "--config", str(ini), "train-surrogate",
                "--test", "selected_20.csv") == 0
+
+
+def test_train_surrogate_writes_the_history_header_without_a_record(tmp_path):
+    # 20 rows and one epoch of 128-row batches: one minibatch, no record
+    ini = tmp_path / "short.ini"
+    ini.write_text("[surrogate]\nkeep_counts = 20,10\nhidden = 8\nschedule = 1:0.01\n")
+    assert run(tmp_path, "generate-pool", "--n", "60") == 0
+    assert run(tmp_path, "--config", str(ini), "select-samples") == 0
+    assert run(tmp_path, "--config", str(ini), "train-surrogate") == 0
+    header = ["minibatch"] + [f"{part}_{name}" for name in OUTPUT_NAMES
+                              for part in ("train", "test")]
+    assert (tmp_path / "surrogate_history.csv").read_bytes() == \
+        (",".join(header) + "\r\n").encode()
 
 
 @pytest.mark.parametrize("value", ["gamma = 0", "gamma = 1", "gae_lambda = 0",

@@ -2,9 +2,12 @@
 import hashlib
 import json
 import math
+import os
+import platform
 import re
 import zipfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -127,6 +130,22 @@ def test_write_manifest(tmp_path):
     assert payload["config_hash"] == config_hash(cfg)
     assert payload["sha256"] == {a: hashlib.sha256(b"x\n1\n").hexdigest(),
                                  b: hashlib.sha256(b"y\n2\n").hexdigest()}
+    # the numeric environment the artifact bytes depend on
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert payload["environment"] == {
+        "python": platform.python_version(), "numpy": np.__version__,
+        "blas": f"{blas['name']} {blas['version']}",
+        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS")}
+
+
+def test_write_manifest_records_the_blas_thread_settings(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    path = tmp_path / "manifest.json"
+    write_manifest(path, ExperimentConfig(), "plot", [])
+    env = json.loads(path.read_text())["environment"]
+    assert (env["OPENBLAS_NUM_THREADS"], env["OMP_NUM_THREADS"]) == ("2", None)
 
 
 def test_artifact_digest_of_an_npz_ignores_the_zip_timestamps(tmp_path):

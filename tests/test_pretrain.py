@@ -1,10 +1,12 @@
 """Pretraining tests: greedy search, dedup, smoothing, imitation."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from airfoilrl.env import DesignEnv, EnvConfig, proxy_evaluator
 from airfoilrl.geometry import BumpAction
-from airfoilrl.pretrain import (DEDUP_TOL, SMOOTH_NEIGHBORS, SMOOTH_PASSES, SMOOTH_RELAXATION,
+from airfoilrl.pretrain import (_SMOOTH_BLOCK, DEDUP_TOL, SMOOTH_NEIGHBORS, SMOOTH_PASSES, SMOOTH_RELAXATION,
                                 StateActionSample, dedup_states, greedy_search,
                                 imitate_policy, pretrain_critic, read_samples,
                                 smooth_samples, write_samples)
@@ -172,7 +174,9 @@ def ref_smooth_actions(samples):
     return actions
 
 
-@pytest.mark.parametrize("n", [50, 500])
+# the last n's duplicated states, rows n // 2 to n // 2 + 9, straddle the
+# boundary of two distance blocks
+@pytest.mark.parametrize("n", [50, 500, 4 * _SMOOTH_BLOCK - 10])
 def test_smooth_matches_difference_tensor(n):
     # distances summed column by column give the tensor sum's floats,
     # so the neighbours and smoothed actions are the same, duplicates too
@@ -184,6 +188,32 @@ def test_smooth_matches_difference_tensor(n):
     got = np.array([[s.action.t1, s.action.s_b, s.action.h_b]
                     for s in smooth_samples(samples)])
     assert np.array_equal(got, ref_smooth_actions(samples))
+
+
+def test_smooth_matches_difference_tensor_on_integer_tied_states():
+    # states on a small integer grid: many exactly equal distances, whose
+    # order is the full-row sort's; three blocks and a one-row tail
+    n = 2 * _SMOOTH_BLOCK + 1
+    rng = np.random.default_rng(8)
+    samples = [sample(st, t1=rng.uniform(0.1, 0.9)) for st in rng.integers(0, 3, (n, 4))]
+    got = np.array([[s.action.t1, s.action.s_b, s.action.h_b]
+                    for s in smooth_samples(samples)])
+    assert np.array_equal(got, ref_smooth_actions(samples))
+
+
+def test_smooth_memory_is_linear_in_the_samples():
+    # an n x n distance matrix would be 30.5 MiB here, its argsort as much
+    n = 2000
+    rng = np.random.default_rng(9)
+    samples = [sample(st, t1=rng.uniform(0.1, 0.9))
+               for st in rng.uniform([0.2, 1.0, 1.0, 0.9], [0.8, 1.2, 1.3, 1.1], (n, 4))]
+    tracemalloc.start()
+    try:
+        smooth_samples(samples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * _SMOOTH_BLOCK * n * 8
 
 
 def test_smooth_preserves_constant_actions():

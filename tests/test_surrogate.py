@@ -10,11 +10,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from airfoilrl.nnet import mlp_forward, train_minibatch
 from airfoilrl.proxy import generate_pool
-from airfoilrl.surrogate import (_CANDIDATES, _DIST_BLOCK, FEATURE_BOUNDS, OUTPUT_NAMES,
-                                 SampleRecord, SurrogateError, _block_of, _gram_rows,
-                                 in_feature_bounds, read_dataset, rsme,
-                                 select_samples, write_dataset)
+from airfoilrl.surrogate import (_CANDIDATES, _DIST_BLOCK, DESK_HIDDEN, FEATURE_BOUNDS,
+                                 HISTORY_COLUMNS, OUTPUT_NAMES, SampleRecord, SurrogateError,
+                                 _block_of, _forward_in_blocks, _gram_rows, _row_blocks,
+                                 _table, build_surrogate_model, in_feature_bounds,
+                                 read_dataset, rsme, select_samples, train_surrogate,
+                                 write_dataset)
 
 ROOT = Path(__file__).resolve().parents[1]
 IN_BOX = dict(cd=0.01, x1=0.5, mw1=1.1, mwl=1.1, mwa=1.0)
@@ -250,7 +253,7 @@ def assert_blocks_equal_the_expression(coords):
     n = len(coords)
     sq = np.sum(coords**2, axis=1)
     want = expression_distances(coords)
-    s = 0
+    s, tiling = 0, []
     while s < n:  # the blocks tile the rows, none of one row but for n = 1
         assert _block_of(s, n)[0] == s
         e = _block_of(s, n)[1]
@@ -258,7 +261,9 @@ def assert_blocks_equal_the_expression(coords):
         assert all(_block_of(i, n) == (s, e) for i in range(s, e))
         got = np.sqrt(np.maximum(sq[s:e, None] + sq - _gram_rows(coords, s, e), 0.0))
         assert got.tobytes() == want[s:e].tobytes(), (s, e)
+        tiling.append((s, e))
         s = e
+    assert list(_row_blocks(n)) == tiling
 
 
 @pytest.mark.parametrize("n", [_DIST_BLOCK - 1, _DIST_BLOCK, _DIST_BLOCK + 1,
@@ -273,6 +278,91 @@ def test_block_distances_equal_the_expression_bitwise(n):
 def test_block_distances_equal_the_expression_on_a_proxy_pool():
     in_one_blas_thread("assert_blocks_equal_the_expression("
                        "t.valid_coords(t.generate_pool(1200, seed=7)))")
+
+
+def random_records(n, seed):
+    """n records of real-valued coefficients and outputs inside the box."""
+    rng = np.random.default_rng(seed)
+    return [SampleRecord(cst14=rng.normal(0.0, 0.1, 14),
+                         outputs={k: float(rng.uniform(*FEATURE_BOUNDS[k])) for k in OUTPUT_NAMES})
+            for _ in range(n)]
+
+
+def whole_set_train_surrogate(train, test, hidden, schedule, batch_size, seed):
+    """train_surrogate with each history record taken by one forward of
+    the whole set, as before it took them in row blocks (verbatim)."""
+    x_tr, y_tr, _ = _table(train)
+    x_te, y_te, _ = _table(test)
+    rng = np.random.default_rng(seed)
+    model = build_surrogate_model(x_tr, hidden, rng)
+    history: list[dict] = []
+
+    def record(mb: int) -> None:
+        p_tr = mlp_forward(model, x_tr)
+        p_te = mlp_forward(model, x_te)
+        entry = {"minibatch": mb}
+        for k, name in enumerate(OUTPUT_NAMES):
+            b = FEATURE_BOUNDS[name]
+            entry[f"train_{name}"] = rsme(p_tr[:, k], y_tr[:, k], b)
+            entry[f"test_{name}"] = rsme(p_te[:, k], y_te[:, k], b)
+        history.append(entry)
+
+    train_minibatch(model, x_tr, y_tr, schedule, batch_size, seed=seed,
+                    record_every=100, callback=record)
+    return model, history
+
+
+@pytest.mark.parametrize("n", [1, 2, _DIST_BLOCK - 1, _DIST_BLOCK + 1, 2 * _DIST_BLOCK + 1, 700])
+@pytest.mark.parametrize("width", [14, 128, 256])
+def test_forward_in_blocks_equals_the_whole_forward_bitwise(n, width):
+    # in this process, with however many BLAS threads it has; the sizes
+    # give one-row tails, which a row-by-row rule would send to GEMV
+    rng = np.random.default_rng(n)
+    x = rng.normal(0.0, 0.1, (n, 14))
+    model = build_surrogate_model(x, [width] * 3, rng)
+    assert _forward_in_blocks(model, x).tobytes() == mlp_forward(model, x).tobytes()
+
+
+@pytest.mark.parametrize("n_train, n_test, epochs", [
+    (700, 100, 2),  # the desk split of a 1,200 pool
+    (193, 97, 5),  # one-row tails, folded into the block before
+    (97, 193, 8),
+])
+def test_history_in_blocks_equals_the_whole_set_forward_bitwise(n_train, n_test, epochs):
+    # in this process, with however many BLAS threads it has; batches of
+    # 4 rows make at least two records cheaply
+    train, test = random_records(n_train, 1), random_records(n_test, 2)
+    args = (DESK_HIDDEN, [(epochs, 0.01)], 4, 3)
+    model, history = train_surrogate(train, test, *args)
+    ref_model, ref_history = whole_set_train_surrogate(train, test, *args)
+    assert len(history) >= 2
+    assert [list(entry) for entry in history] == [HISTORY_COLUMNS] * len(history)
+    assert repr(history) == repr(ref_history)
+    assert model.flat.tobytes() == ref_model.flat.tobytes()
+
+
+@pytest.mark.parametrize("n_train", [2000, 4000])
+def test_train_surrogate_memory_is_set_by_its_model_and_batch(n_train):
+    # a forward of a whole 256-wide set holds n x 256 floats per layer;
+    # in blocks, the peak is seven parameter-sized buffers (the model,
+    # its initial weights, the gradient, two Adam moments and two
+    # scratch), the Fit buffers, the sets' tables and a few blocks of
+    # activations
+    hidden, batch = [256] * 3, 16
+    train, test = random_records(n_train, 4), random_records(1000, 5)
+    sizes = [14, *hidden, 5]
+    params = sum((a + 1) * b for a, b in zip(sizes[:-1], sizes[1:]))
+    fit = batch * (sum(sizes[1:]) + sum(hidden) + 2 * sizes[-1])
+    tables = 3 * (n_train + 1000) * 19
+    blocks = 4 * _DIST_BLOCK * max(hidden)
+    tracemalloc.start()
+    try:
+        _, history = train_surrogate(train, test, hidden, [(1, 1e-3)], batch, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert history  # at least one record was taken
+    assert peak <= 8 * (7 * params + fit + tables + blocks)
 
 
 def test_rsme_hand_case():
