@@ -21,13 +21,12 @@ def run(seed, pretrained, iterations, baselines_n):
     baselines = seed_airfoils(baselines_n, seed=seed)
     evaluator = proxy_evaluator()
     env_factory = lambda: DesignEnv(evaluator, EnvConfig())
-    config = PpoConfig(epochs=200, trajectories_per_baseline=4, max_steps=5,
+    config = PpoConfig(epochs=200, trajectories_per_baseline=4,
                        actor_schedule=[(iterations, 1e-3)])
     agent = rl.make_agent(rng, hidden=(64, 64))
     if pretrained:
-        samples = []
-        for foil in baselines:
-            samples.extend(pt.greedy_search(foil, evaluator, 2, 5, 30, rng))
+        samples = np.concatenate([pt.greedy_search(foil, evaluator, 2, 5, 30, rng)
+                                  for foil in baselines])
         smoothed = pt.smooth_samples(pt.dedup_states(samples))
         pt.imitate_policy(agent, smoothed)
         pt.pretrain_critic(agent, baselines, config, env_factory,

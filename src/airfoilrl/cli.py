@@ -29,7 +29,7 @@ from .geometry import (BumpAction, apply_action, max_thickness,
 from .plotsvg import plot_history
 from .proxy import PoolStats, generate_pool, seed_airfoils
 from .surrogate import (HISTORY_COLUMNS, read_dataset, select_samples, train_surrogate,
-                        write_dataset, write_rows, write_table)
+                        write_csv, write_dataset, write_rows)
 from .nnet import load_model, save_model
 
 
@@ -72,9 +72,9 @@ def cmd_select_samples(args, cfg: ExperimentConfig) -> tuple[list[str], dict]:
     pool = read_dataset(_out(args, args.pool))
     sets = select_samples(pool, cfg.keep_counts)
     artifacts = []
-    for count, records in sorted(sets.items(), reverse=True):
+    for count, table in sorted(sets.items(), reverse=True):
         out = _out(args, f"{args.out_prefix}_{count}.csv")
-        write_dataset(out, records)
+        write_dataset(out, table)
         artifacts.append(out)
         print(f"wrote {count} samples to {out}")
     return artifacts, {}
@@ -107,7 +107,7 @@ def cmd_train_surrogate(args, cfg: ExperimentConfig) -> tuple[list[str], dict]:
     save_model(model_out, model)
     hist_out = _out(args, args.history)
     # the header even when the schedule ended before the first record
-    write_table(hist_out, HISTORY_COLUMNS, (row.values() for row in history))
+    write_csv(hist_out, HISTORY_COLUMNS, (row.values() for row in history))
     if history:
         print(f"final test RSME(cd) = {history[-1]['test_cd']:.4f}")
     print(f"wrote {model_out} and {hist_out}")
@@ -123,11 +123,9 @@ def cmd_pretrain(args, cfg: ExperimentConfig) -> tuple[list[str], dict]:
     evaluator = env_factory().evaluator
     seconds = {}  # wall time per stage, for the manifest only
     start = time.perf_counter()
-    samples = []
-    for foil in baselines:
-        samples.extend(pt.greedy_search(foil, evaluator, cfg.greedy_searches,
-                                        cfg.greedy_steps, cfg.greedy_candidates,
-                                        rng, stats=stats))
+    samples = np.concatenate([pt.greedy_search(foil, evaluator, cfg.greedy_searches,
+                                               cfg.greedy_steps, cfg.greedy_candidates,
+                                               rng, stats=stats) for foil in baselines])
     seconds["greedy_search_s"] = time.perf_counter() - start
     raw_out = _out(args, f"{args.out_prefix}_samples_raw.csv")
     pt.write_samples(raw_out, samples, stage="raw")

@@ -8,7 +8,8 @@ and counts (pool, sample set, layer and batch sizes, baselines,
 searches, steps, candidates, epochs) as integers of at least 1,
 comma-separated where a key takes several.  ``clip_eps`` and
 ``std_init`` (its square too) are finite and greater than 0, ``gamma``
-and ``gae_lambda`` lie in [0, 1], and a seed is an integer of at least 0.
+and ``gae_lambda`` lie in [0, 1], a seed and ``smooth_halfwidth`` are
+integers of at least 0, ``blend_cells`` is a count, and every float is finite.
 The counts of ``actor_schedule`` and ``critic_schedule`` are PPO
 iterations, each one ``collect_batch`` and then ``epochs`` gradient
 epochs on that batch; those of the surrogate and imitation schedules
@@ -72,10 +73,10 @@ def parse_schedule(text: str) -> list[tuple[int, float]]:
     return out
 
 
-def parse_seed(text: str) -> int:
-    """A random seed: an integer of at least 0."""
+def parse_seed(text: str, name: str = "seed") -> int:
+    """A random seed, or another integer of at least 0 that errors call `name`."""
     if int(text) < 0:
-        raise ValueError(f"seed {int(text)} is negative")
+        raise ValueError(f"{name} {int(text)} is negative")
     return int(text)
 
 
@@ -135,7 +136,7 @@ def paper_config() -> ExperimentConfig:
     cfg.critic_schedule = [(10000, 0.01), (10000, 0.001)]
     cfg.ppo_hidden = (512, 512)
     cfg.ppo_baselines = 50
-    cfg.ppo = PpoConfig(epochs=2000, trajectories_per_baseline=20, max_steps=5,
+    cfg.ppo = PpoConfig(epochs=2000, trajectories_per_baseline=20,
                         actor_schedule=[(200, 1e-6), (100, 1e-7), (100, 1e-8)])
     return cfg
 
@@ -164,7 +165,10 @@ def _boolean(text: str) -> bool:
 _KEYS = {
     "run": {"profile": ("profile", lambda name: from_profile(name).profile),
             "seed": ("seed", parse_seed), "t_max": ("t_max", float)},
-    "proxy": {f.name: ("proxy." + f.name, type(f.default)) for f in fields(ProxyConfig)},
+    "proxy": {**{f.name: ("proxy." + f.name, float) for f in fields(ProxyConfig)},
+              "smooth_halfwidth": ("proxy.smooth_halfwidth",
+                                   lambda text: parse_seed(text, "halfwidth")),
+              "blend_cells": ("proxy.blend_cells", parse_count)},
     "surrogate": {"hidden": ("surrogate_hidden", parse_counts),
                   "schedule": ("surrogate_schedule", parse_schedule),
                   "batch_size": ("surrogate_batch", parse_count),
@@ -195,7 +199,8 @@ def load_config(path=None, profile: str | None = None) -> ExperimentConfig:
     The profile is `profile` when given, else the one the file's
     ``[run] profile`` names, else desk.  A file naming a profile other
     than `profile` raises ValueError, as do a section or key not in
-    _KEYS (a [DEFAULT] section included) and a value its parser rejects.
+    _KEYS (a [DEFAULT] section included), a value its parser rejects and
+    a float that is not finite.
     """
     parser = configparser.ConfigParser()
     if path is not None:
@@ -216,9 +221,12 @@ def load_config(path=None, profile: str | None = None) -> ExperimentConfig:
                 raise ValueError(f"{path}: unknown config key {key!r} in [{section}]")
             attr, parse = _KEYS[section][key]
             try:
-                values.append((attr, parse(text)))
+                value = parse(text)
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise ValueError(f"{text.strip()} is not finite")
             except ValueError as exc:
                 raise ValueError(f"{path}: [{section}] {key} = {text}: {exc}") from None
+            values.append((attr, value))
     cfg = from_profile(profile or named or "desk")
     for attr, value in values:
         owner, _, name = attr.rpartition(".")

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .features import is_single_shock
-from .geometry import AirfoilGeom, BumpAction, apply_action
+from .geometry import AirfoilGeom, apply_action
 from .nnet import mlp_forward
 from .proxy import ProxyConfig, proxy_evaluate
 
@@ -35,6 +35,7 @@ HB_RANGE = (-0.1, 0.1)
 ACTION_BOUNDS = np.array([T1_RANGE, SB_RANGE, HB_RANGE])
 
 REWARD_SCALE = 10000.0  # drag counts per unit of drag coefficient
+MAX_STEPS = 5  # bump modifications per episode
 
 OUTCOMES = ("clamped", "width_clamped", "shock_lost", "modify_failed")
 
@@ -45,7 +46,7 @@ class EnvProtocolError(RuntimeError):
 
 @dataclass(frozen=True)
 class EnvConfig:
-    max_steps: int = 5
+    max_steps: int = MAX_STEPS
 
 
 @dataclass(frozen=True)
@@ -107,9 +108,9 @@ def scaled_to_physical(actions_scaled) -> tuple[np.ndarray, np.ndarray]:
     return ACTION_BOUNDS[:, 0] + a * (ACTION_BOUNDS[:, 1] - ACTION_BOUNDS[:, 0]), clamped
 
 
-def physical_to_scaled(action: BumpAction) -> np.ndarray:
-    phys = np.array([action.t1, action.s_b, action.h_b])
-    return (phys - ACTION_BOUNDS[:, 0]) / (ACTION_BOUNDS[:, 1] - ACTION_BOUNDS[:, 0])
+def physical_to_scaled(actions) -> np.ndarray:
+    """Map (n, 3) physical actions [t1, s_b, h_b] onto [0,1]^3."""
+    return (actions - ACTION_BOUNDS[:, 0]) / (ACTION_BOUNDS[:, 1] - ACTION_BOUNDS[:, 0])
 
 
 class DesignEnv:

@@ -1,23 +1,22 @@
 """Imitation-learning pretraining of the actor and critic-only fitting.
 
 Good state-action samples come from greedy random search on the
-evaluator; duplicates are resolved by reward, high-frequency action
-noise is removed by inverse-distance-weighted smoothing, the actor is
-regressed onto the result, and the critic is then fit with the actor
-frozen.
+evaluator, as a sample table (its CSV file's float columns); duplicates
+are resolved by reward, high-frequency action noise is removed by
+inverse-distance-weighted smoothing, the actor is regressed onto the
+result, and the critic is then fit with the actor frozen.
 """
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 
 import numpy as np
 
 from .env import ACTION_BOUNDS, REWARD_SCALE, StepStats, physical_to_scaled
-from .geometry import AirfoilGeom, BumpAction, apply_action
+from .geometry import AirfoilGeom, apply_action
 from .nnet import Fit
 from .rl import PolicyAgent, PpoConfig, ppo_train
-from .surrogate import is_valid_design, write_table
+from .surrogate import is_valid_design, write_csv
 
 SMOOTH_PASSES = 10
 SMOOTH_NEIGHBORS = 10
@@ -28,26 +27,27 @@ _SMOOTH_BLOCK = 256
 
 IMITATION_SCHEDULE = [(250, 1e-3), (250, 1e-4), (250, 1e-5), (250, 1e-6)]
 
-
-@dataclass(frozen=True)
-class StateActionSample:
-    state: np.ndarray  # 4-vector
-    action: BumpAction  # physical space
-    reward: float
+# the sample CSV's columns; an (n, 8) sample table holds all but stage
+SAMPLE_COLUMNS = ["x1", "mw1", "mwl", "mwa", "t1", "sb", "hb", "reward", "stage"]
+STATE_COLS = slice(SAMPLE_COLUMNS.index("t1"))
+ACTION_COLS = slice(STATE_COLS.stop, SAMPLE_COLUMNS.index("reward"))
+REWARD_COL = ACTION_COLS.stop
+SAMPLE_WIDTH = REWARD_COL + 1
 
 
 def greedy_search(baseline: AirfoilGeom, evaluator, searches: int,
                   steps: int, candidates: int, rng,
-                  stats: StepStats | None = None) -> list[StateActionSample]:
+                  stats: StepStats | None = None) -> np.ndarray:
     """Random greedy searches: at each step draw candidate actions
     uniformly over the physical action box, keep the one with the
     smallest drag that stays inside the feature box, and advance.
+    Returns a (k, 8) sample table, a row per step taken.
 
     The candidates of a step are one batch: one apply_action call over
     lanes and one evaluator call on the candidates it could build.  The
     first candidate with the smallest drag wins.
     """
-    samples: list[StateActionSample] = []
+    samples = [np.empty((0, SAMPLE_WIDTH))]
     ev = evaluator(baseline.cst14)
     cd0, state0 = float(ev.cd[0]), ev.state[0].copy()
     for _ in range(searches):
@@ -71,31 +71,30 @@ def greedy_search(baseline: AirfoilGeom, evaluator, searches: int,
                 break  # no candidate satisfies the constraints
             best = int(np.argmin(drag))
             j = int(np.searchsorted(built, best))
-            samples.append(StateActionSample(
-                state=state, action=BumpAction(*map(float, draws[best])),
-                reward=float(REWARD_SCALE * (cd - drag[best]))))
+            samples.append([[*state, *draws[best], REWARD_SCALE * (cd - drag[best])]])
             upper, lower = new_upper[best], new_lower[best]
             cd, state = float(drag[best]), ev.state[j].copy()
-    return samples
+    return np.concatenate(samples)
 
 
-def dedup_states(samples: list[StateActionSample]) -> list[StateActionSample]:
-    """Among samples with equal states (within tolerance), keep only the
-    highest-reward one; order of first appearance is preserved."""
-    kept: list[StateActionSample] = []
-    kept_states = np.empty((len(samples), 4))  # rows [:len(kept)] are live
-    for s in samples:
-        d = np.linalg.norm(kept_states[:len(kept)] - s.state, axis=1)
+def dedup_states(samples) -> np.ndarray:
+    """Among samples with equal states (within tolerance of a group's
+    first state), keep only the highest-reward one; order of first
+    appearance is preserved.  Takes a sample table or a list of its rows."""
+    samples = np.asarray(samples, dtype=float).reshape(-1, SAMPLE_WIDTH)
+    kept, firsts = [], np.empty((len(samples), STATE_COLS.stop))  # a row, a state per group
+    for i, row in enumerate(samples):
+        d = np.linalg.norm(firsts[:len(kept)] - row[STATE_COLS], axis=1)
         hits = np.flatnonzero(d <= DEDUP_TOL)
         if hits.size == 0:
-            kept_states[len(kept)] = s.state
-            kept.append(s)
-        elif s.reward > kept[hits[0]].reward:
-            kept[hits[0]] = s
-    return kept
+            firsts[len(kept)] = row[STATE_COLS]
+            kept.append(i)
+        elif row[REWARD_COL] > samples[kept[hits[0]], REWARD_COL]:
+            kept[hits[0]] = i
+    return samples[kept]
 
 
-def smooth_samples(samples: list[StateActionSample]) -> list[StateActionSample]:
+def smooth_samples(samples: np.ndarray) -> np.ndarray:
     """Inverse-distance-weighted action smoothing over state space.
 
     Distances are frozen from the original states; each pass relaxes
@@ -106,9 +105,7 @@ def smooth_samples(samples: list[StateActionSample]) -> list[StateActionSample]:
     n = len(samples)
     if n < SMOOTH_NEIGHBORS + 1:
         raise ValueError(f"need at least {SMOOTH_NEIGHBORS + 1} samples")
-    states = np.stack([s.state for s in samples])
-    actions = np.stack([[s.action.t1, s.action.s_b, s.action.h_b]
-                        for s in samples])
+    states, actions = samples[:, STATE_COLS], samples[:, ACTION_COLS]
     # a block of rows at a time, squared distances summed column by
     # column, in order, and each row sorted whole, so ties order as in
     # one sort of the n x n matrix
@@ -137,25 +134,21 @@ def smooth_samples(samples: list[StateActionSample]) -> list[StateActionSample]:
         avg = (weights[:, :, None] * neigh_actions).sum(axis=1) \
             / weights.sum(axis=1)[:, None]
         actions = actions + (avg - actions) * SMOOTH_RELAXATION
-    return [StateActionSample(state=s.state,
-                              action=BumpAction(*map(float, actions[i])),
-                              reward=s.reward)
-            for i, s in enumerate(samples)]
+    return np.column_stack((states, actions, samples[:, REWARD_COL]))
 
 
-def imitate_policy(agent: PolicyAgent, samples: list[StateActionSample],
+def imitate_policy(agent: PolicyAgent, samples: np.ndarray,
                    schedule=None) -> list[float]:
     """Regress the actor mean onto the sample actions (scaled space).
 
     Full-batch Adam steps through one Fit; the std layer is untouched.
     Returns the per-epoch mean-squared loss history.
     """
-    if not samples:
+    if not len(samples):
         raise ValueError("no samples to imitate")
     schedule = schedule if schedule is not None else IMITATION_SCHEDULE
-    states = np.stack([s.state for s in samples])
-    targets = np.stack([physical_to_scaled(s.action) for s in samples])
-    xs = agent.actor.input_scaler.scale(states)
+    targets = physical_to_scaled(samples[:, ACTION_COLS])
+    xs = agent.actor.input_scaler.scale(samples[:, STATE_COLS])
     fit = Fit(agent.actor, len(samples))
     return [fit.step(xs, targets, lr) for epochs, lr in schedule for _ in range(epochs)]
 
@@ -169,28 +162,16 @@ def pretrain_critic(agent: PolicyAgent, baselines, config: PpoConfig,
 
 
 # ---------------------------------------------------------------------------
-# sample CSV: x1,mw1,mwl,mwa,t1,sb,hb,reward (+ stage provenance)
-
-SAMPLE_COLUMNS = ["x1", "mw1", "mwl", "mwa", "t1", "sb", "hb", "reward", "stage"]
+# sample CSV: the sample table, then its stage column
 
 
-def write_samples(path, samples: list[StateActionSample],
-                  stage: str = "raw") -> None:
-    write_table(path, SAMPLE_COLUMNS, (
-        [*map(float, s.state), float(s.action.t1), float(s.action.s_b),
-         float(s.action.h_b), float(s.reward), stage] for s in samples))
+def write_samples(path, samples: np.ndarray, stage: str = "raw") -> None:
+    write_csv(path, SAMPLE_COLUMNS, ([*row.tolist(), stage] for row in samples))
 
 
-def read_samples(path) -> tuple[list[StateActionSample], list[str]]:
-    samples: list[StateActionSample] = []
-    stages: list[str] = []
+def read_samples(path) -> tuple[np.ndarray, list[str]]:
+    """The sample table of a sample CSV and each row's stage."""
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            state = np.array([float(row[k]) for k in SAMPLE_COLUMNS[:4]])
-            action = BumpAction(t1=float(row["t1"]), s_b=float(row["sb"]),
-                                h_b=float(row["hb"]))
-            samples.append(StateActionSample(state=state, action=action,
-                                             reward=float(row["reward"])))
-            stages.append(row.get("stage", "raw"))
-    return samples, stages
+        rows = list(csv.DictReader(fh))
+    table = np.array([[float(row[k]) for k in SAMPLE_COLUMNS[:SAMPLE_WIDTH]] for row in rows])
+    return table.reshape(-1, SAMPLE_WIDTH), [row.get("stage", "raw") for row in rows]

@@ -14,7 +14,7 @@ import numpy as np
 
 from .features import WallMachDistribution, extract_features
 from .geometry import AirfoilGeom, cosine_stations, cst_at_stations, make_airfoil
-from .surrogate import OUTPUT_NAMES, SampleRecord, is_valid_design
+from .surrogate import CSV_COLUMNS, CST_COLS, is_valid_design
 
 
 @dataclass(frozen=True)
@@ -136,20 +136,20 @@ class PoolStats:
 
 
 def _evaluated(rng, spread: float, t_max: float, tries: int, n: int,
-               config: ProxyConfig, stats: PoolStats, keep=None) -> list:
-    """Up to n (cst14, outputs) pairs of random perturbations of the base
-    geometry that build and pass keep(cd, feats), a row mask (all rows
-    pass without it), from at most `tries` draws.
+               config: ProxyConfig, stats: PoolStats, keep=None) -> np.ndarray:
+    """A sample table (CSV_COLUMNS) of up to n random perturbations of
+    the base geometry that build and pass keep(cd, feats), a row mask
+    (all rows pass without it), from at most `tries` draws.
 
     A block of up to _PROXY_BLOCK airfoils, no more than are still
     missing, is drawn as one (k, 2, 7) uniform array (the floats of k
     draws of 7 + 7), built by one make_airfoil call over lanes, topped up
     by drawing as many as failed, then evaluated by one proxy call.
     """
-    kept: list = []
-    draws = 0
-    while len(kept) < n:
-        want = min(_PROXY_BLOCK, n - len(kept))
+    kept = [np.empty((0, len(CSV_COLUMNS)))]
+    count = draws = 0
+    while count < n:
+        want = min(_PROXY_BLOCK, n - count)
         block = np.empty((0, 14))
         while len(block) < want and draws < tries:
             k = min(want - len(block), tries - draws)
@@ -164,11 +164,11 @@ def _evaluated(rng, spread: float, t_max: float, tries: int, n: int,
         cd, feats = proxy_evaluate(block, config)
         stats.proxy_rows += len(block)
         stats.proxy_blocks += 1
-        mask = [True] * len(block) if keep is None else keep(cd, feats)
-        kept.extend((cst, dict(zip(OUTPUT_NAMES, row))) for cst, row, ok in
-                    zip(block, np.column_stack((cd, feats.state)).tolist(), mask) if ok)
+        rows = np.column_stack((block, cd, feats.state))
+        kept.append(rows if keep is None else rows[keep(cd, feats)])
+        count += len(kept[-1])
     stats.pool_draws += draws
-    return kept
+    return np.concatenate(kept)
 
 
 def seed_airfoils(n: int, seed: int = 0, t_max: float = T_MAX_DEFAULT,
@@ -179,7 +179,7 @@ def seed_airfoils(n: int, seed: int = 0, t_max: float = T_MAX_DEFAULT,
     kept = _evaluated(np.random.default_rng(seed), _SEED_SPREAD, t_max, _SEED_TRIES, n,
                       config, PoolStats(),
                       keep=lambda cd, feats: is_valid_design(cd, feats.state, feats.no_shock))
-    out = [AirfoilGeom(cst_upper=cst[:7], cst_lower=cst[7:], t_max=t_max) for cst, _ in kept]
+    out = [AirfoilGeom(row[:7], row[7:CST_COLS.stop], t_max) for row in kept]
     if len(out) < n:
         raise RuntimeError(f"seed generator produced {len(out)}/{n} valid airfoils")
     return out
@@ -187,16 +187,16 @@ def seed_airfoils(n: int, seed: int = 0, t_max: float = T_MAX_DEFAULT,
 
 def generate_pool(n: int, seed: int = 0, t_max: float = T_MAX_DEFAULT,
                   config: ProxyConfig = ProxyConfig(),
-                  stats: PoolStats | None = None) -> list[SampleRecord]:
-    """Random proxy-evaluated airfoils for surrogate training; rows may
-    violate the feature box (selection filters later).  Gives up with
-    RuntimeError after 20 draws per requested sample.  `stats` receives
-    the draw and proxy counts of the blocks (see _evaluated).
+                  stats: PoolStats | None = None) -> np.ndarray:
+    """A sample table of random proxy-evaluated airfoils for surrogate
+    training; rows may violate the feature box (selection filters
+    later).  Gives up with RuntimeError after 20 draws per requested
+    sample.  `stats` receives the draw and proxy counts of the blocks
+    (see _evaluated).
     """
     stats = PoolStats() if stats is None else stats
-    pool = [SampleRecord(cst14=cst, outputs=outputs) for cst, outputs in _evaluated(
-        np.random.default_rng(seed), _POOL_SPREAD, t_max, _POOL_TRIES_PER_SAMPLE * n, n,
-        config, stats)]
+    pool = _evaluated(np.random.default_rng(seed), _POOL_SPREAD, t_max,
+                      _POOL_TRIES_PER_SAMPLE * n, n, config, stats)
     if len(pool) < n:
         raise RuntimeError(f"pool generator produced {len(pool)}/{n} valid airfoils")
     return pool

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .env import ACTION_BOUNDS, rollout_rows
+from .env import ACTION_BOUNDS, MAX_STEPS, rollout_rows
 from .nnet import (AdamState, Fit, MlpModel, Scaler, adam_update, make_mlp, mlp_forward,
                    model_arrays, model_from_arrays)
 from .surrogate import FEATURE_BOUNDS, OUTPUT_NAMES
@@ -38,7 +38,7 @@ class PpoConfig:
     epochs: int = 200  # gradient epochs per PPO iteration
     trajectories_per_baseline: int = 4
     # read only by the CLI, to build the environments' EnvConfig
-    max_steps: int = 5
+    max_steps: int = MAX_STEPS
     # (PPO iterations, actor learning rate) segments, each iteration one
     # collect_batch and `epochs` gradient epochs; critic lr is a multiple
     actor_schedule: list = field(default_factory=lambda: [(50, 1e-3)])

@@ -1,15 +1,15 @@
 """Sample-set selection, surrogate training, and relative-RMS reporting.
 
 The surrogate maps the 14 CST coefficients to five outputs
-(CD, X1, Mw1, MwL, MwA).  Sample pools are first filtered against the
-feature box below, then thinned by repeatedly removing one member of
-the closest coefficient-space pair until the requested set sizes are
-reached.
+(CD, X1, Mw1, MwL, MwA).  A sample set is an (n, 19) float table in
+CSV_COLUMNS order, in memory as in its CSV file.  Sample pools are first
+filtered against the feature box below, then thinned by repeatedly
+removing one member of the closest coefficient-space pair until the
+requested set sizes are reached.
 """
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,6 +27,9 @@ FEATURE_BOUNDS = {
 }
 
 CSV_COLUMNS = [f"c_u{i}" for i in range(7)] + [f"c_l{i}" for i in range(7)] + list(OUTPUT_NAMES)
+# a sample table's coefficient and output columns
+CST_COLS = slice(CSV_COLUMNS.index(OUTPUT_NAMES[0]))
+OUTPUT_COLS = slice(CST_COLS.stop, len(CSV_COLUMNS))
 # train_surrogate's history entries, in this order
 HISTORY_COLUMNS = ["minibatch"] + [f"{part}_{name}" for name in OUTPUT_NAMES
                                    for part in ("train", "test")]
@@ -41,27 +44,20 @@ class SurrogateError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SampleRecord:
-    cst14: np.ndarray
-    outputs: dict[str, float]  # keys OUTPUT_NAMES
+_BOX = np.array([FEATURE_BOUNDS[k] for k in OUTPUT_NAMES])
 
 
-def in_feature_bounds(outputs: dict) -> bool:
-    """Whether outputs lie in the feature box; with (N,) arrays as
-    values, a (N,) mask."""
-    inside = True
-    for k in OUTPUT_NAMES:
-        lo, hi = FEATURE_BOUNDS[k]
-        inside = inside & (lo <= outputs[k]) & (outputs[k] <= hi)
-    return inside
+def in_feature_bounds(outputs) -> np.ndarray:
+    """Whether (..., 5) output rows, in OUTPUT_NAMES order, lie in the
+    feature box; a (...) mask."""
+    return np.all((_BOX[:, 0] <= outputs) & (outputs <= _BOX[:, 1]), axis=-1)
 
 
 def is_valid_design(cd, state, no_shock) -> np.ndarray:
     """The valid-design rule: a shock was found and the outputs lie in
     the feature box.  Takes (N,) drags, (N, 4) states [X1, Mw1, MwL, MwA]
     and (N,) no-shock flags; returns an (N,) mask."""
-    return ~no_shock & in_feature_bounds(dict(zip(OUTPUT_NAMES, (cd, *state.T))))
+    return ~no_shock & in_feature_bounds(np.column_stack((cd, state)))
 
 
 # select_samples' distances and train_surrogate's history forwards are
@@ -98,12 +94,12 @@ def _gram_rows(coords: np.ndarray, s: int, e: int, out=None) -> np.ndarray:
     return np.matmul(2.0 * coords[s:e], coords.T, out=out)
 
 
-def select_samples(pool: list[SampleRecord],
-                   keep_counts: list[int]) -> dict[int, list[SampleRecord]]:
-    """Thin a pool to the requested sizes, keeping geometries spread out.
+def select_samples(pool: np.ndarray, keep_counts: list[int]) -> dict[int, np.ndarray]:
+    """Thin a sample table to the requested sizes, keeping geometries
+    spread out; each set is a subset of the pool's rows, in pool order.
 
-    Out-of-bounds records are dropped first.  Then the closest pair of
-    surviving records (Euclidean distance over cst14) loses one member
+    Out-of-bounds rows are dropped first.  Then the closest pair of
+    surviving rows (Euclidean distance over the coefficients) loses one member
     per round; the member whose next-nearest-neighbor distance is
     smaller is deleted, ties broken by lower index.  A snapshot is
     taken whenever the survivor count hits a keep count.
@@ -122,13 +118,12 @@ def select_samples(pool: list[SampleRecord],
         raise SurrogateError("at least one keep count required")
     if keep_counts[-1] < 1:
         raise SurrogateError(f"keep count {keep_counts[-1]} is not at least 1")
-    x, _, inside = _table(pool)
-    valid_idx = np.flatnonzero(inside).tolist()
+    valid_idx = np.flatnonzero(in_feature_bounds(pool[:, OUTPUT_COLS]))
     if len(valid_idx) < keep_counts[0]:
         raise SurrogateError(
             f"only {len(valid_idx)} valid samples for keep count {keep_counts[0]}")
 
-    coords = x[valid_idx]
+    coords = pool[valid_idx, CST_COLS]
     n = len(valid_idx)
     sq = np.sum(coords**2, axis=1)
     # block buffers, allocated once: each fresh block-sized array costs
@@ -214,10 +209,10 @@ def select_samples(pool: list[SampleRecord],
     for s, _ in _row_blocks(n):
         refresh(s)
 
-    snapshots: dict[int, list[SampleRecord]] = {}
+    snapshots: dict[int, np.ndarray] = {}
     count = n
     if count in keep_counts:
-        snapshots[count] = [pool[valid_idx[i]] for i in range(n)]
+        snapshots[count] = pool[valid_idx]
     smallest = keep_counts[-1]
     while count > smallest:
         i = int(nn_dist.argmin())
@@ -239,7 +234,7 @@ def select_samples(pool: list[SampleRecord],
                 nn_d[k], nn_j[k] = list_d[q], list_j[q]
         count -= 1
         if count in keep_counts:
-            snapshots[count] = [pool[valid_idx[k]] for k in range(n) if live[k]]
+            snapshots[count] = pool[valid_idx[alive]]
     return snapshots
 
 
@@ -253,14 +248,6 @@ def rsme(predicted, truth, bounds: tuple[float, float]) -> float:
     if hi <= lo:
         raise SurrogateError("zero or negative bound width")
     return float(np.sqrt(np.mean((truth - predicted) ** 2)) / (hi - lo))
-
-
-def _table(samples: list[SampleRecord]):
-    """Records as arrays: (n, 14) coefficients, (n, 5) outputs in
-    OUTPUT_NAMES order and the (n,) mask of rows in the feature box."""
-    x = np.array([s.cst14 for s in samples], float).reshape(-1, 14)
-    y = np.array([[s.outputs[k] for k in OUTPUT_NAMES] for s in samples], float).reshape(-1, 5)
-    return x, y, in_feature_bounds(dict(zip(OUTPUT_NAMES, y.T)))
 
 
 def build_surrogate_model(train_inputs: np.ndarray, hidden: list[int],
@@ -287,20 +274,20 @@ def _forward_in_blocks(model: MlpModel, x: np.ndarray) -> np.ndarray:
     return y
 
 
-def train_surrogate(train: list[SampleRecord], test: list[SampleRecord],
+def train_surrogate(train: np.ndarray, test: np.ndarray,
                     hidden: list[int] = DESK_HIDDEN,
                     schedule=None, batch_size: int = DESK_BATCH,
                     seed: int = 0) -> tuple[MlpModel, list[dict]]:
-    """Train the surrogate; records per-output RSME every 100 minibatches.
+    """Train on two sample tables, recording per-output RSME every 100 minibatches.
 
     Returns (model, history); each history entry holds train/test RSME
     for every output.
     """
-    if not train or not test:
+    if not len(train) or not len(test):
         raise SurrogateError("train and test sets must be nonempty")
     schedule = schedule if schedule is not None else DESK_SCHEDULE
-    x_tr, y_tr, _ = _table(train)
-    x_te, y_te, _ = _table(test)
+    x_tr, y_tr = train[:, CST_COLS], train[:, OUTPUT_COLS]
+    x_te, y_te = test[:, CST_COLS], test[:, OUTPUT_COLS]
     rng = np.random.default_rng(seed)
     model = build_surrogate_model(x_tr, hidden, rng)
     history: list[dict] = []
@@ -320,10 +307,10 @@ def train_surrogate(train: list[SampleRecord], test: list[SampleRecord],
 
 # ---------------------------------------------------------------------------
 # CSV tables: a header line, then one line per row; every table the
-# package writes goes through write_table
+# package writes goes through write_csv
 
 
-def write_table(path, columns, rows) -> None:
+def write_csv(path, columns, rows) -> None:
     """Write `columns` as the header, then each row of values; a float is
     written as repr(float(v)), its shortest round-trip text."""
     with open(path, "w", newline="") as fh:
@@ -337,19 +324,19 @@ def write_rows(path, rows: list[dict]) -> None:
     """A table of dict rows: the columns are the keys in order of first
     appearance, and a key a row lacks is left blank."""
     columns = list(dict.fromkeys(k for row in rows for k in row))
-    write_table(path, columns, ([row.get(k, "") for k in columns] for row in rows))
+    write_csv(path, columns, ([row.get(k, "") for k in columns] for row in rows))
 
 
 # dataset CSV: c_u0..c_u6,c_l0..c_l6,cd,x1,mw1,mwl,mwa (+ in_bounds marker)
 
 
-def write_dataset(path, samples: list[SampleRecord]) -> None:
-    x, y, inside = _table(samples)
-    write_table(path, CSV_COLUMNS + ["in_bounds"], (
-        [*row.tolist(), "1" if ok else "0"] for row, ok in zip(np.hstack((x, y)), inside)))
+def write_dataset(path, table: np.ndarray) -> None:
+    inside = in_feature_bounds(table[:, OUTPUT_COLS])
+    write_csv(path, CSV_COLUMNS + ["in_bounds"], (
+        [*row.tolist(), "1" if ok else "0"] for row, ok in zip(table, inside)))
 
 
-def read_dataset(path) -> list[SampleRecord]:
+def read_dataset(path) -> np.ndarray:
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         missing = [c for c in CSV_COLUMNS if c not in (reader.fieldnames or [])]
@@ -359,5 +346,4 @@ def read_dataset(path) -> list[SampleRecord]:
                             dtype=float).reshape(-1, len(CSV_COLUMNS))
     if not np.all(np.isfinite(table)):
         raise SurrogateError("non-finite value in dataset row")
-    return [SampleRecord(cst14=row[:14], outputs=dict(zip(OUTPUT_NAMES, row[14:].tolist())))
-            for row in table]
+    return table

@@ -25,7 +25,7 @@ from airfoilrl.rl import (PolicyAgent, PpoConfig, TrajectoryBatch, clip_target,
                           gae_advantages, make_agent, ppo_losses, ppo_train,
                           reward_to_go)
 from airfoilrl.surrogate import (DESK_BATCH, DESK_HIDDEN, DESK_SCHEDULE,
-                                 SampleRecord, select_samples, train_surrogate)
+                                 select_samples, train_surrogate)
 
 from test_nnet import finite_difference_grads
 from test_rl import BanditEnv, gae_brute_force, linear_actor
@@ -271,9 +271,9 @@ def test_criterion_10_surrogate_pipeline():
     for seed in (0, 1, 2):
         rng = np.random.default_rng(seed)
         coords = rng.uniform(0.0, 1.0, (8, 14))
-        pool = [SampleRecord(cst14=c, outputs=dict(outs)) for c in coords]
+        pool = np.hstack((coords, np.tile(list(outs.values()), (8, 1))))
         sel = select_samples(pool, [5])[5]
-        keys = {tuple(s.cst14) for s in sel}
+        keys = {tuple(s[:14]) for s in sel}
         chosen = [i for i, c in enumerate(coords) if tuple(c) in keys]
 
         def min_pair(sub):

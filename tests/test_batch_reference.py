@@ -21,9 +21,9 @@ from airfoilrl.env import (ACTION_BOUNDS, OUTCOMES, REWARD_SCALE, DesignEnv, Env
 from airfoilrl.geometry import (WIDTH_GRID, AirfoilGeom, BumpAction, GeometryError,
                                 apply_action, max_thickness)
 from airfoilrl.nnet import Scaler, make_mlp
-from airfoilrl.pretrain import StateActionSample, greedy_search
+from airfoilrl.pretrain import greedy_search
 from airfoilrl.proxy import proxy_evaluate, seed_airfoils
-from airfoilrl.surrogate import OUTPUT_NAMES, in_feature_bounds
+from airfoilrl.surrogate import in_feature_bounds
 
 from test_kernel_reference import assert_t2_contract
 
@@ -123,15 +123,16 @@ def measure_bump_width(t1: float, t2: float) -> float:
 
 
 # the greedy loop as it was, renamed from greedy_search; it steps each
-# candidate through the library's scalar apply_action, a lane of one
+# candidate through the library's scalar apply_action, a lane of one; its
+# feature-box check takes a row of outputs, and each sample is a table row
 
 
 def reference_greedy_search(baseline: AirfoilGeom, evaluator, searches: int,
-                  steps: int, candidates: int, rng) -> list[StateActionSample]:
+                  steps: int, candidates: int, rng) -> list[list[float]]:
     """Random greedy searches: at each step draw candidate actions
     uniformly over the physical action box, keep the one with the
     smallest drag that stays inside the feature box, and advance."""
-    samples: list[StateActionSample] = []
+    samples: list[list[float]] = []
     for _ in range(searches):
         foil = baseline
         cd, feats = evaluator(foil.cst14)
@@ -147,9 +148,8 @@ def reference_greedy_search(baseline: AirfoilGeom, evaluator, searches: int,
                 except GeometryError:
                     continue
                 cd_new, feats_new = evaluator(cand.cst14)
-                outputs = dict(zip(OUTPUT_NAMES, (cd_new, feats_new.x1,
-                                                  feats_new.mw1, feats_new.mwl,
-                                                  feats_new.mwa)))
+                outputs = [cd_new, feats_new.x1, feats_new.mw1, feats_new.mwl,
+                           feats_new.mwa]
                 if feats_new.no_shock or not in_feature_bounds(outputs):
                     continue
                 if best is None or cd_new < best[0]:
@@ -157,8 +157,8 @@ def reference_greedy_search(baseline: AirfoilGeom, evaluator, searches: int,
             if best is None:
                 break  # no candidate satisfies the constraints
             cd_new, feats_new, action, cand = best
-            samples.append(StateActionSample(state=feats.state, action=action,
-                                             reward=REWARD_SCALE * (cd - cd_new)))
+            samples.append([*feats.state, action.t1, action.s_b, action.h_b,
+                            REWARD_SCALE * (cd - cd_new)])
             foil, cd, feats = cand, cd_new, feats_new
     return samples
 
@@ -303,10 +303,7 @@ def test_greedy_search_matches_scalar_loop(seed):
         want = reference_greedy_search(foil, scalar_proxy, 2, 5, 30,
                                        np.random.default_rng(seed))
         assert len(got) == len(want) > 0
-        for a, b in zip(got, want):
-            assert a.state.tobytes() == b.state.tobytes()
-            assert a.action == b.action
-            assert repr(a.reward) == repr(b.reward)
+        assert got.tobytes() == np.array(want).tobytes()
 
 
 def step_both(evaluator, baselines, actions_per_step):

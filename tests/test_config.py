@@ -6,6 +6,7 @@ import os
 import platform
 import re
 import zipfile
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from airfoilrl.config import (_KEYS, ExperimentConfig, artifact_digest, config_h
                               desk_config, from_profile, load_config, paper_config,
                               parse_counts, parse_schedule, write_manifest)
 from airfoilrl.pretrain import IMITATION_SCHEDULE
+from airfoilrl.proxy import ProxyConfig
 from airfoilrl.rl import PpoConfig
 from airfoilrl.surrogate import DESK_BATCH, DESK_HIDDEN, DESK_SCHEDULE
 
@@ -179,7 +181,8 @@ def test_load_config_rejects_unknown_names(tmp_path, text, named):
 COUNT_KEYS = [("surrogate", "batch_size"), ("pretrain", "baselines"),
               ("pretrain", "searches"), ("pretrain", "steps"), ("pretrain", "candidates"),
               ("ppo", "baselines"), ("ppo", "epochs"),
-              ("ppo", "trajectories_per_baseline"), ("ppo", "max_steps")]
+              ("ppo", "trajectories_per_baseline"), ("ppo", "max_steps"),
+              ("proxy", "blend_cells")]
 
 
 @pytest.mark.parametrize("text, named", [
@@ -212,11 +215,20 @@ COUNT_KEYS = [("surrogate", "batch_size"), ("pretrain", "baselines"),
     ("[ppo]\nstd_init = 1e308\n",
      "[ppo] std_init = 1e308: 1e308 squared is not finite and greater than 0"),
     ("[run]\nseed = -1\n", "[run] seed = -1: seed -1 is negative"),
+    # each once loaded: a divide by zero, no valid pool row, no smoothing,
+    # nan outputs, a non-finite PPO ratio, no airfoil built
+    ("[proxy]\nblend_cells = -3\n", "[proxy] blend_cells = -3: count -3 is not at least 1"),
+    ("[proxy]\nsmooth_halfwidth = -1\n",
+     "[proxy] smooth_halfwidth = -1: halfwidth -1 is negative"),
+    ("[proxy]\nm_inf = nan\n", "[proxy] m_inf = nan: nan is not finite"),
+    ("[ppo]\nentropy_coef = nan\n", "[ppo] entropy_coef = nan: nan is not finite"),
+    ("[run]\nt_max = nan\n", "[run] t_max = nan: nan is not finite"),
 ], ids=["no rate", "negative count", "empty int", "int", "float", "keep count",
         "pool size", "layer width", "profile",
         *[f"{section}.{key}" for section, key in COUNT_KEYS],
         "negative rate", "nan rate", "zero rate", "infinite rate", "gamma", "gae_lambda",
-        "clip_eps", "std_init", "tiny std_init", "huge std_init", "seed"])
+        "clip_eps", "std_init", "tiny std_init", "huge std_init", "seed",
+        "blend_cells", "smooth_halfwidth", "m_inf", "entropy_coef", "t_max"])
 def test_load_config_names_a_bad_value(tmp_path, text, named):
     path = tmp_path / "bad.ini"
     path.write_text(text)
@@ -240,6 +252,10 @@ DOMAINS = {
     ("ppo", "clip_eps"): lambda v: math.isfinite(v) and v > 0,
     ("ppo", "std_init"): lambda v: v > 0 and 0 < v * v < math.inf,
     ("run", "seed"): lambda v: v >= 0,
+    ("proxy", "smooth_halfwidth"): lambda v: v >= 0,
+    **{key: math.isfinite for key in [("run", "t_max"), ("ppo", "entropy_coef"),
+                                       *(("proxy", f.name) for f in fields(ProxyConfig)
+                                         if isinstance(f.default, float))]},
 }
 EDGES = ["0", "-1", "nan", "inf", "1e308", "", "text"]
 

@@ -14,11 +14,10 @@ import pytest
 
 from airfoilrl import rl
 from airfoilrl.env import DesignEnv, EnvConfig, physical_to_scaled, proxy_evaluator
-from airfoilrl.geometry import BumpAction
 from airfoilrl.nnet import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState,
                             NnetError, adam_update, make_mlp, mlp_backward,
                             mlp_forward, train_minibatch)
-from airfoilrl.pretrain import StateActionSample, imitate_policy
+from airfoilrl.pretrain import ACTION_COLS, STATE_COLS, imitate_policy
 from airfoilrl.proxy import seed_airfoils
 from airfoilrl.rl import (LOG_STD_MIN, PpoConfig, PpoError, TrajectoryBatch,
                           clip_target, collect_batch, gae_advantages,
@@ -125,8 +124,8 @@ def ref_train_minibatch(model, inputs, targets, schedule, batch_size, seed,
 
 
 def ref_imitate_policy(agent, samples, schedule):
-    states = np.stack([s.state for s in samples])
-    targets = np.stack([physical_to_scaled(s.action) for s in samples])
+    states = np.stack([s[STATE_COLS] for s in samples])
+    targets = np.stack([physical_to_scaled(s[ACTION_COLS]) for s in samples])
     xs = agent.actor.input_scaler.scale(states)
     state = RefAdamState.for_params(agent.actor.parameters())
     history = []
@@ -310,11 +309,10 @@ def test_train_minibatch_matches_list_engine(sizes, n, batch_size, schedule):
 
 def test_imitate_policy_matches_list_engine():
     rng = np.random.default_rng(21)
-    samples = [StateActionSample(
-        state=rng.uniform([0.2, 1.0, 1.0, 0.9], [0.8, 1.2, 1.3, 1.1]),
-        action=BumpAction(rng.uniform(0.1, 0.9), rng.uniform(0.2, 0.4),
-                          rng.uniform(-0.05, 0.05)),
-        reward=0.0) for _ in range(40)]
+    samples = np.array([[
+        *rng.uniform([0.2, 1.0, 1.0, 0.9], [0.8, 1.2, 1.3, 1.1]),
+        rng.uniform(0.1, 0.9), rng.uniform(0.2, 0.4), rng.uniform(-0.05, 0.05),
+        0.0] for _ in range(40)])
     schedule = [(30, 1e-3), (20, 1e-4), (10, 1e-5)]
     agent = make_agent(np.random.default_rng(2), hidden=(64, 64))
     ref = agent.copy()

@@ -4,10 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from airfoilrl.env import DesignEnv, EnvConfig, proxy_evaluator
-from airfoilrl.geometry import BumpAction
-from airfoilrl.pretrain import (_SMOOTH_BLOCK, DEDUP_TOL, SMOOTH_NEIGHBORS, SMOOTH_PASSES, SMOOTH_RELAXATION,
-                                StateActionSample, dedup_states, greedy_search,
+from airfoilrl.env import DesignEnv, EnvConfig, Evaluation, proxy_evaluator
+from airfoilrl.pretrain import (_SMOOTH_BLOCK, ACTION_COLS, DEDUP_TOL, REWARD_COL,
+                                SAMPLE_WIDTH, SMOOTH_NEIGHBORS, SMOOTH_PASSES,
+                                SMOOTH_RELAXATION, STATE_COLS, dedup_states, greedy_search,
                                 imitate_policy, pretrain_critic, read_samples,
                                 smooth_samples, write_samples)
 from airfoilrl.proxy import seed_airfoils
@@ -16,8 +16,8 @@ from airfoilrl.surrogate import FEATURE_BOUNDS
 
 
 def sample(state, t1=0.5, sb=0.3, hb=0.0, reward=0.0):
-    return StateActionSample(state=np.asarray(state, dtype=float),
-                             action=BumpAction(t1, sb, hb), reward=reward)
+    """One sample-table row."""
+    return np.array([*state, t1, sb, hb, reward], dtype=float)
 
 
 @pytest.fixture(scope="module")
@@ -29,17 +29,17 @@ def greedy_samples():
 
 
 def test_greedy_search_states_in_box(greedy_samples):
-    assert greedy_samples
+    assert len(greedy_samples)
     lows = np.array([FEATURE_BOUNDS[k][0] for k in ("x1", "mw1", "mwl", "mwa")])
     highs = np.array([FEATURE_BOUNDS[k][1] for k in ("x1", "mw1", "mwl", "mwa")])
     for s in greedy_samples:
-        assert np.all(s.state >= lows - 1e-12)
-        assert np.all(s.state <= highs + 1e-12)
+        assert np.all(s[STATE_COLS] >= lows - 1e-12)
+        assert np.all(s[STATE_COLS] <= highs + 1e-12)
 
 
 def test_greedy_search_rewards_positive_on_average(greedy_samples):
     # each step keeps the lowest-drag candidate, so most steps improve
-    assert np.mean([s.reward for s in greedy_samples]) > 0.0
+    assert np.mean(greedy_samples[:, REWARD_COL]) > 0.0
 
 
 def test_greedy_search_deterministic():
@@ -50,8 +50,8 @@ def test_greedy_search_deterministic():
         runs.append(greedy_search(baseline, proxy_evaluator(), 1, 3, 10, rng))
     assert len(runs[0]) == len(runs[1])
     for a, b in zip(runs[0], runs[1]):
-        assert np.array_equal(a.state, b.state)
-        assert a.action == b.action
+        assert np.array_equal(a[STATE_COLS], b[STATE_COLS])
+        assert np.array_equal(a[ACTION_COLS], b[ACTION_COLS])
 
 
 def test_greedy_search_evaluates_its_baseline_once():
@@ -69,14 +69,41 @@ def test_greedy_search_evaluates_its_baseline_once():
     assert rows.count(1) == 1 and rows[0] == 1
 
 
+def test_greedy_search_that_finds_nothing_is_an_empty_table():
+    proxy = proxy_evaluator()
+
+    def shockless(cst):
+        ev = proxy(cst)
+        return Evaluation(cd=ev.cd, state=ev.state, no_shock=np.ones_like(ev.no_shock))
+
+    samples = greedy_search(seed_airfoils(1, seed=0)[0], shockless, searches=2, steps=3,
+                            candidates=10, rng=np.random.default_rng(0))
+    assert samples.shape == (0, SAMPLE_WIDTH)
+
+
 def test_dedup_keeps_highest_reward():
     s1 = sample([0.5, 1.1, 1.1, 1.0], reward=1.0)
     s2 = sample([0.5, 1.1, 1.1, 1.0], hb=0.01, reward=3.0)
     s3 = sample([0.6, 1.1, 1.1, 1.0], reward=2.0)
     out = dedup_states([s1, s2, s3])
     assert len(out) == 2
-    assert out[0].reward == 3.0
-    assert out[1].reward == 2.0
+    assert out[0][REWARD_COL] == 3.0
+    assert out[1][REWARD_COL] == 2.0
+
+
+def test_dedup_compares_with_each_groups_first_state():
+    # the second row replaces the first but not its group's state, so the
+    # third, 1.6e-9 from the first, starts a group of its own
+    rows = [sample([0.5 + k * 0.8e-9, 1.1, 1.1, 1.0], reward=r)
+            for k, r in enumerate((1.0, 2.0, 0.5))]
+    out = dedup_states(rows)
+    assert out.tobytes() == np.array(rows[1:]).tobytes()
+
+
+def test_dedup_takes_a_list_of_rows_or_a_table():
+    rng = np.random.default_rng(1)
+    rows = [sample(rng.integers(0, 2, 4), reward=float(i)) for i in range(30)]
+    assert dedup_states(rows).tobytes() == dedup_states(np.array(rows)).tobytes()
 
 
 def test_dedup_idempotent():
@@ -88,7 +115,7 @@ def test_dedup_idempotent():
     twice = dedup_states(once)
     assert len(once) == len(twice)
     for a, b in zip(once, twice):
-        assert np.array_equal(a.state, b.state) and a.reward == b.reward
+        assert np.array_equal(a[STATE_COLS], b[STATE_COLS]) and a[REWARD_COL] == b[REWARD_COL]
 
 
 def test_dedup_tolerance():
@@ -102,23 +129,23 @@ def ref_dedup_states(samples):
     kept_states = []
     for s in samples:
         if kept_states:
-            d = np.linalg.norm(np.stack(kept_states) - s.state, axis=1)
+            d = np.linalg.norm(np.stack(kept_states) - s[STATE_COLS], axis=1)
             hits = np.nonzero(d <= DEDUP_TOL)[0]
         else:
             hits = np.array([], dtype=int)
         if hits.size == 0:
             kept.append(s)
-            kept_states.append(np.asarray(s.state, dtype=float))
+            kept_states.append(np.asarray(s[STATE_COLS], dtype=float))
         else:
             k = int(hits[0])
-            if s.reward > kept[k].reward:
+            if s[REWARD_COL] > kept[k][REWARD_COL]:
                 kept[k] = s
     return kept
 
 
 def test_dedup_matches_reference_on_many_duplicates():
     # 600 samples over 40 distinct states, some nudged within the
-    # tolerance, with repeated rewards: the same kept objects in order
+    # tolerance, with repeated rewards: the same kept rows in order
     rng = np.random.default_rng(3)
     states = rng.uniform(0.0, 1.0, (40, 4))
     nudge = np.where(rng.random((600, 1)) < 0.3, 0.4 * DEDUP_TOL, 0.0)
@@ -126,38 +153,36 @@ def test_dedup_matches_reference_on_many_duplicates():
                for i, k in enumerate(rng.integers(0, 40, 600))]
     out, ref = dedup_states(samples), ref_dedup_states(samples)
     assert 0 < len(out) <= 40
-    assert len(out) == len(ref) and all(a is b for a, b in zip(out, ref))
-    assert dedup_states([]) == []
+    assert out.tobytes() == np.array(ref).tobytes()
+    assert dedup_states([]).shape == (0, SAMPLE_WIDTH)
 
 
 def test_smooth_requires_enough_samples():
     with pytest.raises(ValueError):
-        smooth_samples([sample([0.5, 1.1, 1.1, 1.0])] * 5)
+        smooth_samples(np.array([sample([0.5, 1.1, 1.1, 1.0])] * 5))
 
 
 def test_smooth_contracts_action_spread():
     rng = np.random.default_rng(2)
-    samples = [sample(rng.uniform(0.0, 1.0, 4), t1=rng.uniform(0.1, 0.9),
-                      sb=rng.uniform(0.2, 0.4), hb=rng.uniform(-0.05, 0.05))
-               for _ in range(40)]
+    samples = np.array([sample(rng.uniform(0.0, 1.0, 4), t1=rng.uniform(0.1, 0.9),
+                               sb=rng.uniform(0.2, 0.4), hb=rng.uniform(-0.05, 0.05))
+                        for _ in range(40)])
 
     def spread(batch):
-        acts = np.stack([[s.action.t1, s.action.s_b, s.action.h_b]
-                         for s in batch])
-        return np.max(np.ptp(acts, axis=0))
+        return np.max(np.ptp(batch[:, ACTION_COLS], axis=0))
 
     smoothed = smooth_samples(samples)
     assert spread(smoothed) <= spread(samples) + 1e-12
     # states and rewards pass through untouched
     for a, b in zip(samples, smoothed):
-        assert np.array_equal(a.state, b.state)
-        assert a.reward == b.reward
+        assert np.array_equal(a[STATE_COLS], b[STATE_COLS])
+        assert a[REWARD_COL] == b[REWARD_COL]
 
 
 def ref_smooth_actions(samples):
     """smooth_samples' actions from the (n, n, 4) difference tensor."""
-    states = np.stack([s.state for s in samples])
-    actions = np.stack([[s.action.t1, s.action.s_b, s.action.h_b] for s in samples])
+    states = np.stack([s[STATE_COLS] for s in samples])
+    actions = np.stack([s[ACTION_COLS] for s in samples])
     diff = states[:, None, :] - states[None, :, :]
     dist = np.sqrt(np.sum(diff**2, axis=2))
     np.fill_diagonal(dist, np.inf)
@@ -183,10 +208,9 @@ def test_smooth_matches_difference_tensor(n):
     rng = np.random.default_rng(n)
     states = rng.uniform([0.2, 1.0, 1.0, 0.9], [0.8, 1.2, 1.3, 1.1], size=(n, 4))
     states[n // 2:n // 2 + 10] = states[:10]  # duplicated states
-    samples = [sample(st, t1=rng.uniform(0.1, 0.9), sb=rng.uniform(0.2, 0.4),
-                      hb=rng.uniform(-0.05, 0.05)) for st in states]
-    got = np.array([[s.action.t1, s.action.s_b, s.action.h_b]
-                    for s in smooth_samples(samples)])
+    samples = np.array([sample(st, t1=rng.uniform(0.1, 0.9), sb=rng.uniform(0.2, 0.4),
+                               hb=rng.uniform(-0.05, 0.05)) for st in states])
+    got = smooth_samples(samples)[:, ACTION_COLS]
     assert np.array_equal(got, ref_smooth_actions(samples))
 
 
@@ -195,9 +219,9 @@ def test_smooth_matches_difference_tensor_on_integer_tied_states():
     # order is the full-row sort's; three blocks and a one-row tail
     n = 2 * _SMOOTH_BLOCK + 1
     rng = np.random.default_rng(8)
-    samples = [sample(st, t1=rng.uniform(0.1, 0.9)) for st in rng.integers(0, 3, (n, 4))]
-    got = np.array([[s.action.t1, s.action.s_b, s.action.h_b]
-                    for s in smooth_samples(samples)])
+    samples = np.array([sample(st, t1=rng.uniform(0.1, 0.9))
+                        for st in rng.integers(0, 3, (n, 4))])
+    got = smooth_samples(samples)[:, ACTION_COLS]
     assert np.array_equal(got, ref_smooth_actions(samples))
 
 
@@ -205,8 +229,8 @@ def test_smooth_memory_is_linear_in_the_samples():
     # an n x n distance matrix would be 30.5 MiB here, its argsort as much
     n = 2000
     rng = np.random.default_rng(9)
-    samples = [sample(st, t1=rng.uniform(0.1, 0.9))
-               for st in rng.uniform([0.2, 1.0, 1.0, 0.9], [0.8, 1.2, 1.3, 1.1], (n, 4))]
+    samples = np.array([sample(st, t1=rng.uniform(0.1, 0.9))
+                        for st in rng.uniform([0.2, 1.0, 1.0, 0.9], [0.8, 1.2, 1.3, 1.1], (n, 4))])
     tracemalloc.start()
     try:
         smooth_samples(samples)
@@ -218,30 +242,29 @@ def test_smooth_memory_is_linear_in_the_samples():
 
 def test_smooth_preserves_constant_actions():
     rng = np.random.default_rng(4)
-    samples = [sample(rng.uniform(0.0, 1.0, 4), t1=0.4, sb=0.3, hb=-0.01)
-               for _ in range(15)]
+    samples = np.array([sample(rng.uniform(0.0, 1.0, 4), t1=0.4, sb=0.3, hb=-0.01)
+                        for _ in range(15)])
     for s in smooth_samples(samples):
-        assert abs(s.action.t1 - 0.4) < 1e-12
-        assert abs(s.action.s_b - 0.3) < 1e-12
-        assert abs(s.action.h_b + 0.01) < 1e-12
+        t1, s_b, h_b = s[ACTION_COLS]
+        assert abs(t1 - 0.4) < 1e-12
+        assert abs(s_b - 0.3) < 1e-12
+        assert abs(h_b + 0.01) < 1e-12
 
 
 def test_smooth_handles_duplicate_states():
     rng = np.random.default_rng(5)
     samples = [sample(rng.uniform(0.0, 1.0, 4), t1=rng.uniform(0.2, 0.8))
                for _ in range(14)]
-    samples.append(sample(samples[0].state, t1=0.9))  # zero-distance pair
-    smoothed = smooth_samples(samples)
-    acts = np.stack([[s.action.t1, s.action.s_b, s.action.h_b]
-                     for s in smoothed])
-    assert np.all(np.isfinite(acts))
+    samples.append(sample(samples[0][STATE_COLS], t1=0.9))  # zero-distance pair
+    smoothed = smooth_samples(np.array(samples))
+    assert np.all(np.isfinite(smoothed[:, ACTION_COLS]))
 
 
 def test_imitate_policy_reduces_loss():
     rng = np.random.default_rng(6)
-    samples = [sample(rng.uniform([0.3, 1.0, 1.0, 0.9], [0.7, 1.2, 1.3, 1.1]),
-                      t1=rng.uniform(0.3, 0.7), sb=rng.uniform(0.25, 0.35),
-                      hb=rng.uniform(-0.02, 0.02)) for _ in range(50)]
+    samples = np.array([sample(rng.uniform([0.3, 1.0, 1.0, 0.9], [0.7, 1.2, 1.3, 1.1]),
+                               t1=rng.uniform(0.3, 0.7), sb=rng.uniform(0.25, 0.35),
+                               hb=rng.uniform(-0.02, 0.02)) for _ in range(50)])
     agent = make_agent(np.random.default_rng(0), hidden=(32, 32))
     history = imitate_policy(agent, samples, schedule=[(400, 1e-3)])
     assert history[-1] < history[0]
@@ -249,8 +272,8 @@ def test_imitate_policy_reduces_loss():
 
 
 def test_imitate_policy_leaves_std(gent_seed=0):
-    samples = [sample(np.random.default_rng(i).uniform(0.0, 1.0, 4))
-               for i in range(12)]
+    samples = np.array([sample(np.random.default_rng(i).uniform(0.0, 1.0, 4))
+                        for i in range(12)])
     agent = make_agent(np.random.default_rng(gent_seed), hidden=(8,))
     before = agent.log_std.copy()
     imitate_policy(agent, samples, schedule=[(5, 1e-3)])
@@ -279,14 +302,14 @@ def test_pretrain_critic_reduces_value_error():
 
 def test_sample_file_round_trip(tmp_path):
     rng = np.random.default_rng(7)
-    samples = [sample(rng.uniform(0.0, 1.0, 4), t1=rng.uniform(0.1, 0.9),
-                      reward=float(i)) for i in range(5)]
+    samples = np.array([sample(rng.uniform(0.0, 1.0, 4), t1=rng.uniform(0.1, 0.9),
+                               reward=float(i)) for i in range(5)])
     path = tmp_path / "samples.csv"
     write_samples(path, samples, stage="smoothed")
     back, stages = read_samples(path)
     assert len(back) == 5
     assert set(stages) == {"smoothed"}
     for a, b in zip(samples, back):
-        assert np.array_equal(a.state, b.state)
-        assert a.action == b.action
-        assert a.reward == b.reward
+        assert np.array_equal(a[STATE_COLS], b[STATE_COLS])
+        assert np.array_equal(a[ACTION_COLS], b[ACTION_COLS])
+        assert a[REWARD_COL] == b[REWARD_COL]

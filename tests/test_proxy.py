@@ -7,7 +7,7 @@ from airfoilrl.geometry import BumpAction, GeometryError, apply_action, make_air
 from airfoilrl.proxy import (BASE_LOWER, BASE_UPPER, T_MAX_DEFAULT,
                              ProxyConfig, generate_pool, proxy_distribution,
                              proxy_evaluate, seed_airfoils)
-from airfoilrl.surrogate import OUTPUT_NAMES, in_feature_bounds
+from airfoilrl.surrogate import CST_COLS, OUTPUT_COLS, in_feature_bounds
 
 
 @pytest.fixture(scope="module")
@@ -17,7 +17,7 @@ def base_airfoil():
 
 def proxy_outputs(cst14):
     cd, feats = proxy_evaluate(cst14)
-    return dict(zip(OUTPUT_NAMES, (cd, feats.x1, feats.mw1, feats.mwl, feats.mwa)))
+    return [cd, feats.x1, feats.mw1, feats.mwl, feats.mwa]
 
 
 def test_base_airfoil_in_feature_box(base_airfoil):
@@ -93,8 +93,8 @@ def test_generate_pool_size_and_determinism():
     b = generate_pool(30, seed=2)
     assert len(a) == 30
     for ra, rb in zip(a, b):
-        assert np.array_equal(ra.cst14, rb.cst14)
-        assert ra.outputs == rb.outputs
+        assert np.array_equal(ra[CST_COLS], rb[CST_COLS])
+        assert np.array_equal(ra[OUTPUT_COLS], rb[OUTPUT_COLS])
 
 
 def test_drag_model_penalizes_strong_shocks(base_airfoil):

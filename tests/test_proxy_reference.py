@@ -22,7 +22,7 @@ import airfoilrl.proxy as proxy
 from airfoilrl.proxy import (_PROXY_BLOCK, BASE_LOWER, BASE_UPPER, T_MAX_DEFAULT,
                              PoolStats, ProxyConfig, _moving_average, generate_pool,
                              proxy_distribution, proxy_evaluate, seed_airfoils)
-from airfoilrl.surrogate import OUTPUT_NAMES, SampleRecord, in_feature_bounds
+from airfoilrl.surrogate import in_feature_bounds
 from conftest import synthetic_distribution
 
 
@@ -139,14 +139,14 @@ def ref_plateau_err(x: np.ndarray, mw: np.ndarray, i_peak: int, i_pre: int) -> f
     return float(np.sqrt(np.mean(dev**2)))
 
 
-def _ref_outputs(cd: float, feats: FeatureSet) -> dict:
-    return dict(zip(OUTPUT_NAMES, (cd, feats.x1, feats.mw1, feats.mwl, feats.mwa)))
+def _ref_outputs(cd: float, feats: FeatureSet) -> list:
+    return [cd, feats.x1, feats.mw1, feats.mwl, feats.mwa]
 
 
-def ref_proxy_sample(cst14, config: ProxyConfig = ProxyConfig()) -> SampleRecord:
+def ref_proxy_sample(cst14, config: ProxyConfig = ProxyConfig()) -> np.ndarray:
+    """The sample-table row of one airfoil."""
     cd, feats = ref_proxy_evaluate(cst14, config)
-    return SampleRecord(cst14=np.asarray(cst14, dtype=float).copy(),
-                        outputs=_ref_outputs(cd, feats))
+    return np.array([*np.asarray(cst14, dtype=float), *_ref_outputs(cd, feats)])
 
 
 def ref_seed_airfoils(n: int, seed: int = 0, spread: float = 0.008,
@@ -332,14 +332,15 @@ def test_features_without_lower_surface_or_shock_window():
 
 
 def _outcome(make, *args, **kwargs):
-    """make's pool or seeds as bytes and reprs, or the message it gives
-    up with."""
+    """make's pool rows or seed coefficients as bytes, or the message it
+    gives up with."""
     try:
         out = make(*args, **kwargs)
     except RuntimeError as exc:
         return str(exc)
-    assert all(math.isfinite(v) for rec in out for v in getattr(rec, "outputs", {}).values())
-    return [(r.cst14.tobytes(), repr(getattr(r, "outputs", None))) for r in out]
+    rows = [np.asarray(getattr(r, "cst14", r)) for r in out]
+    assert all(math.isfinite(v) for row in rows for v in row)
+    return [row.tobytes() for row in rows]
 
 
 @pytest.mark.parametrize("seed, t_pool, t_seed, n_seeds, tries, failing", [

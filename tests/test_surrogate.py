@@ -12,20 +12,20 @@ from hypothesis import given, settings, strategies as st
 
 from airfoilrl.nnet import mlp_forward, train_minibatch
 from airfoilrl.proxy import generate_pool
-from airfoilrl.surrogate import (_CANDIDATES, _DIST_BLOCK, DESK_HIDDEN, FEATURE_BOUNDS,
-                                 HISTORY_COLUMNS, OUTPUT_NAMES, SampleRecord, SurrogateError,
-                                 _block_of, _forward_in_blocks, _gram_rows, _row_blocks,
-                                 _table, build_surrogate_model, in_feature_bounds,
+from airfoilrl.surrogate import (_CANDIDATES, _DIST_BLOCK, CSV_COLUMNS, CST_COLS, DESK_HIDDEN,
+                                 FEATURE_BOUNDS, HISTORY_COLUMNS, OUTPUT_COLS, OUTPUT_NAMES,
+                                 SurrogateError, _block_of, _forward_in_blocks, _gram_rows,
+                                 _row_blocks, build_surrogate_model, in_feature_bounds,
                                  read_dataset, rsme, select_samples, train_surrogate,
                                  write_dataset)
 
 ROOT = Path(__file__).resolve().parents[1]
-IN_BOX = dict(cd=0.01, x1=0.5, mw1=1.1, mwl=1.1, mwa=1.0)
+IN_BOX = np.array([0.01, 0.5, 1.1, 1.1, 1.0])  # cd, x1, mw1, mwl, mwa
 
 
-def make_pool(coords, outputs=None):
-    return [SampleRecord(cst14=np.asarray(c, dtype=float),
-                         outputs=dict(outputs or IN_BOX)) for c in coords]
+def make_pool(coords):
+    """A sample table of the coefficient rows, each with the IN_BOX outputs."""
+    return np.hstack((coords, np.tile(IN_BOX, (len(coords), 1))))
 
 
 def naive_select(coords, keep):
@@ -52,9 +52,10 @@ def naive_select(coords, keep):
 
 def test_in_feature_bounds():
     assert in_feature_bounds(IN_BOX)
-    bad = dict(IN_BOX)
-    bad["cd"] = 0.02
+    bad = IN_BOX.copy()
+    bad[OUTPUT_NAMES.index("cd")] = 0.02
     assert not in_feature_bounds(bad)
+    assert in_feature_bounds([IN_BOX, bad, IN_BOX]).tolist() == [True, False, True]
 
 
 def test_select_matches_naive_reimplementation():
@@ -62,7 +63,7 @@ def test_select_matches_naive_reimplementation():
         rng = np.random.default_rng(seed)
         coords = rng.uniform(0.0, 1.0, (12, 14))
         snaps = select_samples(make_pool(coords), [6])
-        got = sorted(tuple(s.cst14) for s in snaps[6])
+        got = sorted(tuple(s[CST_COLS]) for s in snaps[6])
         want = sorted(tuple(coords[i]) for i in naive_select(coords, 6))
         assert got == want
 
@@ -74,7 +75,7 @@ def test_select_five_of_eight_brute_force_optimum():
         rng = np.random.default_rng(seed)
         coords = rng.uniform(0.0, 1.0, (8, 14))
         sel = select_samples(make_pool(coords), [5])[5]
-        keys = {tuple(s.cst14) for s in sel}
+        keys = {tuple(s[CST_COLS]) for s in sel}
         chosen = [i for i, c in enumerate(coords) if tuple(c) in keys]
 
         def min_pair(sub):
@@ -90,17 +91,17 @@ def test_select_drops_out_of_bounds_first():
     rng = np.random.default_rng(3)
     coords = rng.uniform(0.0, 1.0, (6, 14))
     pool = make_pool(coords)
-    pool[2].outputs["mw1"] = 1.5  # outside the box
+    pool[2, CSV_COLUMNS.index("mw1")] = 1.5  # outside the box
     snaps = select_samples(pool, [5])
-    assert all(tuple(s.cst14) != tuple(coords[2]) for s in snaps[5])
+    assert all(tuple(s[CST_COLS]) != tuple(coords[2]) for s in snaps[5])
 
 
 def test_select_multiple_keep_counts_nested():
     rng = np.random.default_rng(4)
     coords = rng.uniform(0.0, 1.0, (20, 14))
     snaps = select_samples(make_pool(coords), [15, 8])
-    keys15 = {tuple(s.cst14) for s in snaps[15]}
-    keys8 = {tuple(s.cst14) for s in snaps[8]}
+    keys15 = {tuple(s[CST_COLS]) for s in snaps[15]}
+    keys8 = {tuple(s[CST_COLS]) for s in snaps[8]}
     assert keys8 <= keys15
     assert len(snaps[8]) == 8 and len(snaps[15]) == 15
 
@@ -116,21 +117,22 @@ def test_select_deterministic():
     coords = rng.uniform(0.0, 1.0, (15, 14))
     a = select_samples(make_pool(coords), [7])[7]
     b = select_samples(make_pool(coords), [7])[7]
-    assert [tuple(s.cst14) for s in a] == [tuple(s.cst14) for s in b]
+    assert [tuple(s[CST_COLS]) for s in a] == [tuple(s[CST_COLS]) for s in b]
 
 
 def masked_select_samples(pool, keep_counts):
     """select_samples as it was when it also masked removed samples out
-    of the next-nearest row and the closest-pair search (verbatim)."""
+    of the next-nearest row and the closest-pair search (verbatim, with
+    a pool row's columns taken by CST_COLS and OUTPUT_COLS)."""
     keep_counts = sorted(set(int(k) for k in keep_counts), reverse=True)
     if not keep_counts:
         raise SurrogateError("at least one keep count required")
-    valid_idx = [i for i, rec in enumerate(pool) if in_feature_bounds(rec.outputs)]
+    valid_idx = [i for i, rec in enumerate(pool) if in_feature_bounds(rec[OUTPUT_COLS])]
     if len(valid_idx) < keep_counts[0]:
         raise SurrogateError(
             f"only {len(valid_idx)} valid samples for keep count {keep_counts[0]}")
 
-    coords = np.stack([pool[i].cst14 for i in valid_idx])
+    coords = np.stack([pool[i][CST_COLS] for i in valid_idx])
     n = len(valid_idx)
     dist = np.sqrt(np.maximum(
         np.sum(coords**2, axis=1)[:, None] + np.sum(coords**2, axis=1)[None, :]
@@ -173,11 +175,17 @@ def masked_select_samples(pool, keep_counts):
 
 
 def assert_same_sets(pool, keep_counts):
+    # a drag of its own, inside the box, on each row in the box tells
+    # duplicate rows apart, as record identity did, and leaves the
+    # selection as it was
+    pool = pool.copy()
+    inside = in_feature_bounds(pool[:, OUTPUT_COLS])
+    pool[inside, CSV_COLUMNS.index("cd")] = np.linspace(*FEATURE_BOUNDS["cd"], len(pool))[inside]
     got = select_samples(pool, keep_counts)
     want = masked_select_samples(pool, keep_counts)
     assert list(got) == list(want)
-    for count in want:  # the same records, in the same order
-        assert [id(r) for r in got[count]] == [id(r) for r in want[count]]
+    for count in want:  # the same rows, in the same order
+        assert got[count].tobytes() == np.array(want[count]).tobytes()
 
 
 def test_select_matches_the_masked_loop_on_tied_pools():
@@ -213,7 +221,7 @@ def in_one_blas_thread(call: str) -> None:
 
 
 def valid_coords(pool):
-    return np.stack([r.cst14 for r in pool if in_feature_bounds(r.outputs)])
+    return pool[in_feature_bounds(pool[:, OUTPUT_COLS]), CST_COLS]
 
 
 def assert_thin_selection(pool, keep_counts):
@@ -280,19 +288,20 @@ def test_block_distances_equal_the_expression_on_a_proxy_pool():
                        "t.valid_coords(t.generate_pool(1200, seed=7)))")
 
 
-def random_records(n, seed):
-    """n records of real-valued coefficients and outputs inside the box."""
+def random_samples(n, seed):
+    """A table of n rows of real-valued coefficients and outputs inside the box."""
     rng = np.random.default_rng(seed)
-    return [SampleRecord(cst14=rng.normal(0.0, 0.1, 14),
-                         outputs={k: float(rng.uniform(*FEATURE_BOUNDS[k])) for k in OUTPUT_NAMES})
-            for _ in range(n)]
+    return np.array([[*rng.normal(0.0, 0.1, 14),
+                      *(rng.uniform(*FEATURE_BOUNDS[k]) for k in OUTPUT_NAMES)]
+                     for _ in range(n)])
 
 
 def whole_set_train_surrogate(train, test, hidden, schedule, batch_size, seed):
     """train_surrogate with each history record taken by one forward of
-    the whole set, as before it took them in row blocks (verbatim)."""
-    x_tr, y_tr, _ = _table(train)
-    x_te, y_te, _ = _table(test)
+    the whole set, as before it took them in row blocks (verbatim, the
+    sets' columns taken by CST_COLS and OUTPUT_COLS)."""
+    x_tr, y_tr = train[:, CST_COLS], train[:, OUTPUT_COLS]
+    x_te, y_te = test[:, CST_COLS], test[:, OUTPUT_COLS]
     rng = np.random.default_rng(seed)
     model = build_surrogate_model(x_tr, hidden, rng)
     history: list[dict] = []
@@ -331,7 +340,7 @@ def test_forward_in_blocks_equals_the_whole_forward_bitwise(n, width):
 def test_history_in_blocks_equals_the_whole_set_forward_bitwise(n_train, n_test, epochs):
     # in this process, with however many BLAS threads it has; batches of
     # 4 rows make at least two records cheaply
-    train, test = random_records(n_train, 1), random_records(n_test, 2)
+    train, test = random_samples(n_train, 1), random_samples(n_test, 2)
     args = (DESK_HIDDEN, [(epochs, 0.01)], 4, 3)
     model, history = train_surrogate(train, test, *args)
     ref_model, ref_history = whole_set_train_surrogate(train, test, *args)
@@ -349,7 +358,7 @@ def test_train_surrogate_memory_is_set_by_its_model_and_batch(n_train):
     # scratch), the Fit buffers, the sets' tables and a few blocks of
     # activations
     hidden, batch = [256] * 3, 16
-    train, test = random_records(n_train, 4), random_records(1000, 5)
+    train, test = random_samples(n_train, 4), random_samples(1000, 5)
     sizes = [14, *hidden, 5]
     params = sum((a + 1) * b for a, b in zip(sizes[:-1], sizes[1:]))
     fit = batch * (sum(sizes[1:]) + sum(hidden) + 2 * sizes[-1])
@@ -397,15 +406,30 @@ def test_rsme_permutation_invariant(seed):
 def test_dataset_file_round_trip(tmp_path):
     rng = np.random.default_rng(5)
     pool = make_pool(rng.uniform(0.0, 1.0, (6, 14)))
-    pool[1].outputs["cd"] = 0.05  # out of box, kept but marked
+    pool[1, CSV_COLUMNS.index("cd")] = 0.05  # out of box, kept but marked
     path = tmp_path / "pool.csv"
     write_dataset(path, pool)
     back = read_dataset(path)
     assert len(back) == len(pool)
     for orig, rec in zip(pool, back):
-        assert np.array_equal(rec.cst14, orig.cst14)
-        for k in OUTPUT_NAMES:
-            assert rec.outputs[k] == orig.outputs[k]
+        assert np.array_equal(rec[CST_COLS], orig[CST_COLS])
+        assert np.array_equal(rec[OUTPUT_COLS], orig[OUTPUT_COLS])
+
+
+def test_pool_is_a_table_that_round_trips_bitwise(tmp_path):
+    pool = generate_pool(40, seed=3)
+    assert pool.shape == (40, len(CSV_COLUMNS)) and pool.dtype == np.float64
+    write_dataset(tmp_path / "pool.csv", pool)
+    assert read_dataset(tmp_path / "pool.csv").tobytes() == pool.tobytes()
+
+
+def test_selected_sets_are_pool_rows_in_pool_order():
+    pool = generate_pool(300, seed=7)
+    sets = select_samples(pool, [150, 50])
+    for count, table in sets.items():
+        idx = [int(np.flatnonzero((pool == row).all(axis=1))[0]) for row in table]
+        assert len(idx) == count and idx == sorted(set(idx))
+        assert table.tobytes() == pool[idx].tobytes()
 
 
 def test_feature_bounds_values():

@@ -2,18 +2,19 @@
 
 `ref_*` are verbatim copies of the dict-row writer of the CLI, of
 `pretrain.write_samples` and of `surrogate.write_dataset` as they were
-before one table writer served them all; every cell kind below must come
-out byte for byte as they wrote it.
+before one table writer served them all, the last two reading the
+columns of a sample table; every cell kind below must come out byte for
+byte as they wrote it.
 """
 import csv
 
 import numpy as np
 import pytest
 
-from airfoilrl.geometry import BumpAction
-from airfoilrl.pretrain import SAMPLE_COLUMNS, StateActionSample, write_samples
-from airfoilrl.surrogate import (CSV_COLUMNS, OUTPUT_NAMES, SampleRecord,
-                                 in_feature_bounds, write_dataset, write_rows)
+from airfoilrl.pretrain import (ACTION_COLS, REWARD_COL, SAMPLE_COLUMNS, STATE_COLS,
+                                write_samples)
+from airfoilrl.surrogate import (CSV_COLUMNS, CST_COLS, OUTPUT_COLS, in_feature_bounds,
+                                 write_dataset, write_rows)
 
 # every cell kind a table meets: special floats, numpy scalars, bools,
 # ints, and a string the csv module must quote
@@ -37,26 +38,26 @@ def ref_write_rows_csv(path, rows: list[dict]) -> None:
                              for k, v in row.items()})
 
 
-def ref_write_samples(path, samples: list[StateActionSample],
-                      stage: str = "raw") -> None:
+def ref_write_samples(path, samples: np.ndarray, stage: str = "raw") -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SAMPLE_COLUMNS)
         for s in samples:
-            writer.writerow([repr(float(v)) for v in s.state]
-                            + [repr(float(s.action.t1)), repr(float(s.action.s_b)),
-                               repr(float(s.action.h_b)), repr(float(s.reward)),
+            t1, s_b, h_b = s[ACTION_COLS]
+            writer.writerow([repr(float(v)) for v in s[STATE_COLS]]
+                            + [repr(float(t1)), repr(float(s_b)),
+                               repr(float(h_b)), repr(float(s[REWARD_COL])),
                                stage])
 
 
-def ref_write_dataset(path, samples: list[SampleRecord]) -> None:
+def ref_write_dataset(path, samples: np.ndarray) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS + ["in_bounds"])
         for s in samples:
-            row = [repr(float(v)) for v in s.cst14]
-            row += [repr(float(s.outputs[k])) for k in OUTPUT_NAMES]
-            row.append("1" if in_feature_bounds(s.outputs) else "0")
+            row = [repr(float(v)) for v in s[CST_COLS]]
+            row += [repr(float(v)) for v in s[OUTPUT_COLS]]
+            row.append("1" if in_feature_bounds(s[OUTPUT_COLS]) else "0")
             writer.writerow(row)
 
 
@@ -88,14 +89,10 @@ def test_dict_rows_keep_their_bytes(tmp_path, rows):
 
 
 def _sample_sets():
-    samples = [StateActionSample(state=_cycle(NUMBERS, 4, i),
-                                 action=BumpAction(*_cycle(NUMBERS, 3, i + 4)),
-                                 reward=NUMBERS[(i + 7) % len(NUMBERS)])
-               for i in range(len(NUMBERS))]
-    samples.append(StateActionSample(state=np.array([0.6, 1.1, 1.15, 0.95]),
-                                     action=BumpAction(0.5, 0.3, -0.001),
-                                     reward=np.float64(1.25)))
-    return {"every cell": samples, "no rows": []}
+    samples = [[*_cycle(NUMBERS, 4, i), *_cycle(NUMBERS, 3, i + 4),
+                NUMBERS[(i + 7) % len(NUMBERS)]] for i in range(len(NUMBERS))]
+    samples.append([0.6, 1.1, 1.15, 0.95, 0.5, 0.3, -0.001, np.float64(1.25)])
+    return {"every cell": np.array(samples, dtype=float), "no rows": np.empty((0, 8))}
 
 
 @pytest.mark.parametrize("stage", ["raw", 'a,"b" c', ""])
@@ -105,19 +102,17 @@ def test_samples_keep_their_bytes(tmp_path, name, stage):
 
 
 def _dataset_sets():
-    records = [SampleRecord(cst14=_cycle(NUMBERS, 14, i),
-                            outputs=dict(zip(OUTPUT_NAMES, _cycle(NUMBERS, 5, i + 3))))
+    records = [[*_cycle(NUMBERS, 14, i), *_cycle(NUMBERS, 5, i + 3)]
                for i in range(len(NUMBERS))]
-    inside = {"cd": 0.011, "x1": 0.5, "mw1": 1.1, "mwl": 1.15, "mwa": 1.0}
-    records.append(SampleRecord(cst14=np.linspace(-0.2, 0.3, 14), outputs=inside))
-    records.append(SampleRecord(cst14=np.linspace(-0.2, 0.3, 14),
-                                outputs={k: np.float64(v) for k, v in inside.items()}))
-    return {"every cell": records, "no rows": []}
+    inside = [0.011, 0.5, 1.1, 1.15, 1.0]  # cd, x1, mw1, mwl, mwa
+    records.append([*np.linspace(-0.2, 0.3, 14), *inside])
+    records.append([*np.linspace(-0.2, 0.3, 14), *map(np.float64, inside)])
+    return {"every cell": np.array(records, dtype=float), "no rows": np.empty((0, 19))}
 
 
 @pytest.mark.parametrize("name", ["every cell", "no rows"])
 def test_dataset_keeps_its_bytes(tmp_path, name):
     records = _dataset_sets()[name]
     assert name == "no rows" or {"0", "1"} <= {
-        "1" if in_feature_bounds(r.outputs) else "0" for r in records}
+        "1" if in_feature_bounds(r[OUTPUT_COLS]) else "0" for r in records}
     _same_bytes(tmp_path, write_dataset, ref_write_dataset, records)
