@@ -29,7 +29,8 @@ from .geometry import (BumpAction, apply_action, max_thickness,
 from .plotsvg import plot_history
 from .proxy import PoolStats, generate_pool, seed_airfoils
 from .surrogate import (HISTORY_COLUMNS, read_dataset, select_samples, train_surrogate,
-                        write_csv, write_dataset, write_rows)
+                        write_dataset)
+from .tables import write_csv, write_rows
 from .nnet import load_model, save_model
 
 
@@ -182,9 +183,7 @@ def cmd_evaluate(args, cfg: ExperimentConfig) -> tuple[list[str], dict]:
     steps: list[dict] = []
     mean, per_airfoil = rl.evaluate_policy(agent, baselines, env_factory, rollout=steps)
     out = _out(args, args.report)
-    rows = [{"airfoil": i, "cum_reward": r} for i, r in enumerate(per_airfoil)]
-    rows.append({"airfoil": "mean", "cum_reward": mean})
-    write_rows(out, rows)
+    write_csv(out, ["airfoil", "cum_reward"], [*enumerate(per_airfoil), ("mean", mean)])
     rollout_out = _out(args, args.rollout)
     write_rows(rollout_out, steps)
     print(f"mean cumulative reward {mean:.3f} counts over "

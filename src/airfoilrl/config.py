@@ -126,12 +126,10 @@ def paper_config() -> ExperimentConfig:
     cfg = ExperimentConfig(profile="paper")
     cfg.surrogate_hidden = (1024, 1024, 1024)
     cfg.surrogate_schedule = [(200, 0.01), (200, 0.001), (400, 1e-4), (400, 1e-5)]
-    cfg.surrogate_batch = 128
     cfg.pool_size = 10000
     cfg.keep_counts = (5000, 200)
     cfg.pretrain_baselines = 200
     cfg.greedy_searches = 4
-    cfg.greedy_steps = 5
     cfg.greedy_candidates = 200
     cfg.critic_schedule = [(10000, 0.01), (10000, 0.001)]
     cfg.ppo_hidden = (512, 512)

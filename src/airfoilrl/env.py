@@ -219,15 +219,9 @@ def rollout_rows(result: LaneResult, step: int) -> list[dict]:
     """Rollout-log rows (ROLLOUT_COLUMNS) of one lockstep step, the lane
     index as the episode."""
     info = result.lane_info
-    rows = []
-    for j, lane in enumerate(result.lanes.tolist()):
-        t1, sb, hb = info["action"][j].tolist()
-        x1, mw1, mwl, mwa = result.next_state[j].tolist()
-        rows.append({"episode": lane, "step": step, "t1": t1, "sb": sb, "hb": hb,
-                     "cd_before": float(info["cd_before"][j]),
-                     "cd_after": float(info["cd_after"][j]),
-                     "reward": float(result.reward[j]), "x1": x1, "mw1": mw1,
-                     "mwl": mwl, "mwa": mwa,
-                     **{k: bool(info[k][j]) for k in ROLLOUT_COLUMNS[12:]}})
-    return rows
+    return [dict(zip(ROLLOUT_COLUMNS, (
+        lane, step, *info["action"][j].tolist(), float(info["cd_before"][j]),
+        float(info["cd_after"][j]), float(result.reward[j]), *result.next_state[j].tolist(),
+        *(bool(info[k][j]) for k in ROLLOUT_COLUMNS[12:]))))
+        for j, lane in enumerate(result.lanes.tolist())]
 

@@ -11,8 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-GAMMA = 1.4  # air, perfect gas
-
 # upper-surface search windows (chord fractions)
 PEAK_WINDOW = (0.0, 0.2)
 SHOCK_WINDOW = (0.2, 0.9)

@@ -5,34 +5,12 @@ output bytes (no library version drift in the artifact).
 """
 from __future__ import annotations
 
-import csv
-import math
+import numpy as np
+
+from .tables import read_csv
 
 WIDTH, HEIGHT = 640, 400
 MARGIN = 50
-
-
-class PlotError(ValueError):
-    pass
-
-
-def _read_series(path, x_col: str, y_col: str):
-    xs, ys = [], []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise PlotError("empty CSV (no header)")
-        if x_col not in reader.fieldnames or y_col not in reader.fieldnames:
-            raise PlotError(f"columns {x_col!r}/{y_col!r} not in CSV header")
-        for row in reader:
-            try:
-                x, y = float(row[x_col]), float(row[y_col])
-            except (TypeError, ValueError) as exc:
-                raise PlotError(f"malformed CSV row: {row}") from exc
-            if math.isfinite(x) and math.isfinite(y):
-                xs.append(x)
-                ys.append(y)
-    return xs, ys
 
 
 def plot_history(history_csv, out_svg, x_col: str = "iteration",
@@ -41,8 +19,10 @@ def plot_history(history_csv, out_svg, x_col: str = "iteration",
 
     Points whose x or y is not finite are skipped; an empty (headered)
     CSV, or a column with no finite point, yields an axes-only chart.
+    A malformed CSV raises TableError (see tables.read_csv).
     """
-    xs, ys = _read_series(history_csv, x_col, y_col)
+    table = read_csv(history_csv, [x_col, y_col])
+    xs, ys = table[np.isfinite(table).all(axis=1)].T.tolist()
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
         f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',

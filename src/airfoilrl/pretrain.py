@@ -8,15 +8,14 @@ result, and the critic is then fit with the actor frozen.
 """
 from __future__ import annotations
 
-import csv
-
 import numpy as np
 
 from .env import ACTION_BOUNDS, REWARD_SCALE, StepStats, physical_to_scaled
 from .geometry import AirfoilGeom, apply_action
 from .nnet import Fit
 from .rl import PolicyAgent, PpoConfig, ppo_train
-from .surrogate import is_valid_design, write_csv
+from .tables import (ACTION_COLS, REWARD_COL, SAMPLE_COLUMNS, SAMPLE_WIDTH, STATE_COLS,
+                     is_valid_design, read_cells, read_csv, write_csv)
 
 SMOOTH_PASSES = 10
 SMOOTH_NEIGHBORS = 10
@@ -26,13 +25,6 @@ DEDUP_TOL = 1e-9
 _SMOOTH_BLOCK = 256
 
 IMITATION_SCHEDULE = [(250, 1e-3), (250, 1e-4), (250, 1e-5), (250, 1e-6)]
-
-# the sample CSV's columns; an (n, 8) sample table holds all but stage
-SAMPLE_COLUMNS = ["x1", "mw1", "mwl", "mwa", "t1", "sb", "hb", "reward", "stage"]
-STATE_COLS = slice(SAMPLE_COLUMNS.index("t1"))
-ACTION_COLS = slice(STATE_COLS.stop, SAMPLE_COLUMNS.index("reward"))
-REWARD_COL = ACTION_COLS.stop
-SAMPLE_WIDTH = REWARD_COL + 1
 
 
 def greedy_search(baseline: AirfoilGeom, evaluator, searches: int,
@@ -161,17 +153,13 @@ def pretrain_critic(agent: PolicyAgent, baselines, config: PpoConfig,
                      critic_schedule=critic_schedule)
 
 
-# ---------------------------------------------------------------------------
-# sample CSV: the sample table, then its stage column
-
-
 def write_samples(path, samples: np.ndarray, stage: str = "raw") -> None:
+    """A sample CSV: the sample table, then its stage column."""
     write_csv(path, SAMPLE_COLUMNS, ([*row.tolist(), stage] for row in samples))
 
 
 def read_samples(path) -> tuple[np.ndarray, list[str]]:
-    """The sample table of a sample CSV and each row's stage."""
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    table = np.array([[float(row[k]) for k in SAMPLE_COLUMNS[:SAMPLE_WIDTH]] for row in rows])
-    return table.reshape(-1, SAMPLE_WIDTH), [row.get("stage", "raw") for row in rows]
+    """The sample table of a sample CSV and each row's stage; a malformed
+    file raises TableError (see tables.read_csv)."""
+    return (read_csv(path, SAMPLE_COLUMNS[:SAMPLE_WIDTH]),
+            [stage for stage, in read_cells(path, SAMPLE_COLUMNS[SAMPLE_WIDTH:])])

@@ -14,7 +14,7 @@ import numpy as np
 
 from .features import WallMachDistribution, extract_features
 from .geometry import AirfoilGeom, cosine_stations, cst_at_stations, make_airfoil
-from .surrogate import CSV_COLUMNS, CST_COLS, is_valid_design
+from .tables import CSV_COLUMNS, CST_COLS, is_valid_design
 
 
 @dataclass(frozen=True)

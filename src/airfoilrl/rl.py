@@ -16,11 +16,7 @@ import numpy as np
 from .env import ACTION_BOUNDS, MAX_STEPS, rollout_rows
 from .nnet import (AdamState, Fit, MlpModel, Scaler, adam_update, make_mlp, mlp_forward,
                    model_arrays, model_from_arrays)
-from .surrogate import FEATURE_BOUNDS, OUTPUT_NAMES
-
-# state bounds of the single-shock design box, used to scale the
-# 4-vector [X1, Mw1, MwL, MwA] onto (0,1) for actor and critic inputs
-STATE_BOUNDS = np.array([FEATURE_BOUNDS[k] for k in OUTPUT_NAMES[1:]])
+from .tables import FEATURE_BOX
 
 LOG_STD_MIN = math.log(1e-3)  # floor keeping the policy stochastic
 
@@ -66,8 +62,8 @@ class PolicyAgent:
 
 
 def make_agent(rng, hidden=(512, 512), std_init: float = 0.1) -> PolicyAgent:
-    state_dim, action_dim = len(STATE_BOUNDS), len(ACTION_BOUNDS)
-    in_scaler = Scaler.from_bounds(STATE_BOUNDS)
+    in_scaler = Scaler.from_bounds(FEATURE_BOX[1:])
+    state_dim, action_dim = len(in_scaler.lo), len(ACTION_BOUNDS)
     actor = make_mlp([state_dim, *hidden, action_dim], rng, input_scaler=in_scaler)
     critic = make_mlp([state_dim, *hidden, 1], rng, input_scaler=in_scaler)
     return PolicyAgent(actor=actor, critic=critic,

@@ -2,34 +2,19 @@
 
 The surrogate maps the 14 CST coefficients to five outputs
 (CD, X1, Mw1, MwL, MwA).  A sample set is an (n, 19) float table in
-CSV_COLUMNS order, in memory as in its CSV file.  Sample pools are first
-filtered against the feature box below, then thinned by repeatedly
-removing one member of the closest coefficient-space pair until the
-requested set sizes are reached.
+CSV_COLUMNS order (see tables), in memory as in its CSV file.  Sample
+pools are first filtered against the feature box, then thinned by
+repeatedly removing one member of the closest coefficient-space pair
+until the requested set sizes are reached.
 """
 from __future__ import annotations
-
-import csv
 
 import numpy as np
 
 from .nnet import MlpModel, Scaler, make_mlp, train_minibatch, mlp_forward
+from .tables import (CSV_COLUMNS, CST_COLS, FEATURE_BOX, OUTPUT_COLS, OUTPUT_NAMES, TableError,
+                     in_feature_bounds, read_csv, write_csv)
 
-OUTPUT_NAMES = ("cd", "x1", "mw1", "mwl", "mwa")
-
-# valid single-shock design box: (lower, upper) per output
-FEATURE_BOUNDS = {
-    "cd": (0.009, 0.013),
-    "x1": (0.2, 0.8),
-    "mw1": (1.0, 1.2),
-    "mwl": (1.0, 1.3),
-    "mwa": (0.9, 1.1),
-}
-
-CSV_COLUMNS = [f"c_u{i}" for i in range(7)] + [f"c_l{i}" for i in range(7)] + list(OUTPUT_NAMES)
-# a sample table's coefficient and output columns
-CST_COLS = slice(CSV_COLUMNS.index(OUTPUT_NAMES[0]))
-OUTPUT_COLS = slice(CST_COLS.stop, len(CSV_COLUMNS))
 # train_surrogate's history entries, in this order
 HISTORY_COLUMNS = ["minibatch"] + [f"{part}_{name}" for name in OUTPUT_NAMES
                                    for part in ("train", "test")]
@@ -42,22 +27,6 @@ DESK_BATCH = 128
 
 class SurrogateError(ValueError):
     pass
-
-
-_BOX = np.array([FEATURE_BOUNDS[k] for k in OUTPUT_NAMES])
-
-
-def in_feature_bounds(outputs) -> np.ndarray:
-    """Whether (..., 5) output rows, in OUTPUT_NAMES order, lie in the
-    feature box; a (...) mask."""
-    return np.all((_BOX[:, 0] <= outputs) & (outputs <= _BOX[:, 1]), axis=-1)
-
-
-def is_valid_design(cd, state, no_shock) -> np.ndarray:
-    """The valid-design rule: a shock was found and the outputs lie in
-    the feature box.  Takes (N,) drags, (N, 4) states [X1, Mw1, MwL, MwA]
-    and (N,) no-shock flags; returns an (N,) mask."""
-    return ~no_shock & in_feature_bounds(np.column_stack((cd, state)))
 
 
 # select_samples' distances and train_surrogate's history forwards are
@@ -258,7 +227,7 @@ def build_surrogate_model(train_inputs: np.ndarray, hidden: list[int],
     hi = train_inputs.max(axis=0)
     pad = 0.05 * np.maximum(hi - lo, 1e-6)
     input_scaler = Scaler(lo=lo - pad, hi=hi + pad)
-    output_scaler = Scaler.from_bounds([FEATURE_BOUNDS[k] for k in OUTPUT_NAMES])
+    output_scaler = Scaler.from_bounds(FEATURE_BOX)
     return make_mlp([14, *hidden, 5], rng, input_scaler, output_scaler)
 
 
@@ -295,8 +264,7 @@ def train_surrogate(train: np.ndarray, test: np.ndarray,
     def record(mb: int) -> None:
         p_tr, p_te = _forward_in_blocks(model, x_tr), _forward_in_blocks(model, x_te)
         values = [mb]
-        for k, name in enumerate(OUTPUT_NAMES):
-            b = FEATURE_BOUNDS[name]
+        for k, b in enumerate(FEATURE_BOX.tolist()):
             values += [rsme(p_tr[:, k], y_tr[:, k], b), rsme(p_te[:, k], y_te[:, k], b)]
         history.append(dict(zip(HISTORY_COLUMNS, values)))
 
@@ -305,45 +273,19 @@ def train_surrogate(train: np.ndarray, test: np.ndarray,
     return model, history
 
 
-# ---------------------------------------------------------------------------
-# CSV tables: a header line, then one line per row; every table the
-# package writes goes through write_csv
-
-
-def write_csv(path, columns, rows) -> None:
-    """Write `columns` as the header, then each row of values; a float is
-    written as repr(float(v)), its shortest round-trip text."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        writer.writerows([repr(float(v)) if isinstance(v, float) else v for v in row]
-                         for row in rows)
-
-
-def write_rows(path, rows: list[dict]) -> None:
-    """A table of dict rows: the columns are the keys in order of first
-    appearance, and a key a row lacks is left blank."""
-    columns = list(dict.fromkeys(k for row in rows for k in row))
-    write_csv(path, columns, ([row.get(k, "") for k in columns] for row in rows))
-
-
-# dataset CSV: c_u0..c_u6,c_l0..c_l6,cd,x1,mw1,mwl,mwa (+ in_bounds marker)
-
-
 def write_dataset(path, table: np.ndarray) -> None:
+    """A dataset CSV: the sample table, then its in_bounds marker."""
     inside = in_feature_bounds(table[:, OUTPUT_COLS])
     write_csv(path, CSV_COLUMNS + ["in_bounds"], (
         [*row.tolist(), "1" if ok else "0"] for row, ok in zip(table, inside)))
 
 
 def read_dataset(path) -> np.ndarray:
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in CSV_COLUMNS if c not in (reader.fieldnames or [])]
-        if missing:
-            raise SurrogateError(f"dataset missing columns: {missing}")
-        table = np.fromiter((float(row[c]) for row in reader for c in CSV_COLUMNS),
-                            dtype=float).reshape(-1, len(CSV_COLUMNS))
-    if not np.all(np.isfinite(table)):
-        raise SurrogateError("non-finite value in dataset row")
+    """The sample table of a dataset CSV; TableError (see tables.read_csv)
+    also names the column of a value that is not finite."""
+    table = read_csv(path, CSV_COLUMNS)
+    bad = np.argwhere(~np.isfinite(table))
+    if len(bad):
+        row, col = bad[0]
+        raise TableError(f"{path} row {row + 1}: {CSV_COLUMNS[col]!r} is not finite")
     return table

@@ -23,7 +23,7 @@ from airfoilrl.geometry import (WIDTH_GRID, AirfoilGeom, BumpAction, GeometryErr
 from airfoilrl.nnet import Scaler, make_mlp
 from airfoilrl.pretrain import greedy_search
 from airfoilrl.proxy import proxy_evaluate, seed_airfoils
-from airfoilrl.surrogate import in_feature_bounds
+from airfoilrl.tables import in_feature_bounds
 
 from test_kernel_reference import assert_t2_contract
 

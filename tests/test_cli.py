@@ -14,7 +14,7 @@ from airfoilrl.geometry import make_airfoil, read_coordinates, write_cst_file
 from airfoilrl.features import write_distribution
 from airfoilrl.proxy import BASE_LOWER, BASE_UPPER, T_MAX_DEFAULT
 from airfoilrl.rl import make_agent, save_agent
-from airfoilrl.surrogate import CSV_COLUMNS, OUTPUT_NAMES
+from airfoilrl.tables import CSV_COLUMNS, OUTPUT_NAMES
 from conftest import synthetic_distribution
 
 

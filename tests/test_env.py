@@ -8,7 +8,7 @@ from airfoilrl.env import (ACTION_BOUNDS, REWARD_SCALE, DesignEnv, EnvConfig,
 from airfoilrl.geometry import (AirfoilGeom, apply_action, max_thickness,
                                 solve_t2)
 from airfoilrl.proxy import seed_airfoils
-from airfoilrl.surrogate import write_rows
+from airfoilrl.tables import write_rows
 
 
 @pytest.fixture(scope="module")

@@ -17,12 +17,13 @@ from airfoilrl.env import DesignEnv, EnvConfig, physical_to_scaled, proxy_evalua
 from airfoilrl.nnet import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState,
                             NnetError, adam_update, make_mlp, mlp_backward,
                             mlp_forward, train_minibatch)
-from airfoilrl.pretrain import ACTION_COLS, STATE_COLS, imitate_policy
+from airfoilrl.pretrain import imitate_policy
 from airfoilrl.proxy import seed_airfoils
 from airfoilrl.rl import (LOG_STD_MIN, PpoConfig, PpoError, TrajectoryBatch,
                           clip_target, collect_batch, gae_advantages,
                           gaussian_log_prob, make_agent, ppo_train, reward_to_go,
                           sample_action)
+from airfoilrl.tables import ACTION_COLS, STATE_COLS
 
 # ---------------------------------------------------------------------------
 # reference: the list-based engine

@@ -1,7 +1,8 @@
 """SVG history plot tests."""
 import pytest
 
-from airfoilrl.plotsvg import PlotError, plot_history
+from airfoilrl.plotsvg import plot_history
+from airfoilrl.tables import TableError
 
 
 def write_csv(path, rows):
@@ -43,7 +44,7 @@ def test_plot_empty_history_axes_only(tmp_path):
 def test_plot_missing_column_raises(tmp_path):
     csv_path = tmp_path / "bad.csv"
     csv_path.write_text("foo,bar\n1,2\n")
-    with pytest.raises(PlotError):
+    with pytest.raises(TableError):
         plot_history(csv_path, tmp_path / "bad.svg")
 
 

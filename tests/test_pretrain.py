@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 
 from airfoilrl.env import DesignEnv, EnvConfig, Evaluation, proxy_evaluator
-from airfoilrl.pretrain import (_SMOOTH_BLOCK, ACTION_COLS, DEDUP_TOL, REWARD_COL,
-                                SAMPLE_WIDTH, SMOOTH_NEIGHBORS, SMOOTH_PASSES,
-                                SMOOTH_RELAXATION, STATE_COLS, dedup_states, greedy_search,
-                                imitate_policy, pretrain_critic, read_samples,
-                                smooth_samples, write_samples)
+from airfoilrl.pretrain import (_SMOOTH_BLOCK, DEDUP_TOL, SMOOTH_NEIGHBORS, SMOOTH_PASSES,
+                                SMOOTH_RELAXATION, dedup_states, greedy_search,
+                                imitate_policy, pretrain_critic, smooth_samples)
 from airfoilrl.proxy import seed_airfoils
 from airfoilrl.rl import PpoConfig, make_agent
-from airfoilrl.surrogate import FEATURE_BOUNDS
+from airfoilrl.tables import (ACTION_COLS, FEATURE_BOUNDS, REWARD_COL, SAMPLE_WIDTH,
+                              STATE_COLS)
 
 
 def sample(state, t1=0.5, sb=0.3, hb=0.0, reward=0.0):
@@ -298,18 +297,3 @@ def test_pretrain_critic_reduces_value_error():
     assert losses[-1] < losses[0]
     # the actor must be untouched by critic-only fitting
     assert np.allclose(agent.std, 0.1)
-
-
-def test_sample_file_round_trip(tmp_path):
-    rng = np.random.default_rng(7)
-    samples = np.array([sample(rng.uniform(0.0, 1.0, 4), t1=rng.uniform(0.1, 0.9),
-                               reward=float(i)) for i in range(5)])
-    path = tmp_path / "samples.csv"
-    write_samples(path, samples, stage="smoothed")
-    back, stages = read_samples(path)
-    assert len(back) == 5
-    assert set(stages) == {"smoothed"}
-    for a, b in zip(samples, back):
-        assert np.array_equal(a[STATE_COLS], b[STATE_COLS])
-        assert np.array_equal(a[ACTION_COLS], b[ACTION_COLS])
-        assert a[REWARD_COL] == b[REWARD_COL]

@@ -7,7 +7,7 @@ from airfoilrl.geometry import BumpAction, GeometryError, apply_action, make_air
 from airfoilrl.proxy import (BASE_LOWER, BASE_UPPER, T_MAX_DEFAULT,
                              ProxyConfig, generate_pool, proxy_distribution,
                              proxy_evaluate, seed_airfoils)
-from airfoilrl.surrogate import CST_COLS, OUTPUT_COLS, in_feature_bounds
+from airfoilrl.tables import CST_COLS, OUTPUT_COLS, in_feature_bounds
 
 
 @pytest.fixture(scope="module")

@@ -22,7 +22,7 @@ import airfoilrl.proxy as proxy
 from airfoilrl.proxy import (_PROXY_BLOCK, BASE_LOWER, BASE_UPPER, T_MAX_DEFAULT,
                              PoolStats, ProxyConfig, _moving_average, generate_pool,
                              proxy_distribution, proxy_evaluate, seed_airfoils)
-from airfoilrl.surrogate import in_feature_bounds
+from airfoilrl.tables import in_feature_bounds
 from conftest import synthetic_distribution
 
 

@@ -12,12 +12,12 @@ from hypothesis import given, settings, strategies as st
 
 from airfoilrl.nnet import mlp_forward, train_minibatch
 from airfoilrl.proxy import generate_pool
-from airfoilrl.surrogate import (_CANDIDATES, _DIST_BLOCK, CSV_COLUMNS, CST_COLS, DESK_HIDDEN,
-                                 FEATURE_BOUNDS, HISTORY_COLUMNS, OUTPUT_COLS, OUTPUT_NAMES,
+from airfoilrl.surrogate import (_CANDIDATES, _DIST_BLOCK, DESK_HIDDEN, HISTORY_COLUMNS,
                                  SurrogateError, _block_of, _forward_in_blocks, _gram_rows,
-                                 _row_blocks, build_surrogate_model, in_feature_bounds,
-                                 read_dataset, rsme, select_samples, train_surrogate,
-                                 write_dataset)
+                                 _row_blocks, build_surrogate_model, read_dataset, rsme,
+                                 select_samples, train_surrogate, write_dataset)
+from airfoilrl.tables import (CSV_COLUMNS, CST_COLS, FEATURE_BOUNDS, OUTPUT_COLS, OUTPUT_NAMES,
+                              in_feature_bounds)
 
 ROOT = Path(__file__).resolve().parents[1]
 IN_BOX = np.array([0.01, 0.5, 1.1, 1.1, 1.0])  # cd, x1, mw1, mwl, mwa
@@ -414,13 +414,6 @@ def test_dataset_file_round_trip(tmp_path):
     for orig, rec in zip(pool, back):
         assert np.array_equal(rec[CST_COLS], orig[CST_COLS])
         assert np.array_equal(rec[OUTPUT_COLS], orig[OUTPUT_COLS])
-
-
-def test_pool_is_a_table_that_round_trips_bitwise(tmp_path):
-    pool = generate_pool(40, seed=3)
-    assert pool.shape == (40, len(CSV_COLUMNS)) and pool.dtype == np.float64
-    write_dataset(tmp_path / "pool.csv", pool)
-    assert read_dataset(tmp_path / "pool.csv").tobytes() == pool.tobytes()
 
 
 def test_selected_sets_are_pool_rows_in_pool_order():
