@@ -2,10 +2,11 @@
 
 Subcommands: generate-pool, select-samples, train-surrogate, pretrain,
 train-ppo, evaluate, modify, extract-features, plot.  Each ``cmd_*``
-takes the parsed arguments and the resolved config and returns the
-artifacts it wrote and its own manifest fields; `main` then writes
-``<command>_manifest.json`` with the config hash, seed and artifact
-digests.
+takes the parsed arguments, the resolved config and the run record (a
+Counter of counts and seconds keyed by manifest field, which its stages
+fill) and returns the artifacts it wrote; `main` then writes
+``<command>_manifest.json`` with the config hash, seed, artifact
+digests, the record and the command's wall time ``command_s``.
 """
 from __future__ import annotations
 
@@ -13,7 +14,8 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import asdict
+from collections import Counter
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -21,13 +23,12 @@ from . import pretrain as pt
 from . import rl
 from .config import (ExperimentConfig, load_config, parse_count, parse_counts, parse_seed,
                      write_manifest)
-from .env import (DesignEnv, EnvConfig, StepStats, proxy_evaluator,
-                  surrogate_evaluator)
+from .env import DesignEnv, EnvConfig, proxy_evaluator, surrogate_evaluator
 from .features import extract_features, read_distribution
 from .geometry import (BumpAction, apply_action, max_thickness,
                        read_cst_file, write_coordinates, write_cst_file)
 from .plotsvg import plot_history
-from .proxy import PoolStats, generate_pool, seed_airfoils
+from .proxy import generate_pool, seed_airfoils
 from .surrogate import (HISTORY_COLUMNS, read_dataset, select_samples, train_surrogate,
                         write_dataset)
 from .tables import write_csv, write_rows
@@ -49,27 +50,36 @@ def _out(args, name: str) -> str:
     return os.path.join(out_dir, name)
 
 
-def _env_factory(args, cfg: ExperimentConfig, stats: StepStats | None = None):
-    """Environments on the --surrogate model under --out-dir, else the proxy."""
+@contextmanager
+def _timed(record: Counter, field: str):
+    """Add the with-block's wall time to record[field]."""
+    start = time.perf_counter()
+    yield
+    record[field] += time.perf_counter() - start
+
+
+def _env_factory(args, cfg: ExperimentConfig, record: Counter):
+    """Environments on the --surrogate model under --out-dir, else the
+    proxy, counting their steps and evaluator calls into `record`."""
     if args.surrogate:
-        model = load_model(_out(args, args.surrogate))
-        evaluator = surrogate_evaluator(model)
+        evaluator = surrogate_evaluator(load_model(_out(args, args.surrogate)), record)
     else:
-        evaluator = proxy_evaluator(cfg.proxy)
+        evaluator = proxy_evaluator(cfg.proxy, record)
+    # the step fields of every command that steps, greedy search or not
+    record.update(env_lane_steps=0, env_step_s=0.0, greedy_candidates=0)
     env_cfg = EnvConfig(max_steps=cfg.ppo.max_steps)
-    return lambda: DesignEnv(evaluator, env_cfg, stats)
+    return lambda: DesignEnv(evaluator, env_cfg, record)
 
 
-def cmd_generate_pool(args, cfg: ExperimentConfig) -> tuple[list[str], dict]:
-    stats = PoolStats()
-    pool = generate_pool(cfg.pool_size, cfg.seed, cfg.t_max, config=cfg.proxy, stats=stats)
+def cmd_generate_pool(args, cfg: ExperimentConfig, record: Counter) -> list[str]:
+    pool = generate_pool(cfg.pool_size, cfg.seed, cfg.t_max, config=cfg.proxy, record=record)
     out = _out(args, args.out)
     write_dataset(out, pool)
     print(f"wrote {len(pool)} samples to {out}")
-    return [out], asdict(stats)
+    return [out]
 
 
-def cmd_select_samples(args, cfg: ExperimentConfig) -> tuple[list[str], dict]:
+def cmd_select_samples(args, cfg: ExperimentConfig, record: Counter) -> list[str]:
     pool = read_dataset(_out(args, args.pool))
     sets = select_samples(pool, cfg.keep_counts)
     artifacts = []
@@ -78,7 +88,7 @@ def cmd_select_samples(args, cfg: ExperimentConfig) -> tuple[list[str], dict]:
         write_dataset(out, table)
         artifacts.append(out)
         print(f"wrote {count} samples to {out}")
-    return artifacts, {}
+    return artifacts
 
 
 def _sample_set(args, cfg: ExperimentConfig, flag: str, entry: int) -> str:
@@ -97,7 +107,7 @@ def _sample_set(args, cfg: ExperimentConfig, flag: str, entry: int) -> str:
     return path
 
 
-def cmd_train_surrogate(args, cfg: ExperimentConfig) -> tuple[list[str], dict]:
+def cmd_train_surrogate(args, cfg: ExperimentConfig, record: Counter) -> list[str]:
     train = read_dataset(_sample_set(args, cfg, "train", 0))
     test = read_dataset(_sample_set(args, cfg, "test", 1))
     model, history = train_surrogate(
@@ -112,22 +122,19 @@ def cmd_train_surrogate(args, cfg: ExperimentConfig) -> tuple[list[str], dict]:
     if history:
         print(f"final test RSME(cd) = {history[-1]['test_cd']:.4f}")
     print(f"wrote {model_out} and {hist_out}")
-    return [model_out, hist_out], {}
+    return [model_out, hist_out]
 
 
-def cmd_pretrain(args, cfg: ExperimentConfig) -> tuple[list[str], dict]:
+def cmd_pretrain(args, cfg: ExperimentConfig, record: Counter) -> list[str]:
     rng = np.random.default_rng(cfg.seed)
     baselines = seed_airfoils(cfg.pretrain_baselines, seed=cfg.seed,
                               t_max=cfg.t_max, config=cfg.proxy)
-    stats = StepStats()
-    env_factory = _env_factory(args, cfg, stats)
+    env_factory = _env_factory(args, cfg, record)
     evaluator = env_factory().evaluator
-    seconds = {}  # wall time per stage, for the manifest only
-    start = time.perf_counter()
-    samples = np.concatenate([pt.greedy_search(foil, evaluator, cfg.greedy_searches,
-                                               cfg.greedy_steps, cfg.greedy_candidates,
-                                               rng, stats=stats) for foil in baselines])
-    seconds["greedy_search_s"] = time.perf_counter() - start
+    with _timed(record, "greedy_search_s"):
+        samples = np.concatenate([pt.greedy_search(foil, evaluator, cfg.greedy_searches,
+                                                   cfg.greedy_steps, cfg.greedy_candidates,
+                                                   rng, record=record) for foil in baselines])
     raw_out = _out(args, f"{args.out_prefix}_samples_raw.csv")
     pt.write_samples(raw_out, samples, stage="raw")
     deduped = pt.dedup_states(samples)
@@ -135,14 +142,12 @@ def cmd_pretrain(args, cfg: ExperimentConfig) -> tuple[list[str], dict]:
     smooth_out = _out(args, f"{args.out_prefix}_samples_smoothed.csv")
     pt.write_samples(smooth_out, smoothed, stage="smoothed")
     agent = rl.make_agent(rng, hidden=cfg.ppo_hidden, std_init=cfg.ppo.std_init)
-    start = time.perf_counter()
-    losses = pt.imitate_policy(agent, smoothed, schedule=cfg.imitation_schedule)
-    seconds["imitation_s"] = time.perf_counter() - start
-    start = time.perf_counter()
-    critic_history = pt.pretrain_critic(agent, baselines, cfg.ppo, env_factory,
-                                        critic_schedule=cfg.critic_schedule,
-                                        seed=cfg.seed)
-    seconds["critic_fit_s"] = time.perf_counter() - start
+    with _timed(record, "imitation_s"):
+        losses = pt.imitate_policy(agent, smoothed, schedule=cfg.imitation_schedule)
+    with _timed(record, "critic_fit_s"):
+        critic_history = pt.pretrain_critic(agent, baselines, cfg.ppo, env_factory,
+                                            critic_schedule=cfg.critic_schedule,
+                                            seed=cfg.seed)
     critic_out = _out(args, f"{args.out_prefix}_critic_history.csv")
     write_rows(critic_out, critic_history)
     agent_out = _out(args, f"{args.out_prefix}_agent.npz")
@@ -151,15 +156,14 @@ def cmd_pretrain(args, cfg: ExperimentConfig) -> tuple[list[str], dict]:
     imitation = f"final imitation loss {losses[-1]:.3g}" if losses else "no imitation epochs"
     print(f"{len(samples)} raw samples -> {len(deduped)} deduped; {imitation}")
     print(f"wrote {agent_out} and {critic_out}")
-    return [raw_out, smooth_out, critic_out, agent_out], {**stats.manifest(), **seconds}
+    return [raw_out, smooth_out, critic_out, agent_out]
 
 
-def cmd_train_ppo(args, cfg: ExperimentConfig) -> tuple[list[str], dict]:
+def cmd_train_ppo(args, cfg: ExperimentConfig, record: Counter) -> list[str]:
     rng = np.random.default_rng(cfg.seed)
     baselines = seed_airfoils(cfg.ppo_baselines, seed=cfg.seed,
                               t_max=cfg.t_max, config=cfg.proxy)
-    stats = StepStats()
-    env_factory = _env_factory(args, cfg, stats)
+    env_factory = _env_factory(args, cfg, record)
     if args.agent:
         agent = rl.load_agent(_out(args, args.agent))
     else:
@@ -172,13 +176,13 @@ def cmd_train_ppo(args, cfg: ExperimentConfig) -> tuple[list[str], dict]:
     print(f"mean cumulative reward: {history[0]['mean_cum_reward']:.3f} -> "
           f"{history[-1]['mean_cum_reward']:.3f} counts")
     print(f"wrote {agent_out} and {hist_out}")
-    return [agent_out, hist_out], stats.manifest()
+    return [agent_out, hist_out]
 
 
-def cmd_evaluate(args, cfg: ExperimentConfig) -> tuple[list[str], dict]:
+def cmd_evaluate(args, cfg: ExperimentConfig, record: Counter) -> list[str]:
     baselines = seed_airfoils(cfg.ppo_baselines, seed=cfg.seed,
                               t_max=cfg.t_max, config=cfg.proxy)
-    env_factory = _env_factory(args, cfg)
+    env_factory = _env_factory(args, cfg, record)
     agent = rl.load_agent(_out(args, args.agent))
     steps: list[dict] = []
     mean, per_airfoil = rl.evaluate_policy(agent, baselines, env_factory, rollout=steps)
@@ -188,10 +192,10 @@ def cmd_evaluate(args, cfg: ExperimentConfig) -> tuple[list[str], dict]:
     write_rows(rollout_out, steps)
     print(f"mean cumulative reward {mean:.3f} counts over "
           f"{len(per_airfoil)} airfoils; wrote {out} and {rollout_out}")
-    return [out, rollout_out], {}
+    return [out, rollout_out]
 
 
-def cmd_modify(args, cfg: ExperimentConfig) -> tuple[list[str], dict]:
+def cmd_modify(args, cfg: ExperimentConfig, record: Counter) -> list[str]:
     foil = read_cst_file(args.airfoil)
     modified = apply_action(foil, args.action)
     out = _out(args, args.out)
@@ -199,10 +203,10 @@ def cmd_modify(args, cfg: ExperimentConfig) -> tuple[list[str], dict]:
     cst_out = _out(args, args.out + ".cst")
     write_cst_file(cst_out, modified)
     print(f"max thickness {max_thickness(modified):.6f}; wrote {out}")
-    return [out, cst_out], {}
+    return [out, cst_out]
 
 
-def cmd_extract_features(args, cfg: ExperimentConfig) -> tuple[list[str], dict]:
+def cmd_extract_features(args, cfg: ExperimentConfig, record: Counter) -> list[str]:
     dist = read_distribution(args.dist)
     feats = extract_features(dist)
     out = _out(args, args.out)
@@ -212,14 +216,14 @@ def cmd_extract_features(args, cfg: ExperimentConfig) -> tuple[list[str], dict]:
         "no_shock": int(feats.no_shock)}])
     print(f"X1={feats.x1!r} Mw1={feats.mw1!r} MwL={feats.mwl!r} "
           f"MwA={feats.mwa!r} Err={feats.err!r} no_shock={feats.no_shock}")
-    return [out], {}
+    return [out]
 
 
-def cmd_plot(args, cfg: ExperimentConfig) -> tuple[list[str], dict]:
+def cmd_plot(args, cfg: ExperimentConfig, record: Counter) -> list[str]:
     out = _out(args, args.out)
     plot_history(_out(args, args.history), out, x_col=args.x, y_col=args.y)
     print(f"wrote {out}")
-    return [out], {}
+    return [out]
 
 
 def _flag_type(parse):
@@ -324,10 +328,16 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         cfg = _build_config(args)
-        artifacts, extra = args.func(args, cfg)
+        record = Counter()  # counts and seconds, keyed by manifest field
+        with _timed(record, "command_s"):
+            artifacts = args.func(args, cfg, record)
+        fields = dict(record)
+        if "env_step_s" in record:  # the rate of the lane steps
+            fields["env_steps_per_s"] = (record["env_lane_steps"] / record["env_step_s"]
+                                         if record["env_step_s"] > 0.0 else 0.0)
         # a command that raised leaves no manifest
         write_manifest(_out(args, f"{args.command.replace('-', '_')}_manifest.json"),
-                       cfg, args.command, artifacts, extra)
+                       cfg, args.command, artifacts, fields)
         return 0
     except Exception as exc:  # surfaced as a message + nonzero exit
         print(f"error: {exc}", file=sys.stderr)

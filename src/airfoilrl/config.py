@@ -271,7 +271,7 @@ def write_manifest(path, cfg: ExperimentConfig, command: str,
                    artifacts: list[str], extra: dict | None = None) -> None:
     """Run manifest: command, config hash, seed, profile, artifacts, each
     artifact's digest (`sha256`; not the manifest's own), the numeric
-    environment (`environment`) and the command's own fields (`extra`)."""
+    environment (`environment`) and the fields of its run record (`extra`)."""
     payload = {"command": command, "config_hash": config_hash(cfg),
                "seed": cfg.seed, "profile": cfg.profile,
                "artifacts": sorted(artifacts),

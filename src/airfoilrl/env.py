@@ -18,6 +18,7 @@ LaneResult; a 3-vector after ``reset`` is a block of one.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,21 +85,6 @@ class Evaluation:
         return self.state[:, 1]
 
 
-@dataclass
-class StepStats:
-    """Step counts and time for a run's manifest (never for its CSVs)."""
-
-    lane_steps: int = 0
-    seconds: float = 0.0
-    greedy_candidates: int = 0
-
-    def manifest(self) -> dict:
-        rate = self.lane_steps / self.seconds if self.seconds > 0.0 else 0.0
-        return {"env_lane_steps": self.lane_steps,
-                "greedy_candidates": self.greedy_candidates,
-                "env_steps_per_s": rate}
-
-
 def scaled_to_physical(actions_scaled) -> tuple[np.ndarray, np.ndarray]:
     """Clamp (n, 3) scaled actions to [0,1]^3 and map them onto the
     physical ranges; returns the physical rows and a per-row clamped flag."""
@@ -121,14 +107,16 @@ class DesignEnv:
     trained surrogate wrapped by :func:`surrogate_evaluator`.  Lanes hold
     (N, 7) upper and lower CST arrays and a live mask; ``reset_lanes``
     starts them and ``step`` steps every live lane at once.  ``reset``
-    starts a batch of one.
+    starts a batch of one.  `record`, a run record (a Counter keyed by
+    manifest field), receives the lane steps and stepping seconds
+    (``env_lane_steps``, ``env_step_s``).
     """
 
     def __init__(self, evaluator, config: EnvConfig = EnvConfig(),
-                 stats: StepStats | None = None):
+                 record: Counter | None = None):
         self.evaluator = evaluator
         self.config = config
-        self.stats = stats
+        self.record = Counter() if record is None else record
         self.live = np.zeros(0, dtype=bool)
 
     def reset_lanes(self, baselines) -> np.ndarray:
@@ -178,33 +166,41 @@ class DesignEnv:
                                 "action": phys, "clamped": clamped,
                                 "width_clamped": width_clamped, "shock_lost": shock_lost,
                                 "modify_failed": failed})
-        if self.stats is not None:
-            self.stats.lane_steps += lanes.size
-            self.stats.seconds += time.perf_counter() - t0
+        self.record["env_lane_steps"] += lanes.size
+        self.record["env_step_s"] += time.perf_counter() - t0
         return result
 
 
-def proxy_evaluator(config=None):
+def proxy_evaluator(config=None, record: Counter | None = None):
     """Evaluator closure over the proxy oracle: one proxy_evaluate call
-    for the whole block."""
+    for the whole block, counted into `record` (proxy_blocks, proxy_rows)."""
     cfg = config or ProxyConfig()
+    record = Counter() if record is None else record
 
     def evaluate(cst):
-        cd, feats = proxy_evaluate(np.reshape(cst, (-1, 14)), cfg)
+        cst = np.reshape(cst, (-1, 14))
+        cd, feats = proxy_evaluate(cst, cfg)
+        record["proxy_blocks"] += 1
+        record["proxy_rows"] += len(cst)
         return Evaluation(cd=cd, state=feats.state, no_shock=feats.no_shock)
 
     return evaluate
 
 
-def surrogate_evaluator(model):
+def surrogate_evaluator(model, record: Counter | None = None):
     """Evaluator closure over a trained surrogate model: one forward
-    pass for the whole block.
+    pass for the whole block, counted into `record` (surrogate_blocks,
+    surrogate_rows).
 
     The surrogate predicts [CD, X1, Mw1, MwL, MwA] from the refit CST
     coefficients; Err and the lower-surface Mach are not modeled.
     """
+    record = Counter() if record is None else record
+
     def evaluate(cst):
         out = mlp_forward(model, np.reshape(np.asarray(cst, dtype=float), (-1, 14)))
+        record["surrogate_blocks"] += 1
+        record["surrogate_rows"] += len(out)
         return Evaluation(cd=out[:, 0], state=out[:, 1:5], no_shock=out[:, 2] < 1.0)
 
     return evaluate

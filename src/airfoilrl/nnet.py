@@ -50,7 +50,7 @@ class Scaler:
 
 
 def _param_shapes(sizes) -> list[tuple]:
-    """Shapes in parameters() order: every weight matrix, then every bias."""
+    """Shapes in `flat` order: every weight matrix, then every bias."""
     layers = list(zip(sizes[:-1], sizes[1:]))
     return layers + [(n_out,) for _, n_out in layers]
 
@@ -79,8 +79,8 @@ def _copy_into(views, arrays) -> None:
 class MlpModel:
     """Layer sizes, scalers, and the parameters in one flat buffer.
 
-    `weights` and `biases` are views into `flat`, laid out in
-    parameters() order; assigning to them copies values into the buffer.
+    `weights` and `biases` are views into `flat`, every weight matrix
+    then every bias; assigning to them copies values into the buffer.
     """
 
     def __init__(self, sizes, weights, biases, input_scaler: Scaler,
@@ -90,11 +90,11 @@ class MlpModel:
         self.output_scaler = output_scaler
         self._shapes = _param_shapes(self.sizes)
         self._flat = np.empty(sum(math.prod(s) for s in self._shapes))
-        self._params = _views(self._flat, self._shapes)
+        params = _views(self._flat, self._shapes)
         n_layers = len(self.sizes) - 1
-        self._weights = tuple(self._params[:n_layers])
-        self._biases = tuple(self._params[n_layers:])
-        _copy_into(self._params, [*weights, *biases])
+        self._weights = tuple(params[:n_layers])
+        self._biases = tuple(params[n_layers:])
+        _copy_into(params, [*weights, *biases])
 
     @property
     def flat(self) -> np.ndarray:
@@ -127,14 +127,6 @@ class MlpModel:
     def copy(self) -> "MlpModel":
         return MlpModel(self.sizes, self.weights, self.biases,
                         self.input_scaler, self.output_scaler)
-
-    def parameters(self) -> list[np.ndarray]:
-        """The live parameter arrays: views into `flat`."""
-        return list(self._params)
-
-    def set_parameters(self, params) -> None:
-        """Copy parameter values, ordered as parameters(), into `flat`."""
-        _copy_into(self._params, params)
 
 
 def make_mlp(sizes, rng, input_scaler: Scaler | None = None,
@@ -190,12 +182,12 @@ def mlp_forward(model: MlpModel, x: np.ndarray, scaled: bool = True,
 
 def mlp_backward(model: MlpModel, cache: list[np.ndarray],
                  grad_out: np.ndarray, out=None, deltas=None) -> list[np.ndarray]:
-    """Exact gradients w.r.t. parameters, ordered as model.parameters().
+    """Exact gradients w.r.t. parameters, in `flat` order.
 
     grad_out is dLoss/d(chain output) for the batch the cache came
     from, in the same (scaled) space the chain ran in.  The gradients
-    go into `out`, arrays shaped like model.parameters(), when given,
-    else into views of one new buffer laid out like `model.flat`.
+    go into `out`, arrays shaped like the weights then the biases, when
+    given, else into views of one new buffer laid out like `model.flat`.
     `deltas`, one (n, size) array per hidden layer, receives the
     back-propagated deltas in place of new arrays.
     """

@@ -8,9 +8,11 @@ result, and the critic is then fit with the actor frozen.
 """
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 
-from .env import ACTION_BOUNDS, REWARD_SCALE, StepStats, physical_to_scaled
+from .env import ACTION_BOUNDS, REWARD_SCALE, physical_to_scaled
 from .geometry import AirfoilGeom, apply_action
 from .nnet import Fit
 from .rl import PolicyAgent, PpoConfig, ppo_train
@@ -29,7 +31,7 @@ IMITATION_SCHEDULE = [(250, 1e-3), (250, 1e-4), (250, 1e-5), (250, 1e-6)]
 
 def greedy_search(baseline: AirfoilGeom, evaluator, searches: int,
                   steps: int, candidates: int, rng,
-                  stats: StepStats | None = None) -> np.ndarray:
+                  record: Counter | None = None) -> np.ndarray:
     """Random greedy searches: at each step draw candidate actions
     uniformly over the physical action box, keep the one with the
     smallest drag that stays inside the feature box, and advance.
@@ -37,7 +39,8 @@ def greedy_search(baseline: AirfoilGeom, evaluator, searches: int,
 
     The candidates of a step are one batch: one apply_action call over
     lanes and one evaluator call on the candidates it could build.  The
-    first candidate with the smallest drag wins.
+    first candidate with the smallest drag wins.  `record` counts the
+    candidates scored (``greedy_candidates``).
     """
     samples = [np.empty((0, SAMPLE_WIDTH))]
     ev = evaluator(baseline.cst14)
@@ -51,8 +54,8 @@ def greedy_search(baseline: AirfoilGeom, evaluator, searches: int,
             new_upper, new_lower, _, failed = apply_action(
                 (np.tile(upper, (candidates, 1)), np.tile(lower, (candidates, 1)),
                  np.full(candidates, baseline.t_max)), draws)
-            if stats is not None:
-                stats.greedy_candidates += candidates
+            if record is not None:
+                record["greedy_candidates"] += candidates
             built = np.flatnonzero(~failed)
             drag = np.full(candidates, np.inf)
             if built.size:

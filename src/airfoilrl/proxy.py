@@ -8,6 +8,7 @@ and bump actions can earn drag reductions of a few counts.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,21 +126,14 @@ _SEED_SPREAD = 0.008  # narrow, so that most seed draws are valid designs
 _SEED_TRIES = 20000
 
 
-@dataclass
-class PoolStats:
-    """Draw and proxy counts of a generate_pool run, for its manifest."""
-
-    pool_draws: int = 0
-    build_failures: int = 0  # draws whose thickness make_airfoil cannot bracket
-    proxy_rows: int = 0
-    proxy_blocks: int = 0
-
-
 def _evaluated(rng, spread: float, t_max: float, tries: int, n: int,
-               config: ProxyConfig, stats: PoolStats, keep=None) -> np.ndarray:
+               config: ProxyConfig, keep=None, record: Counter | None = None) -> np.ndarray:
     """A sample table (CSV_COLUMNS) of up to n random perturbations of
     the base geometry that build and pass keep(cd, feats), a row mask
-    (all rows pass without it), from at most `tries` draws.
+    (all rows pass without it), from at most `tries` draws.  `record`
+    receives the counts ``pool_draws``, ``build_failures`` (draws whose
+    thickness make_airfoil cannot bracket), ``proxy_rows`` and
+    ``proxy_blocks``.
 
     A block of up to _PROXY_BLOCK airfoils, no more than are still
     missing, is drawn as one (k, 2, 7) uniform array (the floats of k
@@ -147,7 +141,7 @@ def _evaluated(rng, spread: float, t_max: float, tries: int, n: int,
     by drawing as many as failed, then evaluated by one proxy call.
     """
     kept = [np.empty((0, len(CSV_COLUMNS)))]
-    count = draws = 0
+    count = draws = failures = rows = blocks = 0
     while count < n:
         want = min(_PROXY_BLOCK, n - count)
         block = np.empty((0, 14))
@@ -157,17 +151,19 @@ def _evaluated(rng, spread: float, t_max: float, tries: int, n: int,
             upper = BASE_UPPER + d[:, 0]
             lower, failed = make_airfoil(upper, BASE_LOWER + d[:, 1], np.full(k, t_max))
             draws += k
-            stats.build_failures += int(np.count_nonzero(failed))
+            failures += int(np.count_nonzero(failed))
             block = np.concatenate((block, np.hstack((upper, lower))[~failed]))
         if not len(block):
             break
         cd, feats = proxy_evaluate(block, config)
-        stats.proxy_rows += len(block)
-        stats.proxy_blocks += 1
-        rows = np.column_stack((block, cd, feats.state))
-        kept.append(rows if keep is None else rows[keep(cd, feats)])
+        rows += len(block)
+        blocks += 1
+        table = np.column_stack((block, cd, feats.state))
+        kept.append(table if keep is None else table[keep(cd, feats)])
         count += len(kept[-1])
-    stats.pool_draws += draws
+    if record is not None:
+        record.update(pool_draws=draws, build_failures=failures, proxy_rows=rows,
+                      proxy_blocks=blocks)
     return np.concatenate(kept)
 
 
@@ -177,7 +173,7 @@ def seed_airfoils(n: int, seed: int = 0, t_max: float = T_MAX_DEFAULT,
     rejection-sampled so every seed is a valid design.  Each airfoil is
     evaluated once, in blocks, and no draw is wasted."""
     kept = _evaluated(np.random.default_rng(seed), _SEED_SPREAD, t_max, _SEED_TRIES, n,
-                      config, PoolStats(),
+                      config,
                       keep=lambda cd, feats: is_valid_design(cd, feats.state, feats.no_shock))
     out = [AirfoilGeom(row[:7], row[7:CST_COLS.stop], t_max) for row in kept]
     if len(out) < n:
@@ -187,16 +183,15 @@ def seed_airfoils(n: int, seed: int = 0, t_max: float = T_MAX_DEFAULT,
 
 def generate_pool(n: int, seed: int = 0, t_max: float = T_MAX_DEFAULT,
                   config: ProxyConfig = ProxyConfig(),
-                  stats: PoolStats | None = None) -> np.ndarray:
+                  record: Counter | None = None) -> np.ndarray:
     """A sample table of random proxy-evaluated airfoils for surrogate
     training; rows may violate the feature box (selection filters
     later).  Gives up with RuntimeError after 20 draws per requested
-    sample.  `stats` receives the draw and proxy counts of the blocks
+    sample.  `record` receives the draw and proxy counts of the blocks
     (see _evaluated).
     """
-    stats = PoolStats() if stats is None else stats
     pool = _evaluated(np.random.default_rng(seed), _POOL_SPREAD, t_max,
-                      _POOL_TRIES_PER_SAMPLE * n, n, config, stats)
+                      _POOL_TRIES_PER_SAMPLE * n, n, config, record=record)
     if len(pool) < n:
         raise RuntimeError(f"pool generator produced {len(pool)}/{n} valid airfoils")
     return pool

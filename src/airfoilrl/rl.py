@@ -227,13 +227,15 @@ def _update_agent(agent: PolicyAgent, batch: TrajectoryBatch,
     final epoch only; log_std takes its own Adam step after the actor's,
     at the same rate, then the LOG_STD_MIN floor.
     """
-    adv = batch.advantages
-    if config.normalize_advantages:
-        adv = (adv - adv.mean()) / (adv.std() + 1e-8)
     xs = agent.actor.input_scaler.scale(batch.states)
     n = batch.size
     actor_loss = critic_loss = float("nan")
-    actor_fit = None if actor_states is None else Fit(agent.actor, n, actor_states[0])
+    actor_fit = None
+    if actor_states is not None:  # only the actor reads the advantages
+        actor_fit = Fit(agent.actor, n, actor_states[0])
+        adv = batch.advantages
+        if config.normalize_advantages:
+            adv = (adv - adv.mean()) / (adv.std() + 1e-8)
     critic_fit = Fit(agent.critic, n, critic_state)
     rtg = batch.rewards_to_go[:, None]
     last = config.epochs - 1

@@ -433,3 +433,34 @@ def test_ini_profile_picks_the_base_config(tmp_path):
         _build_config(build_parser().parse_args(
             ["--profile", "desk", "--config", str(ini), "generate-pool"]))
     assert _build_config(build_parser().parse_args(["generate-pool"])).pool_size == 3000
+
+
+def test_every_manifest_records_command_time_and_evaluator_calls(tmp_path):
+    ini = tmp_path / "tiny.ini"
+    ini.write_text("[surrogate]\npool_size = 400\nkeep_counts = 150,50\nhidden = 16,16\n"
+                   "schedule = 10:0.01\nbatch_size = 16\n"
+                   "[pretrain]\nbaselines = 4\nsearches = 3\nsteps = 5\ncandidates = 10\n"
+                   "imitation_schedule = 2:0.001\ncritic_schedule = 1:0.01\n" + TINY_PPO)
+    base = ["--seed", "3", "--config", str(ini)]
+    for command in ("generate-pool", "select-samples", "train-surrogate"):
+        assert run(tmp_path, *base, command) == 0
+    commands = {"pretrain": ["--surrogate", "surrogate.npz"], "train-ppo": [],
+                "evaluate": ["--agent", "trained_agent.npz"]}
+    counts = []
+    for out in (tmp_path / "a", tmp_path / "b"):
+        out.mkdir()
+        (out / "surrogate.npz").write_bytes((tmp_path / "surrogate.npz").read_bytes())
+        for command, extra in commands.items():
+            assert run(out, *base, command, *extra) == 0
+        counts.append({})
+        for command in commands:
+            manifest = json.loads(
+                (out / f"{command.replace('-', '_')}_manifest.json").read_text())
+            evaluator = "surrogate" if command == "pretrain" else "proxy"
+            fields = [f"{evaluator}_blocks", f"{evaluator}_rows", "env_lane_steps"]
+            assert all(manifest[k] > 0 for k in fields), command
+            assert manifest["command_s"] > 0.0
+            counts[-1][command] = {k: manifest[k] for k in fields}
+    assert counts[0] == counts[1]
+    for manifest in tmp_path.glob("*_manifest.json"):
+        assert json.loads(manifest.read_text())["command_s"] > 0.0, manifest.name

@@ -11,8 +11,10 @@ from airfoilrl.nnet import (AdamState, NnetError, Scaler, adam_update,
 
 
 def finite_difference_grads(model, x, grad_out, eps=1e-6):
-    """Central-difference gradient of sum(out * grad_out) w.r.t. params."""
-    params = model.parameters()
+    """Central-difference gradient of sum(out * grad_out) w.r.t. params;
+    the weights and biases are views into the model's `flat` buffer, so
+    a write to one moves the model."""
+    params = [*model.weights, *model.biases]
     grads = []
     for k, p in enumerate(params):
         gp = np.zeros_like(p)
@@ -21,13 +23,10 @@ def finite_difference_grads(model, x, grad_out, eps=1e-6):
             idx = it.multi_index
             orig = p[idx]
             p[idx] = orig + eps
-            model.set_parameters(params)
             up = float(np.sum(mlp_forward(model, x, scaled=False) * grad_out))
             p[idx] = orig - eps
-            model.set_parameters(params)
             dn = float(np.sum(mlp_forward(model, x, scaled=False) * grad_out))
             p[idx] = orig
-            model.set_parameters(params)
             gp[idx] = (up - dn) / (2.0 * eps)
             it.iternext()
         grads.append(gp)

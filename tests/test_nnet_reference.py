@@ -29,6 +29,11 @@ from airfoilrl.tables import ACTION_COLS, STATE_COLS
 # reference: the list-based engine
 
 
+def ref_parameters(model):
+    """The parameter arrays in `flat` order: live views into it."""
+    return [*model.weights, *model.biases]
+
+
 def ref_set_parameters(model, params):
     n = len(model.weights)
     model.weights = [p.copy() for p in params[:n]]
@@ -99,7 +104,7 @@ def ref_train_minibatch(model, inputs, targets, schedule, batch_size, seed,
     xs = model.input_scaler.scale(inputs)
     ys = model.output_scaler.scale(targets)
     rng = np.random.default_rng(seed)
-    state = RefAdamState.for_params(model.parameters())
+    state = RefAdamState.for_params(ref_parameters(model))
     n = xs.shape[0]
     history = []
     mb = 0
@@ -117,7 +122,7 @@ def ref_train_minibatch(model, inputs, targets, schedule, batch_size, seed,
                 grad_out = 2.0 * diff / diff.size
                 grads = ref_mlp_backward(model, cache, grad_out)
                 ref_set_parameters(model,
-                                   ref_adam_update(model.parameters(), grads, state, lr))
+                                   ref_adam_update(ref_parameters(model), grads, state, lr))
                 mb += 1
                 if mb % record_every == 0:
                     history.append(loss)
@@ -128,7 +133,7 @@ def ref_imitate_policy(agent, samples, schedule):
     states = np.stack([s[STATE_COLS] for s in samples])
     targets = np.stack([physical_to_scaled(s[ACTION_COLS]) for s in samples])
     xs = agent.actor.input_scaler.scale(states)
-    state = RefAdamState.for_params(agent.actor.parameters())
+    state = RefAdamState.for_params(ref_parameters(agent.actor))
     history = []
     for epochs, lr in schedule:
         for _ in range(epochs):
@@ -139,7 +144,7 @@ def ref_imitate_policy(agent, samples, schedule):
             history.append(loss)
             grads = ref_mlp_backward(agent.actor, cache, 2.0 * diff / diff.size)
             ref_set_parameters(agent.actor,
-                               ref_adam_update(agent.actor.parameters(), grads, state, lr))
+                               ref_adam_update(ref_parameters(agent.actor), grads, state, lr))
     return history
 
 
@@ -172,7 +177,7 @@ def ref_update_agent(agent, batch, config, actor_lr, actor_state, critic_state,
             d_logstd = np.sum(coef * (((batch.actions - means) / std) ** 2 - 1.0),
                               axis=0)
             d_logstd -= config.entropy_coef
-            params = agent.actor.parameters() + [agent.log_std]
+            params = ref_parameters(agent.actor) + [agent.log_std]
             new_params = ref_adam_update(params, grads + [d_logstd],
                                          actor_state, actor_lr)
             ref_set_parameters(agent.actor, new_params[:-1])
@@ -182,7 +187,7 @@ def ref_update_agent(agent, batch, config, actor_lr, actor_state, critic_state,
         critic_loss = float(np.mean(diff**2))
         vgrads = ref_mlp_backward(agent.critic, vcache, (2.0 * diff / n)[:, None])
         ref_set_parameters(agent.critic,
-                           ref_adam_update(agent.critic.parameters(), vgrads,
+                           ref_adam_update(ref_parameters(agent.critic), vgrads,
                                            critic_state, critic_lr))
     return actor_loss, critic_loss
 
@@ -191,8 +196,8 @@ def ref_ppo_train(agent, baselines, config, env_factory, seed=0,
                   update_actor=True, critic_schedule=None):
     rng = np.random.default_rng(seed)
     actor_state = RefAdamState.for_params(
-        agent.actor.parameters() + [agent.log_std])
-    critic_state = RefAdamState.for_params(agent.critic.parameters())
+        ref_parameters(agent.actor) + [agent.log_std])
+    critic_state = RefAdamState.for_params(ref_parameters(agent.critic))
     mean0, _ = rl.evaluate_policy(agent, baselines, env_factory)
     history = [{"iteration": 0, "mean_cum_reward": mean0,
                 "actor_loss": float("nan"), "critic_loss": float("nan"),
@@ -251,10 +256,11 @@ def ref_collect_batch(agent, baselines, env_factory, config, rng):
 
 def test_flat_buffer_views_and_live_parameters():
     model = make_mlp([3, 5, 2], np.random.default_rng(0))
-    params = model.parameters()
+    params = [*model.weights, *model.biases]
     assert model.flat.size == sum(p.size for p in params)
-    for p, w in zip(params, [*model.weights, *model.biases]):
-        assert np.shares_memory(p, model.flat) and p.shape == w.shape
+    # the views tile `flat` in order
+    assert np.array_equal(np.concatenate([p.ravel() for p in params]), model.flat)
+    assert all(np.shares_memory(p, model.flat) for p in params)
     model.biases = [np.full(5, 0.5), np.full(2, -1.0)]
     assert np.array_equal(model.flat[-7:], [0.5] * 5 + [-1.0] * 2)
     with pytest.raises(NnetError):
@@ -277,8 +283,8 @@ def test_backward_and_adam_step_match_lists(sizes):
     for g, w in zip(grads, want):
         assert np.array_equal(g, w)
     state = AdamState.for_params(model.flat)
-    ref_state = RefAdamState.for_params(model.parameters())
-    params = list(model.parameters())
+    ref_state = RefAdamState.for_params(ref_parameters(model))
+    params = list(ref_parameters(model))
     before = [p.copy() for p in params]
     for lr in (1e-2, 1e-3, 1e-5):
         got = adam_update(model.flat, flat_grads, state, lr)
@@ -399,8 +405,8 @@ def _assert_update_reaches_std_floor(lr, std_init):
         AdamState.for_params(agent.critic.flat))
     ref_losses = ref_update_agent(
         ref, batch, config, lr,
-        RefAdamState.for_params(ref.actor.parameters() + [ref.log_std]),
-        RefAdamState.for_params(ref.critic.parameters()))
+        RefAdamState.for_params(ref_parameters(ref.actor) + [ref.log_std]),
+        RefAdamState.for_params(ref_parameters(ref.critic)))
     assert repr(losses) == repr(ref_losses)
     _assert_same_run(agent, ref, [], [])
     assert np.all(agent.log_std == LOG_STD_MIN)

@@ -5,10 +5,12 @@ The ref_* functions are verbatim copies of the one-airfoil-at-a-time
 proxy_distribution, _moving_average, proxy_evaluate, extract_features,
 _find_shock, _plateau_err, seed_airfoils and generate_pool (renamed,
 with the calls between them pointed at each other; ref_generate_pool
-also counts its draws, build failures and evaluations into PoolStats).
+also counts its draws, build failures and evaluations into a run
+record, the Counter that generate_pool fills).
 Each block row must give the same floats, bit for bit.
 """
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from airfoilrl.geometry import (GeometryError, cosine_stations, cst_at_stations,
                                 make_airfoil)
 import airfoilrl.proxy as proxy
 from airfoilrl.proxy import (_PROXY_BLOCK, BASE_LOWER, BASE_UPPER, T_MAX_DEFAULT,
-                             PoolStats, ProxyConfig, _moving_average, generate_pool,
+                             ProxyConfig, _moving_average, generate_pool,
                              proxy_distribution, proxy_evaluate, seed_airfoils)
 from airfoilrl.tables import in_feature_bounds
 from conftest import synthetic_distribution
@@ -174,22 +176,22 @@ def ref_seed_airfoils(n: int, seed: int = 0, spread: float = 0.008,
 
 def ref_generate_pool(n: int, seed: int = 0, spread: float = 0.08,
                       t_max: float = T_MAX_DEFAULT,
-                      config: ProxyConfig = ProxyConfig(), stats: PoolStats = None):
-    stats = PoolStats() if stats is None else stats
+                      config: ProxyConfig = ProxyConfig(), record: Counter = None):
+    record = Counter() if record is None else record
     rng = np.random.default_rng(seed)
     pool = []
     for _ in range(20 * n):
         if len(pool) >= n:
             break
-        stats.pool_draws += 1
+        record["pool_draws"] += 1
         upper = BASE_UPPER + rng.uniform(-spread, spread, 7)
         lower = BASE_LOWER + rng.uniform(-spread, spread, 7)
         try:
             foil = make_airfoil(upper, lower, t_max)
         except GeometryError:
-            stats.build_failures += 1
+            record["build_failures"] += 1
             continue
-        stats.proxy_rows += 1
+        record["proxy_rows"] += 1
         pool.append(ref_proxy_sample(foil.cst14, config))
     if len(pool) < n:
         raise RuntimeError(f"pool generator produced {len(pool)}/{n} valid airfoils")
@@ -353,19 +355,19 @@ def _outcome(make, *args, **kwargs):
 ])
 def test_pool_and_seeds_match_reference(seed, t_pool, t_seed, n_seeds, tries, failing,
                                         monkeypatch):
-    stats, ref_stats = PoolStats(), PoolStats()
-    pool = _outcome(generate_pool, 75, seed=seed, t_max=t_pool, stats=stats)
-    assert pool == _outcome(ref_generate_pool, 75, seed=seed, t_max=t_pool, stats=ref_stats)
+    record, ref_record = Counter(), Counter()
+    pool = _outcome(generate_pool, 75, seed=seed, t_max=t_pool, record=record)
+    assert pool == _outcome(ref_generate_pool, 75, seed=seed, t_max=t_pool, record=ref_record)
     # the pool keeps every built airfoil, so each of its blocks but the
     # last is full
-    ref_stats.proxy_blocks = -(-ref_stats.proxy_rows // _PROXY_BLOCK)
-    assert stats == ref_stats
+    ref_record["proxy_blocks"] = -(-ref_record["proxy_rows"] // _PROXY_BLOCK)
+    assert record == ref_record
     monkeypatch.setattr(proxy, "_SEED_TRIES", tries)
     seeds = _outcome(seed_airfoils, n_seeds, seed=seed, t_max=t_seed)
     assert seeds == _outcome(ref_seed_airfoils, n_seeds, seed=seed, t_max=t_seed,
                              max_tries=tries)
     if failing is not None:  # the input does what its comment says
-        assert stats.build_failures > stats.proxy_rows / 2
+        assert record["build_failures"] > record["proxy_rows"] / 2
         assert isinstance(pool, str) == isinstance(seeds, str) == failing
     else:
         assert len(pool) == 75 and len(seeds) == n_seeds

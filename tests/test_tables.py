@@ -19,7 +19,7 @@ from airfoilrl.proxy import generate_pool
 from airfoilrl.surrogate import read_dataset, write_dataset
 from airfoilrl.tables import (ACTION_COLS, CSV_COLUMNS, CST_COLS, OUTPUT_COLS, REWARD_COL,
                               SAMPLE_COLUMNS, SAMPLE_WIDTH, STATE_COLS, TableError,
-                              in_feature_bounds, write_csv, write_rows)
+                              in_feature_bounds, read_cells, write_csv, write_rows)
 
 # every cell kind a table meets: special floats, numpy scalars, bools,
 # ints, and a string the csv module must quote
@@ -129,8 +129,10 @@ EDGES = [-0.0, 1e-300, float("inf"), float("-inf")]
 def _pool_with_edges():
     pool = generate_pool(40, seed=3)
     assert pool.shape == (40, len(CSV_COLUMNS)) and pool.dtype == np.float64
+    out_of_box = pool[0].copy()  # row 0 is in the box; its copy at this cd is not
+    out_of_box[CSV_COLUMNS.index("cd")] = 0.05
     # read_dataset rejects the non-finite edges
-    return np.vstack((pool, [[v] * len(CSV_COLUMNS) for v in EDGES[:2]]))
+    return np.vstack((pool, out_of_box, [[v] * len(CSV_COLUMNS) for v in EDGES[:2]]))
 
 
 def _samples_with_edges():
@@ -158,6 +160,9 @@ def test_table_files_round_trip_bitwise(tmp_path, name):
     write(tmp_path / "table.csv", table)
     back = read(tmp_path / "table.csv")
     assert back.shape == table.shape and back.tobytes() == table.tobytes()
+    if name == "dataset":  # an out-of-box row is kept, but marked
+        in_bounds = [cell for cell, in read_cells(tmp_path / "table.csv", ["in_bounds"])]
+        assert in_bounds[0] == "1" and in_bounds[40] == "0"
 
 
 # one valid dataset row: cd, x1, mw1, mwl, mwa inside the feature box
