@@ -153,8 +153,11 @@ def cst_fit(x, y) -> np.ndarray:
     if x.size < N_CST + 1:
         raise GeometryError("need at least 8 stations to fit 7 coefficients")
     proj = _station_projection() if x is _STATIONS else _projection(x)
+    # stations are the outer axis of the product, so that each of their
+    # in-order additions is one pass over all rows' 7 coefficients
     rows = y.reshape(-1, x.size)
-    return np.add.reduce(rows[:, :, None] * proj, axis=1).reshape(y.shape[:-1] + (N_CST,))
+    sums = np.add.reduce(rows.T[:, None, :] * proj[:, :, None], axis=0)
+    return np.ascontiguousarray(sums.T).reshape(y.shape[:-1] + (N_CST,))
 
 
 def _check_bump_params(t1: float, t2: float) -> None:

@@ -227,17 +227,15 @@ class AdamState:
         return AdamState(m=np.zeros(params.size), v=np.zeros(params.size))
 
 
-def adam_update(params, grads, state: AdamState, lr: float, out=None):
-    """Standard Adam step with bias correction; returns updated params.
+def adam_update(params, grads, state: AdamState, lr: float) -> None:
+    """Standard Adam step with bias correction, written into params.
 
     params and grads are flat float64 arrays, such as a model's `flat`
     buffer and a Fit's gradient buffer, or an agent's log-std and its
-    gradient.  The step is one in-place pass over the state's flat
-    moments and scratch buffers, in the per-element
+    gradient.  The step is one in-place pass over params and the
+    state's flat moments and scratch buffers, in the per-element
     operation order m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g,
-    p - (lr*m_hat) / (sqrt(v_hat) + eps).  The updated values go into
-    `out`, a flat array (which may be params' own buffer), or else a
-    new one; the inputs are not modified otherwise.
+    p - (lr*m_hat) / (sqrt(v_hat) + eps).
     """
     if params.size != grads.size or params.size != state.m.size:
         raise NnetError("parameter/gradient/state size mismatch")
@@ -259,7 +257,7 @@ def adam_update(params, grads, state: AdamState, lr: float, out=None):
     np.sqrt(r, out=r)
     r += ADAM_EPS
     s /= r
-    return np.subtract(params, s, out=out)
+    params -= s
 
 
 class Fit:
@@ -296,7 +294,7 @@ class Fit:
         k = d_out.shape[0]
         deltas = self._deltas if k == self.rows else [d[:k] for d in self._deltas]
         mlp_backward(self.model, self._cache, d_out, out=self._grads, deltas=deltas)
-        adam_update(self.model.flat, self._grad, self.state, lr, out=self.model.flat)
+        adam_update(self.model.flat, self._grad, self.state, lr)
 
     def step(self, xs: np.ndarray, ys: np.ndarray, lr: float,
              with_loss: bool = True) -> float | None:
@@ -318,16 +316,14 @@ class Fit:
 
 
 def train_minibatch(model: MlpModel, inputs: np.ndarray, targets: np.ndarray,
-                    schedule, batch_size: int, seed: int,
-                    record_every: int = 100, callback=None) -> list[float]:
+                    schedule, batch_size: int, seed: int, callback) -> None:
     """Minibatch MSE regression in scaled space.
 
     schedule is a list of (epochs, learning_rate) segments applied in
     order; each epoch reshuffles with a generator seeded once from
-    `seed`.  Returns the running MSE recorded every `record_every`
-    minibatches; `callback(minibatch_index)` fires at the same cadence.
-    The steps run through one Fit, and the batches are gathered into
-    buffers allocated once.
+    `seed`.  `callback(minibatch_index)`, counting from 1, fires after
+    every minibatch.  The steps run through one Fit, and the batches are
+    gathered into buffers allocated once.
     """
     inputs = np.asarray(inputs, dtype=float)
     targets = np.asarray(targets, dtype=float)
@@ -340,7 +336,6 @@ def train_minibatch(model: MlpModel, inputs: np.ndarray, targets: np.ndarray,
     rows = min(batch_size, n)
     fit = Fit(model, rows)
     x_buf, y_buf = np.empty((rows, xs.shape[1])), np.empty((rows, ys.shape[1]))
-    history: list[float] = []
     mb = 0
     for epochs, lr in schedule:
         for _ in range(epochs):
@@ -348,14 +343,10 @@ def train_minibatch(model: MlpModel, inputs: np.ndarray, targets: np.ndarray,
             for start in range(0, n, batch_size):
                 idx = order[start : start + batch_size]
                 k = idx.size
-                loss = fit.step(np.take(xs, idx, axis=0, out=x_buf[:k]),
-                                np.take(ys, idx, axis=0, out=y_buf[:k]), lr)
+                fit.step(np.take(xs, idx, axis=0, out=x_buf[:k]),
+                         np.take(ys, idx, axis=0, out=y_buf[:k]), lr)
                 mb += 1
-                if mb % record_every == 0:
-                    history.append(loss)
-                    if callback is not None:
-                        callback(mb)
-    return history
+                callback(mb)
 
 
 # ---------------------------------------------------------------------------

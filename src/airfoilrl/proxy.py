@@ -62,11 +62,11 @@ def proxy_distribution(cst14, config: ProxyConfig = ProxyConfig()) -> WallMachDi
     Upper signal: free stream plus thickness and adverse-slope terms,
     smoothed; downstream of the last supersonic-to-subsonic crossing
     the signal is recompressed toward m_post over a few stations,
-    creating a shock-like step.  An (N, 14) block of coefficients gives
-    (N, 201) mw_upper and mw_lower, one airfoil per row.
+    creating a shock-like step.  An (N, 14) block of coefficients (a
+    (14,) vector is a block of one) gives (N, 201) mw_upper and
+    mw_lower, one airfoil per row.
     """
-    cst = np.asarray(cst14, dtype=float)
-    block = np.reshape(cst, (-1, 14))
+    block = np.reshape(np.asarray(cst14, dtype=float), (-1, 14))
     x = cosine_stations()
     y_u = cst_at_stations(block[:, :7])
     y_l = cst_at_stations(block[:, 7:])
@@ -84,26 +84,23 @@ def proxy_distribution(cst14, config: ProxyConfig = ProxyConfig()) -> WallMachDi
     w = np.minimum(cells / config.blend_cells, 1.0)
     u = np.where(cells > 0, (1.0 - w) * u + w * config.m_post, u)
     low = _moving_average(config.m_inf + 2.0 * (-y_l), config.smooth_halfwidth)
-    if cst.ndim == 1:
-        u, low = u[0], low[0]
     return WallMachDistribution(x_upper=x, mw_upper=u, x_lower=x,
                                 mw_lower=low, m_inf=config.m_inf)
 
 
 def proxy_evaluate(cst14, config: ProxyConfig = ProxyConfig()):
-    """Drag coefficient and features for a CST geometry: a float and a
-    FeatureSet of floats for (14,) coefficients, an (N,) array and a
-    FeatureSet of (N,) arrays for an (N, 14) block.
+    """Drag coefficients and features of an (N, 14) block of CST
+    geometries (a (14,) vector is a block of one): an (N,) array and a
+    FeatureSet of (N,) arrays.
 
     CD = cd_base + k_wave * max(Mw1 - 1, 0)^4 + k_err * Err; the wave
     term is the fourth-power shock-strength rule, zero when no shock.
     """
     feats = extract_features(proxy_distribution(cst14, config))
-    mw1, no_shock = np.atleast_1d(feats.mw1).tolist(), np.atleast_1d(feats.no_shock).tolist()
     # Python's float power per row: np.power(x, 4) may round differently
-    wave = np.array([0.0 if ns else max(m - 1.0, 0.0) ** 4 for m, ns in zip(mw1, no_shock)])
-    cd = config.cd_base + config.k_wave * wave + config.k_err * np.atleast_1d(feats.err)
-    return (cd[0].item() if np.ndim(cst14) == 1 else cd), feats
+    wave = np.array([0.0 if ns else max(m - 1.0, 0.0) ** 4
+                     for m, ns in zip(feats.mw1.tolist(), feats.no_shock.tolist())])
+    return config.cd_base + config.k_wave * wave + config.k_err * feats.err, feats
 
 
 # base geometry the bundled seed generator perturbs: front-loaded upper

@@ -257,7 +257,7 @@ def _update_agent(agent: PolicyAgent, batch: TrajectoryBatch,
                               axis=0)
             d_logstd -= config.entropy_coef  # d(-coef*entropy)/dlogstd
             actor_fit.descend(d_mean, actor_lr)
-            adam_update(agent.log_std, d_logstd, actor_states[1], actor_lr, out=agent.log_std)
+            adam_update(agent.log_std, d_logstd, actor_states[1], actor_lr)
             np.maximum(agent.log_std, LOG_STD_MIN, out=agent.log_std)
         if epoch < last:
             critic_fit.step(xs, rtg, critic_lr, with_loss=False)

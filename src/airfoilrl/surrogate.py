@@ -15,9 +15,11 @@ from .nnet import MlpModel, Scaler, make_mlp, train_minibatch, mlp_forward
 from .tables import (CSV_COLUMNS, CST_COLS, FEATURE_BOX, OUTPUT_COLS, OUTPUT_NAMES, TableError,
                      in_feature_bounds, read_csv, write_csv)
 
-# train_surrogate's history entries, in this order
+# train_surrogate's history entries, in this order, one every
+# HISTORY_EVERY minibatches
 HISTORY_COLUMNS = ["minibatch"] + [f"{part}_{name}" for name in OUTPUT_NAMES
                                    for part in ("train", "test")]
+HISTORY_EVERY = 100
 
 # shrunk desk-scale defaults
 DESK_HIDDEN = [128, 128, 128]
@@ -243,18 +245,17 @@ def _forward_in_blocks(model: MlpModel, x: np.ndarray) -> np.ndarray:
     return y
 
 
-def train_surrogate(train: np.ndarray, test: np.ndarray,
-                    hidden: list[int] = DESK_HIDDEN,
-                    schedule=None, batch_size: int = DESK_BATCH,
-                    seed: int = 0) -> tuple[MlpModel, list[dict]]:
-    """Train on two sample tables, recording per-output RSME every 100 minibatches.
+def train_surrogate(train: np.ndarray, test: np.ndarray, hidden: list[int],
+                    schedule, batch_size: int, seed: int) -> tuple[MlpModel, list[dict]]:
+    """Train a 14 -> hidden -> 5 model on two sample tables with
+    train_minibatch's (epochs, lr) schedule, batch size and seed,
+    recording per-output RSME every HISTORY_EVERY minibatches.
 
     Returns (model, history); each history entry holds train/test RSME
     for every output.
     """
     if not len(train) or not len(test):
         raise SurrogateError("train and test sets must be nonempty")
-    schedule = schedule if schedule is not None else DESK_SCHEDULE
     x_tr, y_tr = train[:, CST_COLS], train[:, OUTPUT_COLS]
     x_te, y_te = test[:, CST_COLS], test[:, OUTPUT_COLS]
     rng = np.random.default_rng(seed)
@@ -262,14 +263,15 @@ def train_surrogate(train: np.ndarray, test: np.ndarray,
     history: list[dict] = []
 
     def record(mb: int) -> None:
+        if mb % HISTORY_EVERY:
+            return
         p_tr, p_te = _forward_in_blocks(model, x_tr), _forward_in_blocks(model, x_te)
         values = [mb]
         for k, b in enumerate(FEATURE_BOX.tolist()):
             values += [rsme(p_tr[:, k], y_tr[:, k], b), rsme(p_te[:, k], y_te[:, k], b)]
         history.append(dict(zip(HISTORY_COLUMNS, values)))
 
-    train_minibatch(model, x_tr, y_tr, schedule, batch_size, seed=seed,
-                    record_every=100, callback=record)
+    train_minibatch(model, x_tr, y_tr, schedule, batch_size, seed=seed, callback=record)
     return model, history
 
 

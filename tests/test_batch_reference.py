@@ -10,6 +10,7 @@ tests/test_kernel_reference.py checks against the bisection oracles.
 The environment tests then check that stepping N lanes at once equals
 stepping each lane as a batch of one.
 """
+import dataclasses
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ import pytest
 from airfoilrl import geometry
 from airfoilrl.env import (ACTION_BOUNDS, OUTCOMES, REWARD_SCALE, DesignEnv, EnvConfig,
                            proxy_evaluator, surrogate_evaluator)
+from airfoilrl.features import FeatureSet
 from airfoilrl.geometry import (WIDTH_GRID, AirfoilGeom, BumpAction, GeometryError,
                                 apply_action, max_thickness)
 from airfoilrl.nnet import Scaler, make_mlp
@@ -293,7 +295,11 @@ def test_width_extents_match_scalar_reference():
 
 
 def scalar_proxy(cst14):
-    return proxy_evaluate(cst14)
+    """The proxy's answer for one airfoil as floats: the row of its block
+    of one."""
+    cd, feats = proxy_evaluate(cst14)
+    return cd[0].item(), FeatureSet(*(getattr(feats, f.name)[0].item()
+                                      for f in dataclasses.fields(FeatureSet)))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -46,6 +46,17 @@ def test_cst_fit_round_trip():
         assert np.max(np.abs(fitted - coeffs)) < 1e-8
 
 
+@pytest.mark.parametrize("rows", [1, 30, 64])
+@pytest.mark.parametrize("x", [g._STATIONS, cosine_stations(101)], ids=["cached", "101"])
+def test_cst_fit_block_equals_its_rows_fitted_alone(rows, x):
+    rng = np.random.default_rng(rows)
+    curves = np.array([cst_evaluate(c, x) for c in rng.uniform(0.05, 0.4, (rows, 7))]) \
+        + rng.normal(0.0, 1e-3, (rows, x.size))
+    block = cst_fit(x, curves)
+    assert block.shape == (rows, 7) and block.flags.c_contiguous
+    assert block.tobytes() == np.array([cst_fit(x, row) for row in curves]).tobytes()
+
+
 def test_cst_fit_rejects_degenerate_grid():
     x = np.zeros(10)
     with pytest.raises(GeometryError):

@@ -3,9 +3,10 @@
 `ref_*` below are verbatim copies of the per-layer-list `adam_update`,
 `mlp_backward` and `set_parameters`, and copies of the training loops
 that called them (`train_minibatch`, `imitate_policy`, `_update_agent`,
-`ppo_train`) with the argument checks and callbacks left out, plus the
-per-lane `collect_batch` loop.  Every parameter, loss and batch the
-current code produces must be bitwise equal to theirs.
+`ppo_train`) with the argument checks, callbacks and the minibatch
+loss history left out, plus the per-lane `collect_batch` loop.  Every
+parameter, loss and batch the current code produces must be bitwise
+equal to theirs.
 """
 from dataclasses import dataclass
 
@@ -95,8 +96,7 @@ def ref_adam_update(params, grads, state, lr):
 # reference: the training loops on the list-based engine
 
 
-def ref_train_minibatch(model, inputs, targets, schedule, batch_size, seed,
-                        record_every=100):
+def ref_train_minibatch(model, inputs, targets, schedule, batch_size, seed):
     inputs = np.asarray(inputs, dtype=float)
     targets = np.asarray(targets, dtype=float)
     if targets.ndim == 1:
@@ -106,8 +106,6 @@ def ref_train_minibatch(model, inputs, targets, schedule, batch_size, seed,
     rng = np.random.default_rng(seed)
     state = RefAdamState.for_params(ref_parameters(model))
     n = xs.shape[0]
-    history = []
-    mb = 0
     for epochs, lr in schedule:
         for _ in range(epochs):
             order = rng.permutation(n)
@@ -123,10 +121,6 @@ def ref_train_minibatch(model, inputs, targets, schedule, batch_size, seed,
                 grads = ref_mlp_backward(model, cache, grad_out)
                 ref_set_parameters(model,
                                    ref_adam_update(ref_parameters(model), grads, state, lr))
-                mb += 1
-                if mb % record_every == 0:
-                    history.append(loss)
-    return history
 
 
 def ref_imitate_policy(agent, samples, schedule):
@@ -285,13 +279,14 @@ def test_backward_and_adam_step_match_lists(sizes):
     state = AdamState.for_params(model.flat)
     ref_state = RefAdamState.for_params(ref_parameters(model))
     params = list(ref_parameters(model))
-    before = [p.copy() for p in params]
+    grads_before = flat_grads.copy()
     for lr in (1e-2, 1e-3, 1e-5):
-        got = adam_update(model.flat, flat_grads, state, lr)
+        # each step from the same parameters, the moments carried over
+        got = model.flat.copy()
+        adam_update(got, flat_grads, state, lr)
         ref = ref_adam_update(params, want, ref_state, lr)
         assert np.array_equal(got, np.concatenate([np.ravel(r) for r in ref]))
-    for p, b in zip(params, before):
-        assert np.array_equal(p, b)  # inputs untouched
+    assert np.array_equal(flat_grads, grads_before)  # gradients untouched
 
 
 @pytest.mark.parametrize("sizes,n,batch_size,schedule", [
@@ -306,12 +301,13 @@ def test_train_minibatch_matches_list_engine(sizes, n, batch_size, schedule):
     y = np.tanh(x @ rng.standard_normal((sizes[0], sizes[-1])))
     model = make_mlp(sizes, np.random.default_rng(3))
     ref = model.copy()
-    history = train_minibatch(model, x, y, schedule, batch_size, seed=11,
-                              record_every=3)
-    ref_history = ref_train_minibatch(ref, x, y, schedule, batch_size, seed=11,
-                                      record_every=3)
-    assert history == ref_history
+    calls = []
+    train_minibatch(model, x, y, schedule, batch_size, seed=11, callback=calls.append)
+    ref_train_minibatch(ref, x, y, schedule, batch_size, seed=11)
     assert np.array_equal(model.flat, ref.flat)
+    # the callback fires after every minibatch, counting from 1
+    per_epoch = -(-n // batch_size)
+    assert calls == list(range(1, per_epoch * sum(e for e, _ in schedule) + 1))
 
 
 def test_imitate_policy_matches_list_engine():
@@ -442,8 +438,8 @@ def test_split_adam_states_step_like_one_joint_state():
     for lr in rng.uniform(1e-6, 0.3, size=25):
         grads = [rng.standard_normal(k) * rng.uniform(1e-4, 1e2) for k in sizes]
         for p, g, state in zip(parts, grads, states):
-            adam_update(p, g, state, lr, out=p)
-        joint = adam_update(joint, np.concatenate(grads), joint_state, lr)
+            adam_update(p, g, state, lr)
+        adam_update(joint, np.concatenate(grads), joint_state, lr)
         assert np.array_equal(np.concatenate(parts), joint)
     assert np.array_equal(np.concatenate([st.m for st in states]), joint_state.m)
     assert np.array_equal(np.concatenate([st.v for st in states]), joint_state.v)

@@ -15,18 +15,19 @@ def base_airfoil():
     return make_airfoil(BASE_UPPER, BASE_LOWER, T_MAX_DEFAULT)
 
 
-def proxy_outputs(cst14):
-    cd, feats = proxy_evaluate(cst14)
-    return [cd, feats.x1, feats.mw1, feats.mwl, feats.mwa]
+def proxy_outputs(cst):
+    """(N, 5) output rows of an (N, 14) block; a (14,) vector is a block of one."""
+    cd, feats = proxy_evaluate(cst)
+    return np.column_stack((cd, feats.state))
 
 
 def test_base_airfoil_in_feature_box(base_airfoil):
-    assert in_feature_bounds(proxy_outputs(base_airfoil.cst14))
+    assert in_feature_bounds(proxy_outputs(base_airfoil.cst14)).tolist() == [True]
 
 
 def test_proxy_distribution_shapes(base_airfoil):
     dist = proxy_distribution(base_airfoil.cst14)
-    assert dist.x_upper.size == dist.mw_upper.size
+    assert dist.mw_upper.shape == dist.mw_lower.shape == (1, dist.x_upper.size)
     assert np.all(np.diff(dist.x_upper) > 0.0)
     assert np.all(dist.mw_upper > 0.0)
     assert dist.m_inf == 0.76
@@ -34,32 +35,28 @@ def test_proxy_distribution_shapes(base_airfoil):
 
 def test_proxy_cd_positive_and_finite(base_airfoil):
     cd, feats = proxy_evaluate(base_airfoil.cst14)
-    assert np.isfinite(cd) and cd > 0.0
-    assert not feats.no_shock
+    assert cd.shape == feats.no_shock.shape == (1,)
+    assert np.isfinite(cd[0]) and cd[0] > 0.0
+    assert not feats.no_shock[0]
 
 
 def test_proxy_deterministic(base_airfoil):
     a = proxy_evaluate(base_airfoil.cst14)
     b = proxy_evaluate(base_airfoil.cst14)
-    assert a[0] == b[0]
-    assert np.array_equal(a[1].state, b[1].state)
+    assert a[0].tobytes() == b[0].tobytes()
+    assert a[1].state.tobytes() == b[1].state.tobytes()
 
 
 def test_proxy_continuity(base_airfoil):
     rng = np.random.default_rng(0)
     cd0, _ = proxy_evaluate(base_airfoil.cst14)
-    ok = 0
-    for _ in range(100):
-        pert = base_airfoil.cst14 + rng.uniform(-1e-6, 1e-6, 14)
-        cd1, _ = proxy_evaluate(pert)
-        if abs(cd1 - cd0) < 1e-6:
-            ok += 1
-    assert ok >= 95
+    cd1, _ = proxy_evaluate(base_airfoil.cst14 + rng.uniform(-1e-6, 1e-6, (100, 14)))
+    assert np.count_nonzero(np.abs(cd1 - cd0) < 1e-6) >= 95
 
 
 def test_seed_airfoils_all_in_box():
-    for foil in seed_airfoils(10, seed=0):
-        assert in_feature_bounds(proxy_outputs(foil.cst14))
+    block = np.array([foil.cst14 for foil in seed_airfoils(10, seed=0)])
+    assert in_feature_bounds(proxy_outputs(block)).all()
 
 
 def test_seed_airfoils_deterministic():
@@ -74,7 +71,7 @@ def test_reward_structure_nondegenerate():
     actions = [BumpAction(t1, 0.3, h)
                for t1 in (0.3, 0.45, 0.6, 0.75) for h in (-0.008, -0.004, 0.004)]
     for foil in seed_airfoils(10, seed=0):
-        cd0, _ = proxy_evaluate(foil.cst14)
+        cd0 = proxy_evaluate(foil.cst14)[0][0]
         improved = False
         for action in actions:
             try:
@@ -82,7 +79,7 @@ def test_reward_structure_nondegenerate():
             except GeometryError:
                 continue
             cd1, feats = proxy_evaluate(new.cst14)
-            if not feats.no_shock and cd1 < cd0:
+            if not feats.no_shock[0] and cd1[0] < cd0:
                 improved = True
                 break
         assert improved
@@ -102,8 +99,8 @@ def test_drag_model_penalizes_strong_shocks(base_airfoil):
     cd_weak, _ = proxy_evaluate(base_airfoil.cst14, cfg)
     hot = replace(cfg, gain_thickness=cfg.gain_thickness * 1.15)
     cd_strong, feats = proxy_evaluate(base_airfoil.cst14, hot)
-    assert feats.mw1 > 1.0
-    assert cd_strong > cd_weak
+    assert feats.mw1[0] > 1.0
+    assert cd_strong[0] > cd_weak[0]
 
 
 def test_seed_airfoils_evaluates_each_candidate_once(monkeypatch):

@@ -269,13 +269,15 @@ def test_single_airfoil_is_a_batch_of_one(cst_rows):
     for row in cst_rows[::100]:
         cd, feats = proxy_evaluate(row)
         ref_cd, ref = ref_proxy_evaluate(row)
-        assert isinstance(cd, float) and isinstance(feats.no_shock, bool)
-        assert _bits(cd, *(getattr(feats, k) for k in FIELDS)) \
-            == _bits(ref_cd, *(getattr(ref, k) for k in FIELDS))
-        assert feats.state.shape == (4,)
-    _, block = proxy_evaluate(cst_rows[:3])
+        assert cd.tobytes() == _bits(ref_cd)
+        _assert_rows_match(feats, [ref])
+        assert feats.state.shape == (1, 4)
+        assert proxy_distribution(row).mw_upper.shape == (1, 201)
+    cd, block = proxy_evaluate(cst_rows[:3])
+    one_cd, one = proxy_evaluate(cst_rows[1:2])
     assert block.state.shape == (3, 4)
-    assert block.state[1].tobytes() == proxy_evaluate(cst_rows[1])[1].state.tobytes()
+    assert cd[1:2].tobytes() == one_cd.tobytes()
+    assert block.state[1:2].tobytes() == one.state.tobytes()
 
 
 def _synthetic_rows(x: np.ndarray) -> np.ndarray:
