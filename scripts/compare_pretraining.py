@@ -11,7 +11,7 @@ import numpy as np
 
 from airfoilrl import pretrain as pt
 from airfoilrl import rl
-from airfoilrl.env import DesignEnv, EnvConfig, proxy_evaluator
+from airfoilrl.env import DesignEnv, proxy_evaluator
 from airfoilrl.proxy import seed_airfoils
 from airfoilrl.rl import PpoConfig
 
@@ -20,7 +20,7 @@ def run(seed, pretrained, iterations, baselines_n):
     rng = np.random.default_rng(seed)
     baselines = seed_airfoils(baselines_n, seed=seed)
     evaluator = proxy_evaluator()
-    env_factory = lambda: DesignEnv(evaluator, EnvConfig())
+    env = DesignEnv(evaluator)
     config = PpoConfig(epochs=200, trajectories_per_baseline=4,
                        actor_schedule=[(iterations, 1e-3)])
     agent = rl.make_agent(rng, hidden=(64, 64))
@@ -29,10 +29,10 @@ def run(seed, pretrained, iterations, baselines_n):
                                   for foil in baselines])
         smoothed = pt.smooth_samples(pt.dedup_states(samples))
         pt.imitate_policy(agent, smoothed)
-        pt.pretrain_critic(agent, baselines, config, env_factory,
+        pt.pretrain_critic(agent, baselines, config, env,
                            critic_schedule=[(15, 0.01), (15, 0.001)],
                            seed=seed)
-    history = rl.ppo_train(agent, baselines, config, env_factory, seed=seed)
+    history = rl.ppo_train(agent, baselines, config, env, seed=seed)
     return history[0]["mean_cum_reward"], history[-1]["mean_cum_reward"]
 
 

@@ -23,7 +23,7 @@ from . import pretrain as pt
 from . import rl
 from .config import (ExperimentConfig, load_config, parse_count, parse_counts, parse_seed,
                      write_manifest)
-from .env import DesignEnv, EnvConfig, proxy_evaluator, surrogate_evaluator
+from .env import DesignEnv, proxy_evaluator, surrogate_evaluator
 from .features import extract_features, read_distribution
 from .geometry import (BumpAction, apply_action, max_thickness,
                        read_cst_file, write_coordinates, write_cst_file)
@@ -58,17 +58,16 @@ def _timed(record: Counter, field: str):
     record[field] += time.perf_counter() - start
 
 
-def _env_factory(args, cfg: ExperimentConfig, record: Counter):
-    """Environments on the --surrogate model under --out-dir, else the
-    proxy, counting their steps and evaluator calls into `record`."""
+def _env(args, cfg: ExperimentConfig, record: Counter) -> DesignEnv:
+    """The command's one environment, on the --surrogate model under
+    --out-dir, else the proxy; counts its steps and evaluator calls into `record`."""
     if args.surrogate:
         evaluator = surrogate_evaluator(load_model(_out(args, args.surrogate)), record)
     else:
         evaluator = proxy_evaluator(cfg.proxy, record)
     # the step fields of every command that steps, greedy search or not
     record.update(env_lane_steps=0, env_step_s=0.0, greedy_candidates=0)
-    env_cfg = EnvConfig(max_steps=cfg.ppo.max_steps)
-    return lambda: DesignEnv(evaluator, env_cfg, record)
+    return DesignEnv(evaluator, cfg.ppo.max_steps, record)
 
 
 def cmd_generate_pool(args, cfg: ExperimentConfig, record: Counter) -> list[str]:
@@ -129,10 +128,9 @@ def cmd_pretrain(args, cfg: ExperimentConfig, record: Counter) -> list[str]:
     rng = np.random.default_rng(cfg.seed)
     baselines = seed_airfoils(cfg.pretrain_baselines, seed=cfg.seed,
                               t_max=cfg.t_max, config=cfg.proxy)
-    env_factory = _env_factory(args, cfg, record)
-    evaluator = env_factory().evaluator
+    env = _env(args, cfg, record)
     with _timed(record, "greedy_search_s"):
-        samples = np.concatenate([pt.greedy_search(foil, evaluator, cfg.greedy_searches,
+        samples = np.concatenate([pt.greedy_search(foil, env.evaluator, cfg.greedy_searches,
                                                    cfg.greedy_steps, cfg.greedy_candidates,
                                                    rng, record=record) for foil in baselines])
     raw_out = _out(args, f"{args.out_prefix}_samples_raw.csv")
@@ -145,7 +143,7 @@ def cmd_pretrain(args, cfg: ExperimentConfig, record: Counter) -> list[str]:
     with _timed(record, "imitation_s"):
         losses = pt.imitate_policy(agent, smoothed, schedule=cfg.imitation_schedule)
     with _timed(record, "critic_fit_s"):
-        critic_history = pt.pretrain_critic(agent, baselines, cfg.ppo, env_factory,
+        critic_history = pt.pretrain_critic(agent, baselines, cfg.ppo, env,
                                             critic_schedule=cfg.critic_schedule,
                                             seed=cfg.seed)
     critic_out = _out(args, f"{args.out_prefix}_critic_history.csv")
@@ -163,12 +161,12 @@ def cmd_train_ppo(args, cfg: ExperimentConfig, record: Counter) -> list[str]:
     rng = np.random.default_rng(cfg.seed)
     baselines = seed_airfoils(cfg.ppo_baselines, seed=cfg.seed,
                               t_max=cfg.t_max, config=cfg.proxy)
-    env_factory = _env_factory(args, cfg, record)
+    env = _env(args, cfg, record)
     if args.agent:
         agent = rl.load_agent(_out(args, args.agent))
     else:
         agent = rl.make_agent(rng, hidden=cfg.ppo_hidden, std_init=cfg.ppo.std_init)
-    history = rl.ppo_train(agent, baselines, cfg.ppo, env_factory, seed=cfg.seed)
+    history = rl.ppo_train(agent, baselines, cfg.ppo, env, seed=cfg.seed)
     agent_out = _out(args, args.out)
     rl.save_agent(agent_out, agent)
     hist_out = _out(args, args.history)
@@ -182,10 +180,10 @@ def cmd_train_ppo(args, cfg: ExperimentConfig, record: Counter) -> list[str]:
 def cmd_evaluate(args, cfg: ExperimentConfig, record: Counter) -> list[str]:
     baselines = seed_airfoils(cfg.ppo_baselines, seed=cfg.seed,
                               t_max=cfg.t_max, config=cfg.proxy)
-    env_factory = _env_factory(args, cfg, record)
+    env = _env(args, cfg, record)
     agent = rl.load_agent(_out(args, args.agent))
     steps: list[dict] = []
-    mean, per_airfoil = rl.evaluate_policy(agent, baselines, env_factory, rollout=steps)
+    mean, per_airfoil = rl.evaluate_policy(agent, baselines, env, rollout=steps)
     out = _out(args, args.report)
     write_csv(out, ["airfoil", "cum_reward"], [*enumerate(per_airfoil), ("mean", mean)])
     rollout_out = _out(args, args.rollout)
@@ -243,6 +241,8 @@ def _bump_action(text: str) -> BumpAction:
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected three numbers t1,s_b,h_b, got {text!r}") from None
+    if not np.all(np.isfinite((t1, s_b, h_b))):
+        raise argparse.ArgumentTypeError(f"expected finite t1,s_b,h_b, got {text!r}")
     return BumpAction(t1=t1, s_b=s_b, h_b=h_b)
 
 

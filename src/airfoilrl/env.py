@@ -46,11 +46,6 @@ class EnvProtocolError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class EnvConfig:
-    max_steps: int = MAX_STEPS
-
-
-@dataclass(frozen=True)
 class LaneResult:
     """One lockstep step: a row per lane that was live before it.
 
@@ -106,16 +101,17 @@ class DesignEnv:
     evaluator(cst (N, 14)) -> Evaluation; either the proxy oracle or a
     trained surrogate wrapped by :func:`surrogate_evaluator`.  Lanes hold
     (N, 7) upper and lower CST arrays and a live mask; ``reset_lanes``
-    starts them and ``step`` steps every live lane at once.  ``reset``
-    starts a batch of one.  `record`, a run record (a Counter keyed by
-    manifest field), receives the lane steps and stepping seconds
-    (``env_lane_steps``, ``env_step_s``).
+    starts them anew, so one environment serves every rollout of a run,
+    and ``step`` steps every live lane at once, ending each episode
+    after `max_steps` steps.  ``reset`` starts a batch of one.  `record`,
+    a run record (a Counter keyed by manifest field), receives the lane
+    steps and stepping seconds (``env_lane_steps``, ``env_step_s``).
     """
 
-    def __init__(self, evaluator, config: EnvConfig = EnvConfig(),
+    def __init__(self, evaluator, max_steps: int = MAX_STEPS,
                  record: Counter | None = None):
         self.evaluator = evaluator
-        self.config = config
+        self.max_steps = max_steps
         self.record = Counter() if record is None else record
         self.live = np.zeros(0, dtype=bool)
 
@@ -158,7 +154,7 @@ class DesignEnv:
         cd_after = self._cd[lanes]
         reward = np.where(failed | shock_lost, 0.0, REWARD_SCALE * (cd_before - cd_after))
         self._steps[lanes] += 1
-        done = failed | shock_lost | (self._steps[lanes] >= self.config.max_steps)
+        done = failed | shock_lost | (self._steps[lanes] >= self.max_steps)
         self.live[lanes] = ~done
         result = LaneResult(lanes=lanes, next_state=self._state[lanes], reward=reward,
                             done=done, lane_info={

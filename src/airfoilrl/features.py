@@ -205,6 +205,9 @@ def read_distribution(path) -> WallMachDistribution:
                             raise FeatureError(f"unknown distribution kind {kind!r} (mw or cp)")
                     elif tok.startswith("m_inf="):
                         m_inf = float(tok.split("=", 1)[1])
+                        if not np.isfinite(m_inf):
+                            raise FeatureError(f"{path}, line {lineno}: m_inf must be "
+                                               f"finite, got {m_inf}")
                 continue
             if not line:
                 continue
@@ -214,6 +217,9 @@ def read_distribution(path) -> WallMachDistribution:
             except ValueError:
                 raise FeatureError(f"{path}, line {lineno}: expected 'x value surface_id', "
                                    f"got {line!r}") from None
+            if not np.all(np.isfinite(row[:2])):
+                raise FeatureError(f"{path}, line {lineno}: x and value must be finite, "
+                                   f"got {line!r}")
             if row[2] not in (0, 1):
                 raise FeatureError(f"surface id must be 0 (upper) or 1 (lower), got {sid}")
             rows.append(row)

@@ -149,10 +149,10 @@ def imitate_policy(agent: PolicyAgent, samples: np.ndarray,
 
 
 def pretrain_critic(agent: PolicyAgent, baselines, config: PpoConfig,
-                    env_factory, critic_schedule, seed: int = 0) -> list[dict]:
+                    env, critic_schedule, seed: int = 0) -> list[dict]:
     """Fit the critic to the pretrained actor's rollouts: a critic-only
     ppo_train, the actor and log-std left as they are."""
-    return ppo_train(agent, baselines, config, env_factory, seed=seed,
+    return ppo_train(agent, baselines, config, env, seed=seed,
                      critic_schedule=critic_schedule)
 
 

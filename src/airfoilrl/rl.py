@@ -33,7 +33,7 @@ class PpoConfig:
     entropy_coef: float = 0.001
     epochs: int = 200  # gradient epochs per PPO iteration
     trajectories_per_baseline: int = 4
-    # read only by the CLI, to build the environments' EnvConfig
+    # read only by the CLI, to build its DesignEnv
     max_steps: int = MAX_STEPS
     # (PPO iterations, actor learning rate) segments, each iteration one
     # collect_batch and `epochs` gradient epochs; critic lr is a multiple
@@ -176,17 +176,16 @@ def ppo_losses(batch: TrajectoryBatch, agent: PolicyAgent,
     return actor_loss, entropy, critic_loss
 
 
-def collect_batch(agent: PolicyAgent, baselines, env_factory,
+def collect_batch(agent: PolicyAgent, baselines, env,
                   config: PpoConfig, rng) -> TrajectoryBatch:
     """Stochastic rollouts: trajectories_per_baseline episodes from every
-    baseline under the current policy, all stepped in lockstep (one
-    lane per episode, baseline-major).  Each step samples every live
+    baseline under the current policy, all stepped in lockstep on `env`
+    (one lane per episode, baseline-major).  Each step samples every live
     lane from one actor pass and one (n_live, 3) normal block drawn from
     rng, rows in lane order.  The batch lists each trajectory's steps
     together, in lane order.
     """
     episodes = [b for b in baselines for _ in range(config.trajectories_per_baseline)]
-    env = env_factory()
     state = env.reset_lanes(episodes)
     blocks = []  # (lanes, states, actions, log-probs, rewards) per lockstep step
     while env.live.any():
@@ -266,17 +265,14 @@ def _update_agent(agent: PolicyAgent, batch: TrajectoryBatch,
     return actor_loss, critic_loss
 
 
-def evaluate_policy(agent: PolicyAgent, baselines, env_factory,
-                    rollout: list | None = None):
-    """Deterministic mean-action rollouts, every baseline a lane of one
-    lockstep environment.
+def evaluate_policy(agent: PolicyAgent, baselines, env, rollout: list | None = None):
+    """Deterministic mean-action rollouts on `env`, every baseline a lane.
 
     Returns (mean cumulative reward in counts, per-baseline rewards).
     With a `rollout` list, one rollout-log row per step (env
     ROLLOUT_COLUMNS, episode = baseline index) is appended to it,
     episode by episode.
     """
-    env = env_factory()
     state = env.reset_lanes(baselines)
     totals = np.zeros(len(baselines))
     rows: list[dict] = []
@@ -294,9 +290,9 @@ def evaluate_policy(agent: PolicyAgent, baselines, env_factory,
     return float(np.mean(totals)), totals.tolist()
 
 
-def ppo_train(agent: PolicyAgent, baselines, config: PpoConfig, env_factory,
+def ppo_train(agent: PolicyAgent, baselines, config: PpoConfig, env,
               seed: int = 0, critic_schedule=None) -> list[dict]:
-    """Full PPO loop; returns the per-iteration history.
+    """Full PPO loop on `env`; returns the per-iteration history.
 
     Iterations run at config.actor_schedule's rates, the critic's times
     critic_lr_multiplier; given a critic_schedule, the fit is
@@ -314,7 +310,7 @@ def ppo_train(agent: PolicyAgent, baselines, config: PpoConfig, env_factory,
     critic_state = AdamState.for_params(agent.critic.flat)
     # a critic-only fit never changes the actor, so its evaluation is
     # the same deterministic rollout every iteration: run it once
-    mean0, _ = evaluate_policy(agent, baselines, env_factory)
+    mean0, _ = evaluate_policy(agent, baselines, env)
     history = [{"iteration": 0, "mean_cum_reward": mean0,
                 "actor_loss": float("nan"), "critic_loss": float("nan"),
                 **_std_entry(agent)}]
@@ -322,11 +318,11 @@ def ppo_train(agent: PolicyAgent, baselines, config: PpoConfig, env_factory,
     for n_iters, lr in critic_schedule if critic_only else config.actor_schedule:
         for _ in range(n_iters):
             iteration += 1
-            batch = collect_batch(agent, baselines, env_factory, config, rng)
+            batch = collect_batch(agent, baselines, env, config, rng)
             critic_lr = lr if critic_only else lr * config.critic_lr_multiplier
             actor_loss, critic_loss = _update_agent(
                 agent, batch, config, lr, critic_lr, actor_states, critic_state)
-            mean_r = mean0 if critic_only else evaluate_policy(agent, baselines, env_factory)[0]
+            mean_r = mean0 if critic_only else evaluate_policy(agent, baselines, env)[0]
             history.append({"iteration": iteration, "mean_cum_reward": mean_r,
                             "actor_loss": actor_loss,
                             "critic_loss": critic_loss, **_std_entry(agent)})

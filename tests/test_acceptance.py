@@ -14,7 +14,7 @@ import pytest
 from airfoilrl import pretrain as pt
 from airfoilrl import rl
 from airfoilrl.cli import main
-from airfoilrl.env import DesignEnv, EnvConfig, proxy_evaluator
+from airfoilrl.env import DesignEnv, proxy_evaluator
 from airfoilrl.geometry import (BumpAction, GeometryError, apply_action,
                                 bump_y, cosine_stations, cst_evaluate,
                                 cst_fit, max_thickness, measure_bump_width,
@@ -192,7 +192,7 @@ def test_criterion_7_bandit_convergence():
         agent = make_agent(rng, hidden=(16, 16))
         config = PpoConfig(epochs=5, trajectories_per_baseline=128,
                            max_steps=1, actor_schedule=[(200, 3e-3)])
-        ppo_train(agent, [None], config, lambda: BanditEnv(target), seed=seed)
+        ppo_train(agent, [None], config, BanditEnv(target), seed=seed)
         mean = agent.mean_action(BanditEnv.STATE)
         ok &= float(np.max(np.abs(mean - target))) < 0.05
     ok &= (time.perf_counter() - t0) < 120.0
@@ -228,7 +228,7 @@ def test_criterion_8_imitation_ordering():
 def test_criterion_9_end_to_end_directional():
     t0 = time.perf_counter()
     evaluator = proxy_evaluator()
-    env_factory = lambda: DesignEnv(evaluator, EnvConfig())
+    env = DesignEnv(evaluator)
 
     def run(seed, pretrained):
         rng = np.random.default_rng(seed)
@@ -242,10 +242,10 @@ def test_criterion_9_end_to_end_directional():
                 samples.extend(pt.greedy_search(foil, evaluator, 2, 5, 30, rng))
             smoothed = pt.smooth_samples(pt.dedup_states(samples))
             pt.imitate_policy(agent, smoothed)
-            pt.pretrain_critic(agent, baselines, config, env_factory,
+            pt.pretrain_critic(agent, baselines, config, env,
                                critic_schedule=[(15, 0.01), (15, 0.001)],
                                seed=seed)
-        history = ppo_train(agent, baselines, config, env_factory, seed=seed)
+        history = ppo_train(agent, baselines, config, env, seed=seed)
         return history[0]["mean_cum_reward"], history[-1]["mean_cum_reward"]
 
     pre = [run(seed, True) for seed in (0, 1, 2)]

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from airfoilrl import geometry
-from airfoilrl.env import (ACTION_BOUNDS, OUTCOMES, REWARD_SCALE, DesignEnv, EnvConfig,
+from airfoilrl.env import (ACTION_BOUNDS, OUTCOMES, REWARD_SCALE, DesignEnv,
                            proxy_evaluator, surrogate_evaluator)
 from airfoilrl.features import FeatureSet
 from airfoilrl.geometry import (WIDTH_GRID, AirfoilGeom, BumpAction, GeometryError,
@@ -315,9 +315,9 @@ def test_greedy_search_matches_scalar_loop(seed):
 def step_both(evaluator, baselines, actions_per_step):
     """Step every baseline as one lane of a batch and alone as a batch of
     one with the same scaled actions; returns both sides' records."""
-    batch = DesignEnv(evaluator, EnvConfig(max_steps=4))
+    batch = DesignEnv(evaluator, 4)
     batch.reset_lanes(baselines)
-    singles = [DesignEnv(evaluator, EnvConfig(max_steps=4)) for _ in baselines]
+    singles = [DesignEnv(evaluator, 4) for _ in baselines]
     for env, foil in zip(singles, baselines):
         env.reset(foil)
     records = []
@@ -391,7 +391,7 @@ def test_nan_mw1_loses_the_shock():
 
 def test_lockstep_info_counts_outcomes_over_lanes():
     baselines = seed_airfoils(3, seed=58)
-    env = DesignEnv(proxy_evaluator(), EnvConfig(max_steps=2))
+    env = DesignEnv(proxy_evaluator(), 2)
     env.reset_lanes(baselines)
     result = env.step(np.array([[1.0, 1.0, 0.55], [1.2, 1.0, 0.55], [0.5, 0.5, 0.55]]))
     assert result.info == {k: int(np.count_nonzero(result.lane_info[k])) for k in OUTCOMES}

@@ -137,6 +137,16 @@ def test_modify_names_a_malformed_action(tmp_path, capsys, action):
         in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("action", ["0.5,nan,0.01", "0.5,inf,0.01", "0.5,0.3,inf",
+                                    "0.5,0.3,-inf"])
+def test_modify_rejects_a_non_finite_action(tmp_path, capsys, action):
+    code = run(tmp_path, "modify", "--airfoil", "base.cst", "--action", action)
+    assert code == 2
+    assert f"argument --action: expected finite t1,s_b,h_b, got {action!r}" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "modified.dat").exists()
+
+
 def test_config_error_names_its_source(tmp_path, capsys):
     # a negative schedule count once ran zero iterations and exited 0
     ini = tmp_path / "bad.ini"
@@ -163,6 +173,16 @@ def test_extract_features_command(tmp_path):
     values = dict(zip(header, rows[1].split(",")))
     assert abs(float(values["mw1"]) - 1.15) < 1e-3
     assert values["no_shock"] == "0"
+
+
+def test_extract_features_rejects_a_non_finite_mach(tmp_path, capsys):
+    dist_path = tmp_path / "dist.txt"
+    write_distribution(dist_path, synthetic_distribution(0.55, 1.15, 1.2, 1.0))
+    lines = dist_path.read_text().splitlines()
+    dist_path.write_text("\n".join(["# kind=cp m_inf=nan", *lines[1:]]) + "\n")
+    assert run(tmp_path, "extract-features", "--dist", str(dist_path)) == 1
+    assert "dist.txt, line 1: m_inf must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "features.csv").exists()
 
 
 def test_plot_command_deterministic(tmp_path):

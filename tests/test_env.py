@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from airfoilrl.env import (ACTION_BOUNDS, REWARD_SCALE, DesignEnv, EnvConfig,
+from airfoilrl.env import (ACTION_BOUNDS, REWARD_SCALE, DesignEnv,
                            EnvProtocolError, physical_to_scaled,
                            proxy_evaluator, scaled_to_physical, ROLLOUT_COLUMNS)
 from airfoilrl.geometry import (AirfoilGeom, apply_action, max_thickness,
@@ -18,7 +18,7 @@ def baseline():
 
 @pytest.fixture()
 def env():
-    return DesignEnv(proxy_evaluator(), EnvConfig())
+    return DesignEnv(proxy_evaluator())
 
 
 def test_scaled_to_physical_midpoint():
@@ -91,7 +91,7 @@ def test_episode_length_capped(env, baseline):
         result = env.step(np.array([0.5, 0.5, 0.5001]))
         steps += 1
         done = result.done[0]
-    assert steps <= env.config.max_steps
+    assert steps <= env.max_steps
     with pytest.raises(EnvProtocolError):
         env.step(np.array([0.5, 0.5, 0.5]))
 
@@ -105,11 +105,43 @@ def test_modify_failure_terminates_episode(env, baseline):
     assert result.lane_info["modify_failed"][0]
 
 
+def test_a_reused_env_leaks_nothing():
+    """reset_lanes starts every lane anew: an env stepped partway through
+    three lanes, then reset on two other baselines, steps them bit for
+    bit as a fresh env does."""
+    rng = np.random.default_rng(4)
+    reused = DesignEnv(proxy_evaluator(), 3)
+    reused.reset_lanes(seed_airfoils(3, seed=0))
+    # lane 0's full-range bump fails, so one lane ends early
+    first = reused.step(np.array([[0.5, 0.5, 1.0], [0.45, 0.5, 0.49], [0.55, 0.6, 0.51]]))
+    assert first.lane_info["modify_failed"].tolist() == [True, False, False]
+    reused.step(rng.uniform(0.4, 0.6, (np.count_nonzero(reused.live), 3)))
+    assert reused.live.tolist() == [False, True, True]
+
+    baselines = seed_airfoils(2, seed=1)
+    fresh = DesignEnv(proxy_evaluator(), 3)
+    assert reused.reset_lanes(baselines).tobytes() == fresh.reset_lanes(baselines).tobytes()
+    assert reused.live.tobytes() == fresh.live.tobytes()
+    steps = 0
+    while fresh.live.any():
+        actions = rng.uniform(0.4, 0.6, (np.count_nonzero(fresh.live), 3))
+        got, want = reused.step(actions), fresh.step(actions)
+        for name in ("lanes", "next_state", "reward", "done"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        assert got.lane_info.keys() == want.lane_info.keys()
+        for name, value in want.lane_info.items():
+            assert got.lane_info[name].tobytes() == value.tobytes(), name
+        assert reused.live.tobytes() == fresh.live.tobytes()
+        steps += 1
+    assert steps == 3  # the reused lanes get the full episode length
+    assert not reused.live.any()
+
+
 def test_environment_deterministic(baseline):
     actions = [np.array([0.45, 0.5, 0.49]), np.array([0.55, 0.6, 0.51])]
     traces = []
     for _ in range(2):
-        env = DesignEnv(proxy_evaluator(), EnvConfig())
+        env = DesignEnv(proxy_evaluator())
         env.reset(baseline)
         trace = []
         for a in actions:

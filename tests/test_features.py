@@ -136,6 +136,19 @@ def test_read_distribution_rejects_typos(tmp_path, header, surface, match):
         read_distribution(path)
 
 
+@pytest.mark.parametrize("header,row,match", [
+    ("# kind=cp m_inf=nan", "0.5 0.0 0", "line 1: m_inf must be finite, got nan"),
+    ("# kind=cp m_inf=inf", "0.5 0.0 0", "line 1: m_inf must be finite, got inf"),
+    ("# kind=mw m_inf=0.76", "nan 1.0 0", "line 3: x and value must be finite"),
+    ("# kind=mw m_inf=0.76", "0.5 -inf 0", "line 3: x and value must be finite"),
+])
+def test_read_distribution_rejects_non_finite_numbers(tmp_path, header, row, match):
+    path = tmp_path / "odd.txt"
+    path.write_text(f"{header}\n0.0 1.0 0\n{row}\n1.0 1.0 1\n")
+    with pytest.raises(FeatureError, match=f"odd.txt, {match}"):
+        read_distribution(path)
+
+
 @given(x1=st.floats(0.3, 0.8), mw1=st.floats(1.0, 1.2),
        mwl=st.floats(1.0, 1.3), mwa=st.floats(0.9, 1.1))
 @settings(max_examples=40, deadline=None)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from airfoilrl import rl
-from airfoilrl.env import DesignEnv, EnvConfig, physical_to_scaled, proxy_evaluator
+from airfoilrl.env import DesignEnv, physical_to_scaled, proxy_evaluator
 from airfoilrl.nnet import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState,
                             NnetError, adam_update, make_mlp, mlp_backward,
                             mlp_forward, train_minibatch)
@@ -186,13 +186,13 @@ def ref_update_agent(agent, batch, config, actor_lr, actor_state, critic_state,
     return actor_loss, critic_loss
 
 
-def ref_ppo_train(agent, baselines, config, env_factory, seed=0,
+def ref_ppo_train(agent, baselines, config, env, seed=0,
                   update_actor=True, critic_schedule=None):
     rng = np.random.default_rng(seed)
     actor_state = RefAdamState.for_params(
         ref_parameters(agent.actor) + [agent.log_std])
     critic_state = RefAdamState.for_params(ref_parameters(agent.critic))
-    mean0, _ = rl.evaluate_policy(agent, baselines, env_factory)
+    mean0, _ = rl.evaluate_policy(agent, baselines, env)
     history = [{"iteration": 0, "mean_cum_reward": mean0,
                 "actor_loss": float("nan"), "critic_loss": float("nan"),
                 **rl._std_entry(agent)}]
@@ -201,20 +201,19 @@ def ref_ppo_train(agent, baselines, config, env_factory, seed=0,
     for n_iters, lr in schedule:
         for _ in range(n_iters):
             iteration += 1
-            batch = collect_batch(agent, baselines, env_factory, config, rng)
+            batch = collect_batch(agent, baselines, env, config, rng)
             actor_loss, critic_loss = ref_update_agent(
                 agent, batch, config, lr if update_actor else lr / config.critic_lr_multiplier,
                 actor_state, critic_state, update_actor=update_actor)
-            mean_r, _ = rl.evaluate_policy(agent, baselines, env_factory)
+            mean_r, _ = rl.evaluate_policy(agent, baselines, env)
             history.append({"iteration": iteration, "mean_cum_reward": mean_r,
                             "actor_loss": actor_loss,
                             "critic_loss": critic_loss, **rl._std_entry(agent)})
     return history
 
 
-def ref_collect_batch(agent, baselines, env_factory, config, rng):
+def ref_collect_batch(agent, baselines, env, config, rng):
     episodes = [b for b in baselines for _ in range(config.trajectories_per_baseline)]
-    env = env_factory()
     state = env.reset_lanes(episodes)
     steps: list[list] = [[] for _ in episodes]  # (state, action, logp, reward)
     while env.live.any():
@@ -326,7 +325,7 @@ def test_imitate_policy_matches_list_engine():
 
 
 def _desk_env():
-    return DesignEnv(proxy_evaluator(), EnvConfig(max_steps=3))
+    return DesignEnv(proxy_evaluator(), 3)
 
 
 def _assert_same_run(agent, ref, history, ref_history):
@@ -342,13 +341,9 @@ def test_collect_batch_matches_per_lane_loop():
     for seed, max_steps in zip(range(3), (3, 4, 5)):
         config = PpoConfig(trajectories_per_baseline=3, max_steps=max_steps)
         agent = make_agent(np.random.default_rng(seed), hidden=(16, 16), std_init=0.3)
-
-        def env_factory():
-            return DesignEnv(proxy_evaluator(), EnvConfig(max_steps=max_steps))
-
-        batch = collect_batch(agent, baselines, env_factory, config,
-                              np.random.default_rng(seed))
-        ref = ref_collect_batch(agent, baselines, env_factory, config,
+        env = DesignEnv(proxy_evaluator(), max_steps)
+        batch = collect_batch(agent, baselines, env, config, np.random.default_rng(seed))
+        ref = ref_collect_batch(agent, baselines, env, config,
                                 np.random.default_rng(seed))
         assert repr(batch.slices) == repr(ref.slices)  # python ints, as before
         for name in ("states", "actions", "log_probs", "rewards", "values",
@@ -368,8 +363,8 @@ def test_ppo_train_matches_list_engine(lr, std_init):
     agent = make_agent(np.random.default_rng(4), hidden=(16, 16),
                        std_init=std_init)
     ref = agent.copy()
-    history = ppo_train(agent, baselines, config, _desk_env, seed=5)
-    ref_history = ref_ppo_train(ref, baselines, config, _desk_env, seed=5)
+    history = ppo_train(agent, baselines, config, _desk_env(), seed=5)
+    ref_history = ref_ppo_train(ref, baselines, config, _desk_env(), seed=5)
     _assert_same_run(agent, ref, history, ref_history)
     if lr == 0.2:  # large steps from a small std drive log_std onto its floor
         _assert_update_reaches_std_floor(lr, std_init)
@@ -414,13 +409,13 @@ def test_critic_only_fit_matches_and_evaluates_once(monkeypatch):
     schedule = [(2, 0.01), (2, 0.001)]  # the desk and paper critic rates
     agent = make_agent(np.random.default_rng(7), hidden=(16, 16))
     ref = agent.copy()
-    ref_history = ref_ppo_train(ref, baselines, config, _desk_env, seed=8,
+    ref_history = ref_ppo_train(ref, baselines, config, _desk_env(), seed=8,
                                 update_actor=False, critic_schedule=schedule)
     calls = []
     evaluate = rl.evaluate_policy
     monkeypatch.setattr(rl, "evaluate_policy",
                         lambda *a, **k: calls.append(1) or evaluate(*a, **k))
-    history = ppo_train(agent, baselines, config, _desk_env, seed=8,
+    history = ppo_train(agent, baselines, config, _desk_env(), seed=8,
                         critic_schedule=schedule)
     assert len(calls) == 1
     _assert_same_run(agent, ref, history, ref_history)

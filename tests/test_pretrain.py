@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from airfoilrl.env import DesignEnv, EnvConfig, Evaluation, proxy_evaluator
+from airfoilrl.env import DesignEnv, Evaluation, proxy_evaluator
 from airfoilrl.pretrain import (_SMOOTH_BLOCK, DEDUP_TOL, SMOOTH_NEIGHBORS, SMOOTH_PASSES,
                                 SMOOTH_RELAXATION, dedup_states, greedy_search,
                                 imitate_policy, pretrain_critic, smooth_samples)
@@ -290,8 +290,7 @@ def test_pretrain_critic_reduces_value_error():
     baselines = seed_airfoils(3, seed=0)
     agent = make_agent(np.random.default_rng(1), hidden=(16, 16))
     config = PpoConfig(epochs=50, trajectories_per_baseline=2, max_steps=3)
-    env_factory = lambda: DesignEnv(proxy_evaluator(), EnvConfig(max_steps=3))
-    history = pretrain_critic(agent, baselines, config, env_factory,
+    history = pretrain_critic(agent, baselines, config, DesignEnv(proxy_evaluator(), 3),
                               critic_schedule=[(10, 0.01)], seed=0)
     losses = [h["critic_loss"] for h in history[1:]]
     assert losses[-1] < losses[0]

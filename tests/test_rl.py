@@ -156,9 +156,8 @@ class BanditEnv:
 def test_collect_batch_shapes():
     agent = make_agent(np.random.default_rng(2), hidden=(8,))
     config = PpoConfig(trajectories_per_baseline=3, max_steps=1)
-    env_factory = lambda: BanditEnv(np.array([0.5, 0.5, 0.5]))
-    batch = collect_batch(agent, [None, None], env_factory, config,
-                          np.random.default_rng(0))
+    env = BanditEnv(np.array([0.5, 0.5, 0.5]))
+    batch = collect_batch(agent, [None, None], env, config, np.random.default_rng(0))
     assert batch.size == 6  # 2 baselines x 3 one-step trajectories
     assert len(batch.slices) == 6
     assert batch.states.shape == (6, 4)
@@ -168,13 +167,13 @@ def test_collect_batch_shapes():
 
 def test_ppo_train_deterministic():
     target = np.array([0.4, 0.5, 0.6])
-    env_factory = lambda: BanditEnv(target)
+    env = BanditEnv(target)
     config = PpoConfig(epochs=2, trajectories_per_baseline=8, max_steps=1,
                        actor_schedule=[(3, 1e-3)])
     hists = []
     for _ in range(2):
         agent = make_agent(np.random.default_rng(5), hidden=(8,))
-        hists.append(ppo_train(agent, [None], config, env_factory, seed=9))
+        hists.append(ppo_train(agent, [None], config, env, seed=9))
     assert repr(hists[0]) == repr(hists[1])  # repr compares NaN losses too
 
 
