@@ -16,6 +16,7 @@ import sys
 import time
 from collections import Counter
 from contextlib import contextmanager
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -25,8 +26,8 @@ from .config import (ExperimentConfig, load_config, parse_count, parse_counts, p
                      write_manifest)
 from .env import DesignEnv, proxy_evaluator, surrogate_evaluator
 from .features import extract_features, read_distribution
-from .geometry import (BumpAction, apply_action, max_thickness,
-                       read_cst_file, write_coordinates, write_cst_file)
+from .geometry import (BRACKET_ERROR, AirfoilGeom, GeometryError, action_error, apply_action,
+                       max_thickness, read_cst_file, write_coordinates, write_cst_file)
 from .plotsvg import plot_history
 from .proxy import generate_pool, seed_airfoils
 from .surrogate import (HISTORY_COLUMNS, read_dataset, select_samples, train_surrogate,
@@ -195,7 +196,12 @@ def cmd_evaluate(args, cfg: ExperimentConfig, record: Counter) -> list[str]:
 
 def cmd_modify(args, cfg: ExperimentConfig, record: Counter) -> list[str]:
     foil = read_cst_file(args.airfoil)
-    modified = apply_action(foil, args.action)
+    # the one airfoil and action, run as a lane of one
+    upper, lower, _, failed = apply_action(
+        (foil.cst_upper[None], foil.cst_lower[None], np.array([foil.t_max])), args.action[None])
+    if failed[0]:
+        raise GeometryError(action_error(*args.action[:2]) or BRACKET_ERROR)
+    modified = AirfoilGeom(cst_upper=upper[0], cst_lower=lower[0], t_max=foil.t_max)
     out = _out(args, args.out)
     write_coordinates(out, modified)
     cst_out = _out(args, args.out + ".cst")
@@ -206,14 +212,14 @@ def cmd_modify(args, cfg: ExperimentConfig, record: Counter) -> list[str]:
 
 def cmd_extract_features(args, cfg: ExperimentConfig, record: Counter) -> list[str]:
     dist = read_distribution(args.dist)
-    feats = extract_features(dist)
+    # the file's one distribution, run as a block of one
+    feats = extract_features(replace(dist, mw_upper=dist.mw_upper[None],
+                                     mw_lower=dist.mw_lower[None]))
+    row = {f.name: getattr(feats, f.name)[0].item() for f in fields(feats)}
     out = _out(args, args.out)
-    write_rows(out, [{
-        "x1": feats.x1, "mw1": feats.mw1, "mwl": feats.mwl,
-        "mwa": feats.mwa, "mw_lower": feats.mw_lower, "err": feats.err,
-        "no_shock": int(feats.no_shock)}])
-    print(f"X1={feats.x1!r} Mw1={feats.mw1!r} MwL={feats.mwl!r} "
-          f"MwA={feats.mwa!r} Err={feats.err!r} no_shock={feats.no_shock}")
+    write_rows(out, [{**row, "no_shock": int(row["no_shock"])}])
+    print(f"X1={row['x1']!r} Mw1={row['mw1']!r} MwL={row['mwl']!r} "
+          f"MwA={row['mwa']!r} Err={row['err']!r} no_shock={row['no_shock']}")
     return [out]
 
 
@@ -235,7 +241,7 @@ def _flag_type(parse):
     return flag_type
 
 
-def _bump_action(text: str) -> BumpAction:
+def _bump_action(text: str) -> np.ndarray:
     try:
         t1, s_b, h_b = (float(v) for v in text.split(","))
     except ValueError:
@@ -243,7 +249,7 @@ def _bump_action(text: str) -> BumpAction:
             f"expected three numbers t1,s_b,h_b, got {text!r}") from None
     if not np.all(np.isfinite((t1, s_b, h_b))):
         raise argparse.ArgumentTypeError(f"expected finite t1,s_b,h_b, got {text!r}")
-    return BumpAction(t1=t1, s_b=s_b, h_b=h_b)
+    return np.array([t1, s_b, h_b])
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -27,6 +27,9 @@ class FeatureError(ValueError):
 
 @dataclass(frozen=True)
 class WallMachDistribution:
+    """Wall Mach numbers over (n,) station grids: one distribution per row
+    of (N, n) blocks for extract_features, 1-D arrays in the file format."""
+
     x_upper: np.ndarray
     mw_upper: np.ndarray
     x_lower: np.ndarray
@@ -36,21 +39,19 @@ class WallMachDistribution:
 
 @dataclass(frozen=True)
 class FeatureSet:
-    """The features of one distribution, or (N,) arrays of them for a
-    block of distributions."""
+    """The features of a block of distributions, (N,) arrays each."""
 
-    x1: float
-    mw1: float
-    mwl: float
-    mwa: float
-    mw_lower: float
-    err: float
-    no_shock: bool = False
+    x1: np.ndarray
+    mw1: np.ndarray
+    mwl: np.ndarray
+    mwa: np.ndarray
+    mw_lower: np.ndarray
+    err: np.ndarray
+    no_shock: np.ndarray
 
     @property
     def state(self) -> np.ndarray:
-        """The 4-element RL state [X1, Mw1, MwL, MwA]; (N, 4) for a
-        FeatureSet of (N,) arrays."""
+        """The (N, 4) RL states [X1, Mw1, MwL, MwA]."""
         return np.stack([self.x1, self.mw1, self.mwl, self.mwa], axis=-1)
 
 
@@ -58,7 +59,7 @@ def cp_to_wall_mach(cp, m_inf: float):
     """Isentropic wall Mach number from pressure coefficient.
 
     p/p_inf = 1 + 0.7 M^2 cp, with total pressure (1 + 0.2 M^2)^3.5;
-    cp = 0 recovers the free-stream Mach.
+    cp = 0 recovers the free-stream Mach; elementwise over an array of cp.
     """
     cp = np.asarray(cp, dtype=float)
     p_ratio = 1.0 + 0.7 * m_inf**2 * cp
@@ -68,12 +69,12 @@ def cp_to_wall_mach(cp, m_inf: float):
     m2 = 5.0 * ((p0_ratio / p_ratio) ** (1.0 / 3.5) - 1.0)
     if np.any(m2 < -1e-12):
         raise NonphysicalPressureError("pressure above stagnation value")
-    out = np.sqrt(np.clip(m2, 0.0, None))
-    return float(out) if out.ndim == 0 else out
+    return np.sqrt(np.clip(m2, 0.0, None))
 
 
 def extract_features(dist: WallMachDistribution) -> FeatureSet:
-    """Reduce a wall Mach distribution to the six physical features.
+    """Reduce each row of a block of wall Mach distributions to the six
+    physical features.
 
     Shock detection: steepest negative finite-difference gradient of
     mw_upper inside the shock window, accepted only when the monotone
@@ -82,12 +83,13 @@ def extract_features(dist: WallMachDistribution) -> FeatureSet:
     the no_shock flag is set and Mw1/X1 fall back to the global upper
     maximum.
 
-    mw_upper and mw_lower may also be (N, n) blocks, one distribution
-    per row over the shared x grids; the features are then (N,) arrays.
+    mw_upper and mw_lower are (N, n) blocks, one distribution per row
+    over the shared x grids; the features are (N,) arrays.
     """
     x = np.asarray(dist.x_upper, dtype=float)
-    single = np.ndim(dist.mw_upper) == 1
-    mw = np.atleast_2d(np.asarray(dist.mw_upper, dtype=float))
+    mw = np.asarray(dist.mw_upper, dtype=float)
+    if mw.shape[1:] != x.shape:
+        raise FeatureError(f"mw_upper must be an (N, {x.size}) block, got {mw.shape}")
     if x.size < 20:
         raise FeatureError("upper surface needs at least 20 stations")
     if np.any(np.diff(x) <= 0.0):
@@ -115,8 +117,7 @@ def extract_features(dist: WallMachDistribution) -> FeatureSet:
                    np.where(after, mw, -np.inf).max(axis=1))
     err = np.array([_plateau_err(x, mw[r], int(i_peak[r]), int(i_mw1[r]))
                     for r in rows.tolist()])
-    values = (x1, mw[rows, i_mw1], mwl, mwa, mw_lower_max, err, no_shock)
-    return FeatureSet(*(v[0].item() for v in values) if single else values)
+    return FeatureSet(x1, mw[rows, i_mw1], mwl, mwa, mw_lower_max, err, no_shock)
 
 
 def _find_shock(x: np.ndarray, mw: np.ndarray):
@@ -191,23 +192,31 @@ def write_distribution(path, dist: WallMachDistribution) -> None:
 
 
 def read_distribution(path) -> WallMachDistribution:
+    """Read write_distribution's format (or Cp values, kind=cp) as one
+    distribution of 1-D arrays; raises FeatureError naming the file, and
+    the line where one is at fault."""
     kind = "mw"
     m_inf = None
     rows: list[tuple[float, float, int]] = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
+            where = f"{path}, line {lineno}"
             if line.startswith("#"):
                 for tok in line.lstrip("#").split():
                     if tok.startswith("kind="):
                         kind = tok.split("=", 1)[1]
                         if kind not in ("mw", "cp"):
-                            raise FeatureError(f"unknown distribution kind {kind!r} (mw or cp)")
+                            raise FeatureError(f"{where}: unknown distribution kind {kind!r} "
+                                               f"(mw or cp)")
                     elif tok.startswith("m_inf="):
-                        m_inf = float(tok.split("=", 1)[1])
+                        try:
+                            m_inf = float(tok.split("=", 1)[1])
+                        except ValueError:
+                            raise FeatureError(f"{where}: m_inf must be a number, "
+                                               f"got {tok!r}") from None
                         if not np.isfinite(m_inf):
-                            raise FeatureError(f"{path}, line {lineno}: m_inf must be "
-                                               f"finite, got {m_inf}")
+                            raise FeatureError(f"{where}: m_inf must be finite, got {m_inf}")
                 continue
             if not line:
                 continue
@@ -215,16 +224,16 @@ def read_distribution(path) -> WallMachDistribution:
                 a, b, sid = line.split()
                 row = (float(a), float(b), int(sid))
             except ValueError:
-                raise FeatureError(f"{path}, line {lineno}: expected 'x value surface_id', "
+                raise FeatureError(f"{where}: expected 'x value surface_id', "
                                    f"got {line!r}") from None
             if not np.all(np.isfinite(row[:2])):
-                raise FeatureError(f"{path}, line {lineno}: x and value must be finite, "
-                                   f"got {line!r}")
+                raise FeatureError(f"{where}: x and value must be finite, got {line!r}")
             if row[2] not in (0, 1):
-                raise FeatureError(f"surface id must be 0 (upper) or 1 (lower), got {sid}")
+                raise FeatureError(f"{where}: surface id must be 0 (upper) or 1 (lower), "
+                                   f"got {sid}")
             rows.append(row)
     if m_inf is None:
-        raise FeatureError("distribution file header must declare m_inf")
+        raise FeatureError(f"{path}: the header must declare m_inf")
     up = sorted((r for r in rows if r[2] == 0), key=lambda r: r[0])
     lo = sorted((r for r in rows if r[2] == 1), key=lambda r: r[0])
     xu = np.array([r[0] for r in up])

@@ -39,21 +39,9 @@ def cosine_stations(n: int = N_STATIONS) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class BumpAction:
-    """Sine-power bump: peak location t1, width s_b, signed height h_b."""
-
-    t1: float
-    s_b: float
-    h_b: float
-
-
-@dataclass(frozen=True)
 class AirfoilGeom:
-    """CST airfoil with a maximum-thickness constraint.
-
-    Construct through :func:`make_airfoil` so the lower surface is
-    rescaled to meet ``t_max``.
-    """
+    """A baseline airfoil: CST coefficients whose lower surface was
+    rescaled to meet ``t_max`` (see :func:`make_airfoil`)."""
 
     cst_upper: np.ndarray
     cst_lower: np.ndarray
@@ -361,8 +349,9 @@ def _invalid_actions(t1: np.ndarray, s_b: np.ndarray) -> np.ndarray:
     return ~((0.0 < t1) & (t1 < 1.0)) | (s_b <= 0.0)
 
 
-def _action_error(t1: float, s_b: float) -> str | None:
-    """Why solve_t2 rejects (t1, s_b), or None."""
+def action_error(t1: float, s_b: float) -> str | None:
+    """Why solve_t2 rejects (t1, s_b), or None; a failed apply_action
+    lane with a valid action failed with BRACKET_ERROR."""
     if not 0.0 < t1 < 1.0:
         return "t1 must be in (0, 1)"
     if s_b <= 0.0:
@@ -371,9 +360,10 @@ def _action_error(t1: float, s_b: float) -> str | None:
 
 
 def solve_t2(t1, s_b, tol: float = 1e-6):
-    """Shape exponent giving a 1%-height width of s_b at peak t1.
+    """Shape exponents giving 1%-height widths s_b at peaks t1.
 
-    Returns (t2, clamped), on this contract:
+    Equal-length arrays of t1 and s_b give (t2, clamped) arrays, one
+    lane per pair, each lane on this contract:
 
     - s_b >= measure_bump_width(t1, 0.2) gives (0.2, True), and
       s_b <= measure_bump_width(t1, 200) gives (200, True): the width is
@@ -387,22 +377,14 @@ def solve_t2(t1, s_b, tol: float = 1e-6):
     estimate of the root and takes secant steps on the measured width,
     with a bisection fallback inside the bracket (see _solve_t2_lanes).
     It takes at most 100 steps a lane; a lane still outside the
-    tolerance then keeps its last t2.
-
-    Equal-length arrays of t1 and s_b solve every lane at once and give
-    arrays of t2 and clamped, each lane the floats of a call with its
-    own pair.  An invalid pair, in either form, raises GeometryError.
+    tolerance then keeps its last t2.  Every lane gets the floats of a
+    lane of one.  An invalid pair in any lane raises GeometryError.
     """
-    t1s = np.atleast_1d(np.asarray(t1, dtype=float))
-    s_bs = np.atleast_1d(np.asarray(s_b, dtype=float))
-    bad = np.flatnonzero(_invalid_actions(t1s, s_bs))
+    t1, s_b = np.asarray(t1, dtype=float), np.asarray(s_b, dtype=float)
+    bad = np.flatnonzero(_invalid_actions(t1, s_b))
     if bad.size:
-        raise GeometryError(_action_error(float(t1s[bad[0]]), float(s_bs[bad[0]])))
-    t2, clamped = _solve_t2_lanes(np.array([_peak_exponent(a) for a in t1s.tolist()]),
-                                  s_bs, tol)
-    if np.ndim(t1) == 0:
-        return float(t2[0]), bool(clamped[0])
-    return t2, clamped
+        raise GeometryError(action_error(float(t1[bad[0]]), float(s_b[bad[0]])))
+    return _solve_t2_lanes(np.array([_peak_exponent(a) for a in t1.tolist()]), s_b, tol)
 
 
 def max_thickness(airfoil: AirfoilGeom) -> float:
@@ -412,7 +394,7 @@ def max_thickness(airfoil: AirfoilGeom) -> float:
 
 
 _FACTORS = np.array([[1.0], [0.25], [4.0]])
-_BRACKET_ERROR = "cannot bracket thickness scale factor"
+BRACKET_ERROR = "cannot bracket thickness scale factor"
 
 
 def _rescale_lower(upper: np.ndarray, lower: np.ndarray, t_max: np.ndarray):
@@ -456,37 +438,11 @@ def _rescale_lower(upper: np.ndarray, lower: np.ndarray, t_max: np.ndarray):
 
 
 def make_airfoil(cst_upper, cst_lower, t_max):
-    """Build an airfoil, rescaling the lower surface to meet t_max.
-
-    (k, 7) upper and lower lanes and (k,) t_max give _rescale_lower's
-    (lower, failed); (7,) coefficients give an AirfoilGeom, built as a
-    lane of one, or raise GeometryError where that lane fails.
-    """
-    upper, lower = np.array(cst_upper, dtype=float), np.asarray(cst_lower, dtype=float)
-    if upper.ndim == 2:
-        return _rescale_lower(upper, lower, np.asarray(t_max, dtype=float))
-    lower, failed = _rescale_lower(upper[None], lower[None], np.array([t_max], dtype=float))
-    if failed[0]:
-        raise GeometryError(_BRACKET_ERROR)
-    return AirfoilGeom(cst_upper=upper, cst_lower=lower[0], t_max=t_max)
-
-
-def _apply_lanes(upper: np.ndarray, lower: np.ndarray, t_max: np.ndarray,
-                 actions: np.ndarray):
-    t1, s_b, h_b = actions.T
-    failed = _invalid_actions(t1, s_b)
-    ok = np.flatnonzero(~failed)
-    t2, clamped = solve_t2(t1[ok], s_b[ok])
-    e = np.array([_peak_exponent(a) for a in t1[ok].tolist()])
-    fitted = cst_fit(_STATIONS, cst_at_stations(upper[ok])
-                     + h_b[ok, None] * _unit_bump(_STATIONS, e[:, None], t2[:, None]))
-    rescaled, failed[ok] = _rescale_lower(fitted, lower[ok], t_max[ok])
-    built = ~failed[ok]
-    new_upper, new_lower = upper.copy(), lower.copy()
-    width_clamped = np.zeros(len(actions), dtype=bool)
-    new_upper[ok[built]], new_lower[ok[built]] = fitted[built], rescaled[built]
-    width_clamped[ok[built]] = clamped[built]
-    return new_upper, new_lower, width_clamped, failed
+    """Rescale each lane's lower surface to meet its t_max: (k, 7) upper
+    and lower lanes and (k,) t_max give _rescale_lower's (lower,
+    failed)."""
+    return _rescale_lower(np.asarray(cst_upper, dtype=float),
+                          np.asarray(cst_lower, dtype=float), np.asarray(t_max, dtype=float))
 
 
 def apply_action(airfoil, action):
@@ -499,27 +455,31 @@ def apply_action(airfoil, action):
     _rescale_lower's (the thickness at t_max up to rounding, or within
     1e-9 where the lower surface is kept as it was).
 
-    Over lanes, airfoil is a tuple (upper, lower, t_max) of (N, 7),
-    (N, 7) and (N,) arrays and action an (N, 3) array of physical
+    airfoil is a tuple (upper, lower, t_max) of (N, 7), (N, 7) and (N,)
+    arrays, one airfoil per lane, and action an (N, 3) array of physical
     (t1, s_b, h_b) rows; the result is (upper, lower, width_clamped,
     failed), with width_clamped[i] solve_t2's clamped flag and failed[i]
     set on a lane whose action solve_t2 rejects or whose thickness
     rescale fails (it keeps its input coefficients).  The t2 solve, the
     bump, the CST sums, the refit and the thickness rescale each run
-    over all lanes together, and every lane gets the floats a call with
-    its airfoil alone gives.  A single AirfoilGeom and BumpAction run
-    as a lane of one and raise GeometryError where that lane fails.
+    over all lanes together, and every lane gets the floats of a lane of
+    one.
     """
-    if not isinstance(airfoil, AirfoilGeom):
-        upper, lower, t_max = (np.asarray(a, dtype=float) for a in airfoil)
-        return _apply_lanes(upper, lower, t_max, np.asarray(action, dtype=float).reshape(-1, 3))
-    upper, lower, _, failed = _apply_lanes(
-        np.asarray(airfoil.cst_upper, dtype=float)[None],
-        np.asarray(airfoil.cst_lower, dtype=float)[None], np.array([airfoil.t_max]),
-        np.array([[action.t1, action.s_b, action.h_b]], dtype=float))
-    if failed[0]:
-        raise GeometryError(_action_error(action.t1, action.s_b) or _BRACKET_ERROR)
-    return AirfoilGeom(cst_upper=upper[0], cst_lower=lower[0], t_max=airfoil.t_max)
+    upper, lower, t_max = (np.asarray(a, dtype=float) for a in airfoil)
+    t1, s_b, h_b = np.asarray(action, dtype=float).T
+    failed = _invalid_actions(t1, s_b)
+    ok = np.flatnonzero(~failed)
+    t2, clamped = solve_t2(t1[ok], s_b[ok])
+    e = np.array([_peak_exponent(a) for a in t1[ok].tolist()])
+    fitted = cst_fit(_STATIONS, cst_at_stations(upper[ok])
+                     + h_b[ok, None] * _unit_bump(_STATIONS, e[:, None], t2[:, None]))
+    rescaled, failed[ok] = _rescale_lower(fitted, lower[ok], t_max[ok])
+    built = ~failed[ok]
+    new_upper, new_lower = upper.copy(), lower.copy()
+    width_clamped = np.zeros(len(failed), dtype=bool)
+    new_upper[ok[built]], new_lower[ok[built]] = fitted[built], rescaled[built]
+    width_clamped[ok[built]] = clamped[built]
+    return new_upper, new_lower, width_clamped, failed
 
 
 # ---------------------------------------------------------------------------
@@ -540,17 +500,28 @@ def write_coordinates(path, airfoil: AirfoilGeom) -> None:
             fh.write(f"{float(xi)!r} {float(yi)!r}\n")
 
 
+def _numbers(path, lineno: int, line: str, count: int, what: str) -> np.ndarray:
+    """The `count` numbers of one line of a file, or a GeometryError
+    naming the file and the line."""
+    try:
+        values = np.array([float(v) for v in line.split()])
+    except ValueError:
+        values = np.empty(0)
+    if values.size != count:
+        raise GeometryError(f"{path}, line {lineno}: expected {what}, got {line.strip()!r}")
+    return values
+
+
 def read_coordinates(path) -> tuple[np.ndarray, np.ndarray]:
     """Read a Selig-order coordinate file; returns (x, y) as written."""
     xs, ys = [], []
     with open(path) as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            a, b = line.split()
-            xs.append(float(a))
-            ys.append(float(b))
+        for lineno, line in enumerate(fh, 1):
+            line = line.split("#", 1)[0]
+            if line.strip():
+                x, y = _numbers(path, lineno, line, 2, "'x y'")
+                xs.append(x)
+                ys.append(y)
     return np.array(xs), np.array(ys)
 
 
@@ -562,9 +533,13 @@ def write_cst_file(path, airfoil: AirfoilGeom) -> None:
 
 
 def read_cst_file(path) -> AirfoilGeom:
+    """Read write_cst_file's format and rescale the lower surface to
+    meet t_max, as make_airfoil does for a lane of one.  Raises
+    GeometryError naming the file, and the line where one is at fault."""
     with open(path) as fh:
-        vals = [float(v) for v in fh.readline().split()]
-        t_max = float(fh.readline().strip())
-    if len(vals) != 2 * N_CST:
-        raise GeometryError("CST file must hold 14 coefficients on line one")
-    return make_airfoil(vals[:N_CST], vals[N_CST:], t_max)
+        cst = _numbers(path, 1, fh.readline(), 2 * N_CST, f"{2 * N_CST} CST coefficients")
+        t_max = _numbers(path, 2, fh.readline(), 1, "t_max")
+    lower, failed = make_airfoil(cst[None, :N_CST], cst[None, N_CST:], t_max)
+    if failed[0]:
+        raise GeometryError(f"{path}: {BRACKET_ERROR}")
+    return AirfoilGeom(cst_upper=cst[:N_CST], cst_lower=lower[0], t_max=float(t_max[0]))

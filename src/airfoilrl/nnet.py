@@ -148,7 +148,7 @@ def make_mlp(sizes, rng, input_scaler: Scaler | None = None,
 
 def mlp_forward(model: MlpModel, x: np.ndarray, scaled: bool = True,
                 with_cache: bool = False, out=None):
-    """Forward pass on a (n, d) batch or a single d-vector.
+    """Forward pass on an (n, d) batch; any other shape raises NnetError.
 
     With scaled=True the input is min-max scaled before the chain and
     the raw output unscaled after; training code works in scaled space
@@ -156,11 +156,8 @@ def mlp_forward(model: MlpModel, x: np.ndarray, scaled: bool = True,
     per layer, receives the layers' activations in place of new arrays.
     """
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
-    if x.shape[1] != model.n_in:
-        raise NnetError(f"input dimension {x.shape[1]} != {model.n_in}")
+    if x.shape[1:] != (model.n_in,):
+        raise NnetError(f"expected (n, {model.n_in}) inputs, got {x.shape}")
     h = model.input_scaler.scale(x) if scaled else x
     cache = [h]  # every layer's activation, kept only with_cache
     weights = model.weights
@@ -173,8 +170,6 @@ def mlp_forward(model: MlpModel, x: np.ndarray, scaled: bool = True,
         if with_cache:
             cache.append(h)
     y = model.output_scaler.unscale(h) if scaled else h
-    if single:
-        y = y[0]
     if with_cache:
         return y, cache
     return y

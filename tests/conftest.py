@@ -1,7 +1,10 @@
 """Shared helpers for the test suite."""
+import dataclasses
+
 import numpy as np
 
-from airfoilrl.features import WallMachDistribution
+from airfoilrl.features import FeatureSet, WallMachDistribution, extract_features
+from airfoilrl.geometry import AirfoilGeom, apply_action, make_airfoil
 
 
 def synthetic_profile(x1, mw1, mwl, mwa):
@@ -38,3 +41,31 @@ def synthetic_distribution(x1, mw1, mwl, mwa, n=201, m_inf=0.76):
     return WallMachDistribution(x_upper=x, mw_upper=profile(x),
                                 x_lower=x, mw_lower=np.full(n, 0.7),
                                 m_inf=m_inf)
+
+
+def first_row(feats: FeatureSet) -> FeatureSet:
+    """The features of a block's first row, as Python scalars."""
+    return FeatureSet(*(getattr(feats, f.name)[0].item() for f in dataclasses.fields(FeatureSet)))
+
+
+def features_of_one(dist: WallMachDistribution) -> FeatureSet:
+    """extract_features of one distribution of 1-D Mach arrays, run as a
+    block of one; its row as Python scalars."""
+    return first_row(extract_features(dataclasses.replace(
+        dist, mw_upper=dist.mw_upper[None], mw_lower=dist.mw_lower[None])))
+
+
+def built_airfoil(upper, lower, t_max) -> AirfoilGeom | None:
+    """make_airfoil on a lane of one: the airfoil, or None where the
+    thickness cannot be bracketed."""
+    new_lower, failed = make_airfoil(np.array([upper]), np.array([lower]), np.array([t_max]))
+    return None if failed[0] else AirfoilGeom(np.array(upper, dtype=float), new_lower[0], t_max)
+
+
+def modified_airfoil(foil: AirfoilGeom, action) -> AirfoilGeom | None:
+    """apply_action on `foil` alone with the physical (t1, s_b, h_b)
+    `action`: the modified airfoil, or None where the lane fails."""
+    upper, lower, _, failed = apply_action(
+        (foil.cst_upper[None], foil.cst_lower[None], np.array([foil.t_max])),
+        np.array([action], dtype=float))
+    return None if failed[0] else AirfoilGeom(upper[0], lower[0], foil.t_max)

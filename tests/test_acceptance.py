@@ -15,9 +15,8 @@ from airfoilrl import pretrain as pt
 from airfoilrl import rl
 from airfoilrl.cli import main
 from airfoilrl.env import DesignEnv, proxy_evaluator
-from airfoilrl.geometry import (BumpAction, GeometryError, apply_action,
-                                bump_y, cosine_stations, cst_evaluate,
-                                cst_fit, max_thickness, measure_bump_width,
+from airfoilrl.geometry import (AirfoilGeom, apply_action, bump_y, cosine_stations,
+                                cst_evaluate, cst_fit, max_thickness, measure_bump_width,
                                 solve_t2)
 from airfoilrl.nnet import MlpModel, Scaler, make_mlp, mlp_backward, mlp_forward
 from airfoilrl.proxy import generate_pool, seed_airfoils
@@ -62,15 +61,14 @@ def test_criterion_1_geometry_identities():
     while applied < 1000 and attempts < 1500:
         attempts += 1
         foil = baselines[attempts % len(baselines)]
-        action = BumpAction(t1=rng.uniform(0.05, 0.95),
-                            s_b=rng.uniform(0.2, 0.4),
-                            h_b=rng.uniform(-0.02, 0.02))
-        try:
-            new = apply_action(foil, action)
-        except GeometryError:
+        action = [[rng.uniform(0.05, 0.95), rng.uniform(0.2, 0.4),
+                   rng.uniform(-0.02, 0.02)]]
+        upper, lower, _, failed = apply_action(
+            (foil.cst_upper[None], foil.cst_lower[None], np.array([foil.t_max])), action)
+        if failed[0]:
             continue
         applied += 1
-        ok &= abs(max_thickness(new) - 0.095) < 1e-6
+        ok &= abs(max_thickness(AirfoilGeom(upper[0], lower[0], foil.t_max)) - 0.095) < 1e-6
     ok &= applied >= 1000
     ok &= (time.perf_counter() - t0) < 10.0
     report(1, "geometry identities and thickness conservation", ok)
@@ -84,20 +82,19 @@ def test_criterion_2_bump_width_solver():
     while solved < 100:
         t1 = rng.uniform(0.2, 0.8)
         s_b = rng.uniform(0.2, 0.4)
-        t2, clamped = solve_t2(t1, s_b)
-        if clamped:
+        t2, clamped = solve_t2(np.array([t1]), np.array([s_b]))
+        if clamped[0]:
             continue
         solved += 1
-        ok &= abs(measure_bump_width(t1, t2) - s_b) < 1e-6
+        ok &= abs(measure_bump_width(t1, t2[0]) - s_b) < 1e-6
     ok &= (time.perf_counter() - t0) < 5.0
     report(2, "solve_t2 width property on 100 random pairs", ok)
 
 
 def test_criterion_3_feature_recovery():
-    from conftest import synthetic_distribution
+    from conftest import features_of_one, synthetic_distribution
     t0 = time.perf_counter()
     rng = np.random.default_rng(2)
-    from airfoilrl.features import extract_features
     ok = True
     cell = 1.0 / 200
     for case in range(50):
@@ -106,7 +103,7 @@ def test_criterion_3_feature_recovery():
         mwl = rng.uniform(1.0, 1.3)
         # half the family re-accelerates past Mach 1 behind the shock
         mwa = rng.uniform(1.0, 1.1) if case % 2 else rng.uniform(0.9, 1.0)
-        feats = extract_features(synthetic_distribution(x1, mw1, mwl, mwa))
+        feats = features_of_one(synthetic_distribution(x1, mw1, mwl, mwa))
         ok &= abs(feats.x1 - x1) <= cell
         ok &= abs(feats.mw1 - mw1) < 1e-3
         ok &= abs(feats.mwl - mwl) < 1e-3
@@ -193,7 +190,7 @@ def test_criterion_7_bandit_convergence():
         config = PpoConfig(epochs=5, trajectories_per_baseline=128,
                            max_steps=1, actor_schedule=[(200, 3e-3)])
         ppo_train(agent, [None], config, BanditEnv(target), seed=seed)
-        mean = agent.mean_action(BanditEnv.STATE)
+        mean = agent.mean_action(BanditEnv.STATE[None])[0]
         ok &= float(np.max(np.abs(mean - target))) < 0.05
     ok &= (time.perf_counter() - t0) < 120.0
     report(7, "bandit actor mean within 0.05 of optimum, 3/3 seeds", ok)

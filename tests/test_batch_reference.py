@@ -2,7 +2,7 @@
 
 Below are verbatim copies of the scalar windowed width that solve_t2
 measured one lane at a time, and of the greedy_search loop that scored
-its candidates one by one through the library's scalar apply_action.
+its candidates one by one, each through apply_action on a lane of one.
 The batched width must carry the same floats, and every greedy sample
 the same bytes.  apply_action and solve_t2 over lanes must give every
 lane the floats it gets alone, and meet the tolerance contract that
@@ -10,7 +10,6 @@ tests/test_kernel_reference.py checks against the bisection oracles.
 The environment tests then check that stepping N lanes at once equals
 stepping each lane as a batch of one.
 """
-import dataclasses
 import math
 
 import numpy as np
@@ -19,14 +18,13 @@ import pytest
 from airfoilrl import geometry
 from airfoilrl.env import (ACTION_BOUNDS, OUTCOMES, REWARD_SCALE, DesignEnv,
                            proxy_evaluator, surrogate_evaluator)
-from airfoilrl.features import FeatureSet
-from airfoilrl.geometry import (WIDTH_GRID, AirfoilGeom, BumpAction, GeometryError,
-                                apply_action, max_thickness)
+from airfoilrl.geometry import WIDTH_GRID, AirfoilGeom, GeometryError, apply_action, max_thickness
 from airfoilrl.nnet import Scaler, make_mlp
 from airfoilrl.pretrain import greedy_search
 from airfoilrl.proxy import proxy_evaluate, seed_airfoils
 from airfoilrl.tables import in_feature_bounds
 
+from conftest import first_row, modified_airfoil
 from test_kernel_reference import assert_t2_contract
 
 _WIDTH_X = np.linspace(0.0, 1.0, WIDTH_GRID)
@@ -125,8 +123,8 @@ def measure_bump_width(t1: float, t2: float) -> float:
 
 
 # the greedy loop as it was, renamed from greedy_search; it steps each
-# candidate through the library's scalar apply_action, a lane of one; its
-# feature-box check takes a row of outputs, and each sample is a table row
+# candidate through apply_action on a lane of one; its feature-box check
+# takes a row of outputs, and each sample is a table row
 
 
 def reference_greedy_search(baseline: AirfoilGeom, evaluator, searches: int,
@@ -143,11 +141,9 @@ def reference_greedy_search(baseline: AirfoilGeom, evaluator, searches: int,
                                 size=(candidates, 3))
             best = None
             for row in draws:
-                action = BumpAction(t1=float(row[0]), s_b=float(row[1]),
-                                    h_b=float(row[2]))
-                try:
-                    cand = apply_action(foil, action)
-                except GeometryError:
+                action = (float(row[0]), float(row[1]), float(row[2]))
+                cand = modified_airfoil(foil, action)
+                if cand is None:
                     continue
                 cd_new, feats_new = evaluator(cand.cst14)
                 outputs = [cd_new, feats_new.x1, feats_new.mw1, feats_new.mwl,
@@ -159,8 +155,7 @@ def reference_greedy_search(baseline: AirfoilGeom, evaluator, searches: int,
             if best is None:
                 break  # no candidate satisfies the constraints
             cd_new, feats_new, action, cand = best
-            samples.append([*feats.state, action.t1, action.s_b, action.h_b,
-                            REWARD_SCALE * (cd - cd_new)])
+            samples.append([*feats.state, *action, REWARD_SCALE * (cd - cd_new)])
             foil, cd, feats = cand, cd_new, feats_new
     return samples
 
@@ -174,11 +169,10 @@ def random_airfoils(rng, count):
     foils = seed_airfoils(6, seed=40)
     while len(foils) < count:
         foil = foils[int(rng.integers(len(foils)))]
-        try:
-            foils.append(apply_action(foil, BumpAction(
-                rng.uniform(0.05, 0.95), rng.uniform(0.2, 0.4), rng.uniform(-0.02, 0.02))))
-        except GeometryError:
-            pass
+        new = modified_airfoil(foil, (rng.uniform(0.05, 0.95), rng.uniform(0.2, 0.4),
+                                      rng.uniform(-0.02, 0.02)))
+        if new is not None:
+            foils.append(new)
     return foils
 
 
@@ -197,14 +191,6 @@ def lane_alone(upper, lower, t_max, action):
     """apply_action over lanes on a block of one lane."""
     got = apply_action((upper[None], lower[None], np.array([t_max])), action[None])
     return got[0][0], got[1][0], bool(got[2][0]), bool(got[3][0])
-
-
-def single_error(action):
-    """The GeometryError message of a failed single-airfoil apply_action."""
-    t1, s_b, _ = action
-    if not 0.0 < t1 < 1.0:
-        return "t1 must be in (0, 1)"
-    return "s_b must be positive" if s_b <= 0.0 else "cannot bracket thickness scale factor"
 
 
 def test_apply_action_lanes_match_lanes_of_one():
@@ -228,20 +214,13 @@ def test_apply_action_lanes_match_lanes_of_one():
             assert got_upper[k].tobytes() == one_upper.tobytes()
             assert got_lower[k].tobytes() == one_lower.tobytes()
             assert bool(width_clamped[k]) == one_clamped
-            single = AirfoilGeom(upper[k], lower[k], 0.095), BumpAction(*actions[k])
             if failed[k]:
                 assert got_upper[k].tobytes() == upper[k].tobytes()
                 assert got_lower[k].tobytes() == lower[k].tobytes()
                 assert not width_clamped[k]
-                with pytest.raises(GeometryError) as raised:
-                    apply_action(*single)
-                assert str(raised.value) == single_error(actions[k])
                 seen["failed"] += 1
                 continue
-            foil = apply_action(*single)
-            assert foil.cst_upper.tobytes() == one_upper.tobytes()
-            assert foil.cst_lower.tobytes() == one_lower.tobytes()
-            assert abs(max_thickness(foil) - 0.095) <= 1e-9
+            assert abs(max_thickness(AirfoilGeom(one_upper, one_lower, 0.095)) - 0.095) <= 1e-9
             seen["ok"] += 1
             seen["clamped"] += one_clamped
     assert min(seen.values()) >= 20, seen
@@ -256,7 +235,8 @@ def test_solve_t2_lanes_match_scalar_reference():
         t2, clamped = geometry.solve_t2(np.array([t1 for t1, _ in pairs]),
                                         np.array([s for _, s in pairs]), tol)
         for (t1, s_b), got_t2, got_clamped in zip(pairs, t2, clamped):
-            assert geometry.solve_t2(t1, s_b, tol) == (got_t2, bool(got_clamped)), (t1, s_b)
+            one_t2, one_clamped = geometry.solve_t2(np.array([t1]), np.array([s_b]), tol)
+            assert (one_t2[0], one_clamped[0]) == (got_t2, got_clamped), (t1, s_b)
         assert (t2[-1], clamped[-1]) == (0.2, True)  # a NaN width
 
 
@@ -298,8 +278,7 @@ def scalar_proxy(cst14):
     """The proxy's answer for one airfoil as floats: the row of its block
     of one."""
     cd, feats = proxy_evaluate(cst14)
-    return cd[0].item(), FeatureSet(*(getattr(feats, f.name)[0].item()
-                                      for f in dataclasses.fields(FeatureSet)))
+    return cd[0].item(), first_row(feats)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -10,12 +10,12 @@ import pytest
 from airfoilrl.cli import _build_config, build_parser, main
 from airfoilrl.config import config_hash
 from airfoilrl.env import ROLLOUT_COLUMNS
-from airfoilrl.geometry import make_airfoil, read_coordinates, write_cst_file
+from airfoilrl.geometry import read_coordinates, write_cst_file
 from airfoilrl.features import write_distribution
 from airfoilrl.proxy import BASE_LOWER, BASE_UPPER, T_MAX_DEFAULT
 from airfoilrl.rl import make_agent, save_agent
 from airfoilrl.tables import CSV_COLUMNS, OUTPUT_NAMES
-from conftest import synthetic_distribution
+from conftest import built_airfoil, synthetic_distribution
 
 
 def run(tmp_path, *argv):
@@ -109,7 +109,7 @@ def test_a_negative_seed_flag_is_rejected(tmp_path, capsys):
 
 
 def test_modify_command(tmp_path):
-    foil = make_airfoil(BASE_UPPER, BASE_LOWER, T_MAX_DEFAULT)
+    foil = built_airfoil(BASE_UPPER, BASE_LOWER, T_MAX_DEFAULT)
     cst_path = tmp_path / "base.cst"
     write_cst_file(cst_path, foil)
     assert run(tmp_path, "modify", "--airfoil", str(cst_path),
@@ -120,13 +120,15 @@ def test_modify_command(tmp_path):
 
 
 def test_modify_rejects_bad_action(tmp_path, capsys):
-    foil = make_airfoil(BASE_UPPER, BASE_LOWER, T_MAX_DEFAULT)
     cst_path = tmp_path / "base.cst"
-    write_cst_file(cst_path, foil)
-    code = run(tmp_path, "modify", "--airfoil", str(cst_path),
-               "--action", "0.5,0.3,0.09")
-    assert code == 1
-    assert "error:" in capsys.readouterr().err
+    write_cst_file(cst_path, built_airfoil(BASE_UPPER, BASE_LOWER, T_MAX_DEFAULT))
+    for action, message in (("1.5,0.3,0.01", "t1 must be in (0, 1)"),
+                            ("0.5,-0.1,0.01", "s_b must be positive"),
+                            ("0.5,0.3,0.09", "cannot bracket thickness scale factor")):
+        code = run(tmp_path, "modify", "--airfoil", str(cst_path), "--action", action)
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["base.cst"]
 
 
 @pytest.mark.parametrize("action", ["0.3,0.4", "0.3,x,0.02", "0.3,0.4,0.02,1"])

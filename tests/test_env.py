@@ -167,7 +167,8 @@ def test_rollout_log_round_trip(tmp_path):
 def test_width_clamped_reported_apart_from_action_clipping(env, baseline):
     # t1 = 0.99, s_b = 0.4 (the scaled box corner) asks for a width the
     # bump cannot reach: solve_t2 clamps t2 to its bracket end 0.2
-    assert solve_t2(0.99, 0.4) == (0.2, True) and not solve_t2(0.5, 0.3)[1]
+    t2, clamped = solve_t2(np.array([0.99, 0.5]), np.array([0.4, 0.3]))
+    assert t2[0] == 0.2 and clamped.tolist() == [True, False]
     lanes = (np.tile(baseline.cst_upper, (2, 1)), np.tile(baseline.cst_lower, (2, 1)),
              np.full(2, baseline.t_max))
     _, _, bump_clamped, failed = apply_action(lanes, [[0.99, 0.4, 0.01], [0.5, 0.3, 0.01]])

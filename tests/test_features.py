@@ -7,7 +7,7 @@ from airfoilrl.features import (FeatureError, NonphysicalPressureError,
                                 WallMachDistribution, cp_to_wall_mach,
                                 extract_features, is_single_shock,
                                 read_distribution, write_distribution)
-from conftest import synthetic_distribution
+from conftest import features_of_one, synthetic_distribution
 
 
 def test_cp_zero_recovers_freestream():
@@ -35,7 +35,7 @@ def test_stagnation_cp_gives_zero_mach():
 
 def test_prescribed_features_recovered():
     dist = synthetic_distribution(0.55, 1.15, 1.2, 1.0)
-    feats = extract_features(dist)
+    feats = features_of_one(dist)
     dx = 1.0 / 200
     assert abs(feats.x1 - 0.55) <= dx
     assert abs(feats.mw1 - 1.15) < 1e-3
@@ -46,8 +46,8 @@ def test_prescribed_features_recovered():
 
 
 def test_refinement_invariance():
-    coarse = extract_features(synthetic_distribution(0.4, 1.1, 1.05, 0.95))
-    fine = extract_features(synthetic_distribution(0.4, 1.1, 1.05, 0.95, n=401))
+    coarse = features_of_one(synthetic_distribution(0.4, 1.1, 1.05, 0.95))
+    fine = features_of_one(synthetic_distribution(0.4, 1.1, 1.05, 0.95, n=401))
     assert abs(coarse.x1 - fine.x1) <= 1.0 / 200
     assert abs(coarse.mw1 - fine.mw1) < 1e-3
     assert abs(coarse.mwl - fine.mwl) < 1e-3
@@ -58,7 +58,7 @@ def test_no_shock_flag_subsonic():
     x = np.linspace(0.0, 1.0, 201)
     mw = 0.8 - 0.1 * x
     dist = WallMachDistribution(x, mw, x, mw, 0.76)
-    feats = extract_features(dist)
+    feats = features_of_one(dist)
     assert feats.no_shock
     assert not is_single_shock(feats)
 
@@ -68,12 +68,12 @@ def test_no_shock_flag_smooth_supersonic():
     x = np.linspace(0.0, 1.0, 201)
     mw = 1.05 - 0.04 * x
     dist = WallMachDistribution(x, mw, x, np.full(201, 0.7), 0.76)
-    assert extract_features(dist).no_shock
+    assert features_of_one(dist).no_shock
 
 
 def test_too_few_stations_raises():
     x = np.linspace(0.0, 1.0, 10)
-    dist = WallMachDistribution(x, np.ones(10), x, np.ones(10), 0.76)
+    dist = WallMachDistribution(x, np.ones((1, 10)), x, np.ones((1, 10)), 0.76)
     with pytest.raises(FeatureError):
         extract_features(dist)
 
@@ -81,19 +81,26 @@ def test_too_few_stations_raises():
 def test_nonmonotone_stations_raise():
     x = np.linspace(0.0, 1.0, 30)
     x[5] = x[7]
-    dist = WallMachDistribution(x, np.ones(30), x, np.ones(30), 0.76)
+    dist = WallMachDistribution(x, np.ones((1, 30)), x, np.ones((1, 30)), 0.76)
     with pytest.raises(FeatureError):
+        extract_features(dist)
+
+
+def test_single_distribution_is_not_a_block():
+    x = np.linspace(0.0, 1.0, 30)
+    dist = WallMachDistribution(x, np.ones(30), x, np.ones(30), 0.76)
+    with pytest.raises(FeatureError, match=r"\(N, 30\) block, got \(30,\)"):
         extract_features(dist)
 
 
 def test_err_zero_for_straight_plateau():
     # plateau exactly on the chord line between peak and pre-shock point
-    feats = extract_features(synthetic_distribution(0.5, 1.1, 1.1, 0.95))
+    feats = features_of_one(synthetic_distribution(0.5, 1.1, 1.1, 0.95))
     assert feats.err >= 0.0
 
 
 def test_state_vector_layout():
-    feats = extract_features(synthetic_distribution(0.5, 1.12, 1.18, 0.98))
+    feats = features_of_one(synthetic_distribution(0.5, 1.12, 1.18, 0.98))
     s = feats.state
     assert s.shape == (4,)
     assert s[0] == feats.x1 and s[1] == feats.mw1
@@ -128,6 +135,11 @@ def test_read_distribution_cp_kind(tmp_path):
     ("# kind=mw m_inf=0.76", "", "typo.txt, line 3: expected 'x value surface_id'"),
     ("# kind=mw m_inf=0.76", "upper", "typo.txt, line 3: .*'0.5 1.0 upper'"),
     ("# kind=mw m_inf=0.76", "0 7", "typo.txt, line 3"),
+    # every other error names the file, and the line where one is at fault
+    ("# kind=mw m_inf=abc", "0", "typo.txt, line 1: m_inf must be a number, got 'm_inf=abc'"),
+    ("# kind=xx m_inf=0.76", "0", "typo.txt, line 1: unknown distribution kind 'xx'"),
+    ("# kind=mw m_inf=0.76", "3", "typo.txt, line 3: surface id must be 0 .* got 3"),
+    ("# kind=mw", "0", "typo.txt: the header must declare m_inf"),
 ])
 def test_read_distribution_rejects_typos(tmp_path, header, surface, match):
     path = tmp_path / "typo.txt"
@@ -153,7 +165,7 @@ def test_read_distribution_rejects_non_finite_numbers(tmp_path, header, row, mat
        mwl=st.floats(1.0, 1.3), mwa=st.floats(0.9, 1.1))
 @settings(max_examples=40, deadline=None)
 def test_feature_round_trip_property(x1, mw1, mwl, mwa):
-    feats = extract_features(synthetic_distribution(x1, mw1, mwl, mwa))
+    feats = features_of_one(synthetic_distribution(x1, mw1, mwl, mwa))
     assert abs(feats.x1 - x1) <= 1.0 / 200
     assert abs(feats.mw1 - mw1) < 1e-3
     assert abs(feats.mwl - mwl) < 1e-3

@@ -1,14 +1,16 @@
 """Geometry unit tests: CST evaluation/fitting, bumps, thickness."""
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from airfoilrl import geometry as g
-from airfoilrl.geometry import (AirfoilGeom, BumpAction, GeometryError,
-                                apply_action, bump_y, cosine_stations,
-                                cst_evaluate, cst_fit, make_airfoil,
-                                max_thickness, measure_bump_width, solve_t2)
+from airfoilrl.geometry import (GeometryError, bump_y, cosine_stations,
+                                cst_evaluate, cst_fit, make_airfoil, max_thickness,
+                                measure_bump_width, solve_t2)
 from airfoilrl.proxy import BASE_LOWER, BASE_UPPER, T_MAX_DEFAULT
+from conftest import built_airfoil, modified_airfoil
 
 
 def test_cosine_stations_endpoints_and_monotone():
@@ -84,15 +86,15 @@ def test_bump_negative_height():
 @given(t1=st.floats(0.2, 0.8), s_b=st.floats(0.2, 0.4))
 @settings(max_examples=40, deadline=None)
 def test_solve_t2_width_property(t1, s_b):
-    t2, clamped = solve_t2(t1, s_b)
-    if not clamped:
-        assert abs(measure_bump_width(t1, t2) - s_b) < 1e-6
+    t2, clamped = solve_t2(np.array([t1]), np.array([s_b]))
+    if not clamped[0]:
+        assert abs(measure_bump_width(t1, t2[0]) - s_b) < 1e-6
 
 
 def test_solve_t2_truncated_flank_is_clamped():
     # rear 1%-height crossing would sit beyond the trailing edge
-    _, clamped = solve_t2(0.95, 0.4)
-    assert clamped
+    _, clamped = solve_t2(np.array([0.95]), np.array([0.4]))
+    assert clamped[0]
 
 
 def test_width_monotone_in_t2():
@@ -101,44 +103,45 @@ def test_width_monotone_in_t2():
 
 
 def test_max_thickness_of_reference_airfoil():
-    foil = make_airfoil(BASE_UPPER, BASE_LOWER, T_MAX_DEFAULT)
+    foil = built_airfoil(BASE_UPPER, BASE_LOWER, T_MAX_DEFAULT)
     assert abs(max_thickness(foil) - T_MAX_DEFAULT) < 1e-6
 
 
-def test_make_airfoil_unbracketable_raises():
+def test_make_airfoil_unbracketable_raises(tmp_path):
     thick = np.full(7, 0.6)
-    with pytest.raises(GeometryError):
-        make_airfoil(thick, -thick, 0.01)
+    lower, failed = make_airfoil(thick[None], -thick[None], np.array([0.01]))
+    assert failed[0] and np.array_equal(lower[0], -thick)
+    path = tmp_path / "thick.cst"
+    g.write_cst_file(path, g.AirfoilGeom(thick, -thick, 0.01))
+    with pytest.raises(GeometryError, match=re.escape(f"{path}: cannot bracket thickness")):
+        g.read_cst_file(path)
 
 
 def test_apply_action_conserves_thickness():
-    foil = make_airfoil(BASE_UPPER, BASE_LOWER, T_MAX_DEFAULT)
+    foil = built_airfoil(BASE_UPPER, BASE_LOWER, T_MAX_DEFAULT)
     rng = np.random.default_rng(11)
     for _ in range(50):
-        action = BumpAction(t1=rng.uniform(0.05, 0.95),
-                            s_b=rng.uniform(0.2, 0.4),
-                            h_b=rng.uniform(-0.01, 0.01))
-        new = apply_action(foil, action)
+        new = modified_airfoil(foil, (rng.uniform(0.05, 0.95), rng.uniform(0.2, 0.4),
+                                      rng.uniform(-0.01, 0.01)))
         assert abs(max_thickness(new) - T_MAX_DEFAULT) < 1e-6
         assert new.t_max == foil.t_max
 
 
 def test_apply_action_moves_surface_toward_bump():
-    foil = make_airfoil(BASE_UPPER, BASE_LOWER, T_MAX_DEFAULT)
-    action = BumpAction(t1=0.5, s_b=0.3, h_b=-0.01)
-    new = apply_action(foil, action)
+    foil = built_airfoil(BASE_UPPER, BASE_LOWER, T_MAX_DEFAULT)
+    new = modified_airfoil(foil, (0.5, 0.3, -0.01))
     x = np.array([0.5])
     assert g.cst_evaluate(new.cst_upper, x)[0] < g.cst_evaluate(foil.cst_upper, x)[0]
 
 
 def test_cst14_layout():
-    foil = make_airfoil(BASE_UPPER, BASE_LOWER, T_MAX_DEFAULT)
+    foil = built_airfoil(BASE_UPPER, BASE_LOWER, T_MAX_DEFAULT)
     assert np.allclose(foil.cst14[:7], foil.cst_upper)
     assert np.allclose(foil.cst14[7:], foil.cst_lower)
 
 
 def test_coordinate_file_round_trip(tmp_path):
-    foil = make_airfoil(BASE_UPPER, BASE_LOWER, T_MAX_DEFAULT)
+    foil = built_airfoil(BASE_UPPER, BASE_LOWER, T_MAX_DEFAULT)
     path = tmp_path / "foil.dat"
     g.write_coordinates(path, foil)
     x, y = g.read_coordinates(path)
@@ -149,13 +152,33 @@ def test_coordinate_file_round_trip(tmp_path):
 
 
 def test_cst_file_round_trip(tmp_path):
-    foil = make_airfoil(BASE_UPPER, BASE_LOWER, T_MAX_DEFAULT)
+    foil = built_airfoil(BASE_UPPER, BASE_LOWER, T_MAX_DEFAULT)
     path = tmp_path / "foil.cst"
     g.write_cst_file(path, foil)
     back = g.read_cst_file(path)
     assert np.array_equal(back.cst_upper, foil.cst_upper)
     assert np.array_equal(back.cst_lower, foil.cst_lower)
     assert back.t_max == foil.t_max
+
+
+@pytest.mark.parametrize("text,match", [
+    ("0.1 x" + " 0.1" * 12 + "\n0.095\n", "line 1: expected 14 CST coefficients"),
+    ("0.1" + " 0.1" * 12 + "\n0.095\n", "line 1: expected 14 CST coefficients"),
+    ("0.1" + " 0.1" * 13 + "\n", "line 2: expected t_max, got ''"),
+    ("0.1" + " 0.1" * 13 + "\nthin\n", "line 2: expected t_max, got 'thin'"),
+])
+def test_cst_file_errors_name_the_file_and_line(tmp_path, text, match):
+    path = tmp_path / "bad.cst"
+    path.write_text(text)
+    with pytest.raises(GeometryError, match=re.escape(f"{path}, {match}")):
+        g.read_cst_file(path)
+
+
+def test_coordinate_file_errors_name_the_file_and_line(tmp_path):
+    path = tmp_path / "bad.dat"
+    path.write_text("# x y\n1.0 0.0\n0.5\n")
+    with pytest.raises(GeometryError, match=re.escape(f"{path}, line 3: expected 'x y'")):
+        g.read_coordinates(path)
 
 
 @given(h=st.floats(-0.05, 0.05), t1=st.floats(0.1, 0.9),

@@ -47,19 +47,12 @@ def test_backward_matches_finite_differences(sizes):
         assert np.max(np.abs(a - n) / denom) < 1e-4
 
 
-def test_forward_single_vector_matches_batch():
-    rng = np.random.default_rng(0)
-    model = make_mlp([3, 6, 2], rng)
-    x = rng.uniform(0.0, 1.0, 3)
-    single = mlp_forward(model, x)
-    batch = mlp_forward(model, x[None, :])
-    assert np.allclose(single, batch[0])
-
-
 def test_forward_dimension_mismatch():
     model = make_mlp([3, 4, 1], np.random.default_rng(0))
     with pytest.raises(NnetError):
         mlp_forward(model, np.zeros(5))
+    with pytest.raises(NnetError):  # a single vector is not a batch
+        mlp_forward(model, np.zeros(3))
 
 
 def test_uncached_forward_holds_two_layers_at_most():
@@ -176,5 +169,5 @@ def test_model_file_round_trip(tmp_path):
 @settings(max_examples=30, deadline=None)
 def test_forward_finite_on_finite_input(v):
     model = make_mlp([3, 8, 2], np.random.default_rng(8))
-    out = mlp_forward(model, np.array(v), scaled=False)
+    out = mlp_forward(model, np.array([v]), scaled=False)
     assert np.all(np.isfinite(out))

@@ -3,16 +3,16 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from airfoilrl.geometry import BumpAction, GeometryError, apply_action, make_airfoil
 from airfoilrl.proxy import (BASE_LOWER, BASE_UPPER, T_MAX_DEFAULT,
                              ProxyConfig, generate_pool, proxy_distribution,
                              proxy_evaluate, seed_airfoils)
 from airfoilrl.tables import CST_COLS, OUTPUT_COLS, in_feature_bounds
+from conftest import built_airfoil, modified_airfoil
 
 
 @pytest.fixture(scope="module")
 def base_airfoil():
-    return make_airfoil(BASE_UPPER, BASE_LOWER, T_MAX_DEFAULT)
+    return built_airfoil(BASE_UPPER, BASE_LOWER, T_MAX_DEFAULT)
 
 
 def proxy_outputs(cst):
@@ -68,15 +68,14 @@ def test_seed_airfoils_deterministic():
 
 def test_reward_structure_nondegenerate():
     # some bump action strictly reduces proxy drag on every seed airfoil
-    actions = [BumpAction(t1, 0.3, h)
+    actions = [(t1, 0.3, h)
                for t1 in (0.3, 0.45, 0.6, 0.75) for h in (-0.008, -0.004, 0.004)]
     for foil in seed_airfoils(10, seed=0):
         cd0 = proxy_evaluate(foil.cst14)[0][0]
         improved = False
         for action in actions:
-            try:
-                new = apply_action(foil, action)
-            except GeometryError:
+            new = modified_airfoil(foil, action)
+            if new is None:
                 continue
             cd1, feats = proxy_evaluate(new.cst14)
             if not feats.no_shock[0] and cd1[0] < cd0:

@@ -4,7 +4,8 @@ replaced.
 The ref_* functions are verbatim copies of the one-airfoil-at-a-time
 proxy_distribution, _moving_average, proxy_evaluate, extract_features,
 _find_shock, _plateau_err, seed_airfoils and generate_pool (renamed,
-with the calls between them pointed at each other; ref_generate_pool
+with the calls between them pointed at each other, and make_airfoil run
+on a lane of one; ref_generate_pool
 also counts its draws, build failures and evaluations into a run
 record, the Counter that generate_pool fills).
 Each block row must give the same floats, bit for bit.
@@ -18,14 +19,13 @@ import pytest
 from airfoilrl.features import (MIN_SHOCK_DROP, PEAK_WINDOW, SHOCK_WINDOW,
                                 FeatureError, FeatureSet, WallMachDistribution,
                                 extract_features)
-from airfoilrl.geometry import (GeometryError, cosine_stations, cst_at_stations,
-                                make_airfoil)
+from airfoilrl.geometry import cosine_stations, cst_at_stations
 import airfoilrl.proxy as proxy
 from airfoilrl.proxy import (_PROXY_BLOCK, BASE_LOWER, BASE_UPPER, T_MAX_DEFAULT,
                              ProxyConfig, _moving_average, generate_pool,
                              proxy_distribution, proxy_evaluate, seed_airfoils)
 from airfoilrl.tables import in_feature_bounds
-from conftest import synthetic_distribution
+from conftest import built_airfoil, features_of_one, synthetic_distribution
 
 
 def ref_moving_average(v: np.ndarray, halfwidth: int) -> np.ndarray:
@@ -162,9 +162,8 @@ def ref_seed_airfoils(n: int, seed: int = 0, spread: float = 0.008,
             break
         upper = BASE_UPPER + rng.uniform(-spread, spread, 7)
         lower = BASE_LOWER + rng.uniform(-spread, spread, 7)
-        try:
-            foil = make_airfoil(upper, lower, t_max)
-        except GeometryError:
+        foil = built_airfoil(upper, lower, t_max)
+        if foil is None:
             continue
         cd, feats = ref_proxy_evaluate(foil.cst14, config)
         if not feats.no_shock and in_feature_bounds(_ref_outputs(cd, feats)):
@@ -186,9 +185,8 @@ def ref_generate_pool(n: int, seed: int = 0, spread: float = 0.08,
         record["pool_draws"] += 1
         upper = BASE_UPPER + rng.uniform(-spread, spread, 7)
         lower = BASE_LOWER + rng.uniform(-spread, spread, 7)
-        try:
-            foil = make_airfoil(upper, lower, t_max)
-        except GeometryError:
+        foil = built_airfoil(upper, lower, t_max)
+        if foil is None:
             record["build_failures"] += 1
             continue
         record["proxy_rows"] += 1
@@ -315,7 +313,7 @@ def test_features_block_matches_per_row_reference(grid):
     refs = [ref_extract_features(WallMachDistribution(x, m, x, lo, 0.76))
             for m, lo in zip(mw, low)]
     _assert_rows_match(feats, refs)
-    singles = [extract_features(WallMachDistribution(x, m, x, lo, 0.76))
+    singles = [features_of_one(WallMachDistribution(x, m, x, lo, 0.76))
                for m, lo in zip(mw, low)]
     _assert_rows_match(feats, singles)
     assert any(r.no_shock for r in refs) and not all(r.no_shock for r in refs)
@@ -330,7 +328,7 @@ def test_features_without_lower_surface_or_shock_window():
     feats = extract_features(WallMachDistribution(x, mw, x, np.zeros((2, 0)), 0.76))
     assert feats.mw_lower.tolist() == [0.0, 0.0]
     narrow = np.linspace(0.0, 0.19, 25)  # no interval inside the shock window
-    feats = extract_features(WallMachDistribution(narrow, 1.2 - narrow, narrow, narrow, 0.76))
+    feats = features_of_one(WallMachDistribution(narrow, 1.2 - narrow, narrow, narrow, 0.76))
     ref = ref_extract_features(WallMachDistribution(narrow, 1.2 - narrow, narrow, narrow, 0.76))
     assert feats == ref and feats.no_shock
 

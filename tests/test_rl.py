@@ -117,10 +117,10 @@ def test_clip_bound_property():
 
 def test_sample_action_seeded():
     agent = make_agent(np.random.default_rng(0), hidden=(8,))
-    state = np.array([0.5, 1.1, 1.1, 1.0])
+    state = np.array([[0.5, 1.1, 1.1, 1.0]])
     a1, lp1 = sample_action(agent, state, np.random.default_rng(42))
     a2, lp2 = sample_action(agent, state, np.random.default_rng(42))
-    assert np.array_equal(a1, a2) and lp1 == lp2
+    assert np.array_equal(a1, a2) and np.array_equal(lp1, lp2)
 
 
 def test_make_agent_shapes():
@@ -182,7 +182,7 @@ def test_agent_file_round_trip(tmp_path):
     path = tmp_path / "agent.npz"
     save_agent(path, agent)
     back = load_agent(path)
-    state = np.array([0.5, 1.1, 1.2, 1.0])
+    state = np.array([[0.5, 1.1, 1.2, 1.0]])
     assert np.array_equal(back.mean_action(state), agent.mean_action(state))
     assert np.array_equal(back.log_std, agent.log_std)
 
