@@ -11,28 +11,29 @@ import numpy as np
 
 from airfoilrl import pretrain as pt
 from airfoilrl import rl
+from airfoilrl.config import desk_config
 from airfoilrl.env import DesignEnv, proxy_evaluator
 from airfoilrl.proxy import seed_airfoils
-from airfoilrl.rl import PpoConfig
 
 
 def run(seed, pretrained, iterations, baselines_n):
+    """The desk profile's run, but `iterations` PPO iterations over `baselines_n` baselines."""
+    cfg = desk_config()
     rng = np.random.default_rng(seed)
     baselines = seed_airfoils(baselines_n, seed=seed)
     evaluator = proxy_evaluator()
     env = DesignEnv(evaluator)
-    config = PpoConfig(epochs=200, trajectories_per_baseline=4,
-                       actor_schedule=[(iterations, 1e-3)])
-    agent = rl.make_agent(rng, hidden=(64, 64))
+    cfg.ppo.actor_schedule = [(iterations, cfg.ppo.actor_schedule[0][1])]
+    agent = rl.make_agent(rng, hidden=cfg.ppo_hidden)
     if pretrained:
-        samples = np.concatenate([pt.greedy_search(foil, evaluator, 2, 5, 30, rng)
+        samples = np.concatenate([pt.greedy_search(foil, evaluator, cfg.greedy_searches,
+                                                   cfg.greedy_steps, cfg.greedy_candidates, rng)
                                   for foil in baselines])
         smoothed = pt.smooth_samples(pt.dedup_states(samples))
         pt.imitate_policy(agent, smoothed)
-        pt.pretrain_critic(agent, baselines, config, env,
-                           critic_schedule=[(15, 0.01), (15, 0.001)],
-                           seed=seed)
-    history = rl.ppo_train(agent, baselines, config, env, seed=seed)
+        pt.pretrain_critic(agent, baselines, cfg.ppo, env,
+                           critic_schedule=cfg.critic_schedule, seed=seed)
+    history = rl.ppo_train(agent, baselines, cfg.ppo, env, seed=seed)
     return history[0]["mean_cum_reward"], history[-1]["mean_cum_reward"]
 
 

@@ -25,7 +25,7 @@ from . import rl
 from .config import (ExperimentConfig, load_config, parse_count, parse_counts, parse_seed,
                      write_manifest)
 from .env import DesignEnv, proxy_evaluator, surrogate_evaluator
-from .features import extract_features, read_distribution
+from .features import FeatureError, extract_features, read_distribution
 from .geometry import (BRACKET_ERROR, AirfoilGeom, GeometryError, action_error, apply_action,
                        max_thickness, read_cst_file, write_coordinates, write_cst_file)
 from .plotsvg import plot_history
@@ -213,8 +213,11 @@ def cmd_modify(args, cfg: ExperimentConfig, record: Counter) -> list[str]:
 def cmd_extract_features(args, cfg: ExperimentConfig, record: Counter) -> list[str]:
     dist = read_distribution(args.dist)
     # the file's one distribution, run as a block of one
-    feats = extract_features(replace(dist, mw_upper=dist.mw_upper[None],
-                                     mw_lower=dist.mw_lower[None]))
+    try:
+        feats = extract_features(replace(dist, mw_upper=dist.mw_upper[None],
+                                         mw_lower=dist.mw_lower[None]))
+    except FeatureError as exc:
+        raise FeatureError(f"{args.dist}: {exc}") from None
     row = {f.name: getattr(feats, f.name)[0].item() for f in fields(feats)}
     out = _out(args, args.out)
     write_rows(out, [{**row, "no_shock": int(row["no_shock"])}])

@@ -241,7 +241,10 @@ def read_distribution(path) -> WallMachDistribution:
     xl = np.array([r[0] for r in lo])
     vl = np.array([r[1] for r in lo])
     if kind == "cp":
-        vu = cp_to_wall_mach(vu, m_inf)
-        vl = cp_to_wall_mach(vl, m_inf)
+        try:
+            vu = cp_to_wall_mach(vu, m_inf)
+            vl = cp_to_wall_mach(vl, m_inf)
+        except NonphysicalPressureError as exc:
+            raise FeatureError(f"{path}: {exc}") from None
     return WallMachDistribution(x_upper=xu, mw_upper=vu, x_lower=xl,
                                 mw_lower=vl, m_inf=m_inf)

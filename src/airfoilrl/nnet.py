@@ -9,6 +9,7 @@ each live in one flat buffer, so an update is a few whole-buffer passes.
 from __future__ import annotations
 
 import math
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -378,9 +379,30 @@ def save_model(path, model: MlpModel) -> None:
              **model_arrays(model))
 
 
+def read_archive(path, kind: str, members: tuple, prefixes: tuple = ("",)) -> dict:
+    """The arrays of a version-1 `kind` file at `path`, which must hold
+    `members` and, per prefix, the model_arrays layout; NnetError naming
+    the path, the kind and the missing member otherwise."""
+    try:
+        with np.load(path) as data:
+            arrays = {name: data[name] for name in data.files}
+    except (ValueError, EOFError, zipfile.BadZipFile):
+        raise NnetError(f"{path}: not a valid {kind} file (not an .npz archive)") from None
+
+    def need(names):
+        for name in names:
+            if name not in arrays:
+                raise NnetError(f"{path}: not a valid {kind} file (no member {name!r})")
+
+    need(("version", *members, *(f"{p}sizes" for p in prefixes)))
+    if arrays["version"].tolist() != [1]:
+        raise NnetError(f"{path}: unknown {kind} file version")
+    need(f"{p}{wb}{i}" for p in prefixes for i in range(arrays[f"{p}sizes"].size - 1)
+         for wb in "wb")
+    return arrays
+
+
 def load_model(path) -> MlpModel:
-    with np.load(path) as data:
-        if int(data["version"][0]) != 1:
-            raise NnetError("unknown model file version")
-        return model_from_arrays(data, Scaler(lo=data["in_lo"].copy(), hi=data["in_hi"].copy()),
-                                 Scaler(lo=data["out_lo"].copy(), hi=data["out_hi"].copy()))
+    data = read_archive(path, "surrogate model", ("in_lo", "in_hi", "out_lo", "out_hi"))
+    return model_from_arrays(data, Scaler(lo=data["in_lo"], hi=data["in_hi"]),
+                             Scaler(lo=data["out_lo"], hi=data["out_hi"]))

@@ -15,7 +15,7 @@ import numpy as np
 
 from .env import ACTION_BOUNDS, MAX_STEPS, rollout_rows
 from .nnet import (AdamState, Fit, MlpModel, Scaler, adam_update, make_mlp, mlp_forward,
-                   model_arrays, model_from_arrays)
+                   model_arrays, model_from_arrays, read_archive)
 from .tables import FEATURE_BOX
 
 LOG_STD_MIN = math.log(1e-3)  # floor keeping the policy stochastic
@@ -343,10 +343,8 @@ def save_agent(path, agent: PolicyAgent) -> None:
 
 
 def load_agent(path) -> PolicyAgent:
-    with np.load(path) as data:
-        if int(data["version"][0]) != 1:
-            raise PpoError("unknown agent file version")
-        in_scaler = Scaler(lo=data["in_lo"].copy(), hi=data["in_hi"].copy())
-        return PolicyAgent(actor=model_from_arrays(data, in_scaler, prefix="actor_"),
-                           critic=model_from_arrays(data, in_scaler, prefix="critic_"),
-                           log_std=data["log_std"].copy())
+    data = read_archive(path, "agent", ("log_std", "in_lo", "in_hi"), ("actor_", "critic_"))
+    in_scaler = Scaler(lo=data["in_lo"], hi=data["in_hi"])
+    return PolicyAgent(actor=model_from_arrays(data, in_scaler, prefix="actor_"),
+                       critic=model_from_arrays(data, in_scaler, prefix="critic_"),
+                       log_std=data["log_std"])

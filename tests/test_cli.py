@@ -12,6 +12,7 @@ from airfoilrl.config import config_hash
 from airfoilrl.env import ROLLOUT_COLUMNS
 from airfoilrl.geometry import read_coordinates, write_cst_file
 from airfoilrl.features import write_distribution
+from airfoilrl.nnet import make_mlp, save_model
 from airfoilrl.proxy import BASE_LOWER, BASE_UPPER, T_MAX_DEFAULT
 from airfoilrl.rl import make_agent, save_agent
 from airfoilrl.tables import CSV_COLUMNS, OUTPUT_NAMES
@@ -185,6 +186,39 @@ def test_extract_features_rejects_a_non_finite_mach(tmp_path, capsys):
     assert run(tmp_path, "extract-features", "--dist", str(dist_path)) == 1
     assert "dist.txt, line 1: m_inf must be finite" in capsys.readouterr().err
     assert not (tmp_path / "features.csv").exists()
+
+
+def test_extract_features_names_the_file_of_a_pressure_above_stagnation(tmp_path, capsys):
+    dist_path = tmp_path / "dist.txt"
+    dist_path.write_text("# kind=cp m_inf=0.76\n0.1 5.0 0\n")
+    assert run(tmp_path, "extract-features", "--dist", str(dist_path)) == 1
+    assert f"{dist_path}: pressure above stagnation value" in capsys.readouterr().err
+
+
+def test_extract_features_names_the_file_of_a_coarse_upper_surface(tmp_path, capsys):
+    dist_path = tmp_path / "dist.txt"
+    write_distribution(dist_path, synthetic_distribution(0.55, 1.15, 1.2, 1.0, n=19))
+    assert run(tmp_path, "extract-features", "--dist", str(dist_path)) == 1
+    assert f"{dist_path}: upper surface needs at least 20 stations" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, named, kind", [
+    (["--agent", "surrogate.npz"], "surrogate.npz", "agent"),
+    (["--agent", "agent.npz", "--surrogate", "agent.npz"], "agent.npz", "surrogate model"),
+    (["--agent", "text.npz"], "text.npz", "agent"),
+])
+def test_a_model_reader_names_the_file_and_the_kind_it_expected(tmp_path, capsys, argv, named,
+                                                                 kind):
+    rng = np.random.default_rng(0)
+    save_agent(tmp_path / "agent.npz", make_agent(rng, hidden=(8,)))
+    save_model(tmp_path / "surrogate.npz", make_mlp([14, 8, 5], rng))
+    (tmp_path / "text.npz").write_text("not an archive\n")
+    ini = tmp_path / "tiny.ini"
+    ini.write_text(TINY_PPO)
+    assert run(tmp_path, "--config", str(ini), "evaluate", *argv) == 1
+    err = capsys.readouterr().err
+    assert f"{tmp_path / named}: not a valid {kind} file" in err
+    assert "allow_pickle" not in err
 
 
 def test_plot_command_deterministic(tmp_path):
