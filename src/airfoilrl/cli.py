@@ -65,14 +65,14 @@ def _env(args, cfg: ExperimentConfig, record: Counter) -> DesignEnv:
     if args.surrogate:
         evaluator = surrogate_evaluator(load_model(_out(args, args.surrogate)), record)
     else:
-        evaluator = proxy_evaluator(cfg.proxy, record)
+        evaluator = proxy_evaluator(cfg.m_inf, record)
     # the step fields of every command that steps, greedy search or not
     record.update(env_lane_steps=0, env_step_s=0.0, greedy_candidates=0)
     return DesignEnv(evaluator, cfg.ppo.max_steps, record)
 
 
 def cmd_generate_pool(args, cfg: ExperimentConfig, record: Counter) -> list[str]:
-    pool = generate_pool(cfg.pool_size, cfg.seed, cfg.t_max, config=cfg.proxy, record=record)
+    pool = generate_pool(cfg.pool_size, cfg.seed, cfg.t_max, cfg.m_inf, record)
     out = _out(args, args.out)
     write_dataset(out, pool)
     print(f"wrote {len(pool)} samples to {out}")
@@ -127,8 +127,7 @@ def cmd_train_surrogate(args, cfg: ExperimentConfig, record: Counter) -> list[st
 
 def cmd_pretrain(args, cfg: ExperimentConfig, record: Counter) -> list[str]:
     rng = np.random.default_rng(cfg.seed)
-    baselines = seed_airfoils(cfg.pretrain_baselines, seed=cfg.seed,
-                              t_max=cfg.t_max, config=cfg.proxy)
+    baselines = seed_airfoils(cfg.pretrain_baselines, cfg.seed, cfg.t_max, cfg.m_inf)
     env = _env(args, cfg, record)
     with _timed(record, "greedy_search_s"):
         samples = np.concatenate([pt.greedy_search(foil, env.evaluator, cfg.greedy_searches,
@@ -160,8 +159,7 @@ def cmd_pretrain(args, cfg: ExperimentConfig, record: Counter) -> list[str]:
 
 def cmd_train_ppo(args, cfg: ExperimentConfig, record: Counter) -> list[str]:
     rng = np.random.default_rng(cfg.seed)
-    baselines = seed_airfoils(cfg.ppo_baselines, seed=cfg.seed,
-                              t_max=cfg.t_max, config=cfg.proxy)
+    baselines = seed_airfoils(cfg.ppo_baselines, cfg.seed, cfg.t_max, cfg.m_inf)
     env = _env(args, cfg, record)
     if args.agent:
         agent = rl.load_agent(_out(args, args.agent))
@@ -179,10 +177,9 @@ def cmd_train_ppo(args, cfg: ExperimentConfig, record: Counter) -> list[str]:
 
 
 def cmd_evaluate(args, cfg: ExperimentConfig, record: Counter) -> list[str]:
-    baselines = seed_airfoils(cfg.ppo_baselines, seed=cfg.seed,
-                              t_max=cfg.t_max, config=cfg.proxy)
     env = _env(args, cfg, record)
     agent = rl.load_agent(_out(args, args.agent))
+    baselines = seed_airfoils(cfg.ppo_baselines, cfg.seed, cfg.t_max, cfg.m_inf)
     steps: list[dict] = []
     mean, per_airfoil = rl.evaluate_policy(agent, baselines, env, rollout=steps)
     out = _out(args, args.report)

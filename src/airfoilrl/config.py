@@ -8,8 +8,8 @@ and counts (pool, sample set, layer and batch sizes, baselines,
 searches, steps, candidates, epochs) as integers of at least 1,
 comma-separated where a key takes several.  ``clip_eps`` and
 ``std_init`` (its square too) are finite and greater than 0, ``gamma``
-and ``gae_lambda`` lie in [0, 1], a seed and ``smooth_halfwidth`` are
-integers of at least 0, ``blend_cells`` is a count, and every float is finite.
+and ``gae_lambda`` lie in [0, 1], a seed is an integer of at least 0,
+every float is finite, and [proxy] sets only ``m_inf`` (see proxy).
 The counts of ``actor_schedule`` and ``critic_schedule`` are PPO
 iterations, each one ``collect_batch`` and then ``epochs`` gradient
 epochs on that batch; those of the surrogate and imitation schedules
@@ -25,12 +25,12 @@ import math
 import os
 import platform
 import zipfile
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .pretrain import IMITATION_SCHEDULE
-from .proxy import T_MAX_DEFAULT, ProxyConfig
+from .proxy import M_INF_DEFAULT, T_MAX_DEFAULT
 from .rl import PpoConfig
 from .surrogate import DESK_BATCH, DESK_HIDDEN, DESK_SCHEDULE
 
@@ -73,10 +73,10 @@ def parse_schedule(text: str) -> list[tuple[int, float]]:
     return out
 
 
-def parse_seed(text: str, name: str = "seed") -> int:
-    """A random seed, or another integer of at least 0 that errors call `name`."""
+def parse_seed(text: str) -> int:
+    """A random seed: an integer of at least 0."""
     if int(text) < 0:
-        raise ValueError(f"{name} {int(text)} is negative")
+        raise ValueError(f"seed {int(text)} is negative")
     return int(text)
 
 
@@ -96,8 +96,7 @@ class ExperimentConfig:
     profile: str = "desk"
     seed: int = 0
     t_max: float = T_MAX_DEFAULT
-
-    proxy: ProxyConfig = field(default_factory=ProxyConfig)
+    m_inf: float = M_INF_DEFAULT  # the proxy's free-stream Mach number
 
     # surrogate stage
     surrogate_hidden: tuple = tuple(DESK_HIDDEN)
@@ -158,15 +157,12 @@ def _boolean(text: str) -> bool:
         raise ValueError(f"not a boolean: {text!r}") from None
 
 
-# every INI key: section -> key -> (attribute, parser); "ppo.x" and
-# "proxy.x" name fields of the nested PpoConfig and ProxyConfig
+# every INI key: section -> key -> (attribute, parser); "ppo.x" names a
+# field of the nested PpoConfig
 _KEYS = {
     "run": {"profile": ("profile", lambda name: from_profile(name).profile),
             "seed": ("seed", parse_seed), "t_max": ("t_max", float)},
-    "proxy": {**{f.name: ("proxy." + f.name, float) for f in fields(ProxyConfig)},
-              "smooth_halfwidth": ("proxy.smooth_halfwidth",
-                                   lambda text: parse_seed(text, "halfwidth")),
-              "blend_cells": ("proxy.blend_cells", parse_count)},
+    "proxy": {"m_inf": ("m_inf", float)},
     "surrogate": {"hidden": ("surrogate_hidden", parse_counts),
                   "schedule": ("surrogate_schedule", parse_schedule),
                   "batch_size": ("surrogate_batch", parse_count),

@@ -26,7 +26,7 @@ import numpy as np
 from .features import is_single_shock
 from .geometry import AirfoilGeom, apply_action
 from .nnet import mlp_forward
-from .proxy import ProxyConfig, proxy_evaluate
+from .proxy import M_INF_DEFAULT, proxy_evaluate
 
 # physical action ranges; t1 narrowed away from the bump-exponent
 # singularities at 0 and 1
@@ -167,15 +167,14 @@ class DesignEnv:
         return result
 
 
-def proxy_evaluator(config=None, record: Counter | None = None):
-    """Evaluator closure over the proxy oracle: one proxy_evaluate call
-    for the whole block, counted into `record` (proxy_blocks, proxy_rows)."""
-    cfg = config or ProxyConfig()
+def proxy_evaluator(m_inf: float = M_INF_DEFAULT, record: Counter | None = None):
+    """Evaluator closure over the proxy oracle at m_inf: one proxy_evaluate
+    call for the whole block, counted into `record` (proxy_blocks, proxy_rows)."""
     record = Counter() if record is None else record
 
     def evaluate(cst):
         cst = np.reshape(cst, (-1, 14))
-        cd, feats = proxy_evaluate(cst, cfg)
+        cd, feats = proxy_evaluate(cst, m_inf)
         record["proxy_blocks"] += 1
         record["proxy_rows"] += len(cst)
         return Evaluation(cd=cd, state=feats.state, no_shock=feats.no_shock)

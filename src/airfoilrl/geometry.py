@@ -8,10 +8,8 @@ surface is rescaled to hold maximum thickness fixed.
 
 The step path (solve_t2, the bump, the refit and the rescale) is array
 code over lanes, one airfoil each; a single airfoil is a lane of one,
-and every lane gets the floats it gets alone.  It meets a tolerance
-contract: the bump width lies within tol/4 of the request unless
-solve_t2 clamps it, and the thickness meets t_max up to rounding unless
-it was within 1e-9 already (see solve_t2 and _rescale_lower).
+and every lane gets the floats it gets alone.  It meets the tolerance
+contracts of solve_t2 (the bump width) and _rescale_lower (the thickness).
 """
 from __future__ import annotations
 
@@ -276,6 +274,7 @@ _T2_LO = 0.2
 _T2_HI = 200.0
 _PHASE_LO, _PHASE_HI = _crossing_phase(_T2_LO), _crossing_phase(_T2_HI)
 _T2_STEPS = 100  # secant or bisection steps a lane may take in solve_t2
+T2_TOL = 1e-6  # solve_t2 stops a lane once its width is within T2_TOL/4 of s_b
 
 
 def _closed_form_root(e: np.ndarray, s_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -300,7 +299,7 @@ def _closed_form_root(e: np.ndarray, s_b: np.ndarray) -> tuple[np.ndarray, np.nd
     return t2, np.minimum((w_hi - w_lo) / (2.0 * h), -1e-12)
 
 
-def _solve_t2_lanes(e: np.ndarray, s_b: np.ndarray, tol: float):
+def _solve_t2_lanes(e: np.ndarray, s_b: np.ndarray):
     """solve_t2 for every lane (bump exponent e[i], width s_b[i]) at
     once; returns (t2, clamped) arrays.
 
@@ -324,7 +323,7 @@ def _solve_t2_lanes(e: np.ndarray, s_b: np.ndarray, tol: float):
     lo, hi = np.full(lanes.size, _T2_LO), np.full(lanes.size, _T2_HI)
     t_prev = w_prev = np.full(lanes.size, np.nan)
     for step in range(_T2_STEPS):
-        done = (np.abs(w - s_b) < 0.25 * tol) | (step == _T2_STEPS - 1)
+        done = (np.abs(w - s_b) < 0.25 * T2_TOL) | (step == _T2_STEPS - 1)
         t2[lanes[done]] = t[done]
         # a 1% crossing in the first or last width-grid cell truncates a flank
         clamped[lanes[done]] = ((first <= 1) | (last >= WIDTH_GRID - 2))[done]
@@ -359,7 +358,7 @@ def action_error(t1: float, s_b: float) -> str | None:
     return None
 
 
-def solve_t2(t1, s_b, tol: float = 1e-6):
+def solve_t2(t1, s_b):
     """Shape exponents giving 1%-height widths s_b at peaks t1.
 
     Equal-length arrays of t1 and s_b give (t2, clamped) arrays, one
@@ -368,7 +367,7 @@ def solve_t2(t1, s_b, tol: float = 1e-6):
     - s_b >= measure_bump_width(t1, 0.2) gives (0.2, True), and
       s_b <= measure_bump_width(t1, 200) gives (200, True): the width is
       out of reach, and the closest achievable t2 is returned;
-    - otherwise measure_bump_width(t1, t2) lies within tol/4 of s_b, and
+    - otherwise measure_bump_width(t1, t2) lies within T2_TOL/4 of s_b, and
       clamped is set when a 1% crossing sits in a boundary grid cell
       (flank truncated by the [0,1] support);
     - a NaN s_b gives (0.2, True).
@@ -384,7 +383,7 @@ def solve_t2(t1, s_b, tol: float = 1e-6):
     bad = np.flatnonzero(_invalid_actions(t1, s_b))
     if bad.size:
         raise GeometryError(action_error(float(t1[bad[0]]), float(s_b[bad[0]])))
-    return _solve_t2_lanes(np.array([_peak_exponent(a) for a in t1.tolist()]), s_b, tol)
+    return _solve_t2_lanes(np.array([_peak_exponent(a) for a in t1.tolist()]), s_b)
 
 
 def max_thickness(airfoil: AirfoilGeom) -> float:
@@ -450,10 +449,8 @@ def apply_action(airfoil, action):
 
     The refit is the smoothing step: the bumped curve is reconstructed
     as a 6th-order CST surface, then the lower surface is rescaled so
-    the maximum thickness stays at t_max.  The tolerances are solve_t2's
-    (the bump width within tol/4 of s_b unless clamped) and
-    _rescale_lower's (the thickness at t_max up to rounding, or within
-    1e-9 where the lower surface is kept as it was).
+    the maximum thickness stays at t_max, within the tolerances of
+    solve_t2 and _rescale_lower.
 
     airfoil is a tuple (upper, lower, t_max) of (N, 7), (N, 7) and (N,)
     arrays, one airfoil per lane, and action an (N, 3) array of physical

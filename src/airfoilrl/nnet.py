@@ -365,11 +365,9 @@ def model_from_arrays(data, input_scaler: Scaler, output_scaler: Scaler | None =
     scaler when none is given."""
     sizes = [int(s) for s in data[f"{prefix}sizes"]]
     layers = range(len(sizes) - 1)
-    if output_scaler is None:
-        output_scaler = Scaler.identity(sizes[-1])
     return MlpModel(sizes=sizes, weights=[data[f"{prefix}w{i}"] for i in layers],
-                    biases=[data[f"{prefix}b{i}"] for i in layers],
-                    input_scaler=input_scaler, output_scaler=output_scaler)
+                    biases=[data[f"{prefix}b{i}"] for i in layers], input_scaler=input_scaler,
+                    output_scaler=output_scaler or Scaler.identity(sizes[-1]))
 
 
 def save_model(path, model: MlpModel) -> None:
@@ -379,30 +377,54 @@ def save_model(path, model: MlpModel) -> None:
              **model_arrays(model))
 
 
-def read_archive(path, kind: str, members: tuple, prefixes: tuple = ("",)) -> dict:
-    """The arrays of a version-1 `kind` file at `path`, which must hold
-    `members` and, per prefix, the model_arrays layout; NnetError naming
-    the path, the kind and the missing member otherwise."""
+def read_archive(path, kind: str, networks: dict) -> dict:
+    """The arrays of a version-1 `kind` file at `path`, or NnetError
+    naming the path, the kind and the member at fault.  Per prefix of
+    `networks` the file holds the model_arrays layout, its ``sizes`` two
+    or more integers of at least 1, and the prefix maps to the network's
+    (input, output) ends: a size, or a member of that length.  Every
+    member is finite and each ``<x>_lo`` is below its ``<x>_hi``."""
     try:
         with np.load(path) as data:
             arrays = {name: data[name] for name in data.files}
     except (ValueError, EOFError, zipfile.BadZipFile):
         raise NnetError(f"{path}: not a valid {kind} file (not an .npz archive)") from None
 
-    def need(names):
-        for name in names:
-            if name not in arrays:
-                raise NnetError(f"{path}: not a valid {kind} file (no member {name!r})")
+    def fail(name, why):
+        raise NnetError(f"{path}: not a valid {kind} file (member {name!r} {why})")
 
-    need(("version", *members, *(f"{p}sizes" for p in prefixes)))
-    if arrays["version"].tolist() != [1]:
+    def need(name, shape=None):
+        if name not in arrays:
+            fail(name, "is missing")
+        if shape is not None and arrays[name].shape != shape:
+            fail(name, f"has shape {arrays[name].shape}, not {shape}")
+        return arrays[name]
+
+    if need("version").tolist() != [1]:
         raise NnetError(f"{path}: unknown {kind} file version")
-    need(f"{p}{wb}{i}" for p in prefixes for i in range(arrays[f"{p}sizes"].size - 1)
-         for wb in "wb")
+    for prefix, ends in networks.items():
+        sizes = need(f"{prefix}sizes")
+        if sizes.ndim != 1 or sizes.size < 2 or sizes.dtype.kind not in "iu" or sizes.min() < 1:
+            fail(f"{prefix}sizes", "is not two or more sizes of at least 1")
+        sizes = sizes.tolist()
+        for end, size in zip(ends, (sizes[0], sizes[-1])):
+            if isinstance(end, str):
+                need(end, (size,))
+            elif end != size:
+                fail(f"{prefix}sizes", f"ends in {size}, not {end}")
+        for i, (n_in, n_out) in enumerate(zip(sizes[:-1], sizes[1:])):
+            need(f"{prefix}w{i}", (n_in, n_out))
+            need(f"{prefix}b{i}", (n_out,))
+    for name, array in arrays.items():
+        if array.dtype.kind not in "biuf" or not np.isfinite(array).all():
+            fail(name, "holds a value that is not a finite number")
+    for lo in [name for name in arrays if name.endswith("_lo")]:
+        if not (arrays[lo] < need(lo[:-3] + "_hi", arrays[lo].shape)).all():
+            fail(lo, f"is not below {lo[:-3] + '_hi'!r}")
     return arrays
 
 
 def load_model(path) -> MlpModel:
-    data = read_archive(path, "surrogate model", ("in_lo", "in_hi", "out_lo", "out_hi"))
+    data = read_archive(path, "surrogate model", {"": ("in_lo", "out_lo")})
     return model_from_arrays(data, Scaler(lo=data["in_lo"], hi=data["in_hi"]),
                              Scaler(lo=data["out_lo"], hi=data["out_hi"]))

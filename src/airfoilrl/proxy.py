@@ -9,7 +9,6 @@ and bump actions can earn drag reductions of a few counts.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,19 +17,12 @@ from .geometry import AirfoilGeom, cosine_stations, cst_at_stations, make_airfoi
 from .tables import CSV_COLUMNS, CST_COLS, is_valid_design
 
 
-@dataclass(frozen=True)
-class ProxyConfig:
-    m_inf: float = 0.76
-    gain_thickness: float = 6.0
-    gain_slope: float = 0.12
-    cd_base: float = 0.0095
-    k_wave: float = 1.2
-    k_err: float = 0.004
-    smooth_halfwidth: int = 2
-    # post-shock wall Mach the aft distribution is blended toward; an
-    # absolute level inside the MwA box so seed airfoils stay valid
-    m_post: float = 0.92
-    blend_cells: int = 5
+# the model; a run sets only the free-stream Mach m_inf ([proxy]).  M_POST,
+# an absolute post-shock level inside the MwA box, keeps seed airfoils valid
+M_INF_DEFAULT = 0.76
+GAIN_THICKNESS, GAIN_SLOPE, SMOOTH_HALFWIDTH = 6.0, 0.12, 2
+M_POST, BLEND_CELLS = 0.92, 5
+CD_BASE, K_WAVE, K_ERR = 0.0095, 1.2, 0.004
 
 
 def _moving_average(v: np.ndarray, halfwidth: int) -> np.ndarray:
@@ -56,12 +48,12 @@ def _moving_average(v: np.ndarray, halfwidth: int) -> np.ndarray:
     return sums / counts
 
 
-def proxy_distribution(cst14, config: ProxyConfig = ProxyConfig()) -> WallMachDistribution:
+def proxy_distribution(cst14, m_inf: float = M_INF_DEFAULT) -> WallMachDistribution:
     """Synthetic wall-Mach distribution on the 201-station cosine grid.
 
     Upper signal: free stream plus thickness and adverse-slope terms,
     smoothed; downstream of the last supersonic-to-subsonic crossing
-    the signal is recompressed toward m_post over a few stations,
+    the signal is recompressed toward M_POST over BLEND_CELLS stations,
     creating a shock-like step.  An (N, 14) block of coefficients (a
     (14,) vector is a block of one) gives (N, 201) mw_upper and
     mw_lower, one airfoil per row.
@@ -71,9 +63,8 @@ def proxy_distribution(cst14, config: ProxyConfig = ProxyConfig()) -> WallMachDi
     y_u = cst_at_stations(block[:, :7])
     y_l = cst_at_stations(block[:, 7:])
     dy = np.gradient(y_u, x, axis=1)
-    u = (config.m_inf + config.gain_thickness * y_u
-         + config.gain_slope * np.maximum(-dy, 0.0))
-    u = _moving_average(u, config.smooth_halfwidth)
+    u = m_inf + GAIN_THICKNESS * y_u + GAIN_SLOPE * np.maximum(-dy, 0.0)
+    u = _moving_average(u, SMOOTH_HALFWIDTH)
     n = u.shape[1]
     crossings = (u[:, :-1] >= 1.0) & (u[:, 1:] < 1.0)
     # the last crossing interval per row; n where there is none, so that
@@ -81,26 +72,25 @@ def proxy_distribution(cst14, config: ProxyConfig = ProxyConfig()) -> WallMachDi
     ic = np.where(crossings.any(axis=1), n - 2 - np.argmax(crossings[:, ::-1], axis=1), n)
     # station j lies j - ic cells past the crossing
     cells = np.arange(n) - ic[:, None]
-    w = np.minimum(cells / config.blend_cells, 1.0)
-    u = np.where(cells > 0, (1.0 - w) * u + w * config.m_post, u)
-    low = _moving_average(config.m_inf + 2.0 * (-y_l), config.smooth_halfwidth)
-    return WallMachDistribution(x_upper=x, mw_upper=u, x_lower=x,
-                                mw_lower=low, m_inf=config.m_inf)
+    w = np.minimum(cells / BLEND_CELLS, 1.0)
+    u = np.where(cells > 0, (1.0 - w) * u + w * M_POST, u)
+    low = _moving_average(m_inf + 2.0 * (-y_l), SMOOTH_HALFWIDTH)
+    return WallMachDistribution(x_upper=x, mw_upper=u, x_lower=x, mw_lower=low, m_inf=m_inf)
 
 
-def proxy_evaluate(cst14, config: ProxyConfig = ProxyConfig()):
+def proxy_evaluate(cst14, m_inf: float = M_INF_DEFAULT):
     """Drag coefficients and features of an (N, 14) block of CST
     geometries (a (14,) vector is a block of one): an (N,) array and a
     FeatureSet of (N,) arrays.
 
-    CD = cd_base + k_wave * max(Mw1 - 1, 0)^4 + k_err * Err; the wave
+    CD = CD_BASE + K_WAVE * max(Mw1 - 1, 0)^4 + K_ERR * Err; the wave
     term is the fourth-power shock-strength rule, zero when no shock.
     """
-    feats = extract_features(proxy_distribution(cst14, config))
+    feats = extract_features(proxy_distribution(cst14, m_inf))
     # Python's float power per row: np.power(x, 4) may round differently
     wave = np.array([0.0 if ns else max(m - 1.0, 0.0) ** 4
                      for m, ns in zip(feats.mw1.tolist(), feats.no_shock.tolist())])
-    return config.cd_base + config.k_wave * wave + config.k_err * feats.err, feats
+    return CD_BASE + K_WAVE * wave + K_ERR * feats.err, feats
 
 
 # base geometry the bundled seed generator perturbs: front-loaded upper
@@ -124,7 +114,7 @@ _SEED_TRIES = 20000
 
 
 def _evaluated(rng, spread: float, t_max: float, tries: int, n: int,
-               config: ProxyConfig, keep=None, record: Counter | None = None) -> np.ndarray:
+               m_inf: float, keep=None, record: Counter | None = None) -> np.ndarray:
     """A sample table (CSV_COLUMNS) of up to n random perturbations of
     the base geometry that build and pass keep(cd, feats), a row mask
     (all rows pass without it), from at most `tries` draws.  `record`
@@ -152,7 +142,7 @@ def _evaluated(rng, spread: float, t_max: float, tries: int, n: int,
             block = np.concatenate((block, np.hstack((upper, lower))[~failed]))
         if not len(block):
             break
-        cd, feats = proxy_evaluate(block, config)
+        cd, feats = proxy_evaluate(block, m_inf)
         rows += len(block)
         blocks += 1
         table = np.column_stack((block, cd, feats.state))
@@ -165,12 +155,11 @@ def _evaluated(rng, spread: float, t_max: float, tries: int, n: int,
 
 
 def seed_airfoils(n: int, seed: int = 0, t_max: float = T_MAX_DEFAULT,
-                  config: ProxyConfig = ProxyConfig()) -> list[AirfoilGeom]:
+                  m_inf: float = M_INF_DEFAULT) -> list[AirfoilGeom]:
     """Deterministic seed set: perturbations of the base geometry,
     rejection-sampled so every seed is a valid design.  Each airfoil is
     evaluated once, in blocks, and no draw is wasted."""
-    kept = _evaluated(np.random.default_rng(seed), _SEED_SPREAD, t_max, _SEED_TRIES, n,
-                      config,
+    kept = _evaluated(np.random.default_rng(seed), _SEED_SPREAD, t_max, _SEED_TRIES, n, m_inf,
                       keep=lambda cd, feats: is_valid_design(cd, feats.state, feats.no_shock))
     out = [AirfoilGeom(row[:7], row[7:CST_COLS.stop], t_max) for row in kept]
     if len(out) < n:
@@ -179,8 +168,7 @@ def seed_airfoils(n: int, seed: int = 0, t_max: float = T_MAX_DEFAULT,
 
 
 def generate_pool(n: int, seed: int = 0, t_max: float = T_MAX_DEFAULT,
-                  config: ProxyConfig = ProxyConfig(),
-                  record: Counter | None = None) -> np.ndarray:
+                  m_inf: float = M_INF_DEFAULT, record: Counter | None = None) -> np.ndarray:
     """A sample table of random proxy-evaluated airfoils for surrogate
     training; rows may violate the feature box (selection filters
     later).  Gives up with RuntimeError after 20 draws per requested
@@ -188,7 +176,7 @@ def generate_pool(n: int, seed: int = 0, t_max: float = T_MAX_DEFAULT,
     (see _evaluated).
     """
     pool = _evaluated(np.random.default_rng(seed), _POOL_SPREAD, t_max,
-                      _POOL_TRIES_PER_SAMPLE * n, n, config, record=record)
+                      _POOL_TRIES_PER_SAMPLE * n, n, m_inf, record=record)
     if len(pool) < n:
         raise RuntimeError(f"pool generator produced {len(pool)}/{n} valid airfoils")
     return pool

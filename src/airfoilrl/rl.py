@@ -343,7 +343,7 @@ def save_agent(path, agent: PolicyAgent) -> None:
 
 
 def load_agent(path) -> PolicyAgent:
-    data = read_archive(path, "agent", ("log_std", "in_lo", "in_hi"), ("actor_", "critic_"))
+    data = read_archive(path, "agent", {"actor_": ("in_lo", "log_std"), "critic_": ("in_lo", 1)})
     in_scaler = Scaler(lo=data["in_lo"], hi=data["in_hi"])
     return PolicyAgent(actor=model_from_arrays(data, in_scaler, prefix="actor_"),
                        critic=model_from_arrays(data, in_scaler, prefix="critic_"),

@@ -226,16 +226,17 @@ def test_apply_action_lanes_match_lanes_of_one():
     assert min(seen.values()) >= 20, seen
 
 
-def test_solve_t2_lanes_match_scalar_reference():
+def test_solve_t2_lanes_match_scalar_reference(monkeypatch):
     rng = np.random.default_rng(51)
     pairs = [(rng.uniform(0.01, 0.99), rng.uniform(0.2, 0.4)) for _ in range(600)]
     pairs += [(0.95, 0.4), (0.99, 0.4), (0.01, 0.4), (0.02, 0.2), (0.99, 0.2),
               (0.5, 0.999), (0.5, 1e-4), (0.3, math.nan)]
     for tol in (1e-6, 1e-3, 1e-9):
+        monkeypatch.setattr(geometry, "T2_TOL", tol)
         t2, clamped = geometry.solve_t2(np.array([t1 for t1, _ in pairs]),
-                                        np.array([s for _, s in pairs]), tol)
+                                        np.array([s for _, s in pairs]))
         for (t1, s_b), got_t2, got_clamped in zip(pairs, t2, clamped):
-            one_t2, one_clamped = geometry.solve_t2(np.array([t1]), np.array([s_b]), tol)
+            one_t2, one_clamped = geometry.solve_t2(np.array([t1]), np.array([s_b]))
             assert (one_t2[0], one_clamped[0]) == (got_t2, got_clamped), (t1, s_b)
         assert (t2[-1], clamped[-1]) == (0.2, True)  # a NaN width
 

@@ -159,6 +159,25 @@ def test_config_error_names_its_source(tmp_path, capsys):
     assert f"{ini}: [ppo] actor_schedule = -3:0.001" in capsys.readouterr().err
 
 
+def test_proxy_m_inf_moves_the_pool(tmp_path):
+    ini = tmp_path / "mach.ini"
+    ini.write_text("[proxy]\nm_inf = 0.74\n")
+    for name, config in (("default", []), ("mach", ["--config", str(ini)])):
+        assert run(tmp_path / name, *config, "generate-pool", "--n", "15") == 0
+    assert (tmp_path / "default" / "pool.csv").read_bytes() \
+        != (tmp_path / "mach" / "pool.csv").read_bytes()
+
+
+def test_a_proxy_model_constant_is_not_a_key(tmp_path, capsys):
+    # [proxy] sets only m_inf; the model's constants are fixed in proxy.py
+    for key in ("gain_thickness", "gain_slope", "cd_base", "k_wave", "k_err",
+                "smooth_halfwidth", "m_post", "blend_cells"):
+        ini = tmp_path / f"{key}.ini"
+        ini.write_text(f"[proxy]\n{key} = 1\n")
+        assert run(tmp_path, "--config", str(ini), "generate-pool", "--n", "5") == 1
+        assert f"{ini}: unknown config key {key!r} in [proxy]" in capsys.readouterr().err
+
+
 def test_only_a_command_that_succeeds_writes_a_manifest(tmp_path):
     assert run(tmp_path, "select-samples", "--pool", "missing.csv") == 1
     assert run(tmp_path, "generate-pool", "--n", "5") == 0
@@ -219,6 +238,37 @@ def test_a_model_reader_names_the_file_and_the_kind_it_expected(tmp_path, capsys
     err = capsys.readouterr().err
     assert f"{tmp_path / named}: not a valid {kind} file" in err
     assert "allow_pickle" not in err
+
+
+def _first_set(array, value):
+    out = array.astype(float)
+    out.flat[0] = value
+    return out
+
+
+@pytest.mark.parametrize("named, member, edit, why", [
+    ("agent.npz", "actor_w0", lambda a: a["actor_w0"][:2], "has shape (2, 8), not (4, 8)"),
+    ("agent.npz", "actor_w0", lambda a: _first_set(a["actor_w0"], np.nan),
+     "holds a value that is not a finite number"),
+    ("surrogate.npz", "w1", lambda a: _first_set(a["w1"], np.inf),
+     "holds a value that is not a finite number"),
+    ("agent.npz", "in_lo", lambda a: a["in_hi"], "is not below 'in_hi'"),
+], ids=["shape", "nan", "inf", "scaler"])
+def test_a_model_reader_names_the_file_and_the_member(tmp_path, capsys, named, member, edit,
+                                                      why):
+    rng = np.random.default_rng(0)
+    save_agent(tmp_path / "agent.npz", make_agent(rng, hidden=(8,)))
+    save_model(tmp_path / "surrogate.npz", make_mlp([14, 8, 5], rng))
+    with np.load(tmp_path / named) as data:
+        arrays = {key: data[key] for key in data.files}
+    np.savez(tmp_path / named, **{**arrays, member: edit(arrays)})
+    ini = tmp_path / "tiny.ini"
+    ini.write_text(TINY_PPO)
+    assert run(tmp_path, "--config", str(ini), "evaluate", "--agent", "agent.npz",
+               "--surrogate", "surrogate.npz") == 1
+    err = capsys.readouterr().err
+    assert f"{tmp_path / named}: not a valid " in err
+    assert f"(member {member!r} {why})" in err
 
 
 def test_plot_command_deterministic(tmp_path):

@@ -6,7 +6,6 @@ import os
 import platform
 import re
 import zipfile
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -16,7 +15,6 @@ from airfoilrl.config import (_KEYS, ExperimentConfig, artifact_digest, config_h
                               desk_config, from_profile, load_config, paper_config,
                               parse_counts, parse_schedule, write_manifest)
 from airfoilrl.pretrain import IMITATION_SCHEDULE
-from airfoilrl.proxy import ProxyConfig
 from airfoilrl.rl import PpoConfig
 from airfoilrl.surrogate import DESK_BATCH, DESK_HIDDEN, DESK_SCHEDULE
 
@@ -88,7 +86,7 @@ def test_load_config_overrides(tmp_path):
     cfg = load_config(path)
     assert cfg.seed == 7
     assert cfg.t_max == 0.09
-    assert cfg.proxy.m_inf == 0.73
+    assert cfg.m_inf == 0.73
     assert cfg.surrogate_hidden == (64, 64)
     assert cfg.surrogate_schedule == [(10, 0.01)]
     assert cfg.pool_size == 100
@@ -166,6 +164,7 @@ def test_artifact_digest_of_an_npz_ignores_the_zip_timestamps(tmp_path):
 @pytest.mark.parametrize("text, named", [
     ("[ppo]\nepoch = 10\n", "'epoch' in [ppo]"),
     ("[proxy]\nm_infinity = 0.7\n", "'m_infinity' in [proxy]"),
+    ("[proxy]\nk_wave = 1.2\n", "'k_wave' in [proxy]"),
     ("[run]\nseed = 3\n[training]\nepochs = 5\n", "[training]"),
     ("[DEFAULT]\nseed = 3\n", "[DEFAULT]"),
 ])
@@ -181,8 +180,7 @@ def test_load_config_rejects_unknown_names(tmp_path, text, named):
 COUNT_KEYS = [("surrogate", "batch_size"), ("pretrain", "baselines"),
               ("pretrain", "searches"), ("pretrain", "steps"), ("pretrain", "candidates"),
               ("ppo", "baselines"), ("ppo", "epochs"),
-              ("ppo", "trajectories_per_baseline"), ("ppo", "max_steps"),
-              ("proxy", "blend_cells")]
+              ("ppo", "trajectories_per_baseline"), ("ppo", "max_steps")]
 
 
 @pytest.mark.parametrize("text, named", [
@@ -215,11 +213,7 @@ COUNT_KEYS = [("surrogate", "batch_size"), ("pretrain", "baselines"),
     ("[ppo]\nstd_init = 1e308\n",
      "[ppo] std_init = 1e308: 1e308 squared is not finite and greater than 0"),
     ("[run]\nseed = -1\n", "[run] seed = -1: seed -1 is negative"),
-    # each once loaded: a divide by zero, no valid pool row, no smoothing,
-    # nan outputs, a non-finite PPO ratio, no airfoil built
-    ("[proxy]\nblend_cells = -3\n", "[proxy] blend_cells = -3: count -3 is not at least 1"),
-    ("[proxy]\nsmooth_halfwidth = -1\n",
-     "[proxy] smooth_halfwidth = -1: halfwidth -1 is negative"),
+    # each once loaded: nan outputs, a non-finite PPO ratio, no airfoil built
     ("[proxy]\nm_inf = nan\n", "[proxy] m_inf = nan: nan is not finite"),
     ("[ppo]\nentropy_coef = nan\n", "[ppo] entropy_coef = nan: nan is not finite"),
     ("[run]\nt_max = nan\n", "[run] t_max = nan: nan is not finite"),
@@ -228,7 +222,7 @@ COUNT_KEYS = [("surrogate", "batch_size"), ("pretrain", "baselines"),
         *[f"{section}.{key}" for section, key in COUNT_KEYS],
         "negative rate", "nan rate", "zero rate", "infinite rate", "gamma", "gae_lambda",
         "clip_eps", "std_init", "tiny std_init", "huge std_init", "seed",
-        "blend_cells", "smooth_halfwidth", "m_inf", "entropy_coef", "t_max"])
+        "m_inf", "entropy_coef", "t_max"])
 def test_load_config_names_a_bad_value(tmp_path, text, named):
     path = tmp_path / "bad.ini"
     path.write_text(text)
@@ -252,10 +246,8 @@ DOMAINS = {
     ("ppo", "clip_eps"): lambda v: math.isfinite(v) and v > 0,
     ("ppo", "std_init"): lambda v: v > 0 and 0 < v * v < math.inf,
     ("run", "seed"): lambda v: v >= 0,
-    ("proxy", "smooth_halfwidth"): lambda v: v >= 0,
     **{key: math.isfinite for key in [("run", "t_max"), ("ppo", "entropy_coef"),
-                                       *(("proxy", f.name) for f in fields(ProxyConfig)
-                                         if isinstance(f.default, float))]},
+                                       ("proxy", "m_inf")]},
 }
 EDGES = ["0", "-1", "nan", "inf", "1e308", "", "text"]
 

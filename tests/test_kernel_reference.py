@@ -119,10 +119,13 @@ def ref_moving_average(v, halfwidth):
 def assert_t2_contract(pairs, tol):
     """solve_t2 over lanes against ref_solve_t2 on its contract: a width
     out of reach gives the reference's (t2, True); any other lane's
-    width lies within tol/4 of s_b, with the flank flag of its own t2.
-    Returns the lanes whose clamped flag differs from the reference's."""
-    t2, clamped = solve_t2(np.array([t1 for t1, _ in pairs]),
-                           np.array([s_b for _, s_b in pairs]), tol)
+    width lies within tol/4 of s_b, with the flank flag of its own t2,
+    solve_t2 run at geometry.T2_TOL = tol.  Returns the lanes whose
+    clamped flag differs from the reference's."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geometry, "T2_TOL", tol)
+        t2, clamped = solve_t2(np.array([t1 for t1, _ in pairs]),
+                               np.array([s_b for _, s_b in pairs]))
     differ = []
     for (t1, s_b), got_t2, got_clamped in zip(pairs, t2.tolist(), clamped.tolist()):
         ref_t2, ref_clamped = ref_solve_t2(t1, s_b, tol)

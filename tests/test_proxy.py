@@ -1,11 +1,9 @@
 """Proxy aerodynamics oracle tests."""
 import numpy as np
 import pytest
-from dataclasses import replace
 
-from airfoilrl.proxy import (BASE_LOWER, BASE_UPPER, T_MAX_DEFAULT,
-                             ProxyConfig, generate_pool, proxy_distribution,
-                             proxy_evaluate, seed_airfoils)
+from airfoilrl.proxy import (BASE_LOWER, BASE_UPPER, T_MAX_DEFAULT, generate_pool,
+                             proxy_distribution, proxy_evaluate, seed_airfoils)
 from airfoilrl.tables import CST_COLS, OUTPUT_COLS, in_feature_bounds
 from conftest import built_airfoil, modified_airfoil
 
@@ -94,10 +92,10 @@ def test_generate_pool_size_and_determinism():
 
 
 def test_drag_model_penalizes_strong_shocks(base_airfoil):
-    cfg = ProxyConfig()
-    cd_weak, _ = proxy_evaluate(base_airfoil.cst14, cfg)
-    hot = replace(cfg, gain_thickness=cfg.gain_thickness * 1.15)
-    cd_strong, feats = proxy_evaluate(base_airfoil.cst14, hot)
+    cd_weak, _ = proxy_evaluate(base_airfoil.cst14)
+    # a thicker upper surface: the thickness term of 1.15 times the gain
+    thick = base_airfoil.cst14 * np.repeat([1.15, 1.0], 7)
+    cd_strong, feats = proxy_evaluate(thick)
     assert feats.mw1[0] > 1.0
     assert cd_strong[0] > cd_weak[0]
 

@@ -4,8 +4,8 @@ replaced.
 The ref_* functions are verbatim copies of the one-airfoil-at-a-time
 proxy_distribution, _moving_average, proxy_evaluate, extract_features,
 _find_shock, _plateau_err, seed_airfoils and generate_pool (renamed,
-with the calls between them pointed at each other, and make_airfoil run
-on a lane of one; ref_generate_pool
+with the calls between them pointed at each other, the model constants
+written as literals, and make_airfoil run on a lane of one; ref_generate_pool
 also counts its draws, build failures and evaluations into a run
 record, the Counter that generate_pool fills).
 Each block row must give the same floats, bit for bit.
@@ -22,8 +22,8 @@ from airfoilrl.features import (MIN_SHOCK_DROP, PEAK_WINDOW, SHOCK_WINDOW,
 from airfoilrl.geometry import cosine_stations, cst_at_stations
 import airfoilrl.proxy as proxy
 from airfoilrl.proxy import (_PROXY_BLOCK, BASE_LOWER, BASE_UPPER, T_MAX_DEFAULT,
-                             ProxyConfig, _moving_average, generate_pool,
-                             proxy_distribution, proxy_evaluate, seed_airfoils)
+                             _moving_average, generate_pool, proxy_distribution,
+                             proxy_evaluate, seed_airfoils)
 from airfoilrl.tables import in_feature_bounds
 from conftest import built_airfoil, features_of_one, synthetic_distribution
 
@@ -43,30 +43,30 @@ def ref_moving_average(v: np.ndarray, halfwidth: int) -> np.ndarray:
     return window_sums(v) / window_sums(np.ones(n))
 
 
-def ref_proxy_distribution(cst14, config: ProxyConfig = ProxyConfig()) -> WallMachDistribution:
+def ref_proxy_distribution(cst14, m_inf: float = 0.76) -> WallMachDistribution:
     cst14 = np.asarray(cst14, dtype=float)
     x = cosine_stations()
     y_u = cst_at_stations(cst14[:7])
     y_l = cst_at_stations(cst14[7:])
     dy = np.gradient(y_u, x)
-    u = (config.m_inf + config.gain_thickness * y_u
-         + config.gain_slope * np.maximum(-dy, 0.0))
-    u = ref_moving_average(u, config.smooth_halfwidth)
+    u = (m_inf + 6.0 * y_u
+         + 0.12 * np.maximum(-dy, 0.0))
+    u = ref_moving_average(u, 2)
     crossings = np.nonzero((u[:-1] >= 1.0) & (u[1:] < 1.0))[0]
     if crossings.size:
         ic = int(crossings[-1])
         k = np.arange(u.size - ic - 1, dtype=float)
-        w = np.minimum((k + 1.0) / config.blend_cells, 1.0)
-        u[ic + 1:] = (1.0 - w) * u[ic + 1:] + w * config.m_post
-    low = ref_moving_average(config.m_inf + 2.0 * (-y_l), config.smooth_halfwidth)
+        w = np.minimum((k + 1.0) / 5, 1.0)
+        u[ic + 1:] = (1.0 - w) * u[ic + 1:] + w * 0.92
+    low = ref_moving_average(m_inf + 2.0 * (-y_l), 2)
     return WallMachDistribution(x_upper=x, mw_upper=u, x_lower=x,
-                                mw_lower=low, m_inf=config.m_inf)
+                                mw_lower=low, m_inf=m_inf)
 
 
-def ref_proxy_evaluate(cst14, config: ProxyConfig = ProxyConfig()) -> tuple[float, FeatureSet]:
-    feats = ref_extract_features(ref_proxy_distribution(cst14, config))
+def ref_proxy_evaluate(cst14, m_inf: float = 0.76) -> tuple[float, FeatureSet]:
+    feats = ref_extract_features(ref_proxy_distribution(cst14, m_inf))
     wave = 0.0 if feats.no_shock else max(feats.mw1 - 1.0, 0.0) ** 4
-    cd = config.cd_base + config.k_wave * wave + config.k_err * feats.err
+    cd = 0.0095 + 1.2 * wave + 0.004 * feats.err
     return cd, feats
 
 
@@ -145,16 +145,15 @@ def _ref_outputs(cd: float, feats: FeatureSet) -> list:
     return [cd, feats.x1, feats.mw1, feats.mwl, feats.mwa]
 
 
-def ref_proxy_sample(cst14, config: ProxyConfig = ProxyConfig()) -> np.ndarray:
+def ref_proxy_sample(cst14, m_inf: float = 0.76) -> np.ndarray:
     """The sample-table row of one airfoil."""
-    cd, feats = ref_proxy_evaluate(cst14, config)
+    cd, feats = ref_proxy_evaluate(cst14, m_inf)
     return np.array([*np.asarray(cst14, dtype=float), *_ref_outputs(cd, feats)])
 
 
 def ref_seed_airfoils(n: int, seed: int = 0, spread: float = 0.008,
                       t_max: float = T_MAX_DEFAULT,
-                      config: ProxyConfig = ProxyConfig(),
-                      max_tries: int = 20000):
+                      m_inf: float = 0.76, max_tries: int = 20000):
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(max_tries):
@@ -165,7 +164,7 @@ def ref_seed_airfoils(n: int, seed: int = 0, spread: float = 0.008,
         foil = built_airfoil(upper, lower, t_max)
         if foil is None:
             continue
-        cd, feats = ref_proxy_evaluate(foil.cst14, config)
+        cd, feats = ref_proxy_evaluate(foil.cst14, m_inf)
         if not feats.no_shock and in_feature_bounds(_ref_outputs(cd, feats)):
             out.append(foil)
     if len(out) < n:
@@ -175,7 +174,7 @@ def ref_seed_airfoils(n: int, seed: int = 0, spread: float = 0.008,
 
 def ref_generate_pool(n: int, seed: int = 0, spread: float = 0.08,
                       t_max: float = T_MAX_DEFAULT,
-                      config: ProxyConfig = ProxyConfig(), record: Counter = None):
+                      m_inf: float = 0.76, record: Counter = None):
     record = Counter() if record is None else record
     rng = np.random.default_rng(seed)
     pool = []
@@ -190,7 +189,7 @@ def ref_generate_pool(n: int, seed: int = 0, spread: float = 0.08,
             record["build_failures"] += 1
             continue
         record["proxy_rows"] += 1
-        pool.append(ref_proxy_sample(foil.cst14, config))
+        pool.append(ref_proxy_sample(foil.cst14, m_inf))
     if len(pool) < n:
         raise RuntimeError(f"pool generator produced {len(pool)}/{n} valid airfoils")
     return pool
