@@ -30,10 +30,10 @@ from .geometry import (BRACKET_ERROR, AirfoilGeom, GeometryError, action_error, 
                        max_thickness, read_cst_file, write_coordinates, write_cst_file)
 from .plotsvg import plot_history
 from .proxy import generate_pool, seed_airfoils
-from .surrogate import (HISTORY_COLUMNS, read_dataset, select_samples, train_surrogate,
-                        write_dataset)
+from .surrogate import (HISTORY_COLUMNS, SurrogateError, read_dataset, select_samples,
+                        train_surrogate, write_dataset)
 from .tables import write_csv, write_rows
-from .nnet import load_model, save_model
+from .nnet import NnetError, load_model, save_model
 
 
 def _build_config(args) -> ExperimentConfig:
@@ -59,6 +59,15 @@ def _timed(record: Counter, field: str):
     record[field] += time.perf_counter() - start
 
 
+@contextmanager
+def _naming(source: str, *errors):
+    """Prefix an `errors` exception of the with-block with `source`, its input."""
+    try:
+        yield
+    except errors as exc:
+        raise type(exc)(f"{source}: {exc}") from None
+
+
 def _env(args, cfg: ExperimentConfig, record: Counter) -> DesignEnv:
     """The command's one environment, on the --surrogate model under
     --out-dir, else the proxy; counts its steps and evaluator calls into `record`."""
@@ -80,8 +89,9 @@ def cmd_generate_pool(args, cfg: ExperimentConfig, record: Counter) -> list[str]
 
 
 def cmd_select_samples(args, cfg: ExperimentConfig, record: Counter) -> list[str]:
-    pool = read_dataset(_out(args, args.pool))
-    sets = select_samples(pool, cfg.keep_counts)
+    path = _out(args, args.pool)
+    with _naming(path, SurrogateError):
+        sets = select_samples(read_dataset(path), cfg.keep_counts)
     artifacts = []
     for count, table in sorted(sets.items(), reverse=True):
         out = _out(args, f"{args.out_prefix}_{count}.csv")
@@ -108,12 +118,13 @@ def _sample_set(args, cfg: ExperimentConfig, flag: str, entry: int) -> str:
 
 
 def cmd_train_surrogate(args, cfg: ExperimentConfig, record: Counter) -> list[str]:
-    train = read_dataset(_sample_set(args, cfg, "train", 0))
-    test = read_dataset(_sample_set(args, cfg, "test", 1))
-    model, history = train_surrogate(
-        train, test, hidden=list(cfg.surrogate_hidden),
-        schedule=cfg.surrogate_schedule, batch_size=cfg.surrogate_batch,
-        seed=cfg.seed)
+    paths = [_sample_set(args, cfg, flag, entry) for entry, flag in enumerate(("train", "test"))]
+    train, test = (read_dataset(path) for path in paths)
+    with _naming("training on {} tested on {}".format(*paths), SurrogateError, NnetError):
+        model, history = train_surrogate(
+            train, test, hidden=list(cfg.surrogate_hidden),
+            schedule=cfg.surrogate_schedule, batch_size=cfg.surrogate_batch,
+            seed=cfg.seed)
     model_out = _out(args, args.out)
     save_model(model_out, model)
     hist_out = _out(args, args.history)
@@ -139,7 +150,7 @@ def cmd_pretrain(args, cfg: ExperimentConfig, record: Counter) -> list[str]:
     smoothed = pt.smooth_samples(deduped)
     smooth_out = _out(args, f"{args.out_prefix}_samples_smoothed.csv")
     pt.write_samples(smooth_out, smoothed, stage="smoothed")
-    agent = rl.make_agent(rng, hidden=cfg.ppo_hidden, std_init=cfg.ppo.std_init)
+    agent = rl.make_agent(rng, hidden=cfg.ppo_hidden)
     with _timed(record, "imitation_s"):
         losses = pt.imitate_policy(agent, smoothed, schedule=cfg.imitation_schedule)
     with _timed(record, "critic_fit_s"):
@@ -164,7 +175,7 @@ def cmd_train_ppo(args, cfg: ExperimentConfig, record: Counter) -> list[str]:
     if args.agent:
         agent = rl.load_agent(_out(args, args.agent))
     else:
-        agent = rl.make_agent(rng, hidden=cfg.ppo_hidden, std_init=cfg.ppo.std_init)
+        agent = rl.make_agent(rng, hidden=cfg.ppo_hidden)
     history = rl.ppo_train(agent, baselines, cfg.ppo, env, seed=cfg.seed)
     agent_out = _out(args, args.out)
     rl.save_agent(agent_out, agent)
@@ -209,13 +220,15 @@ def cmd_modify(args, cfg: ExperimentConfig, record: Counter) -> list[str]:
 
 def cmd_extract_features(args, cfg: ExperimentConfig, record: Counter) -> list[str]:
     dist = read_distribution(args.dist)
-    # the file's one distribution, run as a block of one
-    try:
+    with _naming(args.dist, FeatureError):
+        # the file's one distribution, run as a block of one
         feats = extract_features(replace(dist, mw_upper=dist.mw_upper[None],
                                          mw_lower=dist.mw_lower[None]))
-    except FeatureError as exc:
-        raise FeatureError(f"{args.dist}: {exc}") from None
-    row = {f.name: getattr(feats, f.name)[0].item() for f in fields(feats)}
+        row = {f.name: getattr(feats, f.name)[0].item() for f in fields(feats)}
+        # a finite input can still overflow, as a Mach of 1e200 does in err
+        for name, value in row.items():
+            if not np.isfinite(value):
+                raise FeatureError(f"feature {name} is {value}, not finite")
     out = _out(args, args.out)
     write_rows(out, [{**row, "no_shock": int(row["no_shock"])}])
     print(f"X1={row['x1']!r} Mw1={row['mw1']!r} MwL={row['mwl']!r} "

@@ -6,10 +6,9 @@ are written as comma-separated ``count:rate`` pairs, e.g.
 ``200:0.01,200:0.001``, each rate finite and greater than 0; sizes
 and counts (pool, sample set, layer and batch sizes, baselines,
 searches, steps, candidates, epochs) as integers of at least 1,
-comma-separated where a key takes several.  ``clip_eps`` and
-``std_init`` (its square too) are finite and greater than 0, ``gamma``
-and ``gae_lambda`` lie in [0, 1], a seed is an integer of at least 0,
-every float is finite, and [proxy] sets only ``m_inf`` (see proxy).
+comma-separated where a key takes several.  A seed is an integer of
+at least 0, ``t_max`` and ``m_inf`` lie in (0, 1), [proxy] sets only
+``m_inf`` (see proxy), and the PPO update's constants live in rl.
 The counts of ``actor_schedule`` and ``critic_schedule`` are PPO
 iterations, each one ``collect_batch`` and then ``epochs`` gradient
 epochs on that batch; those of the surrogate and imitation schedules
@@ -36,26 +35,18 @@ from .surrogate import DESK_BATCH, DESK_HIDDEN, DESK_SCHEDULE
 
 
 def parse_positive(text: str) -> float:
-    """A finite float greater than 0: a rate or clip_eps."""
+    """A finite float greater than 0: a schedule's rate."""
     value = float(text)
     if not (math.isfinite(value) and value > 0):
         raise ValueError(f"{text.strip()} is not finite and greater than 0")
     return value
 
 
-def parse_std(text: str) -> float:
-    """std_init: finite and above 0, and so is its square (PPO divides by it)."""
-    value = parse_positive(text)
-    if not 0.0 < value * value < math.inf:
-        raise ValueError(f"{text.strip()} squared is not finite and greater than 0")
-    return value
-
-
-def parse_fraction(text: str) -> float:
-    """A float in [0, 1]: gamma or gae_lambda."""
+def parse_unit(text: str) -> float:
+    """A float in (0, 1): t_max (a fraction of the chord) or m_inf."""
     value = float(text)
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{text.strip()} is not in [0, 1]")
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"{text.strip()} is not in (0, 1)")
     return value
 
 
@@ -150,19 +141,12 @@ def from_profile(name: str) -> ExperimentConfig:
     raise ValueError(f"unknown profile {name!r}")
 
 
-def _boolean(text: str) -> bool:
-    try:
-        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
-    except KeyError:
-        raise ValueError(f"not a boolean: {text!r}") from None
-
-
 # every INI key: section -> key -> (attribute, parser); "ppo.x" names a
 # field of the nested PpoConfig
 _KEYS = {
     "run": {"profile": ("profile", lambda name: from_profile(name).profile),
-            "seed": ("seed", parse_seed), "t_max": ("t_max", float)},
-    "proxy": {"m_inf": ("m_inf", float)},
+            "seed": ("seed", parse_seed), "t_max": ("t_max", parse_unit)},
+    "proxy": {"m_inf": ("m_inf", parse_unit)},
     "surrogate": {"hidden": ("surrogate_hidden", parse_counts),
                   "schedule": ("surrogate_schedule", parse_schedule),
                   "batch_size": ("surrogate_batch", parse_count),
@@ -177,12 +161,8 @@ _KEYS = {
     "ppo": {"hidden": ("ppo_hidden", parse_counts),
             "baselines": ("ppo_baselines", parse_count),
             **{k: ("ppo." + k, parse) for k, parse in (
-                ("clip_eps", parse_positive), ("gamma", parse_fraction),
-                ("gae_lambda", parse_fraction), ("entropy_coef", float),
                 ("epochs", parse_count), ("trajectories_per_baseline", parse_count),
-                ("max_steps", parse_count), ("std_init", parse_std),
-                ("normalize_advantages", _boolean),
-                ("actor_schedule", parse_schedule))}},
+                ("max_steps", parse_count), ("actor_schedule", parse_schedule))}},
 }
 
 
@@ -193,8 +173,7 @@ def load_config(path=None, profile: str | None = None) -> ExperimentConfig:
     The profile is `profile` when given, else the one the file's
     ``[run] profile`` names, else desk.  A file naming a profile other
     than `profile` raises ValueError, as do a section or key not in
-    _KEYS (a [DEFAULT] section included), a value its parser rejects and
-    a float that is not finite.
+    _KEYS (a [DEFAULT] section included) and a value its parser rejects.
     """
     parser = configparser.ConfigParser()
     if path is not None:
@@ -215,12 +194,9 @@ def load_config(path=None, profile: str | None = None) -> ExperimentConfig:
                 raise ValueError(f"{path}: unknown config key {key!r} in [{section}]")
             attr, parse = _KEYS[section][key]
             try:
-                value = parse(text)
-                if isinstance(value, float) and not math.isfinite(value):
-                    raise ValueError(f"{text.strip()} is not finite")
+                values.append((attr, parse(text)))
             except ValueError as exc:
                 raise ValueError(f"{path}: [{section}] {key} = {text}: {exc}") from None
-            values.append((attr, value))
     cfg = from_profile(profile or named or "desk")
     for attr, value in values:
         owner, _, name = attr.rpartition(".")

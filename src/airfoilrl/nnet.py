@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .tables import CST_COLS, OUTPUT_NAMES
+
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -382,8 +384,9 @@ def read_archive(path, kind: str, networks: dict) -> dict:
     naming the path, the kind and the member at fault.  Per prefix of
     `networks` the file holds the model_arrays layout, its ``sizes`` two
     or more integers of at least 1, and the prefix maps to the network's
-    (input, output) ends: a size, or a member of that length.  Every
-    member is finite and each ``<x>_lo`` is below its ``<x>_hi``."""
+    (input, output) ends, each a (member, size) pair: the network takes
+    or gives `size` values, and the member, unless None, holds that many.
+    Every member is finite and each ``<x>_lo`` is below its ``<x>_hi``."""
     try:
         with np.load(path) as data:
             arrays = {name: data[name] for name in data.files}
@@ -407,11 +410,13 @@ def read_archive(path, kind: str, networks: dict) -> dict:
         if sizes.ndim != 1 or sizes.size < 2 or sizes.dtype.kind not in "iu" or sizes.min() < 1:
             fail(f"{prefix}sizes", "is not two or more sizes of at least 1")
         sizes = sizes.tolist()
-        for end, size in zip(ends, (sizes[0], sizes[-1])):
-            if isinstance(end, str):
-                need(end, (size,))
-            elif end != size:
-                fail(f"{prefix}sizes", f"ends in {size}, not {end}")
+        (_, n_in), (_, n_out) = ends
+        if (sizes[0], sizes[-1]) != (n_in, n_out):
+            fail(f"{prefix}sizes", f"maps {sizes[0]} inputs to {sizes[-1]} outputs, "
+                                   f"not {n_in} to {n_out}")
+        for member, size in ends:
+            if member is not None:
+                need(member, (size,))
         for i, (n_in, n_out) in enumerate(zip(sizes[:-1], sizes[1:])):
             need(f"{prefix}w{i}", (n_in, n_out))
             need(f"{prefix}b{i}", (n_out,))
@@ -425,6 +430,8 @@ def read_archive(path, kind: str, networks: dict) -> dict:
 
 
 def load_model(path) -> MlpModel:
-    data = read_archive(path, "surrogate model", {"": ("in_lo", "out_lo")})
+    """The surrogate model file at `path`: CST coefficients to outputs."""
+    ends = (("in_lo", CST_COLS.stop), ("out_lo", len(OUTPUT_NAMES)))
+    data = read_archive(path, "surrogate model", {"": ends})
     return model_from_arrays(data, Scaler(lo=data["in_lo"], hi=data["in_hi"]),
                              Scaler(lo=data["out_lo"], hi=data["out_hi"]))

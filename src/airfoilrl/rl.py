@@ -18,7 +18,15 @@ from .nnet import (AdamState, Fit, MlpModel, Scaler, adam_update, make_mlp, mlp_
                    model_arrays, model_from_arrays, read_archive)
 from .tables import FEATURE_BOX
 
+STATE_DIM, ACTION_DIM = len(FEATURE_BOX) - 1, len(ACTION_BOUNDS)
 LOG_STD_MIN = math.log(1e-3)  # floor keeping the policy stochastic
+# the PPO update's constants; advantages are always normalized
+CLIP_EPS = 0.1
+GAMMA = 0.99
+GAE_LAMBDA = 0.8
+ENTROPY_COEF = 0.001
+CRITIC_LR_MULTIPLIER = 10.0  # critic lr over the actor's
+STD_INIT = 0.1
 
 
 class PpoError(RuntimeError):
@@ -27,10 +35,6 @@ class PpoError(RuntimeError):
 
 @dataclass
 class PpoConfig:
-    clip_eps: float = 0.1
-    gamma: float = 0.99
-    gae_lambda: float = 0.8
-    entropy_coef: float = 0.001
     epochs: int = 200  # gradient epochs per PPO iteration
     trajectories_per_baseline: int = 4
     # read only by the CLI, to build its DesignEnv
@@ -38,9 +42,6 @@ class PpoConfig:
     # (PPO iterations, actor learning rate) segments, each iteration one
     # collect_batch and `epochs` gradient epochs; critic lr is a multiple
     actor_schedule: list = field(default_factory=lambda: [(50, 1e-3)])
-    critic_lr_multiplier: float = 10.0
-    normalize_advantages: bool = True
-    std_init: float = 0.1
 
 
 @dataclass
@@ -61,13 +62,12 @@ class PolicyAgent:
         return mlp_forward(self.actor, state)
 
 
-def make_agent(rng, hidden=(512, 512), std_init: float = 0.1) -> PolicyAgent:
+def make_agent(rng, hidden=(512, 512)) -> PolicyAgent:
     in_scaler = Scaler.from_bounds(FEATURE_BOX[1:])
-    state_dim, action_dim = len(in_scaler.lo), len(ACTION_BOUNDS)
-    actor = make_mlp([state_dim, *hidden, action_dim], rng, input_scaler=in_scaler)
-    critic = make_mlp([state_dim, *hidden, 1], rng, input_scaler=in_scaler)
+    actor = make_mlp([STATE_DIM, *hidden, ACTION_DIM], rng, input_scaler=in_scaler)
+    critic = make_mlp([STATE_DIM, *hidden, 1], rng, input_scaler=in_scaler)
     return PolicyAgent(actor=actor, critic=critic,
-                       log_std=np.full(action_dim, math.log(std_init)))
+                       log_std=np.full(ACTION_DIM, math.log(STD_INIT)))
 
 
 def gaussian_log_prob(actions: np.ndarray, means: np.ndarray,
@@ -157,8 +157,7 @@ class TrajectoryBatch:
         return self.states.shape[0]
 
 
-def ppo_losses(batch: TrajectoryBatch, agent: PolicyAgent,
-               old_agent: PolicyAgent, config: PpoConfig):
+def ppo_losses(batch: TrajectoryBatch, agent: PolicyAgent, old_agent: PolicyAgent):
     """(actor loss, entropy, critic loss) for a batch; no gradients."""
     means_new = mlp_forward(agent.actor, batch.states)
     means_old = mlp_forward(old_agent.actor, batch.states)
@@ -168,7 +167,7 @@ def ppo_losses(batch: TrajectoryBatch, agent: PolicyAgent,
     if not np.all(np.isfinite(ratio)):
         raise PpoError(f"non-finite policy ratio (max logdiff "
                        f"{np.max(logp_new - logp_old):.3g})")
-    terms, _ = clipped_objective(ratio, batch.advantages, config.clip_eps)
+    terms, _ = clipped_objective(ratio, batch.advantages, CLIP_EPS)
     actor_loss = -float(np.mean(terms))
     entropy = entropy_term(agent.std)
     v = mlp_forward(agent.critic, batch.states)[:, 0]
@@ -204,10 +203,9 @@ def collect_batch(agent: PolicyAgent, baselines, env,
     rtg = np.empty_like(rewards_arr)
     adv = np.empty_like(rewards_arr)
     for start, stop in slices:
-        rtg[start:stop] = reward_to_go(rewards_arr[start:stop], config.gamma)
+        rtg[start:stop] = reward_to_go(rewards_arr[start:stop], GAMMA)
         v_traj = np.append(values[start:stop], 0.0)  # terminal bootstrap
-        adv[start:stop] = gae_advantages(rewards_arr[start:stop], v_traj,
-                                         config.gamma, config.gae_lambda)
+        adv[start:stop] = gae_advantages(rewards_arr[start:stop], v_traj, GAMMA, GAE_LAMBDA)
     return TrajectoryBatch(states=states_arr, actions=actions_arr, log_probs=log_probs,
                            rewards=rewards_arr, values=values, rewards_to_go=rtg,
                            advantages=adv, slices=slices)
@@ -233,8 +231,7 @@ def _update_agent(agent: PolicyAgent, batch: TrajectoryBatch,
     if actor_states is not None:  # only the actor reads the advantages
         actor_fit = Fit(agent.actor, n, actor_states[0])
         adv = batch.advantages
-        if config.normalize_advantages:
-            adv = (adv - adv.mean()) / (adv.std() + 1e-8)
+        adv = (adv - adv.mean()) / (adv.std() + 1e-8)
     critic_fit = Fit(agent.critic, n, critic_state)
     rtg = batch.rewards_to_go[:, None]
     last = config.epochs - 1
@@ -246,7 +243,7 @@ def _update_agent(agent: PolicyAgent, batch: TrajectoryBatch,
             ratio = np.exp(logp_new - batch.log_probs)
             if not np.all(np.isfinite(ratio)):
                 raise PpoError("non-finite policy ratio during update")
-            terms, active = clipped_objective(ratio, adv, config.clip_eps)
+            terms, active = clipped_objective(ratio, adv, CLIP_EPS)
             actor_loss = -float(np.mean(terms))
             # d(-mean(term))/dmean: only active (unclipped) steps carry
             # gradient through the ratio
@@ -254,7 +251,7 @@ def _update_agent(agent: PolicyAgent, batch: TrajectoryBatch,
             d_mean = coef * (batch.actions - means) / std**2
             d_logstd = np.sum(coef * (((batch.actions - means) / std) ** 2 - 1.0),
                               axis=0)
-            d_logstd -= config.entropy_coef  # d(-coef*entropy)/dlogstd
+            d_logstd -= ENTROPY_COEF  # d(-coef*entropy)/dlogstd
             actor_fit.descend(d_mean, actor_lr)
             adam_update(agent.log_std, d_logstd, actor_states[1], actor_lr)
             np.maximum(agent.log_std, LOG_STD_MIN, out=agent.log_std)
@@ -295,7 +292,7 @@ def ppo_train(agent: PolicyAgent, baselines, config: PpoConfig, env,
     """Full PPO loop on `env`; returns the per-iteration history.
 
     Iterations run at config.actor_schedule's rates, the critic's times
-    critic_lr_multiplier; given a critic_schedule, the fit is
+    CRITIC_LR_MULTIPLIER; given a critic_schedule, the fit is
     critic-only, at its rates.  Adam moments persist across iterations.
     history[0] is the deterministic evaluation of the initial policy;
     entry k holds the evaluation after iteration k together with the
@@ -319,7 +316,7 @@ def ppo_train(agent: PolicyAgent, baselines, config: PpoConfig, env,
         for _ in range(n_iters):
             iteration += 1
             batch = collect_batch(agent, baselines, env, config, rng)
-            critic_lr = lr if critic_only else lr * config.critic_lr_multiplier
+            critic_lr = lr if critic_only else lr * CRITIC_LR_MULTIPLIER
             actor_loss, critic_loss = _update_agent(
                 agent, batch, config, lr, critic_lr, actor_states, critic_state)
             mean_r = mean0 if critic_only else evaluate_policy(agent, baselines, env)[0]
@@ -343,7 +340,9 @@ def save_agent(path, agent: PolicyAgent) -> None:
 
 
 def load_agent(path) -> PolicyAgent:
-    data = read_archive(path, "agent", {"actor_": ("in_lo", "log_std"), "critic_": ("in_lo", 1)})
+    state = ("in_lo", STATE_DIM)
+    data = read_archive(path, "agent", {"actor_": (state, ("log_std", ACTION_DIM)),
+                                        "critic_": (state, (None, 1))})
     in_scaler = Scaler(lo=data["in_lo"], hi=data["in_hi"])
     return PolicyAgent(actor=model_from_arrays(data, in_scaler, prefix="actor_"),
                        critic=model_from_arrays(data, in_scaler, prefix="critic_"),

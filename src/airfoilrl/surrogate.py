@@ -252,7 +252,7 @@ def train_surrogate(train: np.ndarray, test: np.ndarray, hidden: list[int],
     recording per-output RSME every HISTORY_EVERY minibatches.
 
     Returns (model, history); each history entry holds train/test RSME
-    for every output.
+    for every output, and a non-finite one raises SurrogateError.
     """
     if not len(train) or not len(test):
         raise SurrogateError("train and test sets must be nonempty")
@@ -269,6 +269,8 @@ def train_surrogate(train: np.ndarray, test: np.ndarray, hidden: list[int],
         values = [mb]
         for k, b in enumerate(FEATURE_BOX.tolist()):
             values += [rsme(p_tr[:, k], y_tr[:, k], b), rsme(p_te[:, k], y_te[:, k], b)]
+        if not np.isfinite(values).all():
+            raise SurrogateError(f"an RSME at minibatch {mb} is not finite")
         history.append(dict(zip(HISTORY_COLUMNS, values)))
 
     train_minibatch(model, x_tr, y_tr, schedule, batch_size, seed=seed, callback=record)
@@ -284,8 +286,10 @@ def write_dataset(path, table: np.ndarray) -> None:
 
 def read_dataset(path) -> np.ndarray:
     """The sample table of a dataset CSV; TableError (see tables.read_csv)
-    also names the column of a value that is not finite."""
+    also names a value that is not finite, or a file without rows."""
     table = read_csv(path, CSV_COLUMNS)
+    if not len(table):
+        raise TableError(f"{path}: no sample rows")
     bad = np.argwhere(~np.isfinite(table))
     if len(bad):
         row, col = bad[0]

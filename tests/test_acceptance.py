@@ -173,7 +173,7 @@ def test_criterion_6_ppo_clip_unit_math():
                             rewards_to_go=np.zeros(2),
                             advantages=np.array([2.0, -1.0]),
                             slices=[(0, 2)])
-    actor_loss, _, _ = ppo_losses(batch, new, old, PpoConfig())
+    actor_loss, _, _ = ppo_losses(batch, new, old)
     ok &= abs(actor_loss + 0.1) < 1e-10
     ok &= (time.perf_counter() - t0) < 1.0
     report(6, "clip branch values and handcrafted actor loss -0.1", ok)

@@ -155,12 +155,13 @@ def test_train_minibatch_deterministic():
 
 
 def test_model_file_round_trip(tmp_path):
-    model = make_mlp([3, 7, 2], np.random.default_rng(6),
-                     input_scaler=Scaler(np.zeros(3), np.full(3, 2.0)))
+    # load_model reads a surrogate: 14 CST coefficients to 5 outputs
+    model = make_mlp([14, 7, 5], np.random.default_rng(6),
+                     input_scaler=Scaler(np.zeros(14), np.full(14, 2.0)))
     path = tmp_path / "model.npz"
     save_model(path, model)
     back = load_model(path)
-    x = np.random.default_rng(1).uniform(0.0, 2.0, size=(5, 3))
+    x = np.random.default_rng(1).uniform(0.0, 2.0, size=(5, 14))
     assert np.array_equal(mlp_forward(back, x), mlp_forward(model, x))
     assert back.sizes == model.sizes
 

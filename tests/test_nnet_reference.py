@@ -8,6 +8,7 @@ loss history left out, plus the per-lane `collect_batch` loop.  Every
 parameter, loss and batch the current code produces must be bitwise
 equal to theirs.
 """
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,11 +146,10 @@ def ref_imitate_policy(agent, samples, schedule):
 def ref_update_agent(agent, batch, config, actor_lr, actor_state, critic_state,
                      update_actor=True):
     adv = batch.advantages
-    if config.normalize_advantages:
-        adv = (adv - adv.mean()) / (adv.std() + 1e-8)
+    adv = (adv - adv.mean()) / (adv.std() + 1e-8)
     xs = agent.actor.input_scaler.scale(batch.states)
     n = batch.size
-    critic_lr = actor_lr * config.critic_lr_multiplier
+    critic_lr = actor_lr * rl.CRITIC_LR_MULTIPLIER
     actor_loss = critic_loss = float("nan")
     for _ in range(config.epochs):
         if update_actor:
@@ -161,7 +161,7 @@ def ref_update_agent(agent, batch, config, actor_lr, actor_state, critic_state,
             if not np.all(np.isfinite(ratio)):
                 raise PpoError("non-finite policy ratio during update")
             unclipped = ratio * adv
-            clipped = clip_target(config.clip_eps, adv)
+            clipped = clip_target(rl.CLIP_EPS, adv)
             terms = np.minimum(unclipped, clipped)
             actor_loss = -float(np.mean(terms))
             active = (unclipped <= clipped).astype(float)
@@ -170,7 +170,7 @@ def ref_update_agent(agent, batch, config, actor_lr, actor_state, critic_state,
             grads = ref_mlp_backward(agent.actor, cache, d_mean)
             d_logstd = np.sum(coef * (((batch.actions - means) / std) ** 2 - 1.0),
                               axis=0)
-            d_logstd -= config.entropy_coef
+            d_logstd -= rl.ENTROPY_COEF
             params = ref_parameters(agent.actor) + [agent.log_std]
             new_params = ref_adam_update(params, grads + [d_logstd],
                                          actor_state, actor_lr)
@@ -203,7 +203,7 @@ def ref_ppo_train(agent, baselines, config, env, seed=0,
             iteration += 1
             batch = collect_batch(agent, baselines, env, config, rng)
             actor_loss, critic_loss = ref_update_agent(
-                agent, batch, config, lr if update_actor else lr / config.critic_lr_multiplier,
+                agent, batch, config, lr if update_actor else lr / rl.CRITIC_LR_MULTIPLIER,
                 actor_state, critic_state, update_actor=update_actor)
             mean_r, _ = rl.evaluate_policy(agent, baselines, env)
             history.append({"iteration": iteration, "mean_cum_reward": mean_r,
@@ -233,10 +233,10 @@ def ref_collect_batch(agent, baselines, env, config, rng):
     rtg = np.empty_like(rewards_arr)
     adv = np.empty_like(rewards_arr)
     for start, stop in slices:
-        rtg[start:stop] = reward_to_go(rewards_arr[start:stop], config.gamma)
+        rtg[start:stop] = reward_to_go(rewards_arr[start:stop], rl.GAMMA)
         v_traj = np.append(values[start:stop], 0.0)  # terminal bootstrap
         adv[start:stop] = gae_advantages(rewards_arr[start:stop], v_traj,
-                                         config.gamma, config.gae_lambda)
+                                         rl.GAMMA, rl.GAE_LAMBDA)
     return TrajectoryBatch(states=states_arr, actions=np.array([a for _, a, _, _ in flat]),
                            log_probs=np.array([lp for _, _, lp, _ in flat]),
                            rewards=rewards_arr, values=values, rewards_to_go=rtg,
@@ -340,7 +340,8 @@ def test_collect_batch_matches_per_lane_loop():
     early = 0
     for seed, max_steps in zip(range(3), (3, 4, 5)):
         config = PpoConfig(trajectories_per_baseline=3, max_steps=max_steps)
-        agent = make_agent(np.random.default_rng(seed), hidden=(16, 16), std_init=0.3)
+        agent = make_agent(np.random.default_rng(seed), hidden=(16, 16))
+        agent.log_std[:] = math.log(0.3)
         env = DesignEnv(proxy_evaluator(), max_steps)
         batch = collect_batch(agent, baselines, env, config, np.random.default_rng(seed))
         ref = ref_collect_batch(agent, baselines, env, config,
@@ -359,9 +360,9 @@ def test_collect_batch_matches_per_lane_loop():
 def test_ppo_train_matches_list_engine(lr, std_init):
     baselines = seed_airfoils(2, seed=3)
     config = PpoConfig(epochs=6, trajectories_per_baseline=2, max_steps=3,
-                       actor_schedule=[(2, lr)], std_init=std_init)
-    agent = make_agent(np.random.default_rng(4), hidden=(16, 16),
-                       std_init=std_init)
+                       actor_schedule=[(2, lr)])
+    agent = make_agent(np.random.default_rng(4), hidden=(16, 16))
+    agent.log_std[:] = math.log(std_init)
     ref = agent.copy()
     history = ppo_train(agent, baselines, config, _desk_env(), seed=5)
     ref_history = ref_ppo_train(ref, baselines, config, _desk_env(), seed=5)
@@ -374,24 +375,28 @@ def _assert_update_reaches_std_floor(lr, std_init):
     """One _update_agent call on a hand-made batch pushes every log_std
     component below LOG_STD_MIN, in both engines, and the floor holds.
 
-    The actions sit on the actor's means and every advantage is positive,
-    so each epoch raises the actions' likelihood by shrinking std alone;
-    the wide clip range keeps every sample active throughout.
+    Normalized, the advantages are -1.22, 0 and 1.22.  The last action
+    sits on the actor's mean, so shrinking std raises its likelihood; the
+    first sits one std off its mean, so shrinking std lowers its
+    likelihood, as its negative advantage asks.
     """
-    agent = make_agent(np.random.default_rng(4), hidden=(16, 16), std_init=std_init)
+    agent = make_agent(np.random.default_rng(4), hidden=(16, 16))
+    agent.log_std[:] = math.log(std_init)
     ref = agent.copy()
     states = np.array([[0.3, 1.05, 1.1, 0.95], [0.5, 1.1, 1.2, 1.0],
                        [0.7, 1.15, 1.25, 1.05]])
     means = agent.mean_action(states)
+    actions = means.copy()
+    actions[0] += agent.std
     ones = np.ones(len(states))
     batch = rl.TrajectoryBatch(
-        states=states, actions=means, log_probs=gaussian_log_prob(means, means, agent.std),
+        states=states, actions=actions,
+        log_probs=gaussian_log_prob(actions, means, agent.std),
         rewards=ones, values=0.0 * ones, rewards_to_go=ones,
         advantages=np.array([1.0, 2.0, 3.0]), slices=[(0, len(states))])
-    config = PpoConfig(epochs=10, clip_eps=10.0, entropy_coef=0.0,
-                       normalize_advantages=False)
+    config = PpoConfig(epochs=10)
     losses = rl._update_agent(
-        agent, batch, config, lr, lr * config.critic_lr_multiplier,
+        agent, batch, config, lr, lr * rl.CRITIC_LR_MULTIPLIER,
         (AdamState.for_params(agent.actor.flat), AdamState.for_params(agent.log_std)),
         AdamState.for_params(agent.critic.flat))
     ref_losses = ref_update_agent(

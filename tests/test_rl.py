@@ -99,7 +99,7 @@ def test_handcrafted_actor_loss():
                             log_probs=np.zeros(2), rewards=np.zeros(2),
                             values=np.zeros(2), rewards_to_go=np.zeros(2),
                             advantages=adv, slices=[(0, 2)])
-    actor_loss, entropy, critic_loss = ppo_losses(batch, new, old, PpoConfig())
+    actor_loss, entropy, critic_loss = ppo_losses(batch, new, old)
     assert abs(actor_loss + 0.1) < 1e-10
     assert abs(entropy - entropy_term(np.ones(1))) < 1e-12
     assert critic_loss == 0.0
