@@ -20,14 +20,15 @@ def run(seed, pretrained, iterations, baselines_n):
     """The desk profile's run, but `iterations` PPO iterations over `baselines_n` baselines."""
     cfg = desk_config()
     rng = np.random.default_rng(seed)
-    baselines = seed_airfoils(baselines_n, seed=seed)
+    baselines = seed_airfoils(baselines_n, seed=seed, t_max=cfg.t_max)
     evaluator = proxy_evaluator()
-    env = DesignEnv(evaluator)
+    env = DesignEnv(evaluator, cfg.t_max)
     cfg.ppo.actor_schedule = [(iterations, cfg.ppo.actor_schedule[0][1])]
     agent = rl.make_agent(rng, hidden=cfg.ppo_hidden)
     if pretrained:
         samples = np.concatenate([pt.greedy_search(foil, evaluator, cfg.greedy_searches,
-                                                   cfg.greedy_steps, cfg.greedy_candidates, rng)
+                                                   cfg.greedy_steps, cfg.greedy_candidates, rng,
+                                                   t_max=env.t_max)
                                   for foil in baselines])
         smoothed = pt.smooth_samples(pt.dedup_states(samples))
         pt.imitate_policy(agent, smoothed)

@@ -26,8 +26,8 @@ from .config import (ExperimentConfig, load_config, parse_count, parse_counts, p
                      write_manifest)
 from .env import DesignEnv, proxy_evaluator, surrogate_evaluator
 from .features import FeatureError, extract_features, read_distribution
-from .geometry import (BRACKET_ERROR, AirfoilGeom, GeometryError, action_error, apply_action,
-                       max_thickness, read_cst_file, write_coordinates, write_cst_file)
+from .geometry import (BRACKET_ERROR, GeometryError, action_error, apply_action, max_thickness,
+                       read_cst_file, write_coordinates, write_cst_file)
 from .plotsvg import plot_history
 from .proxy import generate_pool, seed_airfoils
 from .surrogate import (HISTORY_COLUMNS, SurrogateError, read_dataset, select_samples,
@@ -77,7 +77,7 @@ def _env(args, cfg: ExperimentConfig, record: Counter) -> DesignEnv:
         evaluator = proxy_evaluator(cfg.m_inf, record)
     # the step fields of every command that steps, greedy search or not
     record.update(env_lane_steps=0, env_step_s=0.0, greedy_candidates=0)
-    return DesignEnv(evaluator, cfg.ppo.max_steps, record)
+    return DesignEnv(evaluator, cfg.t_max, cfg.ppo.max_steps, record)
 
 
 def cmd_generate_pool(args, cfg: ExperimentConfig, record: Counter) -> list[str]:
@@ -143,7 +143,8 @@ def cmd_pretrain(args, cfg: ExperimentConfig, record: Counter) -> list[str]:
     with _timed(record, "greedy_search_s"):
         samples = np.concatenate([pt.greedy_search(foil, env.evaluator, cfg.greedy_searches,
                                                    cfg.greedy_steps, cfg.greedy_candidates,
-                                                   rng, record=record) for foil in baselines])
+                                                   rng, t_max=env.t_max, record=record)
+                                  for foil in baselines])
     raw_out = _out(args, f"{args.out_prefix}_samples_raw.csv")
     pt.write_samples(raw_out, samples, stage="raw")
     deduped = pt.dedup_states(samples)
@@ -203,17 +204,16 @@ def cmd_evaluate(args, cfg: ExperimentConfig, record: Counter) -> list[str]:
 
 
 def cmd_modify(args, cfg: ExperimentConfig, record: Counter) -> list[str]:
-    foil = read_cst_file(args.airfoil)
+    cst, t_max = read_cst_file(args.airfoil)
     # the one airfoil and action, run as a lane of one
-    upper, lower, _, failed = apply_action(
-        (foil.cst_upper[None], foil.cst_lower[None], np.array([foil.t_max])), args.action[None])
+    rows, _, failed = apply_action(cst[None], t_max, args.action[None])
     if failed[0]:
         raise GeometryError(action_error(*args.action[:2]) or BRACKET_ERROR)
-    modified = AirfoilGeom(cst_upper=upper[0], cst_lower=lower[0], t_max=foil.t_max)
+    modified = rows[0]
     out = _out(args, args.out)
     write_coordinates(out, modified)
     cst_out = _out(args, args.out + ".cst")
-    write_cst_file(cst_out, modified)
+    write_cst_file(cst_out, modified, t_max)
     print(f"max thickness {max_thickness(modified):.6f}; wrote {out}")
     return [out, cst_out]
 

@@ -24,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .features import is_single_shock
-from .geometry import AirfoilGeom, apply_action
+from .geometry import apply_action
 from .nnet import mlp_forward
-from .proxy import M_INF_DEFAULT, proxy_evaluate
+from .proxy import M_INF_DEFAULT, T_MAX_DEFAULT, proxy_evaluate
 
 # physical action ranges; t1 narrowed away from the bump-exponent
 # singularities at 0 and 1
@@ -100,34 +100,35 @@ class DesignEnv:
 
     evaluator(cst (N, 14)) -> Evaluation; either the proxy oracle or a
     trained surrogate wrapped by :func:`surrogate_evaluator`.  Lanes hold
-    (N, 7) upper and lower CST arrays and a live mask; ``reset_lanes``
-    starts them anew, so one environment serves every rollout of a run,
-    and ``step`` steps every live lane at once, ending each episode
-    after `max_steps` steps.  ``reset`` starts a batch of one.  `record`,
-    a run record (a Counter keyed by manifest field), receives the lane
-    steps and stepping seconds (``env_lane_steps``, ``env_step_s``).
+    an (N, 14) CST array and a live mask; ``reset_lanes`` starts them
+    anew, so one environment serves every rollout of a run, and ``step``
+    steps every live lane at once, holding each airfoil at the run's
+    thickness `t_max` and ending each episode after `max_steps` steps.
+    ``reset`` starts a batch of one.  `record`, a run record (a Counter
+    keyed by manifest field), receives the lane steps and stepping
+    seconds (``env_lane_steps``, ``env_step_s``).
     """
 
-    def __init__(self, evaluator, max_steps: int = MAX_STEPS,
+    def __init__(self, evaluator, t_max: float = T_MAX_DEFAULT, max_steps: int = MAX_STEPS,
                  record: Counter | None = None):
         self.evaluator = evaluator
+        self.t_max = t_max
         self.max_steps = max_steps
         self.record = Counter() if record is None else record
         self.live = np.zeros(0, dtype=bool)
 
     def reset_lanes(self, baselines) -> np.ndarray:
-        """Start one episode per baseline airfoil; returns (N, 4) states."""
-        self._upper = np.array([b.cst_upper for b in baselines], dtype=float).reshape(-1, 7)
-        self._lower = np.array([b.cst_lower for b in baselines], dtype=float).reshape(-1, 7)
-        self._t_max = np.array([b.t_max for b in baselines], dtype=float)
-        ev = self.evaluator(np.concatenate([self._upper, self._lower], axis=1))
+        """Start one episode per baseline airfoil, an (N, 14) array; returns
+        (N, 4) states."""
+        self._cst = np.array(baselines, dtype=float).reshape(-1, 14)
+        ev = self.evaluator(self._cst)
         self._cd, self._state = ev.cd.copy(), ev.state.copy()
-        self._steps = np.zeros(len(baselines), dtype=int)
-        self.live = np.ones(len(baselines), dtype=bool)
+        self._steps = np.zeros(len(self._cst), dtype=int)
+        self.live = np.ones(len(self._cst), dtype=bool)
         return self._state.copy()
 
-    def reset(self, baseline: AirfoilGeom) -> np.ndarray:
-        return self.reset_lanes([baseline])[0]
+    def reset(self, baseline) -> np.ndarray:
+        return self.reset_lanes(baseline)[0]
 
     def step(self, action_scaled) -> LaneResult:
         """Apply one scaled action per live lane: an (n, 3) block, rows in
@@ -141,14 +142,13 @@ class DesignEnv:
             raise EnvProtocolError("step() after episode end or before reset()")
         t0 = time.perf_counter()
         phys, clamped = scaled_to_physical(np.reshape(action_scaled, (lanes.size, 3)))
-        upper, lower, width_clamped, failed = apply_action(
-            (self._upper[lanes], self._lower[lanes], self._t_max[lanes]), phys)
+        cst, width_clamped, failed = apply_action(self._cst[lanes], self.t_max, phys)
         cd_before = self._cd[lanes]
         shock_lost = np.zeros(lanes.size, dtype=bool)
         moved = lanes[~failed]
         if moved.size:
-            self._upper[moved], self._lower[moved] = upper[~failed], lower[~failed]
-            ev = self.evaluator(np.concatenate([upper[~failed], lower[~failed]], axis=1))
+            self._cst[moved] = built = cst[~failed]
+            ev = self.evaluator(built)
             self._cd[moved], self._state[moved] = ev.cd, ev.state
             shock_lost[~failed] = ~is_single_shock(ev)
         cd_after = self._cd[lanes]

@@ -1,10 +1,12 @@
 """CST airfoil representation and Hicks-Henne bump modification.
 
-An airfoil is stored as two sets of 7 CST coefficients (6th-order
-Bernstein shape function, class exponents 0.5/1.0, zero trailing-edge
-gap).  Local modifications are sine-power bumps added to the upper
-surface; the bumped curve is refit with CST (smoothing) and the lower
-surface is rescaled to hold maximum thickness fixed.
+An airfoil is a (14,) row of CST coefficients, 7 for the upper surface
+then 7 for the lower (6th-order Bernstein shape function, class
+exponents 0.5/1.0, zero trailing-edge gap), and a set of airfoils an
+(N, 14) array; every airfoil of a run has the run's one maximum
+thickness t_max.  Local modifications are sine-power bumps added to
+the upper surface; the bumped curve is refit with CST (smoothing) and
+the lower surface is rescaled to hold maximum thickness fixed.
 
 The step path (solve_t2, the bump, the refit and the rescale) is array
 code over lanes, one airfoil each; a single airfoil is a lane of one,
@@ -15,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,20 +35,6 @@ class GeometryError(ValueError):
 def cosine_stations(n: int = N_STATIONS) -> np.ndarray:
     """Chordwise stations clustered at both ends, x[0]=0, x[-1]=1."""
     return 0.5 * (1.0 - np.cos(np.linspace(0.0, np.pi, n)))
-
-
-@dataclass(frozen=True)
-class AirfoilGeom:
-    """A baseline airfoil: CST coefficients whose lower surface was
-    rescaled to meet ``t_max`` (see :func:`make_airfoil`)."""
-
-    cst_upper: np.ndarray
-    cst_lower: np.ndarray
-    t_max: float
-
-    @property
-    def cst14(self) -> np.ndarray:
-        return np.concatenate([self.cst_upper, self.cst_lower])
 
 
 def _cst_basis(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -386,10 +373,10 @@ def solve_t2(t1, s_b):
     return _solve_t2_lanes(np.array([_peak_exponent(a) for a in t1.tolist()]), s_b)
 
 
-def max_thickness(airfoil: AirfoilGeom) -> float:
-    """Maximum of (y_upper - y_lower) on the fixed 201-point cosine grid."""
-    return float(np.max(cst_at_stations(airfoil.cst_upper)
-                        - cst_at_stations(airfoil.cst_lower)))
+def max_thickness(cst) -> float:
+    """Maximum of (y_upper - y_lower) of a (14,) row on the fixed
+    201-point cosine grid."""
+    return float(np.max(cst_at_stations(cst[:N_CST]) - cst_at_stations(cst[N_CST:])))
 
 
 _FACTORS = np.array([[1.0], [0.25], [4.0]])
@@ -436,15 +423,17 @@ def _rescale_lower(upper: np.ndarray, lower: np.ndarray, t_max: np.ndarray):
     return factor[:, None] * lower, failed
 
 
-def make_airfoil(cst_upper, cst_lower, t_max):
-    """Rescale each lane's lower surface to meet its t_max: (k, 7) upper
-    and lower lanes and (k,) t_max give _rescale_lower's (lower,
-    failed)."""
-    return _rescale_lower(np.asarray(cst_upper, dtype=float),
-                          np.asarray(cst_lower, dtype=float), np.asarray(t_max, dtype=float))
+def make_airfoil(cst, t_max: float):
+    """Rescale the lower half of each (k, 14) row to meet t_max; returns
+    the rows and _rescale_lower's failed flags (a failed row is
+    returned as it came)."""
+    cst = np.array(cst, dtype=float)
+    cst[:, N_CST:], failed = _rescale_lower(cst[:, :N_CST], cst[:, N_CST:],
+                                            np.full(len(cst), t_max))
+    return cst, failed
 
 
-def apply_action(airfoil, action):
+def apply_action(cst, t_max: float, action):
     """Add a bump to the upper surface, refit with CST, restore thickness.
 
     The refit is the smoothing step: the bumped curve is reconstructed
@@ -452,43 +441,41 @@ def apply_action(airfoil, action):
     the maximum thickness stays at t_max, within the tolerances of
     solve_t2 and _rescale_lower.
 
-    airfoil is a tuple (upper, lower, t_max) of (N, 7), (N, 7) and (N,)
-    arrays, one airfoil per lane, and action an (N, 3) array of physical
-    (t1, s_b, h_b) rows; the result is (upper, lower, width_clamped,
-    failed), with width_clamped[i] solve_t2's clamped flag and failed[i]
-    set on a lane whose action solve_t2 rejects or whose thickness
-    rescale fails (it keeps its input coefficients).  The t2 solve, the
-    bump, the CST sums, the refit and the thickness rescale each run
-    over all lanes together, and every lane gets the floats of a lane of
-    one.
+    cst is an (N, 14) array, one airfoil per lane, all at thickness
+    t_max, and action an (N, 3) array of physical (t1, s_b, h_b) rows;
+    the result is (cst, width_clamped, failed), with width_clamped[i]
+    solve_t2's clamped flag and failed[i] set on a lane whose action
+    solve_t2 rejects or whose thickness rescale fails (it keeps its
+    input coefficients).  The t2 solve, the bump, the CST sums, the
+    refit and the thickness rescale each run over all lanes together,
+    and every lane gets the floats of a lane of one.
     """
-    upper, lower, t_max = (np.asarray(a, dtype=float) for a in airfoil)
+    cst = np.array(cst, dtype=float)
     t1, s_b, h_b = np.asarray(action, dtype=float).T
     failed = _invalid_actions(t1, s_b)
     ok = np.flatnonzero(~failed)
     t2, clamped = solve_t2(t1[ok], s_b[ok])
     e = np.array([_peak_exponent(a) for a in t1[ok].tolist()])
-    fitted = cst_fit(_STATIONS, cst_at_stations(upper[ok])
+    fitted = cst_fit(_STATIONS, cst_at_stations(cst[ok, :N_CST])
                      + h_b[ok, None] * _unit_bump(_STATIONS, e[:, None], t2[:, None]))
-    rescaled, failed[ok] = _rescale_lower(fitted, lower[ok], t_max[ok])
+    rescaled, failed[ok] = _rescale_lower(fitted, cst[ok, N_CST:], np.full(ok.size, t_max))
     built = ~failed[ok]
-    new_upper, new_lower = upper.copy(), lower.copy()
+    cst[ok[built]] = np.hstack((fitted, rescaled))[built]
     width_clamped = np.zeros(len(failed), dtype=bool)
-    new_upper[ok[built]], new_lower[ok[built]] = fitted[built], rescaled[built]
     width_clamped[ok[built]] = clamped[built]
-    return new_upper, new_lower, width_clamped, failed
+    return cst, width_clamped, failed
 
 
 # ---------------------------------------------------------------------------
 # file formats
 
 
-def write_coordinates(path, airfoil: AirfoilGeom) -> None:
-    """Selig-order coordinate file on the 201-point cosine grid: upper
-    TE->LE, then lower LE->TE."""
+def write_coordinates(path, cst) -> None:
+    """Selig-order coordinate file of a (14,) row on the 201-point
+    cosine grid: upper TE->LE, then lower LE->TE."""
     x = cosine_stations()
-    yu = cst_evaluate(airfoil.cst_upper, x)
-    yl = cst_evaluate(airfoil.cst_lower, x)
+    yu = cst_evaluate(cst[:N_CST], x)
+    yl = cst_evaluate(cst[N_CST:], x)
     with open(path, "w") as fh:
         fh.write("# airfoil coordinates, Selig order\n")
         for xi, yi in zip(x[::-1], yu[::-1]):
@@ -522,21 +509,22 @@ def read_coordinates(path) -> tuple[np.ndarray, np.ndarray]:
     return np.array(xs), np.array(ys)
 
 
-def write_cst_file(path, airfoil: AirfoilGeom) -> None:
-    """14 whitespace-separated coefficients, then t_max on line two."""
+def write_cst_file(path, cst, t_max: float) -> None:
+    """A (14,) row's coefficients, whitespace-separated, then t_max on line two."""
     with open(path, "w") as fh:
-        fh.write(" ".join(repr(float(c)) for c in airfoil.cst14) + "\n")
-        fh.write(repr(float(airfoil.t_max)) + "\n")
+        fh.write(" ".join(repr(float(c)) for c in cst) + "\n")
+        fh.write(repr(float(t_max)) + "\n")
 
 
-def read_cst_file(path) -> AirfoilGeom:
-    """Read write_cst_file's format and rescale the lower surface to
-    meet t_max, as make_airfoil does for a lane of one.  Raises
-    GeometryError naming the file, and the line where one is at fault."""
+def read_cst_file(path) -> tuple[np.ndarray, float]:
+    """Read write_cst_file's format and rescale the lower half to meet
+    t_max, as make_airfoil does for a lane of one; returns (cst, t_max).
+    Raises GeometryError naming the file, and the line where one is at
+    fault."""
     with open(path) as fh:
         cst = _numbers(path, 1, fh.readline(), 2 * N_CST, f"{2 * N_CST} CST coefficients")
-        t_max = _numbers(path, 2, fh.readline(), 1, "t_max")
-    lower, failed = make_airfoil(cst[None, :N_CST], cst[None, N_CST:], t_max)
+        t_max = float(_numbers(path, 2, fh.readline(), 1, "t_max")[0])
+    built, failed = make_airfoil(cst[None], t_max)
     if failed[0]:
         raise GeometryError(f"{path}: {BRACKET_ERROR}")
-    return AirfoilGeom(cst_upper=cst[:N_CST], cst_lower=lower[0], t_max=float(t_max[0]))
+    return built[0], t_max

@@ -21,6 +21,9 @@ def plot_history(history_csv, out_svg, x_col: str = "iteration",
     CSV, or a column with no finite point, yields an axes-only chart.
     A malformed CSV raises TableError (see tables.read_csv).
     """
+    # saxutils loads urllib.request: only the plot command should pay for it
+    from xml.sax.saxutils import escape
+
     table = read_csv(history_csv, [x_col, y_col])
     xs, ys = table[np.isfinite(table).all(axis=1)].T.tolist()
     lines = [
@@ -32,9 +35,9 @@ def plot_history(history_csv, out_svg, x_col: str = "iteration",
         f'<line x1="{MARGIN}" y1="{MARGIN}" x2="{MARGIN}" '
         f'y2="{HEIGHT - MARGIN}" stroke="black"/>',
         f'<text x="{WIDTH // 2}" y="{HEIGHT - 12}" text-anchor="middle" '
-        f'font-size="14">{x_col}</text>',
+        f'font-size="14">{escape(x_col)}</text>',
         f'<text x="16" y="{HEIGHT // 2}" text-anchor="middle" font-size="14" '
-        f'transform="rotate(-90 16 {HEIGHT // 2})">{y_col}</text>',
+        f'transform="rotate(-90 16 {HEIGHT // 2})">{escape(y_col)}</text>',
     ]
     if xs:
         x_lo, x_hi = min(xs), max(xs)

@@ -13,8 +13,9 @@ from collections import Counter
 import numpy as np
 
 from .env import ACTION_BOUNDS, REWARD_SCALE, physical_to_scaled
-from .geometry import AirfoilGeom, apply_action
+from .geometry import apply_action
 from .nnet import Fit
+from .proxy import T_MAX_DEFAULT
 from .rl import PolicyAgent, PpoConfig, ppo_train
 from .tables import (ACTION_COLS, REWARD_COL, SAMPLE_COLUMNS, SAMPLE_WIDTH, STATE_COLS,
                      is_valid_design, read_cells, read_csv, write_csv)
@@ -29,13 +30,13 @@ _SMOOTH_BLOCK = 256
 IMITATION_SCHEDULE = [(250, 1e-3), (250, 1e-4), (250, 1e-5), (250, 1e-6)]
 
 
-def greedy_search(baseline: AirfoilGeom, evaluator, searches: int,
-                  steps: int, candidates: int, rng,
-                  record: Counter | None = None) -> np.ndarray:
-    """Random greedy searches: at each step draw candidate actions
-    uniformly over the physical action box, keep the one with the
-    smallest drag that stays inside the feature box, and advance.
-    Returns a (k, 8) sample table, a row per step taken.
+def greedy_search(baseline, evaluator, searches: int, steps: int, candidates: int, rng,
+                  t_max: float = T_MAX_DEFAULT, record: Counter | None = None) -> np.ndarray:
+    """Random greedy searches from a (14,) baseline row at thickness
+    t_max: at each step draw candidate actions uniformly over the
+    physical action box, keep the one with the smallest drag that stays
+    inside the feature box, and advance.  Returns a (k, 8) sample table,
+    a row per step taken.
 
     The candidates of a step are one batch: one apply_action call over
     lanes and one evaluator call on the candidates it could build.  The
@@ -43,23 +44,20 @@ def greedy_search(baseline: AirfoilGeom, evaluator, searches: int,
     candidates scored (``greedy_candidates``).
     """
     samples = [np.empty((0, SAMPLE_WIDTH))]
-    ev = evaluator(baseline.cst14)
+    ev = evaluator(baseline)
     cd0, state0 = float(ev.cd[0]), ev.state[0].copy()
     for _ in range(searches):
-        upper, lower = baseline.cst_upper, baseline.cst_lower
-        cd, state = cd0, state0
+        cst, cd, state = baseline, cd0, state0
         for _ in range(steps):
             draws = rng.uniform(ACTION_BOUNDS[:, 0], ACTION_BOUNDS[:, 1],
                                 size=(candidates, 3))
-            new_upper, new_lower, _, failed = apply_action(
-                (np.tile(upper, (candidates, 1)), np.tile(lower, (candidates, 1)),
-                 np.full(candidates, baseline.t_max)), draws)
+            new, _, failed = apply_action(np.tile(cst, (candidates, 1)), t_max, draws)
             if record is not None:
                 record["greedy_candidates"] += candidates
             built = np.flatnonzero(~failed)
             drag = np.full(candidates, np.inf)
             if built.size:
-                ev = evaluator(np.concatenate([new_upper[built], new_lower[built]], axis=1))
+                ev = evaluator(new[built])
                 valid = is_valid_design(ev.cd, ev.state, ev.no_shock)
                 drag[built] = np.where(valid, ev.cd, np.inf)
             if not np.any(drag < np.inf):
@@ -67,7 +65,7 @@ def greedy_search(baseline: AirfoilGeom, evaluator, searches: int,
             best = int(np.argmin(drag))
             j = int(np.searchsorted(built, best))
             samples.append([[*state, *draws[best], REWARD_SCALE * (cd - drag[best])]])
-            upper, lower = new_upper[best], new_lower[best]
+            cst = new[best]
             cd, state = float(drag[best]), ev.state[j].copy()
     return np.concatenate(samples)
 

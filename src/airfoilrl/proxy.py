@@ -13,7 +13,7 @@ from collections import Counter
 import numpy as np
 
 from .features import WallMachDistribution, extract_features
-from .geometry import AirfoilGeom, cosine_stations, cst_at_stations, make_airfoil
+from .geometry import cosine_stations, cst_at_stations, make_airfoil
 from .tables import CSV_COLUMNS, CST_COLS, is_valid_design
 
 
@@ -48,7 +48,7 @@ def _moving_average(v: np.ndarray, halfwidth: int) -> np.ndarray:
     return sums / counts
 
 
-def proxy_distribution(cst14, m_inf: float = M_INF_DEFAULT) -> WallMachDistribution:
+def proxy_distribution(cst, m_inf: float = M_INF_DEFAULT) -> WallMachDistribution:
     """Synthetic wall-Mach distribution on the 201-station cosine grid.
 
     Upper signal: free stream plus thickness and adverse-slope terms,
@@ -58,7 +58,7 @@ def proxy_distribution(cst14, m_inf: float = M_INF_DEFAULT) -> WallMachDistribut
     (14,) vector is a block of one) gives (N, 201) mw_upper and
     mw_lower, one airfoil per row.
     """
-    block = np.reshape(np.asarray(cst14, dtype=float), (-1, 14))
+    block = np.reshape(np.asarray(cst, dtype=float), (-1, 14))
     x = cosine_stations()
     y_u = cst_at_stations(block[:, :7])
     y_l = cst_at_stations(block[:, 7:])
@@ -78,7 +78,7 @@ def proxy_distribution(cst14, m_inf: float = M_INF_DEFAULT) -> WallMachDistribut
     return WallMachDistribution(x_upper=x, mw_upper=u, x_lower=x, mw_lower=low, m_inf=m_inf)
 
 
-def proxy_evaluate(cst14, m_inf: float = M_INF_DEFAULT):
+def proxy_evaluate(cst, m_inf: float = M_INF_DEFAULT):
     """Drag coefficients and features of an (N, 14) block of CST
     geometries (a (14,) vector is a block of one): an (N,) array and a
     FeatureSet of (N,) arrays.
@@ -86,7 +86,7 @@ def proxy_evaluate(cst14, m_inf: float = M_INF_DEFAULT):
     CD = CD_BASE + K_WAVE * max(Mw1 - 1, 0)^4 + K_ERR * Err; the wave
     term is the fourth-power shock-strength rule, zero when no shock.
     """
-    feats = extract_features(proxy_distribution(cst14, m_inf))
+    feats = extract_features(proxy_distribution(cst, m_inf))
     # Python's float power per row: np.power(x, 4) may round differently
     wave = np.array([0.0 if ns else max(m - 1.0, 0.0) ** 4
                      for m, ns in zip(feats.mw1.tolist(), feats.no_shock.tolist())])
@@ -96,8 +96,8 @@ def proxy_evaluate(cst14, m_inf: float = M_INF_DEFAULT):
 # base geometry the bundled seed generator perturbs: front-loaded upper
 # surface giving a supersonic plateau near Mach 1.12 with a mid-chord
 # recompression, leaving a few counts of removable wave drag
-BASE_UPPER = np.array([0.1968, 0.1804, 0.164, 0.1558, 0.1394, 0.1312, 0.123])
-BASE_LOWER = np.array([-0.100, -0.085, -0.070, -0.050, -0.025, 0.005, 0.015])
+BASE_CST = np.array([0.1968, 0.1804, 0.164, 0.1558, 0.1394, 0.1312, 0.123,
+                     -0.100, -0.085, -0.070, -0.050, -0.025, 0.005, 0.015])
 T_MAX_DEFAULT = 0.095
 
 
@@ -113,20 +113,22 @@ _SEED_SPREAD = 0.008  # narrow, so that most seed draws are valid designs
 _SEED_TRIES = 20000
 
 
-def _evaluated(rng, spread: float, t_max: float, tries: int, n: int,
+def _evaluated(what: str, seed: int, spread: float, t_max: float, tries: int, n: int,
                m_inf: float, keep=None, record: Counter | None = None) -> np.ndarray:
-    """A sample table (CSV_COLUMNS) of up to n random perturbations of
-    the base geometry that build and pass keep(cd, feats), a row mask
-    (all rows pass without it), from at most `tries` draws.  `record`
-    receives the counts ``pool_draws``, ``build_failures`` (draws whose
-    thickness make_airfoil cannot bracket), ``proxy_rows`` and
-    ``proxy_blocks``.
+    """A sample table (CSV_COLUMNS) of n random perturbations of the base
+    geometry that build and pass keep(cd, feats), a row mask (all rows
+    pass without it), from at most `tries` draws of the seeded
+    generator; RuntimeError from the `what` generator if fewer pass.
+    `record` receives the counts ``pool_draws``, ``build_failures``
+    (draws whose thickness make_airfoil cannot bracket), ``proxy_rows``
+    and ``proxy_blocks``.
 
     A block of up to _PROXY_BLOCK airfoils, no more than are still
-    missing, is drawn as one (k, 2, 7) uniform array (the floats of k
-    draws of 7 + 7), built by one make_airfoil call over lanes, topped up
+    missing, is drawn as one (k, 14) uniform array (the floats of k
+    draws of 14), built by one make_airfoil call over lanes, topped up
     by drawing as many as failed, then evaluated by one proxy call.
     """
+    rng = np.random.default_rng(seed)
     kept = [np.empty((0, len(CSV_COLUMNS)))]
     count = draws = failures = rows = blocks = 0
     while count < n:
@@ -134,12 +136,10 @@ def _evaluated(rng, spread: float, t_max: float, tries: int, n: int,
         block = np.empty((0, 14))
         while len(block) < want and draws < tries:
             k = min(want - len(block), tries - draws)
-            d = rng.uniform(-spread, spread, (k, 2, 7))
-            upper = BASE_UPPER + d[:, 0]
-            lower, failed = make_airfoil(upper, BASE_LOWER + d[:, 1], np.full(k, t_max))
+            built, failed = make_airfoil(BASE_CST + rng.uniform(-spread, spread, (k, 14)), t_max)
             draws += k
             failures += int(np.count_nonzero(failed))
-            block = np.concatenate((block, np.hstack((upper, lower))[~failed]))
+            block = np.concatenate((block, built[~failed]))
         if not len(block):
             break
         cd, feats = proxy_evaluate(block, m_inf)
@@ -151,20 +151,23 @@ def _evaluated(rng, spread: float, t_max: float, tries: int, n: int,
     if record is not None:
         record.update(pool_draws=draws, build_failures=failures, proxy_rows=rows,
                       proxy_blocks=blocks)
+    if count < n:
+        # where no draw builds, the run's t_max is out of reach, not the box
+        why = (f": none of {draws} draws builds an airfoil at t_max = {t_max!r}"
+               if failures == draws else "")
+        raise RuntimeError(f"{what} generator produced {count}/{n} valid airfoils{why}")
     return np.concatenate(kept)
 
 
 def seed_airfoils(n: int, seed: int = 0, t_max: float = T_MAX_DEFAULT,
-                  m_inf: float = M_INF_DEFAULT) -> list[AirfoilGeom]:
-    """Deterministic seed set: perturbations of the base geometry,
-    rejection-sampled so every seed is a valid design.  Each airfoil is
-    evaluated once, in blocks, and no draw is wasted."""
-    kept = _evaluated(np.random.default_rng(seed), _SEED_SPREAD, t_max, _SEED_TRIES, n, m_inf,
+                  m_inf: float = M_INF_DEFAULT) -> np.ndarray:
+    """Deterministic seed set, an (n, 14) array: perturbations of the
+    base geometry at t_max, rejection-sampled so every seed is a valid
+    design.  Each airfoil is evaluated once, in blocks, and no draw is
+    wasted."""
+    kept = _evaluated("seed", seed, _SEED_SPREAD, t_max, _SEED_TRIES, n, m_inf,
                       keep=lambda cd, feats: is_valid_design(cd, feats.state, feats.no_shock))
-    out = [AirfoilGeom(row[:7], row[7:CST_COLS.stop], t_max) for row in kept]
-    if len(out) < n:
-        raise RuntimeError(f"seed generator produced {len(out)}/{n} valid airfoils")
-    return out
+    return kept[:, CST_COLS]
 
 
 def generate_pool(n: int, seed: int = 0, t_max: float = T_MAX_DEFAULT,
@@ -175,8 +178,5 @@ def generate_pool(n: int, seed: int = 0, t_max: float = T_MAX_DEFAULT,
     sample.  `record` receives the draw and proxy counts of the blocks
     (see _evaluated).
     """
-    pool = _evaluated(np.random.default_rng(seed), _POOL_SPREAD, t_max,
-                      _POOL_TRIES_PER_SAMPLE * n, n, m_inf, record=record)
-    if len(pool) < n:
-        raise RuntimeError(f"pool generator produced {len(pool)}/{n} valid airfoils")
-    return pool
+    return _evaluated("pool", seed, _POOL_SPREAD, t_max, _POOL_TRIES_PER_SAMPLE * n, n, m_inf,
+                      record=record)

@@ -184,7 +184,7 @@ def collect_batch(agent: PolicyAgent, baselines, env,
     rng, rows in lane order.  The batch lists each trajectory's steps
     together, in lane order.
     """
-    episodes = [b for b in baselines for _ in range(config.trajectories_per_baseline)]
+    episodes = np.repeat(baselines, config.trajectories_per_baseline, axis=0)
     state = env.reset_lanes(episodes)
     blocks = []  # (lanes, states, actions, log-probs, rewards) per lockstep step
     while env.live.any():
@@ -298,7 +298,7 @@ def ppo_train(agent: PolicyAgent, baselines, config: PpoConfig, env,
     entry k holds the evaluation after iteration k together with the
     final losses and the current std components.
     """
-    if not baselines:
+    if not len(baselines):
         raise PpoError("at least one baseline required")
     rng = np.random.default_rng(seed)
     critic_only = critic_schedule is not None

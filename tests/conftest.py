@@ -4,7 +4,7 @@ import dataclasses
 import numpy as np
 
 from airfoilrl.features import FeatureSet, WallMachDistribution, extract_features
-from airfoilrl.geometry import AirfoilGeom, apply_action, make_airfoil
+from airfoilrl.geometry import apply_action, make_airfoil
 
 
 def synthetic_profile(x1, mw1, mwl, mwa):
@@ -55,17 +55,15 @@ def features_of_one(dist: WallMachDistribution) -> FeatureSet:
         dist, mw_upper=dist.mw_upper[None], mw_lower=dist.mw_lower[None])))
 
 
-def built_airfoil(upper, lower, t_max) -> AirfoilGeom | None:
-    """make_airfoil on a lane of one: the airfoil, or None where the
+def built_airfoil(cst, t_max) -> np.ndarray | None:
+    """make_airfoil on a lane of one: the (14,) row, or None where the
     thickness cannot be bracketed."""
-    new_lower, failed = make_airfoil(np.array([upper]), np.array([lower]), np.array([t_max]))
-    return None if failed[0] else AirfoilGeom(np.array(upper, dtype=float), new_lower[0], t_max)
+    built, failed = make_airfoil(np.array([cst]), t_max)
+    return None if failed[0] else built[0]
 
 
-def modified_airfoil(foil: AirfoilGeom, action) -> AirfoilGeom | None:
-    """apply_action on `foil` alone with the physical (t1, s_b, h_b)
-    `action`: the modified airfoil, or None where the lane fails."""
-    upper, lower, _, failed = apply_action(
-        (foil.cst_upper[None], foil.cst_lower[None], np.array([foil.t_max])),
-        np.array([action], dtype=float))
-    return None if failed[0] else AirfoilGeom(upper[0], lower[0], foil.t_max)
+def modified_airfoil(cst, t_max, action) -> np.ndarray | None:
+    """apply_action on the (14,) row `cst` alone with the physical
+    (t1, s_b, h_b) `action`: the modified row, or None where the lane fails."""
+    new, _, failed = apply_action(cst[None], t_max, np.array([action], dtype=float))
+    return None if failed[0] else new[0]

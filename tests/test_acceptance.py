@@ -15,11 +15,11 @@ from airfoilrl import pretrain as pt
 from airfoilrl import rl
 from airfoilrl.cli import main
 from airfoilrl.env import DesignEnv, proxy_evaluator
-from airfoilrl.geometry import (AirfoilGeom, apply_action, bump_y, cosine_stations,
+from airfoilrl.geometry import (apply_action, bump_y, cosine_stations,
                                 cst_evaluate, cst_fit, max_thickness, measure_bump_width,
                                 solve_t2)
 from airfoilrl.nnet import MlpModel, Scaler, make_mlp, mlp_backward, mlp_forward
-from airfoilrl.proxy import generate_pool, seed_airfoils
+from airfoilrl.proxy import T_MAX_DEFAULT, generate_pool, seed_airfoils
 from airfoilrl.rl import (PolicyAgent, PpoConfig, TrajectoryBatch, clip_target,
                           gae_advantages, make_agent, ppo_losses, ppo_train,
                           reward_to_go)
@@ -63,12 +63,11 @@ def test_criterion_1_geometry_identities():
         foil = baselines[attempts % len(baselines)]
         action = [[rng.uniform(0.05, 0.95), rng.uniform(0.2, 0.4),
                    rng.uniform(-0.02, 0.02)]]
-        upper, lower, _, failed = apply_action(
-            (foil.cst_upper[None], foil.cst_lower[None], np.array([foil.t_max])), action)
+        new, _, failed = apply_action(foil[None], T_MAX_DEFAULT, action)
         if failed[0]:
             continue
         applied += 1
-        ok &= abs(max_thickness(AirfoilGeom(upper[0], lower[0], foil.t_max)) - 0.095) < 1e-6
+        ok &= abs(max_thickness(new[0]) - 0.095) < 1e-6
     ok &= applied >= 1000
     ok &= (time.perf_counter() - t0) < 10.0
     report(1, "geometry identities and thickness conservation", ok)

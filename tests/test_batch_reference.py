@@ -18,10 +18,10 @@ import pytest
 from airfoilrl import geometry
 from airfoilrl.env import (ACTION_BOUNDS, OUTCOMES, REWARD_SCALE, DesignEnv,
                            proxy_evaluator, surrogate_evaluator)
-from airfoilrl.geometry import WIDTH_GRID, AirfoilGeom, GeometryError, apply_action, max_thickness
+from airfoilrl.geometry import WIDTH_GRID, GeometryError, apply_action, max_thickness
 from airfoilrl.nnet import Scaler, make_mlp
 from airfoilrl.pretrain import greedy_search
-from airfoilrl.proxy import proxy_evaluate, seed_airfoils
+from airfoilrl.proxy import T_MAX_DEFAULT, proxy_evaluate, seed_airfoils
 from airfoilrl.tables import in_feature_bounds
 
 from conftest import first_row, modified_airfoil
@@ -127,7 +127,7 @@ def measure_bump_width(t1: float, t2: float) -> float:
 # takes a row of outputs, and each sample is a table row
 
 
-def reference_greedy_search(baseline: AirfoilGeom, evaluator, searches: int,
+def reference_greedy_search(baseline, evaluator, searches: int,
                   steps: int, candidates: int, rng) -> list[list[float]]:
     """Random greedy searches: at each step draw candidate actions
     uniformly over the physical action box, keep the one with the
@@ -135,17 +135,17 @@ def reference_greedy_search(baseline: AirfoilGeom, evaluator, searches: int,
     samples: list[list[float]] = []
     for _ in range(searches):
         foil = baseline
-        cd, feats = evaluator(foil.cst14)
+        cd, feats = evaluator(foil)
         for _ in range(steps):
             draws = rng.uniform(ACTION_BOUNDS[:, 0], ACTION_BOUNDS[:, 1],
                                 size=(candidates, 3))
             best = None
             for row in draws:
                 action = (float(row[0]), float(row[1]), float(row[2]))
-                cand = modified_airfoil(foil, action)
+                cand = modified_airfoil(foil, T_MAX_DEFAULT, action)
                 if cand is None:
                     continue
-                cd_new, feats_new = evaluator(cand.cst14)
+                cd_new, feats_new = evaluator(cand)
                 outputs = [cd_new, feats_new.x1, feats_new.mw1, feats_new.mwl,
                            feats_new.mwa]
                 if feats_new.no_shock or not in_feature_bounds(outputs):
@@ -166,11 +166,12 @@ def reference_greedy_search(baseline: AirfoilGeom, evaluator, searches: int,
 
 def random_airfoils(rng, count):
     """Seed airfoils and airfoils a few random bumps away from them."""
-    foils = seed_airfoils(6, seed=40)
+    foils = list(seed_airfoils(6, seed=40))
     while len(foils) < count:
         foil = foils[int(rng.integers(len(foils)))]
-        new = modified_airfoil(foil, (rng.uniform(0.05, 0.95), rng.uniform(0.2, 0.4),
-                                      rng.uniform(-0.02, 0.02)))
+        new = modified_airfoil(foil, T_MAX_DEFAULT, (rng.uniform(0.05, 0.95),
+                                                     rng.uniform(0.2, 0.4),
+                                                     rng.uniform(-0.02, 0.02)))
         if new is not None:
             foils.append(new)
     return foils
@@ -187,10 +188,10 @@ SPECIAL_ACTIONS = np.array(
                               [0.95, 0.4, 0.02], [0.02, 0.2, -0.02]] * 4)
 
 
-def lane_alone(upper, lower, t_max, action):
+def lane_alone(cst, t_max, action):
     """apply_action over lanes on a block of one lane."""
-    got = apply_action((upper[None], lower[None], np.array([t_max])), action[None])
-    return got[0][0], got[1][0], bool(got[2][0]), bool(got[3][0])
+    got = apply_action(cst[None], t_max, action[None])
+    return got[0][0], bool(got[1][0]), bool(got[2][0])
 
 
 def test_apply_action_lanes_match_lanes_of_one():
@@ -201,26 +202,20 @@ def test_apply_action_lanes_match_lanes_of_one():
         picks = rng.integers(len(foils), size=size)
         actions = rng.uniform(ACTION_BOUNDS[:, 0], ACTION_BOUNDS[:, 1], (size, 3))
         actions[:len(SPECIAL_ACTIONS)] = SPECIAL_ACTIONS[:size]
-        upper = np.array([foils[i].cst_upper for i in picks])
-        lower = np.array([foils[i].cst_lower for i in picks])
-        t_max = np.full(size, 0.095)
-        got_upper, got_lower, width_clamped, failed = apply_action(
-            (upper, lower, t_max), actions)
+        cst = np.array([foils[i] for i in picks])
+        got, width_clamped, failed = apply_action(cst, 0.095, actions)
         assert failed.dtype == bool and failed.shape == (size,)
         for k in range(size):
-            one_upper, one_lower, one_clamped, one_failed = lane_alone(
-                upper[k], lower[k], 0.095, actions[k])
+            one, one_clamped, one_failed = lane_alone(cst[k], 0.095, actions[k])
             assert bool(failed[k]) == one_failed
-            assert got_upper[k].tobytes() == one_upper.tobytes()
-            assert got_lower[k].tobytes() == one_lower.tobytes()
+            assert got[k].tobytes() == one.tobytes()
             assert bool(width_clamped[k]) == one_clamped
             if failed[k]:
-                assert got_upper[k].tobytes() == upper[k].tobytes()
-                assert got_lower[k].tobytes() == lower[k].tobytes()
+                assert got[k].tobytes() == cst[k].tobytes()
                 assert not width_clamped[k]
                 seen["failed"] += 1
                 continue
-            assert abs(max_thickness(AirfoilGeom(one_upper, one_lower, 0.095)) - 0.095) <= 1e-9
+            assert abs(max_thickness(one) - 0.095) <= 1e-9
             seen["ok"] += 1
             seen["clamped"] += one_clamped
     assert min(seen.values()) >= 20, seen
@@ -295,9 +290,9 @@ def test_greedy_search_matches_scalar_loop(seed):
 def step_both(evaluator, baselines, actions_per_step):
     """Step every baseline as one lane of a batch and alone as a batch of
     one with the same scaled actions; returns both sides' records."""
-    batch = DesignEnv(evaluator, 4)
+    batch = DesignEnv(evaluator, max_steps=4)
     batch.reset_lanes(baselines)
-    singles = [DesignEnv(evaluator, 4) for _ in baselines]
+    singles = [DesignEnv(evaluator, max_steps=4) for _ in baselines]
     for env, foil in zip(singles, baselines):
         env.reset(foil)
     records = []
@@ -313,8 +308,7 @@ def step_both(evaluator, baselines, actions_per_step):
 
 
 def assert_same_step(batch, lane, result, j, single, one, rel):
-    assert batch._upper[lane].tobytes() == single._upper[0].tobytes()
-    assert batch._lower[lane].tobytes() == single._lower[0].tobytes()
+    assert batch._cst[lane].tobytes() == single._cst[0].tobytes()
     assert bool(result.done[j]) == bool(one.done[0])
     assert result.reward[j] == pytest.approx(one.reward[0], rel=rel, abs=0.0)
     assert result.next_state[j] == pytest.approx(one.next_state[0], rel=rel, abs=0.0)
@@ -371,7 +365,7 @@ def test_nan_mw1_loses_the_shock():
 
 def test_lockstep_info_counts_outcomes_over_lanes():
     baselines = seed_airfoils(3, seed=58)
-    env = DesignEnv(proxy_evaluator(), 2)
+    env = DesignEnv(proxy_evaluator(), max_steps=2)
     env.reset_lanes(baselines)
     result = env.step(np.array([[1.0, 1.0, 0.55], [1.2, 1.0, 0.55], [0.5, 0.5, 0.55]]))
     assert result.info == {k: int(np.count_nonzero(result.lane_info[k])) for k in OUTCOMES}

@@ -3,17 +3,20 @@ import csv
 import hashlib
 import json
 import os
+from collections import Counter
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
 
-from airfoilrl.cli import _build_config, build_parser, main
+from airfoilrl import pretrain as pt
+from airfoilrl.cli import _build_config, _env, build_parser, main
 from airfoilrl.config import config_hash
 from airfoilrl.env import ROLLOUT_COLUMNS
 from airfoilrl.geometry import read_coordinates, write_cst_file
 from airfoilrl.features import write_distribution
 from airfoilrl.nnet import Scaler, make_mlp, save_model
-from airfoilrl.proxy import BASE_LOWER, BASE_UPPER, T_MAX_DEFAULT
+from airfoilrl.proxy import BASE_CST, T_MAX_DEFAULT
 from airfoilrl.rl import PolicyAgent, make_agent, save_agent
 from airfoilrl.tables import CSV_COLUMNS, OUTPUT_NAMES
 from conftest import built_airfoil, synthetic_distribution
@@ -110,9 +113,9 @@ def test_a_negative_seed_flag_is_rejected(tmp_path, capsys):
 
 
 def test_modify_command(tmp_path):
-    foil = built_airfoil(BASE_UPPER, BASE_LOWER, T_MAX_DEFAULT)
+    foil = built_airfoil(BASE_CST, T_MAX_DEFAULT)
     cst_path = tmp_path / "base.cst"
-    write_cst_file(cst_path, foil)
+    write_cst_file(cst_path, foil, T_MAX_DEFAULT)
     assert run(tmp_path, "modify", "--airfoil", str(cst_path),
                "--action", "0.3,0.4,0.02") == 0
     x, y = read_coordinates(tmp_path / "modified.dat")
@@ -122,7 +125,7 @@ def test_modify_command(tmp_path):
 
 def test_modify_rejects_bad_action(tmp_path, capsys):
     cst_path = tmp_path / "base.cst"
-    write_cst_file(cst_path, built_airfoil(BASE_UPPER, BASE_LOWER, T_MAX_DEFAULT))
+    write_cst_file(cst_path, built_airfoil(BASE_CST, T_MAX_DEFAULT), T_MAX_DEFAULT)
     for action, message in (("1.5,0.3,0.01", "t1 must be in (0, 1)"),
                             ("0.5,-0.1,0.01", "s_b must be positive"),
                             ("0.5,0.3,0.09", "cannot bracket thickness scale factor")):
@@ -166,6 +169,37 @@ def test_proxy_m_inf_moves_the_pool(tmp_path):
         assert run(tmp_path / name, *config, "generate-pool", "--n", "15") == 0
     assert (tmp_path / "default" / "pool.csv").read_bytes() \
         != (tmp_path / "mach" / "pool.csv").read_bytes()
+
+
+@pytest.mark.parametrize("t_max", ["0.5", "0.01"])
+@pytest.mark.parametrize("argv, gave_up", [
+    pytest.param(["generate-pool", "--n", "5"],
+                 "pool generator produced 0/5 valid airfoils: none of 100", id="pool"),
+    pytest.param(["train-ppo"],
+                 "seed generator produced 0/10 valid airfoils: none of 20000", id="seeds"),
+])
+def test_an_unreachable_t_max_is_named(tmp_path, capsys, t_max, argv, gave_up):
+    ini = tmp_path / "thick.ini"
+    ini.write_text(f"[run]\nt_max = {t_max}\n")
+    assert run(tmp_path, "--config", str(ini), *argv) == 1
+    assert f"{gave_up} draws builds an airfoil at t_max = {t_max}\n" in capsys.readouterr().err
+
+
+def test_t_max_reaches_the_env_and_greedy_search(tmp_path, monkeypatch):
+    ini = tmp_path / "thin.ini"
+    ini.write_text("[run]\nt_max = 0.09\n[ppo]\nmax_steps = 3\n")
+    args = build_parser().parse_args(["--config", str(ini), "pretrain"])
+    env = _env(args, _build_config(args), Counter())
+    assert (env.t_max, env.max_steps) == (0.09, 3)
+    seen = []
+
+    def stop(*args, t_max, **kwargs):
+        seen.append(t_max)
+        raise RuntimeError("stopped")
+
+    monkeypatch.setattr(pt, "greedy_search", stop)
+    assert run(tmp_path, "--config", str(ini), "pretrain") == 1
+    assert seen == [0.09]
 
 
 def test_a_proxy_model_constant_is_not_a_key(tmp_path, capsys):
@@ -329,6 +363,14 @@ def test_plot_command_deterministic(tmp_path):
     first = (tmp_path / "history.svg").read_bytes()
     assert run(tmp_path, "plot") == 0
     assert (tmp_path / "history.svg").read_bytes() == first
+
+
+def test_plot_escapes_its_column_names(tmp_path):
+    (tmp_path / "odd.csv").write_text("it,a&b<c\n0,-1.0\n1,0.5\n")
+    assert run(tmp_path, "plot", "--history", "odd.csv", "--x", "it", "--y", "a&b<c") == 0
+    root = ElementTree.parse(tmp_path / "history.svg").getroot()
+    labels = [text.text for text in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert labels[:2] == ["it", "a&b<c"]
 
 
 def test_out_dir_env_override(tmp_path, monkeypatch):

@@ -5,8 +5,7 @@ import pytest
 from airfoilrl.env import (ACTION_BOUNDS, REWARD_SCALE, DesignEnv,
                            EnvProtocolError, physical_to_scaled,
                            proxy_evaluator, scaled_to_physical, ROLLOUT_COLUMNS)
-from airfoilrl.geometry import (AirfoilGeom, apply_action, max_thickness,
-                                solve_t2)
+from airfoilrl.geometry import apply_action, max_thickness, solve_t2
 from airfoilrl.proxy import seed_airfoils
 from airfoilrl.tables import write_rows
 
@@ -77,9 +76,7 @@ def test_thickness_invariant_after_steps(env, baseline):
     done = False
     while not done:
         result = env.step(rng.uniform(0.4, 0.6, 3))
-        foil = AirfoilGeom(cst_upper=env._upper[0], cst_lower=env._lower[0],
-                           t_max=float(env._t_max[0]))
-        assert abs(max_thickness(foil) - foil.t_max) < 1e-6
+        assert abs(max_thickness(env._cst[0]) - env.t_max) < 1e-6
         done = result.done[0]
 
 
@@ -110,7 +107,7 @@ def test_a_reused_env_leaks_nothing():
     three lanes, then reset on two other baselines, steps them bit for
     bit as a fresh env does."""
     rng = np.random.default_rng(4)
-    reused = DesignEnv(proxy_evaluator(), 3)
+    reused = DesignEnv(proxy_evaluator(), max_steps=3)
     reused.reset_lanes(seed_airfoils(3, seed=0))
     # lane 0's full-range bump fails, so one lane ends early
     first = reused.step(np.array([[0.5, 0.5, 1.0], [0.45, 0.5, 0.49], [0.55, 0.6, 0.51]]))
@@ -119,7 +116,7 @@ def test_a_reused_env_leaks_nothing():
     assert reused.live.tolist() == [False, True, True]
 
     baselines = seed_airfoils(2, seed=1)
-    fresh = DesignEnv(proxy_evaluator(), 3)
+    fresh = DesignEnv(proxy_evaluator(), max_steps=3)
     assert reused.reset_lanes(baselines).tobytes() == fresh.reset_lanes(baselines).tobytes()
     assert reused.live.tobytes() == fresh.live.tobytes()
     steps = 0
@@ -169,9 +166,8 @@ def test_width_clamped_reported_apart_from_action_clipping(env, baseline):
     # bump cannot reach: solve_t2 clamps t2 to its bracket end 0.2
     t2, clamped = solve_t2(np.array([0.99, 0.5]), np.array([0.4, 0.3]))
     assert t2[0] == 0.2 and clamped.tolist() == [True, False]
-    lanes = (np.tile(baseline.cst_upper, (2, 1)), np.tile(baseline.cst_lower, (2, 1)),
-             np.full(2, baseline.t_max))
-    _, _, bump_clamped, failed = apply_action(lanes, [[0.99, 0.4, 0.01], [0.5, 0.3, 0.01]])
+    _, bump_clamped, failed = apply_action(np.tile(baseline, (2, 1)), env.t_max,
+                                           [[0.99, 0.4, 0.01], [0.5, 0.3, 0.01]])
     assert bump_clamped.tolist() == [True, False] and not failed.any()
     for action, clipped, width_clamped in (([1.0, 1.0, 0.55], False, True),
                                            ([0.5, 0.5, 0.55], False, False),
@@ -180,3 +176,22 @@ def test_width_clamped_reported_apart_from_action_clipping(env, baseline):
         info = env.step(np.array(action)).lane_info
         assert not info["modify_failed"][0]
         assert (info["clamped"][0], info["width_clamped"][0]) == (clipped, width_clamped)
+
+
+def test_steps_hold_the_env_t_max():
+    # every airfoil the env evaluates, baselines and built steps alike,
+    # is at its t_max, not the default 0.095
+    rows = []
+    evaluate = proxy_evaluator()
+
+    def recording(cst):
+        rows.extend(np.reshape(cst, (-1, 14)))
+        return evaluate(cst)
+
+    env = DesignEnv(recording, t_max=0.09)
+    env.reset_lanes(seed_airfoils(3, seed=0, t_max=0.09))
+    rng = np.random.default_rng(5)
+    while env.live.any():
+        env.step(rng.uniform(0.3, 0.7, (np.count_nonzero(env.live), 3)))
+    assert len(rows) > 3
+    assert all(abs(max_thickness(row) - 0.09) < 1e-6 for row in rows)

@@ -9,7 +9,7 @@ from airfoilrl import geometry as g
 from airfoilrl.geometry import (GeometryError, bump_y, cosine_stations,
                                 cst_evaluate, cst_fit, make_airfoil, max_thickness,
                                 measure_bump_width, solve_t2)
-from airfoilrl.proxy import BASE_LOWER, BASE_UPPER, T_MAX_DEFAULT
+from airfoilrl.proxy import BASE_CST, T_MAX_DEFAULT
 from conftest import built_airfoil, modified_airfoil
 
 
@@ -103,45 +103,48 @@ def test_width_monotone_in_t2():
 
 
 def test_max_thickness_of_reference_airfoil():
-    foil = built_airfoil(BASE_UPPER, BASE_LOWER, T_MAX_DEFAULT)
+    foil = built_airfoil(BASE_CST, T_MAX_DEFAULT)
     assert abs(max_thickness(foil) - T_MAX_DEFAULT) < 1e-6
 
 
 def test_make_airfoil_unbracketable_raises(tmp_path):
-    thick = np.full(7, 0.6)
-    lower, failed = make_airfoil(thick[None], -thick[None], np.array([0.01]))
-    assert failed[0] and np.array_equal(lower[0], -thick)
+    thick = np.repeat([0.6, -0.6], 7)
+    built, failed = make_airfoil(thick[None], 0.01)
+    assert failed[0] and np.array_equal(built[0], thick)
     path = tmp_path / "thick.cst"
-    g.write_cst_file(path, g.AirfoilGeom(thick, -thick, 0.01))
+    g.write_cst_file(path, thick, 0.01)
     with pytest.raises(GeometryError, match=re.escape(f"{path}: cannot bracket thickness")):
         g.read_cst_file(path)
 
 
 def test_apply_action_conserves_thickness():
-    foil = built_airfoil(BASE_UPPER, BASE_LOWER, T_MAX_DEFAULT)
+    foil = built_airfoil(BASE_CST, T_MAX_DEFAULT)
     rng = np.random.default_rng(11)
     for _ in range(50):
-        new = modified_airfoil(foil, (rng.uniform(0.05, 0.95), rng.uniform(0.2, 0.4),
-                                      rng.uniform(-0.01, 0.01)))
+        new = modified_airfoil(foil, T_MAX_DEFAULT, (rng.uniform(0.05, 0.95),
+                                                     rng.uniform(0.2, 0.4),
+                                                     rng.uniform(-0.01, 0.01)))
         assert abs(max_thickness(new) - T_MAX_DEFAULT) < 1e-6
-        assert new.t_max == foil.t_max
 
 
 def test_apply_action_moves_surface_toward_bump():
-    foil = built_airfoil(BASE_UPPER, BASE_LOWER, T_MAX_DEFAULT)
-    new = modified_airfoil(foil, (0.5, 0.3, -0.01))
+    foil = built_airfoil(BASE_CST, T_MAX_DEFAULT)
+    new = modified_airfoil(foil, T_MAX_DEFAULT, (0.5, 0.3, -0.01))
     x = np.array([0.5])
-    assert g.cst_evaluate(new.cst_upper, x)[0] < g.cst_evaluate(foil.cst_upper, x)[0]
+    assert g.cst_evaluate(new[:7], x)[0] < g.cst_evaluate(foil[:7], x)[0]
 
 
 def test_cst14_layout():
-    foil = built_airfoil(BASE_UPPER, BASE_LOWER, T_MAX_DEFAULT)
-    assert np.allclose(foil.cst14[:7], foil.cst_upper)
-    assert np.allclose(foil.cst14[7:], foil.cst_lower)
+    # a row is the upper surface, then the lower: building one rescales
+    # only its last 7 coefficients
+    foil = built_airfoil(BASE_CST, T_MAX_DEFAULT)
+    assert np.array_equal(foil[:7], BASE_CST[:7])
+    ratio = foil[7:] / BASE_CST[7:]
+    assert not np.allclose(ratio, 1.0) and np.allclose(ratio, ratio[0])
 
 
 def test_coordinate_file_round_trip(tmp_path):
-    foil = built_airfoil(BASE_UPPER, BASE_LOWER, T_MAX_DEFAULT)
+    foil = built_airfoil(BASE_CST, T_MAX_DEFAULT)
     path = tmp_path / "foil.dat"
     g.write_coordinates(path, foil)
     x, y = g.read_coordinates(path)
@@ -152,13 +155,12 @@ def test_coordinate_file_round_trip(tmp_path):
 
 
 def test_cst_file_round_trip(tmp_path):
-    foil = built_airfoil(BASE_UPPER, BASE_LOWER, T_MAX_DEFAULT)
+    foil = built_airfoil(BASE_CST, T_MAX_DEFAULT)
     path = tmp_path / "foil.cst"
-    g.write_cst_file(path, foil)
-    back = g.read_cst_file(path)
-    assert np.array_equal(back.cst_upper, foil.cst_upper)
-    assert np.array_equal(back.cst_lower, foil.cst_lower)
-    assert back.t_max == foil.t_max
+    g.write_cst_file(path, foil, T_MAX_DEFAULT)
+    back, t_max = g.read_cst_file(path)
+    assert np.array_equal(back, foil)
+    assert t_max == T_MAX_DEFAULT
 
 
 @pytest.mark.parametrize("text,match", [

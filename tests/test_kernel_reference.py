@@ -21,7 +21,7 @@ from airfoilrl.env import scaled_to_physical
 from airfoilrl.geometry import (GeometryError, apply_action, cosine_stations,
                                 cst_at_stations, cst_evaluate, make_airfoil,
                                 measure_bump_width, solve_t2)
-from airfoilrl.proxy import _moving_average, seed_airfoils
+from airfoilrl.proxy import T_MAX_DEFAULT, _moving_average, seed_airfoils
 
 WIDTH_GRID = 2001
 
@@ -291,8 +291,8 @@ def thickness_at(upper, lower, s):
 
 def rescale_one(upper, lower, t_max):
     """make_airfoil on a lane of one: (lower row, failed flag)."""
-    lowers, failed = make_airfoil(upper[None], lower[None], np.array([t_max]))
-    return lowers[0], bool(failed[0])
+    built, failed = make_airfoil(np.concatenate((upper, lower))[None], t_max)
+    return built[0, 7:], bool(failed[0])
 
 
 def rescale_outcome(upper, lower, t_max):
@@ -415,12 +415,10 @@ def test_rescale_of_step_lanes_meets_contract(monkeypatch):
     monkeypatch.setattr(geometry, "_rescale_lower", recording_rescale)
     rng = np.random.default_rng(32)
     for foil in seed_airfoils(6, seed=32):
-        chains = (np.tile(foil.cst_upper, (3, 1)), np.tile(foil.cst_lower, (3, 1)),
-                  np.full(3, foil.t_max))
+        chains = np.tile(foil, (3, 1))
         for _ in range(5):
             phys, _ = scaled_to_physical(rng.uniform(0.0, 1.0, (3, 3)))
-            upper, lower, _, _ = apply_action(chains, phys)
-            chains = (upper, lower, chains[2])
+            chains, _, _ = apply_action(chains, T_MAX_DEFAULT, phys)
     assert len(lanes) >= 60
     monkeypatch.undo()
     outcomes = [rescale_outcome(upper, lower, t_max) for upper, lower, t_max in lanes]

@@ -325,7 +325,7 @@ def test_imitate_policy_matches_list_engine():
 
 
 def _desk_env():
-    return DesignEnv(proxy_evaluator(), 3)
+    return DesignEnv(proxy_evaluator(), max_steps=3)
 
 
 def _assert_same_run(agent, ref, history, ref_history):
@@ -342,7 +342,7 @@ def test_collect_batch_matches_per_lane_loop():
         config = PpoConfig(trajectories_per_baseline=3, max_steps=max_steps)
         agent = make_agent(np.random.default_rng(seed), hidden=(16, 16))
         agent.log_std[:] = math.log(0.3)
-        env = DesignEnv(proxy_evaluator(), max_steps)
+        env = DesignEnv(proxy_evaluator(), max_steps=max_steps)
         batch = collect_batch(agent, baselines, env, config, np.random.default_rng(seed))
         ref = ref_collect_batch(agent, baselines, env, config,
                                 np.random.default_rng(seed))

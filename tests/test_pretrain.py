@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from airfoilrl.env import DesignEnv, Evaluation, proxy_evaluator
+from airfoilrl.geometry import max_thickness
 from airfoilrl.pretrain import (_SMOOTH_BLOCK, DEDUP_TOL, SMOOTH_NEIGHBORS, SMOOTH_PASSES,
                                 SMOOTH_RELAXATION, dedup_states, greedy_search,
                                 imitate_policy, pretrain_critic, smooth_samples)
@@ -66,6 +67,21 @@ def test_greedy_search_evaluates_its_baseline_once():
                             rng=np.random.default_rng(0))
     assert len(samples) == 6
     assert rows.count(1) == 1 and rows[0] == 1
+
+
+def test_greedy_search_candidates_hold_its_t_max():
+    rows = []
+    evaluate = proxy_evaluator()
+
+    def recording(cst):
+        rows.extend(np.reshape(cst, (-1, 14)))
+        return evaluate(cst)
+
+    baseline = seed_airfoils(1, seed=0, t_max=0.09)[0]
+    samples = greedy_search(baseline, recording, searches=2, steps=3, candidates=10,
+                            rng=np.random.default_rng(0), t_max=0.09)
+    assert len(samples) > 0 and len(rows) > 10
+    assert all(abs(max_thickness(row) - 0.09) < 1e-6 for row in rows)
 
 
 def test_greedy_search_that_finds_nothing_is_an_empty_table():
@@ -290,8 +306,8 @@ def test_pretrain_critic_reduces_value_error():
     baselines = seed_airfoils(3, seed=0)
     agent = make_agent(np.random.default_rng(1), hidden=(16, 16))
     config = PpoConfig(epochs=50, trajectories_per_baseline=2, max_steps=3)
-    history = pretrain_critic(agent, baselines, config, DesignEnv(proxy_evaluator(), 3),
-                              critic_schedule=[(10, 0.01)], seed=0)
+    env = DesignEnv(proxy_evaluator(), max_steps=3)
+    history = pretrain_critic(agent, baselines, config, env, critic_schedule=[(10, 0.01)], seed=0)
     losses = [h["critic_loss"] for h in history[1:]]
     assert losses[-1] < losses[0]
     # the actor must be untouched by critic-only fitting

@@ -21,9 +21,8 @@ from airfoilrl.features import (MIN_SHOCK_DROP, PEAK_WINDOW, SHOCK_WINDOW,
                                 extract_features)
 from airfoilrl.geometry import cosine_stations, cst_at_stations
 import airfoilrl.proxy as proxy
-from airfoilrl.proxy import (_PROXY_BLOCK, BASE_LOWER, BASE_UPPER, T_MAX_DEFAULT,
-                             _moving_average, generate_pool, proxy_distribution,
-                             proxy_evaluate, seed_airfoils)
+from airfoilrl.proxy import (_PROXY_BLOCK, BASE_CST, T_MAX_DEFAULT, _moving_average,
+                             generate_pool, proxy_distribution, proxy_evaluate, seed_airfoils)
 from airfoilrl.tables import in_feature_bounds
 from conftest import built_airfoil, features_of_one, synthetic_distribution
 
@@ -159,12 +158,12 @@ def ref_seed_airfoils(n: int, seed: int = 0, spread: float = 0.008,
     for _ in range(max_tries):
         if len(out) >= n:
             break
-        upper = BASE_UPPER + rng.uniform(-spread, spread, 7)
-        lower = BASE_LOWER + rng.uniform(-spread, spread, 7)
-        foil = built_airfoil(upper, lower, t_max)
+        upper = BASE_CST[:7] + rng.uniform(-spread, spread, 7)
+        lower = BASE_CST[7:] + rng.uniform(-spread, spread, 7)
+        foil = built_airfoil(np.concatenate((upper, lower)), t_max)
         if foil is None:
             continue
-        cd, feats = ref_proxy_evaluate(foil.cst14, m_inf)
+        cd, feats = ref_proxy_evaluate(foil, m_inf)
         if not feats.no_shock and in_feature_bounds(_ref_outputs(cd, feats)):
             out.append(foil)
     if len(out) < n:
@@ -182,14 +181,14 @@ def ref_generate_pool(n: int, seed: int = 0, spread: float = 0.08,
         if len(pool) >= n:
             break
         record["pool_draws"] += 1
-        upper = BASE_UPPER + rng.uniform(-spread, spread, 7)
-        lower = BASE_LOWER + rng.uniform(-spread, spread, 7)
-        foil = built_airfoil(upper, lower, t_max)
+        upper = BASE_CST[:7] + rng.uniform(-spread, spread, 7)
+        lower = BASE_CST[7:] + rng.uniform(-spread, spread, 7)
+        foil = built_airfoil(np.concatenate((upper, lower)), t_max)
         if foil is None:
             record["build_failures"] += 1
             continue
         record["proxy_rows"] += 1
-        pool.append(ref_proxy_sample(foil.cst14, m_inf))
+        pool.append(ref_proxy_sample(foil, m_inf))
     if len(pool) < n:
         raise RuntimeError(f"pool generator produced {len(pool)}/{n} valid airfoils")
     return pool
@@ -216,7 +215,7 @@ def _cst_rows():
     geometry, wider ones that lose the shock or the sonic crossing, and
     thin ones that stay subsonic."""
     rng = np.random.default_rng(31)
-    base = np.concatenate([BASE_UPPER, BASE_LOWER])
+    base = BASE_CST
     rows = [base + rng.uniform(-spread, spread, (n, 14))
             for spread, n in ((0.008, 400), (0.08, 800), (0.2, 600))]
     rows.append(base * rng.uniform(0.2, 0.6, (200, 1)))
@@ -339,7 +338,7 @@ def _outcome(make, *args, **kwargs):
         out = make(*args, **kwargs)
     except RuntimeError as exc:
         return str(exc)
-    rows = [np.asarray(getattr(r, "cst14", r)) for r in out]
+    rows = [np.asarray(r) for r in out]
     assert all(math.isfinite(v) for row in rows for v in row)
     return [row.tobytes() for row in rows]
 

@@ -25,7 +25,7 @@ from airfoilrl.cli import main
 from airfoilrl.features import write_distribution
 from airfoilrl.geometry import write_cst_file
 from airfoilrl.nnet import make_mlp, save_model
-from airfoilrl.proxy import seed_airfoils
+from airfoilrl.proxy import T_MAX_DEFAULT, seed_airfoils
 from airfoilrl.rl import make_agent, save_agent
 from airfoilrl.tables import write_rows
 from conftest import synthetic_distribution
@@ -129,7 +129,7 @@ def text_work(tmp_path_factory):
         for argv in (["generate-pool", "--n", "60"], ["select-samples"]):
             assert main(["--out-dir", str(path), "--config", str(path / "tiny.ini"),
                          *argv]) == 0
-    write_cst_file(path / "base.cst", seed_airfoils(1)[0])
+    write_cst_file(path / "base.cst", seed_airfoils(1)[0], T_MAX_DEFAULT)
     write_distribution(path / "dist.txt", synthetic_distribution(0.55, 1.15, 1.2, 1.0))
     write_rows(path / "history.csv", [{"iteration": i, "mean_cum_reward": 0.5 * i,
                                        "actor_loss": 0.1 / i if i else math.nan}
