@@ -33,8 +33,7 @@ def run(out_dir: str, seed: int, config: str | None, skip_surrogate: bool) -> li
         if code != 0:
             print(f"failed: airfoilrl {' '.join(argv)}", file=sys.stderr)
             sys.exit(code)
-        manifest = os.path.join(os.environ.get("AIRFOILRL_OUT", out_dir),
-                                f"{command[0].replace('-', '_')}_manifest.json")
+        manifest = os.path.join(out_dir, f"{command[0].replace('-', '_')}_manifest.json")
         with open(manifest) as fh:
             digests.update((os.path.basename(path), digest)
                            for path, digest in json.load(fh)["sha256"].items())

@@ -1,12 +1,10 @@
 """Command-line front end tying the pipeline stages together.
 
-Subcommands: generate-pool, select-samples, train-surrogate, pretrain,
-train-ppo, evaluate, modify, extract-features, plot.  Each ``cmd_*``
-takes the parsed arguments, the resolved config and the run record (a
-Counter of counts and seconds keyed by manifest field, which its stages
-fill) and returns the artifacts it wrote; `main` then writes
-``<command>_manifest.json`` with the config hash, seed, artifact
-digests, the record and the command's wall time ``command_s``.
+Each ``cmd_*`` takes the parsed arguments, the resolved config and the
+run record (a Counter keyed by manifest field, which its stages fill)
+and returns the artifacts it wrote; `main` then writes
+``<command>_manifest.json`` with their digests, the record and the
+command's wall time ``command_s``.
 """
 from __future__ import annotations
 
@@ -46,14 +44,12 @@ def _build_config(args) -> ExperimentConfig:
 
 
 def _out(args, name: str) -> str:
-    out_dir = os.environ.get("AIRFOILRL_OUT", args.out_dir)
-    os.makedirs(out_dir, exist_ok=True)
-    return os.path.join(out_dir, name)
+    os.makedirs(args.out_dir, exist_ok=True)
+    return os.path.join(args.out_dir, name)
 
 
 @contextmanager
 def _timed(record: Counter, field: str):
-    """Add the with-block's wall time to record[field]."""
     start = time.perf_counter()
     yield
     record[field] += time.perf_counter() - start
@@ -205,7 +201,6 @@ def cmd_evaluate(args, cfg: ExperimentConfig, record: Counter) -> list[str]:
 
 def cmd_modify(args, cfg: ExperimentConfig, record: Counter) -> list[str]:
     cst, t_max = read_cst_file(args.airfoil)
-    # the one airfoil and action, run as a lane of one
     rows, _, failed = apply_action(cst[None], t_max, args.action[None])
     if failed[0]:
         raise GeometryError(action_error(*args.action[:2]) or BRACKET_ERROR)
@@ -221,7 +216,6 @@ def cmd_modify(args, cfg: ExperimentConfig, record: Counter) -> list[str]:
 def cmd_extract_features(args, cfg: ExperimentConfig, record: Counter) -> list[str]:
     dist = read_distribution(args.dist)
     with _naming(args.dist, FeatureError):
-        # the file's one distribution, run as a block of one
         feats = extract_features(replace(dist, mw_upper=dist.mw_upper[None],
                                          mw_lower=dist.mw_lower[None]))
         row = {f.name: getattr(feats, f.name)[0].item() for f in fields(feats)}

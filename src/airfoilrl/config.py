@@ -1,19 +1,11 @@
 """Experiment configuration: desk and paper profiles, INI overrides.
 
-The config file is standard INI (configparser) with sections [run],
-[proxy], [surrogate], [pretrain], and [ppo].  Learning-rate schedules
-are written as comma-separated ``count:rate`` pairs, e.g.
-``200:0.01,200:0.001``, each rate finite and greater than 0; sizes
-and counts (pool, sample set, layer and batch sizes, baselines,
-searches, steps, candidates, epochs) as integers of at least 1,
-comma-separated where a key takes several.  A seed is an integer of
-at least 0, ``t_max`` and ``m_inf`` lie in (0, 1), [proxy] sets only
-``m_inf`` (see proxy), and the PPO update's constants live in rl.
-The counts of ``actor_schedule`` and ``critic_schedule`` are PPO
-iterations, each one ``collect_batch`` and then ``epochs`` gradient
-epochs on that batch; those of the surrogate and imitation schedules
-are training epochs.
-A section or key the loader does not know is an error, not ignored.
+The config file is INI with the sections and keys of _KEYS, each value
+read by the parser named there; a section or key the loader does not
+know is an error.  The counts of ``actor_schedule`` and
+``critic_schedule`` are PPO iterations, each one ``collect_batch`` and
+then ``epochs`` gradient epochs on that batch; those of the surrogate and
+imitation schedules are training epochs.
 """
 from __future__ import annotations
 
@@ -51,8 +43,8 @@ def parse_unit(text: str) -> float:
 
 
 def parse_schedule(text: str) -> list[tuple[int, float]]:
-    """Comma-separated ``count:rate`` pairs; a count may be zero, not
-    negative."""
+    """Comma-separated ``count:rate`` pairs, e.g. ``200:0.01,200:0.001``;
+    a count is at least 0 and a rate as parse_positive."""
     out = []
     for part in text.split(","):
         count, sep, rate = part.strip().partition(":")
@@ -79,6 +71,7 @@ def parse_count(text: str) -> int:
 
 
 def parse_counts(text: str) -> tuple:
+    """Comma-separated parse_count values: layer sizes or keep counts."""
     return tuple(parse_count(v) for v in text.split(","))
 
 
@@ -89,14 +82,12 @@ class ExperimentConfig:
     t_max: float = T_MAX_DEFAULT
     m_inf: float = M_INF_DEFAULT  # the proxy's free-stream Mach number
 
-    # surrogate stage
     surrogate_hidden: tuple = tuple(DESK_HIDDEN)
     surrogate_schedule: list = field(default_factory=lambda: list(DESK_SCHEDULE))
     surrogate_batch: int = DESK_BATCH
     pool_size: int = 3000
     keep_counts: tuple = (2000, 200)
 
-    # pretraining stage
     pretrain_baselines: int = 10
     greedy_searches: int = 2
     greedy_steps: int = 5
@@ -105,7 +96,6 @@ class ExperimentConfig:
     # (PPO iterations, critic learning rate) segments of the critic fit
     critic_schedule: list = field(default_factory=lambda: [(15, 0.01), (15, 0.001)])
 
-    # PPO stage
     ppo_hidden: tuple = (64, 64)
     ppo_baselines: int = 10
     ppo: PpoConfig = field(default_factory=PpoConfig)
@@ -167,14 +157,11 @@ _KEYS = {
 
 
 def load_config(path=None, profile: str | None = None) -> ExperimentConfig:
-    """The run's config: the INI file's overrides (when `path` is given)
-    on a profile's defaults.
-
-    The profile is `profile` when given, else the one the file's
-    ``[run] profile`` names, else desk.  A file naming a profile other
-    than `profile` raises ValueError, as do a section or key not in
-    _KEYS (a [DEFAULT] section included) and a value its parser rejects.
-    """
+    """The run's config: the INI file's overrides (when `path` is given) on
+    the defaults of `profile`, else of the file's ``[run] profile``, else
+    desk.  ValueError for a file naming a profile other than `profile`, a
+    section or key not in _KEYS ([DEFAULT] included), or a value its
+    parser rejects."""
     parser = configparser.ConfigParser()
     if path is not None:
         with open(path) as fh:

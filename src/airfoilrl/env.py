@@ -1,19 +1,11 @@
 """Drag-reduction environment: bump actions in, state and reward out.
 
-An environment steps N episodes ("lanes") in lockstep, one airfoil per
-lane.  Each episode starts from a baseline airfoil and takes up to
-max_steps bump modifications.  Actions arrive in scaled (0,1)^3 space,
-are clamped, mapped to physical ranges, and applied with CST refit and
-thickness rescale.  The reward is the drag-count reduction
-10,000 * (CD_k - CD_{k+1}); losing the single shock zeroes the reward
-and terminates the episode.  Each step's info says whether the action
-was clipped to the box (``clamped``) and whether the bump's width was
-clamped by the geometry (``width_clamped``, see geometry.apply_action).
-
-Every live lane's bump, t2 solve, CST sums and evaluator call run as one
-batch (geometry.apply_action over lanes, an evaluator over an (n, 14)
-block).  ``step`` takes one action per live lane and returns a
-LaneResult; a 3-vector after ``reset`` is a block of one.
+An environment steps N episodes ("lanes") in lockstep, each from a
+baseline airfoil for up to max_steps bump modifications.  Actions arrive
+in scaled (0,1)^3 space and are clamped, mapped to the physical ranges
+and applied by geometry.apply_action over the live lanes.  The reward is
+the drag-count reduction REWARD_SCALE * (CD_k - CD_{k+1}); losing the
+single shock zeroes it and ends the episode.
 """
 from __future__ import annotations
 
@@ -28,8 +20,7 @@ from .geometry import apply_action
 from .nnet import mlp_forward
 from .proxy import M_INF_DEFAULT, T_MAX_DEFAULT, proxy_evaluate
 
-# physical action ranges; t1 narrowed away from the bump-exponent
-# singularities at 0 and 1
+# physical ranges; t1 kept off the bump exponent's singularities at 0 and 1
 T1_RANGE = (0.01, 0.99)
 SB_RANGE = (0.2, 0.4)
 HB_RANGE = (-0.1, 0.1)
@@ -47,14 +38,10 @@ class EnvProtocolError(RuntimeError):
 
 @dataclass(frozen=True)
 class LaneResult:
-    """One lockstep step: a row per lane that was live before it.
-
-    lane_info holds (n,) arrays ``cd_before``, ``cd_after`` and the
-    OUTCOMES flags, and the (n, 3) physical ``action``.  info counts
-    the lanes on which each outcome flag is set, so that a run's counts
-    add up the same whether its lanes were stepped together or one by
-    one (traced runs sum them per step).
-    """
+    """One lockstep step, a row per lane live before it.  lane_info holds
+    (n,) ``cd_before``, ``cd_after`` and OUTCOMES flags and the (n, 3)
+    physical ``action``; info counts the lanes that set each flag, so a
+    run's counts are the same whether its lanes step together or not."""
 
     lanes: np.ndarray  # (n,) lane indices
     next_state: np.ndarray  # (n, 4)
@@ -95,19 +82,10 @@ def physical_to_scaled(actions) -> np.ndarray:
 
 
 class DesignEnv:
-    """Episodic airfoil modification driven by an evaluator, one lane
-    per episode.
-
-    evaluator(cst (N, 14)) -> Evaluation; either the proxy oracle or a
-    trained surrogate wrapped by :func:`surrogate_evaluator`.  Lanes hold
-    an (N, 14) CST array and a live mask; ``reset_lanes`` starts them
-    anew, so one environment serves every rollout of a run, and ``step``
-    steps every live lane at once, holding each airfoil at the run's
-    thickness `t_max` and ending each episode after `max_steps` steps.
-    ``reset`` starts a batch of one.  `record`, a run record (a Counter
-    keyed by manifest field), receives the lane steps and stepping
-    seconds (``env_lane_steps``, ``env_step_s``).
-    """
+    """Episodes on an evaluator, (N, 14) CST -> Evaluation, one lane each,
+    held at thickness t_max and ended after max_steps steps.  reset_lanes
+    starts a batch, so that one environment serves every rollout of a
+    run; `record` receives ``env_lane_steps`` and ``env_step_s``."""
 
     def __init__(self, evaluator, t_max: float = T_MAX_DEFAULT, max_steps: int = MAX_STEPS,
                  record: Counter | None = None):
@@ -118,9 +96,8 @@ class DesignEnv:
         self.live = np.zeros(0, dtype=bool)
 
     def reset_lanes(self, baselines) -> np.ndarray:
-        """Start one episode per baseline airfoil, an (N, 14) array; returns
-        (N, 4) states."""
-        self._cst = np.array(baselines, dtype=float).reshape(-1, 14)
+        """Start one episode per row of (N, 14) baselines; returns (N, 4) states."""
+        self._cst = np.array(baselines, dtype=float)
         ev = self.evaluator(self._cst)
         self._cd, self._state = ev.cd.copy(), ev.state.copy()
         self._steps = np.zeros(len(self._cst), dtype=int)
@@ -128,15 +105,14 @@ class DesignEnv:
         return self._state.copy()
 
     def reset(self, baseline) -> np.ndarray:
-        return self.reset_lanes(baseline)[0]
+        """reset_lanes for one (14,) baseline; returns its (4,) state."""
+        return self.reset_lanes(baseline[None])[0]
 
     def step(self, action_scaled) -> LaneResult:
-        """Apply one scaled action per live lane: an (n, 3) block, rows in
-        lane order (a 3-vector is a block of one).
-
-        A lane whose modification fails ends with zero reward and keeps
-        its airfoil; one that loses its shock ends with zero reward.
-        """
+        """Apply one scaled action per live lane, an (n, 3) block in lane
+        order (a 3-vector is a block of one).  A lane whose modification
+        fails, or that loses its shock, ends with zero reward; a failed
+        lane keeps its airfoil."""
         lanes = np.flatnonzero(self.live)
         if lanes.size == 0:
             raise EnvProtocolError("step() after episode end or before reset()")
@@ -173,7 +149,6 @@ def proxy_evaluator(m_inf: float = M_INF_DEFAULT, record: Counter | None = None)
     record = Counter() if record is None else record
 
     def evaluate(cst):
-        cst = np.reshape(cst, (-1, 14))
         cd, feats = proxy_evaluate(cst, m_inf)
         record["proxy_blocks"] += 1
         record["proxy_rows"] += len(cst)
@@ -183,17 +158,14 @@ def proxy_evaluator(m_inf: float = M_INF_DEFAULT, record: Counter | None = None)
 
 
 def surrogate_evaluator(model, record: Counter | None = None):
-    """Evaluator closure over a trained surrogate model: one forward
-    pass for the whole block, counted into `record` (surrogate_blocks,
-    surrogate_rows).
-
-    The surrogate predicts [CD, X1, Mw1, MwL, MwA] from the refit CST
-    coefficients; Err and the lower-surface Mach are not modeled.
-    """
+    """Evaluator closure over a trained surrogate, one forward pass per
+    block, counted into `record` (surrogate_blocks, surrogate_rows).  It
+    predicts [CD, X1, Mw1, MwL, MwA]; Err and the lower-surface Mach are
+    not modelled."""
     record = Counter() if record is None else record
 
     def evaluate(cst):
-        out = mlp_forward(model, np.reshape(np.asarray(cst, dtype=float), (-1, 14)))
+        out = mlp_forward(model, cst)
         record["surrogate_blocks"] += 1
         record["surrogate_rows"] += len(out)
         return Evaluation(cd=out[:, 0], state=out[:, 1:5], no_shock=out[:, 2] < 1.0)

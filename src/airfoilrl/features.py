@@ -1,9 +1,9 @@
 """Wall Mach number distributions and their physical features.
 
-The upper-surface distribution is reduced to six features: suction-peak
-Mach MwL, shock location X1, pre-shock Mach Mw1, highest post-shock
-Mach MwA, highest lower-surface Mach, and a suction-plateau smoothness
-measure Err.  The RL state is the 4-vector [X1, Mw1, MwL, MwA].
+A distribution reduces to six features: suction-peak Mach MwL, shock
+location X1, pre-shock Mach Mw1, highest post-shock Mach MwA, highest
+lower-surface Mach and plateau smoothness Err.  The RL state is
+[X1, Mw1, MwL, MwA].
 """
 from __future__ import annotations
 
@@ -56,11 +56,9 @@ class FeatureSet:
 
 
 def cp_to_wall_mach(cp, m_inf: float):
-    """Isentropic wall Mach number from pressure coefficient.
-
-    p/p_inf = 1 + 0.7 M^2 cp, with total pressure (1 + 0.2 M^2)^3.5;
-    cp = 0 recovers the free-stream Mach; elementwise over an array of cp.
-    """
+    """Isentropic wall Mach number from pressure coefficient, elementwise:
+    p/p_inf = 1 + 0.7 M^2 cp, total pressure (1 + 0.2 M^2)^3.5, so cp = 0
+    gives the free-stream Mach."""
     cp = np.asarray(cp, dtype=float)
     p_ratio = 1.0 + 0.7 * m_inf**2 * cp
     if np.any(p_ratio <= 0.0):
@@ -73,19 +71,12 @@ def cp_to_wall_mach(cp, m_inf: float):
 
 
 def extract_features(dist: WallMachDistribution) -> FeatureSet:
-    """Reduce each row of a block of wall Mach distributions to the six
-    physical features.
-
-    Shock detection: steepest negative finite-difference gradient of
-    mw_upper inside the shock window, accepted only when the monotone
-    descending run around it drops at least MIN_SHOCK_DROP.  When no
-    upper-surface station is supersonic (or no acceptable drop exists)
-    the no_shock flag is set and Mw1/X1 fall back to the global upper
-    maximum.
-
-    mw_upper and mw_lower are (N, n) blocks, one distribution per row
-    over the shared x grids; the features are (N,) arrays.
-    """
+    """The features, (N,) arrays, of each row of (N, n) mw_upper and
+    mw_lower blocks on shared x grids.  The shock is the steepest falling
+    interval of mw_upper in SHOCK_WINDOW, taken only when the monotone
+    descending run around it drops at least MIN_SHOCK_DROP.  Without one,
+    or without a supersonic station, no_shock is set, Mw1/X1 sit at the
+    upper maximum and MwA is the lowest Mach from there on."""
     x = np.asarray(dist.x_upper, dtype=float)
     mw = np.asarray(dist.mw_upper, dtype=float)
     if mw.shape[1:] != x.shape:
@@ -107,8 +98,6 @@ def extract_features(dist: WallMachDistribution) -> FeatureSet:
 
     i_steep, i_pre, i_foot, shock = _find_shock(x, mw)
     no_shock = (mw.max(axis=1) < 1.0) | ~shock
-    # without a shock, Mw1/X1 sit at the global maximum and MwA is the
-    # lowest Mach from there on
     i_max = np.argmax(mw, axis=1)
     x1 = np.where(no_shock, x[i_max], 0.5 * (x[i_steep] + x[i_steep + 1]))
     i_mw1 = np.where(no_shock, i_max, i_pre)
@@ -121,13 +110,9 @@ def extract_features(dist: WallMachDistribution) -> FeatureSet:
 
 
 def _find_shock(x: np.ndarray, mw: np.ndarray):
-    """Locate each row's steepest descending interval and its monotone run.
-
-    Returns per row of mw: the steepest interval index, the pre-shock
-    local-max index, the shock-foot index and whether a shock was found;
-    where no drop of MIN_SHOCK_DROP exists, found is False and the
-    indices mean nothing.
-    """
+    """Per row of mw: the steepest falling interval, its monotone run's
+    pre-shock local-maximum and foot indices, and whether the run drops at
+    least MIN_SHOCK_DROP (where not, the indices mean nothing)."""
     n_rows, n = mw.shape
     grad = np.diff(mw, axis=1) / np.diff(x)
     mid = 0.5 * (x[:-1] + x[1:])
@@ -139,11 +124,9 @@ def _find_shock(x: np.ndarray, mw: np.ndarray):
     grad = grad[:, cand]
     found = ~(grad.min(axis=1) >= 0.0)
     i_steep = cand[np.argmin(grad, axis=1)]
-    # the monotone descending run around the steepest cell: descends[:, j]
-    # says interval j-1 falls (mw[j-1] > mw[j]), False at both ends; the
-    # run extends left from i_steep to the nearest station whose interval
-    # on the left does not fall, and right from i_steep+1 to the nearest
-    # station whose interval on the right does not
+    # descends[:, j]: interval j-1 falls (mw[j-1] > mw[j]), False at both
+    # ends.  The run extends from i_steep left, and from i_steep + 1 right,
+    # to the nearest station whose outward interval does not fall
     station = np.arange(n)
     descends = np.zeros((n_rows, n + 1), dtype=bool)
     descends[:, 1:n] = mw[:, :-1] > mw[:, 1:]
@@ -156,11 +139,8 @@ def _find_shock(x: np.ndarray, mw: np.ndarray):
 
 
 def _plateau_err(x: np.ndarray, mw: np.ndarray, i_peak: int, i_pre: int) -> float:
-    """RMS deviation of mw from the peak-to-preshock chord line.
-
-    Stand-in for the published plateau-smoothness measure; isolated
-    here so it can be swapped without touching callers.
-    """
+    """RMS deviation of mw from the peak-to-preshock chord line, a stand-in
+    for the published plateau-smoothness measure."""
     if i_pre <= i_peak + 1:
         return 0.0
     xs = x[i_peak : i_pre + 1]
@@ -170,19 +150,15 @@ def _plateau_err(x: np.ndarray, mw: np.ndarray, i_peak: int, i_pre: int) -> floa
 
 
 def is_single_shock(features):
-    """True where a distribution carries a genuine single shock: one was
-    found and Mw1 >= 1 (a NaN Mw1 is not one).  Takes a FeatureSet or
-    anything with ``no_shock`` and ``mw1`` arrays, such as an env
+    """True where a distribution has a genuine single shock: one was found
+    and Mw1 >= 1 (a NaN Mw1 is not one).  Takes a FeatureSet or an env
     Evaluation; the env's shock_lost is its negation."""
     return np.logical_not(features.no_shock) & (np.asarray(features.mw1) >= 1.0)
 
 
-# ---------------------------------------------------------------------------
-# distribution file format: "x value surface_id" rows, header declares the
-# value kind ("cp" or "mw") and the free-stream Mach
-
-
 def write_distribution(path, dist: WallMachDistribution) -> None:
+    """A distribution file: a ``# kind=mw m_inf=...`` header, then one
+    ``x value surface_id`` row per station, surface 0 upper and 1 lower."""
     with open(path, "w") as fh:
         fh.write(f"# kind=mw m_inf={float(dist.m_inf)!r}\n")
         for xi, mi in zip(dist.x_upper, dist.mw_upper):
@@ -192,9 +168,9 @@ def write_distribution(path, dist: WallMachDistribution) -> None:
 
 
 def read_distribution(path) -> WallMachDistribution:
-    """Read write_distribution's format (or Cp values, kind=cp) as one
-    distribution of 1-D arrays; raises FeatureError naming the file, and
-    the line where one is at fault."""
+    """Read write_distribution's format, or Cp values under kind=cp, as one
+    distribution of 1-D arrays; FeatureError names the file, and the line
+    where one is at fault."""
     kind = "mw"
     m_inf = None
     rows: list[tuple[float, float, int]] = []

@@ -1,17 +1,12 @@
 """CST airfoil representation and Hicks-Henne bump modification.
 
 An airfoil is a (14,) row of CST coefficients, 7 for the upper surface
-then 7 for the lower (6th-order Bernstein shape function, class
-exponents 0.5/1.0, zero trailing-edge gap), and a set of airfoils an
-(N, 14) array; every airfoil of a run has the run's one maximum
-thickness t_max.  Local modifications are sine-power bumps added to
-the upper surface; the bumped curve is refit with CST (smoothing) and
-the lower surface is rescaled to hold maximum thickness fixed.
-
-The step path (solve_t2, the bump, the refit and the rescale) is array
-code over lanes, one airfoil each; a single airfoil is a lane of one,
-and every lane gets the floats it gets alone.  It meets the tolerance
-contracts of solve_t2 (the bump width) and _rescale_lower (the thickness).
+then 7 for the lower (6th-order Bernstein, class exponents 0.5/1.0, zero
+trailing-edge gap); a set of airfoils is an (N, 14) array, all at the
+run's one maximum thickness t_max.  A modification adds a sine-power bump
+to the upper surface, refits it with CST (the smoothing step) and
+rescales the lower surface to hold t_max.  Every function over lanes or
+rows gives each lane the floats it gets as a lane of one.
 """
 from __future__ import annotations
 
@@ -38,25 +33,18 @@ def cosine_stations(n: int = N_STATIONS) -> np.ndarray:
 
 
 def _cst_basis(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Class function and the Bernstein powers x^i and (1-x)^(6-i),
-    each power stacked over i into an array of shape (7,) + x.shape."""
     cls = np.power(x, CLASS_N1) * np.power(1.0 - x, CLASS_N2)
     return (cls, np.stack([x**i for i in range(N_CST)]),
             np.stack([(1.0 - x) ** (6 - i) for i in range(N_CST)]))
 
 
 def _cst_sum(coeffs, basis) -> np.ndarray:
-    """cls * sum_i ((c_i * C(6,i)) * x^i) * (1-x)^(6-i), the terms added
-    in index order to 0.0; coeffs of shape (..., 7) give one surface per
-    leading index.
-
-    A reduce over the coefficient axis adds whole rows in turn, for each
-    surface alike.  For a single station numpy adds the 7 terms in its
-    own inner loop, also in order (it sums pairwise only from 8 terms).
-    The explicit initial 0.0 fixes the sign of an all-zero sum to that of
-    a sum started from zeros, whatever start value the numpy version
-    picks.
-    """
+    """cls * sum_i ((c_i * C(6,i)) * x^i) * (1-x)^(6-i), one surface per
+    leading index of (..., 7) coeffs.  The terms are added in index order
+    from 0.0 for any number of surfaces and stations (numpy reduces a
+    non-last axis row by row, and sums pairwise only from 8 terms), so a
+    surface gets the floats it gets alone; the initial 0.0 fixes the sign
+    of an all-zero sum whatever start value the numpy version picks."""
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape[-1:] != (N_CST,):
         raise GeometryError(f"expected {N_CST} CST coefficients, got {coeffs.shape}")
@@ -81,8 +69,8 @@ _STATION_BASIS = _cst_basis(_STATIONS)
 
 
 def cst_at_stations(coeffs) -> np.ndarray:
-    """cst_evaluate(coeffs, cosine_stations()), the same floats from a
-    basis computed once; (N, 7) coefficients give (N, 201) surfaces."""
+    """The floats of cst_evaluate(coeffs, cosine_stations()) from a basis
+    computed once; (N, 7) coefficients give (N, 201) surfaces."""
     return _cst_sum(coeffs, _STATION_BASIS)
 
 
@@ -92,10 +80,9 @@ def _design_matrix(x: np.ndarray) -> np.ndarray:
 
 
 def _projection(x: np.ndarray) -> np.ndarray:
-    """The transposed pseudo-inverse (n, 7) of the CST design matrix on
-    stations x: the least-squares map from curves to coefficients.  Its
-    rank check is lstsq's default, every singular value above the
-    largest times eps * max(n, 7)."""
+    """The (n, 7) transposed pseudo-inverse of the CST design matrix on
+    stations x; GeometryError unless every singular value is above
+    lstsq's cutoff, the largest times eps * max(n, 7)."""
     u, s, vt = np.linalg.svd(_design_matrix(x), full_matrices=False)
     if not s[-1] > s[0] * np.finfo(float).eps * max(x.size, N_CST):
         raise GeometryError("rank-deficient CST design matrix")
@@ -104,21 +91,17 @@ def _projection(x: np.ndarray) -> np.ndarray:
 
 @functools.cache
 def _station_projection() -> np.ndarray:
-    """_projection on the cosine grid, built on first use, so that a run
-    which never fits a curve (pool generation, say) does no SVD."""
+    """_projection on the cosine grid, built on first use: a process that
+    never fits a curve skips the SVD, whose LAPACK set-up costs 1.2 MiB RSS."""
     return _projection(_STATIONS)
 
 
 def cst_fit(x, y) -> np.ndarray:
-    """Least-squares CST coefficients for a sampled curve y on stations
-    x, or for each row of (k, n) curves.
-
-    The coefficients are the pseudo-inverse applied as a sum over the
-    stations in order, not a matrix product, whose blocking depends on
-    the number of rows; so each row gets the floats of fitting it alone.
-    On the cached cosine grid (`x is _STATIONS`) the pseudo-inverse is
-    built once.
-    """
+    """Least-squares CST coefficients of a curve y on stations x, or of
+    each row of (k, n) curves.  The pseudo-inverse is applied as a sum
+    over the stations in order, not as a matrix product, whose blocking
+    depends on the row count, so each row gets the floats of fitting it
+    alone."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.ndim != 1 or y.ndim not in (1, 2) or y.shape[-1:] != x.shape:
@@ -126,8 +109,6 @@ def cst_fit(x, y) -> np.ndarray:
     if x.size < N_CST + 1:
         raise GeometryError("need at least 8 stations to fit 7 coefficients")
     proj = _station_projection() if x is _STATIONS else _projection(x)
-    # stations are the outer axis of the product, so that each of their
-    # in-order additions is one pass over all rows' 7 coefficients
     rows = y.reshape(-1, x.size)
     sums = np.add.reduce(rows.T[:, None, :] * proj[:, :, None], axis=0)
     return np.ascontiguousarray(sums.T).reshape(y.shape[:-1] + (N_CST,))
@@ -146,13 +127,10 @@ def _peak_exponent(t1: float) -> float:
 
 
 def _unit_bump(x: np.ndarray, e, t2) -> np.ndarray:
-    """sin(pi * x^e)^t2 at stations x in [0, 1]; e and t2 broadcast
-    against x, so (k, 1) exponents give one bump per row."""
-    # sin can underflow to a tiny negative at x=1; clip before the
-    # fractional power
+    """sin(pi * x^e)^t2 at stations x in [0, 1]; e and t2 broadcast against x."""
+    # before the fractional power: clip sin's tiny negative at x = 1, and
+    # pin the analytic end zeros, which sin(pi) misses by ~1e-16
     s = np.maximum(np.sin(np.pi * np.power(x, e)), 0.0)
-    # sin(pi) rounds to ~1e-16 instead of 0 and a fractional power t2
-    # would inflate it, so pin the analytic end zeros
     np.copyto(s, 0.0, where=(x == 0.0) | (x == 1.0))
     return np.power(s, t2)
 
@@ -172,15 +150,13 @@ _HALF_WINDOW = 3  # grid points evaluated either side of a predicted crossing
 
 
 def _crossing_phase(t2):
-    """a in [0, 1/2] with sin(pi a)^t2 = 1%: the crossings sit at x^e = a, 1-a;
-    elementwise over an array of t2."""
+    """a in [0, 1/2] with sin(pi a)^t2 = 1%: the crossings sit at x^e = a, 1-a."""
     return np.arcsin(_WIDTH_LEVEL ** (1.0 / t2)) / np.pi
 
 
 def _cross(x, f, i0, i1):
-    """Linear interpolation of the 1% crossing between points i0 and i1
-    (indices, or tuples of index arrays); callers silence the division
-    warnings of the f1 == f0 case, whose result is discarded."""
+    """The 1% crossing interpolated between points i0 and i1; x[i0] where
+    f1 == f0, whose division warnings callers silence."""
     f0, f1, x0 = f[i0], f[i1], x[i0]
     return np.where(f1 == f0, x0, x0 + (_WIDTH_LEVEL - f0) * (x[i1] - x0) / (f1 - f0))
 
@@ -198,41 +174,35 @@ def _full_grid_extent(e: float, t2: float) -> tuple[float, int, int]:
     return float(width), i_l, i_r
 
 
-# window point offsets: the left window in grid order, the right one
-# reversed, so that both rise through 1% along their last axis
+# the left window in grid order, the right one reversed: both rise through 1%
 _WINDOW_OFFSETS = np.array([np.arange(2 * _HALF_WINDOW), np.arange(2 * _HALF_WINDOW)[::-1]])
 _SIDES = np.array([[0, 1]])
 
 
 def _width_extents(e: np.ndarray, t2: np.ndarray):
-    """measure_bump_width for rows of bump exponents e and shape
-    exponents t2, plus the width-grid indices of each row's first and
-    last points at or above 1% height (-1, -1 when there are none).
+    """measure_bump_width over rows of exponents e and t2, plus each row's
+    first and last width-grid index at or above 1% (-1, -1 when none).
 
-    The crossings of sin(pi x^e)^t2 lie at x = a^(1/e) and (1-a)^(1/e)
-    (a from _crossing_phase).  Only the 2 x 6 grid points around them
-    are evaluated, with bump_y's operations, so every value is the full
-    grid's.  The bump is unimodal and zero at both grid ends, so a left
-    window rising through 1% holds the grid's first point at or above it
-    and a right window falling through 1% holds the last; where that
-    check fails (as a NaN t2's all-NaN bump does) the row's whole grid
-    is evaluated.  Window placement therefore need not be exact.
+    Only the 2 x 6 grid points around the crossings x = a^(1/e) and
+    (1-a)^(1/e) are evaluated, with bump_y's operations.  The bump is
+    unimodal and zero at both grid ends, so a left window rising through
+    1% holds the grid's first point at or above it and a right window
+    falling through it the last; a row failing that check (a NaN t2, say)
+    is measured on the whole grid.  So every value is the whole grid's.
     """
     n = 2 * _HALF_WINDOW
     rows = np.arange(e.size)[:, None]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         a = _crossing_phase(t2)
         centres = (np.array([a, 1.0 - a]) ** (1.0 / e)).T
-        # first grid index of each window, kept inside the grid
         starts = np.minimum(np.maximum(
             (centres * (WIDTH_GRID - 1)).astype(int) - (_HALF_WINDOW - 1), 0), WIDTH_GRID - n)
         xs = _WIDTH_X[starts[:, :, None] + _WINDOW_OFFSETS]
         f = _unit_bump(xs, e[:, None, None], t2[:, None, None])
         above = f >= _WIDTH_LEVEL
         found = np.all(above[:, :, -1] & ~above[:, :, 0], axis=1)
-        # the first point at or above 1% along each window, and the one
-        # before it: the crossing interpolates from the point before it
-        # on the left and from it on the right, as over the whole grid
+        # as over the whole grid, the left crossing interpolates from the
+        # point before the first one at or above 1%, the right one from it
         first_above = np.argmax(above, axis=2)
         i0, i1 = first_above - [[1, 0]], first_above - [[0, 1]]
         cross = _cross(xs, f, (rows, _SIDES, i0), (rows, _SIDES, i1))
@@ -245,13 +215,9 @@ def _width_extents(e: np.ndarray, t2: np.ndarray):
 
 
 def measure_bump_width(t1: float, t2: float) -> float:
-    """Chordwise distance between the two 1%-height points of a bump.
-
-    Measured on a 2001-point uniform grid with linear interpolation of
-    the crossings; independent of h_b.  Only the grid points next to
-    the two crossings are evaluated, which gives the same float as
-    evaluating the whole grid.
-    """
+    """Chordwise distance between the two 1%-height points of a bump, on a
+    2001-point uniform grid with the crossings linearly interpolated;
+    independent of h_b."""
     _check_bump_params(t1, t2)
     width, _, _ = _width_extents(np.array([_peak_exponent(t1)]), np.array([float(t2)]))
     return float(width[0])
@@ -261,16 +227,13 @@ _T2_LO = 0.2
 _T2_HI = 200.0
 _PHASE_LO, _PHASE_HI = _crossing_phase(_T2_LO), _crossing_phase(_T2_HI)
 _T2_STEPS = 100  # secant or bisection steps a lane may take in solve_t2
-T2_TOL = 1e-6  # solve_t2 stops a lane once its width is within T2_TOL/4 of s_b
+T2_TOL = 1e-6
 
 
 def _closed_form_root(e: np.ndarray, s_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gridless estimate of the t2 giving width s_b for bump exponents e,
-    and dW/dt2 there, for every lane.
-
-    The exact bump has width (1-a)^p - a^p, p = 1/e, decreasing in
-    a = _crossing_phase(t2); bisect it in a inside the t2 bracket.
-    """
+    """Gridless estimate of the t2 giving width s_b at exponents e, and
+    dW/dt2 there: the exact width (1-a)^p - a^p, p = 1/e, falls in
+    a = _crossing_phase(t2) and is bisected in a inside the t2 bracket."""
     p = 1.0 / e
     a, step = np.full(e.shape, _PHASE_LO), _PHASE_HI - _PHASE_LO
     for _ in range(32):
@@ -287,21 +250,14 @@ def _closed_form_root(e: np.ndarray, s_b: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 def _solve_t2_lanes(e: np.ndarray, s_b: np.ndarray):
-    """solve_t2 for every lane (bump exponent e[i], width s_b[i]) at
-    once; returns (t2, clamped) arrays.
-
-    Each round measures every searching lane's width in one
-    _width_extents call; the first also measures both bracket ends,
-    which decide the clamp rule.  A lane keeps the bracket its
-    measurements set (the width falls as t2 grows).  Its next t2 is a
-    secant step, or the bracket's midpoint where that step leaves the
-    bracket.
-    """
+    """solve_t2 over lanes (e[i], s_b[i]); returns (t2, clamped).  Each
+    round measures every searching lane in one _width_extents call, the
+    first also both bracket ends.  A lane's next t2 is a secant step, or
+    its bracket's midpoint where the step leaves the bracket."""
     k = e.size
     t, slope = _closed_form_root(e, s_b)
     w, first, last = (v.reshape(3, k) for v in _width_extents(
         np.tile(e, 3), np.concatenate((t, np.full(k, _T2_LO), np.full(k, _T2_HI)))))
-    # out of reach (a NaN width too): the closer bracket end, clamped
     t2 = np.where(s_b < w[1], _T2_HI, _T2_LO)
     clamped = ~((s_b < w[1]) & (s_b > w[2]))
     lanes = np.flatnonzero(~clamped)
@@ -312,7 +268,6 @@ def _solve_t2_lanes(e: np.ndarray, s_b: np.ndarray):
     for step in range(_T2_STEPS):
         done = (np.abs(w - s_b) < 0.25 * T2_TOL) | (step == _T2_STEPS - 1)
         t2[lanes[done]] = t[done]
-        # a 1% crossing in the first or last width-grid cell truncates a flank
         clamped[lanes[done]] = ((first <= 1) | (last >= WIDTH_GRID - 2))[done]
         wider = w > s_b
         lo, hi = np.where(wider, t, lo), np.where(wider, hi, t)
@@ -348,23 +303,17 @@ def action_error(t1: float, s_b: float) -> str | None:
 def solve_t2(t1, s_b):
     """Shape exponents giving 1%-height widths s_b at peaks t1.
 
-    Equal-length arrays of t1 and s_b give (t2, clamped) arrays, one
-    lane per pair, each lane on this contract:
+    Equal-length arrays of t1 and s_b give (t2, clamped) arrays, per lane:
 
-    - s_b >= measure_bump_width(t1, 0.2) gives (0.2, True), and
-      s_b <= measure_bump_width(t1, 200) gives (200, True): the width is
-      out of reach, and the closest achievable t2 is returned;
-    - otherwise measure_bump_width(t1, t2) lies within T2_TOL/4 of s_b, and
-      clamped is set when a 1% crossing sits in a boundary grid cell
-      (flank truncated by the [0,1] support);
-    - a NaN s_b gives (0.2, True).
+    - s_b >= measure_bump_width(t1, 0.2) gives (0.2, True) and
+      s_b <= measure_bump_width(t1, 200) gives (200, True): out of reach,
+      the closest t2 is returned; a NaN s_b gives (0.2, True);
+    - otherwise measure_bump_width(t1, t2) lies within T2_TOL/4 of s_b
+      after at most 100 secant or bisection steps (a lane still outside
+      then keeps its last t2), and clamped is set when a 1% crossing sits
+      in a boundary grid cell (a flank cut by the [0, 1] support).
 
-    The search measures both bracket ends, starts from a gridless
-    estimate of the root and takes secant steps on the measured width,
-    with a bisection fallback inside the bracket (see _solve_t2_lanes).
-    It takes at most 100 steps a lane; a lane still outside the
-    tolerance then keeps its last t2.  Every lane gets the floats of a
-    lane of one.  An invalid pair in any lane raises GeometryError.
+    GeometryError if any lane's pair is invalid (see action_error).
     """
     t1, s_b = np.asarray(t1, dtype=float), np.asarray(s_b, dtype=float)
     bad = np.flatnonzero(_invalid_actions(t1, s_b))
@@ -374,8 +323,7 @@ def solve_t2(t1, s_b):
 
 
 def max_thickness(cst) -> float:
-    """Maximum of (y_upper - y_lower) of a (14,) row on the fixed
-    201-point cosine grid."""
+    """Maximum of y_upper - y_lower of a (14,) row on the 201-point cosine grid."""
     return float(np.max(cst_at_stations(cst[:N_CST]) - cst_at_stations(cst[N_CST:])))
 
 
@@ -384,28 +332,20 @@ BRACKET_ERROR = "cannot bracket thickness scale factor"
 
 
 def _rescale_lower(upper: np.ndarray, lower: np.ndarray, t_max: np.ndarray):
-    """Scale each lane's lower coefficients so max thickness equals t_max.
+    """Scale each lane's lower row so its maximum thickness is t_max.
 
-    With the lower surface scaled by s, the thickness on the cosine grid
-    is f(s) = max_i(yu_i - s*yl_i), convex and piecewise linear in s.
-    The contract:
+    (k, 7) upper and lower rows and (k,) t_max give (lowers, failed).
+    With the lower surface scaled by s, the thickness on the cosine grid,
+    f(s) = max_i(yu_i - s*yl_i), is convex and piecewise linear in s:
 
     - within 1e-9 of t_max at s = 1, the lane keeps its lower row;
-    - when f(0.25) - t_max and f(4) - t_max have the same sign (or one
-      is NaN), the thickness cannot be bracketed: the lane fails and
-      keeps its lower row;
-    - otherwise the factor is the root of f(s) = t_max in [0.25, 4] in
-      closed form, so the thickness meets t_max up to rounding.
-
-    Station i's line crosses t_max at r_i = (yu_i - t_max)/yl_i.  When f
-    rises from f(0.25) < t_max the root is the first crossing of a
-    rising line, the minimum of r_i over yl_i < 0; when it falls to
-    f(4) < t_max, the last crossing of a falling one, the maximum over
-    yl_i > 0.  An end where f equals t_max is the root itself.
-
-    (k, 7) upper and lower lanes and (k,) t_max give (lowers, failed),
-    failed a (k,) bool array, every step over all lanes at once; every
-    lane gets the floats of a lane of one.
+    - when f(0.25) - t_max and f(4) - t_max share a sign (or one is NaN),
+      the thickness cannot be bracketed: the lane fails, keeping its row;
+    - otherwise s is the root of f(s) = t_max in [0.25, 4] in closed form,
+      so the thickness meets t_max up to rounding.  Station i's line
+      crosses t_max at r_i = (yu_i - t_max)/yl_i; the root is the least
+      r_i over yl_i < 0 when f(0.25) < t_max, else the greatest over
+      yl_i > 0, and an end where f equals t_max is the root itself.
     """
     y = cst_at_stations(np.concatenate((upper, lower)))
     k = len(lower)
@@ -424,9 +364,8 @@ def _rescale_lower(upper: np.ndarray, lower: np.ndarray, t_max: np.ndarray):
 
 
 def make_airfoil(cst, t_max: float):
-    """Rescale the lower half of each (k, 14) row to meet t_max; returns
-    the rows and _rescale_lower's failed flags (a failed row is
-    returned as it came)."""
+    """Rescale the lower half of each (k, 14) row to meet t_max; returns the
+    rows and _rescale_lower's failed flags, a failed row as it came."""
     cst = np.array(cst, dtype=float)
     cst[:, N_CST:], failed = _rescale_lower(cst[:, :N_CST], cst[:, N_CST:],
                                             np.full(len(cst), t_max))
@@ -434,21 +373,13 @@ def make_airfoil(cst, t_max: float):
 
 
 def apply_action(cst, t_max: float, action):
-    """Add a bump to the upper surface, refit with CST, restore thickness.
+    """Bump each lane's upper surface, refit it with CST and restore the
+    thickness t_max, within the tolerances of solve_t2 and _rescale_lower.
 
-    The refit is the smoothing step: the bumped curve is reconstructed
-    as a 6th-order CST surface, then the lower surface is rescaled so
-    the maximum thickness stays at t_max, within the tolerances of
-    solve_t2 and _rescale_lower.
-
-    cst is an (N, 14) array, one airfoil per lane, all at thickness
-    t_max, and action an (N, 3) array of physical (t1, s_b, h_b) rows;
-    the result is (cst, width_clamped, failed), with width_clamped[i]
-    solve_t2's clamped flag and failed[i] set on a lane whose action
-    solve_t2 rejects or whose thickness rescale fails (it keeps its
-    input coefficients).  The t2 solve, the bump, the CST sums, the
-    refit and the thickness rescale each run over all lanes together,
-    and every lane gets the floats of a lane of one.
+    cst is (N, 14), all at t_max, and action (N, 3) physical (t1, s_b,
+    h_b) rows.  Returns (cst, width_clamped, failed): width_clamped is
+    solve_t2's clamped flag, and failed marks a lane whose action solve_t2
+    rejects or whose rescale fails; such a lane keeps its coefficients.
     """
     cst = np.array(cst, dtype=float)
     t1, s_b, h_b = np.asarray(action, dtype=float).T
@@ -466,21 +397,15 @@ def apply_action(cst, t_max: float, action):
     return cst, width_clamped, failed
 
 
-# ---------------------------------------------------------------------------
-# file formats
-
-
 def write_coordinates(path, cst) -> None:
     """Selig-order coordinate file of a (14,) row on the 201-point
     cosine grid: upper TE->LE, then lower LE->TE."""
-    x = cosine_stations()
-    yu = cst_evaluate(cst[:N_CST], x)
-    yl = cst_evaluate(cst[N_CST:], x)
+    yu, yl = cst_at_stations(np.reshape(cst, (2, N_CST)))
     with open(path, "w") as fh:
         fh.write("# airfoil coordinates, Selig order\n")
-        for xi, yi in zip(x[::-1], yu[::-1]):
+        for xi, yi in zip(_STATIONS[::-1], yu[::-1]):
             fh.write(f"{float(xi)!r} {float(yi)!r}\n")
-        for xi, yi in zip(x[1:], yl[1:]):
+        for xi, yi in zip(_STATIONS[1:], yl[1:]):
             fh.write(f"{float(xi)!r} {float(yi)!r}\n")
 
 
@@ -517,10 +442,9 @@ def write_cst_file(path, cst, t_max: float) -> None:
 
 
 def read_cst_file(path) -> tuple[np.ndarray, float]:
-    """Read write_cst_file's format and rescale the lower half to meet
-    t_max, as make_airfoil does for a lane of one; returns (cst, t_max).
-    Raises GeometryError naming the file, and the line where one is at
-    fault."""
+    """Read write_cst_file's format and rescale the lower half to meet t_max,
+    as make_airfoil does; returns (cst, t_max).  GeometryError names the
+    file, and the line where one is at fault."""
     with open(path) as fh:
         cst = _numbers(path, 1, fh.readline(), 2 * N_CST, f"{2 * N_CST} CST coefficients")
         t_max = float(_numbers(path, 2, fh.readline(), 1, "t_max")[0])

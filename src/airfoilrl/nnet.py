@@ -1,10 +1,8 @@
 """Minimal feedforward network engine shared by surrogate, actor, critic.
 
-Plain numpy: forward pass with cached activations, exact reverse-mode
-gradients, Adam updates, and per-dimension (0,1) min-max scaling of
-inputs and outputs.  Hidden activation is the rectifier, output is
-identity.  A model's parameters, its gradients and the Adam moments
-each live in one flat buffer, so an update is a few whole-buffer passes.
+Plain numpy: a forward pass with cached activations, exact reverse-mode
+gradients, Adam, and per-dimension (0,1) min-max scaling of inputs and
+outputs.  Hidden layers are rectifiers, the output layer is linear.
 """
 from __future__ import annotations
 
@@ -80,11 +78,9 @@ def _copy_into(views, arrays) -> None:
 
 
 class MlpModel:
-    """Layer sizes, scalers, and the parameters in one flat buffer.
-
-    `weights` and `biases` are views into `flat`, every weight matrix
-    then every bias; assigning to them copies values into the buffer.
-    """
+    """Layer sizes, scalers, and the parameters in one flat buffer, `flat`:
+    `weights` and `biases` are views of it, every weight matrix then every
+    bias, and assigning to them copies into it."""
 
     def __init__(self, sizes, weights, biases, input_scaler: Scaler,
                  output_scaler: Scaler):
@@ -152,12 +148,9 @@ def make_mlp(sizes, rng, input_scaler: Scaler | None = None,
 def mlp_forward(model: MlpModel, x: np.ndarray, scaled: bool = True,
                 with_cache: bool = False, out=None):
     """Forward pass on an (n, d) batch; any other shape raises NnetError.
-
-    With scaled=True the input is min-max scaled before the chain and
-    the raw output unscaled after; training code works in scaled space
-    with scaled=False on pre-scaled arrays.  `out`, one (n, size) array
-    per layer, receives the layers' activations in place of new arrays.
-    """
+    scaled=True min-max scales the input and unscales the output; training
+    runs scaled=False on pre-scaled arrays.  `out`, one (n, size) array per
+    layer, receives the activations in place of new arrays."""
     x = np.asarray(x, dtype=float)
     if x.shape[1:] != (model.n_in,):
         raise NnetError(f"expected (n, {model.n_in}) inputs, got {x.shape}")
@@ -180,15 +173,11 @@ def mlp_forward(model: MlpModel, x: np.ndarray, scaled: bool = True,
 
 def mlp_backward(model: MlpModel, cache: list[np.ndarray],
                  grad_out: np.ndarray, out=None, deltas=None) -> list[np.ndarray]:
-    """Exact gradients w.r.t. parameters, in `flat` order.
-
-    grad_out is dLoss/d(chain output) for the batch the cache came
-    from, in the same (scaled) space the chain ran in.  The gradients
-    go into `out`, arrays shaped like the weights then the biases, when
-    given, else into views of one new buffer laid out like `model.flat`.
-    `deltas`, one (n, size) array per hidden layer, receives the
-    back-propagated deltas in place of new arrays.
-    """
+    """Exact parameter gradients, in `flat` order, of the forward that made
+    `cache`, for grad_out = dLoss/d(chain output) in the space it ran in.
+    They go into `out`, arrays shaped like the weights then the biases,
+    else into views of a new buffer; `deltas`, one (n, size) array per
+    hidden layer, receives the back-propagated deltas."""
     grad_out = np.asarray(grad_out, dtype=float)
     n = len(model.sizes) - 1
     if len(cache) != n + 1:
@@ -226,15 +215,10 @@ class AdamState:
 
 
 def adam_update(params, grads, state: AdamState, lr: float) -> None:
-    """Standard Adam step with bias correction, written into params.
-
-    params and grads are flat float64 arrays, such as a model's `flat`
-    buffer and a Fit's gradient buffer, or an agent's log-std and its
-    gradient.  The step is one in-place pass over params and the
-    state's flat moments and scratch buffers, in the per-element
-    operation order m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g,
-    p - (lr*m_hat) / (sqrt(v_hat) + eps).
-    """
+    """One Adam step with bias correction, in place on flat float64 params
+    (a model's `flat`, or a log-std) and the state's buffers, in the
+    per-element order m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g,
+    p - (lr*m_hat) / (sqrt(v_hat) + eps)."""
     if params.size != grads.size or params.size != state.m.size:
         raise NnetError("parameter/gradient/state size mismatch")
     state.step += 1
@@ -260,14 +244,9 @@ def adam_update(params, grads, state: AdamState, lr: float) -> None:
 
 class Fit:
     """Adam steps for one model in scaled space, on batches of at most
-    `rows` rows, through buffers allocated once.
-
-    `forward` runs mlp_forward and keeps its cache; `descend` runs
-    mlp_backward on a loss gradient w.r.t. that forward's output, then
-    one in-place adam_update of the model's flat buffer, with `state`
-    (a new AdamState by default) carrying the moments.  `step` is one
-    mean-squared-error step made of the two.
-    """
+    `rows` rows, through buffers allocated once.  `forward` keeps its
+    cache, `descend` back-propagates a loss gradient from it and takes one
+    adam_update with `state`, and `step` is one MSE step made of the two."""
 
     def __init__(self, model: MlpModel, rows: int, state: AdamState | None = None):
         self.model = model
@@ -315,14 +294,10 @@ class Fit:
 
 def train_minibatch(model: MlpModel, inputs: np.ndarray, targets: np.ndarray,
                     schedule, batch_size: int, seed: int, callback) -> None:
-    """Minibatch MSE regression in scaled space.
-
-    schedule is a list of (epochs, learning_rate) segments applied in
-    order; each epoch reshuffles with a generator seeded once from
-    `seed`.  `callback(minibatch_index)`, counting from 1, fires after
-    every minibatch.  The steps run through one Fit, and the batches are
-    gathered into buffers allocated once.
-    """
+    """Minibatch MSE regression in scaled space through one Fit over
+    schedule's (epochs, learning rate) segments, each epoch reshuffled by
+    a generator seeded once from `seed`; `callback(minibatch)`, counting
+    from 1, fires after every minibatch."""
     inputs = np.asarray(inputs, dtype=float)
     targets = np.asarray(targets, dtype=float)
     if inputs.size == 0:
@@ -347,10 +322,6 @@ def train_minibatch(model: MlpModel, inputs: np.ndarray, targets: np.ndarray,
                 callback(mb)
 
 
-# ---------------------------------------------------------------------------
-# model container: npz with layer sizes, scaler bounds, and parameters
-
-
 def model_arrays(model: MlpModel, prefix: str = "") -> dict:
     """A network's members in the model file layout: ``{prefix}sizes``
     and ``{prefix}w{i}``, ``{prefix}b{i}`` per layer."""
@@ -373,6 +344,7 @@ def model_from_arrays(data, input_scaler: Scaler, output_scaler: Scaler | None =
 
 
 def save_model(path, model: MlpModel) -> None:
+    """A surrogate model file: version 1, the scalers' bounds and model_arrays."""
     np.savez(path, version=np.array([1]),
              in_lo=model.input_scaler.lo, in_hi=model.input_scaler.hi,
              out_lo=model.output_scaler.lo, out_hi=model.output_scaler.hi,

@@ -15,12 +15,9 @@ MARGIN = 50
 
 def plot_history(history_csv, out_svg, x_col: str = "iteration",
                  y_col: str = "mean_cum_reward") -> None:
-    """Render one column of a history CSV as an SVG polyline.
-
-    Points whose x or y is not finite are skipped; an empty (headered)
-    CSV, or a column with no finite point, yields an axes-only chart.
-    A malformed CSV raises TableError (see tables.read_csv).
-    """
+    """Render one column of a history CSV as an SVG polyline, skipping
+    points whose x or y is not finite; with none left, the chart has only
+    axes.  A malformed CSV raises TableError (see tables.read_csv)."""
     # saxutils loads urllib.request: only the plot command should pay for it
     from xml.sax.saxutils import escape
 

@@ -1,10 +1,9 @@
 """Imitation-learning pretraining of the actor and critic-only fitting.
 
-Good state-action samples come from greedy random search on the
-evaluator, as a sample table (its CSV file's float columns); duplicates
-are resolved by reward, high-frequency action noise is removed by
-inverse-distance-weighted smoothing, the actor is regressed onto the
-result, and the critic is then fit with the actor frozen.
+Greedy random search on the evaluator yields a state-action sample
+table; duplicates are resolved by reward, action noise is smoothed out by
+inverse-distance weighting, the actor is regressed onto the result, and
+the critic is then fit with the actor frozen.
 """
 from __future__ import annotations
 
@@ -24,27 +23,21 @@ SMOOTH_PASSES = 10
 SMOOTH_NEIGHBORS = 10
 SMOOTH_RELAXATION = 0.2
 DEDUP_TOL = 1e-9
-# smooth_samples' rows of distances at a time: O(n _SMOOTH_BLOCK) memory
-_SMOOTH_BLOCK = 256
+_SMOOTH_BLOCK = 256  # smooth_samples' distance rows at a time: O(n * 256) memory
 
 IMITATION_SCHEDULE = [(250, 1e-3), (250, 1e-4), (250, 1e-5), (250, 1e-6)]
 
 
 def greedy_search(baseline, evaluator, searches: int, steps: int, candidates: int, rng,
                   t_max: float = T_MAX_DEFAULT, record: Counter | None = None) -> np.ndarray:
-    """Random greedy searches from a (14,) baseline row at thickness
-    t_max: at each step draw candidate actions uniformly over the
-    physical action box, keep the one with the smallest drag that stays
-    inside the feature box, and advance.  Returns a (k, 8) sample table,
-    a row per step taken.
-
-    The candidates of a step are one batch: one apply_action call over
-    lanes and one evaluator call on the candidates it could build.  The
-    first candidate with the smallest drag wins.  `record` counts the
-    candidates scored (``greedy_candidates``).
-    """
+    """Random greedy searches from a (14,) baseline row at thickness t_max;
+    returns a (k, 8) sample table, a row per step taken.  Each step draws
+    `candidates` actions uniformly over the physical action box, scores
+    them in one apply_action and one evaluator call, and advances to the
+    first of least drag inside the feature box; a search ends early when
+    none is.  `record` counts the candidates (``greedy_candidates``)."""
     samples = [np.empty((0, SAMPLE_WIDTH))]
-    ev = evaluator(baseline)
+    ev = evaluator(baseline[None])
     cd0, state0 = float(ev.cd[0]), ev.state[0].copy()
     for _ in range(searches):
         cst, cd, state = baseline, cd0, state0
@@ -88,20 +81,17 @@ def dedup_states(samples) -> np.ndarray:
 
 
 def smooth_samples(samples: np.ndarray) -> np.ndarray:
-    """Inverse-distance-weighted action smoothing over state space.
-
-    Distances are frozen from the original states; each pass relaxes
-    every action 20% of the way toward the IDW mean of its 10 nearest
-    neighbors.  A zero-distance neighbor takes the largest finite
-    weight seen in the pass.
-    """
+    """Inverse-distance-weighted action smoothing over state space: with
+    distances frozen from the original states, each of SMOOTH_PASSES
+    passes moves every action SMOOTH_RELAXATION of the way to the IDW mean
+    of its SMOOTH_NEIGHBORS nearest neighbours.  A zero-distance neighbour
+    takes the largest finite weight (1.0 where none is finite)."""
     n = len(samples)
     if n < SMOOTH_NEIGHBORS + 1:
         raise ValueError(f"need at least {SMOOTH_NEIGHBORS + 1} samples")
     states, actions = samples[:, STATE_COLS], samples[:, ACTION_COLS]
-    # a block of rows at a time, squared distances summed column by
-    # column, in order, and each row sorted whole, so ties order as in
-    # one sort of the n x n matrix
+    # squared distances summed column by column, in order, and each row
+    # sorted whole: ties order as in one sort of the n x n matrix
     neighbor_idx = np.empty((n, SMOOTH_NEIGHBORS), dtype=np.intp)
     ndist = np.empty((n, SMOOTH_NEIGHBORS))
     for s in range(0, n, _SMOOTH_BLOCK):
@@ -132,11 +122,8 @@ def smooth_samples(samples: np.ndarray) -> np.ndarray:
 
 def imitate_policy(agent: PolicyAgent, samples: np.ndarray,
                    schedule=None) -> list[float]:
-    """Regress the actor mean onto the sample actions (scaled space).
-
-    Full-batch Adam steps through one Fit; the std layer is untouched.
-    Returns the per-epoch mean-squared loss history.
-    """
+    """Regress the actor mean onto the sample actions (scaled space) by
+    full-batch Adam steps, log_std untouched; returns the epochs' MSEs."""
     if not len(samples):
         raise ValueError("no samples to imitate")
     schedule = schedule if schedule is not None else IMITATION_SCHEDULE

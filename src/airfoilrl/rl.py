@@ -1,10 +1,9 @@
 """PPO-clip with generalized advantage estimation over Gaussian policies.
 
-The agent is an actor network producing mean actions in scaled (0,1)
-space, a learnable per-component standard deviation stored as log-std,
-and a critic network estimating the discounted reward-to-go.  Rollouts
-are Monte Carlo over many baseline airfoils; evaluation always takes
-the mean action.
+The agent is an actor giving mean actions in scaled (0,1) space, a
+learnable per-component log-std, and a critic estimating the discounted
+reward-to-go.  Rollouts are Monte Carlo over baseline airfoils;
+evaluation takes the mean action.
 """
 from __future__ import annotations
 
@@ -20,7 +19,6 @@ from .tables import FEATURE_BOX
 
 STATE_DIM, ACTION_DIM = len(FEATURE_BOX) - 1, len(ACTION_BOUNDS)
 LOG_STD_MIN = math.log(1e-3)  # floor keeping the policy stochastic
-# the PPO update's constants; advantages are always normalized
 CLIP_EPS = 0.1
 GAMMA = 0.99
 GAE_LAMBDA = 0.8
@@ -39,8 +37,7 @@ class PpoConfig:
     trajectories_per_baseline: int = 4
     # read only by the CLI, to build its DesignEnv
     max_steps: int = MAX_STEPS
-    # (PPO iterations, actor learning rate) segments, each iteration one
-    # collect_batch and `epochs` gradient epochs; critic lr is a multiple
+    # (PPO iterations, actor learning rate) segments; the critic's is a multiple
     actor_schedule: list = field(default_factory=lambda: [(50, 1e-3)])
 
 
@@ -79,11 +76,9 @@ def gaussian_log_prob(actions: np.ndarray, means: np.ndarray,
 
 
 def sample_action(agent: PolicyAgent, state: np.ndarray, rng):
-    """Sample scaled actions and their log-probs (before any clamping).
-
-    A (n, 4) block of states gives (n, 3) actions and (n,) log-probs from
-    one actor pass and one normal draw of that shape from rng.
-    """
+    """Scaled actions and their log-probs (before any clamping): (n, 4)
+    states give (n, 3) actions and (n,) log-probs from one actor pass and
+    one normal draw of that shape from rng."""
     mean = np.asarray(agent.mean_action(np.asarray(state, dtype=float)))
     std = agent.std
     action = mean + std * rng.standard_normal(mean.shape)
@@ -177,13 +172,11 @@ def ppo_losses(batch: TrajectoryBatch, agent: PolicyAgent, old_agent: PolicyAgen
 
 def collect_batch(agent: PolicyAgent, baselines, env,
                   config: PpoConfig, rng) -> TrajectoryBatch:
-    """Stochastic rollouts: trajectories_per_baseline episodes from every
-    baseline under the current policy, all stepped in lockstep on `env`
-    (one lane per episode, baseline-major).  Each step samples every live
-    lane from one actor pass and one (n_live, 3) normal block drawn from
-    rng, rows in lane order.  The batch lists each trajectory's steps
-    together, in lane order.
-    """
+    """trajectories_per_baseline stochastic episodes from every baseline,
+    stepped in lockstep on `env` (a lane per episode, baseline-major);
+    each step samples every live lane from one actor pass and one
+    (n_live, 3) normal block from rng, rows in lane order.  The batch
+    lists each trajectory's steps together, in lane order."""
     episodes = np.repeat(baselines, config.trajectories_per_baseline, axis=0)
     state = env.reset_lanes(episodes)
     blocks = []  # (lanes, states, actions, log-probs, rewards) per lockstep step
@@ -215,15 +208,11 @@ def _update_agent(agent: PolicyAgent, batch: TrajectoryBatch,
                   config: PpoConfig, actor_lr: float, critic_lr: float,
                   actor_states: tuple[AdamState, AdamState] | None,
                   critic_state: AdamState) -> tuple[float, float]:
-    """One iteration of PPO updates (config.epochs gradient steps on the
-    full batch); returns final (actor_loss, critic_loss).
-
-    actor_states holds the Adam states of the actor's flat parameters
-    and of log_std, or is None for a critic-only fit.  Actor and critic
-    each step through one Fit, the critic measuring its loss on the
-    final epoch only; log_std takes its own Adam step after the actor's,
-    at the same rate, then the LOG_STD_MIN floor.
-    """
+    """config.epochs full-batch PPO epochs; returns the final (actor_loss,
+    critic_loss).  actor_states holds the Adam states of the actor's flat
+    parameters and of log_std, or is None for a critic-only fit.  The
+    critic measures its loss on the last epoch only; log_std takes its
+    Adam step after the actor's, at its rate, then the LOG_STD_MIN floor."""
     xs = agent.actor.input_scaler.scale(batch.states)
     n = batch.size
     actor_loss = critic_loss = float("nan")
@@ -245,8 +234,7 @@ def _update_agent(agent: PolicyAgent, batch: TrajectoryBatch,
                 raise PpoError("non-finite policy ratio during update")
             terms, active = clipped_objective(ratio, adv, CLIP_EPS)
             actor_loss = -float(np.mean(terms))
-            # d(-mean(term))/dmean: only active (unclipped) steps carry
-            # gradient through the ratio
+            # d(-mean(term))/dmean: only active (unclipped) steps carry gradient
             coef = -(active * ratio * adv)[:, None] / n
             d_mean = coef * (batch.actions - means) / std**2
             d_logstd = np.sum(coef * (((batch.actions - means) / std) ** 2 - 1.0),
@@ -263,13 +251,10 @@ def _update_agent(agent: PolicyAgent, batch: TrajectoryBatch,
 
 
 def evaluate_policy(agent: PolicyAgent, baselines, env, rollout: list | None = None):
-    """Deterministic mean-action rollouts on `env`, every baseline a lane.
-
-    Returns (mean cumulative reward in counts, per-baseline rewards).
-    With a `rollout` list, one rollout-log row per step (env
-    ROLLOUT_COLUMNS, episode = baseline index) is appended to it,
-    episode by episode.
-    """
+    """Deterministic mean-action rollouts on `env`, a lane per baseline;
+    returns (mean cumulative reward in counts, per-baseline rewards).  A
+    `rollout` list receives one rollout_rows row per step, episode by
+    episode."""
     state = env.reset_lanes(baselines)
     totals = np.zeros(len(baselines))
     rows: list[dict] = []
@@ -290,14 +275,11 @@ def evaluate_policy(agent: PolicyAgent, baselines, env, rollout: list | None = N
 def ppo_train(agent: PolicyAgent, baselines, config: PpoConfig, env,
               seed: int = 0, critic_schedule=None) -> list[dict]:
     """Full PPO loop on `env`; returns the per-iteration history.
-
-    Iterations run at config.actor_schedule's rates, the critic's times
-    CRITIC_LR_MULTIPLIER; given a critic_schedule, the fit is
-    critic-only, at its rates.  Adam moments persist across iterations.
-    history[0] is the deterministic evaluation of the initial policy;
-    entry k holds the evaluation after iteration k together with the
-    final losses and the current std components.
-    """
+    Iterations run at config.actor_schedule's rates, the critic at
+    CRITIC_LR_MULTIPLIER times them, or, given a critic_schedule, fit the
+    critic alone at its rates.  Adam moments persist across iterations.
+    history[0] evaluates the initial policy; entry k holds the evaluation
+    after iteration k, the final losses and the std components."""
     if not len(baselines):
         raise PpoError("at least one baseline required")
     rng = np.random.default_rng(seed)

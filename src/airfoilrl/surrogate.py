@@ -1,11 +1,8 @@
 """Sample-set selection, surrogate training, and relative-RMS reporting.
 
-The surrogate maps the 14 CST coefficients to five outputs
-(CD, X1, Mw1, MwL, MwA).  A sample set is an (n, 19) float table in
-CSV_COLUMNS order (see tables), in memory as in its CSV file.  Sample
-pools are first filtered against the feature box, then thinned by
-repeatedly removing one member of the closest coefficient-space pair
-until the requested set sizes are reached.
+The surrogate maps the 14 CST coefficients to the five outputs (CD, X1,
+Mw1, MwL, MwA).  A sample set is an (n, 19) float table in CSV_COLUMNS
+order, in memory as in its CSV file.
 """
 from __future__ import annotations
 
@@ -15,8 +12,6 @@ from .nnet import MlpModel, Scaler, make_mlp, train_minibatch, mlp_forward
 from .tables import (CSV_COLUMNS, CST_COLS, FEATURE_BOX, OUTPUT_COLS, OUTPUT_NAMES, TableError,
                      in_feature_bounds, read_csv, write_csv)
 
-# train_surrogate's history entries, in this order, one every
-# HISTORY_EVERY minibatches
 HISTORY_COLUMNS = ["minibatch"] + [f"{part}_{name}" for name in OUTPUT_NAMES
                                    for part in ("train", "test")]
 HISTORY_EVERY = 100
@@ -31,19 +26,17 @@ class SurrogateError(ValueError):
     pass
 
 
-# select_samples' distances and train_surrogate's history forwards are
-# GEMMs over blocks of rows [s, e): s is a multiple of _DIST_BLOCK, itself
-# a multiple of the GEMM kernel's row tile, so that with one BLAS thread a
-# block's product rounds as the same rows of the full product, and a
-# one-row tail joins the block before it, as numpy sends a one-row
-# product to GEMV.  Each row keeps at most _CANDIDATES nearest neighbours.
 _DIST_BLOCK = 96
-_CANDIDATES = 64
+_CANDIDATES = 64  # nearest neighbours a row of select_samples keeps
 
 
 def _block_of(i: int, n: int) -> tuple[int, int]:
-    """The row block [s, e) that holds row i of n, for either GEMM user:
-    select_samples' distance rows and train_surrogate's history forwards."""
+    """The row block [s, e) that holds row i of n, for select_samples'
+    distance rows and train_surrogate's history forwards.  s is a multiple
+    of _DIST_BLOCK, itself a multiple of the GEMM kernel's row tile, so
+    that with one BLAS thread a block's product rounds as the same rows of
+    the full product; a one-row tail joins the block before it, as numpy
+    sends a one-row product to GEMV."""
     s = i - i % _DIST_BLOCK
     if s > 0 and s == n - 1:
         s -= _DIST_BLOCK
@@ -61,28 +54,23 @@ def _row_blocks(n: int):
 
 
 def _gram_rows(coords: np.ndarray, s: int, e: int, out=None) -> np.ndarray:
-    """Rows [s, e) of 2.0 * coords @ coords.T, a GEMM of the block."""
     return np.matmul(2.0 * coords[s:e], coords.T, out=out)
 
 
 def select_samples(pool: np.ndarray, keep_counts: list[int]) -> dict[int, np.ndarray]:
-    """Thin a sample table to the requested sizes, keeping geometries
-    spread out; each set is a subset of the pool's rows, in pool order.
+    """Thin a sample table to each keep count; each set is a subset of the
+    pool's rows, in pool order.
 
-    Out-of-bounds rows are dropped first.  Then the closest pair of
-    surviving rows (Euclidean distance over the coefficients) loses one member
-    per round; the member whose next-nearest-neighbor distance is
-    smaller is deleted, ties broken by lower index.  A snapshot is
-    taken whenever the survivor count hits a keep count.
-
-    The distance from i to j is sqrt(max(sq_i + sq_j - 2 c_i . c_j, 0))
-    with sq the squared norms, each block of rows from one GEMM.  Memory
+    Rows outside the feature box go first.  Then, per round, the closest
+    pair of survivors (Euclidean distance over the coefficients) loses
+    the member whose next-nearest survivor is closer, the lower index on
+    a tie.  The distance from i to j is sqrt(max(sq_i + sq_j - 2 c_i . c_j,
+    0)), sq the squared norms, each block of rows from one GEMM.  Memory
     is O(n (_DIST_BLOCK + _CANDIDATES)): each row keeps a list of
-    (distance, index) pairs in that order, and every survivor off the
-    list sorts after the list, so a row's first live entry is its
-    nearest survivor, lowest index first among equal distances, as in a
-    dense n×n search; a row whose list runs out rebuilds its block's
-    lists.
+    (distance, index) pairs in that order, and every survivor off the list
+    sorts after it, so a row's first live entry is its nearest survivor,
+    the lowest index first among equal distances, as in a dense n x n
+    search; a row whose list runs out rebuilds its block's lists.
     """
     keep_counts = sorted(set(int(k) for k in keep_counts), reverse=True)
     if not keep_counts:
@@ -97,8 +85,7 @@ def select_samples(pool: np.ndarray, keep_counts: list[int]) -> dict[int, np.nda
     coords = pool[valid_idx, CST_COLS]
     n = len(valid_idx)
     sq = np.sum(coords**2, axis=1)
-    # block buffers, allocated once: each fresh block-sized array costs
-    # page faults (about 0.2 ms per block at n = 950)
+    # block buffers, allocated once: a fresh one costs page faults (0.2 ms at n = 950)
     gram = np.empty((_DIST_BLOCK + 1) * n)  # a block's products, then its partition
     work = np.empty((_DIST_BLOCK + 1) * n)  # a block's squared distances
     live = bytearray(n + 1)  # index n pads the lists and is never live
@@ -106,8 +93,7 @@ def select_samples(pool: np.ndarray, keep_counts: list[int]) -> dict[int, np.nda
     alive[:] = True
     K = _CANDIDATES
     cand_d, cand_j = np.full((n, K), np.inf), np.full((n, K), n)
-    # flat views, row i's list at [i K, (i + 1) K), whose single entries
-    # read and write at Python speed
+    # flat views, row i's list at [i K, (i + 1) K): single entries at Python speed
     list_d, list_j = memoryview(cand_d.reshape(-1)), memoryview(cand_j.reshape(-1))
     head = list(range(0, n * K, K))  # list position of each row's nearest neighbour
     nn_dist, nn_idx = np.empty(n), np.empty(n, dtype=int)
@@ -189,7 +175,6 @@ def select_samples(pool: np.ndarray, keep_counts: list[int]) -> dict[int, np.nda
         i = int(nn_dist.argmin())
         j = nn_j[i]
         a, b = min(i, j), max(i, j)
-        # delete the pair member whose next-nearest neighbor is closer
         da, db = second_nearest(a, b), second_nearest(b, a)
         victim = a if da <= db else b
         live[victim] = False
@@ -247,13 +232,10 @@ def _forward_in_blocks(model: MlpModel, x: np.ndarray) -> np.ndarray:
 
 def train_surrogate(train: np.ndarray, test: np.ndarray, hidden: list[int],
                     schedule, batch_size: int, seed: int) -> tuple[MlpModel, list[dict]]:
-    """Train a 14 -> hidden -> 5 model on two sample tables with
-    train_minibatch's (epochs, lr) schedule, batch size and seed,
-    recording per-output RSME every HISTORY_EVERY minibatches.
-
-    Returns (model, history); each history entry holds train/test RSME
-    for every output, and a non-finite one raises SurrogateError.
-    """
+    """Train a 14 -> hidden -> 5 model on two sample tables by
+    train_minibatch; returns (model, history), an entry of train and test
+    RSME per output (HISTORY_COLUMNS) every HISTORY_EVERY minibatches.  A
+    non-finite RSME raises SurrogateError."""
     if not len(train) or not len(test):
         raise SurrogateError("train and test sets must be nonempty")
     x_tr, y_tr = train[:, CST_COLS], train[:, OUTPUT_COLS]

@@ -1,8 +1,7 @@
 """The pipeline's tables: their columns, the feature box that decides
-which rows are valid designs, and the one CSV writer and reader.
-
-A CSV table is a header line, then one line per row.  Sample tables are
-float arrays in memory as in their CSV files, without the text columns.
+which rows are valid designs, and the one CSV writer and reader.  Sample
+tables are float arrays in memory as in their CSV files, less the text
+columns.
 """
 from __future__ import annotations
 
@@ -19,8 +18,7 @@ FEATURE_BOUNDS = {
     "mwa": (0.9, 1.1),
 }
 OUTPUT_NAMES = tuple(FEATURE_BOUNDS)
-# the box as a (5, 2) array in OUTPUT_NAMES order; its last four rows
-# bound the state [X1, Mw1, MwL, MwA]
+# (5, 2), in OUTPUT_NAMES order; its last four rows bound the RL state
 FEATURE_BOX = np.array([FEATURE_BOUNDS[k] for k in OUTPUT_NAMES])
 
 # dataset CSV: an (n, 19) airfoil sample table, the 14 CST coefficients
@@ -49,9 +47,8 @@ def in_feature_bounds(outputs) -> np.ndarray:
 
 
 def is_valid_design(cd, state, no_shock) -> np.ndarray:
-    """The valid-design rule: a shock was found and the outputs lie in
-    the feature box.  Takes (N,) drags, (N, 4) states [X1, Mw1, MwL, MwA]
-    and (N,) no-shock flags; returns an (N,) mask."""
+    """The valid-design rule over (N,) drags, (N, 4) states and (N,) no-shock
+    flags: a shock was found and the outputs lie in the feature box."""
     return ~no_shock & in_feature_bounds(np.column_stack((cd, state)))
 
 

@@ -273,7 +273,7 @@ def test_width_extents_match_scalar_reference():
 def scalar_proxy(cst14):
     """The proxy's answer for one airfoil as floats: the row of its block
     of one."""
-    cd, feats = proxy_evaluate(cst14)
+    cd, feats = proxy_evaluate(cst14[None])
     return cd[0].item(), first_row(feats)
 
 

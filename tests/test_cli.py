@@ -373,13 +373,12 @@ def test_plot_escapes_its_column_names(tmp_path):
     assert labels[:2] == ["it", "a&b<c"]
 
 
-def test_out_dir_env_override(tmp_path, monkeypatch):
-    target = tmp_path / "env_dir"
-    monkeypatch.setenv("AIRFOILRL_OUT", str(target))
-    assert main(["--out-dir", str(tmp_path / "ignored"),
-                 "generate-pool", "--n", "5"]) == 0
-    assert (target / "pool.csv").exists()
-    assert not (tmp_path / "ignored").exists()
+def test_out_dir_flag_wins_over_the_environment(tmp_path, monkeypatch):
+    # no environment variable redirects the artifacts of an explicit --out-dir
+    monkeypatch.setenv("AIRFOILRL_OUT", str(tmp_path / "env_dir"))
+    assert main(["--out-dir", str(tmp_path / "flag_dir"), "generate-pool", "--n", "5"]) == 0
+    assert (tmp_path / "flag_dir" / "pool.csv").exists()
+    assert not (tmp_path / "env_dir").exists()
 
 
 def test_missing_input_is_reported(tmp_path, capsys):

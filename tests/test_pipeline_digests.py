@@ -16,7 +16,7 @@ ARTIFACTS = sorted(["pool.csv", "selected_150.csv", "selected_50.csv", "surrogat
 
 
 def pipeline(out_dir, *argv, threads: int = 1) -> subprocess.CompletedProcess:
-    env = {k: v for k, v in os.environ.items() if k != "AIRFOILRL_OUT"}
+    env = dict(os.environ)
     env.update(OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads),
                PYTHONPATH=os.pathsep.join([str(ROOT / "src"), env.get("PYTHONPATH", "")]))
     return subprocess.run([sys.executable, str(ROOT / "scripts" / "run_pipeline.py"),

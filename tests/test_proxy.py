@@ -14,17 +14,17 @@ def base_airfoil():
 
 
 def proxy_outputs(cst):
-    """(N, 5) output rows of an (N, 14) block; a (14,) vector is a block of one."""
+    """(N, 5) output rows of an (N, 14) block."""
     cd, feats = proxy_evaluate(cst)
     return np.column_stack((cd, feats.state))
 
 
 def test_base_airfoil_in_feature_box(base_airfoil):
-    assert in_feature_bounds(proxy_outputs(base_airfoil)).tolist() == [True]
+    assert in_feature_bounds(proxy_outputs(base_airfoil[None])).tolist() == [True]
 
 
 def test_proxy_distribution_shapes(base_airfoil):
-    dist = proxy_distribution(base_airfoil)
+    dist = proxy_distribution(base_airfoil[None])
     assert dist.mw_upper.shape == dist.mw_lower.shape == (1, dist.x_upper.size)
     assert np.all(np.diff(dist.x_upper) > 0.0)
     assert np.all(dist.mw_upper > 0.0)
@@ -32,22 +32,22 @@ def test_proxy_distribution_shapes(base_airfoil):
 
 
 def test_proxy_cd_positive_and_finite(base_airfoil):
-    cd, feats = proxy_evaluate(base_airfoil)
+    cd, feats = proxy_evaluate(base_airfoil[None])
     assert cd.shape == feats.no_shock.shape == (1,)
     assert np.isfinite(cd[0]) and cd[0] > 0.0
     assert not feats.no_shock[0]
 
 
 def test_proxy_deterministic(base_airfoil):
-    a = proxy_evaluate(base_airfoil)
-    b = proxy_evaluate(base_airfoil)
+    a = proxy_evaluate(base_airfoil[None])
+    b = proxy_evaluate(base_airfoil[None])
     assert a[0].tobytes() == b[0].tobytes()
     assert a[1].state.tobytes() == b[1].state.tobytes()
 
 
 def test_proxy_continuity(base_airfoil):
     rng = np.random.default_rng(0)
-    cd0, _ = proxy_evaluate(base_airfoil)
+    cd0, _ = proxy_evaluate(base_airfoil[None])
     cd1, _ = proxy_evaluate(base_airfoil + rng.uniform(-1e-6, 1e-6, (100, 14)))
     assert np.count_nonzero(np.abs(cd1 - cd0) < 1e-6) >= 95
 
@@ -68,13 +68,13 @@ def test_reward_structure_nondegenerate():
     actions = [(t1, 0.3, h)
                for t1 in (0.3, 0.45, 0.6, 0.75) for h in (-0.008, -0.004, 0.004)]
     for foil in seed_airfoils(10, seed=0):
-        cd0 = proxy_evaluate(foil)[0][0]
+        cd0 = proxy_evaluate(foil[None])[0][0]
         improved = False
         for action in actions:
             new = modified_airfoil(foil, T_MAX_DEFAULT, action)
             if new is None:
                 continue
-            cd1, feats = proxy_evaluate(new)
+            cd1, feats = proxy_evaluate(new[None])
             if not feats.no_shock[0] and cd1[0] < cd0:
                 improved = True
                 break
@@ -91,10 +91,10 @@ def test_generate_pool_size_and_determinism():
 
 
 def test_drag_model_penalizes_strong_shocks(base_airfoil):
-    cd_weak, _ = proxy_evaluate(base_airfoil)
+    cd_weak, _ = proxy_evaluate(base_airfoil[None])
     # a thicker upper surface: the thickness term of 1.15 times the gain
     thick = base_airfoil * np.repeat([1.15, 1.0], 7)
-    cd_strong, feats = proxy_evaluate(thick)
+    cd_strong, feats = proxy_evaluate(thick[None])
     assert feats.mw1[0] > 1.0
     assert cd_strong[0] > cd_weak[0]
 

@@ -263,12 +263,12 @@ def test_proxy_block_matches_per_row_reference(cst_rows):
 
 def test_single_airfoil_is_a_batch_of_one(cst_rows):
     for row in cst_rows[::100]:
-        cd, feats = proxy_evaluate(row)
+        cd, feats = proxy_evaluate(row[None])
         ref_cd, ref = ref_proxy_evaluate(row)
         assert cd.tobytes() == _bits(ref_cd)
         _assert_rows_match(feats, [ref])
         assert feats.state.shape == (1, 4)
-        assert proxy_distribution(row).mw_upper.shape == (1, 201)
+        assert proxy_distribution(row[None]).mw_upper.shape == (1, 201)
     cd, block = proxy_evaluate(cst_rows[:3])
     one_cd, one = proxy_evaluate(cst_rows[1:2])
     assert block.state.shape == (3, 4)
