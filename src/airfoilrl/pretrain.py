@@ -16,6 +16,7 @@ from .geometry import apply_action
 from .nnet import Fit
 from .proxy import T_MAX_DEFAULT
 from .rl import PolicyAgent, PpoConfig, ppo_train
+from .surrogate import nearest_columns
 from .tables import (ACTION_COLS, REWARD_COL, SAMPLE_COLUMNS, SAMPLE_WIDTH, STATE_COLS,
                      is_valid_design, read_cells, read_csv, write_csv)
 
@@ -84,14 +85,13 @@ def smooth_samples(samples: np.ndarray) -> np.ndarray:
     """Inverse-distance-weighted action smoothing over state space: with
     distances frozen from the original states, each of SMOOTH_PASSES
     passes moves every action SMOOTH_RELAXATION of the way to the IDW mean
-    of its SMOOTH_NEIGHBORS nearest neighbours.  A zero-distance neighbour
-    takes the largest finite weight (1.0 where none is finite)."""
+    of its SMOOTH_NEIGHBORS nearest neighbours (ties lowest index first);
+    a zero-distance neighbour takes the largest finite weight, 1.0 if none."""
     n = len(samples)
     if n < SMOOTH_NEIGHBORS + 1:
         raise ValueError(f"need at least {SMOOTH_NEIGHBORS + 1} samples")
     states, actions = samples[:, STATE_COLS], samples[:, ACTION_COLS]
-    # squared distances summed column by column, in order, and each row
-    # sorted whole: ties order as in one sort of the n x n matrix
+    # squared distances summed column by column, in order; ties lowest index first
     neighbor_idx = np.empty((n, SMOOTH_NEIGHBORS), dtype=np.intp)
     ndist = np.empty((n, SMOOTH_NEIGHBORS))
     for s in range(0, n, _SMOOTH_BLOCK):
@@ -103,9 +103,7 @@ def smooth_samples(samples: np.ndarray) -> np.ndarray:
             dist += np.square(d, out=d)
         np.sqrt(dist, out=dist)
         dist[np.arange(b), np.arange(s, s + b)] = np.inf
-        near = np.argsort(dist, axis=1)[:, :SMOOTH_NEIGHBORS]
-        neighbor_idx[s:s + b] = near
-        ndist[s:s + b] = np.take_along_axis(dist, near, axis=1)
+        neighbor_idx[s:s + b], ndist[s:s + b] = nearest_columns(dist, SMOOTH_NEIGHBORS)
     with np.errstate(divide="ignore"):
         weights = 1.0 / ndist
     finite = np.isfinite(weights)

@@ -57,6 +57,29 @@ def _gram_rows(coords: np.ndarray, s: int, e: int, out=None) -> np.ndarray:
     return np.matmul(2.0 * coords[s:e], coords.T, out=out)
 
 
+def nearest_columns(dist: np.ndarray, k: int,
+                    scratch: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's first k columns of a (b, m) distance block in (distance,
+    column) order, 0 < k < m, as (b, k) column positions and distances.
+    The k-th smallest distance comes from one partition of a copy of the
+    block, made in `scratch` (b m floats or more) when given."""
+    b, m = dist.shape
+    part = np.empty_like(dist) if scratch is None else scratch[:b * m].reshape(b, m)
+    np.copyto(part, dist)
+    part.partition(k - 1, axis=1)
+    kth = part[:, k - 1:k]
+    near = dist <= kth
+    if np.count_nonzero(near) > b * k:  # a k-th distance tied past column k
+        over = np.flatnonzero(np.count_nonzero(near, axis=1) > k)
+        tied = dist[over] == kth[over]
+        room = k - np.count_nonzero(dist[over] < kth[over], axis=1)
+        near[over] &= ~tied | (np.cumsum(tied, axis=1) <= room[:, None])
+    flat = np.flatnonzero(near)
+    cols, d = (flat % m).reshape(b, k), dist.ravel()[flat].reshape(b, k)
+    order = d.argsort(axis=1, kind="stable")
+    return np.take_along_axis(cols, order, axis=1), np.take_along_axis(d, order, axis=1)
+
+
 def select_samples(pool: np.ndarray, keep_counts: list[int]) -> dict[int, np.ndarray]:
     """Thin a sample table to each keep count; each set is a subset of the
     pool's rows, in pool order.
@@ -66,11 +89,11 @@ def select_samples(pool: np.ndarray, keep_counts: list[int]) -> dict[int, np.nda
     the member whose next-nearest survivor is closer, the lower index on
     a tie.  The distance from i to j is sqrt(max(sq_i + sq_j - 2 c_i . c_j,
     0)), sq the squared norms, each block of rows from one GEMM.  Memory
-    is O(n (_DIST_BLOCK + _CANDIDATES)): each row keeps a list of
-    (distance, index) pairs in that order, and every survivor off the list
-    sorts after it, so a row's first live entry is its nearest survivor,
-    the lowest index first among equal distances, as in a dense n x n
-    search; a row whose list runs out rebuilds its block's lists.
+    is O(n (_DIST_BLOCK + _CANDIDATES)): each row keeps a list of its
+    first _CANDIDATES other survivors in (distance, index) order, so its
+    first live entry is its nearest survivor, the lowest index first among
+    equal distances, as in a dense n x n search; a row whose list runs out
+    rebuilds its block's lists.
     """
     keep_counts = sorted(set(int(k) for k in keep_counts), reverse=True)
     if not keep_counts:
@@ -87,7 +110,7 @@ def select_samples(pool: np.ndarray, keep_counts: list[int]) -> dict[int, np.nda
     sq = np.sum(coords**2, axis=1)
     # block buffers, allocated once: a fresh one costs page faults (0.2 ms at n = 950)
     gram = np.empty((_DIST_BLOCK + 1) * n)  # a block's products, then its partition
-    work = np.empty((_DIST_BLOCK + 1) * n)  # a block's squared distances
+    work = np.empty((_DIST_BLOCK + 1) * n)  # a block's distances
     live = bytearray(n + 1)  # index n pads the lists and is never live
     alive = np.frombuffer(live, dtype=bool)[:n]
     alive[:] = True
@@ -101,11 +124,8 @@ def select_samples(pool: np.ndarray, keep_counts: list[int]) -> dict[int, np.nda
 
     def refresh(i: int) -> None:
         """Rebuild the lists of the live rows in row i's block over the
-        live columns.  With k = min(_CANDIDATES, live columns - 1), a list
-        holds a row's k nearest pairs, less those at the k-th distance
-        when columns are left off, as one of those may tie them; where
-        that leaves fewer than two pairs, or the k-th squared distance
-        is tied, it holds the first k pairs of the whole sorted row."""
+        live columns: each row's first min(_CANDIDATES, live columns - 1)
+        other live columns in (distance, index) order, by nearest_columns."""
         s, e = _block_of(i, n)
         rows = np.flatnonzero(alive[s:e]) + s
         cols = np.flatnonzero(alive)
@@ -116,31 +136,12 @@ def select_samples(pool: np.ndarray, keep_counts: list[int]) -> dict[int, np.nda
             g = _gram_rows(coords, s, e, out=gram[:(e - s) * n].reshape(e - s, n))
             if b < e - s or m < n:
                 g = g[np.ix_(rows - s, cols)]
-            d2 = np.add(sq[rows, None], sq[cols], out=work[:b * m].reshape(b, m))
-            np.subtract(d2, g, out=d2)
-            d2[np.arange(b), np.searchsorted(cols, rows)] = np.inf
-            part = gram[:b * m].reshape(b, m)
-            np.copyto(part, d2)
-            part.partition(k - 1, axis=1)
-            near = d2 <= part[:, k - 1:k]
-            whole = np.zeros(b, dtype=bool)
-            if np.count_nonzero(near) > b * k:
-                whole = np.count_nonzero(near, axis=1) > k
-                near[whole] = False
-            flat = np.flatnonzero(near)
-            dist = np.sqrt(np.maximum(d2.ravel()[flat], 0.0)).reshape(-1, k)
-            idx = cols[flat % m].reshape(-1, k)  # ascending in each row
-            if k < m - 1:
-                cut = dist == dist.max(axis=1, keepdims=True)
-                dist[cut], idx[cut] = np.inf, n
-            order = dist.argsort(axis=1, kind="stable")  # lower index first on ties
-            cand_d[rows[~whole], :k] = np.take_along_axis(dist, order, axis=1)
-            cand_j[rows[~whole], :k] = np.take_along_axis(idx, order, axis=1)
-            whole |= cand_d[rows, min(1, k - 1)] == np.inf
-            for t in np.flatnonzero(whole):
-                row = np.sqrt(np.maximum(d2[t], 0.0))
-                first = np.argsort(row, kind="stable")[:k]
-                cand_d[rows[t], :k], cand_j[rows[t], :k] = row[first], cols[first]
+            dist = np.add(sq[rows, None], sq[cols], out=work[:b * m].reshape(b, m))
+            np.subtract(dist, g, out=dist)
+            np.sqrt(np.maximum(dist, 0.0, out=dist), out=dist)
+            dist[np.arange(b), np.searchsorted(cols, rows)] = np.inf
+            near, cand_d[rows, :k] = nearest_columns(dist, k, scratch=gram)
+            cand_j[rows, :k] = cols[near]
         nn_dist[rows], nn_idx[rows] = cand_d[rows, 0], cand_j[rows, 0]
         for r in rows.tolist():
             head[r] = r * K

@@ -201,7 +201,7 @@ def ref_smooth_actions(samples):
     diff = states[:, None, :] - states[None, :, :]
     dist = np.sqrt(np.sum(diff**2, axis=2))
     np.fill_diagonal(dist, np.inf)
-    neighbor_idx = np.argsort(dist, axis=1)[:, :SMOOTH_NEIGHBORS]
+    neighbor_idx = np.argsort(dist, axis=1, kind="stable")[:, :SMOOTH_NEIGHBORS]
     with np.errstate(divide="ignore"):
         weights = 1.0 / np.take_along_axis(dist, neighbor_idx, axis=1)
     finite = np.isfinite(weights)
@@ -230,8 +230,8 @@ def test_smooth_matches_difference_tensor(n):
 
 
 def test_smooth_matches_difference_tensor_on_integer_tied_states():
-    # states on a small integer grid: many exactly equal distances, whose
-    # order is the full-row sort's; three blocks and a one-row tail
+    # states on a small integer grid: many exactly equal distances, which
+    # order lowest index first; three blocks and a one-row tail
     n = 2 * _SMOOTH_BLOCK + 1
     rng = np.random.default_rng(8)
     samples = np.array([sample(st, t1=rng.uniform(0.1, 0.9))

@@ -14,8 +14,8 @@ from airfoilrl.nnet import mlp_forward, train_minibatch
 from airfoilrl.proxy import generate_pool
 from airfoilrl.surrogate import (_CANDIDATES, _DIST_BLOCK, DESK_HIDDEN, HISTORY_COLUMNS,
                                  HISTORY_EVERY, SurrogateError, _block_of, _forward_in_blocks,
-                                 _gram_rows, _row_blocks, build_surrogate_model, rsme,
-                                 select_samples, train_surrogate)
+                                 _gram_rows, _row_blocks, build_surrogate_model,
+                                 nearest_columns, rsme, select_samples, train_surrogate)
 from airfoilrl.tables import (CSV_COLUMNS, CST_COLS, FEATURE_BOUNDS, OUTPUT_COLS, OUTPUT_NAMES,
                               in_feature_bounds)
 
@@ -199,13 +199,40 @@ def test_select_matches_the_masked_loop_on_tied_pools():
 
 
 def test_select_matches_the_masked_loop_on_pools_tied_past_the_lists():
-    # up to 200 copies of a point: more equal distances than a row's list
-    # holds, so rows take their lists from the whole sorted row
+    # up to 200 copies of a point, then coarse grids over three to five
+    # row blocks: more equal distances than a row's list holds, and a k-th
+    # distance tied with pairs below it, so rows take their first
+    # _CANDIDATES columns in (distance, index) order, ties lowest index
+    # first; thinning to one row runs lists dry
+    pools = []
     for seed in range(6):
         rng = np.random.default_rng(seed)
         coords = np.zeros((200, 14))
         coords[:, :1 + seed % 4] = rng.integers(0, 2, (200, 1 + seed % 4))
+        pools.append(coords)
+    for seed, (n, d) in enumerate([(200, 3), (290, 4), (400, 5)]):
+        coords = np.zeros((n, 14))
+        coords[:, :d] = np.random.default_rng(100 + seed).integers(0, 4, (n, d)) * 0.25
+        pools.append(coords)
+    for coords in pools:
         assert_same_sets(make_pool(coords), [150, 60, 7, 1])
+
+
+@pytest.mark.parametrize("scratch", [False, True])
+@pytest.mark.parametrize("grid", [False, True])
+def test_nearest_columns_are_the_stable_sort_prefix(grid, scratch):
+    # integer-grid distances tie often, at the k-th distance too; an inf
+    # on the diagonal, as both callers set it
+    rng = np.random.default_rng(int(grid))
+    for b, m in [(1, 2), (5, 9), (30, 70)]:
+        dist = rng.integers(0, 3, (b, m)) * 1.0 if grid else rng.uniform(0.0, 1.0, (b, m))
+        dist[np.arange(b), np.arange(b)] = np.inf
+        before, want = dist.copy(), np.argsort(dist, axis=1, kind="stable")
+        for k in range(1, m):
+            cols, d = nearest_columns(dist, k, np.empty(b * m + 3) if scratch else None)
+            assert np.array_equal(cols, want[:, :k])
+            assert np.array_equal(d, np.take_along_axis(dist, want[:, :k], axis=1))
+            assert np.array_equal(dist, before)
 
 
 def in_one_blas_thread(call: str) -> None:
