@@ -20,18 +20,16 @@ def run(seed, pretrained, iterations, baselines_n):
     """The desk profile's run, but `iterations` PPO iterations over `baselines_n` baselines."""
     cfg = desk_config()
     rng = np.random.default_rng(seed)
-    baselines = seed_airfoils(baselines_n, seed=seed, t_max=cfg.t_max)
-    evaluator = proxy_evaluator()
-    env = DesignEnv(evaluator, cfg.t_max)
+    baselines = seed_airfoils(baselines_n, seed, cfg.t_max, cfg.m_inf)
+    env = DesignEnv(proxy_evaluator(cfg.m_inf), cfg.t_max, cfg.max_steps)
     cfg.ppo.actor_schedule = [(iterations, cfg.ppo.actor_schedule[0][1])]
     agent = rl.make_agent(rng, hidden=cfg.ppo_hidden)
     if pretrained:
-        samples = np.concatenate([pt.greedy_search(foil, evaluator, cfg.greedy_searches,
-                                                   cfg.greedy_steps, cfg.greedy_candidates, rng,
-                                                   t_max=env.t_max)
+        samples = np.concatenate([pt.greedy_search(foil, env, cfg.greedy_searches,
+                                                   cfg.greedy_steps, cfg.greedy_candidates, rng)
                                   for foil in baselines])
         smoothed = pt.smooth_samples(pt.dedup_states(samples))
-        pt.imitate_policy(agent, smoothed)
+        pt.imitate_policy(agent, smoothed, cfg.imitation_schedule)
         pt.pretrain_critic(agent, baselines, cfg.ppo, env,
                            critic_schedule=cfg.critic_schedule, seed=seed)
     history = rl.ppo_train(agent, baselines, cfg.ppo, env, seed=seed)

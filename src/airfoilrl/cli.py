@@ -73,7 +73,7 @@ def _env(args, cfg: ExperimentConfig, record: Counter) -> DesignEnv:
         evaluator = proxy_evaluator(cfg.m_inf, record)
     # the step fields of every command that steps, greedy search or not
     record.update(env_lane_steps=0, env_step_s=0.0, greedy_candidates=0)
-    return DesignEnv(evaluator, cfg.t_max, cfg.ppo.max_steps, record)
+    return DesignEnv(evaluator, cfg.t_max, cfg.max_steps, record)
 
 
 def cmd_generate_pool(args, cfg: ExperimentConfig, record: Counter) -> list[str]:
@@ -137,9 +137,8 @@ def cmd_pretrain(args, cfg: ExperimentConfig, record: Counter) -> list[str]:
     baselines = seed_airfoils(cfg.pretrain_baselines, cfg.seed, cfg.t_max, cfg.m_inf)
     env = _env(args, cfg, record)
     with _timed(record, "greedy_search_s"):
-        samples = np.concatenate([pt.greedy_search(foil, env.evaluator, cfg.greedy_searches,
-                                                   cfg.greedy_steps, cfg.greedy_candidates,
-                                                   rng, t_max=env.t_max, record=record)
+        samples = np.concatenate([pt.greedy_search(foil, env, cfg.greedy_searches,
+                                                   cfg.greedy_steps, cfg.greedy_candidates, rng)
                                   for foil in baselines])
     raw_out = _out(args, f"{args.out_prefix}_samples_raw.csv")
     pt.write_samples(raw_out, samples, stage="raw")
@@ -344,13 +343,13 @@ def main(argv=None) -> int:
         record = Counter()  # counts and seconds, keyed by manifest field
         with _timed(record, "command_s"):
             artifacts = args.func(args, cfg, record)
-        fields = dict(record)
+        extra = dict(record)
         if "env_step_s" in record:  # the rate of the lane steps
-            fields["env_steps_per_s"] = (record["env_lane_steps"] / record["env_step_s"]
+            extra["env_steps_per_s"] = (record["env_lane_steps"] / record["env_step_s"]
                                          if record["env_step_s"] > 0.0 else 0.0)
         # a command that raised leaves no manifest
         write_manifest(_out(args, f"{args.command.replace('-', '_')}_manifest.json"),
-                       cfg, args.command, artifacts, fields)
+                       cfg, args.command, artifacts, extra)
         return 0
     except Exception as exc:  # surfaced as a message + nonzero exit
         print(f"error: {exc}", file=sys.stderr)

@@ -20,6 +20,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
+from .env import MAX_STEPS
 from .pretrain import IMITATION_SCHEDULE
 from .proxy import M_INF_DEFAULT, T_MAX_DEFAULT
 from .rl import PpoConfig
@@ -98,6 +99,7 @@ class ExperimentConfig:
 
     ppo_hidden: tuple = (64, 64)
     ppo_baselines: int = 10
+    max_steps: int = MAX_STEPS  # episode length of the command's DesignEnv
     ppo: PpoConfig = field(default_factory=PpoConfig)
 
 
@@ -150,9 +152,10 @@ _KEYS = {
                  "critic_schedule": ("critic_schedule", parse_schedule)},
     "ppo": {"hidden": ("ppo_hidden", parse_counts),
             "baselines": ("ppo_baselines", parse_count),
+            "max_steps": ("max_steps", parse_count),
             **{k: ("ppo." + k, parse) for k, parse in (
                 ("epochs", parse_count), ("trajectories_per_baseline", parse_count),
-                ("max_steps", parse_count), ("actor_schedule", parse_schedule))}},
+                ("actor_schedule", parse_schedule))}},
 }
 
 

@@ -7,15 +7,13 @@ the critic is then fit with the actor frozen.
 """
 from __future__ import annotations
 
-from collections import Counter
-
 import numpy as np
 
+from . import rl
 from .env import ACTION_BOUNDS, REWARD_SCALE, physical_to_scaled
 from .geometry import apply_action
-from .nnet import Fit
-from .proxy import T_MAX_DEFAULT
-from .rl import PolicyAgent, PpoConfig, ppo_train
+from .nnet import AdamState, Fit
+from .rl import PolicyAgent, PpoConfig
 from .surrogate import nearest_columns
 from .tables import (ACTION_COLS, REWARD_COL, SAMPLE_COLUMNS, SAMPLE_WIDTH, STATE_COLS,
                      is_valid_design, read_cells, read_csv, write_csv)
@@ -29,29 +27,28 @@ _SMOOTH_BLOCK = 256  # smooth_samples' distance rows at a time: O(n * 256) memor
 IMITATION_SCHEDULE = [(250, 1e-3), (250, 1e-4), (250, 1e-5), (250, 1e-6)]
 
 
-def greedy_search(baseline, evaluator, searches: int, steps: int, candidates: int, rng,
-                  t_max: float = T_MAX_DEFAULT, record: Counter | None = None) -> np.ndarray:
-    """Random greedy searches from a (14,) baseline row at thickness t_max;
-    returns a (k, 8) sample table, a row per step taken.  Each step draws
-    `candidates` actions uniformly over the physical action box, scores
-    them in one apply_action and one evaluator call, and advances to the
-    first of least drag inside the feature box; a search ends early when
-    none is.  `record` counts the candidates (``greedy_candidates``)."""
+def greedy_search(baseline, env, searches: int, steps: int, candidates: int,
+                  rng) -> np.ndarray:
+    """Random greedy searches from a (14,) baseline row on env's evaluator
+    and t_max; returns a (k, 8) sample table, a row per step taken.  Each
+    step draws `candidates` actions uniformly over the physical action
+    box, scores them in one apply_action and one evaluator call, and
+    advances to the first of least drag inside the feature box; a search
+    ends early when none is.  env.record counts them (``greedy_candidates``)."""
     samples = [np.empty((0, SAMPLE_WIDTH))]
-    ev = evaluator(baseline[None])
+    ev = env.evaluator(baseline[None])
     cd0, state0 = float(ev.cd[0]), ev.state[0].copy()
     for _ in range(searches):
         cst, cd, state = baseline, cd0, state0
         for _ in range(steps):
             draws = rng.uniform(ACTION_BOUNDS[:, 0], ACTION_BOUNDS[:, 1],
                                 size=(candidates, 3))
-            new, _, failed = apply_action(np.tile(cst, (candidates, 1)), t_max, draws)
-            if record is not None:
-                record["greedy_candidates"] += candidates
+            new, _, failed = apply_action(np.tile(cst, (candidates, 1)), env.t_max, draws)
+            env.record["greedy_candidates"] += candidates
             built = np.flatnonzero(~failed)
             drag = np.full(candidates, np.inf)
             if built.size:
-                ev = evaluator(new[built])
+                ev = env.evaluator(new[built])
                 valid = is_valid_design(ev.cd, ev.state, ev.no_shock)
                 drag[built] = np.where(valid, ev.cd, np.inf)
             if not np.any(drag < np.inf):
@@ -118,13 +115,12 @@ def smooth_samples(samples: np.ndarray) -> np.ndarray:
     return np.column_stack((states, actions, samples[:, REWARD_COL]))
 
 
-def imitate_policy(agent: PolicyAgent, samples: np.ndarray,
-                   schedule=None) -> list[float]:
+def imitate_policy(agent: PolicyAgent, samples: np.ndarray, schedule) -> list[float]:
     """Regress the actor mean onto the sample actions (scaled space) by
-    full-batch Adam steps, log_std untouched; returns the epochs' MSEs."""
+    full-batch Adam steps over schedule's (epochs, rate) segments, log_std
+    untouched; returns the epochs' MSEs."""
     if not len(samples):
         raise ValueError("no samples to imitate")
-    schedule = schedule if schedule is not None else IMITATION_SCHEDULE
     targets = physical_to_scaled(samples[:, ACTION_COLS])
     xs = agent.actor.input_scaler.scale(samples[:, STATE_COLS])
     fit = Fit(agent.actor, len(samples))
@@ -133,13 +129,26 @@ def imitate_policy(agent: PolicyAgent, samples: np.ndarray,
 
 def pretrain_critic(agent: PolicyAgent, baselines, config: PpoConfig,
                     env, critic_schedule, seed: int = 0) -> list[dict]:
-    """Fit the critic to the pretrained actor's rollouts: a critic-only
-    ppo_train, the actor and log-std left as they are."""
-    return ppo_train(agent, baselines, config, env, seed=seed,
-                     critic_schedule=critic_schedule)
+    """Fit the critic alone to the agent's rollouts on `env`: per iteration
+    at critic_schedule's rates, one collect_batch and one critic-only
+    _update_agent.  The actor never changes, so the policy is evaluated
+    once: history row k is row 0 with iteration k and its critic loss."""
+    if not len(baselines):
+        raise rl.PpoError("at least one baseline required")
+    rng = np.random.default_rng(seed)
+    critic_state = AdamState.for_params(agent.critic.flat)
+    first = rl.history_row(agent, 0, rl.evaluate_policy(agent, baselines, env)[0])
+    history = [first]
+    for n_iters, lr in critic_schedule:
+        for _ in range(n_iters):
+            batch = rl.collect_batch(agent, baselines, env, config, rng)
+            _, critic_loss = rl._update_agent(agent, batch, config, None, lr, None,
+                                              critic_state)
+            history.append({**first, "iteration": len(history), "critic_loss": critic_loss})
+    return history
 
 
-def write_samples(path, samples: np.ndarray, stage: str = "raw") -> None:
+def write_samples(path, samples: np.ndarray, stage: str) -> None:
     """A sample CSV: the sample table, then its stage column."""
     write_csv(path, SAMPLE_COLUMNS, ([*row.tolist(), stage] for row in samples))
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .env import ACTION_BOUNDS, MAX_STEPS, rollout_rows
+from .env import ACTION_BOUNDS, rollout_rows
 from .nnet import (AdamState, Fit, MlpModel, Scaler, adam_update, make_mlp, mlp_forward,
                    model_arrays, model_from_arrays, read_archive)
 from .tables import FEATURE_BOX
@@ -35,8 +35,6 @@ class PpoError(RuntimeError):
 class PpoConfig:
     epochs: int = 200  # gradient epochs per PPO iteration
     trajectories_per_baseline: int = 4
-    # read only by the CLI, to build its DesignEnv
-    max_steps: int = MAX_STEPS
     # (PPO iterations, actor learning rate) segments; the critic's is a multiple
     actor_schedule: list = field(default_factory=lambda: [(50, 1e-3)])
 
@@ -59,7 +57,7 @@ class PolicyAgent:
         return mlp_forward(self.actor, state)
 
 
-def make_agent(rng, hidden=(512, 512)) -> PolicyAgent:
+def make_agent(rng, hidden) -> PolicyAgent:
     in_scaler = Scaler.from_bounds(FEATURE_BOX[1:])
     actor = make_mlp([STATE_DIM, *hidden, ACTION_DIM], rng, input_scaler=in_scaler)
     critic = make_mlp([STATE_DIM, *hidden, 1], rng, input_scaler=in_scaler)
@@ -205,27 +203,22 @@ def collect_batch(agent: PolicyAgent, baselines, env,
 
 
 def _update_agent(agent: PolicyAgent, batch: TrajectoryBatch,
-                  config: PpoConfig, actor_lr: float, critic_lr: float,
+                  config: PpoConfig, actor_lr: float | None, critic_lr: float,
                   actor_states: tuple[AdamState, AdamState] | None,
                   critic_state: AdamState) -> tuple[float, float]:
-    """config.epochs full-batch PPO epochs; returns the final (actor_loss,
-    critic_loss).  actor_states holds the Adam states of the actor's flat
-    parameters and of log_std, or is None for a critic-only fit.  The
-    critic measures its loss on the last epoch only; log_std takes its
-    Adam step after the actor's, at its rate, then the LOG_STD_MIN floor."""
+    """config.epochs full-batch PPO epochs of the actor, skipped when
+    actor_states (the Adam states of the actor's flat parameters and of
+    log_std) is None, then of the critic; returns the final (actor_loss,
+    critic_loss), NaN for a skipped actor.  log_std steps after the
+    actor, at its rate, then takes the LOG_STD_MIN floor."""
     xs = agent.actor.input_scaler.scale(batch.states)
     n = batch.size
-    actor_loss = critic_loss = float("nan")
-    actor_fit = None
-    if actor_states is not None:  # only the actor reads the advantages
+    actor_loss = float("nan")
+    if actor_states is not None:
         actor_fit = Fit(agent.actor, n, actor_states[0])
         adv = batch.advantages
         adv = (adv - adv.mean()) / (adv.std() + 1e-8)
-    critic_fit = Fit(agent.critic, n, critic_state)
-    rtg = batch.rewards_to_go[:, None]
-    last = config.epochs - 1
-    for epoch in range(config.epochs):
-        if actor_fit is not None:
+        for _ in range(config.epochs):
             means = actor_fit.forward(xs)
             std = agent.std
             logp_new = gaussian_log_prob(batch.actions, means, std)
@@ -243,11 +236,11 @@ def _update_agent(agent: PolicyAgent, batch: TrajectoryBatch,
             actor_fit.descend(d_mean, actor_lr)
             adam_update(agent.log_std, d_logstd, actor_states[1], actor_lr)
             np.maximum(agent.log_std, LOG_STD_MIN, out=agent.log_std)
-        if epoch < last:
-            critic_fit.step(xs, rtg, critic_lr, with_loss=False)
-        else:
-            critic_loss = critic_fit.step(xs, rtg, critic_lr)
-    return actor_loss, critic_loss
+    critic_fit = Fit(agent.critic, n, critic_state)
+    rtg = batch.rewards_to_go[:, None]
+    for _ in range(config.epochs - 1):
+        critic_fit.step(xs, rtg, critic_lr, with_loss=False)
+    return actor_loss, critic_fit.step(xs, rtg, critic_lr)
 
 
 def evaluate_policy(agent: PolicyAgent, baselines, env, rollout: list | None = None):
@@ -273,43 +266,35 @@ def evaluate_policy(agent: PolicyAgent, baselines, env, rollout: list | None = N
 
 
 def ppo_train(agent: PolicyAgent, baselines, config: PpoConfig, env,
-              seed: int = 0, critic_schedule=None) -> list[dict]:
+              seed: int = 0) -> list[dict]:
     """Full PPO loop on `env`; returns the per-iteration history.
     Iterations run at config.actor_schedule's rates, the critic at
-    CRITIC_LR_MULTIPLIER times them, or, given a critic_schedule, fit the
-    critic alone at its rates.  Adam moments persist across iterations.
-    history[0] evaluates the initial policy; entry k holds the evaluation
-    after iteration k, the final losses and the std components."""
+    CRITIC_LR_MULTIPLIER times them; Adam moments persist across
+    iterations.  history[0] evaluates the initial policy; entry k holds
+    the evaluation after iteration k and that iteration's final losses."""
     if not len(baselines):
         raise PpoError("at least one baseline required")
     rng = np.random.default_rng(seed)
-    critic_only = critic_schedule is not None
-    actor_states = None if critic_only else (AdamState.for_params(agent.actor.flat),
-                                             AdamState.for_params(agent.log_std))
+    actor_states = (AdamState.for_params(agent.actor.flat), AdamState.for_params(agent.log_std))
     critic_state = AdamState.for_params(agent.critic.flat)
-    # a critic-only fit never changes the actor, so its evaluation is
-    # the same deterministic rollout every iteration: run it once
-    mean0, _ = evaluate_policy(agent, baselines, env)
-    history = [{"iteration": 0, "mean_cum_reward": mean0,
-                "actor_loss": float("nan"), "critic_loss": float("nan"),
-                **_std_entry(agent)}]
-    iteration = 0
-    for n_iters, lr in critic_schedule if critic_only else config.actor_schedule:
+    history = [history_row(agent, 0, evaluate_policy(agent, baselines, env)[0])]
+    for n_iters, lr in config.actor_schedule:
         for _ in range(n_iters):
-            iteration += 1
             batch = collect_batch(agent, baselines, env, config, rng)
-            critic_lr = lr if critic_only else lr * CRITIC_LR_MULTIPLIER
-            actor_loss, critic_loss = _update_agent(
-                agent, batch, config, lr, critic_lr, actor_states, critic_state)
-            mean_r = mean0 if critic_only else evaluate_policy(agent, baselines, env)[0]
-            history.append({"iteration": iteration, "mean_cum_reward": mean_r,
-                            "actor_loss": actor_loss,
-                            "critic_loss": critic_loss, **_std_entry(agent)})
+            losses = _update_agent(agent, batch, config, lr, lr * CRITIC_LR_MULTIPLIER,
+                                   actor_states, critic_state)
+            history.append(history_row(agent, len(history),
+                                       evaluate_policy(agent, baselines, env)[0], *losses))
     return history
 
 
-def _std_entry(agent: PolicyAgent) -> dict:
-    return {f"std{i}": float(s) for i, s in enumerate(agent.std)}
+def history_row(agent: PolicyAgent, iteration: int, mean_cum_reward: float,
+                actor_loss: float = float("nan"), critic_loss: float = float("nan")) -> dict:
+    """A training-history row: the iteration, its mean cumulative reward,
+    its final losses (NaN where none) and the agent's std components."""
+    return {"iteration": iteration, "mean_cum_reward": mean_cum_reward,
+            "actor_loss": actor_loss, "critic_loss": critic_loss,
+            **{f"std{i}": float(s) for i, s in enumerate(agent.std)}}
 
 
 def save_agent(path, agent: PolicyAgent) -> None:

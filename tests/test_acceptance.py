@@ -187,7 +187,7 @@ def test_criterion_7_bandit_convergence():
         rng = np.random.default_rng(seed)
         agent = make_agent(rng, hidden=(16, 16))
         config = PpoConfig(epochs=5, trajectories_per_baseline=128,
-                           max_steps=1, actor_schedule=[(200, 3e-3)])
+                           actor_schedule=[(200, 3e-3)])
         ppo_train(agent, [None], config, BanditEnv(target), seed=seed)
         mean = agent.mean_action(BanditEnv.STATE[None])[0]
         ok &= float(np.max(np.abs(mean - target))) < 0.05
@@ -198,14 +198,14 @@ def test_criterion_7_bandit_convergence():
 @pytest.mark.slow
 def test_criterion_8_imitation_ordering():
     t0 = time.perf_counter()
-    evaluator = proxy_evaluator()
+    env = DesignEnv(proxy_evaluator())
     schedule = [(250, 1e-3), (250, 1e-4)]
     ok = True
     for seed in (0, 1, 2):
         rng = np.random.default_rng(seed)
         samples = []
         for foil in seed_airfoils(5, seed=seed):
-            samples.extend(pt.greedy_search(foil, evaluator, 2, 5, 30, rng))
+            samples.extend(pt.greedy_search(foil, env, 2, 5, 30, rng))
         raw = pt.dedup_states(samples)
         smoothed = pt.smooth_samples(raw)
         agent_raw = make_agent(np.random.default_rng(100 + seed),
@@ -223,21 +223,20 @@ def test_criterion_8_imitation_ordering():
 @pytest.mark.slow
 def test_criterion_9_end_to_end_directional():
     t0 = time.perf_counter()
-    evaluator = proxy_evaluator()
-    env = DesignEnv(evaluator)
+    env = DesignEnv(proxy_evaluator())
 
     def run(seed, pretrained):
         rng = np.random.default_rng(seed)
         baselines = seed_airfoils(10, seed=seed)
         config = PpoConfig(epochs=200, trajectories_per_baseline=4,
-                           max_steps=5, actor_schedule=[(50, 1e-3)])
+                           actor_schedule=[(50, 1e-3)])
         agent = rl.make_agent(rng, hidden=(64, 64))
         if pretrained:
             samples = []
             for foil in baselines:
-                samples.extend(pt.greedy_search(foil, evaluator, 2, 5, 30, rng))
+                samples.extend(pt.greedy_search(foil, env, 2, 5, 30, rng))
             smoothed = pt.smooth_samples(pt.dedup_states(samples))
-            pt.imitate_policy(agent, smoothed)
+            pt.imitate_policy(agent, smoothed, pt.IMITATION_SCHEDULE)
             pt.pretrain_critic(agent, baselines, config, env,
                                critic_schedule=[(15, 0.01), (15, 0.001)],
                                seed=seed)

@@ -193,13 +193,13 @@ def test_t_max_reaches_the_env_and_greedy_search(tmp_path, monkeypatch):
     assert (env.t_max, env.max_steps) == (0.09, 3)
     seen = []
 
-    def stop(*args, t_max, **kwargs):
-        seen.append(t_max)
+    def stop(baseline, env, *args):
+        seen.append((env.t_max, env.max_steps))
         raise RuntimeError("stopped")
 
     monkeypatch.setattr(pt, "greedy_search", stop)
     assert run(tmp_path, "--config", str(ini), "pretrain") == 1
-    assert seen == [0.09]
+    assert seen == [(0.09, 3)]
 
 
 def test_a_proxy_model_constant_is_not_a_key(tmp_path, capsys):

@@ -6,6 +6,7 @@ import os
 import platform
 import re
 import zipfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -57,7 +58,7 @@ def test_paper_profile_exact_sizes():
     assert rl.GAE_LAMBDA == 0.8
     assert rl.ENTROPY_COEF == 0.001
     assert rl.STD_INIT == 0.1
-    assert cfg.ppo.max_steps == 5
+    assert cfg.max_steps == 5
 
 
 def test_desk_profile_defaults():
@@ -83,7 +84,7 @@ def test_load_config_overrides(tmp_path):
         "[proxy]\nm_inf = 0.73\n"
         "[surrogate]\nhidden = 64,64\nschedule = 10:0.01\npool_size = 100\n"
         "[pretrain]\nbaselines = 3\ncritic_schedule = 5:0.01\n"
-        "[ppo]\nhidden = 32,32\nepochs = 11\nactor_schedule = 4:0.001\n")
+        "[ppo]\nhidden = 32,32\nepochs = 11\nmax_steps = 3\nactor_schedule = 4:0.001\n")
     cfg = load_config(path)
     assert cfg.seed == 7
     assert cfg.t_max == 0.09
@@ -96,6 +97,10 @@ def test_load_config_overrides(tmp_path):
     assert cfg.ppo_hidden == (32, 32)
     assert cfg.ppo.epochs == 11
     assert cfg.ppo.actor_schedule == [(4, 0.001)]
+    # the episode length is the environment's, not the PPO update's
+    assert cfg.max_steps == 3
+    assert [f.name for f in fields(PpoConfig)] == ["epochs", "trajectories_per_baseline",
+                                                   "actor_schedule"]
 
 
 def test_load_config_profile_selection(tmp_path):

@@ -3,8 +3,9 @@
 `ref_*` below are verbatim copies of the per-layer-list `adam_update`,
 `mlp_backward` and `set_parameters`, and copies of the training loops
 that called them (`train_minibatch`, `imitate_policy`, `_update_agent`,
-`ppo_train`) with the argument checks, callbacks and the minibatch
-loss history left out, plus the per-lane `collect_batch` loop.  Every
+`ppo_train`, whose critic-only mode is now `pretrain_critic`) with the
+argument checks, callbacks and the minibatch loss history left out, plus
+the per-lane `collect_batch` loop.  Every
 parameter, loss and batch the current code produces must be bitwise
 equal to theirs.
 """
@@ -19,7 +20,7 @@ from airfoilrl.env import DesignEnv, physical_to_scaled, proxy_evaluator
 from airfoilrl.nnet import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState,
                             NnetError, adam_update, make_mlp, mlp_backward,
                             mlp_forward, train_minibatch)
-from airfoilrl.pretrain import imitate_policy
+from airfoilrl.pretrain import imitate_policy, pretrain_critic
 from airfoilrl.proxy import seed_airfoils
 from airfoilrl.rl import (LOG_STD_MIN, PpoConfig, PpoError, TrajectoryBatch,
                           clip_target, collect_batch, gae_advantages,
@@ -186,6 +187,10 @@ def ref_update_agent(agent, batch, config, actor_lr, actor_state, critic_state,
     return actor_loss, critic_loss
 
 
+def ref_std_entry(agent):
+    return {f"std{i}": float(s) for i, s in enumerate(agent.std)}
+
+
 def ref_ppo_train(agent, baselines, config, env, seed=0,
                   update_actor=True, critic_schedule=None):
     rng = np.random.default_rng(seed)
@@ -195,7 +200,7 @@ def ref_ppo_train(agent, baselines, config, env, seed=0,
     mean0, _ = rl.evaluate_policy(agent, baselines, env)
     history = [{"iteration": 0, "mean_cum_reward": mean0,
                 "actor_loss": float("nan"), "critic_loss": float("nan"),
-                **rl._std_entry(agent)}]
+                **ref_std_entry(agent)}]
     iteration = 0
     schedule = config.actor_schedule if update_actor else critic_schedule
     for n_iters, lr in schedule:
@@ -208,7 +213,7 @@ def ref_ppo_train(agent, baselines, config, env, seed=0,
             mean_r, _ = rl.evaluate_policy(agent, baselines, env)
             history.append({"iteration": iteration, "mean_cum_reward": mean_r,
                             "actor_loss": actor_loss,
-                            "critic_loss": critic_loss, **rl._std_entry(agent)})
+                            "critic_loss": critic_loss, **ref_std_entry(agent)})
     return history
 
 
@@ -339,7 +344,7 @@ def test_collect_batch_matches_per_lane_loop():
     baselines = seed_airfoils(3, seed=3)
     early = 0
     for seed, max_steps in zip(range(3), (3, 4, 5)):
-        config = PpoConfig(trajectories_per_baseline=3, max_steps=max_steps)
+        config = PpoConfig(trajectories_per_baseline=3)
         agent = make_agent(np.random.default_rng(seed), hidden=(16, 16))
         agent.log_std[:] = math.log(0.3)
         env = DesignEnv(proxy_evaluator(), max_steps=max_steps)
@@ -359,8 +364,7 @@ def test_collect_batch_matches_per_lane_loop():
 @pytest.mark.parametrize("lr,std_init", [(1e-3, 0.1), (0.2, 2e-3)])
 def test_ppo_train_matches_list_engine(lr, std_init):
     baselines = seed_airfoils(2, seed=3)
-    config = PpoConfig(epochs=6, trajectories_per_baseline=2, max_steps=3,
-                       actor_schedule=[(2, lr)])
+    config = PpoConfig(epochs=6, trajectories_per_baseline=2, actor_schedule=[(2, lr)])
     agent = make_agent(np.random.default_rng(4), hidden=(16, 16))
     agent.log_std[:] = math.log(std_init)
     ref = agent.copy()
@@ -410,7 +414,7 @@ def _assert_update_reaches_std_floor(lr, std_init):
 
 def test_critic_only_fit_matches_and_evaluates_once(monkeypatch):
     baselines = seed_airfoils(2, seed=6)
-    config = PpoConfig(epochs=5, trajectories_per_baseline=2, max_steps=3)
+    config = PpoConfig(epochs=5, trajectories_per_baseline=2)
     schedule = [(2, 0.01), (2, 0.001)]  # the desk and paper critic rates
     agent = make_agent(np.random.default_rng(7), hidden=(16, 16))
     ref = agent.copy()
@@ -420,8 +424,7 @@ def test_critic_only_fit_matches_and_evaluates_once(monkeypatch):
     evaluate = rl.evaluate_policy
     monkeypatch.setattr(rl, "evaluate_policy",
                         lambda *a, **k: calls.append(1) or evaluate(*a, **k))
-    history = ppo_train(agent, baselines, config, _desk_env(), seed=8,
-                        critic_schedule=schedule)
+    history = pretrain_critic(agent, baselines, config, _desk_env(), schedule, seed=8)
     assert len(calls) == 1
     _assert_same_run(agent, ref, history, ref_history)
 

@@ -24,7 +24,7 @@ def sample(state, t1=0.5, sb=0.3, hb=0.0, reward=0.0):
 def greedy_samples():
     rng = np.random.default_rng(0)
     baseline = seed_airfoils(1, seed=0)[0]
-    return greedy_search(baseline, proxy_evaluator(), searches=2, steps=5,
+    return greedy_search(baseline, DesignEnv(proxy_evaluator()), searches=2, steps=5,
                          candidates=30, rng=rng)
 
 
@@ -47,7 +47,7 @@ def test_greedy_search_deterministic():
     runs = []
     for _ in range(2):
         rng = np.random.default_rng(3)
-        runs.append(greedy_search(baseline, proxy_evaluator(), 1, 3, 10, rng))
+        runs.append(greedy_search(baseline, DesignEnv(proxy_evaluator()), 1, 3, 10, rng))
     assert len(runs[0]) == len(runs[1])
     for a, b in zip(runs[0], runs[1]):
         assert np.array_equal(a[STATE_COLS], b[STATE_COLS])
@@ -63,7 +63,7 @@ def test_greedy_search_evaluates_its_baseline_once():
         rows.append(len(np.reshape(cst, (-1, 14))))
         return proxy(cst)
 
-    samples = greedy_search(baseline, counting, searches=3, steps=2, candidates=30,
+    samples = greedy_search(baseline, DesignEnv(counting), searches=3, steps=2, candidates=30,
                             rng=np.random.default_rng(0))
     assert len(samples) == 6
     assert rows.count(1) == 1 and rows[0] == 1
@@ -78,8 +78,8 @@ def test_greedy_search_candidates_hold_its_t_max():
         return evaluate(cst)
 
     baseline = seed_airfoils(1, seed=0, t_max=0.09)[0]
-    samples = greedy_search(baseline, recording, searches=2, steps=3, candidates=10,
-                            rng=np.random.default_rng(0), t_max=0.09)
+    samples = greedy_search(baseline, DesignEnv(recording, t_max=0.09), searches=2, steps=3,
+                            candidates=10, rng=np.random.default_rng(0))
     assert len(samples) > 0 and len(rows) > 10
     assert all(abs(max_thickness(row) - 0.09) < 1e-6 for row in rows)
 
@@ -91,8 +91,8 @@ def test_greedy_search_that_finds_nothing_is_an_empty_table():
         ev = proxy(cst)
         return Evaluation(cd=ev.cd, state=ev.state, no_shock=np.ones_like(ev.no_shock))
 
-    samples = greedy_search(seed_airfoils(1, seed=0)[0], shockless, searches=2, steps=3,
-                            candidates=10, rng=np.random.default_rng(0))
+    samples = greedy_search(seed_airfoils(1, seed=0)[0], DesignEnv(shockless), searches=2,
+                            steps=3, candidates=10, rng=np.random.default_rng(0))
     assert samples.shape == (0, SAMPLE_WIDTH)
 
 
@@ -298,17 +298,24 @@ def test_imitate_policy_leaves_std(gent_seed=0):
 def test_imitate_policy_empty_raises():
     agent = make_agent(np.random.default_rng(0), hidden=(8,))
     with pytest.raises(ValueError):
-        imitate_policy(agent, [])
+        imitate_policy(agent, [], [(5, 1e-3)])
 
 
 @pytest.mark.slow
 def test_pretrain_critic_reduces_value_error():
     baselines = seed_airfoils(3, seed=0)
     agent = make_agent(np.random.default_rng(1), hidden=(16, 16))
-    config = PpoConfig(epochs=50, trajectories_per_baseline=2, max_steps=3)
+    config = PpoConfig(epochs=50, trajectories_per_baseline=2)
     env = DesignEnv(proxy_evaluator(), max_steps=3)
+    actor, log_std = agent.actor.flat.copy(), agent.log_std.copy()
     history = pretrain_critic(agent, baselines, config, env, critic_schedule=[(10, 0.01)], seed=0)
     losses = [h["critic_loss"] for h in history[1:]]
     assert losses[-1] < losses[0]
-    # the actor must be untouched by critic-only fitting
-    assert np.allclose(agent.std, 0.1)
+    # the actor must be untouched by critic-only fitting, so every row
+    # repeats row 0's evaluation and std but for its iteration and loss
+    assert actor.tobytes() == agent.actor.flat.tobytes()
+    assert log_std.tobytes() == agent.log_std.tobytes()
+    for k, row in enumerate(history):
+        assert repr({**row, "iteration": 0, "critic_loss": history[0]["critic_loss"]}) \
+            == repr(history[0])
+        assert row["iteration"] == k

@@ -155,7 +155,7 @@ class BanditEnv:
 
 def test_collect_batch_shapes():
     agent = make_agent(np.random.default_rng(2), hidden=(8,))
-    config = PpoConfig(trajectories_per_baseline=3, max_steps=1)
+    config = PpoConfig(trajectories_per_baseline=3)
     env = BanditEnv(np.array([0.5, 0.5, 0.5]))
     batch = collect_batch(agent, [None, None], env, config, np.random.default_rng(0))
     assert batch.size == 6  # 2 baselines x 3 one-step trajectories
@@ -168,8 +168,7 @@ def test_collect_batch_shapes():
 def test_ppo_train_deterministic():
     target = np.array([0.4, 0.5, 0.6])
     env = BanditEnv(target)
-    config = PpoConfig(epochs=2, trajectories_per_baseline=8, max_steps=1,
-                       actor_schedule=[(3, 1e-3)])
+    config = PpoConfig(epochs=2, trajectories_per_baseline=8, actor_schedule=[(3, 1e-3)])
     hists = []
     for _ in range(2):
         agent = make_agent(np.random.default_rng(5), hidden=(8,))
