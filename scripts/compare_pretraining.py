@@ -11,28 +11,28 @@ import numpy as np
 
 from airfoilrl import pretrain as pt
 from airfoilrl import rl
-from airfoilrl.config import desk_config
+from airfoilrl.config import ExperimentConfig
 from airfoilrl.env import DesignEnv, proxy_evaluator
 from airfoilrl.proxy import seed_airfoils
 
 
 def run(seed, pretrained, iterations, baselines_n):
     """The desk profile's run, but `iterations` PPO iterations over `baselines_n` baselines."""
-    cfg = desk_config()
+    cfg = ExperimentConfig()
     rng = np.random.default_rng(seed)
     baselines = seed_airfoils(baselines_n, seed, cfg.t_max, cfg.m_inf)
     env = DesignEnv(proxy_evaluator(cfg.m_inf), cfg.t_max, cfg.max_steps)
-    cfg.ppo.actor_schedule = [(iterations, cfg.ppo.actor_schedule[0][1])]
+    schedule = [(iterations, cfg.actor_schedule[0][1])]
     agent = rl.make_agent(rng, hidden=cfg.ppo_hidden)
     if pretrained:
-        samples = np.concatenate([pt.greedy_search(foil, env, cfg.greedy_searches,
-                                                   cfg.greedy_steps, cfg.greedy_candidates, rng)
-                                  for foil in baselines])
-        smoothed = pt.smooth_samples(pt.dedup_states(samples))
-        pt.imitate_policy(agent, smoothed, cfg.imitation_schedule)
-        pt.pretrain_critic(agent, baselines, cfg.ppo, env,
-                           critic_schedule=cfg.critic_schedule, seed=seed)
-    history = rl.ppo_train(agent, baselines, cfg.ppo, env, seed=seed)
+        samples = pt.greedy_search(baselines, env, cfg.greedy_searches, cfg.greedy_steps,
+                                   cfg.greedy_candidates, rng)
+        pt.imitate_policy(agent, pt.smooth_samples(pt.dedup_states(samples)),
+                          cfg.imitation_schedule)
+        pt.pretrain_critic(agent, baselines, env, cfg.critic_schedule, cfg.ppo_epochs,
+                           cfg.trajectories_per_baseline, seed)
+    history = rl.ppo_train(agent, baselines, env, schedule, cfg.ppo_epochs,
+                           cfg.trajectories_per_baseline, seed)
     return history[0]["mean_cum_reward"], history[-1]["mean_cum_reward"]
 
 

@@ -137,9 +137,8 @@ def cmd_pretrain(args, cfg: ExperimentConfig, record: Counter) -> list[str]:
     baselines = seed_airfoils(cfg.pretrain_baselines, cfg.seed, cfg.t_max, cfg.m_inf)
     env = _env(args, cfg, record)
     with _timed(record, "greedy_search_s"):
-        samples = np.concatenate([pt.greedy_search(foil, env, cfg.greedy_searches,
-                                                   cfg.greedy_steps, cfg.greedy_candidates, rng)
-                                  for foil in baselines])
+        samples = pt.greedy_search(baselines, env, cfg.greedy_searches, cfg.greedy_steps,
+                                   cfg.greedy_candidates, rng)
     raw_out = _out(args, f"{args.out_prefix}_samples_raw.csv")
     pt.write_samples(raw_out, samples, stage="raw")
     deduped = pt.dedup_states(samples)
@@ -150,9 +149,9 @@ def cmd_pretrain(args, cfg: ExperimentConfig, record: Counter) -> list[str]:
     with _timed(record, "imitation_s"):
         losses = pt.imitate_policy(agent, smoothed, schedule=cfg.imitation_schedule)
     with _timed(record, "critic_fit_s"):
-        critic_history = pt.pretrain_critic(agent, baselines, cfg.ppo, env,
-                                            critic_schedule=cfg.critic_schedule,
-                                            seed=cfg.seed)
+        critic_history = pt.pretrain_critic(agent, baselines, env, cfg.critic_schedule,
+                                            cfg.ppo_epochs, cfg.trajectories_per_baseline,
+                                            cfg.seed)
     critic_out = _out(args, f"{args.out_prefix}_critic_history.csv")
     write_rows(critic_out, critic_history)
     agent_out = _out(args, f"{args.out_prefix}_agent.npz")
@@ -172,7 +171,8 @@ def cmd_train_ppo(args, cfg: ExperimentConfig, record: Counter) -> list[str]:
         agent = rl.load_agent(_out(args, args.agent))
     else:
         agent = rl.make_agent(rng, hidden=cfg.ppo_hidden)
-    history = rl.ppo_train(agent, baselines, cfg.ppo, env, seed=cfg.seed)
+    history = rl.ppo_train(agent, baselines, env, cfg.actor_schedule, cfg.ppo_epochs,
+                           cfg.trajectories_per_baseline, cfg.seed)
     agent_out = _out(args, args.out)
     rl.save_agent(agent_out, agent)
     hist_out = _out(args, args.history)

@@ -4,7 +4,7 @@ The config file is INI with the sections and keys of _KEYS, each value
 read by the parser named there; a section or key the loader does not
 know is an error.  The counts of ``actor_schedule`` and
 ``critic_schedule`` are PPO iterations, each one ``collect_batch`` and
-then ``epochs`` gradient epochs on that batch; those of the surrogate and
+then ``ppo_epochs`` gradient epochs on that batch; those of the surrogate and
 imitation schedules are training epochs.
 """
 from __future__ import annotations
@@ -16,14 +16,13 @@ import math
 import os
 import platform
 import zipfile
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .env import MAX_STEPS
 from .pretrain import IMITATION_SCHEDULE
 from .proxy import M_INF_DEFAULT, T_MAX_DEFAULT
-from .rl import PpoConfig
 from .surrogate import DESK_BATCH, DESK_HIDDEN, DESK_SCHEDULE
 
 
@@ -100,11 +99,15 @@ class ExperimentConfig:
     ppo_hidden: tuple = (64, 64)
     ppo_baselines: int = 10
     max_steps: int = MAX_STEPS  # episode length of the command's DesignEnv
-    ppo: PpoConfig = field(default_factory=PpoConfig)
+    ppo_epochs: int = 200  # gradient epochs per PPO or critic-fit iteration
+    trajectories_per_baseline: int = 4
+    # (PPO iterations, actor learning rate) segments; the critic's is a multiple
+    actor_schedule: list = field(default_factory=lambda: [(50, 1e-3)])
 
 
 def paper_config() -> ExperimentConfig:
-    """Published-scale settings (hours of runtime; not used by tests)."""
+    """Published-scale settings; their critic pre-fit alone is estimated,
+    not measured, at about 6e6 s."""
     cfg = ExperimentConfig(profile="paper")
     cfg.surrogate_hidden = (1024, 1024, 1024)
     cfg.surrogate_schedule = [(200, 0.01), (200, 0.001), (400, 1e-4), (400, 1e-5)]
@@ -116,25 +119,21 @@ def paper_config() -> ExperimentConfig:
     cfg.critic_schedule = [(10000, 0.01), (10000, 0.001)]
     cfg.ppo_hidden = (512, 512)
     cfg.ppo_baselines = 50
-    cfg.ppo = PpoConfig(epochs=2000, trajectories_per_baseline=20,
-                        actor_schedule=[(200, 1e-6), (100, 1e-7), (100, 1e-8)])
+    cfg.ppo_epochs = 2000
+    cfg.trajectories_per_baseline = 20
+    cfg.actor_schedule = [(200, 1e-6), (100, 1e-7), (100, 1e-8)]
     return cfg
-
-
-def desk_config() -> ExperimentConfig:
-    return ExperimentConfig(profile="desk")
 
 
 def from_profile(name: str) -> ExperimentConfig:
     if name == "paper":
         return paper_config()
     if name == "desk":
-        return desk_config()
+        return ExperimentConfig()
     raise ValueError(f"unknown profile {name!r}")
 
 
-# every INI key: section -> key -> (attribute, parser); "ppo.x" names a
-# field of the nested PpoConfig
+# every INI key: section -> key -> (ExperimentConfig field, parser)
 _KEYS = {
     "run": {"profile": ("profile", lambda name: from_profile(name).profile),
             "seed": ("seed", parse_seed), "t_max": ("t_max", parse_unit)},
@@ -153,9 +152,9 @@ _KEYS = {
     "ppo": {"hidden": ("ppo_hidden", parse_counts),
             "baselines": ("ppo_baselines", parse_count),
             "max_steps": ("max_steps", parse_count),
-            **{k: ("ppo." + k, parse) for k, parse in (
-                ("epochs", parse_count), ("trajectories_per_baseline", parse_count),
-                ("actor_schedule", parse_schedule))}},
+            "epochs": ("ppo_epochs", parse_count),
+            "trajectories_per_baseline": ("trajectories_per_baseline", parse_count),
+            "actor_schedule": ("actor_schedule", parse_schedule)},
 }
 
 
@@ -189,11 +188,7 @@ def load_config(path=None, profile: str | None = None) -> ExperimentConfig:
                 raise ValueError(f"{path}: [{section}] {key} = {text}: {exc}") from None
     cfg = from_profile(profile or named or "desk")
     for attr, value in values:
-        owner, _, name = attr.rpartition(".")
-        if owner:
-            setattr(cfg, owner, replace(getattr(cfg, owner), **{name: value}))
-        else:
-            setattr(cfg, name, value)
+        setattr(cfg, attr, value)
     return cfg
 
 

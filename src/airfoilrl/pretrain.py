@@ -13,7 +13,7 @@ from . import rl
 from .env import ACTION_BOUNDS, REWARD_SCALE, physical_to_scaled
 from .geometry import apply_action
 from .nnet import AdamState, Fit
-from .rl import PolicyAgent, PpoConfig
+from .rl import PolicyAgent
 from .surrogate import nearest_columns
 from .tables import (ACTION_COLS, REWARD_COL, SAMPLE_COLUMNS, SAMPLE_WIDTH, STATE_COLS,
                      is_valid_design, read_cells, read_csv, write_csv)
@@ -27,45 +27,47 @@ _SMOOTH_BLOCK = 256  # smooth_samples' distance rows at a time: O(n * 256) memor
 IMITATION_SCHEDULE = [(250, 1e-3), (250, 1e-4), (250, 1e-5), (250, 1e-6)]
 
 
-def greedy_search(baseline, env, searches: int, steps: int, candidates: int,
+def greedy_search(baselines, env, searches: int, steps: int, candidates: int,
                   rng) -> np.ndarray:
-    """Random greedy searches from a (14,) baseline row on env's evaluator
-    and t_max; returns a (k, 8) sample table, a row per step taken.  Each
-    step draws `candidates` actions uniformly over the physical action
-    box, scores them in one apply_action and one evaluator call, and
-    advances to the first of least drag inside the feature box; a search
-    ends early when none is.  env.record counts them (``greedy_candidates``)."""
+    """Random greedy searches from each (N, 14) baseline row in turn on
+    env's evaluator and t_max; returns one (k, 8) sample table, a row per
+    step taken.  Each baseline is evaluated alone, as baseline[None]: a
+    surrogate's block call would round differently.  Each step draws
+    `candidates` actions uniformly over the physical action box, scores
+    them in one apply_action and one evaluator call, and advances to the
+    first of least drag inside the feature box; a search ends early when
+    none is.  env.record counts them (``greedy_candidates``)."""
     samples = [np.empty((0, SAMPLE_WIDTH))]
-    ev = env.evaluator(baseline[None])
-    cd0, state0 = float(ev.cd[0]), ev.state[0].copy()
-    for _ in range(searches):
-        cst, cd, state = baseline, cd0, state0
-        for _ in range(steps):
-            draws = rng.uniform(ACTION_BOUNDS[:, 0], ACTION_BOUNDS[:, 1],
-                                size=(candidates, 3))
-            new, _, failed = apply_action(np.tile(cst, (candidates, 1)), env.t_max, draws)
-            env.record["greedy_candidates"] += candidates
-            built = np.flatnonzero(~failed)
-            drag = np.full(candidates, np.inf)
-            if built.size:
-                ev = env.evaluator(new[built])
-                valid = is_valid_design(ev.cd, ev.state, ev.no_shock)
-                drag[built] = np.where(valid, ev.cd, np.inf)
-            if not np.any(drag < np.inf):
-                break  # no candidate satisfies the constraints
-            best = int(np.argmin(drag))
-            j = int(np.searchsorted(built, best))
-            samples.append([[*state, *draws[best], REWARD_SCALE * (cd - drag[best])]])
-            cst = new[best]
-            cd, state = float(drag[best]), ev.state[j].copy()
+    for baseline in baselines:
+        ev = env.evaluator(baseline[None])
+        cd0, state0 = float(ev.cd[0]), ev.state[0].copy()
+        for _ in range(searches):
+            cst, cd, state = baseline, cd0, state0
+            for _ in range(steps):
+                draws = rng.uniform(ACTION_BOUNDS[:, 0], ACTION_BOUNDS[:, 1],
+                                    size=(candidates, 3))
+                new, _, failed = apply_action(np.tile(cst, (candidates, 1)), env.t_max, draws)
+                env.record["greedy_candidates"] += candidates
+                built = np.flatnonzero(~failed)
+                drag = np.full(candidates, np.inf)
+                if built.size:
+                    ev = env.evaluator(new[built])
+                    valid = is_valid_design(ev.cd, ev.state, ev.no_shock)
+                    drag[built] = np.where(valid, ev.cd, np.inf)
+                if not np.any(drag < np.inf):
+                    break  # no candidate satisfies the constraints
+                best = int(np.argmin(drag))
+                j = int(np.searchsorted(built, best))
+                samples.append([[*state, *draws[best], REWARD_SCALE * (cd - drag[best])]])
+                cst = new[best]
+                cd, state = float(drag[best]), ev.state[j].copy()
     return np.concatenate(samples)
 
 
-def dedup_states(samples) -> np.ndarray:
-    """Among samples with equal states (within tolerance of a group's
-    first state), keep only the highest-reward one; order of first
-    appearance is preserved.  Takes a sample table or a list of its rows."""
-    samples = np.asarray(samples, dtype=float).reshape(-1, SAMPLE_WIDTH)
+def dedup_states(samples: np.ndarray) -> np.ndarray:
+    """Among the rows of a sample table with equal states (within tolerance
+    of a group's first state), keep only the highest-reward one; order of
+    first appearance is preserved."""
     kept, firsts = [], np.empty((len(samples), STATE_COLS.stop))  # a row, a state per group
     for i, row in enumerate(samples):
         d = np.linalg.norm(firsts[:len(kept)] - row[STATE_COLS], axis=1)
@@ -127,22 +129,23 @@ def imitate_policy(agent: PolicyAgent, samples: np.ndarray, schedule) -> list[fl
     return [fit.step(xs, targets, lr) for epochs, lr in schedule for _ in range(epochs)]
 
 
-def pretrain_critic(agent: PolicyAgent, baselines, config: PpoConfig,
-                    env, critic_schedule, seed: int = 0) -> list[dict]:
-    """Fit the critic alone to the agent's rollouts on `env`: per iteration
-    at critic_schedule's rates, one collect_batch and one critic-only
-    _update_agent.  The actor never changes, so the policy is evaluated
-    once: history row k is row 0 with iteration k and its critic loss."""
+def pretrain_critic(agent: PolicyAgent, baselines, env, schedule, epochs: int,
+                    trajectories: int, seed: int) -> list[dict]:
+    """Fit the critic alone to the agent's rollouts on `env`, taking
+    ppo_train's parameters: per iteration at schedule's (count, critic
+    rate) segments, one collect_batch and one critic-only _update_agent.
+    The actor never changes, so the policy is evaluated once: history row
+    k is row 0 with iteration k and its critic loss."""
     if not len(baselines):
         raise rl.PpoError("at least one baseline required")
     rng = np.random.default_rng(seed)
     critic_state = AdamState.for_params(agent.critic.flat)
     first = rl.history_row(agent, 0, rl.evaluate_policy(agent, baselines, env)[0])
     history = [first]
-    for n_iters, lr in critic_schedule:
+    for n_iters, lr in schedule:
         for _ in range(n_iters):
-            batch = rl.collect_batch(agent, baselines, env, config, rng)
-            _, critic_loss = rl._update_agent(agent, batch, config, None, lr, None,
+            batch = rl.collect_batch(agent, baselines, env, trajectories, rng)
+            _, critic_loss = rl._update_agent(agent, batch, epochs, None, lr, None,
                                               critic_state)
             history.append({**first, "iteration": len(history), "critic_loss": critic_loss})
     return history

@@ -8,7 +8,7 @@ evaluation takes the mean action.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,14 +29,6 @@ STD_INIT = 0.1
 
 class PpoError(RuntimeError):
     pass
-
-
-@dataclass
-class PpoConfig:
-    epochs: int = 200  # gradient epochs per PPO iteration
-    trajectories_per_baseline: int = 4
-    # (PPO iterations, actor learning rate) segments; the critic's is a multiple
-    actor_schedule: list = field(default_factory=lambda: [(50, 1e-3)])
 
 
 @dataclass
@@ -168,14 +160,14 @@ def ppo_losses(batch: TrajectoryBatch, agent: PolicyAgent, old_agent: PolicyAgen
     return actor_loss, entropy, critic_loss
 
 
-def collect_batch(agent: PolicyAgent, baselines, env,
-                  config: PpoConfig, rng) -> TrajectoryBatch:
-    """trajectories_per_baseline stochastic episodes from every baseline,
+def collect_batch(agent: PolicyAgent, baselines, env, trajectories: int,
+                  rng) -> TrajectoryBatch:
+    """`trajectories` stochastic episodes from every baseline,
     stepped in lockstep on `env` (a lane per episode, baseline-major);
     each step samples every live lane from one actor pass and one
     (n_live, 3) normal block from rng, rows in lane order.  The batch
     lists each trajectory's steps together, in lane order."""
-    episodes = np.repeat(baselines, config.trajectories_per_baseline, axis=0)
+    episodes = np.repeat(baselines, trajectories, axis=0)
     state = env.reset_lanes(episodes)
     blocks = []  # (lanes, states, actions, log-probs, rewards) per lockstep step
     while env.live.any():
@@ -203,10 +195,10 @@ def collect_batch(agent: PolicyAgent, baselines, env,
 
 
 def _update_agent(agent: PolicyAgent, batch: TrajectoryBatch,
-                  config: PpoConfig, actor_lr: float | None, critic_lr: float,
+                  epochs: int, actor_lr: float | None, critic_lr: float,
                   actor_states: tuple[AdamState, AdamState] | None,
                   critic_state: AdamState) -> tuple[float, float]:
-    """config.epochs full-batch PPO epochs of the actor, skipped when
+    """`epochs` full-batch PPO epochs of the actor, skipped when
     actor_states (the Adam states of the actor's flat parameters and of
     log_std) is None, then of the critic; returns the final (actor_loss,
     critic_loss), NaN for a skipped actor.  log_std steps after the
@@ -218,7 +210,7 @@ def _update_agent(agent: PolicyAgent, batch: TrajectoryBatch,
         actor_fit = Fit(agent.actor, n, actor_states[0])
         adv = batch.advantages
         adv = (adv - adv.mean()) / (adv.std() + 1e-8)
-        for _ in range(config.epochs):
+        for _ in range(epochs):
             means = actor_fit.forward(xs)
             std = agent.std
             logp_new = gaussian_log_prob(batch.actions, means, std)
@@ -238,7 +230,7 @@ def _update_agent(agent: PolicyAgent, batch: TrajectoryBatch,
             np.maximum(agent.log_std, LOG_STD_MIN, out=agent.log_std)
     critic_fit = Fit(agent.critic, n, critic_state)
     rtg = batch.rewards_to_go[:, None]
-    for _ in range(config.epochs - 1):
+    for _ in range(epochs - 1):
         critic_fit.step(xs, rtg, critic_lr, with_loss=False)
     return actor_loss, critic_fit.step(xs, rtg, critic_lr)
 
@@ -265,10 +257,10 @@ def evaluate_policy(agent: PolicyAgent, baselines, env, rollout: list | None = N
     return float(np.mean(totals)), totals.tolist()
 
 
-def ppo_train(agent: PolicyAgent, baselines, config: PpoConfig, env,
-              seed: int = 0) -> list[dict]:
+def ppo_train(agent: PolicyAgent, baselines, env, schedule, epochs: int,
+              trajectories: int, seed: int) -> list[dict]:
     """Full PPO loop on `env`; returns the per-iteration history.
-    Iterations run at config.actor_schedule's rates, the critic at
+    Iterations run at schedule's (count, actor rate) segments, the critic at
     CRITIC_LR_MULTIPLIER times them; Adam moments persist across
     iterations.  history[0] evaluates the initial policy; entry k holds
     the evaluation after iteration k and that iteration's final losses."""
@@ -278,10 +270,10 @@ def ppo_train(agent: PolicyAgent, baselines, config: PpoConfig, env,
     actor_states = (AdamState.for_params(agent.actor.flat), AdamState.for_params(agent.log_std))
     critic_state = AdamState.for_params(agent.critic.flat)
     history = [history_row(agent, 0, evaluate_policy(agent, baselines, env)[0])]
-    for n_iters, lr in config.actor_schedule:
+    for n_iters, lr in schedule:
         for _ in range(n_iters):
-            batch = collect_batch(agent, baselines, env, config, rng)
-            losses = _update_agent(agent, batch, config, lr, lr * CRITIC_LR_MULTIPLIER,
+            batch = collect_batch(agent, baselines, env, trajectories, rng)
+            losses = _update_agent(agent, batch, epochs, lr, lr * CRITIC_LR_MULTIPLIER,
                                    actor_states, critic_state)
             history.append(history_row(agent, len(history),
                                        evaluate_policy(agent, baselines, env)[0], *losses))

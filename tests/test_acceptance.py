@@ -20,7 +20,7 @@ from airfoilrl.geometry import (apply_action, bump_y, cosine_stations,
                                 solve_t2)
 from airfoilrl.nnet import MlpModel, Scaler, make_mlp, mlp_backward, mlp_forward
 from airfoilrl.proxy import T_MAX_DEFAULT, generate_pool, seed_airfoils
-from airfoilrl.rl import (PolicyAgent, PpoConfig, TrajectoryBatch, clip_target,
+from airfoilrl.rl import (PolicyAgent, TrajectoryBatch, clip_target,
                           gae_advantages, make_agent, ppo_losses, ppo_train,
                           reward_to_go)
 from airfoilrl.surrogate import (DESK_BATCH, DESK_HIDDEN, DESK_SCHEDULE,
@@ -186,9 +186,7 @@ def test_criterion_7_bandit_convergence():
     for seed in (0, 1, 2):
         rng = np.random.default_rng(seed)
         agent = make_agent(rng, hidden=(16, 16))
-        config = PpoConfig(epochs=5, trajectories_per_baseline=128,
-                           actor_schedule=[(200, 3e-3)])
-        ppo_train(agent, [None], config, BanditEnv(target), seed=seed)
+        ppo_train(agent, [None], BanditEnv(target), [(200, 3e-3)], 5, 128, seed)
         mean = agent.mean_action(BanditEnv.STATE[None])[0]
         ok &= float(np.max(np.abs(mean - target))) < 0.05
     ok &= (time.perf_counter() - t0) < 120.0
@@ -203,9 +201,7 @@ def test_criterion_8_imitation_ordering():
     ok = True
     for seed in (0, 1, 2):
         rng = np.random.default_rng(seed)
-        samples = []
-        for foil in seed_airfoils(5, seed=seed):
-            samples.extend(pt.greedy_search(foil, env, 2, 5, 30, rng))
+        samples = pt.greedy_search(seed_airfoils(5, seed=seed), env, 2, 5, 30, rng)
         raw = pt.dedup_states(samples)
         smoothed = pt.smooth_samples(raw)
         agent_raw = make_agent(np.random.default_rng(100 + seed),
@@ -228,19 +224,14 @@ def test_criterion_9_end_to_end_directional():
     def run(seed, pretrained):
         rng = np.random.default_rng(seed)
         baselines = seed_airfoils(10, seed=seed)
-        config = PpoConfig(epochs=200, trajectories_per_baseline=4,
-                           actor_schedule=[(50, 1e-3)])
         agent = rl.make_agent(rng, hidden=(64, 64))
         if pretrained:
-            samples = []
-            for foil in baselines:
-                samples.extend(pt.greedy_search(foil, env, 2, 5, 30, rng))
+            samples = pt.greedy_search(baselines, env, 2, 5, 30, rng)
             smoothed = pt.smooth_samples(pt.dedup_states(samples))
             pt.imitate_policy(agent, smoothed, pt.IMITATION_SCHEDULE)
-            pt.pretrain_critic(agent, baselines, config, env,
-                               critic_schedule=[(15, 0.01), (15, 0.001)],
-                               seed=seed)
-        history = ppo_train(agent, baselines, config, env, seed=seed)
+            pt.pretrain_critic(agent, baselines, env, [(15, 0.01), (15, 0.001)], 200, 4,
+                               seed)
+        history = ppo_train(agent, baselines, env, [(50, 1e-3)], 200, 4, seed)
         return history[0]["mean_cum_reward"], history[-1]["mean_cum_reward"]
 
     pre = [run(seed, True) for seed in (0, 1, 2)]

@@ -280,7 +280,7 @@ def scalar_proxy(cst14):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_greedy_search_matches_scalar_loop(seed):
     for foil in seed_airfoils(2, seed=seed):
-        got = greedy_search(foil, DesignEnv(proxy_evaluator()), 2, 5, 30,
+        got = greedy_search(foil[None], DesignEnv(proxy_evaluator()), 2, 5, 30,
                             np.random.default_rng(seed))
         want = reference_greedy_search(foil, scalar_proxy, 2, 5, 30,
                                        np.random.default_rng(seed))

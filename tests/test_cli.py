@@ -193,7 +193,7 @@ def test_t_max_reaches_the_env_and_greedy_search(tmp_path, monkeypatch):
     assert (env.t_max, env.max_steps) == (0.09, 3)
     seen = []
 
-    def stop(baseline, env, *args):
+    def stop(baselines, env, *args):
         seen.append((env.t_max, env.max_steps))
         raise RuntimeError("stopped")
 
@@ -612,7 +612,7 @@ def test_ini_profile_picks_the_base_config(tmp_path):
     assert cfg.profile == "paper"
     assert (cfg.pool_size, cfg.keep_counts, cfg.surrogate_hidden) == \
         (10000, (5000, 200), (1024, 1024, 1024))
-    assert cfg.ppo.epochs == 2000
+    assert cfg.ppo_epochs == 2000
     same = _build_config(build_parser().parse_args(
         ["--profile", "paper", "--config", str(ini), "generate-pool"]))
     assert same == cfg

@@ -15,10 +15,9 @@ from hypothesis import given, settings, strategies as st
 
 from airfoilrl import rl
 from airfoilrl.config import (_KEYS, ExperimentConfig, artifact_digest, config_hash,
-                              desk_config, from_profile, load_config, paper_config,
-                              parse_counts, parse_schedule, write_manifest)
+                              from_profile, load_config, paper_config, parse_counts,
+                              parse_schedule, write_manifest)
 from airfoilrl.pretrain import IMITATION_SCHEDULE
-from airfoilrl.rl import PpoConfig
 from airfoilrl.surrogate import DESK_BATCH, DESK_HIDDEN, DESK_SCHEDULE
 
 
@@ -69,12 +68,11 @@ def test_desk_profile_defaults():
 
 
 def test_desk_profile_reads_the_stage_defaults():
-    cfg = desk_config()
+    cfg = ExperimentConfig()
     assert cfg.surrogate_hidden == tuple(DESK_HIDDEN)
     assert cfg.surrogate_schedule == DESK_SCHEDULE
     assert cfg.surrogate_batch == DESK_BATCH
     assert cfg.imitation_schedule == IMITATION_SCHEDULE
-    assert cfg.ppo == PpoConfig()
 
 
 def test_load_config_overrides(tmp_path):
@@ -95,12 +93,14 @@ def test_load_config_overrides(tmp_path):
     assert cfg.pretrain_baselines == 3
     assert cfg.critic_schedule == [(5, 0.01)]
     assert cfg.ppo_hidden == (32, 32)
-    assert cfg.ppo.epochs == 11
-    assert cfg.ppo.actor_schedule == [(4, 0.001)]
-    # the episode length is the environment's, not the PPO update's
+    assert cfg.ppo_epochs == 11
+    assert cfg.actor_schedule == [(4, 0.001)]
     assert cfg.max_steps == 3
-    assert [f.name for f in fields(PpoConfig)] == ["epochs", "trajectories_per_baseline",
-                                                   "actor_schedule"]
+
+
+def test_every_field_has_exactly_one_ini_key():
+    attrs = [attr for keys in _KEYS.values() for attr, _ in keys.values()]
+    assert sorted(attrs) == sorted(f.name for f in fields(ExperimentConfig))
 
 
 def test_load_config_profile_selection(tmp_path):
@@ -257,14 +257,13 @@ def test_a_value_is_in_its_domain_or_named(tmp_path_factory, key, text):
     except ValueError as exc:
         assert f"{path}: [{section}] {name} = {text}" in str(exc)
         return
-    owner, _, attr = _KEYS[section][name][0].rpartition(".")
-    value = getattr(getattr(cfg, owner) if owner else cfg, attr)
+    value = getattr(cfg, _KEYS[section][name][0])
     assert DOMAINS.get(key, lambda v: True)(value), (key, text, value)
 
 
 def test_load_config_profile_rule(tmp_path):
     # the INI's [run] profile, else desk; --profile may only agree
-    assert load_config() == desk_config()
+    assert load_config() == ExperimentConfig()
     assert load_config(profile="paper") == paper_config()
     path = tmp_path / "run.ini"
     path.write_text("[run]\nprofile = paper\n")
@@ -282,4 +281,4 @@ def test_the_readme_ini_example_loads(tmp_path):
         path = tmp_path / f"readme_{i}.ini"
         path.write_text(text)
         cfg = load_config(path)
-        assert cfg.seed == 7 and cfg.ppo.actor_schedule == [(50, 0.001)]
+        assert cfg.seed == 7 and cfg.actor_schedule == [(50, 0.001)]

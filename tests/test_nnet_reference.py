@@ -22,7 +22,7 @@ from airfoilrl.nnet import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState,
                             mlp_forward, train_minibatch)
 from airfoilrl.pretrain import imitate_policy, pretrain_critic
 from airfoilrl.proxy import seed_airfoils
-from airfoilrl.rl import (LOG_STD_MIN, PpoConfig, PpoError, TrajectoryBatch,
+from airfoilrl.rl import (LOG_STD_MIN, PpoError, TrajectoryBatch,
                           clip_target, collect_batch, gae_advantages,
                           gaussian_log_prob, make_agent, ppo_train, reward_to_go,
                           sample_action)
@@ -144,7 +144,7 @@ def ref_imitate_policy(agent, samples, schedule):
     return history
 
 
-def ref_update_agent(agent, batch, config, actor_lr, actor_state, critic_state,
+def ref_update_agent(agent, batch, epochs, actor_lr, actor_state, critic_state,
                      update_actor=True):
     adv = batch.advantages
     adv = (adv - adv.mean()) / (adv.std() + 1e-8)
@@ -152,7 +152,7 @@ def ref_update_agent(agent, batch, config, actor_lr, actor_state, critic_state,
     n = batch.size
     critic_lr = actor_lr * rl.CRITIC_LR_MULTIPLIER
     actor_loss = critic_loss = float("nan")
-    for _ in range(config.epochs):
+    for _ in range(epochs):
         if update_actor:
             means, cache = mlp_forward(agent.actor, xs, scaled=False,
                                        with_cache=True)
@@ -191,8 +191,8 @@ def ref_std_entry(agent):
     return {f"std{i}": float(s) for i, s in enumerate(agent.std)}
 
 
-def ref_ppo_train(agent, baselines, config, env, seed=0,
-                  update_actor=True, critic_schedule=None):
+def ref_ppo_train(agent, baselines, env, schedule, epochs, trajectories, seed,
+                  update_actor=True):
     rng = np.random.default_rng(seed)
     actor_state = RefAdamState.for_params(
         ref_parameters(agent.actor) + [agent.log_std])
@@ -202,13 +202,12 @@ def ref_ppo_train(agent, baselines, config, env, seed=0,
                 "actor_loss": float("nan"), "critic_loss": float("nan"),
                 **ref_std_entry(agent)}]
     iteration = 0
-    schedule = config.actor_schedule if update_actor else critic_schedule
     for n_iters, lr in schedule:
         for _ in range(n_iters):
             iteration += 1
-            batch = collect_batch(agent, baselines, env, config, rng)
+            batch = collect_batch(agent, baselines, env, trajectories, rng)
             actor_loss, critic_loss = ref_update_agent(
-                agent, batch, config, lr if update_actor else lr / rl.CRITIC_LR_MULTIPLIER,
+                agent, batch, epochs, lr if update_actor else lr / rl.CRITIC_LR_MULTIPLIER,
                 actor_state, critic_state, update_actor=update_actor)
             mean_r, _ = rl.evaluate_policy(agent, baselines, env)
             history.append({"iteration": iteration, "mean_cum_reward": mean_r,
@@ -217,8 +216,8 @@ def ref_ppo_train(agent, baselines, config, env, seed=0,
     return history
 
 
-def ref_collect_batch(agent, baselines, env, config, rng):
-    episodes = [b for b in baselines for _ in range(config.trajectories_per_baseline)]
+def ref_collect_batch(agent, baselines, env, trajectories, rng):
+    episodes = [b for b in baselines for _ in range(trajectories)]
     state = env.reset_lanes(episodes)
     steps: list[list] = [[] for _ in episodes]  # (state, action, logp, reward)
     while env.live.any():
@@ -344,12 +343,11 @@ def test_collect_batch_matches_per_lane_loop():
     baselines = seed_airfoils(3, seed=3)
     early = 0
     for seed, max_steps in zip(range(3), (3, 4, 5)):
-        config = PpoConfig(trajectories_per_baseline=3)
         agent = make_agent(np.random.default_rng(seed), hidden=(16, 16))
         agent.log_std[:] = math.log(0.3)
         env = DesignEnv(proxy_evaluator(), max_steps=max_steps)
-        batch = collect_batch(agent, baselines, env, config, np.random.default_rng(seed))
-        ref = ref_collect_batch(agent, baselines, env, config,
+        batch = collect_batch(agent, baselines, env, 3, np.random.default_rng(seed))
+        ref = ref_collect_batch(agent, baselines, env, 3,
                                 np.random.default_rng(seed))
         assert repr(batch.slices) == repr(ref.slices)  # python ints, as before
         for name in ("states", "actions", "log_probs", "rewards", "values",
@@ -364,12 +362,11 @@ def test_collect_batch_matches_per_lane_loop():
 @pytest.mark.parametrize("lr,std_init", [(1e-3, 0.1), (0.2, 2e-3)])
 def test_ppo_train_matches_list_engine(lr, std_init):
     baselines = seed_airfoils(2, seed=3)
-    config = PpoConfig(epochs=6, trajectories_per_baseline=2, actor_schedule=[(2, lr)])
     agent = make_agent(np.random.default_rng(4), hidden=(16, 16))
     agent.log_std[:] = math.log(std_init)
     ref = agent.copy()
-    history = ppo_train(agent, baselines, config, _desk_env(), seed=5)
-    ref_history = ref_ppo_train(ref, baselines, config, _desk_env(), seed=5)
+    history = ppo_train(agent, baselines, _desk_env(), [(2, lr)], 6, 2, 5)
+    ref_history = ref_ppo_train(ref, baselines, _desk_env(), [(2, lr)], 6, 2, 5)
     _assert_same_run(agent, ref, history, ref_history)
     if lr == 0.2:  # large steps from a small std drive log_std onto its floor
         _assert_update_reaches_std_floor(lr, std_init)
@@ -398,13 +395,12 @@ def _assert_update_reaches_std_floor(lr, std_init):
         log_probs=gaussian_log_prob(actions, means, agent.std),
         rewards=ones, values=0.0 * ones, rewards_to_go=ones,
         advantages=np.array([1.0, 2.0, 3.0]), slices=[(0, len(states))])
-    config = PpoConfig(epochs=10)
     losses = rl._update_agent(
-        agent, batch, config, lr, lr * rl.CRITIC_LR_MULTIPLIER,
+        agent, batch, 10, lr, lr * rl.CRITIC_LR_MULTIPLIER,
         (AdamState.for_params(agent.actor.flat), AdamState.for_params(agent.log_std)),
         AdamState.for_params(agent.critic.flat))
     ref_losses = ref_update_agent(
-        ref, batch, config, lr,
+        ref, batch, 10, lr,
         RefAdamState.for_params(ref_parameters(ref.actor) + [ref.log_std]),
         RefAdamState.for_params(ref_parameters(ref.critic)))
     assert repr(losses) == repr(ref_losses)
@@ -414,17 +410,16 @@ def _assert_update_reaches_std_floor(lr, std_init):
 
 def test_critic_only_fit_matches_and_evaluates_once(monkeypatch):
     baselines = seed_airfoils(2, seed=6)
-    config = PpoConfig(epochs=5, trajectories_per_baseline=2)
     schedule = [(2, 0.01), (2, 0.001)]  # the desk and paper critic rates
     agent = make_agent(np.random.default_rng(7), hidden=(16, 16))
     ref = agent.copy()
-    ref_history = ref_ppo_train(ref, baselines, config, _desk_env(), seed=8,
-                                update_actor=False, critic_schedule=schedule)
+    ref_history = ref_ppo_train(ref, baselines, _desk_env(), schedule, 5, 2, 8,
+                                update_actor=False)
     calls = []
     evaluate = rl.evaluate_policy
     monkeypatch.setattr(rl, "evaluate_policy",
                         lambda *a, **k: calls.append(1) or evaluate(*a, **k))
-    history = pretrain_critic(agent, baselines, config, _desk_env(), schedule, seed=8)
+    history = pretrain_critic(agent, baselines, _desk_env(), schedule, 5, 2, 8)
     assert len(calls) == 1
     _assert_same_run(agent, ref, history, ref_history)
 

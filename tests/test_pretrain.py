@@ -4,13 +4,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from airfoilrl.env import DesignEnv, Evaluation, proxy_evaluator
+from airfoilrl.env import DesignEnv, Evaluation, proxy_evaluator, surrogate_evaluator
 from airfoilrl.geometry import max_thickness
+from airfoilrl.nnet import Scaler, make_mlp
 from airfoilrl.pretrain import (_SMOOTH_BLOCK, DEDUP_TOL, SMOOTH_NEIGHBORS, SMOOTH_PASSES,
                                 SMOOTH_RELAXATION, dedup_states, greedy_search,
                                 imitate_policy, pretrain_critic, smooth_samples)
 from airfoilrl.proxy import seed_airfoils
-from airfoilrl.rl import PpoConfig, make_agent
+from airfoilrl.rl import make_agent
 from airfoilrl.tables import (ACTION_COLS, FEATURE_BOUNDS, REWARD_COL, SAMPLE_WIDTH,
                               STATE_COLS)
 
@@ -23,8 +24,8 @@ def sample(state, t1=0.5, sb=0.3, hb=0.0, reward=0.0):
 @pytest.fixture(scope="module")
 def greedy_samples():
     rng = np.random.default_rng(0)
-    baseline = seed_airfoils(1, seed=0)[0]
-    return greedy_search(baseline, DesignEnv(proxy_evaluator()), searches=2, steps=5,
+    baselines = seed_airfoils(1, seed=0)
+    return greedy_search(baselines, DesignEnv(proxy_evaluator()), searches=2, steps=5,
                          candidates=30, rng=rng)
 
 
@@ -43,11 +44,11 @@ def test_greedy_search_rewards_positive_on_average(greedy_samples):
 
 
 def test_greedy_search_deterministic():
-    baseline = seed_airfoils(1, seed=0)[0]
+    baselines = seed_airfoils(1, seed=0)
     runs = []
     for _ in range(2):
         rng = np.random.default_rng(3)
-        runs.append(greedy_search(baseline, DesignEnv(proxy_evaluator()), 1, 3, 10, rng))
+        runs.append(greedy_search(baselines, DesignEnv(proxy_evaluator()), 1, 3, 10, rng))
     assert len(runs[0]) == len(runs[1])
     for a, b in zip(runs[0], runs[1]):
         assert np.array_equal(a[STATE_COLS], b[STATE_COLS])
@@ -55,7 +56,7 @@ def test_greedy_search_deterministic():
 
 
 def test_greedy_search_evaluates_its_baseline_once():
-    baseline = seed_airfoils(1, seed=0)[0]
+    baselines = seed_airfoils(1, seed=0)
     proxy = proxy_evaluator()
     rows = []
 
@@ -63,7 +64,7 @@ def test_greedy_search_evaluates_its_baseline_once():
         rows.append(len(np.reshape(cst, (-1, 14))))
         return proxy(cst)
 
-    samples = greedy_search(baseline, DesignEnv(counting), searches=3, steps=2, candidates=30,
+    samples = greedy_search(baselines, DesignEnv(counting), searches=3, steps=2, candidates=30,
                             rng=np.random.default_rng(0))
     assert len(samples) == 6
     assert rows.count(1) == 1 and rows[0] == 1
@@ -77,8 +78,8 @@ def test_greedy_search_candidates_hold_its_t_max():
         rows.extend(np.reshape(cst, (-1, 14)))
         return evaluate(cst)
 
-    baseline = seed_airfoils(1, seed=0, t_max=0.09)[0]
-    samples = greedy_search(baseline, DesignEnv(recording, t_max=0.09), searches=2, steps=3,
+    baselines = seed_airfoils(1, seed=0, t_max=0.09)
+    samples = greedy_search(baselines, DesignEnv(recording, t_max=0.09), searches=2, steps=3,
                             candidates=10, rng=np.random.default_rng(0))
     assert len(samples) > 0 and len(rows) > 10
     assert all(abs(max_thickness(row) - 0.09) < 1e-6 for row in rows)
@@ -91,16 +92,39 @@ def test_greedy_search_that_finds_nothing_is_an_empty_table():
         ev = proxy(cst)
         return Evaluation(cd=ev.cd, state=ev.state, no_shock=np.ones_like(ev.no_shock))
 
-    samples = greedy_search(seed_airfoils(1, seed=0)[0], DesignEnv(shockless), searches=2,
+    samples = greedy_search(seed_airfoils(1, seed=0), DesignEnv(shockless), searches=2,
                             steps=3, candidates=10, rng=np.random.default_rng(0))
     assert samples.shape == (0, SAMPLE_WIDTH)
+
+
+def _middle_surrogate():
+    """A small surrogate whose outputs sit near the middle of the feature
+    box and move with the geometry."""
+    model = make_mlp([14, 16, 5], np.random.default_rng(54), output_scaler=Scaler(
+        lo=np.array([0.009, 0.2, 1.0, 1.0, 0.9]), hi=np.array([0.013, 0.8, 1.2, 1.3, 1.1])))
+    model.weights[-1][...] *= 0.05
+    model.biases[-1][...] = 0.5
+    return surrogate_evaluator(model)
+
+
+@pytest.mark.parametrize("evaluator", [proxy_evaluator(), _middle_surrogate()],
+                         ids=["proxy", "surrogate"])
+def test_greedy_search_over_baselines_is_one_row_calls_in_turn(evaluator):
+    baselines = seed_airfoils(3, seed=4)
+    whole_env, rows_env = DesignEnv(evaluator), DesignEnv(evaluator)
+    whole = greedy_search(baselines, whole_env, 2, 3, 10, np.random.default_rng(4))
+    rng = np.random.default_rng(4)
+    rows = np.concatenate([greedy_search(b[None], rows_env, 2, 3, 10, rng) for b in baselines])
+    assert len(whole) > 0
+    assert whole.tobytes() == rows.tobytes()
+    assert whole_env.record == rows_env.record
 
 
 def test_dedup_keeps_highest_reward():
     s1 = sample([0.5, 1.1, 1.1, 1.0], reward=1.0)
     s2 = sample([0.5, 1.1, 1.1, 1.0], hb=0.01, reward=3.0)
     s3 = sample([0.6, 1.1, 1.1, 1.0], reward=2.0)
-    out = dedup_states([s1, s2, s3])
+    out = dedup_states(np.array([s1, s2, s3]))
     assert len(out) == 2
     assert out[0][REWARD_COL] == 3.0
     assert out[1][REWARD_COL] == 2.0
@@ -111,14 +135,8 @@ def test_dedup_compares_with_each_groups_first_state():
     # third, 1.6e-9 from the first, starts a group of its own
     rows = [sample([0.5 + k * 0.8e-9, 1.1, 1.1, 1.0], reward=r)
             for k, r in enumerate((1.0, 2.0, 0.5))]
-    out = dedup_states(rows)
+    out = dedup_states(np.array(rows))
     assert out.tobytes() == np.array(rows[1:]).tobytes()
-
-
-def test_dedup_takes_a_list_of_rows_or_a_table():
-    rng = np.random.default_rng(1)
-    rows = [sample(rng.integers(0, 2, 4), reward=float(i)) for i in range(30)]
-    assert dedup_states(rows).tobytes() == dedup_states(np.array(rows)).tobytes()
 
 
 def test_dedup_idempotent():
@@ -126,7 +144,7 @@ def test_dedup_idempotent():
     samples = [sample(rng.uniform(0.0, 1.0, 4), reward=float(i))
                for i in range(30)]
     samples += samples[:10]  # exact duplicates
-    once = dedup_states(samples)
+    once = dedup_states(np.array(samples))
     twice = dedup_states(once)
     assert len(once) == len(twice)
     for a, b in zip(once, twice):
@@ -136,7 +154,7 @@ def test_dedup_idempotent():
 def test_dedup_tolerance():
     s1 = sample([0.5, 1.1, 1.1, 1.0], reward=1.0)
     s2 = sample([0.5 + 1e-10, 1.1, 1.1, 1.0], reward=2.0)
-    assert len(dedup_states([s1, s2])) == 1
+    assert len(dedup_states(np.array([s1, s2]))) == 1
 
 
 def ref_dedup_states(samples):
@@ -166,10 +184,10 @@ def test_dedup_matches_reference_on_many_duplicates():
     nudge = np.where(rng.random((600, 1)) < 0.3, 0.4 * DEDUP_TOL, 0.0)
     samples = [sample(states[k] + nudge[i], reward=float(rng.integers(0, 5)))
                for i, k in enumerate(rng.integers(0, 40, 600))]
-    out, ref = dedup_states(samples), ref_dedup_states(samples)
+    out, ref = dedup_states(np.array(samples)), ref_dedup_states(samples)
     assert 0 < len(out) <= 40
     assert out.tobytes() == np.array(ref).tobytes()
-    assert dedup_states([]).shape == (0, SAMPLE_WIDTH)
+    assert dedup_states(np.empty((0, SAMPLE_WIDTH))).shape == (0, SAMPLE_WIDTH)
 
 
 def test_smooth_requires_enough_samples():
@@ -305,10 +323,9 @@ def test_imitate_policy_empty_raises():
 def test_pretrain_critic_reduces_value_error():
     baselines = seed_airfoils(3, seed=0)
     agent = make_agent(np.random.default_rng(1), hidden=(16, 16))
-    config = PpoConfig(epochs=50, trajectories_per_baseline=2)
     env = DesignEnv(proxy_evaluator(), max_steps=3)
     actor, log_std = agent.actor.flat.copy(), agent.log_std.copy()
-    history = pretrain_critic(agent, baselines, config, env, critic_schedule=[(10, 0.01)], seed=0)
+    history = pretrain_critic(agent, baselines, env, [(10, 0.01)], 50, 2, 0)
     losses = [h["critic_loss"] for h in history[1:]]
     assert losses[-1] < losses[0]
     # the actor must be untouched by critic-only fitting, so every row

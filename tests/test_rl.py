@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from airfoilrl.env import LaneResult
 from airfoilrl.nnet import MlpModel, Scaler
-from airfoilrl.rl import (PolicyAgent, PpoConfig, PpoError, TrajectoryBatch,
+from airfoilrl.rl import (PolicyAgent, PpoError, TrajectoryBatch,
                           clip_target, collect_batch, entropy_term,
                           gae_advantages, gaussian_log_prob, load_agent,
                           make_agent, ppo_losses, ppo_train, reward_to_go,
@@ -155,9 +155,8 @@ class BanditEnv:
 
 def test_collect_batch_shapes():
     agent = make_agent(np.random.default_rng(2), hidden=(8,))
-    config = PpoConfig(trajectories_per_baseline=3)
     env = BanditEnv(np.array([0.5, 0.5, 0.5]))
-    batch = collect_batch(agent, [None, None], env, config, np.random.default_rng(0))
+    batch = collect_batch(agent, [None, None], env, 3, np.random.default_rng(0))
     assert batch.size == 6  # 2 baselines x 3 one-step trajectories
     assert len(batch.slices) == 6
     assert batch.states.shape == (6, 4)
@@ -168,11 +167,10 @@ def test_collect_batch_shapes():
 def test_ppo_train_deterministic():
     target = np.array([0.4, 0.5, 0.6])
     env = BanditEnv(target)
-    config = PpoConfig(epochs=2, trajectories_per_baseline=8, actor_schedule=[(3, 1e-3)])
     hists = []
     for _ in range(2):
         agent = make_agent(np.random.default_rng(5), hidden=(8,))
-        hists.append(ppo_train(agent, [None], config, env, seed=9))
+        hists.append(ppo_train(agent, [None], env, [(3, 1e-3)], 2, 8, 9))
     assert repr(hists[0]) == repr(hists[1])  # repr compares NaN losses too
 
 
