@@ -110,14 +110,17 @@ class DesignEnv:
 
     def step(self, action_scaled) -> LaneResult:
         """Apply one scaled action per live lane, an (n, 3) block in lane
-        order (a 3-vector is a block of one).  A lane whose modification
-        fails, or that loses its shock, ends with zero reward; a failed
-        lane keeps its airfoil."""
+        order (a 3-vector when one lane is live); any other shape raises
+        ValueError.  A lane whose modification fails, or that loses its
+        shock, ends with zero reward; a failed lane keeps its airfoil."""
         lanes = np.flatnonzero(self.live)
         if lanes.size == 0:
             raise EnvProtocolError("step() after episode end or before reset()")
         t0 = time.perf_counter()
-        phys, clamped = scaled_to_physical(np.reshape(action_scaled, (lanes.size, 3)))
+        action = np.asarray(action_scaled, dtype=float)
+        if action.shape != (lanes.size, 3) and not (lanes.size == 1 and action.shape == (3,)):
+            raise ValueError(f"step takes an ({lanes.size}, 3) action block, got {action.shape}")
+        phys, clamped = scaled_to_physical(np.reshape(action, (lanes.size, 3)))
         cst, width_clamped, failed = apply_action(self._cst[lanes], self.t_max, phys)
         cd_before = self._cd[lanes]
         shock_lost = np.zeros(lanes.size, dtype=bool)

@@ -71,12 +71,12 @@ def cp_to_wall_mach(cp, m_inf: float):
 
 
 def extract_features(dist: WallMachDistribution) -> FeatureSet:
-    """The features, (N,) arrays, of each row of (N, n) mw_upper and
-    mw_lower blocks on shared x grids.  The shock is the steepest falling
-    interval of mw_upper in SHOCK_WINDOW, taken only when the monotone
-    descending run around it drops at least MIN_SHOCK_DROP.  Without one,
-    or without a supersonic station, no_shock is set, Mw1/X1 sit at the
-    upper maximum and MwA is the lowest Mach from there on."""
+    """The features, (N,) arrays, of each row of (N, n) mw_upper and (N, m)
+    mw_lower blocks (m may be 0) on shared x grids.  The shock is the
+    steepest falling interval of mw_upper in SHOCK_WINDOW, taken only when
+    the monotone descending run around it drops at least MIN_SHOCK_DROP.
+    Without one, or without a supersonic station, no_shock is set, Mw1/X1
+    sit at the upper maximum and MwA is the lowest Mach from there on."""
     x = np.asarray(dist.x_upper, dtype=float)
     mw = np.asarray(dist.mw_upper, dtype=float)
     if mw.shape[1:] != x.shape:
@@ -93,7 +93,9 @@ def extract_features(dist: WallMachDistribution) -> FeatureSet:
     i_peak = peak[np.argmax(mw[:, peak], axis=1)]
     mwl = mw[rows, i_peak]
 
-    low = np.reshape(np.asarray(dist.mw_lower, dtype=float), (len(mw), -1))
+    low = np.asarray(dist.mw_lower, dtype=float)
+    if low.ndim != 2 or len(low) != len(mw):
+        raise FeatureError(f"mw_lower must be an ({len(mw)}, m) block, got {low.shape}")
     mw_lower_max = low.max(axis=1) if low.shape[1] else np.zeros(len(mw))
 
     i_steep, i_pre, i_foot, shock = _find_shock(x, mw)

@@ -111,19 +111,17 @@ def clip_target(eps: float, adv):
     return np.where(adv >= 0.0, (1.0 + eps) * adv, (1.0 - eps) * adv)
 
 
-def clipped_objective(ratio, adv, eps: float):
-    """PPO-clip per-step terms min(r A, g(eps, A)) and the mask of steps
-    whose unclipped branch r A is the minimum: the steps that carry
-    gradient through the ratio."""
+def actor_objective(logp_new, logp_old, adv):
+    """PPO-clip actor loss -mean(min(r A, g(CLIP_EPS, A))) of the ratios
+    r = exp(logp_new - logp_old), as (loss, r, active); active marks the
+    steps whose unclipped branch r A is the minimum, the steps that carry
+    gradient through r.  A non-finite ratio raises PpoError."""
+    ratio = np.exp(logp_new - logp_old)
+    if not np.all(np.isfinite(ratio)):
+        raise PpoError(f"non-finite policy ratio (max logdiff {np.max(logp_new - logp_old):.3g})")
     unclipped = ratio * adv
-    clipped = clip_target(eps, adv)
-    return np.minimum(unclipped, clipped), unclipped <= clipped
-
-
-def entropy_term(std: np.ndarray) -> float:
-    """Entropy measure used in the actor objective (additive constant
-    differs from the full multivariate Gaussian entropy)."""
-    return 0.5 + 0.5 * math.log(2.0 * math.pi) + float(np.sum(np.log(std)))
+    clipped = clip_target(CLIP_EPS, adv)
+    return -float(np.mean(np.minimum(unclipped, clipped))), ratio, unclipped <= clipped
 
 
 @dataclass
@@ -142,22 +140,12 @@ class TrajectoryBatch:
         return self.states.shape[0]
 
 
-def ppo_losses(batch: TrajectoryBatch, agent: PolicyAgent, old_agent: PolicyAgent):
-    """(actor loss, entropy, critic loss) for a batch; no gradients."""
-    means_new = mlp_forward(agent.actor, batch.states)
-    means_old = mlp_forward(old_agent.actor, batch.states)
-    logp_new = gaussian_log_prob(batch.actions, means_new, agent.std)
-    logp_old = gaussian_log_prob(batch.actions, means_old, old_agent.std)
-    ratio = np.exp(logp_new - logp_old)
-    if not np.all(np.isfinite(ratio)):
-        raise PpoError(f"non-finite policy ratio (max logdiff "
-                       f"{np.max(logp_new - logp_old):.3g})")
-    terms, _ = clipped_objective(ratio, batch.advantages, CLIP_EPS)
-    actor_loss = -float(np.mean(terms))
-    entropy = entropy_term(agent.std)
-    v = mlp_forward(agent.critic, batch.states)[:, 0]
-    critic_loss = float(np.mean((v - batch.rewards_to_go) ** 2))
-    return actor_loss, entropy, critic_loss
+def ppo_actor_loss(batch: TrajectoryBatch, agent: PolicyAgent, old_agent: PolicyAgent) -> float:
+    """The actor_objective of agent against old_agent on batch's actions
+    and advantages; no gradients."""
+    logp_new, logp_old = (gaussian_log_prob(batch.actions, a.mean_action(batch.states), a.std)
+                          for a in (agent, old_agent))
+    return actor_objective(logp_new, logp_old, batch.advantages)[0]
 
 
 def collect_batch(agent: PolicyAgent, baselines, env, trajectories: int,
@@ -214,11 +202,7 @@ def _update_agent(agent: PolicyAgent, batch: TrajectoryBatch,
             means = actor_fit.forward(xs)
             std = agent.std
             logp_new = gaussian_log_prob(batch.actions, means, std)
-            ratio = np.exp(logp_new - batch.log_probs)
-            if not np.all(np.isfinite(ratio)):
-                raise PpoError("non-finite policy ratio during update")
-            terms, active = clipped_objective(ratio, adv, CLIP_EPS)
-            actor_loss = -float(np.mean(terms))
+            actor_loss, ratio, active = actor_objective(logp_new, batch.log_probs, adv)
             # d(-mean(term))/dmean: only active (unclipped) steps carry gradient
             coef = -(active * ratio * adv)[:, None] / n
             d_mean = coef * (batch.actions - means) / std**2

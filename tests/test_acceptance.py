@@ -21,7 +21,7 @@ from airfoilrl.geometry import (apply_action, bump_y, cosine_stations,
 from airfoilrl.nnet import MlpModel, Scaler, make_mlp, mlp_backward, mlp_forward
 from airfoilrl.proxy import T_MAX_DEFAULT, generate_pool, seed_airfoils
 from airfoilrl.rl import (PolicyAgent, TrajectoryBatch, clip_target,
-                          gae_advantages, make_agent, ppo_losses, ppo_train,
+                          gae_advantages, make_agent, ppo_actor_loss, ppo_train,
                           reward_to_go)
 from airfoilrl.surrogate import (DESK_BATCH, DESK_HIDDEN, DESK_SCHEDULE,
                                  select_samples, train_surrogate)
@@ -172,7 +172,7 @@ def test_criterion_6_ppo_clip_unit_math():
                             rewards_to_go=np.zeros(2),
                             advantages=np.array([2.0, -1.0]),
                             slices=[(0, 2)])
-    actor_loss, _, _ = ppo_losses(batch, new, old)
+    actor_loss = ppo_actor_loss(batch, new, old)
     ok &= abs(actor_loss + 0.1) < 1e-10
     ok &= (time.perf_counter() - t0) < 1.0
     report(6, "clip branch values and handcrafted actor loss -0.1", ok)

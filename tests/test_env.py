@@ -1,4 +1,6 @@
 """Design environment tests: action mapping, reward telescoping, termination."""
+import re
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,18 @@ def test_action_scaling_round_trip():
 def test_step_before_reset_raises(env):
     with pytest.raises(EnvProtocolError):
         env.step(np.array([0.5, 0.5, 0.5]))
+
+
+@pytest.mark.parametrize("block", [np.array([[0.5, 0.45], [0.5, 0.6], [0.5, 0.5]]),
+                                   np.full(6, 0.5), np.full(3, 0.5)],
+                         ids=["transposed", "flat", "one-lane vector"])
+def test_step_takes_only_an_n_by_3_block(env, block):
+    """With two live lanes, a (3, 2), a (6,) or a (3,) action raises,
+    naming its shape, and steps no lane."""
+    env.reset_lanes(seed_airfoils(2, seed=0))
+    with pytest.raises(ValueError, match=re.escape(f"(2, 3) action block, got {block.shape}")):
+        env.step(block)
+    assert env._steps.tolist() == [0, 0] and env.live.all()
 
 
 def test_reset_returns_state(env, baseline):

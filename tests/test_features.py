@@ -1,4 +1,6 @@
 """Feature extraction tests against synthetic wall Mach distributions."""
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -90,6 +92,14 @@ def test_single_distribution_is_not_a_block():
     x = np.linspace(0.0, 1.0, 30)
     dist = WallMachDistribution(x, np.ones(30), x, np.ones(30), 0.76)
     with pytest.raises(FeatureError, match=r"\(N, 30\) block, got \(30,\)"):
+        extract_features(dist)
+
+
+@pytest.mark.parametrize("low", [np.array([0.9, 0.5, 0.7, 0.6]), np.ones((1, 4)), np.ones((3, 4))])
+def test_lower_surface_is_a_block_of_the_upper_rows(low):
+    x = np.linspace(0.0, 1.0, 30)
+    dist = WallMachDistribution(x, np.ones((2, 30)), np.linspace(0.0, 1.0, 4), low, 0.76)
+    with pytest.raises(FeatureError, match=re.escape(f"(2, m) block, got {low.shape}")):
         extract_features(dist)
 
 

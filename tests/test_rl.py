@@ -1,4 +1,5 @@
 """PPO machinery tests: GAE, clipping, losses, and the bandit env criterion 7 trains on."""
+import dataclasses
 import math
 
 import numpy as np
@@ -6,12 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from airfoilrl.env import LaneResult
-from airfoilrl.nnet import MlpModel, Scaler
-from airfoilrl.rl import (PolicyAgent, PpoError, TrajectoryBatch,
-                          clip_target, collect_batch, entropy_term,
+from airfoilrl.nnet import AdamState, MlpModel, Scaler
+from airfoilrl.rl import (CLIP_EPS, PolicyAgent, PpoError, TrajectoryBatch,
+                          _update_agent, clip_target, collect_batch,
                           gae_advantages, gaussian_log_prob, load_agent,
-                          make_agent, ppo_losses, ppo_train, reward_to_go,
+                          make_agent, ppo_actor_loss, ppo_train, reward_to_go,
                           sample_action, save_agent)
+from airfoilrl.tables import FEATURE_BOX
 
 
 def gae_brute_force(rewards, values, gamma, lam):
@@ -67,12 +69,6 @@ def test_clip_target_hand_cases():
     assert clip_target(0.2, 0.0) == 0.0
 
 
-def test_entropy_term_formula():
-    std = np.array([0.1, 0.2, 0.3])
-    want = 0.5 + 0.5 * math.log(2 * math.pi) + float(np.sum(np.log(std)))
-    assert abs(entropy_term(std) - want) < 1e-12
-
-
 def test_gaussian_log_prob_standard_normal():
     lp = gaussian_log_prob(np.zeros((1, 2)), np.zeros((1, 2)), np.ones(2))
     assert abs(lp[0] + math.log(2 * math.pi)) < 1e-12
@@ -99,10 +95,63 @@ def test_handcrafted_actor_loss():
                             log_probs=np.zeros(2), rewards=np.zeros(2),
                             values=np.zeros(2), rewards_to_go=np.zeros(2),
                             advantages=adv, slices=[(0, 2)])
-    actor_loss, entropy, critic_loss = ppo_losses(batch, new, old)
-    assert abs(actor_loss + 0.1) < 1e-10
-    assert abs(entropy - entropy_term(np.ones(1))) < 1e-12
-    assert critic_loss == 0.0
+    assert abs(ppo_actor_loss(batch, new, old) + 0.1) < 1e-10
+
+
+def sampled_batch(agent, n, rng, advantages):
+    """A batch of n states drawn in the feature box, with actions and
+    log-probs sampled by agent."""
+    lo, hi = FEATURE_BOX[1:, 0], FEATURE_BOX[1:, 1]
+    states = lo + (hi - lo) * rng.uniform(size=(n, lo.size))
+    actions, logps = sample_action(agent, states, rng)
+    return TrajectoryBatch(states=states, actions=actions, log_probs=logps,
+                           rewards=np.zeros(n), values=np.zeros(n),
+                           rewards_to_go=np.zeros(n), advantages=advantages,
+                           slices=[(0, n)])
+
+
+def update_once(agent, batch):
+    """One _update_agent epoch of actor and critic from fresh Adam states."""
+    actor_states = (AdamState.for_params(agent.actor.flat), AdamState.for_params(agent.log_std))
+    return _update_agent(agent, batch, 1, 1e-3, 1e-2, actor_states,
+                         AdamState.for_params(agent.critic.flat))
+
+
+def test_update_descends_the_ppo_actor_loss():
+    """The actor loss of a one-epoch update is ppo_actor_loss of the
+    pre-update agent against the sampling agent, on normalized advantages."""
+    rng = np.random.default_rng(7)
+    sampler = make_agent(rng, hidden=(8,))
+    batch = sampled_batch(sampler, 64, rng, rng.standard_normal(64))
+    agent = sampler.copy()
+    agent.actor.flat[:] += 0.05 * rng.standard_normal(agent.actor.flat.size)
+    adv = (batch.advantages - batch.advantages.mean()) / (batch.advantages.std() + 1e-8)
+    normalized = dataclasses.replace(batch, advantages=adv)
+    want = ppo_actor_loss(normalized, agent, sampler)
+    ratio = np.exp(gaussian_log_prob(batch.actions, agent.mean_action(batch.states), agent.std)
+                   - batch.log_probs)
+    clips = clip_target(CLIP_EPS, adv) < ratio * adv
+    assert clips.any() and not clips.all()
+    actor_loss, _ = update_once(agent, batch)
+    assert actor_loss == want
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in exp")
+def test_a_non_finite_ratio_raises_one_message():
+    """A ratio that overflows raises the same PpoError through the update
+    and through ppo_actor_loss."""
+    rng = np.random.default_rng(8)
+    agent = make_agent(rng, hidden=(8,))
+    old = agent.copy()
+    old.log_std[:] = math.log(1e-3)
+    batch = sampled_batch(agent, 16, rng, rng.standard_normal(16))
+    batch.actions += 1.0  # a thousand old-policy stds from its mean
+    batch.log_probs = gaussian_log_prob(batch.actions, old.mean_action(batch.states), old.std)
+    with pytest.raises(PpoError, match="non-finite policy ratio") as through_loss:
+        ppo_actor_loss(batch, agent, old)
+    with pytest.raises(PpoError) as through_update:
+        update_once(agent, batch)
+    assert str(through_update.value) == str(through_loss.value)
 
 
 def test_clip_bound_property():
